@@ -114,12 +114,13 @@ pub struct MstResult {
     pub phases: PhaseTimes,
 }
 
-/// One vertex's selected minimum edge (the output of `MIN EDGES`).
+/// A boundary vertex's locally lightest edge — the candidate `MIN EDGES`
+/// allgathers so every holder of a shared vertex learns the same winner.
 #[derive(Clone, Copy, Debug)]
 pub struct MinEdge {
-    /// The selecting vertex (a source on this PE).
+    /// The selecting vertex (a source on the sending PE).
     pub v: VertexId,
-    /// Its globally lightest incident edge in the unique-weight order.
+    /// Its lightest incident edge there, in the unique-weight order.
     pub edge: CEdge,
 }
 
@@ -144,8 +145,9 @@ impl kamsta_comm::Wire for MinEdge {
 /// Output of one `CONTRACT COMPONENTS` round.
 #[derive(Clone, Debug)]
 pub struct ContractOutcome {
-    /// Component label (root vertex) for every vertex local to this PE.
-    pub labels: FxHashMap<VertexId, VertexId>,
+    /// Component label (root vertex) of every vertex local to this PE,
+    /// by local index ([`DistGraph::local_vertices`] order).
+    pub labels: Vec<VertexId>,
     /// Ids of the input edges this PE's owned vertices contributed to the
     /// MST this round (each undirected MST edge emitted exactly once
     /// machine-wide).
@@ -156,13 +158,14 @@ pub struct ContractOutcome {
 #[derive(Clone, Debug)]
 pub struct PreprocessOutcome {
     /// Local edges surviving contraction (intra-component edges removed),
-    /// still with original endpoints — [`relabel`] rewrites them. Empty
-    /// when the gate rejects (`applied == false`): the caller keeps using
-    /// its own graph, nothing is cloned.
+    /// in input order and still with original endpoints — [`relabel`]
+    /// rewrites them. Empty when the gate rejects (`applied == false`):
+    /// the caller keeps using its own graph, nothing is cloned.
     pub edges: Vec<CEdge>,
-    /// Local component label per contracted vertex (identity for frozen
-    /// shared vertices and for everything when the gate rejects).
-    pub labels: FxHashMap<VertexId, VertexId>,
+    /// Local component label of every local vertex, by local index: the
+    /// minimum member id of its component (the vertex itself when it is
+    /// shared or was never merged). Empty when the gate rejects.
+    pub labels: Vec<VertexId>,
     /// True when the locality gate accepted and contraction ran.
     pub applied: bool,
     /// Ids of local edges proven to be MST edges by the cut property.
@@ -179,13 +182,6 @@ pub struct PreprocessOutcome {
 /// Pull rather than push: the edge_cases regression showed that routing
 /// answers by home-of-reverse-edge misses duplicate holders; serving
 /// explicit requests delivers to every PE that asks.
-///
-/// The home PE is monotone in the vertex id, so the radix-sorted query
-/// list is already grouped by destination: both directions of the
-/// exchange are flat buffers built from a count array alone — no
-/// scatter pass and no per-item source tag. The reply carries *values
-/// only*: it rides back in the request's bucket, so position alone pairs
-/// it with the query — half the reply volume of a key-value exchange.
 fn pull<F>(
     comm: &Comm,
     g: &DistGraph,
@@ -198,11 +194,8 @@ where
     pull_values(comm, queries, |q| g.home_of_vertex(q), resolve)
 }
 
-/// The count-only request/reply exchange shared by [`pull`] and the
-/// [`DistArray`] lookups: radix-sort and dedup the queried ids, group
-/// them by their (monotone) home with a count array alone, and run the
-/// value-only [`Comm::request_reply`] wire pattern — replies zip back by
-/// position. Collective.
+/// Radix-sort and dedup the queried ids, resolve them with
+/// [`pull_sorted`] and key the answers by id. Collective.
 fn pull_values(
     comm: &Comm,
     mut ids: Vec<u64>,
@@ -211,15 +204,39 @@ fn pull_values(
 ) -> FxHashMap<u64, u64> {
     kamsta_sort::radix_sort_keys(&mut ids);
     ids.dedup();
+    let values = pull_sorted(comm, &ids, home_of, resolve);
+    ids.into_iter().zip(values).collect()
+}
+
+/// The count-only request/reply exchange behind every pull: `ids` is
+/// ascending and distinct and the home PE is monotone in the id, so the
+/// list is already grouped by destination — both directions of the
+/// exchange are flat buffers built from a count array alone, no scatter
+/// pass and no per-item source tag. The reply carries *values only*
+/// ([`Comm::request_reply`]): it rides back in the request's bucket, so
+/// `result[k]` answers `ids[k]` — half the reply volume of a key-value
+/// exchange, and callers that hold the ids in an array of their own
+/// (the local-vertex list) never build a map. Collective.
+fn pull_sorted(
+    comm: &Comm,
+    ids: &[u64],
+    home_of: impl Fn(u64) -> usize,
+    resolve: impl Fn(u64) -> u64,
+) -> Vec<u64> {
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
     comm.charge_local(ids.len() as u64);
     let mut counts = vec![0usize; comm.size()];
-    for &id in &ids {
+    for &id in ids {
         counts[home_of(id)] += 1;
     }
-    let asked = ids.clone();
-    let requests = FlatBuckets::from_counts(ids, &counts);
-    let values = comm.request_reply(requests, |&id| resolve(id));
-    asked.into_iter().zip(values).collect()
+    let requests = FlatBuckets::from_counts(ids.to_vec(), &counts);
+    comm.request_reply(requests, |&id| resolve(id))
+}
+
+/// The value a per-local-vertex array holds for `x` on this PE, or `x`
+/// itself when `x` is no source here — what a home PE answers to a pull.
+fn local_or_self(g: &DistGraph, per_vertex: &[VertexId], x: VertexId) -> VertexId {
+    g.local_index(x).map_or(x, |i| per_vertex[i])
 }
 
 // ---------------------------------------------------------------------
@@ -227,41 +244,41 @@ fn pull_values(
 // ---------------------------------------------------------------------
 
 /// Select each local vertex's globally lightest incident edge in the
-/// unique-weight total order (Sec. IV: `MIN EDGES`). For vertices whose
+/// unique-weight total order (Sec. IV: `MIN EDGES`), by local index;
+/// `None` for a vertex with nothing but self-loops. For vertices whose
 /// edge range spans a PE boundary, local candidates are merged through an
 /// allgather so every holder learns the same winner. Collective.
-pub fn min_edges(comm: &Comm, g: &DistGraph) -> Vec<MinEdge> {
+pub fn min_edges(comm: &Comm, g: &DistGraph) -> Vec<Option<CEdge>> {
     comm.charge_local(g.edges.len() as u64);
-    let mut sels: Vec<MinEdge> = Vec::new();
-    let mut shared_cands: Vec<MinEdge> = Vec::new();
-    for (v, range) in g.vertex_segments() {
-        let best = g.edges[range]
-            .iter()
-            .filter(|e| !e.is_self_loop())
-            .min_by_key(|e| (e.w, e.id));
-        if let Some(&edge) = best {
-            let sel = MinEdge { v, edge };
-            if g.is_shared(v) {
-                shared_cands.push(sel);
-            }
-            sels.push(sel);
-        }
-    }
+    let mut sels: Vec<Option<CEdge>> = g
+        .vertex_segments()
+        .map(|(_, range)| {
+            g.edges[range]
+                .iter()
+                .filter(|e| !e.is_self_loop())
+                .min_by_key(|e| (e.w, e.id))
+                .copied()
+        })
+        .collect();
     // Merge boundary-vertex candidates machine-wide (at most p − 1
-    // distinct shared vertices exist, Sec. II-B).
-    let all_cands = comm.allgatherv(shared_cands);
-    if !all_cands.is_empty() {
-        let mut winner: FxHashMap<VertexId, CEdge> = FxHashMap::default();
-        for cand in all_cands {
-            let slot = winner.entry(cand.v).or_insert(cand.edge);
-            if (cand.edge.w, cand.edge.id) < (slot.w, slot.id) {
-                *slot = cand.edge;
-            }
+    // distinct shared vertices exist, Sec. II-B). Only the slice's first
+    // and last vertex can be shared.
+    let verts = g.local_vertices();
+    let boundary = [0, verts.len().saturating_sub(1)];
+    let shared_cands: Vec<MinEdge> = boundary[..verts.len().min(2)]
+        .iter()
+        .filter_map(|&i| {
+            let edge = sels[i].filter(|_| g.is_shared(verts[i]))?;
+            Some(MinEdge { v: verts[i], edge })
+        })
+        .collect();
+    for cand in comm.allgatherv(shared_cands) {
+        if !g.is_shared(cand.v) {
+            continue;
         }
-        for sel in &mut sels {
-            if let Some(&edge) = winner.get(&sel.v) {
-                sel.edge = edge;
-            }
+        let i = g.local_index(cand.v).expect("a shared vertex is local");
+        if sels[i].is_none_or(|cur| (cand.edge.w, cand.edge.id) < (cur.w, cur.id)) {
+            sels[i] = Some(cand.edge);
         }
     }
     sels
@@ -274,48 +291,45 @@ pub fn min_edges(comm: &Comm, g: &DistGraph) -> Vec<MinEdge> {
 /// Hook every owned vertex along its selected edge, elect the smaller
 /// endpoint of each pseudo-tree's 2-cycle as root, and resolve component
 /// labels by distributed pointer doubling over the vertex-home partition
-/// (Sec. IV-B). Emits the round's MST edge ids (one per non-root owned
-/// vertex — exactly the pseudo-tree edges). Collective.
-pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[MinEdge]) -> ContractOutcome {
-    let rank = comm.rank();
+/// (Sec. IV-B). `sels` is [`min_edges`]' per-local-vertex output. Emits
+/// the round's MST edge ids (one per non-root owned vertex — exactly the
+/// pseudo-tree edges). Collective.
+pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[Option<CEdge>]) -> ContractOutcome {
+    let verts = g.local_vertices();
+    debug_assert_eq!(sels.len(), verts.len());
     // Owned vertices: the home PE (last holder) runs the hooking; other
-    // holders of a shared vertex receive the label afterwards.
-    let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
-    let mut chosen: FxHashMap<VertexId, u64> = FxHashMap::default();
-    for sel in sels {
-        if g.home_of_vertex(sel.v) == rank {
-            parent.insert(sel.v, sel.edge.v);
-            chosen.insert(sel.v, sel.edge.id);
-        }
+    // holders of a shared vertex receive the label afterwards. Only the
+    // slice's last vertex can be homed elsewhere.
+    let owned = verts.len() - usize::from(g.last_shared);
+    let hooked: Vec<usize> = (0..owned).filter(|&i| sels[i].is_some()).collect();
+    // Pointer per local vertex; everything not hooked points at itself.
+    let mut parent: Vec<VertexId> = verts.to_vec();
+    for &i in &hooked {
+        parent[i] = sels[i].expect("hooked vertices have a selection").v;
     }
-    comm.charge_local(sels.len() as u64);
+    comm.charge_local(sels.iter().flatten().count() as u64);
+    let targets =
+        |parent: &[VertexId]| -> Vec<VertexId> { hooked.iter().map(|&i| parent[i]).collect() };
 
     // 2-cycle root election: the component minimum edge is selected from
     // both sides; the smaller endpoint becomes the root.
-    let targets: Vec<VertexId> = parent.values().copied().collect();
-    let grand = pull(comm, g, targets, |x| parent.get(&x).copied().unwrap_or(x));
-    let mut roots: Vec<VertexId> = Vec::new();
-    for (&v, &u) in &parent {
-        if grand.get(&u) == Some(&v) && v < u {
-            roots.push(v);
+    let grand = pull(comm, g, targets(&parent), |x| local_or_self(g, &parent, x));
+    for &i in &hooked {
+        if grand.get(&parent[i]) == Some(&verts[i]) && verts[i] < parent[i] {
+            parent[i] = verts[i];
         }
-    }
-    for &r in &roots {
-        parent.insert(r, r);
     }
 
     // Pointer doubling until every owned pointer reaches its root. The
     // round count is synchronised via the allreduced change counter.
     loop {
-        let targets: Vec<VertexId> = parent.values().copied().collect();
-        let hop = pull(comm, g, targets, |x| parent.get(&x).copied().unwrap_or(x));
+        let hop = pull(comm, g, targets(&parent), |x| local_or_self(g, &parent, x));
         let mut changed = 0u64;
-        for u in parent.values_mut() {
-            if let Some(&nu) = hop.get(u) {
-                if nu != *u {
-                    *u = nu;
-                    changed += 1;
-                }
+        for &i in &hooked {
+            let next = hop[&parent[i]];
+            if next != parent[i] {
+                parent[i] = next;
+                changed += 1;
             }
         }
         if comm.allreduce_sum(changed) == 0 {
@@ -324,15 +338,20 @@ pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[MinEdge]) -> Cont
     }
 
     // Every owned non-root vertex contributes its selected edge.
-    let mst_edge_ids: Vec<u64> = chosen
+    let mst_edge_ids: Vec<u64> = hooked
         .iter()
-        .filter(|&(v, _)| parent.get(v) != Some(v))
-        .map(|(_, &id)| id)
+        .filter(|&&i| parent[i] != verts[i])
+        .map(|&i| sels[i].expect("hooked vertices have a selection").id)
         .collect();
 
-    // Labels for *all* local vertices (shared copies query the owner).
-    let locals = g.local_vertices();
-    let labels = pull(comm, g, locals, |x| parent.get(&x).copied().unwrap_or(x));
+    // Labels for *all* local vertices (shared copies query the owner);
+    // the vertex list is already the sorted query list.
+    let labels = pull_sorted(
+        comm,
+        verts,
+        |q| g.home_of_vertex(q),
+        |x| local_or_self(g, &parent, x),
+    );
     ContractOutcome {
         labels,
         mst_edge_ids,
@@ -344,45 +363,56 @@ pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[MinEdge]) -> Cont
 // ---------------------------------------------------------------------
 
 /// Fetch component labels for this PE's ghost vertices — destinations
-/// homed on other PEs — with the pull protocol (Sec. IV-C). Collective.
-pub fn exchange_labels<F>(comm: &Comm, g: &DistGraph, label_of: F) -> FxHashMap<VertexId, VertexId>
-where
-    F: Fn(VertexId) -> VertexId,
-{
-    let rank = comm.rank();
+/// homed on other PEs — with the pull protocol (Sec. IV-C). `labels` is
+/// this PE's label per local vertex; a vertex that is a source nowhere
+/// keeps its own id. Collective.
+pub fn exchange_labels(
+    comm: &Comm,
+    g: &DistGraph,
+    labels: &[VertexId],
+) -> FxHashMap<VertexId, VertexId> {
     comm.charge_local(g.edges.len() as u64);
     let ghosts: Vec<VertexId> = g
         .edges
         .iter()
         .map(|e| e.v)
-        .filter(|&v| g.home_of_vertex(v) != rank)
+        .filter(|&v| g.is_ghost(v))
         .collect();
-    pull(comm, g, ghosts, label_of)
+    pull(comm, g, ghosts, |x| local_or_self(g, labels, x))
 }
 
-/// Rewrite edge endpoints to component labels — sources through the local
-/// `label_of`, destinations through the ghost table — and drop the
-/// self-loops that contraction created. Preserves ids and weights, so the
+/// Rewrite edge endpoints to component labels — sources and locally homed
+/// destinations through `labels` (per local vertex), ghost destinations
+/// through the ghost table — and drop the self-loops that contraction
+/// created. `edges` is `g.edges` or a subsequence of it in the same order
+/// (the survivors of [`local_contract`]), so one cursor over the vertex
+/// list resolves every source. Preserves ids and weights, so the
 /// symmetric closure of the distributed edge list is maintained. Borrows
 /// the edge slice: the output is a fresh vector either way, so callers
 /// never have to clone their graph to call this.
-pub fn relabel<F>(
+pub fn relabel(
     comm: &Comm,
     g: &DistGraph,
     edges: &[CEdge],
-    label_of: F,
+    labels: &[VertexId],
     ghost: &FxHashMap<VertexId, VertexId>,
-) -> Vec<CEdge>
-where
-    F: Fn(VertexId) -> VertexId,
-{
+) -> Vec<CEdge> {
     debug_assert!(g.pes() == comm.size());
     comm.charge_local(edges.len() as u64);
+    let verts = g.local_vertices();
+    let mut cursor = 0usize;
     edges
         .iter()
         .filter_map(|&(mut e)| {
-            e.u = label_of(e.u);
-            e.v = ghost.get(&e.v).copied().unwrap_or_else(|| label_of(e.v));
+            while verts[cursor] != e.u {
+                cursor += 1;
+            }
+            e.u = labels[cursor];
+            e.v = if g.is_ghost(e.v) {
+                ghost.get(&e.v).copied().unwrap_or(e.v)
+            } else {
+                local_or_self(g, labels, e.v)
+            };
             (e.u != e.v).then_some(e)
         })
         .collect()
@@ -443,34 +473,112 @@ pub fn redistribute(comm: &Comm, edges: Vec<CEdge>, cfg: &MstConfig) -> DistGrap
 /// is worthwhile (the high-locality gate of Sec. IV-A).
 const PREPROCESS_MIN_LOCAL_FRACTION: f64 = 0.25;
 
+/// A live edge of [`local_contract`]: the current components of its
+/// endpoints and its position in the slice (12 bytes per local edge).
+#[derive(Clone, Copy)]
+struct LiveEdge {
+    /// Component of the source, always a contractible vertex's.
+    a: u32,
+    /// Component of the destination; the sentinel `n` (the number of
+    /// local vertices) when the destination is not contractible here.
+    b: u32,
+    /// Index into `g.edges`.
+    pos: u32,
+}
+
+/// A component's lightest live edge so far this round.
+#[derive(Clone, Copy)]
+struct Lightest {
+    w: Weight,
+    id: u64,
+    /// The component across the edge (or the not-contractible sentinel).
+    to: u32,
+}
+
+/// Keep `e`, which leads to component `to`, if it is lighter than what
+/// `slot` holds.
+#[inline]
+fn offer(slot: &mut Option<Lightest>, e: &CEdge, to: u32) {
+    if slot.is_none_or(|l| (e.w, e.id) < (l.w, l.id)) {
+        *slot = Some(Lightest {
+            w: e.w,
+            id: e.id,
+            to,
+        });
+    }
+}
+
 /// Contract purely local subtrees before the first communication round
 /// (Sec. IV-A). A vertex is *contractible* when it is local and not
 /// shared, so its full adjacency is on this PE and its minimum edge is a
 /// valid global minimum (cut property). Components grow only through
-/// contractible vertices; a component whose minimum edge leaves the
-/// contractible set freezes. Gate and outcome flag are global (allreduce
-/// on the internal-edge fraction), so GNM/RMAT-like inputs skip the pass
+/// contractible vertices. Gate and outcome flag are global (allreduce on
+/// the internal-edge fraction), so GNM/RMAT-like inputs skip the pass
 /// machine-wide. Collective.
+///
+/// **The freeze rule.** Rounds are synchronous: every open component
+/// takes the lightest edge leaving it, over the full adjacency of its
+/// members. If that edge stays inside the contractible set the two
+/// components merge and the edge is an MST edge; if it leaves the set
+/// (ghost or shared destination) the component *sits out* — it is
+/// skipped when minima are taken — until a merge absorbs it into a new
+/// component, which is open again. The pass stops when a round merges
+/// nothing. Every component's lightest outgoing edge then leaves the
+/// contractible set (or it has none), and since edge weights are totally
+/// ordered by `(w, id)` that fixpoint is unique: the outcome does not
+/// depend on the order components are visited in or on how the
+/// union-find picks its roots.
+///
+/// **Containers.** Everything is keyed by the local index of
+/// [`DistGraph::local_vertices`]. Endpoints are resolved to local indices
+/// once; after that a round is one pass over the *live* edges — those
+/// whose endpoints are still in different components — that refreshes
+/// both endpoint labels from a flat array, drops the edges that became
+/// internal (for good) and keeps each open component's minimum in a
+/// vector. The live list that remains at the end is the surviving edge
+/// list. γ is charged per live edge scanned.
 pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> PreprocessOutcome {
     let verts = g.local_vertices();
-    let vidx: FxHashMap<VertexId, u32> = verts
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u32))
-        .collect();
-    let contractible: Vec<bool> = verts.iter().map(|&v| !g.is_shared(v)).collect();
-    let is_contractible = |v: VertexId| -> Option<u32> {
-        vidx.get(&v).copied().filter(|&i| contractible[i as usize])
-    };
+    let offsets = g.segment_offsets();
+    let n = verts.len();
+    assert!(g.edges.len() < u32::MAX as usize, "edge positions are u32");
+    // Only the slice's first and last vertex can be shared, so the
+    // contractible vertices are the index range `lo..hi`.
+    let lo = usize::from(g.first_shared);
+    let hi = (n - usize::from(g.last_shared)).max(lo);
+    let none = n as u32;
 
-    // Locality gate: globally averaged fraction of edges with both
-    // endpoints contractible on their holder.
+    // Resolve every edge with a contractible source to local indices —
+    // the source is the segment number, the destination one lookup. The
+    // same pass counts the edges with both endpoints contractible for the
+    // gate and is the first round's scan: every vertex is a component,
+    // its segment holds all its edges, self-loops are internal already.
     comm.charge_local(g.edges.len() as u64);
-    let internal = g
-        .edges
-        .iter()
-        .filter(|e| is_contractible(e.u).is_some() && is_contractible(e.v).is_some())
-        .count() as u64;
+    let mut live: Vec<LiveEdge> = Vec::with_capacity(offsets[hi] - offsets[lo]);
+    let mut lightest: Vec<Option<Lightest>> = vec![None; n];
+    let mut internal = 0u64;
+    for a in lo..hi {
+        for pos in offsets[a]..offsets[a + 1] {
+            let e = &g.edges[pos];
+            let b = match g.local_index(e.v) {
+                Some(b) if (lo..hi).contains(&b) => {
+                    internal += 1;
+                    b as u32
+                }
+                _ => none,
+            };
+            if b == a as u32 {
+                continue;
+            }
+            live.push(LiveEdge {
+                a: a as u32,
+                b,
+                pos: pos as u32,
+            });
+            offer(&mut lightest[a], e, b);
+        }
+    }
+    // Locality gate: the globally averaged fraction of internal edges.
     let internal_global = comm.allreduce_sum(internal);
     let applied = cfg.preprocessing
         && g.m_global > 0
@@ -478,106 +586,88 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
     if !applied {
         return PreprocessOutcome {
             edges: Vec::new(),
-            labels: FxHashMap::default(),
+            labels: Vec::new(),
             applied: false,
             mst_edge_ids: Vec::new(),
         };
     }
 
-    // Iterated local Borůvka over the contractible subgraph: per round,
-    // each active component's minimum incident edge (over the *full*
-    // local adjacency of its members) either merges two contractible
-    // components — emitting an MST edge — or freezes the component.
-    let mut uf = UnionFind::new(verts.len());
-    let mut active: Vec<bool> = contractible.clone();
+    let mut uf = UnionFind::new(n);
+    // Current component of every vertex that was a component root when
+    // the previous round ended — the only indices live edges carry. The
+    // extra slot maps the not-contractible sentinel to itself.
+    let mut label: Vec<u32> = (0..=none).collect();
+    let mut roots: Vec<u32> = (lo as u32..hi as u32).collect();
+    let mut sits_out = vec![false; n];
     let mut mst_edge_ids: Vec<u64> = Vec::new();
     loop {
-        comm.charge_local(g.edges.len() as u64);
-        // Component minimum over active components.
-        let mut best: FxHashMap<u32, CEdge> = FxHashMap::default();
-        for e in &g.edges {
-            if e.is_self_loop() {
-                continue;
-            }
-            let Some(iu) = is_contractible(e.u) else {
+        // Merge along the minima. The mutual minimum of two components is
+        // one undirected edge: its second union fails and emits nothing.
+        let emitted = mst_edge_ids.len();
+        for &c in &roots {
+            // Nothing recorded: the component sits out or has no edge left.
+            let Some(best) = lightest[c as usize].take() else {
                 continue;
             };
-            let cu = uf.find(iu);
-            if !active[cu as usize] {
-                continue;
-            }
-            // Skip intra-component edges.
-            if let Some(iv) = is_contractible(e.v) {
-                if uf.find(iv) == cu {
-                    continue;
-                }
-            }
-            let slot = best.entry(cu).or_insert(*e);
-            if (e.w, e.id) < (slot.w, slot.id) {
-                *slot = *e;
+            if best.to == none {
+                sits_out[c as usize] = true;
+            } else if uf.union(c, best.to) {
+                mst_edge_ids.push(best.id);
             }
         }
-        let mut merged = false;
-        for (cu, e) in best {
-            match is_contractible(e.v) {
-                Some(iv) => {
-                    // The mutual-minimum 2-cycle shares one undirected
-                    // edge; the second union returns false and must not
-                    // re-emit it.
-                    if uf.union(cu, iv) {
-                        mst_edge_ids.push(e.id);
-                        merged = true;
-                    }
-                }
-                None => {
-                    // Minimum edge leaves the contractible set: freeze.
-                    active[uf.find(cu) as usize] = false;
-                }
-            }
-        }
-        // Re-anchor activity on current roots (merging may have moved
-        // the root identity).
-        let mut next_active = vec![false; verts.len()];
-        for i in 0..verts.len() as u32 {
-            if contractible[i as usize] && active[i as usize] {
-                let r = uf.find(i);
-                if active[r as usize] {
-                    next_active[r as usize] = true;
-                }
-            }
-        }
-        active = next_active;
-        if !merged {
+        if mst_edge_ids.len() == emitted {
             break;
         }
+        for &c in &roots {
+            let root = uf.find(c);
+            label[c as usize] = root;
+            if root != c {
+                // `root` absorbed `c`: a new component, open again.
+                sits_out[root as usize] = false;
+            }
+        }
+        roots.retain(|&c| label[c as usize] == c);
+
+        // One pass over the live edges: refresh both labels, drop what
+        // became internal, take the open components' minima.
+        comm.charge_local(live.len() as u64);
+        let mut kept = 0usize;
+        for k in 0..live.len() {
+            let LiveEdge { a, b, pos } = live[k];
+            let (a, b) = (label[a as usize], label[b as usize]);
+            if a == b {
+                continue;
+            }
+            live[kept] = LiveEdge { a, b, pos };
+            kept += 1;
+            if !sits_out[a as usize] {
+                offer(&mut lightest[a as usize], &g.edges[pos as usize], b);
+            }
+        }
+        live.truncate(kept);
     }
 
-    // Representative per component: the minimum member vertex id.
-    let mut rep: Vec<VertexId> = vec![VertexId::MAX; verts.len()];
-    for (i, &v) in verts.iter().enumerate() {
-        if contractible[i] {
+    // Representative per component: the minimum member, which an
+    // ascending walk meets first.
+    let mut rep: Vec<VertexId> = vec![VertexId::MAX; n];
+    let labels: Vec<VertexId> = (0..n)
+        .map(|i| {
             let r = uf.find(i as u32) as usize;
-            rep[r] = rep[r].min(v);
-        }
-    }
-    let mut labels: FxHashMap<VertexId, VertexId> = FxHashMap::default();
-    for (i, &v) in verts.iter().enumerate() {
-        if contractible[i] {
-            labels.insert(v, rep[uf.find(i as u32) as usize]);
-        }
-    }
-
-    // Drop intra-component edges (they would become self-loops).
-    comm.charge_local(g.edges.len() as u64);
-    let edges: Vec<CEdge> = g
-        .edges
-        .iter()
-        .filter(|e| match (is_contractible(e.u), is_contractible(e.v)) {
-            (Some(iu), Some(iv)) => uf.find(iu) != uf.find(iv),
-            _ => true,
+            if rep[r] == VertexId::MAX {
+                rep[r] = verts[i];
+            }
+            rep[r]
         })
-        .copied()
         .collect();
+
+    // Survivors in input order: a shared first vertex's edges, the live
+    // list, a shared last vertex's edges.
+    let survivors = offsets[lo] + live.len() + (g.edges.len() - offsets[hi]);
+    comm.charge_local(survivors as u64);
+    let mut edges: Vec<CEdge> = Vec::with_capacity(survivors);
+    edges.extend_from_slice(&g.edges[..offsets[lo]]);
+    edges.extend(live.iter().map(|l| g.edges[l.pos as usize]));
+    edges.extend_from_slice(&g.edges[offsets[hi]..]);
 
     PreprocessOutcome {
         edges,
@@ -767,11 +857,9 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
         });
         if pre.applied {
             msf_ids.extend(&pre.mst_edge_ids);
-            let labels = pre.labels;
-            let label_of = |v: VertexId| labels.get(&v).copied().unwrap_or(v);
             let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
-                let ghost = exchange_labels(c, &input.graph, label_of);
-                relabel(c, &input.graph, &pre.edges, label_of, &ghost)
+                let ghost = exchange_labels(c, &input.graph, &pre.labels);
+                relabel(c, &input.graph, &pre.edges, &pre.labels, &ghost)
             });
             cur = Some(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
         }
@@ -787,11 +875,9 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
             contract_components(c, g, &sels)
         });
         msf_ids.extend(&outcome.mst_edge_ids);
-        let labels = outcome.labels;
-        let label_of = |v: VertexId| labels.get(&v).copied().unwrap_or(v);
         let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
-            let ghost = exchange_labels(c, g, label_of);
-            relabel(c, g, &g.edges, label_of, &ghost)
+            let ghost = exchange_labels(c, g, &outcome.labels);
+            relabel(c, g, &g.edges, &outcome.labels, &ghost)
         });
         cur = Some(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
     }

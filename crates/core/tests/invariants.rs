@@ -51,10 +51,8 @@ fn pipeline_stages_preserve_symmetric_closure() {
             }
             let sels = min_edges(comm, &g);
             let outcome = contract_components(comm, &g, &sels);
-            let labels = outcome.labels;
-            let label_of = |v: u64| labels.get(&v).copied().unwrap_or(v);
-            let ghost = exchange_labels(comm, &g, label_of);
-            let relabeled = relabel(comm, &g, &g.edges, label_of, &ghost);
+            let ghost = exchange_labels(comm, &g, &outcome.labels);
+            let relabeled = relabel(comm, &g, &g.edges, &outcome.labels, &ghost);
             stages.push((format!("relabel round {round}"), relabeled.clone()));
             g = ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, &cfg));
             stages.push((format!("redistribute round {round}"), g.edges.clone()));
@@ -84,10 +82,8 @@ fn preprocessing_preserves_consistency() {
         let cfg = MstConfig::default();
         let g = input.graph.clone();
         let pre = local_contract(comm, &g, &cfg);
-        let labels = pre.labels.clone();
-        let label_of = |v: u64| labels.get(&v).copied().unwrap_or(v);
-        let ghost = exchange_labels(comm, &g, label_of);
-        let relabeled = relabel(comm, &g, &pre.edges, label_of, &ghost);
+        let ghost = exchange_labels(comm, &g, &pre.labels);
+        let relabeled = relabel(comm, &g, &pre.edges, &pre.labels, &ghost);
         let g2 = redistribute(comm, relabeled.clone(), &cfg);
         (relabeled, g2.edges.clone(), pre.applied)
     });

@@ -37,6 +37,23 @@ pub struct DistGraph {
     /// `p − 1`). Lets any PE decide shared-ness of any vertex locally —
     /// the property pointer doubling exploits (Sec. IV-B).
     shared_vertices: Vec<VertexId>,
+    /// The dense local-vertex index: the distinct sources of `edges`,
+    /// ascending. A vertex's position here — its segment number — is its
+    /// *local index*, the key of every per-vertex array the local kernels
+    /// keep. Built once in [`DistGraph::establish`]; it describes the
+    /// endpoints `edges` had then, so code that rewrites endpoints builds
+    /// a new graph instead (ids and weights may change in place).
+    verts: Vec<VertexId>,
+    /// `seg_offsets[i]..seg_offsets[i + 1]` is the edge range of local
+    /// vertex `i`; one entry more than `verts`.
+    seg_offsets: Vec<usize>,
+    /// Direct id → local index table over `[first, last]` (`u32::MAX` for
+    /// ids that are no source here), kept when that id range is at most
+    /// twice the vertex count — inputs, whose ids are contiguous up to
+    /// isolated vertices. Empty otherwise (component labels after a
+    /// contraction are a sparse subset of the id space); lookups then
+    /// binary-search `verts`.
+    direct: Vec<u32>,
     rank: usize,
     p: usize,
 }
@@ -96,19 +113,31 @@ impl DistGraph {
         }
         shared_vertices.dedup();
 
-        // Count distinct vertices: local distinct sources, minus one if the
-        // first is already counted by an earlier PE.
-        let mut local_distinct = 0u64;
-        let mut prev: Option<VertexId> = None;
-        for e in &edges {
-            if prev != Some(e.u) {
-                local_distinct += 1;
-                prev = Some(e.u);
+        // One scan finds the distinct sources: it builds the local-vertex
+        // index and counts the vertices (minus one if the first is already
+        // counted by an earlier PE).
+        let mut verts: Vec<VertexId> = Vec::new();
+        let mut seg_offsets: Vec<usize> = Vec::new();
+        for (k, e) in edges.iter().enumerate() {
+            if verts.last() != Some(&e.u) {
+                verts.push(e.u);
+                seg_offsets.push(k);
+            }
+        }
+        seg_offsets.push(edges.len());
+        assert!(verts.len() < u32::MAX as usize, "local indices are u32");
+        let mut direct = Vec::new();
+        if let (Some(&first), Some(&last)) = (verts.first(), verts.last()) {
+            if last - first < 2 * verts.len() as u64 {
+                direct = vec![u32::MAX; (last - first) as usize + 1];
+                for (i, &v) in verts.iter().enumerate() {
+                    direct[(v - first) as usize] = i as u32;
+                }
             }
         }
         comm.charge_local(edges.len() as u64);
         let dedup = u64::from(first_shared);
-        let n_global = comm.allreduce_sum(local_distinct - dedup);
+        let n_global = comm.allreduce_sum(verts.len() as u64 - dedup);
         let m_global = comm.allreduce_sum(edges.len() as u64);
 
         Self {
@@ -119,6 +148,9 @@ impl DistGraph {
             first_shared,
             last_shared,
             shared_vertices,
+            verts,
+            seg_offsets,
+            direct,
             rank: comm.rank(),
             p,
         }
@@ -202,77 +234,79 @@ impl DistGraph {
             .map(|x| x.id)
     }
 
+    /// The distinct local vertices (sources) on this PE, ascending. The
+    /// position of a vertex in this slice is its local index.
+    #[inline]
+    pub fn local_vertices(&self) -> &[VertexId] {
+        &self.verts
+    }
+
+    /// Edge range of every local vertex: vertex `i` owns
+    /// `edges[offsets[i]..offsets[i + 1]]` (one entry more than
+    /// [`DistGraph::local_vertices`]).
+    #[inline]
+    pub fn segment_offsets(&self) -> &[usize] {
+        &self.seg_offsets
+    }
+
+    /// Local index of `v`, if `v` is a source on this PE: a range check
+    /// against the slice's first and last source (most ghosts fail it),
+    /// then one read of the direct table when the ids are dense, one
+    /// binary search of the vertex list when they are not.
+    #[inline]
+    pub fn local_index(&self, v: VertexId) -> Option<usize> {
+        let first = *self.verts.first()?;
+        if v < first || v > *self.verts.last()? {
+            return None;
+        }
+        if !self.direct.is_empty() {
+            let i = self.direct[(v - first) as usize];
+            return (i != u32::MAX).then_some(i as usize);
+        }
+        self.verts.binary_search(&v).ok()
+    }
+
     /// True if `v` appears as a source of one of this PE's edges.
     pub fn is_local_vertex(&self, v: VertexId) -> bool {
-        self.edges
-            .binary_search_by(|e| {
-                e.u.cmp(&v).then(std::cmp::Ordering::Greater) // find any edge with src == v
-            })
-            .err()
-            .map(|pos| pos < self.edges.len() && self.edges[pos].u == v)
-            .unwrap_or(false)
+        self.local_index(v).is_some()
     }
 
     /// True if `v` is one of this PE's boundary vertices shared with a
     /// neighbouring PE. Purely local (Sec. IV-B: "This property can be
     /// determined locally from the distributed graph data structure").
     pub fn is_shared(&self, v: VertexId) -> bool {
-        (self.first_shared && self.edges.first().is_some_and(|e| e.u == v))
-            || (self.last_shared && self.edges.last().is_some_and(|e| e.u == v))
+        (self.first_shared && self.verts.first() == Some(&v))
+            || (self.last_shared && self.verts.last() == Some(&v))
+    }
+
+    /// True if `v` is homed on another PE as far as this slice can tell:
+    /// outside its source range, or its last source continuing on a later
+    /// PE. Agrees with `home_of_vertex(v) != rank` for every vertex that
+    /// is a source somewhere, without the locator search.
+    #[inline]
+    pub fn is_ghost(&self, v: VertexId) -> bool {
+        match (self.verts.first(), self.verts.last()) {
+            (Some(&first), Some(&last)) => v < first || v > last || (v == last && self.last_shared),
+            _ => true,
+        }
     }
 
     /// Iterate over local vertices as `(source, edge index range)`
     /// segments — the segmented view behind `MIN EDGES` (Sec. IV).
-    pub fn vertex_segments(&self) -> VertexSegments<'_> {
-        VertexSegments {
-            edges: &self.edges,
-            pos: 0,
-        }
-    }
-
-    /// The distinct local vertices (sources) on this PE, ascending.
-    pub fn local_vertices(&self) -> Vec<VertexId> {
-        self.vertex_segments().map(|(v, _)| v).collect()
+    pub fn vertex_segments(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (VertexId, std::ops::Range<usize>)> + '_ {
+        self.verts
+            .iter()
+            .zip(self.seg_offsets.windows(2))
+            .map(|(&v, w)| (v, w[0]..w[1]))
     }
 
     /// Number of local vertices *not* shared with a previous PE — the
     /// count whose global sum drives the base-case switch (Sec. IV-D
     /// counts each shared vertex once).
     pub fn owned_vertex_count(&self) -> u64 {
-        let mut cnt = 0u64;
-        let mut prev = None;
-        for e in &self.edges {
-            if prev != Some(e.u) {
-                cnt += 1;
-                prev = Some(e.u);
-            }
-        }
-        cnt - u64::from(self.first_shared)
-    }
-}
-
-/// Iterator over `(source vertex, local edge range)` segments of a sorted
-/// edge slice.
-pub struct VertexSegments<'a> {
-    edges: &'a [CEdge],
-    pos: usize,
-}
-
-impl Iterator for VertexSegments<'_> {
-    type Item = (VertexId, std::ops::Range<usize>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.edges.len() {
-            return None;
-        }
-        let start = self.pos;
-        let v = self.edges[start].u;
-        let mut end = start + 1;
-        while end < self.edges.len() && self.edges[end].u == v {
-            end += 1;
-        }
-        self.pos = end;
-        Some((v, start..end))
+        self.verts.len() as u64 - u64::from(self.first_shared)
     }
 }
 
@@ -426,12 +460,70 @@ mod tests {
         let out = Machine::run(MachineConfig::new(3), |comm| {
             let g = DistGraph::establish(comm, path_slice(comm.rank()));
             let segs: Vec<(u64, usize)> = g.vertex_segments().map(|(v, r)| (v, r.len())).collect();
-            (segs, g.local_vertices())
+            (segs, g.local_vertices().to_vec())
         });
         assert_eq!(out.results[0].0, vec![(0, 1), (1, 2)]);
         assert_eq!(out.results[1].0, vec![(2, 2), (3, 1)]);
         assert_eq!(out.results[2].0, vec![(3, 1), (4, 1)]);
         assert_eq!(out.results[1].1, vec![2, 3]);
+    }
+
+    #[test]
+    fn local_index_agrees_with_the_vertex_list() {
+        // Stride 1 keeps the ids dense (direct table), stride 1000 makes
+        // them sparse (binary search); both must match a scan of the
+        // vertex list, and `is_ghost` the locator's verdict.
+        for stride in [1u64, 1000] {
+            let out = Machine::run(MachineConfig::new(3), move |comm| {
+                let edges = path_slice(comm.rank())
+                    .into_iter()
+                    .map(|e| CEdge::new(e.u * stride, e.v * stride, e.w, e.id))
+                    .collect();
+                let g = DistGraph::establish(comm, edges);
+                let verts = g.local_vertices();
+                for v in 0..=5 * stride {
+                    let want = verts.iter().position(|&x| x == v);
+                    assert_eq!(g.local_index(v), want, "stride {stride}, vertex {v}");
+                    assert_eq!(g.is_local_vertex(v), want.is_some());
+                }
+                for v in (0..5).map(|k| k * stride) {
+                    assert_eq!(g.is_ghost(v), g.home_of_vertex(v) != comm.rank());
+                }
+                let offsets = g.segment_offsets();
+                assert_eq!(offsets.len(), verts.len() + 1);
+                for (i, (v, range)) in g.vertex_segments().enumerate() {
+                    assert_eq!(
+                        (v, range.start, range.end),
+                        (verts[i], offsets[i], offsets[i + 1])
+                    );
+                    assert!(g.edges[range].iter().all(|e| e.u == v));
+                }
+            });
+            assert_eq!(out.results.len(), 3);
+        }
+    }
+
+    #[test]
+    fn empty_pe_has_an_empty_index() {
+        let out = Machine::run(MachineConfig::new(2), |comm| {
+            let edges = match comm.rank() {
+                0 => vec![CEdge::new(4, 5, 1, 0), CEdge::new(5, 4, 1, 1)],
+                _ => vec![],
+            };
+            let g = DistGraph::establish(comm, edges);
+            (
+                g.local_vertices().to_vec(),
+                g.segment_offsets().to_vec(),
+                g.local_index(4),
+                g.is_ghost(4),
+                g.owned_vertex_count(),
+            )
+        });
+        assert_eq!(
+            out.results[0],
+            (vec![4, 5], vec![0, 1, 2], Some(0), false, 2)
+        );
+        assert_eq!(out.results[1], (vec![], vec![0], None, true, 0));
     }
 
     #[test]

@@ -16,7 +16,7 @@ mod input;
 pub mod io;
 pub mod varint;
 
-pub use dist::{assign_ids, home_of_id, id_offsets, DistGraph, VertexSegments};
+pub use dist::{assign_ids, home_of_id, id_offsets, DistGraph};
 pub use edge::{lighter, CEdge, HasWeightKey, PackedEdge, VertexId, WEdge, Weight};
 pub use gen::GraphConfig;
 pub use input::InputGraph;
