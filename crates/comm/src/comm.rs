@@ -16,30 +16,23 @@
 
 use crate::alltoall::AlltoallKind;
 use crate::barrier::ClockBarrier;
-use crate::bytestream::{ByteHub, Payload};
 use crate::cells::{CellRegistry, CellSet, Round};
 use crate::cost::{Clock, CostModel, PeStats};
-use crate::fault::FaultyTransport;
-use crate::socket::SocketFabric;
+use crate::lane::ByteLane;
 use crate::transport::{raise, To, TransportKind};
-use crate::wire::Wire;
+use crate::wire::{Wire, CH_BARRIER, CH_DATA};
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// State shared by all PEs of one communicator.
+/// State shared by all PEs of one cells-transport communicator.
 #[derive(Debug)]
 pub(crate) struct CommShared {
     pub(crate) barrier: ClockBarrier,
-    /// The typed cell blackboard. Data plane of the cells transport;
-    /// under the byte transport it still carries the *out-of-band*
-    /// communicator-construction plumbing of [`Comm::split`] (a real
-    /// multi-process launcher builds sub-communicators out-of-band too).
+    /// The typed cell blackboard: the data plane, and the hand-off of a
+    /// child's shared state in [`Comm::split`].
     pub(crate) cells: CellRegistry,
-    /// The per-PE-pair byte queues — `Some` iff this communicator runs
-    /// the [`TransportKind::Bytes`] backend.
-    pub(crate) bytes: Option<ByteHub>,
 }
 
 impl CommShared {
@@ -47,25 +40,58 @@ impl CommShared {
     /// `p × threads_per_pe` — sub-communicator barriers judge host
     /// oversubscription by it, not by their own size, and hybrid
     /// machines count their intra-PE threads too.
-    /// `faults` arms fault injection on the byte-hub data plane (sockets
-    /// carry theirs on the fabric; cells sit above the boundary).
-    pub(crate) fn new(
-        p: usize,
-        machine_threads: usize,
-        transport: TransportKind,
-        faults: Option<Arc<FaultyTransport>>,
-    ) -> Self {
+    pub(crate) fn new(p: usize, machine_threads: usize) -> Self {
         Self {
             barrier: ClockBarrier::new(p, machine_threads),
             cells: CellRegistry::new(p),
-            bytes: match transport {
-                // Sockets carry their frames on the fabric owned by the
-                // `Comm` itself, not on shared in-process state.
-                TransportKind::Cells | TransportKind::Sockets => None,
-                TransportKind::Bytes => Some(ByteHub::new(p, faults)),
-            },
         }
     }
+}
+
+/// A communicator's end of the byte lane (the `bytes` and `sockets`
+/// transports): the machine's one lane, shared by `Arc` with every
+/// sub-communicator — frames are demultiplexed by `comm_id`, not by
+/// connection.
+pub(crate) struct LaneEnd {
+    lane: Arc<dyn ByteLane>,
+    /// Which pipe the lane runs on, for [`Comm::transport`] only.
+    kind: TransportKind,
+    /// Local rank → machine-world rank; `None` means the identity (the
+    /// world communicator).
+    group: Option<Arc<Vec<usize>>>,
+    /// Communicator id stamped on every frame (world = 0; children
+    /// derive theirs deterministically in [`Comm::split`]).
+    comm_id: u64,
+}
+
+impl LaneEnd {
+    /// The world communicator's end of `lane`, which runs on `kind`'s
+    /// pipe: communicator id 0, local ranks are world ranks.
+    pub(crate) fn world(lane: Arc<dyn ByteLane>, kind: TransportKind) -> Self {
+        Self {
+            lane,
+            kind,
+            group: None,
+            comm_id: 0,
+        }
+    }
+
+    /// Machine-world rank of the communicator's local rank `local`.
+    #[inline]
+    fn world_of(&self, local: usize) -> usize {
+        match &self.group {
+            None => local,
+            Some(g) => g[local],
+        }
+    }
+}
+
+/// What a communicator's collectives run over.
+pub(crate) enum Backend {
+    /// The shared-cells blackboard and its in-process barrier.
+    Cells(Arc<CommShared>),
+    /// The byte lane, barrier included.
+    Lane(LaneEnd),
 }
 
 /// This PE's cached handle on one cell set plus its round counter. The
@@ -87,25 +113,14 @@ pub struct Comm {
     /// OS threads of the whole machine, `pes × threads_per_pe`
     /// (constant across `split`).
     machine_threads: usize,
-    shared: Arc<CommShared>,
+    backend: Backend,
     clock: Arc<Clock>,
     cost: CostModel,
     cell_cache: RefCell<HashMap<TypeId, CellCacheEntry>>,
     /// Round sequence of the byte lane; advances identically on every PE
     /// (SPMD collective order), stamping each frame.
     seq: Cell<u64>,
-    /// The socket mesh — `Some` iff this communicator runs the
-    /// [`TransportKind::Sockets`] backend. Shared (via `Arc`) with every
-    /// sub-communicator split off this one: frames are demultiplexed by
-    /// `comm_id`, not by connection.
-    socket: Option<Arc<SocketFabric>>,
-    /// Local rank → machine-world rank, for sub-communicators over the
-    /// socket mesh. `None` means the identity (the world communicator).
-    group: Option<Arc<Vec<usize>>>,
-    /// Communicator id stamped on socket frames (world = 0; children
-    /// derive theirs deterministically in [`Comm::split`]).
-    comm_id: u64,
-    /// Socket-barrier episode counter (advances identically on every PE).
+    /// Lane-barrier episode counter (advances identically on every PE).
     bepoch: Cell<u64>,
     /// How many `split`s this communicator has performed — salt for the
     /// children's `comm_id` derivation.
@@ -138,7 +153,7 @@ impl Comm {
         rank: usize,
         size: usize,
         machine_threads: usize,
-        shared: Arc<CommShared>,
+        backend: Backend,
         clock: Arc<Clock>,
         cost: CostModel,
         alltoall_kind: AlltoallKind,
@@ -148,48 +163,16 @@ impl Comm {
             rank,
             size,
             machine_threads,
-            shared,
+            backend,
             clock,
             cost,
             cell_cache: RefCell::new(HashMap::new()),
             seq: Cell::new(0),
-            socket: None,
-            group: None,
-            comm_id: 0,
             bepoch: Cell::new(0),
             splits: Cell::new(0),
             alltoall_kind,
             grid_threshold_bytes,
             pool: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Re-home this communicator onto a socket mesh: frames travel the
-    /// fabric stamped with `comm_id`, local ranks map to world ranks via
-    /// `group` (`None` = identity, i.e. the world communicator).
-    pub(crate) fn into_socket(
-        mut self,
-        fabric: Arc<SocketFabric>,
-        group: Option<Arc<Vec<usize>>>,
-        comm_id: u64,
-    ) -> Self {
-        debug_assert_eq!(
-            group.as_ref().map_or(fabric.size(), |g| g.len()),
-            self.size,
-            "socket group table must cover the communicator"
-        );
-        self.socket = Some(fabric);
-        self.group = group;
-        self.comm_id = comm_id;
-        self
-    }
-
-    /// Machine-world rank of this communicator's local rank `local`.
-    #[inline]
-    fn world_of(&self, local: usize) -> usize {
-        match &self.group {
-            None => local,
-            Some(g) => g[local],
         }
     }
 
@@ -273,51 +256,53 @@ impl Comm {
         if self.size == 1 {
             return;
         }
-        let synced = if self.socket.is_some() {
-            self.socket_barrier()
-        } else {
-            self.shared.barrier.wait(self.rank, self.clock.now())
+        let synced = match &self.backend {
+            Backend::Cells(shared) => shared.barrier.wait(self.rank, self.clock.now()),
+            Backend::Lane(end) => self.lane_barrier(end),
         };
         self.clock.set(synced);
     }
 
-    /// Dissemination barrier over the socket mesh, folding in the clock
+    /// Dissemination barrier over the byte lane, folding in the clock
     /// max exactly like [`ClockBarrier::wait`]: round `k` sends the
     /// running maximum to rank `me + 2^k` and receives from `me − 2^k`
     /// (mod size), `⌈log₂ size⌉` rounds in total. `max` is associative,
     /// commutative, and exact over `f64`, so every PE converges on the
     /// bit-identical synced clock the in-process barrier would produce.
-    fn socket_barrier(&self) -> f64 {
-        let fab = self.socket.as_ref().expect("socket barrier without mesh");
+    fn lane_barrier(&self, end: &LaneEnd) -> f64 {
         let episode = self.bepoch.get() + 1;
         self.bepoch.set(episode);
         let mut best = self.clock.now();
         for k in 0..crate::ceil_log2(self.size) {
             let code = (episode << 8) | k as u64;
-            let to = self.world_of((self.rank + (1 << k)) % self.size);
-            let from = self.world_of((self.rank + self.size - (1 << k)) % self.size);
-            fab.send_barrier(to, self.comm_id, code, best.to_bits())
+            let to = end.world_of((self.rank + (1 << k)) % self.size);
+            let from = end.world_of((self.rank + self.size - (1 << k)) % self.size);
+            end.lane
+                .send(to, CH_BARRIER, end.comm_id, code, best.to_bits(), &[])
                 .unwrap_or_else(|e| raise(e));
-            let bits = fab
-                .recv_barrier(from, self.comm_id, code)
+            let bits = end
+                .lane
+                .recv_barrier(from, end.comm_id, code)
                 .unwrap_or_else(|e| raise(e));
             best = best.max(f64::from_bits(bits));
         }
         best
     }
 
-    /// The byte-transport queue fabric, when this communicator runs the
-    /// bytes backend.
-    #[inline]
-    pub(crate) fn hub(&self) -> Option<&ByteHub> {
-        self.shared.bytes.as_ref()
+    /// This communicator's end of the byte lane. The lane primitives of
+    /// `transport.rs` are only reached when [`Comm::has_byte_lane`].
+    fn lane_end(&self) -> &LaneEnd {
+        match &self.backend {
+            Backend::Lane(end) => end,
+            Backend::Cells(_) => unreachable!("byte-lane primitive on the cells transport"),
+        }
     }
 
-    /// Whether this communicator's frames travel a byte lane (in-process
-    /// queues or sockets) rather than the cells blackboard.
+    /// Whether this communicator's frames travel the byte lane (over
+    /// in-memory pipes or sockets) rather than the cells blackboard.
     #[inline]
     pub(crate) fn has_byte_lane(&self) -> bool {
-        self.socket.is_some() || self.shared.bytes.is_some()
+        matches!(self.backend, Backend::Lane(_))
     }
 
     /// Take a cleared scratch buffer from the lane pool (or allocate a
@@ -338,61 +323,34 @@ impl Comm {
         }
     }
 
-    /// Send one coalesced bucket frame to local rank `dst` on whichever
-    /// byte lane this communicator runs, recycling the buffer afterwards.
-    /// Transport failures abort the PE with a typed error (see
-    /// [`crate::transport::raise`]).
+    /// Send one coalesced bucket frame to local rank `dst` on the byte
+    /// lane, recycling the buffer afterwards. Transport failures abort
+    /// the PE with a typed error (see [`crate::transport::raise`]).
     pub(crate) fn lane_send(&self, dst: usize, seq: u64, tag: u64, buf: Vec<u8>) {
-        if let Some(fab) = &self.socket {
-            fab.send_data(self.world_of(dst), self.comm_id, seq, tag, &buf)
-                .unwrap_or_else(|e| raise(e));
-            self.buf_put(buf);
-        } else if let Some(hub) = self.hub() {
-            hub.push(self.rank, dst, seq, tag, Payload::Owned(buf))
-                .unwrap_or_else(|e| raise(e));
-        } else {
-            unreachable!("lane_send on the cells transport");
-        }
+        let end = self.lane_end();
+        end.lane
+            .send(end.world_of(dst), CH_DATA, end.comm_id, seq, tag, &buf)
+            .unwrap_or_else(|e| raise(e));
+        self.buf_put(buf);
     }
 
     /// Broadcast one encoded frame to every *other* rank of this
-    /// communicator. The bytes are encoded exactly once: sockets write
-    /// the same buffer to each peer, the in-process hub shares them via
-    /// `Arc` — no per-destination clone anywhere.
+    /// communicator. The bytes are encoded exactly once: the lane writes
+    /// the same buffer to each peer's pipe.
     pub(crate) fn lane_broadcast(&self, seq: u64, tag: u64, buf: Vec<u8>) {
-        if let Some(fab) = &self.socket {
-            for dst in 0..self.size {
-                if dst == self.rank {
-                    continue;
-                }
-                fab.send_data(self.world_of(dst), self.comm_id, seq, tag, &buf)
-                    .unwrap_or_else(|e| raise(e));
-            }
-            self.buf_put(buf);
-        } else if let Some(hub) = self.hub() {
-            let shared = Arc::new(buf);
-            for dst in 0..self.size {
-                if dst == self.rank {
-                    continue;
-                }
-                hub.push(
-                    self.rank,
-                    dst,
-                    seq,
-                    tag,
-                    Payload::Shared(Arc::clone(&shared)),
-                )
+        let end = self.lane_end();
+        for dst in (0..self.size).filter(|&dst| dst != self.rank) {
+            end.lane
+                .send(end.world_of(dst), CH_DATA, end.comm_id, seq, tag, &buf)
                 .unwrap_or_else(|e| raise(e));
-            }
-        } else {
-            unreachable!("lane_broadcast on the cells transport");
         }
+        self.buf_put(buf);
     }
 
     /// Pop the round-`seq` frame from local rank `src` off the byte lane
     /// and decode it in place: `f` gets a borrowed view of the payload
-    /// (no copy out of the receive buffer), and the buffer itself is
-    /// recycled into the lane pool where ownership allows.
+    /// (no copy out of the lane's receive buffer, which the lane
+    /// recycles).
     pub(crate) fn lane_pop_with<R>(
         &self,
         src: usize,
@@ -401,39 +359,35 @@ impl Comm {
         what: &str,
         f: impl FnOnce(&[u8]) -> Result<R, crate::wire::WireError>,
     ) -> R {
-        let decoded = if let Some(fab) = &self.socket {
-            fab.recv_data_with(self.world_of(src), self.comm_id, seq, tag, what, |bytes| {
-                f(bytes)
+        let end = self.lane_end();
+        let (mut f, mut decoded) = (Some(f), None);
+        end.lane
+            .recv_data(
+                end.world_of(src),
+                end.comm_id,
+                seq,
+                tag,
+                what,
+                &mut |bytes| {
+                    decoded = f.take().map(|f| f(bytes));
+                },
+            )
+            .unwrap_or_else(|e| raise(e));
+        decoded
+            .expect("a successful receive hands over exactly one frame")
+            .unwrap_or_else(|e| {
+                raise(crate::transport::TransportError::Protocol(format!(
+                    "decoding {what} of round {seq}: {e}"
+                )))
             })
-            .unwrap_or_else(|e| raise(e))
-        } else if let Some(hub) = self.hub() {
-            let payload = hub
-                .pop_frame(src, self.rank, seq, tag, what)
-                .unwrap_or_else(|e| raise(e));
-            let out = f(payload.as_slice());
-            if let Payload::Owned(buf) = payload {
-                self.buf_put(buf);
-            }
-            out
-        } else {
-            unreachable!("lane_pop_with on the cells transport");
-        };
-        decoded.unwrap_or_else(|e| {
-            raise(crate::transport::TransportError::Protocol(format!(
-                "decoding {what} of round {seq}: {e}"
-            )))
-        })
     }
 
     /// The transport this communicator runs over.
     #[inline]
     pub fn transport(&self) -> TransportKind {
-        if self.socket.is_some() {
-            TransportKind::Sockets
-        } else if self.shared.bytes.is_some() {
-            TransportKind::Bytes
-        } else {
-            TransportKind::Cells
+        match &self.backend {
+            Backend::Cells(_) => TransportKind::Cells,
+            Backend::Lane(end) => end.kind,
         }
     }
 
@@ -449,14 +403,17 @@ impl Comm {
     /// Start a single-superstep round on the cell set for type `T`: the
     /// per-type epoch advances by one (identically on every PE), the set
     /// is resolved from the PE-local cache (registry mutex only on first
-    /// use of a type). Cells-backend data plane, plus the out-of-band
-    /// plumbing of [`Comm::split`] under either backend.
+    /// use of a type). Cells transport only: its data plane, plus the
+    /// hand-off of a child's shared state in [`Comm::split`].
     pub(crate) fn cells_round<T: Send + 'static>(&self) -> Round<T> {
+        let Backend::Cells(shared) = &self.backend else {
+            unreachable!("cells round on a byte-lane transport");
+        };
         let mut cache = self.cell_cache.borrow_mut();
         let entry = cache
             .entry(TypeId::of::<T>())
             .or_insert_with(|| CellCacheEntry {
-                set: self.shared.cells.get::<T>(),
+                set: shared.cells.get::<T>(),
                 epoch: 0,
             });
         entry.epoch += 1;
@@ -816,70 +773,49 @@ impl Comm {
             .iter()
             .position(|&(_, r)| r == self.rank)
             .expect("caller must be a member of its own color group");
-        let group_size = members.len();
-        let leader_global = members[0].1;
 
-        // Sockets: nothing to hand out at all. Every member derived the
-        // same member list from the allgather above, so each builds its
-        // child locally — the parent's fabric is shared by `Arc`, local
-        // ranks map to world ranks through the group table, and frames
-        // are told apart by a deterministically derived communicator id
-        // (identical on every member: the split counter advances in SPMD
-        // order and the color is common to the group).
-        if let Some(fab) = &self.socket {
-            let split_no = self.splits.get() + 1;
-            self.splits.set(split_no);
-            let world: Vec<usize> = members.iter().map(|&(_, r)| self.world_of(r)).collect();
-            let child_id = mix_comm_id(self.comm_id, split_no, color as u64);
-            // The shared cells/barrier are unused under sockets; a
-            // single-slot stand-in keeps the type uniform.
-            let standin = Arc::new(CommShared::new(
-                1,
-                self.machine_threads,
-                TransportKind::Cells,
-                None,
-            ));
-            return Comm::new(
-                my_new_rank,
-                group_size,
-                self.machine_threads,
-                standin,
-                Arc::clone(&self.clock),
-                self.cost,
-                self.alltoall_kind,
-                self.grid_threshold_bytes,
-            )
-            .into_socket(Arc::clone(fab), Some(Arc::new(world)), child_id);
-        }
-
-        // The child's shared state is handed out through the cell
-        // blackboard under *either* in-process backend: communicator
-        // construction is out-of-band plumbing (a process launcher builds
-        // the child's group table out-of-band too, as above), not
-        // data-plane traffic. The child inherits the parent's transport.
-        let kind = self.transport();
-        let faults = self.hub().and_then(|h| h.faults().cloned());
-        let group_shared = if self.size == 1 {
-            Arc::new(CommShared::new(1, self.machine_threads, kind, faults))
-        } else {
-            let round = self.cells_round::<Arc<CommShared>>();
-            if self.rank == leader_global {
-                round.publish(Arc::new(CommShared::new(
-                    group_size,
-                    self.machine_threads,
-                    kind,
-                    faults,
-                )));
+        let backend = match &self.backend {
+            // Byte lane: nothing to hand out at all. Every member derived
+            // the same member list from the allgather above, so each
+            // builds its child locally — the parent's lane is shared by
+            // `Arc`, local ranks map to world ranks through the group
+            // table, and frames are told apart by a deterministically
+            // derived communicator id (identical on every member: the
+            // split counter advances in SPMD order and the color is
+            // common to the group).
+            Backend::Lane(end) => {
+                let split_no = self.splits.get() + 1;
+                self.splits.set(split_no);
+                let world = members.iter().map(|&(_, r)| end.world_of(r)).collect();
+                Backend::Lane(LaneEnd {
+                    lane: Arc::clone(&end.lane),
+                    kind: end.kind,
+                    group: Some(Arc::new(world)),
+                    comm_id: mix_comm_id(end.comm_id, split_no, color as u64),
+                })
             }
-            self.sync();
-            Arc::clone(round.read(leader_global))
+            // Cells: the group's leader builds the child's shared state
+            // and hands it out through the parent's blackboard.
+            Backend::Cells(_) if self.size == 1 => {
+                Backend::Cells(Arc::new(CommShared::new(1, self.machine_threads)))
+            }
+            Backend::Cells(_) => {
+                let round = self.cells_round::<Arc<CommShared>>();
+                if self.rank == members[0].1 {
+                    round.publish(Arc::new(CommShared::new(
+                        members.len(),
+                        self.machine_threads,
+                    )));
+                }
+                self.sync();
+                Backend::Cells(Arc::clone(round.read(members[0].1)))
+            }
         };
-
         Comm::new(
             my_new_rank,
-            group_size,
+            members.len(),
             self.machine_threads,
-            group_shared,
+            backend,
             Arc::clone(&self.clock),
             self.cost,
             self.alltoall_kind,

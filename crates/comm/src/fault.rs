@@ -5,10 +5,8 @@
 //! faults: a [`FaultPlan`] describes, per machine, which frames are
 //! delayed, duplicated, chopped into short writes/reads, transiently
 //! refused (forcing the retransmit/backoff path), or lethally corrupted
-//! — and a [`FaultyTransport`] wraps the byte-lane backends (the
-//! in-process [`ByteHub`](crate::bytestream) queues and the
-//! [`SocketFabric`](crate::socket) TCP mesh) so both consult the same
-//! plan at the same points.
+//! — and the byte lane (`lane.rs`) consults its [`FaultyTransport`] at
+//! the same points whichever pipe it runs on, in-memory or TCP.
 //!
 //! ## Determinism
 //!
@@ -16,7 +14,7 @@
 //! frame's coordinates — `(channel, src, dst, communicator, sequence)`
 //! — hashed through SplitMix64. No wall-clock, no global counters: the
 //! same plan on the same program produces the same fault schedule on
-//! every run and on both byte-lane backends, which is what lets the
+//! every run and on both pipes, which is what lets the
 //! chaos suite compare a faulted run's digest against a fault-free one
 //! by string equality. (The one exception is short *reads*, which key
 //! on a per-link read counter that depends on arrival timing; they only
@@ -89,9 +87,8 @@ pub enum LethalKind {
     /// receiver's verification fails with a typed
     /// [`TransportError::Protocol`](crate::TransportError::Protocol).
     BitFlip,
-    /// Every link is torn down mid-frame — the socket analogue of
-    /// pulling the network cable; under the in-process byte hub the
-    /// faulty PE aborts with a typed io error instead.
+    /// Every link is torn down mid-frame — the analogue of pulling the
+    /// network cable. The faulty PE itself aborts with a typed io error.
     Disconnect,
 }
 
@@ -124,10 +121,9 @@ pub struct FaultPlan {
     /// Upper bound of one injected delay, microseconds.
     pub delay_max_us: u64,
     /// Per-frame probability (per-mille) of chopping the send into
-    /// short writes (sockets only; stream reassembly absorbs it).
+    /// short writes (stream reassembly absorbs it).
     pub short_write_pm: u32,
-    /// Per-read probability (per-mille) of a tiny receive buffer
-    /// (sockets only).
+    /// Per-read probability (per-mille) of a tiny receive buffer.
     pub short_read_pm: u32,
     /// Per-frame probability (per-mille) of sending the frame twice
     /// (the stale-frame discard absorbs the duplicate).
@@ -291,31 +287,14 @@ pub(crate) struct SendFaults {
     pub(crate) failed_attempts: u32,
     /// Send the frame a second time after the first completes.
     pub(crate) duplicate: bool,
-    /// Cap each `write` syscall at this many bytes (short writes).
+    /// Cap each write call at this many frame bytes (short writes).
     pub(crate) write_chunk: Option<usize>,
     /// The plan's unrecoverable fault fires on this frame.
     pub(crate) lethal: Option<LethalKind>,
 }
 
-impl SendFaults {
-    /// Whether this frame drew *any* fault. The socket send path routes
-    /// clean frames through its vectored fast path even with a plan
-    /// armed (an empty plan only arms checksums — the `chaos-overhead`
-    /// shape); a drawn fault of any kind takes the legacy byte-at-a-time
-    /// path, whose chunked writes and whole-frame buffer the injections
-    /// are specified against.
-    pub(crate) fn any(&self) -> bool {
-        self.delay.is_some()
-            || self.failed_attempts > 0
-            || self.duplicate
-            || self.write_chunk.is_some()
-            || self.lethal.is_some()
-    }
-}
-
-/// The injection engine wrapping both byte-lane backends: the socket
-/// fabric and the in-process byte hub consult it on every frame they
-/// move. Holding one (even with an empty plan) arms the per-frame
+/// The injection engine of the byte lane, consulted on every frame it
+/// moves. Holding one (even with an empty plan) arms the per-frame
 /// checksums; absence of a `FaultyTransport` is the zero-cost fast
 /// path.
 #[derive(Debug)]

@@ -37,20 +37,24 @@
 //! ## Transport boundary
 //!
 //! Every collective is written once against an internal transport
-//! boundary (`DESIGN.md` §8) with three backends, selected per machine
-//! via [`MachineConfig::with_transport`] or
+//! boundary (`DESIGN.md` §8) with two implementations — the cells
+//! blackboard and one byte lane that runs over two kinds of pipe —
+//! selected per machine via [`MachineConfig::with_transport`] or
 //! `KAMSTA_TRANSPORT={cells,bytes,sockets}`:
 //!
 //! * [`TransportKind::Cells`] (default) — the zero-copy exchange-cell
 //!   blackboard above;
-//! * [`TransportKind::Bytes`] — per-PE-pair byte queues carrying
+//! * [`TransportKind::Bytes`] — the byte lane on in-memory pipes:
 //!   [`Wire`]-encoded frames (fixed-width little-endian Pod fields,
-//!   varint counts), the in-process shape of a socket transport;
-//! * [`TransportKind::Sockets`] — the same frames over per-PE-pair TCP
+//!   varint counts) through per-PE-pair byte queues;
+//! * [`TransportKind::Sockets`] — the same lane on per-PE-pair TCP
 //!   streams, between threads ([`Machine::try_run`] binds a loopback
 //!   mesh) or OS processes ([`Machine::try_run_worker`] + the
-//!   `kamsta_launch` binary). Failures are typed [`TransportError`]s
-//!   bounded by the configured io timeout, never hangs.
+//!   `kamsta_launch` binary).
+//!
+//! On the lane, barriers are frames too and failures are typed
+//! [`TransportError`]s bounded by the configured io timeout, never
+//! hangs — under `bytes` exactly as under `sockets`.
 //!
 //! Payloads crossing collectives therefore implement [`Wire`]. Modeled
 //! α-β-γ charges sit above the boundary and count `size_of`-based
@@ -83,14 +87,16 @@
 
 mod alltoall;
 mod barrier;
-mod bytestream;
 mod cells;
 mod comm;
 mod cost;
 pub mod fault;
 mod flat;
+mod lane;
 mod machine;
-mod socket;
+mod mesh;
+mod pipe;
+mod rendezvous;
 mod transport;
 pub mod wire;
 
@@ -103,7 +109,7 @@ pub use machine::{
     Machine, MachineConfig, MachineError, ResolvedConfig, RunOutput, SocketSetup, SocketSetupCfg,
     WorkerRun,
 };
-pub use socket::serve_rendezvous;
+pub use rendezvous::serve_rendezvous;
 pub use transport::{TransportError, TransportKind};
 pub use wire::{Wire, WireError, WireReader};
 

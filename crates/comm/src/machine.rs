@@ -1,7 +1,8 @@
 //! The machine: runs an SPMD rank program on `p` PEs — as threads of
-//! this process (cells, bytes, or a loopback socket mesh), or as one
-//! rank of a multi-process socket machine ([`Machine::try_run_worker`],
-//! driven by the `kamsta_launch` binary).
+//! this process (the cells blackboard, or the byte lane over in-memory
+//! pipes or a loopback socket mesh), or as one rank of a multi-process
+//! socket machine ([`Machine::try_run_worker`], driven by the
+//! `kamsta_launch` binary).
 //!
 //! All configuration validation and environment resolution lives in
 //! **one** place, [`MachineConfig::resolve`]; every entry point funnels
@@ -10,11 +11,13 @@
 
 use crate::alltoall::AlltoallKind;
 use crate::barrier::BarrierPoisoned;
-use crate::comm::{Comm, CommShared};
+use crate::comm::{Backend, Comm, CommShared, LaneEnd};
 use crate::cost::{Clock, CostModel, PeStats};
 use crate::fault::{FaultPlan, FaultyTransport};
-use crate::socket::{self, SocketFabric};
+use crate::lane::Lane;
+use crate::pipe::{MemPipe, Pipe};
 use crate::transport::{TransportError, TransportKind};
+use crate::{mesh, rendezvous};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -116,8 +119,9 @@ pub struct MachineConfig {
     /// Transport backend; `None` resolves `KAMSTA_TRANSPORT` at run time
     /// (default: [`TransportKind::Cells`]).
     pub transport: Option<TransportKind>,
-    /// Socket connect/send/receive deadline; `None` resolves
-    /// `KAMSTA_SOCKET_TIMEOUT_MS` at run time (default: 30 s).
+    /// Send/receive deadline of the byte lane (`bytes` and `sockets`);
+    /// `None` resolves `KAMSTA_SOCKET_TIMEOUT_MS` at run time
+    /// (default: 30 s).
     pub io_timeout: Option<Duration>,
     /// Mesh/rendezvous formation deadline; `None` resolves
     /// `KAMSTA_HANDSHAKE_TIMEOUT_MS` (default: the io timeout). Kept
@@ -137,7 +141,10 @@ pub struct MachineConfig {
 pub struct ResolvedConfig {
     /// The transport the run will use.
     pub transport: TransportKind,
-    /// The socket io deadline in effect (meaningful under sockets).
+    /// The byte lane's io deadline in effect: under `bytes` and
+    /// `sockets` alike it bounds every send and receive, so a PE that
+    /// never reaches a collective surfaces at its peers as a typed
+    /// timeout (the cells blackboard has no deadline).
     pub io_timeout: Duration,
     /// The mesh-formation deadline in effect (meaningful under sockets).
     pub handshake_timeout: Duration,
@@ -213,8 +220,8 @@ impl MachineConfig {
         self
     }
 
-    /// Bound every socket connect/send/receive by `timeout`, overriding
-    /// `KAMSTA_SOCKET_TIMEOUT_MS`.
+    /// Bound every send and receive of the byte lane (`bytes` and
+    /// `sockets`) by `timeout`, overriding `KAMSTA_SOCKET_TIMEOUT_MS`.
     pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = Some(timeout);
         self
@@ -317,17 +324,6 @@ impl MachineConfig {
             faults,
             sockets,
         })
-    }
-
-    /// The transport this config resolves to. Shim over
-    /// [`MachineConfig::resolve`].
-    pub fn resolved_transport(&self) -> Result<TransportKind, MachineError> {
-        self.resolve().map(|r| r.transport)
-    }
-
-    /// Check the configuration. Shim over [`MachineConfig::resolve`].
-    pub fn validate(&self) -> Result<(), MachineError> {
-        self.resolve().map(|_| ())
     }
 
     /// Set hybrid threads per PE (the paper's `-1` / `-8` variants).
@@ -440,94 +436,76 @@ impl Machine {
         // hybrid machine on an 8-core host parks instead of busy-
         // spinning 32 threads against each other.
         let machine_threads = p * cfg.cost.threads_per_pe;
-        match resolved.sockets {
-            None => {
-                let shared = Arc::new(CommShared::new(
-                    p,
-                    machine_threads,
-                    resolved.transport,
-                    faults,
-                ));
-                let shared_ref = &shared;
+        let comm_on = |rank, backend, clock| {
+            Comm::new(
+                rank,
+                p,
+                machine_threads,
+                backend,
+                clock,
+                cfg.cost,
+                cfg.alltoall,
+                cfg.grid_threshold_bytes,
+            )
+        };
+        match (resolved.transport, &resolved.sockets) {
+            (TransportKind::Cells, _) => {
+                let shared = Arc::new(CommShared::new(p, machine_threads));
                 run_pes(
                     &cfg,
-                    |rank, clock| {
-                        Ok(Comm::new(
-                            rank,
-                            p,
-                            machine_threads,
-                            Arc::clone(shared_ref),
-                            clock,
-                            cfg.cost,
-                            cfg.alltoall,
-                            cfg.grid_threshold_bytes,
-                        ))
-                    },
-                    || shared_ref.barrier.poison(),
+                    |rank, clock| Ok(comm_on(rank, Backend::Cells(Arc::clone(&shared)), clock)),
+                    || shared.barrier.poison(),
                     &rank_fn,
                 )
             }
-            Some(SocketSetup::Rendezvous { .. }) => Err(MachineError::SocketConfig(
-                "rendezvous discovery is for worker processes — use \
-                 Machine::try_run_worker or the kamsta_launch binary"
-                    .to_string(),
-            )),
-            Some(ref setup) => {
+            (TransportKind::Bytes, _) => {
+                let pipes = take_once(MemPipe::mesh(p));
+                run_pes(
+                    &cfg,
+                    |rank, clock| {
+                        let lane = lane_backend(rank, pipes(rank), &resolved, faults.clone());
+                        Ok(comm_on(rank, lane, clock))
+                    },
+                    || {},
+                    &rank_fn,
+                )
+            }
+            (TransportKind::Sockets, Some(SocketSetup::Rendezvous { .. })) => {
+                Err(MachineError::SocketConfig(
+                    "rendezvous discovery is for worker processes — use \
+                     Machine::try_run_worker or the kamsta_launch binary"
+                        .to_string(),
+                ))
+            }
+            (TransportKind::Sockets, setup) => {
                 // In-process socket mesh: bind all listeners up front so
                 // every PE thread's connect has a live accept side, then
-                // let each thread build its own fabric. Failed PEs drop
-                // their fabric, which surfaces at peers as `PeerClosed`
-                // bounded by the io timeout — no poison flag needed.
+                // let each thread dial its own streams.
                 let mut addrs = Vec::with_capacity(p);
                 let mut listeners = Vec::with_capacity(p);
                 for rank in 0..p {
                     let listener = match setup {
-                        SocketSetup::Loopback => TcpListener::bind("127.0.0.1:0"),
-                        SocketSetup::Endpoints(table) => TcpListener::bind(table[rank]),
-                        SocketSetup::Rendezvous { .. } => unreachable!("matched above"),
+                        Some(SocketSetup::Endpoints(table)) => TcpListener::bind(table[rank]),
+                        _ => TcpListener::bind("127.0.0.1:0"),
                     }
                     .map_err(|e| MachineError::SocketConfig(format!("binding rank {rank}: {e}")))?;
                     addrs.push(listener.local_addr().map_err(|e| {
                         MachineError::SocketConfig(format!("binding rank {rank}: {e}"))
                     })?);
-                    listeners.push(Mutex::new(Some(listener)));
+                    listeners.push(listener);
                 }
-                let addrs_ref = &addrs;
-                let listeners_ref = &listeners;
-                let handshake = resolved.handshake_timeout;
-                let timeout = resolved.io_timeout;
-                let faults_ref = &faults;
+                let listeners = take_once(listeners);
                 run_pes(
                     &cfg,
-                    move |rank, clock| {
-                        let listener = listeners_ref[rank]
-                            .lock()
-                            .take()
-                            .expect("listener taken once per rank");
-                        let fabric = SocketFabric::connect_mesh(
+                    |rank, clock| {
+                        let streams = mesh::connect(
                             rank,
-                            listener,
-                            addrs_ref,
-                            handshake,
-                            timeout,
-                            faults_ref.clone(),
+                            listeners(rank),
+                            &addrs,
+                            resolved.handshake_timeout,
                         )?;
-                        Ok(Comm::new(
-                            rank,
-                            p,
-                            machine_threads,
-                            Arc::new(CommShared::new(
-                                1,
-                                machine_threads,
-                                TransportKind::Cells,
-                                None,
-                            )),
-                            clock,
-                            cfg.cost,
-                            cfg.alltoall,
-                            cfg.grid_threshold_bytes,
-                        )
-                        .into_socket(Arc::new(fabric), None, 0))
+                        let lane = lane_backend(rank, streams, &resolved, faults.clone());
+                        Ok(comm_on(rank, lane, clock))
                     },
                     || {},
                     &rank_fn,
@@ -554,15 +532,14 @@ impl Machine {
     where
         F: FnOnce(&Comm) -> R,
     {
-        let resolved = cfg.resolve()?;
+        let mut resolved = cfg.resolve()?;
         let start = Instant::now();
-        let timeout = resolved.io_timeout;
         let handshake = resolved.handshake_timeout;
         let faults = resolved
             .faults
             .clone()
             .map(|plan| Arc::new(FaultyTransport::new(plan)));
-        let (my_rank, listener, table) = match resolved.sockets {
+        let (my_rank, listener, table) = match resolved.sockets.take() {
             None | Some(SocketSetup::Loopback) => {
                 return Err(MachineError::SocketConfig(
                     "try_run_worker needs with_endpoints(..) or with_rendezvous(..) \
@@ -588,7 +565,7 @@ impl Machine {
             }
             Some(SocketSetup::Rendezvous { addr }) => {
                 let (r, listener, table) =
-                    socket::rendezvous_client(&addr.to_string(), rank, handshake)
+                    rendezvous::rendezvous_client(&addr.to_string(), rank, handshake)
                         .map_err(|source| MachineError::Transport { rank: 0, source })?;
                 if table.len() != cfg.pes {
                     return Err(MachineError::PeCountMismatch {
@@ -604,29 +581,23 @@ impl Machine {
         // `threads_per_pe` hybrid threads — the barrier heuristic and
         // the intra-PE pool width both follow the machine-wide count.
         let machine_threads = p * cfg.cost.threads_per_pe;
-        let fabric =
-            SocketFabric::connect_mesh(my_rank, listener, &table, handshake, timeout, faults)
-                .map_err(|source| MachineError::Transport {
-                    rank: my_rank,
-                    source,
-                })?;
+        let streams = mesh::connect(my_rank, listener, &table, handshake).map_err(|source| {
+            MachineError::Transport {
+                rank: my_rank,
+                source,
+            }
+        })?;
         let clock = Arc::new(Clock::new());
         let comm = Comm::new(
             my_rank,
             p,
             machine_threads,
-            Arc::new(CommShared::new(
-                1,
-                machine_threads,
-                TransportKind::Cells,
-                None,
-            )),
+            lane_backend(my_rank, streams, &resolved, faults),
             Arc::clone(&clock),
             cfg.cost,
             cfg.alltoall,
             cfg.grid_threshold_bytes,
-        )
-        .into_socket(Arc::new(fabric), None, 0);
+        );
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             comm.pool().install(|| rank_fn(&comm))
         }));
@@ -647,6 +618,26 @@ impl Machine {
             },
         }
     }
+}
+
+/// The world communicator's backend on a fresh byte lane over `pipes`.
+/// A failed (or finished) PE drops its lane, which surfaces at its peers
+/// as `PeerClosed` bounded by the io timeout — no poison flag needed.
+fn lane_backend<P: Pipe + 'static>(
+    rank: usize,
+    pipes: Vec<Option<P>>,
+    resolved: &ResolvedConfig,
+    faults: Option<Arc<FaultyTransport>>,
+) -> Backend {
+    let lane = Lane::new(rank, pipes, resolved.io_timeout, faults);
+    Backend::Lane(LaneEnd::world(Arc::new(lane), resolved.transport))
+}
+
+/// Hand each PE thread its own element of `items` (pipes, a listener),
+/// prepared on the launching thread: `take(rank)` moves it out, once.
+fn take_once<T: Send>(items: Vec<T>) -> impl Fn(usize) -> T + Sync {
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    move |rank| slots[rank].lock().take().expect("taken once per rank")
 }
 
 /// The shared PE-thread runner behind every in-process mode of
@@ -707,9 +698,9 @@ where
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             comm.pool().install(|| rank_fn(&comm))
                         }));
-                        // Drop the comm before classifying: under sockets
-                        // this closes the fabric, turning this PE's exit
-                        // into `PeerClosed` at its peers.
+                        // Drop the comm before classifying: on the byte
+                        // lane this closes the pipes, turning this PE's
+                        // exit into `PeerClosed` at its peers.
                         drop(comm);
                         match out {
                             Ok(r) => *result_slot = Some(r),

@@ -2,11 +2,10 @@
 //!
 //! Every collective in this crate is written **once**, against the three
 //! primitives below; each primitive has a shared-cells implementation
-//! (the epoch-stamped zero-copy blackboard of [`crate::cells`]) and a
-//! byte-lane implementation, where the lane is either the in-process
-//! per-PE-pair queues of [`crate::bytestream`] or the per-PE-pair TCP
-//! streams of [`crate::socket`] — both carry the same [`Wire`]-encoded
-//! frames, so the two lanes share one code path here:
+//! (the epoch-stamped zero-copy blackboard of `cells.rs`) and a
+//! byte-lane implementation on the one lane of `lane.rs`, which carries
+//! the same [`Wire`]-encoded frames over in-memory pipes (`bytes`) or
+//! TCP streams (`sockets`):
 //!
 //! 1. **Blackboard round** ([`XRound`]) — post one typed value with a
 //!    recipient set ([`To`]), barrier, read/take peers' values. Cells:
@@ -50,10 +49,11 @@ pub enum TransportKind {
     /// Epoch-stamped typed exchange cells: in-process, zero-copy.
     #[default]
     Cells,
-    /// Per-PE-pair byte queues carrying `Wire`-encoded frames.
+    /// The byte lane on in-memory pipes: `Wire`-encoded frames through
+    /// per-PE-pair byte queues, between threads of one process.
     Bytes,
-    /// Per-PE-pair TCP streams carrying the same `Wire` frames across
-    /// threads or OS processes (see [`crate::socket`]).
+    /// The same lane on per-PE-pair TCP streams, across threads or OS
+    /// processes.
     Sockets,
 }
 
@@ -83,7 +83,10 @@ impl TransportKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
     /// The connection to `peer` is gone (clean close, reset, or process
-    /// death — indistinguishable by design). `mid_frame` is set when the
+    /// death — indistinguishable by design). `peer` is a rank — or,
+    /// here and in [`TransportError::Timeout`], one of the rank-less
+    /// parties of a handshake, [`TransportError::LAUNCHER`] and
+    /// [`TransportError::UNIDENTIFIED`]. `mid_frame` is set when the
     /// stream ended inside a frame, pointing at a crash rather than an
     /// orderly shutdown.
     PeerClosed { peer: usize, mid_frame: bool },
@@ -106,15 +109,51 @@ pub enum TransportError {
     Io(String),
 }
 
+impl TransportError {
+    /// `peer` of a failure talking to the launcher's rendezvous server,
+    /// which has no rank.
+    pub const LAUNCHER: usize = usize::MAX;
+    /// `peer` of a failure talking to a dialler that had not yet said
+    /// which rank it is.
+    pub const UNIDENTIFIED: usize = usize::MAX - 1;
+
+    /// Classify an io error on the connection to `peer`.
+    pub(crate) fn from_io(peer: usize, e: &std::io::Error) -> Self {
+        use std::io::ErrorKind::*;
+        match e.kind() {
+            ConnectionReset | ConnectionAborted | BrokenPipe | UnexpectedEof => {
+                TransportError::PeerClosed {
+                    peer,
+                    mid_frame: false,
+                }
+            }
+            _ => TransportError::Io(format!("{}: {e}", Party(peer))),
+        }
+    }
+}
+
+/// The far end of a connection, as error messages name it.
+struct Party(usize);
+
+impl std::fmt::Display for Party {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            TransportError::LAUNCHER => write!(f, "the launcher"),
+            TransportError::UNIDENTIFIED => write!(f, "a dialler that never identified itself"),
+            rank => write!(f, "PE {rank}"),
+        }
+    }
+}
+
 impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::PeerClosed { peer, mid_frame } => {
                 let how = if *mid_frame { " mid-frame" } else { "" };
-                write!(f, "PE {peer} closed its connection{how}")
+                write!(f, "{} closed its connection{how}", Party(*peer))
             }
             TransportError::Timeout { peer, waited } => {
-                write!(f, "timed out after {waited:?} waiting on PE {peer}")
+                write!(f, "timed out after {waited:?} waiting on {}", Party(*peer))
             }
             TransportError::MeshIncomplete {
                 joined,

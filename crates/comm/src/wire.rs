@@ -6,7 +6,7 @@
 //! specification:
 //!
 //! * **Pod-like scalars** (`u8..u128`, `i32`/`i64`, `f32`/`f64`,
-//!   [`Weight`]-style newtypes in downstream crates) are fixed-width
+//!   `Weight`-style newtypes in downstream crates) are fixed-width
 //!   little-endian — the layout the radix sorter and the flat buffers
 //!   already assume, so encoding a `&[CEdge]` is a plain field walk.
 //! * **Counts and displacements** (`usize`, `Vec` lengths, `FlatBuckets`

@@ -1,5 +1,5 @@
 //! MachineConfig validation: bad configurations come back as typed
-//! [`MachineError`]s through `validate`/`try_run` instead of poisoning a
+//! [`MachineError`]s through `resolve`/`try_run` instead of poisoning a
 //! PE thread.
 //!
 //! Everything lives in one `#[test]` because the `KAMSTA_TRANSPORT`
@@ -13,7 +13,7 @@ use std::time::Duration;
 fn invalid_configs_are_typed_errors() {
     // Zero PEs.
     let cfg = MachineConfig::new(0);
-    assert_eq!(cfg.validate(), Err(MachineError::NoPes));
+    assert_eq!(cfg.resolve(), Err(MachineError::NoPes));
     assert!(matches!(
         Machine::try_run(cfg, |_| ()),
         Err(MachineError::NoPes)
@@ -26,13 +26,14 @@ fn invalid_configs_are_typed_errors() {
     // Explicit transport wins over the environment.
     std::env::set_var("KAMSTA_TRANSPORT", "bytes");
     assert_eq!(
-        MachineConfig::new(2).resolved_transport(),
+        MachineConfig::new(2).resolve().map(|r| r.transport),
         Ok(TransportKind::Bytes)
     );
     assert_eq!(
         MachineConfig::new(2)
             .with_transport(TransportKind::Cells)
-            .resolved_transport(),
+            .resolve()
+            .map(|r| r.transport),
         Ok(TransportKind::Cells)
     );
 
@@ -41,14 +42,14 @@ fn invalid_configs_are_typed_errors() {
     std::env::set_var("KAMSTA_TRANSPORT", "carrier-pigeon");
     let cfg = MachineConfig::new(2);
     assert_eq!(
-        cfg.validate(),
+        cfg.resolve(),
         Err(MachineError::UnknownTransport("carrier-pigeon".into()))
     );
     assert!(Machine::try_run(cfg, |_| ()).is_err());
     // ...unless the caller pinned the transport programmatically.
     assert!(MachineConfig::new(2)
         .with_transport(TransportKind::Bytes)
-        .validate()
+        .resolve()
         .is_ok());
 
     // `sockets` is a first-class env value, resolving to a loopback mesh
@@ -95,7 +96,7 @@ fn invalid_configs_are_typed_errors() {
 
     std::env::remove_var("KAMSTA_TRANSPORT");
     assert_eq!(
-        MachineConfig::new(2).resolved_transport(),
+        MachineConfig::new(2).resolve().map(|r| r.transport),
         Ok(TransportKind::Cells)
     );
 

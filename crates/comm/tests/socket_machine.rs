@@ -1,39 +1,45 @@
-//! Socket-transport failure modes through the machine surface: a PE
-//! that dies mid-collective must come back as a typed
-//! [`MachineError::Transport`] within the configured io timeout — never
-//! a hang, never a bare panic string.
+//! Byte-lane failure modes through the machine surface, on both pipes
+//! (`bytes` and `sockets`): a PE that dies mid-collective must come
+//! back as a typed [`MachineError::Transport`] within the configured io
+//! timeout — never a hang, never a bare panic string. Below them, the
+//! worker entry points that only the sockets transport has.
 
 use kamsta_comm::{Machine, MachineConfig, MachineError, TransportError, TransportKind};
 use std::time::{Duration, Instant};
 
-fn sockets(p: usize, timeout: Duration) -> MachineConfig {
+/// The two pipes of the byte lane.
+const LANES: [TransportKind; 2] = [TransportKind::Bytes, TransportKind::Sockets];
+
+fn lane(transport: TransportKind, p: usize, timeout: Duration) -> MachineConfig {
     MachineConfig::new(p)
-        .with_transport(TransportKind::Sockets)
+        .with_transport(transport)
         .with_io_timeout(timeout)
 }
 
 #[test]
 fn early_returning_pe_surfaces_as_typed_peer_closed() {
-    // Rank 1 returns before the collective; its fabric drops, the
-    // other ranks' receives see EOF.
-    let err = Machine::try_run(sockets(3, Duration::from_secs(10)), |comm| {
-        if comm.rank() == 1 {
-            return 0u64;
+    // Rank 1 returns before the collective; its lane drops, the other
+    // ranks' receives see the end of its streams.
+    for transport in LANES {
+        let err = Machine::try_run(lane(transport, 3, Duration::from_secs(10)), |comm| {
+            if comm.rank() == 1 {
+                return 0u64;
+            }
+            comm.allreduce_sum(comm.rank() as u64)
+        })
+        .unwrap_err();
+        match err {
+            MachineError::Transport { source, .. } => {
+                assert!(
+                    matches!(
+                        source,
+                        TransportError::PeerClosed { .. } | TransportError::Timeout { .. }
+                    ),
+                    "{transport:?}: {source:?}"
+                );
+            }
+            other => panic!("{transport:?}: expected a transport error, got {other:?}"),
         }
-        comm.allreduce_sum(comm.rank() as u64)
-    })
-    .unwrap_err();
-    match err {
-        MachineError::Transport { source, .. } => {
-            assert!(
-                matches!(
-                    source,
-                    TransportError::PeerClosed { .. } | TransportError::Timeout { .. }
-                ),
-                "{source:?}"
-            );
-        }
-        other => panic!("expected a transport error, got {other:?}"),
     }
 }
 
@@ -44,47 +50,51 @@ fn sleeping_pe_times_out_within_the_configured_bound() {
     // sleep shorter than the test harness timeout, so the whole machine
     // returns promptly.
     let timeout = Duration::from_millis(300);
-    let start = Instant::now();
-    let err = Machine::try_run(sockets(2, timeout), |comm| {
-        if comm.rank() == 0 {
-            std::thread::sleep(Duration::from_secs(2));
-            return 0u64;
-        }
-        comm.allreduce_sum(1)
-    })
-    .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            MachineError::Transport {
-                source: TransportError::Timeout { .. },
-                ..
+    for transport in LANES {
+        let start = Instant::now();
+        let err = Machine::try_run(lane(transport, 2, timeout), |comm| {
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_secs(2));
+                return 0u64;
             }
-        ),
-        "{err:?}"
-    );
-    // Bounded: the timeout plus the sleeping PE's nap plus slack, far
-    // below a hang.
-    assert!(
-        start.elapsed() < Duration::from_secs(10),
-        "took {:?}",
-        start.elapsed()
-    );
+            comm.allreduce_sum(1)
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MachineError::Transport {
+                    source: TransportError::Timeout { .. },
+                    ..
+                }
+            ),
+            "{transport:?}: {err:?}"
+        );
+        // Bounded: the timeout plus the sleeping PE's nap plus slack, far
+        // below a hang.
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "{transport:?} took {:?}",
+            start.elapsed()
+        );
+    }
 }
 
 #[test]
 fn transport_error_keeps_genuine_panics_distinct() {
     // A genuine program panic must still unwind out of `try_run`, not be
     // laundered into a transport error.
-    let res = std::panic::catch_unwind(|| {
-        Machine::try_run(sockets(2, Duration::from_secs(5)), |comm| {
-            if comm.rank() == 0 {
-                panic!("program bug on rank 0");
-            }
-            comm.allreduce_sum(1)
-        })
-    });
-    assert!(res.is_err(), "program panic must propagate");
+    for transport in LANES {
+        let res = std::panic::catch_unwind(|| {
+            Machine::try_run(lane(transport, 2, Duration::from_secs(5)), |comm| {
+                if comm.rank() == 0 {
+                    panic!("program bug on rank 0");
+                }
+                comm.allreduce_sum(1)
+            })
+        });
+        assert!(res.is_err(), "{transport:?}: program panic must propagate");
+    }
 }
 
 #[test]

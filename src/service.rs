@@ -190,57 +190,6 @@ impl MstService {
         }
     }
 
-    /// An empty service over `[0, cfg.n)` on a `pes`-PE machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid machine configuration.
-    #[deprecated(since = "0.1.0", note = "use MstService::builder(pes, cfg).build()")]
-    pub fn new(pes: usize, cfg: DynConfig) -> Self {
-        Self::builder(pes, cfg)
-            .build()
-            .unwrap_or_else(|e| panic!("invalid machine config: {e}"))
-    }
-
-    /// Fallible [`MstService::new`].
-    #[deprecated(since = "0.1.0", note = "use MstService::builder(pes, cfg).build()")]
-    pub fn try_new(pes: usize, cfg: DynConfig) -> Result<Self, MachineError> {
-        Self::builder(pes, cfg).build()
-    }
-
-    /// Override the auto-flush threshold (default 64 queued updates).
-    #[deprecated(since = "0.1.0", note = "use MstService::builder(..).max_batch(n)")]
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Override the machine configuration; the PE count must stay at
-    /// the constructed value.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid machine configuration.
-    #[deprecated(since = "0.1.0", note = "use MstService::builder(..).machine(m)")]
-    pub fn with_machine(self, machine: MachineConfig) -> Self {
-        #[allow(deprecated)]
-        self.try_with_machine(machine)
-            .unwrap_or_else(|e| panic!("invalid machine config: {e}"))
-    }
-
-    /// Fallible [`MstService::with_machine`].
-    #[deprecated(since = "0.1.0", note = "use MstService::builder(..).machine(m)")]
-    pub fn try_with_machine(self, machine: MachineConfig) -> Result<Self, MachineError> {
-        let rebuilt = MstService::builder(self.shards.len(), self.cfg)
-            .machine(machine)
-            .max_batch(self.max_batch)
-            .build()?;
-        Ok(Self {
-            machine: rebuilt.machine,
-            ..self
-        })
-    }
-
     /// The failure that poisoned this service, when one occurred. A
     /// poisoned service still answers [`MstService::stats`] and
     /// [`MstService::pending`], but refuses everything that would spin
@@ -623,27 +572,6 @@ mod tests {
         s.submit(Update::Insert(WEdge::new(0, 1, 3)));
         s.submit(Update::Insert(WEdge::new(1, 2, 4)));
         assert_eq!(s.msf_weight(), 7);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_still_work() {
-        // The old five-constructor surface delegates to the builder.
-        let mut s = MstService::new(2, dyn_cfg(8)).with_max_batch(2);
-        s.submit(Update::Insert(WEdge::new(0, 1, 5)));
-        s.submit(Update::Insert(WEdge::new(1, 2, 2)));
-        assert_eq!(s.msf_weight(), 7);
-        let s = MstService::try_new(2, dyn_cfg(8)).unwrap();
-        let s = s
-            .try_with_machine(MachineConfig::new(2).with_transport(TransportKind::Bytes))
-            .unwrap();
-        assert_eq!(s.machine.transport, Some(TransportKind::Bytes));
-        let s = s.with_machine(MachineConfig::new(2));
-        assert!(s.machine.transport.is_some(), "resolved transport pinned");
-        assert!(matches!(
-            MstService::try_new(0, dyn_cfg(8)),
-            Err(kamsta_comm::MachineError::NoPes)
-        ));
     }
 
     #[test]
