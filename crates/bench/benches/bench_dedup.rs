@@ -1,7 +1,12 @@
 //! Criterion micro-bench: the Sec. VI-B parallel-edge elimination
-//! ablation — hash-table prefilter + sort vs. pure sorting ("outperforms
-//! the pure sorting approach by up to a factor of 2.5 if the hash table
-//! remains small enough to fit into the cache").
+//! ablation — local prefilter + sort vs. pure sorting. The paper's
+//! prefilter is a per-PE hash table ("outperforms the pure sorting
+//! approach by up to a factor of 2.5 if the hash table remains small
+//! enough to fit into the cache"); `DedupStrategy::HashFilter` keeps the
+//! paper's name but is a sort-and-reduce: order the slice by its
+//! `(u, v)` pair key, keep each pair's `(w, id)`-minimal copy. Either
+//! way the point is the same — parallel copies never enter the
+//! distributed sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kamsta::{DedupStrategy, MstConfig};

@@ -12,9 +12,9 @@
 //!    partition (Sec. IV-B), emitting the round's MST edge ids;
 //! 3. [`exchange_labels`] + [`relabel`] — the pull-based ghost-label
 //!    protocol and endpoint rewriting (Sec. IV-C);
-//! 4. [`redistribute`] — parallel-edge elimination (hash prefilter or pure
-//!    sorting, Sec. VI-B), distributed sorting, and re-establishing the
-//!    distributed graph structure.
+//! 4. [`redistribute`] — parallel-edge elimination (local per-pair
+//!    prefilter or pure sorting, Sec. VI-B), distributed sorting, and
+//!    re-establishing the distributed graph structure.
 //!
 //! An optional [`local_contract`] pass (Sec. IV-A) contracts purely local
 //! subtrees before the first communication round; the gate compares the
@@ -40,8 +40,11 @@ use std::borrow::Cow;
 /// travel through the distributed sort).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DedupStrategy {
-    /// Local per-`(u, v)`-pair prefilter before the distributed sort
-    /// (radix sort on packed lexicographic keys + one dedup scan).
+    /// Local per-`(u, v)`-pair prefilter before the distributed sort.
+    /// The name is the paper's (Sec. VI-B keeps a hash table per PE);
+    /// here it is a sort-and-reduce, not a hash table: the radix engine
+    /// orders the slice by its `(u, v)` pair key and one walk keeps each
+    /// pair's `(w, id)`-minimal copy (DESIGN.md §14).
     #[default]
     HashFilter,
     /// Pure sorting: global sort, then dedup — the ablation baseline.
@@ -429,7 +432,13 @@ pub fn relabel(
 /// graph stays symmetric. Collective.
 pub fn redistribute(comm: &Comm, edges: Vec<CEdge>, cfg: &MstConfig) -> DistGraph {
     let filtered: Vec<CEdge> = match cfg.dedup {
-        DedupStrategy::HashFilter => prefilter_pairs(comm, &edges),
+        DedupStrategy::HashFilter => {
+            let kept = prefilter_pairs(comm, &edges);
+            // The survivors are copies: release the input before the
+            // distributed sort allocates its send and receive buffers.
+            drop(edges);
+            kept
+        }
         DedupStrategy::Sort => {
             // Same linear scan as the prefilter pays, so the Sec. VI-B
             // ablation compares strategies under equal γ-accounting.
@@ -733,66 +742,45 @@ fn kruskal_ids_and_labels(all: &[CEdge]) -> (Vec<u64>, FxHashMap<VertexId, Verte
     (ids, labels)
 }
 
-/// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
-/// dedup — identical duplicates and parallel copies never travel. A radix
-/// sort on the packed lexicographic key groups each ordered `(u, v)` pair
-/// with its lightest `(w, id)` copy first, so one dedup scan keeps
-/// exactly the survivors the old hash-table prefilter kept — already
-/// sorted. Both directions survive, keeping the edge list symmetric.
-fn prefilter_pairs(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
-    use rayon::prelude::*;
+/// The kernel of both prefilters: of the edges `keep` accepts, the copy
+/// minimal in `(w, id)` of every ordered `(u, v)` pair, in `(u, v)`
+/// order — the sequence "sort by `(u, v, w, id)`, keep the first of each
+/// `(u, v)` run" produces, without sorting `w` and `id` into place. The
+/// radix engine orders the kept edges by their pair key alone (narrow
+/// records, no edge moved); one walk along that order reads each kept
+/// edge once and emits each run's minimum. Order, survivors and γ charge
+/// are independent of `threads_per_pe` (DESIGN.md §14).
+fn lightest_per_pair(
+    comm: &Comm,
+    edges: &[CEdge],
+    keep: impl Fn(&CEdge) -> bool + Sync,
+) -> Vec<CEdge> {
     comm.charge_local(edges.len() as u64);
-    let mut out: Vec<CEdge> = if par_scan_engages(edges.len()) {
-        edges
-            .par_iter()
-            .filter(|e| !e.is_self_loop())
-            .map(|e| *e)
-            .collect()
-    } else {
-        edges
-            .iter()
-            .filter(|e| !e.is_self_loop())
-            .copied()
-            .collect()
-    };
-    kamsta_sort::local_radix_sort(comm, &mut out, CEdge::lex_key);
-    par_dedup_pairs(out)
-}
-
-/// Scan size above which the parallel filter/dedup scans beat their
-/// sequential loops. The per-element work here is a couple of field
-/// compares — far too little to amortize chunk-queue jobs below tens
-/// of thousands of elements even with real cores behind the pool, and
-/// the prefilters run once per Borůvka round, so the overhead
-/// compounds on duplicate-heavy families (RMAT). The parallel and
-/// sequential scans are bit-identical, so this is a pure profitability
-/// gate.
-const PAR_SCAN_CUTOFF: usize = 65_536;
-
-fn par_scan_engages(n: usize) -> bool {
-    n >= PAR_SCAN_CUTOFF && rayon::current_num_threads() > 1
-}
-
-/// Drop all but the first element of every `(u, v)` run in a sorted
-/// edge list. A parallel keep-flag scan: element `i` survives iff its
-/// pair differs from element `i - 1`'s, a predecessor comparison each
-/// chunk can make against the immutable sorted slice — so the ordered
-/// collect is bit-identical to the sequential `dedup_by` at every
-/// width. After the lexicographic sort, run heads carry the minimal
-/// `(w, id)`, i.e. exactly the survivors the sequential dedup keeps.
-fn par_dedup_pairs(sorted: Vec<CEdge>) -> Vec<CEdge> {
-    use rayon::prelude::*;
-    if !par_scan_engages(sorted.len()) {
-        let mut out = sorted;
-        out.dedup_by(|a, b| a.u == b.u && a.v == b.v);
+    let order = kamsta_sort::local_radix_order(comm, edges, |e| keep(e).then(|| e.pair_key()))
+        .unwrap_or_else(|e| panic!("a PE's edge slice must be u32-indexable: {e}"));
+    let mut out = Vec::with_capacity(order.len());
+    let mut run = order.iter().map(|&i| edges[i as usize]);
+    let Some(mut best) = run.next() else {
         return out;
+    };
+    for e in run {
+        if (e.u, e.v) != (best.u, best.v) {
+            out.push(best);
+            best = e;
+        } else if (e.w, e.id) < (best.w, best.id) {
+            best = e;
+        }
     }
-    sorted
-        .par_iter()
-        .enumerate()
-        .filter(|&(i, e)| i == 0 || !(sorted[i - 1].u == e.u && sorted[i - 1].v == e.v))
-        .map(|(_, e)| *e)
-        .collect()
+    out.push(best);
+    out
+}
+
+/// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
+/// dedup — self-loops, identical duplicates and parallel copies never
+/// travel, and the survivors are already in lexicographic order. Both
+/// directions survive, keeping the edge list symmetric.
+fn prefilter_pairs(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
+    lightest_per_pair(comm, edges, |e| !e.is_self_loop())
 }
 
 /// Keep-lightest-per-*unordered*-pair prefilter for the replicated base
@@ -801,22 +789,12 @@ fn par_dedup_pairs(sorted: Vec<CEdge>) -> Vec<CEdge> {
 /// use, per unordered pair, the copy minimal in `(w, id)` — the back
 /// edge and every (also heavier) parallel copy join two already-connected
 /// components. Keeping only the `u < v` direction halves the gathered
-/// volume; the pair-major lexicographic sort (`u, v, w, id` with
-/// `(u, v) = (min, max)` after the direction filter) then groups all
-/// remaining parallel copies of a pair, so one dedup scan keeps exactly
-/// the candidate the sequential tie-break would pick. The undirected
-/// MSF is unique under the unique-weight total order, so the forest is
-/// unchanged.
+/// volume, and makes the ordered pair `(u, v) = (min, max)` the
+/// unordered one, so the per-pair minimum is exactly the candidate the
+/// sequential tie-break would pick. The undirected MSF is unique under
+/// the unique-weight total order, so the forest is unchanged.
 fn prefilter_unordered(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
-    use rayon::prelude::*;
-    comm.charge_local(edges.len() as u64);
-    let mut out: Vec<CEdge> = if par_scan_engages(edges.len()) {
-        edges.par_iter().filter(|e| e.u < e.v).map(|e| *e).collect()
-    } else {
-        edges.iter().filter(|e| e.u < e.v).copied().collect()
-    };
-    kamsta_sort::local_radix_sort(comm, &mut out, CEdge::lex_key);
-    par_dedup_pairs(out)
+    lightest_per_pair(comm, edges, |e| e.u < e.v)
 }
 
 /// The base case (Sec. IV-D stand-in): gather the prefiltered remaining
@@ -1302,6 +1280,147 @@ mod tests {
         let all: Vec<CEdge> = out.results.iter().flat_map(|(_, e)| e.clone()).collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].w, all[1].w, "surviving weights symmetric");
+    }
+
+    /// The prefilters' definition: of the edges `keep` accepts, sorted by
+    /// `CEdge::lex_key`, the first of every `(u, v)` run.
+    fn reference_prefilter(edges: &[CEdge], keep: impl Fn(&CEdge) -> bool) -> Vec<CEdge> {
+        let mut kept: Vec<CEdge> = edges.iter().filter(|e| keep(e)).copied().collect();
+        kept.sort_by_key(CEdge::lex_key);
+        kept.dedup_by(|a, b| a.u == b.u && a.v == b.v);
+        kept
+    }
+
+    /// Both prefilters on one PE with `t` pool threads: their outputs and
+    /// the γ units each charged.
+    fn run_prefilters(edges: &[CEdge], t: usize) -> [(Vec<CEdge>, u64); 2] {
+        let edges = edges.to_vec();
+        let out = Machine::run(MachineConfig::new(1).with_threads(t), move |comm| {
+            let pairs = prefilter_pairs(comm, &edges);
+            let pairs_ops = comm.stats().local_ops;
+            let unordered = prefilter_unordered(comm, &edges);
+            let unordered_ops = comm.stats().local_ops - pairs_ops;
+            [(pairs, pairs_ops), (unordered, unordered_ops)]
+        });
+        out.results.into_iter().next().unwrap()
+    }
+
+    fn assert_prefilters_match_their_definition(edges: &[CEdge], t: usize, what: &str) {
+        let [(pairs, _), (unordered, _)] = run_prefilters(edges, t);
+        let expect = reference_prefilter(edges, |e| !e.is_self_loop());
+        assert_eq!(pairs, expect, "{what}: prefilter_pairs, t={t}");
+        let expect = reference_prefilter(edges, |e| e.u < e.v);
+        assert_eq!(unordered, expect, "{what}: prefilter_unordered, t={t}");
+    }
+
+    /// `n` random edges over `labels` endpoints spaced `1 << shift`
+    /// apart, weights below `weights`, ids below `ids` — small ranges
+    /// make parallel copies, equal weights and exact duplicates common.
+    fn multigraph(
+        n: usize,
+        labels: u64,
+        shift: u32,
+        weights: u64,
+        ids: u64,
+        seed: u64,
+    ) -> Vec<CEdge> {
+        let mut state = seed;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 24
+        };
+        (0..n)
+            .map(|_| {
+                CEdge::new(
+                    (rng() % labels) << shift,
+                    (rng() % labels) << shift,
+                    (rng() % weights + 1) as u32,
+                    rng() % ids,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prefilters_match_their_definition_on_pinned_shapes() {
+        let shapes: Vec<(&str, Vec<CEdge>)> = vec![
+            ("empty", vec![]),
+            ("one edge", vec![CEdge::new(3, 1, 7, 0)]),
+            (
+                "all self-loops",
+                (0..300).map(|i| CEdge::new(i % 7, i % 7, 1, i)).collect(),
+            ),
+            (
+                "endpoints above 2^32",
+                multigraph(5_000, 200, 27, 250, 1 << 20, 1),
+            ),
+            (
+                "endpoints above 2^48",
+                multigraph(5_000, 200, 44, 250, 1 << 20, 2),
+            ),
+            ("exact duplicates", multigraph(5_000, 12, 0, 2, 3, 3)),
+            (
+                "equal weights, ids differ",
+                multigraph(5_000, 12, 0, 1, 1 << 30, 4),
+            ),
+            (
+                "RMAT-like, >= 16 copies per pair",
+                multigraph(40_000, 48, 3, 250, 1 << 20, 5),
+            ),
+            // Both sides of the engine's small-slice cutoff (96) …
+            ("n = 95", multigraph(95, 30, 0, 9, 50, 6)),
+            ("n = 96", multigraph(96, 30, 0, 9, 50, 7)),
+            ("n = 97", multigraph(97, 30, 0, 9, 50, 8)),
+            // … and of its parallel cutoff (65 536), which the t = 2 and
+            // t = 8 runs below cross.
+            ("n = 65 535", multigraph(65_535, 3_000, 0, 250, 1 << 21, 9)),
+            ("n = 65 536", multigraph(65_536, 3_000, 0, 250, 1 << 21, 10)),
+            ("n = 65 537", multigraph(65_537, 3_000, 0, 250, 1 << 21, 11)),
+        ];
+        for (what, edges) in &shapes {
+            for t in [1usize, 2, 8] {
+                assert_prefilters_match_their_definition(edges, t, what);
+            }
+        }
+    }
+
+    #[test]
+    fn prefilter_output_and_charge_are_thread_invariant() {
+        // Well past the parallel cutoff, on the post-relabel shape of a
+        // GNM round: the width-parallel order must reproduce both the
+        // survivors and the γ units of the sequential one.
+        let edges = multigraph(1 << 17, 1 << 12, 0, 254, 1 << 21, 12);
+        let seq = run_prefilters(&edges, 1);
+        assert!(seq[0].0.len() > 1 << 16 && seq[0].1 > 0);
+        for t in [2usize, 8] {
+            assert_eq!(run_prefilters(&edges, t), seq, "t={t}");
+        }
+        assert_prefilters_match_their_definition(&edges, 8, "2^17 edges");
+    }
+
+    mod prefilter_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn prefilters_match_their_definition(
+                n in 0usize..400,
+                labels in 1u64..40,
+                shift in 0u32..50,
+                weights in 1u64..6,
+                ids in 1u64..500,
+                seed in any::<u64>(),
+                t in 1usize..4,
+            ) {
+                let edges = multigraph(n, labels, shift, weights, ids, seed);
+                assert_prefilters_match_their_definition(&edges, t, "random multigraph");
+            }
+        }
     }
 
     #[test]

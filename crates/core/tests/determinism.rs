@@ -135,8 +135,10 @@ fn hybrid_threads_leave_ids_and_charge_counters_bit_identical() {
     // modeled_time is scaled, but the MSF id set and the *counter*
     // charges (local_ops, messages, bytes) are logical quantities that
     // must be bit-identical across t — per rank, not just in aggregate.
-    // The GNM instance is big enough (m = 40k) that per-PE slices clear
-    // the parallel kernels' sequential cutoffs at p ∈ {1, 4}.
+    // The GNM instance is big enough (m = 40k, 80k directed edges) that
+    // the one slice of p = 1 clears the parallel kernels' 65 536-element
+    // cutoffs; the 20k-edge slices of p = 4 stay below them, so that
+    // row checks the delegation to the sequential kernels instead.
     let run = |p: usize, t: usize, config: GraphConfig, seed: u64, tr: TransportKind| {
         let out = Machine::run(
             MachineConfig::new(p).with_threads(t).with_transport(tr),

@@ -117,6 +117,15 @@ impl CEdge {
         )
     }
 
+    /// The ordered endpoint pair `(u, v)` — the high word of
+    /// [`lex_key`](Self::lex_key) — as a radix key: equal keys are
+    /// parallel edges, and ascending keys are the `(u, v)`-major order of
+    /// the distributed edge list.
+    #[inline]
+    pub fn pair_key(&self) -> u128 {
+        ((self.u as u128) << 64) | self.v as u128
+    }
+
     /// The unique-weight total order `(w, min(u,v), max(u,v))` packed
     /// into a [`PackedEdge`] key; `None` when an endpoint exceeds the
     /// 48-bit packable range (callers fall back to comparison sorting).
@@ -190,8 +199,8 @@ impl PackedEdge {
 impl kamsta_sort::RadixKey for PackedEdge {
     const BYTES: usize = 16;
     #[inline(always)]
-    fn radix_byte(&self, i: usize) -> u8 {
-        (self.0 >> (8 * i)) as u8
+    fn radix_word(&self, i: usize) -> u64 {
+        (self.0 >> (8 * i)) as u64
     }
     #[inline(always)]
     fn bit_or(a: Self, b: Self) -> Self {

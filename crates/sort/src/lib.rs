@@ -27,9 +27,12 @@ mod sample;
 
 pub use balance::{is_globally_sorted, rebalance};
 pub use hypercube::hypercube_quicksort;
-pub use local::{local_radix_sort, local_sort};
-pub use merge::{multiway_merge, multiway_merge_flat};
-pub use radix::{par_radix_sort_by_key, radix_sort_by_key, radix_sort_keys, RadixKey, SortOutcome};
+pub use local::{local_radix_order, local_radix_sort, local_sort};
+pub use merge::multiway_merge_flat;
+pub use radix::{
+    par_radix_sort_by_key, radix_order_by_key, radix_sort_by_key, radix_sort_keys, RadixKey,
+    SortOutcome, TooLongForRadix,
+};
 pub use sample::{sample_sort, sample_sort_by_key};
 
 use kamsta_comm::{Comm, Wire};

@@ -1,6 +1,8 @@
 //! Local sorting kernels with hybrid (rayon) parallelism.
 
-use crate::radix::{par_radix_sort_by_key, RadixKey, SortOutcome};
+use crate::radix::{
+    par_radix_order_by_key, par_radix_sort_by_key, RadixKey, SortOutcome, TooLongForRadix,
+};
 use kamsta_comm::Comm;
 use rayon::prelude::*;
 
@@ -23,33 +25,54 @@ pub fn local_sort<T: Ord + Send>(comm: &Comm, data: &mut [T]) {
     }
 }
 
+/// Charge γ for a radix-engine call on `n` elements by what actually
+/// ran: `n` for an already-sorted scan, `n·passes` for the counting-sort
+/// passes, `n·log n` for the comparison fallback (as [`local_sort`]
+/// charges).
+fn charge_outcome(comm: &Comm, n: usize, outcome: SortOutcome) {
+    if n < 2 {
+        return;
+    }
+    let logn = kamsta_comm::ceil_log2(n).max(1) as u64;
+    let levels = match outcome {
+        SortOutcome::AlreadySorted => 1,
+        SortOutcome::Radix(passes) => (passes as u64).clamp(1, logn),
+        SortOutcome::Comparison => logn,
+    };
+    comm.charge_local(n as u64 * levels);
+}
+
 /// Sort a local slice by a packed radix key, charging γ by what
-/// actually ran: `n` for an already-sorted scan, `n·passes` for the
-/// counting-sort passes, `n·log n` for the comparison fallback (as
-/// [`local_sort`] charges). Hybrid PEs run the width-parallel radix
-/// sorter ([`par_radix_sort_by_key`]), which takes the *same* path
-/// decisions and produces the *same* permutation as the sequential
-/// sorter — so both the output and the modeled charge are independent
-/// of `threads_per_pe`. (An earlier revision abandoned radix entirely
-/// at t > 1 and flat-charged `n·log n`, which made the `-8` variants'
-/// charges — and, for key orders differing from `T: Ord`, their
-/// output — diverge from t = 1.)
+/// actually ran ([`SortOutcome`]). Hybrid PEs run the width-parallel
+/// radix sorter ([`par_radix_sort_by_key`]), which takes the *same*
+/// path decisions and produces the *same* permutation as the
+/// sequential sorter — so both the output and the modeled charge are
+/// independent of `threads_per_pe`. (An earlier revision abandoned
+/// radix entirely at t > 1 and flat-charged `n·log n`, which made the
+/// `-8` variants' charges — and, for key orders differing from
+/// `T: Ord`, their output — diverge from t = 1.)
 pub fn local_radix_sort<T: Copy + Ord + Send + Sync, K: RadixKey + Send>(
     comm: &Comm,
     data: &mut [T],
     key_of: impl Fn(&T) -> K + Sync,
 ) {
-    let n = data.len();
-    if n < 2 {
-        return;
-    }
-    let logn = kamsta_comm::ceil_log2(n).max(1) as u64;
-    let units = match par_radix_sort_by_key(data, key_of) {
-        SortOutcome::AlreadySorted => n as u64,
-        SortOutcome::Radix(passes) => n as u64 * (passes as u64).clamp(1, logn),
-        SortOutcome::Comparison => n as u64 * logn,
-    };
-    comm.charge_local(units);
+    let outcome = par_radix_sort_by_key(data, key_of);
+    charge_outcome(comm, data.len(), outcome);
+}
+
+/// The order [`local_radix_sort`] would apply to the elements `key_of`
+/// keeps, without moving anything (see
+/// [`radix_order_by_key`](crate::radix_order_by_key)); γ is charged the
+/// same way, on the number of kept elements, and order and charge are
+/// independent of `threads_per_pe` for the same reason.
+pub fn local_radix_order<T: Sync, K: RadixKey + Send + Sync>(
+    comm: &Comm,
+    data: &[T],
+    key_of: impl Fn(&T) -> Option<K> + Sync,
+) -> Result<Vec<u32>, TooLongForRadix> {
+    let (order, outcome) = par_radix_order_by_key(data, key_of)?;
+    charge_outcome(comm, order.len(), outcome);
+    Ok(order)
 }
 
 #[cfg(test)]

@@ -1,100 +1,119 @@
 //! K-way merging of sorted runs (receive-side of the sample sort).
 
 use kamsta_comm::FlatBuckets;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Merge sorted runs into one sorted vector.
-///
-/// Uses a binary heap of run heads (`O(n log k)`); runs must each be
-/// sorted. Stable across runs in run-index order for equal elements, which
-/// keeps distributed sorts deterministic.
-pub fn multiway_merge<T: Ord>(mut runs: Vec<Vec<T>>) -> Vec<T> {
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.pop().unwrap(),
-        _ => {}
-    }
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<T>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (k, it) in iters.iter_mut().enumerate() {
-        if let Some(v) = it.next() {
-            heap.push(Reverse((v, k)));
+/// Append the merge of two sorted runs to `out`. Ties take the left run.
+fn merge_two<T: Ord + Clone>(left: &[T], right: &[T], out: &mut Vec<T>) {
+    let (mut i, mut j) = (0, 0);
+    while i < left.len() && j < right.len() {
+        if right[j] < left[i] {
+            out.push(right[j].clone());
+            j += 1;
+        } else {
+            out.push(left[i].clone());
+            i += 1;
         }
     }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((v, k))) = heap.pop() {
-        out.push(v);
-        if let Some(next) = iters[k].next() {
-            heap.push(Reverse((next, k)));
-        }
-    }
-    out
+    out.extend_from_slice(&left[i..]);
+    out.extend_from_slice(&right[j..]);
 }
 
 /// Merge the sorted runs of a flat receive buffer (one run per source
 /// bucket) into one sorted vector — the zero-copy receive side of the
-/// sample sort: runs are merged straight out of the contiguous buffer.
+/// sample sort: the first level reads the runs straight out of the
+/// contiguous buffer.
 ///
-/// Same `O(n log k)` heap strategy and the same run-index tie-break as
-/// [`multiway_merge`], so distributed sorts stay deterministic.
+/// Two runs are one two-finger merge. More are a balanced tree of that
+/// same merge over *adjacent* runs: each level merges runs `2i` and
+/// `2i + 1` into the other of two buffers, `⌈log2 k⌉` streaming passes
+/// for `k` non-empty runs. Ties take the left run at every node, and
+/// adjacent merging keeps runs in source order, so equal elements come
+/// out in run-index order — the tie-break that keeps distributed sorts
+/// deterministic.
 pub fn multiway_merge_flat<T: Ord + Clone>(runs: &FlatBuckets<T>) -> Vec<T> {
-    let k = runs.buckets();
-    let mut heads: Vec<std::slice::Iter<'_, T>> = runs.iter_buckets().map(<[T]>::iter).collect();
-    let mut heap: BinaryHeap<Reverse<(&T, usize)>> = BinaryHeap::with_capacity(k);
-    for (i, it) in heads.iter_mut().enumerate() {
-        if let Some(v) = it.next() {
-            heap.push(Reverse((v, i)));
-        }
+    let total = runs.total_len();
+    // Run boundaries in the current level's buffer, empty runs dropped.
+    let mut bounds: Vec<usize> = vec![0];
+    bounds.extend(
+        runs.displs()
+            .windows(2)
+            .filter(|w| w[1] > w[0])
+            .map(|w| w[1]),
+    );
+    if bounds.len() <= 2 {
+        return runs.payload().to_vec();
     }
-    let mut out = Vec::with_capacity(runs.total_len());
-    while let Some(Reverse((v, i))) = heap.pop() {
-        out.push(v.clone());
-        if let Some(next) = heads[i].next() {
-            heap.push(Reverse((next, i)));
+    let mut merged = Vec::with_capacity(total);
+    let mut spare = Vec::new();
+    let mut level: &[T] = runs.payload();
+    loop {
+        let mut next_bounds = vec![0];
+        for pair in bounds.windows(3).step_by(2) {
+            let (left, right) = (&level[pair[0]..pair[1]], &level[pair[1]..pair[2]]);
+            merge_two(left, right, &mut merged);
+            next_bounds.push(merged.len());
         }
+        if bounds.len().is_multiple_of(2) {
+            // An odd run out moves up a level unmerged.
+            merged.extend_from_slice(&level[bounds[bounds.len() - 2]..]);
+            next_bounds.push(merged.len());
+        }
+        if next_bounds.len() == 2 {
+            return merged;
+        }
+        bounds = next_bounds;
+        std::mem::swap(&mut merged, &mut spare);
+        merged.clear();
+        merged.reserve_exact(total);
+        level = &spare;
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn merge_nested<T: Ord + Clone>(runs: Vec<Vec<T>>) -> Vec<T> {
+        multiway_merge_flat(&FlatBuckets::from_nested(runs))
+    }
+
     #[test]
     fn merges_disjoint_runs() {
         let runs = vec![vec![1, 4, 7], vec![2, 5, 8], vec![3, 6, 9]];
-        assert_eq!(multiway_merge(runs), (1..=9).collect::<Vec<_>>());
+        assert_eq!(merge_nested(runs), (1..=9).collect::<Vec<_>>());
     }
 
     #[test]
     fn merges_overlapping_runs_with_duplicates() {
         let runs = vec![vec![1, 1, 3], vec![1, 2, 3], vec![]];
-        assert_eq!(multiway_merge(runs), vec![1, 1, 1, 2, 3, 3]);
+        assert_eq!(merge_nested(runs), vec![1, 1, 1, 2, 3, 3]);
     }
 
     #[test]
     fn degenerate_cases() {
-        assert_eq!(multiway_merge::<u8>(vec![]), Vec::<u8>::new());
-        assert_eq!(multiway_merge(vec![vec![2, 9]]), vec![2, 9]);
-        assert_eq!(multiway_merge(vec![vec![], vec![5], vec![]]), vec![5]);
+        assert_eq!(merge_nested::<u8>(vec![]), Vec::<u8>::new());
+        assert_eq!(merge_nested::<u8>(vec![vec![], vec![]]), Vec::<u8>::new());
+        assert_eq!(merge_nested(vec![vec![2, 9]]), vec![2, 9]);
+        assert_eq!(merge_nested(vec![vec![], vec![5], vec![]]), vec![5]);
     }
 
     #[test]
-    fn flat_merge_matches_nested_merge() {
+    fn runs_with_gaps_merge_in_order() {
         let nested = vec![vec![1u32, 4, 7], vec![2, 5, 8], vec![], vec![3, 3, 9]];
-        let flat = FlatBuckets::from_nested(nested.clone());
-        assert_eq!(multiway_merge_flat(&flat), multiway_merge(nested));
+        assert_eq!(merge_nested(nested), vec![1, 2, 3, 3, 4, 5, 7, 8, 9]);
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> u32 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u32
+        }
     }
 
     #[test]
     fn random_runs_match_flat_sort() {
-        let mut state = 12345u64;
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as u32
-        };
+        let mut rng = lcg(12345);
         let mut runs = Vec::new();
         let mut flat = Vec::new();
         for _ in 0..10 {
@@ -105,6 +124,67 @@ mod tests {
             runs.push(run);
         }
         flat.sort_unstable();
-        assert_eq!(multiway_merge(runs), flat);
+        assert_eq!(merge_nested(runs), flat);
+    }
+
+    /// A key with a run tag that `Ord` ignores: only a merge that breaks
+    /// ties by run index puts equal keys out in tag order.
+    #[derive(Clone, Copy, Debug)]
+    struct Tagged {
+        key: u32,
+        run: usize,
+    }
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl Eq for Tagged {}
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    /// `k` sorted runs of tagged keys from a small range (many ties),
+    /// with empty runs at the front, in the middle and at the end.
+    fn tagged_runs(k: usize, seed: u64) -> Vec<Vec<Tagged>> {
+        let mut rng = lcg(seed);
+        (0..k)
+            .map(|run| {
+                let empty = k > 2 && (run == 0 || run == k / 2 || run == k - 1);
+                let len = if empty { 0 } else { (rng() % 40) as usize };
+                let mut keys: Vec<u32> = (0..len).map(|_| rng() % 16).collect();
+                keys.sort_unstable();
+                keys.into_iter().map(|key| Tagged { key, run }).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_a_stable_sort_for_every_run_count() {
+        for k in [1usize, 2, 3, 5, 16, 64] {
+            let runs = tagged_runs(k, 77 + k as u64);
+            // Concatenation in run order, stably sorted: equal keys stay
+            // in run-index order — the merge's contract.
+            let mut expect: Vec<Tagged> = runs.iter().flatten().copied().collect();
+            expect.sort();
+            let got = merge_nested(runs);
+            let pairs = |v: &[Tagged]| v.iter().map(|t| (t.key, t.run)).collect::<Vec<_>>();
+            assert_eq!(pairs(&got), pairs(&expect), "k={k}");
+        }
+    }
+
+    #[test]
+    fn equal_keys_come_out_in_run_index_order() {
+        let runs: Vec<Vec<Tagged>> = (0..7).map(|run| vec![Tagged { key: 5, run }; 3]).collect();
+        let got: Vec<usize> = merge_nested(runs).iter().map(|t| t.run).collect();
+        let expect: Vec<usize> = (0..7).flat_map(|run| [run; 3]).collect();
+        assert_eq!(got, expect);
     }
 }
