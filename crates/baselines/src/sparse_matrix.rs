@@ -125,7 +125,7 @@ pub fn sparse_matrix(comm: &Comm, edges: &[CEdge]) -> Vec<WEdge> {
         let mut fixes = Vec::new();
         let mut rooted: FxHashSet<u64> = FxHashSet::default();
         for (&a, x) in &winner {
-            if back.get(&x.to) == Some(&a) && a < x.to {
+            if back.get(x.to) == Some(a) && a < x.to {
                 fixes.push((a, a));
                 rooted.insert(a);
             }
@@ -149,8 +149,8 @@ pub fn sparse_matrix(comm: &Comm, edges: &[CEdge]) -> Vec<WEdge> {
         let reps = parent.bulk_get(comm, endpoints);
         comm.charge_local(work.len() as u64);
         work.retain_mut(|(cu, cv, _)| {
-            *cu = *reps.get(cu).unwrap_or(cu);
-            *cv = *reps.get(cv).unwrap_or(cv);
+            *cu = reps.get(*cu).unwrap_or(*cu);
+            *cv = reps.get(*cv).unwrap_or(*cv);
             cu != cv
         });
     }

@@ -11,7 +11,10 @@
 //!    root election and distributed pointer doubling over the vertex-home
 //!    partition (Sec. IV-B), emitting the round's MST edge ids;
 //! 3. [`exchange_labels`] + [`relabel`] — the pull-based ghost-label
-//!    protocol and endpoint rewriting (Sec. IV-C);
+//!    protocol and endpoint rewriting (Sec. IV-C): the pulled labels come
+//!    back as a [`Pulled`] — a table over the graph's id span whenever
+//!    the ghosts are dense in it, which then also holds this PE's own
+//!    labels, so rewriting a destination is one array load;
 //! 4. [`redistribute`] — parallel-edge elimination (local per-pair
 //!    prefilter or pure sorting, Sec. VI-B), distributed sorting, and
 //!    re-establishing the distributed graph structure.
@@ -25,7 +28,9 @@
 //! total order around sampled pivots, recursing on the light half first
 //! and filtering heavy edges through the block-distributed representative
 //! array [`DistArray`] before recursing on the survivors (Sec. V) — the
-//! distributed analogue of Filter-Kruskal.
+//! distributed analogue of Filter-Kruskal. Its lookups are the same
+//! [`Pulled`]; a base case hands the array only the representatives it
+//! retired, by broadcast.
 
 use crate::instrument::{Phase, PhaseTimes, Phased};
 use crate::seq::UnionFind;
@@ -179,36 +184,156 @@ pub struct PreprocessOutcome {
 // pull-based label/parent lookup
 // ---------------------------------------------------------------------
 
+/// Slot of a dense [`Pulled`] table whose id nobody asked for.
+/// `VertexId::MAX` is reserved: no vertex, label or array entry has it.
+const NOT_ASKED: u64 = u64::MAX;
+
+/// The density rule's constant `K`: a lookup is served from a table over
+/// the whole id span when the span is at most `K` ids wide per queried
+/// id. Read off `bench_pull`'s crossover (EXPERIMENTS.md); it also bounds
+/// the table at `8 K` bytes per queried id.
+const DENSE_SPAN_PER_QUERY: u64 = 8;
+
+/// The answers of one pull, by queried id: a table indexed by
+/// `id − span.min` when the queried ids are dense in their span, a hash
+/// map when they are not. Which one is decided per call, from the width
+/// of the span and the number of queries alone; readers only see
+/// [`Pulled::get`].
+#[derive(Clone, Debug)]
+pub struct Pulled(Table);
+
+#[derive(Clone, Debug)]
+enum Table {
+    /// `slots[id − lo]`; [`NOT_ASKED`] marks the ids never queried.
+    Dense { lo: u64, slots: Vec<u64> },
+    /// The fallback for sparse id spaces (component labels at large p,
+    /// 48-bit ids).
+    Sparse(FxHashMap<u64, u64>),
+}
+
+impl Pulled {
+    /// The answer for `id`; `None` when `id` was not among the queries.
+    #[inline]
+    pub fn get(&self, id: u64) -> Option<u64> {
+        match &self.0 {
+            Table::Dense { lo, slots } => dense_get(*lo, slots, id),
+            Table::Sparse(map) => map.get(&id).copied(),
+        }
+    }
+
+    /// True when the answers sit in the table over the id span.
+    pub fn is_dense(&self) -> bool {
+        matches!(self.0, Table::Dense { .. })
+    }
+
+    /// Key replicated `(id, answer)` pairs, all inside `span`, for
+    /// `lookups` reads, by the density rule.
+    fn keyed(span: Option<(u64, u64)>, lookups: usize, pairs: &[(u64, u64)]) -> Self {
+        match dense_width(span, lookups) {
+            Some((lo, width)) => Self::dense(lo, width, pairs.iter().copied()),
+            None => Self(Table::Sparse(pairs.iter().copied().collect())),
+        }
+    }
+
+    /// The table over `[lo, lo + width)` holding `pairs`.
+    fn dense(lo: u64, width: usize, pairs: impl Iterator<Item = (u64, u64)>) -> Self {
+        let mut slots = vec![NOT_ASKED; width];
+        for (id, answer) in pairs {
+            debug_assert!(answer != NOT_ASKED, "u64::MAX is the reserved sentinel");
+            slots[(id - lo) as usize] = answer;
+        }
+        Self(Table::Dense { lo, slots })
+    }
+}
+
+/// `slots[id − lo]` unless the id is outside the table or its slot empty.
+#[inline]
+fn dense_get(lo: u64, slots: &[u64], id: u64) -> Option<u64> {
+    let i = usize::try_from(id.wrapping_sub(lo)).ok()?;
+    slots.get(i).copied().filter(|&x| x != NOT_ASKED)
+}
+
+/// The density rule: `Some((lo, width))` when a table over `span` pays
+/// for `queries` lookups — the span is known and at most
+/// [`DENSE_SPAN_PER_QUERY`] ids wide per lookup. It reads nothing but its
+/// two arguments, so there is nothing to configure.
+fn dense_width(span: Option<(u64, u64)>, queries: usize) -> Option<(u64, usize)> {
+    let (lo, hi) = span?;
+    let limit = DENSE_SPAN_PER_QUERY.saturating_mul(queries as u64);
+    // `hi − lo + 1 ≤ limit` without the overflow at a full-range span.
+    (hi.checked_sub(lo)? < limit).then(|| (lo, (hi - lo) as usize + 1))
+}
+
 /// Pull-protocol lookup: resolve `queries` at the *home PE* of each
-/// queried vertex with that PE's `resolve` function. Collective.
+/// queried vertex with that PE's `resolve` function; the answers come
+/// back as a [`Pulled`] over the graph's id span. Collective.
 ///
 /// Pull rather than push: the edge_cases regression showed that routing
 /// answers by home-of-reverse-edge misses duplicate holders; serving
 /// explicit requests delivers to every PE that asks.
-fn pull<F>(
-    comm: &Comm,
-    g: &DistGraph,
-    queries: Vec<VertexId>,
-    resolve: F,
-) -> FxHashMap<VertexId, VertexId>
+fn pull<F>(comm: &Comm, g: &DistGraph, queries: Vec<VertexId>, resolve: F) -> Pulled
 where
     F: Fn(VertexId) -> VertexId,
 {
-    pull_values(comm, queries, |q| g.home_of_vertex(q), resolve)
+    let table = dense_width(g.id_span(), queries.len());
+    pull_values(comm, queries, table, |q| g.home_of_vertex(q), resolve)
 }
 
-/// Radix-sort and dedup the queried ids, resolve them with
-/// [`pull_sorted`] and key the answers by id. Collective.
+/// Resolve the queried ids (duplicates welcome) with [`pull_sorted`] and
+/// return the answers as a [`Pulled`]. `table` is what [`dense_width`]
+/// made of the caller's id span — a closed range known to hold every id
+/// that can be asked for, replicated state, never communicated here —
+/// and the query count: the `(lo, width)` of the dense table to fill, or
+/// `None` for the fallback. Collective.
+///
+/// Dense: the distinct ascending request list is read off a bitmap
+/// ([`distinct_in_span`]) and the answers are scattered into the table;
+/// an id outside the table sends the call down the fallback instead.
+/// Fallback: radix sort, dedup, hash the answers. Both hand
+/// [`pull_sorted`] the same list, so requests, replies and every modeled
+/// counter are the same either way — which also lets each PE choose on
+/// its own.
 fn pull_values(
     comm: &Comm,
     mut ids: Vec<u64>,
+    table: Option<(u64, usize)>,
     home_of: impl Fn(u64) -> usize,
     resolve: impl Fn(u64) -> u64,
-) -> FxHashMap<u64, u64> {
+) -> Pulled {
+    if let Some((lo, width)) = table {
+        if let Some(distinct) = distinct_in_span(&ids, lo, width) {
+            let values = pull_sorted(comm, &distinct, home_of, resolve);
+            return Pulled::dense(lo, width, distinct.into_iter().zip(values));
+        }
+    }
     kamsta_sort::radix_sort_keys(&mut ids);
     ids.dedup();
     let values = pull_sorted(comm, &ids, home_of, resolve);
-    ids.into_iter().zip(values).collect()
+    Pulled(Table::Sparse(ids.into_iter().zip(values).collect()))
+}
+
+/// The distinct ids of `ids`, ascending — what sort + dedup produces —
+/// by marking a bitmap over `[lo, lo + width)` and enumerating its set
+/// bits. `None` when an id lies outside that range.
+fn distinct_in_span(ids: &[u64], lo: u64, width: usize) -> Option<Vec<u64>> {
+    let mut bits = vec![0u64; width.div_ceil(64)];
+    for &id in ids {
+        let off = usize::try_from(id.wrapping_sub(lo)).ok()?;
+        if off >= width {
+            return None;
+        }
+        bits[off / 64] |= 1 << (off % 64);
+    }
+    let count: u32 = bits.iter().map(|w| w.count_ones()).sum();
+    let mut distinct = Vec::with_capacity(count as usize);
+    for (k, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            distinct.push(lo + (k * 64) as u64 + u64::from(word.trailing_zeros()));
+            word &= word - 1;
+        }
+    }
+    Some(distinct)
 }
 
 /// The count-only request/reply exchange behind every pull: `ids` is
@@ -219,7 +344,7 @@ fn pull_values(
 /// ([`Comm::request_reply`]): it rides back in the request's bucket, so
 /// `result[k]` answers `ids[k]` — half the reply volume of a key-value
 /// exchange, and callers that hold the ids in an array of their own
-/// (the local-vertex list) never build a map. Collective.
+/// (the local-vertex list) never build a table. Collective.
 fn pull_sorted(
     comm: &Comm,
     ids: &[u64],
@@ -318,7 +443,7 @@ pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[Option<CEdge>]) -
     // both sides; the smaller endpoint becomes the root.
     let grand = pull(comm, g, targets(&parent), |x| local_or_self(g, &parent, x));
     for &i in &hooked {
-        if grand.get(&parent[i]) == Some(&verts[i]) && verts[i] < parent[i] {
+        if grand.get(parent[i]) == Some(verts[i]) && verts[i] < parent[i] {
             parent[i] = verts[i];
         }
     }
@@ -329,7 +454,7 @@ pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[Option<CEdge>]) -
         let hop = pull(comm, g, targets(&parent), |x| local_or_self(g, &parent, x));
         let mut changed = 0u64;
         for &i in &hooked {
-            let next = hop[&parent[i]];
+            let next = hop.get(parent[i]).expect("every hooked target was queried");
             if next != parent[i] {
                 parent[i] = next;
                 changed += 1;
@@ -369,11 +494,13 @@ pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[Option<CEdge>]) -
 /// homed on other PEs — with the pull protocol (Sec. IV-C). `labels` is
 /// this PE's label per local vertex; a vertex that is a source nowhere
 /// keeps its own id. Collective.
-pub fn exchange_labels(
-    comm: &Comm,
-    g: &DistGraph,
-    labels: &[VertexId],
-) -> FxHashMap<VertexId, VertexId> {
+///
+/// The result is what [`relabel`] reads destinations from. When the pull
+/// came back as the dense table, this PE's own labels of the vertices it
+/// is home to are written into it as well — every destination of the
+/// slice, ghost or not, is then one slot of one array. The sparse
+/// fallback holds the ghosts only.
+pub fn exchange_labels(comm: &Comm, g: &DistGraph, labels: &[VertexId]) -> Pulled {
     comm.charge_local(g.edges.len() as u64);
     let ghosts: Vec<VertexId> = g
         .edges
@@ -381,15 +508,29 @@ pub fn exchange_labels(
         .map(|e| e.v)
         .filter(|&v| g.is_ghost(v))
         .collect();
-    pull(comm, g, ghosts, |x| local_or_self(g, labels, x))
+    let mut table = pull(comm, g, ghosts, |x| local_or_self(g, labels, x));
+    if let Table::Dense { lo, slots } = &mut table.0 {
+        // Only the slice's last vertex can be homed elsewhere; its slot
+        // keeps the home's answer.
+        let verts = g.local_vertices();
+        let homed = verts.len() - usize::from(g.last_shared);
+        for (&v, &label) in verts[..homed].iter().zip(labels) {
+            slots[(v - *lo) as usize] = label;
+        }
+    }
+    table
 }
 
-/// Rewrite edge endpoints to component labels — sources and locally homed
-/// destinations through `labels` (per local vertex), ghost destinations
-/// through the ghost table — and drop the self-loops that contraction
-/// created. `edges` is `g.edges` or a subsequence of it in the same order
+/// Rewrite edge endpoints to component labels and drop the self-loops
+/// that contraction created. `table` is [`exchange_labels`]' output for
+/// the same `g` and `labels`. Sources are read from `labels` (per local
+/// vertex): `edges` is `g.edges` or a subsequence of it in the same order
 /// (the survivors of [`local_contract`]), so one cursor over the vertex
-/// list resolves every source. Preserves ids and weights, so the
+/// list resolves every source. Destinations are one load from the dense
+/// table when there is one — ghost, local or a source nowhere (an empty
+/// slot: the vertex keeps its id) alike; on the sparse fallback ghosts
+/// probe the map and locally homed destinations go through
+/// [`DistGraph::local_index`]. Preserves ids and weights, so the
 /// symmetric closure of the distributed edge list is maintained. Borrows
 /// the edge slice: the output is a fresh vector either way, so callers
 /// never have to clone their graph to call this.
@@ -398,27 +539,46 @@ pub fn relabel(
     g: &DistGraph,
     edges: &[CEdge],
     labels: &[VertexId],
-    ghost: &FxHashMap<VertexId, VertexId>,
+    table: &Pulled,
 ) -> Vec<CEdge> {
     debug_assert!(g.pes() == comm.size());
     comm.charge_local(edges.len() as u64);
+    match &table.0 {
+        Table::Dense { lo, slots } => {
+            relabel_by(g, edges, labels, |v| dense_get(*lo, slots, v).unwrap_or(v))
+        }
+        Table::Sparse(ghost) => relabel_by(g, edges, labels, |v| {
+            if g.is_ghost(v) {
+                ghost.get(&v).copied().unwrap_or(v)
+            } else {
+                local_or_self(g, labels, v)
+            }
+        }),
+    }
+}
+
+/// [`relabel`] with the destination lookup compiled in.
+fn relabel_by(
+    g: &DistGraph,
+    edges: &[CEdge],
+    labels: &[VertexId],
+    label_of_dst: impl Fn(VertexId) -> VertexId,
+) -> Vec<CEdge> {
     let verts = g.local_vertices();
     let mut cursor = 0usize;
-    edges
-        .iter()
-        .filter_map(|&(mut e)| {
-            while verts[cursor] != e.u {
-                cursor += 1;
-            }
-            e.u = labels[cursor];
-            e.v = if g.is_ghost(e.v) {
-                ghost.get(&e.v).copied().unwrap_or(e.v)
-            } else {
-                local_or_self(g, labels, e.v)
-            };
-            (e.u != e.v).then_some(e)
-        })
-        .collect()
+    // Few edges become self-loops in a round: sized once, never regrown.
+    let mut out = Vec::with_capacity(edges.len());
+    for &(mut e) in edges {
+        while verts[cursor] != e.u {
+            cursor += 1;
+        }
+        e.u = labels[cursor];
+        e.v = label_of_dst(e.v);
+        if e.u != e.v {
+            out.push(e);
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -707,9 +867,10 @@ fn sort_by_unique_weight(edges: &mut [CEdge]) {
     kamsta_sort::par_radix_sort_by_key(edges, |e: &CEdge| ((e.w as u128) << 64) | e.id as u128);
 }
 
-/// As [`kruskal_ids`], additionally returning the component label (the
-/// minimum member vertex id) of every vertex present in `all`.
-fn kruskal_ids_and_labels(all: &[CEdge]) -> (Vec<u64>, FxHashMap<VertexId, VertexId>) {
+/// As [`kruskal_ids`], additionally returning `(vertex, label)` — the
+/// label is the minimum member id of the vertex's component — for every
+/// vertex present in `all`, in order of first appearance.
+fn kruskal_ids_and_labels(all: &[CEdge]) -> (Vec<u64>, Vec<(VertexId, VertexId)>) {
     let mut vidx: FxHashMap<VertexId, u32> = FxHashMap::default();
     let mut verts: Vec<VertexId> = Vec::new();
     for e in all {
@@ -928,17 +1089,37 @@ impl DistArray {
         self.values.len()
     }
 
-    /// Fetch `a[id]` for every queried id (duplicates welcome); returns
-    /// an id → value map. Collective. The block home is monotone in the
-    /// id, so both exchange directions are count-only flat buffers (see
-    /// [`pull`]).
-    pub fn bulk_get(&self, comm: &Comm, ids: Vec<u64>) -> FxHashMap<u64, u64> {
+    /// Fetch `a[id]` for every queried id (duplicates welcome), as a
+    /// [`Pulled`] over the array's id space. Collective. The block home
+    /// is monotone in the id, so both exchange directions are count-only
+    /// flat buffers.
+    pub fn bulk_get(&self, comm: &Comm, ids: Vec<u64>) -> Pulled {
+        let table = dense_width(self.span(), ids.len());
+        self.get_into(comm, ids, table)
+    }
+
+    /// [`DistArray::bulk_get`] with the density rule overridden: `dense`
+    /// asks for the table however few ids are queried, `!dense` for the
+    /// sort-and-hash fallback. Same requests, replies and charges — this
+    /// is the pair `bench_pull` times and the agreement tests compare.
+    #[doc(hidden)]
+    pub fn bulk_get_forced(&self, comm: &Comm, ids: Vec<u64>, dense: bool) -> Pulled {
+        self.get_into(comm, ids, dense.then_some((0, self.n as usize)))
+    }
+
+    fn get_into(&self, comm: &Comm, ids: Vec<u64>, table: Option<(u64, usize)>) -> Pulled {
         pull_values(
             comm,
             ids,
+            table,
             |id| self.home(id),
             |id| self.values[(id - self.lo) as usize],
         )
+    }
+
+    /// The array's id space as a closed range; `None` when it is empty.
+    fn span(&self) -> Option<(u64, u64)> {
+        self.n.checked_sub(1).map(|hi| (0, hi))
     }
 
     /// Write `a[id] = value` for every pair (last writer per id wins
@@ -972,7 +1153,7 @@ impl DistArray {
             let mut changed = 0u64;
             comm.charge_local(self.values.len() as u64);
             for v in self.values.iter_mut() {
-                if let Some(&nv) = hop.get(v) {
+                if let Some(nv) = hop.get(*v) {
                     if nv != *v {
                         *v = nv;
                         changed += 1;
@@ -985,32 +1166,24 @@ impl DistArray {
         }
     }
 
-    /// Apply a replicated relabeling to the owned block: every stored
-    /// value present in `map` is replaced. Local (the map is already
-    /// replicated).
-    pub fn apply_map(&mut self, comm: &Comm, map: &FxHashMap<u64, u64>) {
+    /// Absorb a relabeling known at rank 0: the root passes the
+    /// `(old, new)` pairs that change something, ascending by `old`
+    /// (other PEs pass `None`); they are broadcast and every PE replaces
+    /// each stored `old` in its block by its `new` — through a [`Pulled`]
+    /// keyed for one lookup per block entry: a table while a block is a
+    /// fair share of the array, a map at large p. In Filter-Borůvka the
+    /// stored values are representatives and a vertex stops being one at
+    /// most once, so all the calls of a run together broadcast at most
+    /// `n` pairs. Collective.
+    pub fn absorb_from_root(&mut self, comm: &Comm, changes: Option<Vec<(u64, u64)>>) {
+        let changes = comm.broadcast_vec(0, changes);
+        if changes.is_empty() {
+            return;
+        }
+        let renamed = Pulled::keyed(self.span(), self.values.len(), &changes);
         comm.charge_local(self.values.len() as u64);
         for v in self.values.iter_mut() {
-            if let Some(&nv) = map.get(v) {
-                *v = nv;
-            }
-        }
-    }
-
-    /// Absorb a relabeling held only at rank 0: every PE queries the root
-    /// for its distinct stored values and rewrites matches — far cheaper
-    /// than replicating the map when blocks are small relative to the
-    /// graph. Collective.
-    pub fn absorb_from_root(&mut self, comm: &Comm, map: Option<FxHashMap<u64, u64>>) {
-        let map = map.unwrap_or_default();
-        let resolved = pull_values(
-            comm,
-            self.values.clone(),
-            |_| 0,
-            |v| map.get(&v).copied().unwrap_or(v),
-        );
-        for v in self.values.iter_mut() {
-            if let Some(&nv) = resolved.get(v) {
+            if let Some(nv) = renamed.get(*v) {
                 *v = nv;
             }
         }
@@ -1065,8 +1238,8 @@ fn filter_base_case(comm: &Comm, edges: &[CEdge], reps: &mut DistArray, ctx: &mu
     let relabeled: Vec<CEdge> = edges
         .iter()
         .filter_map(|&(mut e)| {
-            e.u = *rep_of.get(&e.u).unwrap_or(&e.u);
-            e.v = *rep_of.get(&e.v).unwrap_or(&e.v);
+            e.u = rep_of.get(e.u).unwrap_or(e.u);
+            e.v = rep_of.get(e.v).unwrap_or(e.v);
             (e.u != e.v).then_some(e)
         })
         .collect();
@@ -1074,13 +1247,16 @@ fn filter_base_case(comm: &Comm, edges: &[CEdge], reps: &mut DistArray, ctx: &mu
     ctx.stats.base_case_calls += 1;
     ctx.stats.base_case_edges += kept;
     let mine = prefilter_unordered(comm, &relabeled);
-    let labels_at_root = comm.gatherv(0, mine).map(|all| {
+    let merged_at_root = comm.gatherv(0, mine).map(|all| {
         comm.charge_local(2 * all.len() as u64);
-        let (ids, labels) = kruskal_ids_and_labels(&all);
+        let (ids, mut labels) = kruskal_ids_and_labels(&all);
         ctx.msf_ids.extend(ids);
+        // Only the vertices that stopped being representatives travel.
+        labels.retain(|&(v, label)| v != label);
+        labels.sort_unstable();
         labels
     });
-    reps.absorb_from_root(comm, labels_at_root);
+    reps.absorb_from_root(comm, merged_at_root);
 }
 
 /// Quicksort-style recursion of Algorithm 2: partition by a sampled
@@ -1140,7 +1316,7 @@ fn filter_rec(
         let before = heavy.len() as u64;
         let survivors: Vec<CEdge> = heavy
             .into_iter()
-            .filter(|e| rep_of.get(&e.u).unwrap_or(&e.u) != rep_of.get(&e.v).unwrap_or(&e.v))
+            .filter(|e| rep_of.get(e.u).unwrap_or(e.u) != rep_of.get(e.v).unwrap_or(e.v))
             .collect();
         let dropped = before - survivors.len() as u64;
         (survivors, dropped)
@@ -1241,11 +1417,258 @@ mod tests {
             a.bulk_set(comm, updates);
             a.compress(comm);
             let got = a.bulk_get(comm, (0..10).collect());
-            (0..10).map(|i| got[&i]).collect::<Vec<u64>>()
+            (0..10).map(|i| got.get(i).unwrap()).collect::<Vec<u64>>()
         });
         for r in out.results {
             assert_eq!(r, vec![0; 10]);
         }
+    }
+
+    /// How a test drives a pull: through the density rule with a span,
+    /// or with the table decision already made.
+    #[derive(Clone, Copy)]
+    enum Via {
+        Rule(Option<(u64, u64)>),
+        Table(Option<(u64, usize)>),
+    }
+
+    /// What one PE saw of a pull: the answer for each probed id, whether
+    /// they came from the dense table, and the PE's counters.
+    type PullView = (Vec<Option<u64>>, bool, kamsta_comm::PeStats);
+
+    /// What the home PE answers for `id` in [`run_pull`].
+    fn answer_of(id: u64) -> u64 {
+        kamsta_graph::hash::mix64(id) >> 1
+    }
+
+    /// Pull `queries[rank]` on `queries.len()` PEs over the id space
+    /// `[lo, lo + width)`, block-homed, then probe every queried id, its
+    /// two neighbours and both ends of the space. Checks the queried ids'
+    /// answers against [`answer_of`].
+    fn run_pull(queries: &[Vec<u64>], lo: u64, width: u64, via: Via) -> Vec<PullView> {
+        let p = queries.len();
+        let queries = queries.to_vec();
+        let out = Machine::run(MachineConfig::new(p), move |comm| {
+            let ids = queries[comm.rank()].clone();
+            // Monotone in the id, and total: ids outside the space clamp.
+            let home_of = |id: u64| {
+                let off = id.saturating_sub(lo).min(width - 1) as u128;
+                (off * p as u128 / width as u128) as usize
+            };
+            let table = match via {
+                Via::Rule(span) => dense_width(span, ids.len()),
+                Via::Table(table) => table,
+            };
+            let table = pull_values(comm, ids.clone(), table, home_of, answer_of);
+            for &id in &ids {
+                assert_eq!(table.get(id), Some(answer_of(id)), "queried id {id}");
+            }
+            let probes = ids
+                .iter()
+                .flat_map(|&id| [id, id.wrapping_sub(1), id.wrapping_add(1)])
+                .chain([lo.wrapping_sub(1), lo, lo + (width - 1), lo + width]);
+            let seen = probes.map(|id| table.get(id)).collect();
+            (seen, table.is_dense(), comm.stats())
+        });
+        out.results
+    }
+
+    /// `count` ids of `[lo, lo + width)`, uniform with repetitions.
+    fn ids_in(lo: u64, width: u64, count: usize, seed: u64) -> Vec<u64> {
+        (0..count as u64)
+            .map(|k| lo + kamsta_graph::hash::mix64(seed ^ k) % width)
+            .collect()
+    }
+
+    /// Both paths over the same queries: equal answers (for the ids that
+    /// were asked and for those that were not) and equal counters on every
+    /// rank.
+    fn assert_paths_agree(queries: &[Vec<u64>], lo: u64, width: u64, what: &str) {
+        let dense = run_pull(queries, lo, width, Via::Table(Some((lo, width as usize))));
+        let sparse = run_pull(queries, lo, width, Via::Table(None));
+        for (rank, (d, s)) in dense.iter().zip(&sparse).enumerate() {
+            assert!(d.1 && !s.1, "{what}: rank {rank} took the paths asked for");
+            assert_eq!(d.0, s.0, "{what}: answers on rank {rank}");
+            assert_eq!(d.2, s.2, "{what}: PeStats on rank {rank}");
+        }
+    }
+
+    #[test]
+    fn density_rule_flips_at_k_ids_per_query() {
+        let k = DENSE_SPAN_PER_QUERY;
+        assert_eq!(
+            dense_width(Some((7, 7 + 5 * k - 1)), 5),
+            Some((7, 5 * k as usize))
+        );
+        assert_eq!(dense_width(Some((7, 7 + 5 * k)), 5), None);
+        assert_eq!(dense_width(None, 1 << 20), None);
+        assert_eq!(
+            dense_width(Some((3, 3)), 0),
+            None,
+            "nothing asked, no table"
+        );
+        assert_eq!(dense_width(Some((0, u64::MAX)), usize::MAX), None);
+        assert_eq!(dense_width(Some((9, 3)), 100), None, "an inverted span");
+        // The same boundary through a whole pull, on two PEs.
+        for (width, dense) in [(40 * k - 1, true), (40 * k, true), (40 * k + 1, false)] {
+            let queries = vec![ids_in(100, width, 40, 1), ids_in(100, width, 40, 2)];
+            let span = Some((100, 100 + width - 1));
+            for (rank, view) in run_pull(&queries, 100, width, Via::Rule(span))
+                .iter()
+                .enumerate()
+            {
+                assert_eq!(view.1, dense, "width {width}, rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn pull_paths_agree_on_pinned_shapes() {
+        let above_48 = (1u64 << 48) + 12_345;
+        let shapes: Vec<(&str, u64, u64, Vec<Vec<u64>>)> = vec![
+            ("one PE", 0, 50, vec![ids_in(0, 50, 200, 1)]),
+            (
+                "empty query lists on some PEs",
+                10,
+                64,
+                vec![
+                    vec![],
+                    ids_in(10, 64, 90, 2),
+                    vec![],
+                    ids_in(10, 64, 3, 3),
+                    vec![],
+                ],
+            ),
+            ("nobody asks", 10, 64, vec![vec![], vec![], vec![]]),
+            (
+                "a span starting above 2^48",
+                above_48,
+                300,
+                vec![ids_in(above_48, 300, 500, 4), ids_in(above_48, 300, 40, 5)],
+            ),
+            (
+                "a one-id space",
+                u64::MAX - 9,
+                1,
+                vec![vec![u64::MAX - 9; 5], vec![], vec![u64::MAX - 9]],
+            ),
+            (
+                "word boundaries of the bitmap",
+                0,
+                129,
+                vec![vec![0, 63, 64, 127, 128, 128, 0], vec![64, 63]],
+            ),
+        ];
+        for (what, lo, width, queries) in &shapes {
+            assert_paths_agree(queries, *lo, *width, what);
+        }
+    }
+
+    #[test]
+    fn an_id_outside_the_span_falls_back() {
+        // PE 1 asks for ids beyond a (too narrow) span: it must take the
+        // fallback and still be answered; PE 0 stays on the table, and the
+        // counters are what two fallback pulls charge.
+        let queries = vec![ids_in(20, 30, 64, 6), vec![25, 49, 50, 19, 1 << 50, 25]];
+        let narrow = run_pull(&queries, 0, 1 << 51, Via::Rule(Some((20, 49))));
+        let none = run_pull(&queries, 0, 1 << 51, Via::Rule(None));
+        assert!(narrow[0].1 && !narrow[1].1);
+        assert!(!none[0].1 && !none[1].1, "no span, no table");
+        for rank in 0..2 {
+            assert_eq!(narrow[rank].0, none[rank].0, "answers on rank {rank}");
+            assert_eq!(narrow[rank].2, none[rank].2, "PeStats on rank {rank}");
+        }
+    }
+
+    mod pull_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn dense_and_sparse_paths_agree(
+                p_index in 0usize..4,
+                lo_index in 0usize..3,
+                width in 1u64..400,
+                max_count in 0usize..300,
+                seed in any::<u64>(),
+            ) {
+                let p = [1usize, 2, 3, 5][p_index];
+                let lo = [0u64, 1 << 20, (1 << 48) + 5][lo_index];
+                let queries: Vec<Vec<u64>> = (0..p as u64)
+                    .map(|r| {
+                        // Uneven loads, some PEs asking nothing.
+                        let count = (kamsta_graph::hash::mix64(seed ^ r) % 3) as usize
+                            * max_count
+                            / 2;
+                        ids_in(lo, width, count, seed.wrapping_add(r << 32))
+                    })
+                    .collect();
+                assert_paths_agree(&queries, lo, width, "random id multiset");
+            }
+
+            #[test]
+            fn absorb_matches_a_sequential_rewrite(
+                p in 1usize..6,
+                n in 1u64..80,
+                pairs in 0usize..80,
+                seed in any::<u64>(),
+            ) {
+                let stored = ids_in(0, n, n as usize, seed);
+                let mut changes: Vec<(u64, u64)> = ids_in(0, n, pairs, !seed)
+                    .into_iter()
+                    .map(|old| (old, kamsta_graph::hash::mix64(old ^ seed) % n))
+                    .collect();
+                changes.sort_unstable();
+                changes.dedup_by_key(|c| c.0);
+                assert_absorb_matches(p, &stored, &changes, "random label map");
+            }
+        }
+    }
+
+    /// `DistArray::absorb_from_root` against rewriting the array's
+    /// contents (`stored[i]` at index `i`) sequentially.
+    fn assert_absorb_matches(p: usize, stored: &[u64], changes: &[(u64, u64)], what: &str) {
+        let n = stored.len() as u64;
+        let want: Vec<u64> = stored
+            .iter()
+            .map(|v| changes.iter().find(|c| c.0 == *v).map_or(*v, |c| c.1))
+            .collect();
+        let (stored, changes) = (stored.to_vec(), changes.to_vec());
+        let out = Machine::run(MachineConfig::new(p), move |comm| {
+            let mut a = DistArray::new(comm, n);
+            let root = comm.rank() == 0;
+            let writes = stored.iter().enumerate().map(|(i, &v)| (i as u64, v));
+            a.bulk_set(comm, if root { writes.collect() } else { Vec::new() });
+            a.absorb_from_root(comm, root.then(|| changes.clone()));
+            let got = a.bulk_get(comm, (0..n).collect());
+            (0..n).map(|i| got.get(i).unwrap()).collect::<Vec<u64>>()
+        });
+        for (rank, got) in out.results.iter().enumerate() {
+            assert_eq!(got, &want, "{what}: p = {p}, rank {rank}");
+        }
+    }
+
+    #[test]
+    fn absorb_matches_a_sequential_rewrite_on_pinned_maps() {
+        let stored: Vec<u64> = (0..23).map(|i| (i * 7) % 23).collect();
+        let everything: Vec<(u64, u64)> = (0..23).map(|v| (v, v / 4)).collect();
+        let identity: Vec<(u64, u64)> = (0..23).map(|v| (v, v)).collect();
+        for p in [1usize, 2, 4, 5] {
+            // 23 entries: p = 2, 4, 5 do not divide n.
+            assert_absorb_matches(p, &stored, &[], "empty map");
+            assert_absorb_matches(p, &stored, &identity, "identity map");
+            assert_absorb_matches(p, &stored, &everything, "every block touched");
+            assert_absorb_matches(p, &stored, &[(3, 0), (22, 1)], "two pairs");
+        }
+        // 23 ids over 12 PEs: blocks of one or two entries, past the
+        // density rule — the rewrite goes through the map.
+        assert_absorb_matches(12, &stored, &everything, "p = 12, small map");
+        // Fewer entries than PEs: some blocks are empty.
+        assert_absorb_matches(5, &[2, 0, 1], &[(2, 0), (1, 0)], "n < p");
+        assert_absorb_matches(4, &[0], &[(0, 0)], "one entry");
     }
 
     #[test]
@@ -1257,9 +1680,7 @@ mod tests {
         ];
         let (ids, labels) = kruskal_ids_and_labels(&all);
         assert_eq!(ids, vec![11, 12]);
-        assert_eq!(labels[&0], 0);
-        assert_eq!(labels[&1], 0);
-        assert_eq!(labels[&2], 0);
+        assert_eq!(labels, vec![(0, 0), (1, 0), (2, 0)]);
     }
 
     #[test]

@@ -114,6 +114,104 @@ fn full_driver_on_tiny_grid() {
     kamsta_core::verify_msf(&graph, &msf).unwrap();
 }
 
+/// `relabel` against a reference built from allgathered labels, on a
+/// slice layout whose boundary vertices are shared: a shared last vertex
+/// is local *and* a ghost. Its copy on the PE that is not its home gets a
+/// poisoned label here, so a destination relabelled from the local array
+/// instead of the home's answer shows. Vertex ids are `k * stride`.
+fn check_relabel_against_allgathered_labels(stride: u64, expect_dense: bool) {
+    use kamsta_core::dist::{exchange_labels, relabel};
+    use std::collections::HashMap;
+
+    const N: u64 = 14;
+    const HOLE: u64 = 6; // a destination that is a source nowhere
+    const POISON: u64 = u64::MAX - 1;
+    let p = 3;
+    let out = Machine::run(MachineConfig::new(p), move |comm| {
+        // Every vertex but the hole points at the seven ids around it and
+        // at the hole; sorted, cut into three equal runs of edges — the
+        // cuts fall inside vertices 4 and 9.
+        let mut all: Vec<(u64, u64)> = Vec::new();
+        for u in (0..N).filter(|&u| u != HOLE) {
+            all.extend(
+                (0..N)
+                    .filter(|&v| v != u && (u.abs_diff(v) <= 3 || v == HOLE))
+                    .map(|v| (u, v)),
+            );
+        }
+        all.sort_unstable();
+        let chunk = all.len().div_ceil(p);
+        let lo = (comm.rank() * chunk).min(all.len());
+        let hi = ((comm.rank() + 1) * chunk).min(all.len());
+        let edges: Vec<CEdge> = all[lo..hi]
+            .iter()
+            .enumerate()
+            .map(|(k, &(u, v))| {
+                CEdge::new(u * stride, v * stride, 1 + (u + v) as u32, (lo + k) as u64)
+            })
+            .collect();
+        let g = DistGraph::establish(comm, edges);
+        let verts = g.local_vertices().to_vec();
+
+        // Triples contract to their smallest member; a copy held away from
+        // the vertex's home is poisoned.
+        let labels: Vec<u64> = verts
+            .iter()
+            .map(|&v| match g.home_of_vertex(v) == comm.rank() {
+                true => v / stride / 3 * 3 * stride,
+                false => POISON,
+            })
+            .collect();
+        let at_home: HashMap<u64, u64> = comm
+            .allgatherv(
+                verts
+                    .iter()
+                    .copied()
+                    .zip(labels.iter().copied())
+                    .collect::<Vec<_>>(),
+            )
+            .into_iter()
+            .filter(|&(_, label)| label != POISON)
+            .collect();
+
+        let table = exchange_labels(comm, &g, &labels);
+        let got = relabel(comm, &g, &g.edges, &labels, &table);
+        let want: Vec<CEdge> = g
+            .edges
+            .iter()
+            .filter_map(|&(mut e)| {
+                // Sources are this PE's own entries, as ever.
+                e.u = labels[verts.iter().position(|&v| v == e.u).unwrap()];
+                e.v = at_home.get(&e.v).copied().unwrap_or(e.v);
+                (e.u != e.v).then_some(e)
+            })
+            .collect();
+        assert_eq!(got, want, "stride {stride}, rank {}", comm.rank());
+        assert!(got.iter().all(|e| e.v != POISON));
+        assert!(
+            got.iter().any(|e| e.v == HOLE * stride),
+            "the hole keeps its id"
+        );
+        assert_eq!(table.is_dense(), expect_dense, "stride {stride}");
+        (g.last_shared, got.len())
+    });
+    assert!(
+        out.results.iter().any(|&(shared, _)| shared),
+        "a last vertex is shared"
+    );
+    assert!(out.results.iter().all(|&(_, kept)| kept > 0));
+}
+
+#[test]
+fn relabel_matches_allgathered_labels_on_dense_ids() {
+    check_relabel_against_allgathered_labels(1, true);
+}
+
+#[test]
+fn relabel_matches_allgathered_labels_on_ids_2_pow_40_apart() {
+    check_relabel_against_allgathered_labels(1 << 40, false);
+}
+
 // Re-export needed for the diagnostic to compile when DistGraph is used.
 #[allow(dead_code)]
 fn _touch(g: &DistGraph) -> usize {

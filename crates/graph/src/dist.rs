@@ -37,6 +37,10 @@ pub struct DistGraph {
     /// `p − 1`). Lets any PE decide shared-ness of any vertex locally —
     /// the property pointer doubling exploits (Sec. IV-B).
     shared_vertices: Vec<VertexId>,
+    /// Replicated: the smallest and the largest source id of the whole
+    /// machine (`None` for the empty graph), read off the boundary
+    /// allgather [`DistGraph::establish`] performs anyway.
+    id_span: Option<(VertexId, VertexId)>,
     /// The dense local-vertex index: the distinct sources of `edges`,
     /// ascending. A vertex's position here — its segment number — is its
     /// *local index*, the key of every per-vertex array the local kernels
@@ -112,6 +116,12 @@ impl DistGraph {
             prev_last = Some(b.1);
         }
         shared_vertices.dedup();
+        // The sequence is globally sorted: the first holder starts on the
+        // smallest source, the last one ends on the largest.
+        let mut holders = all_bounds.iter().flatten();
+        let id_span = holders
+            .next()
+            .map(|first| (first.0, holders.last().unwrap_or(first).1));
 
         // One scan finds the distinct sources: it builds the local-vertex
         // index and counts the vertices (minus one if the first is already
@@ -148,6 +158,7 @@ impl DistGraph {
             first_shared,
             last_shared,
             shared_vertices,
+            id_span,
             verts,
             seg_offsets,
             direct,
@@ -165,6 +176,16 @@ impl DistGraph {
     /// The replicated list of globally shared vertices, ascending.
     pub fn shared_vertices(&self) -> &[VertexId] {
         &self.shared_vertices
+    }
+
+    /// The closed range `(min, max)` of all source ids machine-wide —
+    /// identical on every PE, `None` for the empty graph. Every vertex of
+    /// a symmetric graph is a source somewhere, so every label, parent or
+    /// destination id lies inside it: the bound a lookup table indexed by
+    /// `id − min` needs.
+    #[inline]
+    pub fn id_span(&self) -> Option<(VertexId, VertexId)> {
+        self.id_span
     }
 
     /// Number of PEs the graph is partitioned over.
@@ -374,6 +395,8 @@ mod tests {
     fn establish_counts_and_flags() {
         let out = Machine::run(MachineConfig::new(3), |comm| {
             let g = DistGraph::establish(comm, path_slice(comm.rank()));
+            assert_eq!(g.id_span(), Some((0, 4)));
+            assert_eq!(DistGraph::establish(comm, Vec::new()).id_span(), None);
             (
                 g.n_global,
                 g.m_global,
@@ -511,6 +534,7 @@ mod tests {
                 _ => vec![],
             };
             let g = DistGraph::establish(comm, edges);
+            assert_eq!(g.id_span(), Some((4, 5)), "replicated, also where empty");
             (
                 g.local_vertices().to_vec(),
                 g.segment_offsets().to_vec(),
@@ -536,6 +560,7 @@ mod tests {
                 _ => vec![],
             };
             let g = DistGraph::establish(comm, edges);
+            assert_eq!(g.id_span(), Some((0, 6)), "empty PEs hold no bound");
             (
                 g.n_global,
                 g.home_of_edge(&WEdge::new(5, 6, 2)),

@@ -77,8 +77,9 @@ pub struct InputGraph {
 impl InputGraph {
     /// Prepare an input from this PE's slice of a globally sorted edge
     /// list: assign global-position ids, compress the original list,
-    /// establish the distributed structure, and canonicalise pair ids
-    /// (see [`canonicalize_pair_ids`]). Collective.
+    /// establish the distributed structure, and canonicalise pair ids:
+    /// both directions of an undirected edge end up sharing the id of its
+    /// globally first `u < v` copy. Collective.
     pub fn from_sorted_edges(comm: &Comm, edges: Vec<WEdge>) -> Self {
         let with_ids = assign_ids(comm, edges);
         let offsets = id_offsets(comm, with_ids.len());
@@ -112,7 +113,7 @@ impl InputGraph {
 
     /// `REDISTRIBUTE MST`: route identified MST edge ids back to their
     /// original home PEs and decode them from the compressed list. Ids
-    /// are pair-canonical (see [`canonicalize_pair_ids`]), so every
+    /// are pair-canonical ([`InputGraph::from_sorted_edges`]), so every
     /// claim decodes to the `u < v` copy of its undirected edge — one
     /// direction per MSF edge globally, independent of which stage or
     /// direction claimed it. Returns this PE's original edges that
