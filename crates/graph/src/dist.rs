@@ -136,6 +136,10 @@ impl DistGraph {
         }
         seg_offsets.push(edges.len());
         assert!(verts.len() < u32::MAX as usize, "local indices are u32");
+        assert!(
+            edges.len() < u32::MAX as usize,
+            "segment cursors are u32 edge offsets"
+        );
         let mut direct = Vec::new();
         if let (Some(&first), Some(&last)) = (verts.first(), verts.last()) {
             if last - first < 2 * verts.len() as u64 {
@@ -215,44 +219,70 @@ impl DistGraph {
         idx.saturating_sub(1)
     }
 
-    /// The PEs that can hold the globally *first* copy of the directed
-    /// content `e = (u, v, w)`. Every PE before the holder starts
-    /// strictly below `e`, so with `cnt = #{i : locator[i] < e}` the
-    /// holder is PE `cnt − 1` — except when locator entries equal to
-    /// `e` follow: an entry can mean "my slice starts with `e`" *or*
-    /// "I am empty and inherited the next holder's first edge"
-    /// (sparse inputs — a 2-edge certificate re-solve at p = 16 —
-    /// make such runs long), and the two are indistinguishable from
-    /// the replicated locator alone. All entries of the equal run are
-    /// therefore candidates; queried PEs not holding `e` answer
-    /// `None` and the caller min-merges, so a superset is always
-    /// safe. Empty result means no PE can hold a copy (`e` precedes
-    /// the global minimum). The common dense case stays one
-    /// candidate. Used to canonicalise pair ids.
-    pub fn first_copy_homes(&self, e: &WEdge) -> Vec<usize> {
-        let cnt = self.locator.partition_point(|first| first < e);
-        let mut homes = Vec::new();
-        if cnt > 0 {
-            homes.push(cnt - 1);
-        }
-        let mut j = cnt;
-        while j < self.p && self.locator[j] == *e {
-            homes.push(j);
-            j += 1;
-        }
-        homes
+    /// The PEs whose slices can hold a copy of the directed content
+    /// `e = (u, v, w)`: `#{locator < e} − 1 ..= #{locator ≤ e} − 1`. The
+    /// last PE that starts strictly below `e` may end on copies of it,
+    /// and every PE whose locator entry *equals* `e` either starts with
+    /// `e` or is empty and inherited the next holder's first edge
+    /// (sparse inputs — a 2-edge certificate re-solve at p = 16 — make
+    /// such runs long); the two are indistinguishable from the
+    /// replicated locator alone. The range is therefore a superset of
+    /// the holders, which is safe: a PE that cannot place a pushed
+    /// content ignores it ([`DistGraph::adopt_pair_id`]). Empty when `e`
+    /// precedes the global minimum; one PE in the common dense case.
+    pub fn content_homes(&self, e: &WEdge) -> std::ops::Range<usize> {
+        let below = self.locator.partition_point(|first| first < e);
+        let equal = self.locator[below..]
+            .iter()
+            .take_while(|first| *first == e)
+            .count();
+        below.saturating_sub(1)..below + equal
     }
 
-    /// Minimal id among this PE's copies of the exact directed content
-    /// `e` (`None` when the slice holds no copy). Local: one binary
-    /// search on the lex-sorted slice, whose `(u, v, w, id)` order puts
-    /// the minimal-id copy first in its content group.
-    pub fn first_copy_id(&self, e: &WEdge) -> Option<u64> {
-        let idx = self.edges.partition_point(|x| x.wedge() < *e);
-        self.edges
-            .get(idx)
-            .filter(|x| x.wedge() == *e)
-            .map(|x| x.id)
+    /// Fresh search positions for [`DistGraph::adopt_pair_id`]: one per
+    /// local vertex, at the start of its segment.
+    pub fn segment_cursors(&self) -> Vec<u32> {
+        // `establish` asserts that edge offsets fit.
+        self.seg_offsets[..self.verts.len()]
+            .iter()
+            .map(|&o| o as u32)
+            .collect()
+    }
+
+    /// Let every local copy of the directed content `(pushed.u, pushed.v,
+    /// pushed.w)` take `min(own id, pushed.id)`; true if the slice holds
+    /// a copy. The content is resolved through the local-vertex index —
+    /// `local_index(u)`, then `u`'s segment — starting at the vertex's
+    /// cursor, which is left on the content's lower bound. Keys `(v, w)`
+    /// that arrive non-decreasing per vertex (what a globally sorted
+    /// sequence pushes, see `canonicalize_pair_ids`) only ever move the
+    /// cursor forward, so a whole apply is linear in the slice. A key
+    /// at or before the edge behind the cursor re-bisects the part of
+    /// the segment already passed: the cursor is a hint, never a
+    /// precondition.
+    pub fn adopt_pair_id(&mut self, cursors: &mut [u32], pushed: &CEdge) -> bool {
+        let Some(i) = self.local_index(pushed.u) else {
+            return false;
+        };
+        let lo = self.seg_offsets[i];
+        let seg = &mut self.edges[lo..self.seg_offsets[i + 1]];
+        let key_of = |x: &CEdge| (x.v, x.w);
+        let key = key_of(pushed);
+        let mut at = cursors[i] as usize - lo;
+        if at > 0 && key_of(&seg[at - 1]) >= key {
+            at = seg[..at].partition_point(|x| key_of(x) < key);
+        } else {
+            while at < seg.len() && key_of(&seg[at]) < key {
+                at += 1;
+            }
+        }
+        cursors[i] = (lo + at) as u32;
+        let mut held = false;
+        for x in seg[at..].iter_mut().take_while(|x| key_of(x) == key) {
+            x.id = x.id.min(pushed.id);
+            held = true;
+        }
+        held
     }
 
     /// The distinct local vertices (sources) on this PE, ascending. The

@@ -18,49 +18,47 @@ use kamsta_comm::{Comm, FlatBuckets};
 /// weight ties identically at every PE count, and `REDISTRIBUTE MST`
 /// decodes every claim to the `u < v` copy. Exact duplicate copies of a
 /// pair all map to the group's minimal id; surplus duplicates keep
-/// their own (never-selected) position ids. Collective.
-fn canonicalize_pair_ids(comm: &Comm, graph: &mut DistGraph) {
-    let p = comm.size();
+/// their own (never-selected) position ids. The last step of
+/// [`InputGraph::from_sorted_edges`], which is where the ids it expects
+/// — global positions, [`assign_ids`] — come from. Collective.
+///
+/// One scan, one one-way exchange, one apply: a forward copy's id is
+/// its own position, so the first local copy of every forward content
+/// *pushes* `(v, u, w, id)` to the PEs that can hold the backward
+/// content — in place when that is this PE. A forward copy precedes
+/// its backward copy in the global order, so a backward copy's own
+/// position id exceeds every id pushed to it and `min` over the
+/// pushes (one per PE a duplicate run straddles) is the first copy's
+/// id; a backward copy nobody pushes to (asymmetric hand-built inputs)
+/// keeps its position id. For a fixed target vertex the pushed
+/// `(v, w)` keys are non-decreasing — within a sender by scan order,
+/// across senders by rank order — which is what the per-vertex cursors
+/// of [`DistGraph::adopt_pair_id`] exploit.
+pub fn canonicalize_pair_ids(comm: &Comm, graph: &mut DistGraph) {
     let me = comm.rank();
-    // Each backward copy asks the forward content's first-copy holder
-    // for the group's first id. The holder is locator-decidable, so the
-    // common case is one query — or none at all when the twin is local
-    // (most edges of the high-locality families).
-    let mut twin: Vec<Option<u64>> = vec![None; graph.edges.len()];
-    let mut queries: Vec<(usize, (WEdge, u32))> = Vec::new();
-    for (k, e) in graph.edges.iter().enumerate() {
-        if e.u > e.v {
-            let fwd = WEdge::new(e.v, e.u, e.w);
-            for home in graph.first_copy_homes(&fwd) {
-                if home == me {
-                    if let Some(id) = graph.first_copy_id(&fwd) {
-                        let slot = &mut twin[k];
-                        *slot = Some(slot.map_or(id, |x| x.min(id)));
-                    }
-                } else {
-                    queries.push((home, (fwd, k as u32)));
-                }
+    let mut cursors = graph.segment_cursors();
+    let mut pushed: Vec<CEdge> = Vec::new();
+    let mut dests: Vec<u32> = Vec::new();
+    for k in 0..graph.edges.len() {
+        let e = graph.edges[k];
+        if e.u >= e.v || (k > 0 && graph.edges[k - 1].wedge() == e.wedge()) {
+            continue;
+        }
+        let back = CEdge::new(e.v, e.u, e.w, e.id);
+        for home in graph.content_homes(&back.wedge()) {
+            if home == me {
+                graph.adopt_pair_id(&mut cursors, &back);
+            } else {
+                pushed.push(back);
+                dests.push(home as u32);
             }
         }
     }
     comm.charge_local(graph.edges.len() as u64);
-    // Tags stay on the sender: replies ride back positionally in the
-    // request buckets, so only the bare content crosses the wire.
-    let requests = FlatBuckets::from_pairs(p, queries);
-    let sent = requests.payload().to_vec();
-    let answers = comm.request_reply(requests.map(|(fwd, _)| fwd), |fwd| graph.first_copy_id(fwd));
-    for ((_, k), a) in sent.into_iter().zip(answers) {
-        if let Some(id) = a {
-            let slot = &mut twin[k as usize];
-            *slot = Some(slot.map_or(id, |x| x.min(id)));
-        }
-    }
-    // Asymmetric hand-built inputs may lack the forward copy; such
-    // backward edges keep their own position id.
-    for (e, t) in graph.edges.iter_mut().zip(twin) {
-        if let Some(id) = t {
-            e.id = id;
-        }
+    let incoming = comm.sparse_alltoallv(FlatBuckets::from_dests(comm.size(), pushed, &dests));
+    comm.charge_local(incoming.total_len() as u64);
+    for back in incoming.payload() {
+        graph.adopt_pair_id(&mut cursors, back);
     }
 }
 

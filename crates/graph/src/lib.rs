@@ -19,5 +19,5 @@ pub mod varint;
 pub use dist::{assign_ids, home_of_id, id_offsets, DistGraph};
 pub use edge::{lighter, CEdge, HasWeightKey, PackedEdge, VertexId, WEdge, Weight};
 pub use gen::GraphConfig;
-pub use input::InputGraph;
+pub use input::{canonicalize_pair_ids, InputGraph};
 pub use varint::CompressedEdges;
