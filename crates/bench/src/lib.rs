@@ -298,7 +298,6 @@ pub fn paper_variants() -> Vec<Variant> {
 pub fn bench_mst_config() -> MstConfig {
     MstConfig {
         base_case_constant: 512,
-        filter_min_edges_per_pe: 256,
         ..MstConfig::default()
     }
 }

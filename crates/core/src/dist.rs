@@ -1,5 +1,6 @@
 //! The distributed MST algorithms of the paper: the scalable Borůvka
-//! algorithm (Algorithm 1) and Filter-Borůvka (Algorithm 2).
+//! algorithm (Algorithm 1) here, Filter-Borůvka (Algorithm 2) and its
+//! representative array in their own files, re-exported below.
 //!
 //! Algorithm 1 repeats four bulk-synchronous stages on the 1D-partitioned
 //! edge list until the remaining contracted graph fits the replicated base
@@ -29,12 +30,14 @@
 //! and filtering heavy edges through the block-distributed representative
 //! array [`DistArray`] before recursing on the survivors (Sec. V) — the
 //! distributed analogue of Filter-Kruskal. Its lookups are the same
-//! [`Pulled`]; a base case hands the array only the representatives it
-//! retired, by broadcast.
+//! [`Pulled`], and its base case is the round loop of Algorithm 1
+//! (`boruvka_rounds`), which both algorithms call.
 
+pub use crate::dist_array::DistArray;
+pub use crate::filter::{filter_mst, FilterStats};
 use crate::instrument::{Phase, PhaseTimes, Phased};
 use crate::seq::UnionFind;
-use kamsta_comm::{route, Comm, FlatBuckets};
+use kamsta_comm::{Comm, FlatBuckets};
 use kamsta_graph::hash::FxHashMap;
 use kamsta_graph::{CEdge, DistGraph, InputGraph, VertexId, Weight};
 use std::borrow::Cow;
@@ -68,9 +71,6 @@ pub struct MstConfig {
     pub preprocessing: bool,
     /// Parallel-edge elimination strategy (Sec. VI-B).
     pub dedup: DedupStrategy,
-    /// Filter-Borůvka recursion cutoff: stop partitioning once the global
-    /// edge count is at most this many edges per PE (Sec. V).
-    pub filter_min_edges_per_pe: u64,
 }
 
 impl Default for MstConfig {
@@ -79,7 +79,6 @@ impl Default for MstConfig {
             base_case_constant: 256,
             preprocessing: true,
             dedup: DedupStrategy::default(),
-            filter_min_edges_per_pe: 1024,
         }
     }
 }
@@ -96,20 +95,6 @@ impl MstConfig {
         self.preprocessing = false;
         self
     }
-}
-
-/// Statistics of one Filter-Borůvka run (the Theorem 1 experiment).
-/// Identical on every PE: all counters are global quantities.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Number of base-case MST computations performed.
-    pub base_case_calls: u64,
-    /// Total (global, directed) edges fed into base cases.
-    pub base_case_edges: u64,
-    /// Heavy edges eliminated by the representative-array filter.
-    pub filtered_edges: u64,
-    /// Number of pivot partitioning steps.
-    pub partition_steps: u64,
 }
 
 /// Result of a distributed MST run on one PE.
@@ -228,7 +213,7 @@ impl Pulled {
 
     /// Key replicated `(id, answer)` pairs, all inside `span`, for
     /// `lookups` reads, by the density rule.
-    fn keyed(span: Option<(u64, u64)>, lookups: usize, pairs: &[(u64, u64)]) -> Self {
+    pub(crate) fn keyed(span: Option<(u64, u64)>, lookups: usize, pairs: &[(u64, u64)]) -> Self {
         match dense_width(span, lookups) {
             Some((lo, width)) => Self::dense(lo, width, pairs.iter().copied()),
             None => Self(Table::Sparse(pairs.iter().copied().collect())),
@@ -257,7 +242,7 @@ fn dense_get(lo: u64, slots: &[u64], id: u64) -> Option<u64> {
 /// for `queries` lookups — the span is known and at most
 /// [`DENSE_SPAN_PER_QUERY`] ids wide per lookup. It reads nothing but its
 /// two arguments, so there is nothing to configure.
-fn dense_width(span: Option<(u64, u64)>, queries: usize) -> Option<(u64, usize)> {
+pub(crate) fn dense_width(span: Option<(u64, u64)>, queries: usize) -> Option<(u64, usize)> {
     let (lo, hi) = span?;
     let limit = DENSE_SPAN_PER_QUERY.saturating_mul(queries as u64);
     // `hi − lo + 1 ≤ limit` without the overflow at a full-range span.
@@ -293,7 +278,7 @@ where
 /// [`pull_sorted`] the same list, so requests, replies and every modeled
 /// counter are the same either way — which also lets each PE choose on
 /// its own.
-fn pull_values(
+pub(crate) fn pull_values(
     comm: &Comm,
     mut ids: Vec<u64>,
     table: Option<(u64, usize)>,
@@ -850,14 +835,6 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
 // replicated base case
 // ---------------------------------------------------------------------
 
-/// Kruskal over a replicated edge list, by the unique-weight total order
-/// with ids as the final tie-break. Returns the chosen edge ids —
-/// identical on every PE.
-fn kruskal_ids(all: &[CEdge]) -> Vec<u64> {
-    let (ids, _) = kruskal_ids_and_labels(all);
-    ids
-}
-
 /// Sort edges by the unique-weight total order `(w, id)` — the
 /// pair-canonical ids make this the paper's `(w, min, max)` order on
 /// *original* endpoints, invariant under contraction. One radix sort on
@@ -867,10 +844,16 @@ fn sort_by_unique_weight(edges: &mut [CEdge]) {
     kamsta_sort::par_radix_sort_by_key(edges, |e: &CEdge| ((e.w as u128) << 64) | e.id as u128);
 }
 
-/// As [`kruskal_ids`], additionally returning `(vertex, label)` — the
-/// label is the minimum member id of the vertex's component — for every
-/// vertex present in `all`, in order of first appearance.
-fn kruskal_ids_and_labels(all: &[CEdge]) -> (Vec<u64>, Vec<(VertexId, VertexId)>) {
+/// What the sequential solve of a gathered graph yields: the MSF edge
+/// ids, and `(vertex, label)` for every vertex of the graph.
+pub(crate) type RootedSolution = (Vec<u64>, Vec<(VertexId, VertexId)>);
+
+/// Kruskal over a gathered edge list, by the unique-weight total order
+/// with ids as the final tie-break: the chosen edge ids, and `(vertex,
+/// label)` — the label is the minimum member id of the vertex's
+/// component — for every vertex present in `all`, in order of first
+/// appearance.
+fn kruskal_ids_and_labels(all: &[CEdge]) -> RootedSolution {
     let mut vidx: FxHashMap<VertexId, u32> = FxHashMap::default();
     let mut verts: Vec<VertexId> = Vec::new();
     for e in all {
@@ -960,22 +943,53 @@ fn prefilter_unordered(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
 
 /// The base case (Sec. IV-D stand-in): gather the prefiltered remaining
 /// edges at rank 0 and solve sequentially there. Only the root receives
-/// ids — it is also the PE that claims them for `REDISTRIBUTE MST`, so
+/// the MSF ids and the component labels ([`kruskal_ids_and_labels`]) —
+/// it is also the PE that claims the ids for `REDISTRIBUTE MST`, so
 /// nothing needs to be broadcast back. Collective.
-fn rooted_base_case(comm: &Comm, edges: &[CEdge]) -> Vec<u64> {
+pub(crate) fn rooted_base_case(comm: &Comm, edges: &[CEdge]) -> Option<RootedSolution> {
     let mine = prefilter_unordered(comm, edges);
-    match comm.gatherv(0, mine) {
-        Some(all) => {
-            comm.charge_local(2 * all.len() as u64);
-            kruskal_ids(&all)
-        }
-        None => Vec::new(),
-    }
+    comm.gatherv(0, mine).map(|all| {
+        comm.charge_local(2 * all.len() as u64);
+        kruskal_ids_and_labels(&all)
+    })
 }
 
 // ---------------------------------------------------------------------
 // Algorithm 1: distributed Borůvka
 // ---------------------------------------------------------------------
+
+/// The contraction rounds of Algorithm 1 — `MIN EDGES`, `CONTRACT
+/// COMPONENTS`, `EXCHANGE LABELS` + `RELABEL`, `REDISTRIBUTE` — repeated
+/// until the graph fits the rooted base case or has no edge left; returns
+/// that graph. Each round's MST edge ids are appended to `msf_ids`, and
+/// its graph and labels (per local vertex) are shown to `on_labels`
+/// before the graph is replaced — nothing for [`boruvka_mst`], the hooks
+/// of the representative array for Filter-Borůvka's base case. The loop
+/// reads a borrowed graph in place until its first redistribution builds
+/// an owned one, so an input is never cloned. Collective.
+pub(crate) fn boruvka_rounds<'g>(
+    ph: &mut Phased<'_>,
+    mut g: Cow<'g, DistGraph>,
+    cfg: &MstConfig,
+    msf_ids: &mut Vec<u64>,
+    mut on_labels: impl FnMut(&DistGraph, &[VertexId]),
+) -> Cow<'g, DistGraph> {
+    let threshold = cfg.base_threshold(ph.comm().size());
+    while g.n_global > threshold && g.m_global > 0 {
+        let sels = ph.measure(Phase::GraphSetupMinEdges, |c| min_edges(c, &g));
+        let outcome = ph.measure(Phase::ContractComponents, |c| {
+            contract_components(c, &g, &sels)
+        });
+        msf_ids.extend(&outcome.mst_edge_ids);
+        on_labels(&g, &outcome.labels);
+        let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
+            let ghost = exchange_labels(c, &g, &outcome.labels);
+            relabel(c, &g, &g.edges, &outcome.labels, &ghost)
+        });
+        g = Cow::Owned(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
+    }
+    g
+}
 
 /// The scalable distributed Borůvka algorithm (Algorithm 1): optional
 /// local preprocessing, then contraction rounds until the replicated base
@@ -983,12 +997,8 @@ fn rooted_base_case(comm: &Comm, edges: &[CEdge]) -> Vec<u64> {
 /// Collective; returns this PE's share of the MSF.
 pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResult {
     let mut ph = Phased::new(comm);
-    let p = comm.size();
     let mut msf_ids: Vec<u64> = Vec::new();
-    // The working graph: the pipeline reads the input graph in place
-    // until the first redistribution builds an owned one — the input is
-    // never cloned.
-    let mut cur: Option<DistGraph> = None;
+    let mut start = Cow::Borrowed(&input.graph);
 
     if cfg.preprocessing {
         let pre = ph.measure(Phase::LocalPreprocessing, |c| {
@@ -1000,31 +1010,17 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
                 let ghost = exchange_labels(c, &input.graph, &pre.labels);
                 relabel(c, &input.graph, &pre.edges, &pre.labels, &ghost)
             });
-            cur = Some(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
+            start =
+                Cow::Owned(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
         }
     }
 
-    loop {
-        let g = cur.as_ref().unwrap_or(&input.graph);
-        if g.n_global <= cfg.base_threshold(p) || g.m_global == 0 {
-            break;
-        }
-        let sels = ph.measure(Phase::GraphSetupMinEdges, |c| min_edges(c, g));
-        let outcome = ph.measure(Phase::ContractComponents, |c| {
-            contract_components(c, g, &sels)
-        });
-        msf_ids.extend(&outcome.mst_edge_ids);
-        let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
-            let ghost = exchange_labels(c, g, &outcome.labels);
-            relabel(c, g, &g.edges, &outcome.labels, &ghost)
-        });
-        cur = Some(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
-    }
-
-    let g = cur.as_ref().unwrap_or(&input.graph);
+    let g = boruvka_rounds(&mut ph, start, cfg, &mut msf_ids, |_, _| {});
     let edges = ph.measure(Phase::BaseCaseRedistributeMst, |c| {
         // Non-root PEs receive no ids from the rooted base case.
-        msf_ids.extend(rooted_base_case(c, &g.edges));
+        if let Some((ids, _)) = rooted_base_case(c, &g.edges) {
+            msf_ids.extend(ids);
+        }
         input.redistribute_mst(c, std::mem::take(&mut msf_ids))
     });
     MstResult {
@@ -1033,350 +1029,10 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
     }
 }
 
-// ---------------------------------------------------------------------
-// the block-distributed representative array (Sec. V)
-// ---------------------------------------------------------------------
-
-/// A block-distributed array over a dense id space `[0, n)`, holding one
-/// `u64` per id — the representative/parent arrays of Filter-Borůvka's
-/// distributed filtering and of the sparse-matrix baseline. PE `i` owns
-/// the contiguous block `[i·n/p, (i+1)·n/p)`; entries start as the
-/// identity.
-#[derive(Clone, Debug)]
-pub struct DistArray {
-    values: Vec<u64>,
-    lo: u64,
-    n: u64,
-    p: usize,
-}
-
-impl DistArray {
-    /// Create the identity array over `[0, n)`. Collective only in the
-    /// sense that every PE must construct it with the same `n`.
-    pub fn new(comm: &Comm, n: u64) -> Self {
-        let p = comm.size();
-        let rank = comm.rank();
-        let lo = Self::block_start(n, p, rank);
-        let hi = Self::block_start(n, p, rank + 1);
-        Self {
-            values: (lo..hi).collect(),
-            lo,
-            n,
-            p,
-        }
-    }
-
-    fn block_start(n: u64, p: usize, i: usize) -> u64 {
-        (i as u64).saturating_mul(n) / p as u64
-    }
-
-    /// Owning PE of index `id`.
-    pub fn home(&self, id: u64) -> usize {
-        debug_assert!(id < self.n);
-        let mut dest = ((id as u128 * self.p as u128) / self.n.max(1) as u128) as usize;
-        dest = dest.min(self.p - 1);
-        while dest > 0 && id < Self::block_start(self.n, self.p, dest) {
-            dest -= 1;
-        }
-        while dest + 1 < self.p && id >= Self::block_start(self.n, self.p, dest + 1) {
-            dest += 1;
-        }
-        dest
-    }
-
-    /// Number of entries this PE owns.
-    pub fn local_len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Fetch `a[id]` for every queried id (duplicates welcome), as a
-    /// [`Pulled`] over the array's id space. Collective. The block home
-    /// is monotone in the id, so both exchange directions are count-only
-    /// flat buffers.
-    pub fn bulk_get(&self, comm: &Comm, ids: Vec<u64>) -> Pulled {
-        let table = dense_width(self.span(), ids.len());
-        self.get_into(comm, ids, table)
-    }
-
-    /// [`DistArray::bulk_get`] with the density rule overridden: `dense`
-    /// asks for the table however few ids are queried, `!dense` for the
-    /// sort-and-hash fallback. Same requests, replies and charges — this
-    /// is the pair `bench_pull` times and the agreement tests compare.
-    #[doc(hidden)]
-    pub fn bulk_get_forced(&self, comm: &Comm, ids: Vec<u64>, dense: bool) -> Pulled {
-        self.get_into(comm, ids, dense.then_some((0, self.n as usize)))
-    }
-
-    fn get_into(&self, comm: &Comm, ids: Vec<u64>, table: Option<(u64, usize)>) -> Pulled {
-        pull_values(
-            comm,
-            ids,
-            table,
-            |id| self.home(id),
-            |id| self.values[(id - self.lo) as usize],
-        )
-    }
-
-    /// The array's id space as a closed range; `None` when it is empty.
-    fn span(&self) -> Option<(u64, u64)> {
-        self.n.checked_sub(1).map(|hi| (0, hi))
-    }
-
-    /// Write `a[id] = value` for every pair (last writer per id wins
-    /// deterministically by sender rank, then submission order).
-    /// Collective.
-    pub fn bulk_set(&mut self, comm: &Comm, updates: Vec<(u64, u64)>) {
-        comm.charge_local(updates.len() as u64);
-        let routed: Vec<(usize, (u64, u64))> = updates
-            .into_iter()
-            .map(|(id, val)| (self.home(id), (id, val)))
-            .collect();
-        for (id, val) in route(comm, routed) {
-            self.values[(id - self.lo) as usize] = val;
-        }
-    }
-
-    /// Shortcut the array to its roots by pointer doubling: repeatedly
-    /// replace every entry by the entry it points at, until the global
-    /// fixpoint. Requires the pointer graph to be a forest with self-loop
-    /// roots. Collective.
-    pub fn compress(&mut self, comm: &Comm) {
-        loop {
-            let targets: Vec<u64> = self
-                .values
-                .iter()
-                .enumerate()
-                .filter(|&(i, &v)| v != self.lo + i as u64)
-                .map(|(_, &v)| v)
-                .collect();
-            let hop = self.bulk_get(comm, targets);
-            let mut changed = 0u64;
-            comm.charge_local(self.values.len() as u64);
-            for v in self.values.iter_mut() {
-                if let Some(nv) = hop.get(*v) {
-                    if nv != *v {
-                        *v = nv;
-                        changed += 1;
-                    }
-                }
-            }
-            if comm.allreduce_sum(changed) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Absorb a relabeling known at rank 0: the root passes the
-    /// `(old, new)` pairs that change something, ascending by `old`
-    /// (other PEs pass `None`); they are broadcast and every PE replaces
-    /// each stored `old` in its block by its `new` — through a [`Pulled`]
-    /// keyed for one lookup per block entry: a table while a block is a
-    /// fair share of the array, a map at large p. In Filter-Borůvka the
-    /// stored values are representatives and a vertex stops being one at
-    /// most once, so all the calls of a run together broadcast at most
-    /// `n` pairs. Collective.
-    pub fn absorb_from_root(&mut self, comm: &Comm, changes: Option<Vec<(u64, u64)>>) {
-        let changes = comm.broadcast_vec(0, changes);
-        if changes.is_empty() {
-            return;
-        }
-        let renamed = Pulled::keyed(self.span(), self.values.len(), &changes);
-        comm.charge_local(self.values.len() as u64);
-        for v in self.values.iter_mut() {
-            if let Some(nv) = renamed.get(*v) {
-                *v = nv;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Algorithm 2: Filter-Borůvka
-// ---------------------------------------------------------------------
-
-/// The unique-weight total order Filter-Borůvka partitions on: `(w, id)`
-/// with pair-canonical ids — direction-symmetric (both copies of an
-/// undirected edge share the id) and contraction-invariant.
-type WeightKey = (Weight, u64);
-
-/// Deterministic sample-median pivot over the unique-weight keys.
-fn sample_pivot(comm: &Comm, edges: &[CEdge]) -> WeightKey {
-    const SAMPLES_PER_PE: usize = 24;
-    let mut sample: Vec<WeightKey> = Vec::with_capacity(SAMPLES_PER_PE);
-    if !edges.is_empty() {
-        let stride = (edges.len() / SAMPLES_PER_PE).max(1);
-        sample.extend(
-            edges
-                .iter()
-                .step_by(stride)
-                .take(SAMPLES_PER_PE)
-                .map(|e| (e.w, e.id)),
-        );
-    }
-    let mut all = comm.allgatherv(sample);
-    all.sort_unstable();
-    all[all.len() / 2]
-}
-
-/// Recursion state threaded through [`filter_mst`].
-struct FilterCtx<'a> {
-    cfg: &'a MstConfig,
-    stats: FilterStats,
-    msf_ids: Vec<u64>,
-}
-
-/// Base case: relabel through the representative array, replicate, solve
-/// sequentially, absorb the new components back into the array.
-fn filter_base_case(comm: &Comm, edges: &[CEdge], reps: &mut DistArray, ctx: &mut FilterCtx) {
-    let mut endpoints: Vec<u64> = Vec::with_capacity(edges.len() * 2);
-    for e in edges {
-        endpoints.push(e.u);
-        endpoints.push(e.v);
-    }
-    let rep_of = reps.bulk_get(comm, endpoints);
-    comm.charge_local(edges.len() as u64);
-    let relabeled: Vec<CEdge> = edges
-        .iter()
-        .filter_map(|&(mut e)| {
-            e.u = rep_of.get(e.u).unwrap_or(e.u);
-            e.v = rep_of.get(e.v).unwrap_or(e.v);
-            (e.u != e.v).then_some(e)
-        })
-        .collect();
-    let kept = comm.allreduce_sum(relabeled.len() as u64);
-    ctx.stats.base_case_calls += 1;
-    ctx.stats.base_case_edges += kept;
-    let mine = prefilter_unordered(comm, &relabeled);
-    let merged_at_root = comm.gatherv(0, mine).map(|all| {
-        comm.charge_local(2 * all.len() as u64);
-        let (ids, mut labels) = kruskal_ids_and_labels(&all);
-        ctx.msf_ids.extend(ids);
-        // Only the vertices that stopped being representatives travel.
-        labels.retain(|&(v, label)| v != label);
-        labels.sort_unstable();
-        labels
-    });
-    reps.absorb_from_root(comm, merged_at_root);
-}
-
-/// Quicksort-style recursion of Algorithm 2: partition by a sampled
-/// pivot, recurse light-first, filter the heavy side through the
-/// representative array, recurse on the survivors. All branch decisions
-/// are allreduced, keeping every PE in lockstep.
-fn filter_rec(
-    comm: &Comm,
-    ph: &mut Phased<'_>,
-    edges: Cow<'_, [CEdge]>,
-    reps: &mut DistArray,
-    ctx: &mut FilterCtx,
-    depth: u32,
-) {
-    let p = comm.size();
-    let m = comm.allreduce_sum(edges.len() as u64);
-    if m == 0 {
-        return;
-    }
-    if m <= ctx.cfg.filter_min_edges_per_pe.saturating_mul(p as u64) || depth >= 60 {
-        ph_base(ph, &edges, reps, ctx);
-        return;
-    }
-    ctx.stats.partition_steps += 1;
-    let (light, heavy) = ph.measure(Phase::PartitionFilter, |c| {
-        let pivot = sample_pivot(c, &edges);
-        c.charge_local(edges.len() as u64);
-        let mut light = Vec::new();
-        let mut heavy = Vec::new();
-        for &e in edges.iter() {
-            if (e.w, e.id) <= pivot {
-                light.push(e);
-            } else {
-                heavy.push(e);
-            }
-        }
-        (light, heavy)
-    });
-    let m_light = comm.allreduce_sum(light.len() as u64);
-    if m_light == m {
-        // Degenerate split (all keys equal): the base case dedups it away.
-        ph_base(ph, &light, reps, ctx);
-        return;
-    }
-    filter_rec(comm, ph, Cow::Owned(light), reps, ctx, depth + 1);
-
-    // Filter: a heavy edge whose endpoints already share a representative
-    // is spanned by lighter edges and can never join the MSF.
-    let (survivors, dropped) = ph.measure(Phase::PartitionFilter, |c| {
-        let mut endpoints: Vec<u64> = Vec::with_capacity(heavy.len() * 2);
-        for e in &heavy {
-            endpoints.push(e.u);
-            endpoints.push(e.v);
-        }
-        let rep_of = reps.bulk_get(c, endpoints);
-        c.charge_local(heavy.len() as u64);
-        let before = heavy.len() as u64;
-        let survivors: Vec<CEdge> = heavy
-            .into_iter()
-            .filter(|e| rep_of.get(e.u).unwrap_or(e.u) != rep_of.get(e.v).unwrap_or(e.v))
-            .collect();
-        let dropped = before - survivors.len() as u64;
-        (survivors, dropped)
-    });
-    ctx.stats.filtered_edges += comm.allreduce_sum(dropped);
-    filter_rec(comm, ph, Cow::Owned(survivors), reps, ctx, depth + 1);
-}
-
-fn ph_base(ph: &mut Phased<'_>, edges: &[CEdge], reps: &mut DistArray, ctx: &mut FilterCtx) {
-    ph.measure(Phase::BaseCaseRedistributeMst, |c| {
-        filter_base_case(c, edges, reps, ctx)
-    });
-}
-
-/// The Filter-Borůvka algorithm (Algorithm 2): Filter-Kruskal-style
-/// weight partitioning with distributed filtering through the
-/// block-distributed representative array. Collective; returns this PE's
-/// share of the MSF plus the Theorem 1 statistics (identical on all PEs).
-pub fn filter_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> (MstResult, FilterStats) {
-    let mut ph = Phased::new(comm);
-    let local_max = input
-        .graph
-        .edges
-        .iter()
-        .map(|e| e.u.max(e.v))
-        .max()
-        .unwrap_or(0);
-    let n_ids = comm.allreduce_max(local_max) + 1;
-    let mut reps = DistArray::new(comm, n_ids);
-    let mut ctx = FilterCtx {
-        cfg,
-        stats: FilterStats::default(),
-        msf_ids: Vec::new(),
-    };
-    filter_rec(
-        comm,
-        &mut ph,
-        Cow::Borrowed(input.graph.edges.as_slice()),
-        &mut reps,
-        &mut ctx,
-        0,
-    );
-    let ids = std::mem::take(&mut ctx.msf_ids);
-    let edges = ph.measure(Phase::BaseCaseRedistributeMst, |c| {
-        input.redistribute_mst(c, ids)
-    });
-    (
-        MstResult {
-            edges,
-            phases: ph.times,
-        },
-        ctx.stats,
-    )
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kamsta_comm::{Machine, MachineConfig};
-    use kamsta_graph::{GraphConfig, WEdge};
 
     #[test]
     fn mst_config_defaults_and_threshold() {
@@ -1385,43 +1041,6 @@ mod tests {
         assert_eq!(cfg.dedup, DedupStrategy::HashFilter);
         assert_eq!(cfg.base_threshold(4), 4 * cfg.base_case_constant);
         assert!(!cfg.without_preprocessing().preprocessing);
-    }
-
-    #[test]
-    fn dist_array_blocks_cover_space() {
-        let out = Machine::run(MachineConfig::new(5), |comm| {
-            let a = DistArray::new(comm, 23);
-            let homes: Vec<usize> = (0..23).map(|i| a.home(i)).collect();
-            (a.local_len(), homes)
-        });
-        let total: usize = out.results.iter().map(|(l, _)| l).sum();
-        assert_eq!(total, 23);
-        // All PEs agree on the home function, and it is monotone.
-        let homes = &out.results[0].1;
-        for r in &out.results {
-            assert_eq!(&r.1, homes);
-        }
-        assert!(homes.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn dist_array_get_set_compress() {
-        let out = Machine::run(MachineConfig::new(3), |comm| {
-            let mut a = DistArray::new(comm, 10);
-            // Build the chain 9 → 8 → … → 1 → 0 collaboratively.
-            let updates: Vec<(u64, u64)> = if comm.rank() == 0 {
-                (1..10).map(|i| (i, i - 1)).collect()
-            } else {
-                Vec::new()
-            };
-            a.bulk_set(comm, updates);
-            a.compress(comm);
-            let got = a.bulk_get(comm, (0..10).collect());
-            (0..10).map(|i| got.get(i).unwrap()).collect::<Vec<u64>>()
-        });
-        for r in out.results {
-            assert_eq!(r, vec![0; 10]);
-        }
     }
 
     /// How a test drives a pull: through the density rule with a span,
@@ -1474,7 +1093,7 @@ mod tests {
     }
 
     /// `count` ids of `[lo, lo + width)`, uniform with repetitions.
-    fn ids_in(lo: u64, width: u64, count: usize, seed: u64) -> Vec<u64> {
+    pub(crate) fn ids_in(lo: u64, width: u64, count: usize, seed: u64) -> Vec<u64> {
         (0..count as u64)
             .map(|k| lo + kamsta_graph::hash::mix64(seed ^ k) % width)
             .collect()
@@ -1608,67 +1227,7 @@ mod tests {
                     .collect();
                 assert_paths_agree(&queries, lo, width, "random id multiset");
             }
-
-            #[test]
-            fn absorb_matches_a_sequential_rewrite(
-                p in 1usize..6,
-                n in 1u64..80,
-                pairs in 0usize..80,
-                seed in any::<u64>(),
-            ) {
-                let stored = ids_in(0, n, n as usize, seed);
-                let mut changes: Vec<(u64, u64)> = ids_in(0, n, pairs, !seed)
-                    .into_iter()
-                    .map(|old| (old, kamsta_graph::hash::mix64(old ^ seed) % n))
-                    .collect();
-                changes.sort_unstable();
-                changes.dedup_by_key(|c| c.0);
-                assert_absorb_matches(p, &stored, &changes, "random label map");
-            }
         }
-    }
-
-    /// `DistArray::absorb_from_root` against rewriting the array's
-    /// contents (`stored[i]` at index `i`) sequentially.
-    fn assert_absorb_matches(p: usize, stored: &[u64], changes: &[(u64, u64)], what: &str) {
-        let n = stored.len() as u64;
-        let want: Vec<u64> = stored
-            .iter()
-            .map(|v| changes.iter().find(|c| c.0 == *v).map_or(*v, |c| c.1))
-            .collect();
-        let (stored, changes) = (stored.to_vec(), changes.to_vec());
-        let out = Machine::run(MachineConfig::new(p), move |comm| {
-            let mut a = DistArray::new(comm, n);
-            let root = comm.rank() == 0;
-            let writes = stored.iter().enumerate().map(|(i, &v)| (i as u64, v));
-            a.bulk_set(comm, if root { writes.collect() } else { Vec::new() });
-            a.absorb_from_root(comm, root.then(|| changes.clone()));
-            let got = a.bulk_get(comm, (0..n).collect());
-            (0..n).map(|i| got.get(i).unwrap()).collect::<Vec<u64>>()
-        });
-        for (rank, got) in out.results.iter().enumerate() {
-            assert_eq!(got, &want, "{what}: p = {p}, rank {rank}");
-        }
-    }
-
-    #[test]
-    fn absorb_matches_a_sequential_rewrite_on_pinned_maps() {
-        let stored: Vec<u64> = (0..23).map(|i| (i * 7) % 23).collect();
-        let everything: Vec<(u64, u64)> = (0..23).map(|v| (v, v / 4)).collect();
-        let identity: Vec<(u64, u64)> = (0..23).map(|v| (v, v)).collect();
-        for p in [1usize, 2, 4, 5] {
-            // 23 entries: p = 2, 4, 5 do not divide n.
-            assert_absorb_matches(p, &stored, &[], "empty map");
-            assert_absorb_matches(p, &stored, &identity, "identity map");
-            assert_absorb_matches(p, &stored, &everything, "every block touched");
-            assert_absorb_matches(p, &stored, &[(3, 0), (22, 1)], "two pairs");
-        }
-        // 23 ids over 12 PEs: blocks of one or two entries, past the
-        // density rule — the rewrite goes through the map.
-        assert_absorb_matches(12, &stored, &everything, "p = 12, small map");
-        // Fewer entries than PEs: some blocks are empty.
-        assert_absorb_matches(5, &[2, 0, 1], &[(2, 0), (1, 0)], "n < p");
-        assert_absorb_matches(4, &[0], &[(0, 0)], "one entry");
     }
 
     #[test]
@@ -1842,31 +1401,5 @@ mod tests {
                 assert_prefilters_match_their_definition(&edges, t, "random multigraph");
             }
         }
-    }
-
-    #[test]
-    fn boruvka_and_filter_agree_on_gnm() {
-        let out = Machine::run(MachineConfig::new(4), |comm| {
-            let input = InputGraph::generate(comm, GraphConfig::Gnm { n: 120, m: 900 }, 13);
-            let cfg = MstConfig {
-                base_case_constant: 8,
-                filter_min_edges_per_pe: 32,
-                ..MstConfig::default()
-            };
-            let all: Vec<WEdge> = input.graph.edges.iter().map(|e| e.wedge()).collect();
-            let b = boruvka_mst(comm, &input, &cfg);
-            let (f, stats) = filter_mst(comm, &input, &cfg);
-            assert!(stats.base_case_calls > 0);
-            (
-                all,
-                b.edges.iter().map(|e| e.wedge()).collect::<Vec<_>>(),
-                f.edges.iter().map(|e| e.wedge()).collect::<Vec<_>>(),
-            )
-        });
-        let graph: Vec<WEdge> = out.results.iter().flat_map(|(g, _, _)| g.clone()).collect();
-        let msf_b: Vec<WEdge> = out.results.iter().flat_map(|(_, b, _)| b.clone()).collect();
-        let msf_f: Vec<WEdge> = out.results.iter().flat_map(|(_, _, f)| f.clone()).collect();
-        crate::verify_msf(&graph, &msf_b).unwrap();
-        crate::verify_msf(&graph, &msf_f).unwrap();
     }
 }

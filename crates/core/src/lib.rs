@@ -9,7 +9,8 @@
 //!   case.
 //! * [`dist::filter_mst`] — the Filter-Borůvka algorithm (Algorithm 2):
 //!   quicksort-style weight partitioning with distributed filtering
-//!   through a block-distributed representative array.
+//!   through a block-distributed representative array, down to subgraphs
+//!   sparse enough for the rounds of Algorithm 1.
 //! * [`seq`] — sequential references (Kruskal, Jarník-Prim, Borůvka,
 //!   Filter-Kruskal) for correctness and baselines.
 //! * [`shared`] — rayon shared-memory Borůvka with min-priority-write
@@ -18,6 +19,8 @@
 //! * [`instrument`] — the Fig. 6 phase taxonomy.
 
 pub mod dist;
+mod dist_array;
+mod filter;
 pub mod instrument;
 pub mod seq;
 pub mod shared;

@@ -14,7 +14,6 @@ use kamsta_graph::{GraphConfig, InputGraph};
 fn cfg() -> MstConfig {
     MstConfig {
         base_case_constant: 8,
-        filter_min_edges_per_pe: 16,
         ..MstConfig::default()
     }
 }

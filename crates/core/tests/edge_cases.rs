@@ -10,7 +10,6 @@ use kamsta_graph::{InputGraph, WEdge};
 fn cfg() -> MstConfig {
     MstConfig {
         base_case_constant: 4,
-        filter_min_edges_per_pe: 8,
         ..MstConfig::default()
     }
 }

@@ -35,7 +35,6 @@ fn families() -> Vec<GraphConfig> {
 fn mst_cfg() -> MstConfig {
     MstConfig {
         base_case_constant: 8,
-        filter_min_edges_per_pe: 16,
         ..MstConfig::default()
     }
 }

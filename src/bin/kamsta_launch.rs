@@ -56,7 +56,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: kamsta_launch --pes N [--program sum|mst|dyn|die] [--seed S] \
+        "usage: kamsta_launch --pes N [--program sum|mst|filter|dyn|die] [--seed S] \
          [--stagger-ms MS] [--timeout-ms MS] [--relaunch N]"
     );
     exit(2)

@@ -15,13 +15,14 @@
 //! collected.
 
 use kamsta_comm::{Comm, FlatBuckets};
-use kamsta_core::dist::{boruvka_mst, MstConfig};
+use kamsta_core::dist::{boruvka_mst, filter_mst, MstConfig};
 use kamsta_dyn::{DynConfig, DynMst, Update};
-use kamsta_graph::{GraphConfig, InputGraph, WEdge};
+use kamsta_graph::{CEdge, GraphConfig, InputGraph, WEdge};
 
 /// Run the named program; rank 0 gets `Some(json_digest)`.
 ///
 /// Programs: `sum` (mixed collectives), `mst` (generate + Borůvka),
+/// `filter` (Filter-Borůvka, checked against Borůvka on the same input),
 /// `dyn` (batch-dynamic maintenance), `die` (one rank exits the OS
 /// process mid-run — launcher-only, it would take the whole in-process
 /// machine down).
@@ -33,9 +34,10 @@ pub fn run(name: &str, comm: &Comm, seed: u64) -> Option<String> {
     match name {
         "sum" => prog_sum(comm, seed),
         "mst" => prog_mst(comm, seed),
+        "filter" => prog_filter(comm, seed),
         "dyn" => prog_dyn(comm, seed),
         "die" => prog_die(comm),
-        other => panic!("unknown launch program {other:?} (expected sum|mst|dyn|die)"),
+        other => panic!("unknown launch program {other:?} (expected sum|mst|filter|dyn|die)"),
     }
 }
 
@@ -110,20 +112,56 @@ fn prog_mst(comm: &Comm, seed: u64) -> Option<String> {
         ..MstConfig::default()
     };
     let r = boruvka_mst(comm, &input, &cfg);
+    digest(comm, "mst", &forest_fields(comm, &r.edges))
+}
+
+/// Weight, size and unordered edge hash of a distributed forest, reduced
+/// machine-wide — the fields a forest contributes to a digest.
+fn forest_fields(comm: &Comm, msf: &[CEdge]) -> [(&'static str, u64); 3] {
     let mut w = 0u64;
     let mut h = 0u64;
-    for e in &r.edges {
+    for e in msf {
         let we = e.wedge();
         w = w.wrapping_add(we.w as u64);
         h = h.wrapping_add(edge_hash(&we));
     }
     let weight = comm.allreduce_sum(w);
-    let edges = comm.allreduce_sum(r.edges.len() as u64);
+    let edges = comm.allreduce_sum(msf.len() as u64);
     let ehash = comm.allreduce(h, |a, b| a.wrapping_add(*b));
+    [("weight", weight), ("edges", edges), ("ehash", ehash)]
+}
+
+/// Filter-Borůvka on a GNM with more vertices than `base_threshold(p)`
+/// at the launcher's PE counts, so its base cases run contraction
+/// rounds, write their hooks into the representative array and compress
+/// it — all across the transport. Digests its forest and the recursion
+/// statistics.
+///
+/// # Panics
+///
+/// Panics, failing the launch, unless the forest is the one
+/// [`boruvka_mst`] finds on the same input.
+fn prog_filter(comm: &Comm, seed: u64) -> Option<String> {
+    let input = InputGraph::generate(comm, GraphConfig::Gnm { n: 1024, m: 16384 }, seed);
+    let cfg = MstConfig {
+        base_case_constant: 16,
+        ..MstConfig::default()
+    };
+    let (f, stats) = filter_mst(comm, &input, &cfg);
+    let forest = forest_fields(comm, &f.edges);
+    let oracle = forest_fields(comm, &boruvka_mst(comm, &input, &cfg).edges);
+    assert_eq!(forest, oracle, "Filter-Borůvka's forest is not Borůvka's");
+    let [weight, edges, ehash] = forest;
     digest(
         comm,
-        "mst",
-        &[("weight", weight), ("edges", edges), ("ehash", ehash)],
+        "filter",
+        &[
+            weight,
+            edges,
+            ehash,
+            ("base_case_calls", stats.base_case_calls),
+            ("partition_steps", stats.partition_steps),
+        ],
     )
 }
 
@@ -133,7 +171,6 @@ fn prog_dyn(comm: &Comm, seed: u64) -> Option<String> {
     let n = 256u64;
     let cfg = DynConfig::new(n).with_mst(MstConfig {
         base_case_constant: 8,
-        filter_min_edges_per_pe: 16,
         ..MstConfig::default()
     });
     let input = InputGraph::generate(comm, GraphConfig::Grid2D { rows: 16, cols: 16 }, seed);
@@ -199,7 +236,7 @@ mod tests {
     /// suite compares the sockets side against this cells oracle.
     #[test]
     fn digests_are_transport_invariant_in_process() {
-        for program in ["sum", "mst", "dyn"] {
+        for program in ["sum", "mst", "filter", "dyn"] {
             let run_on = |t: TransportKind| {
                 Machine::run(MachineConfig::new(4).with_transport(t), move |comm| {
                     run(program, comm, 11)

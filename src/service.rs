@@ -447,7 +447,6 @@ mod tests {
     fn dyn_cfg(n: u64) -> DynConfig {
         DynConfig::new(n).with_mst(MstConfig {
             base_case_constant: 8,
-            filter_min_edges_per_pe: 16,
             ..MstConfig::default()
         })
     }

@@ -6,7 +6,6 @@ use kamsta::{Algorithm, AlltoallKind, GraphConfig, MstConfig, Runner};
 fn cfg() -> MstConfig {
     MstConfig {
         base_case_constant: 256,
-        filter_min_edges_per_pe: 128,
         ..MstConfig::default()
     }
 }

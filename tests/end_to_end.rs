@@ -22,7 +22,6 @@ fn families() -> Vec<GraphConfig> {
 fn small_cfg() -> MstConfig {
     MstConfig {
         base_case_constant: 32,
-        filter_min_edges_per_pe: 64,
         ..MstConfig::default()
     }
 }

@@ -1,6 +1,7 @@
 //! Cross-algorithm parity: the distributed algorithms and every
 //! sequential reference must report the identical MSF weight (the
-//! unique-weight total order makes the forest itself unique).
+//! unique-weight total order makes the forest itself unique), and the
+//! two distributed algorithms the identical edges.
 
 use kamsta::core::seq::{boruvka, filter_kruskal, kkt, kruskal, msf_weight, prim};
 use kamsta::{Algorithm, GraphConfig, Machine, MachineConfig, MstConfig, Runner, WEdge};
@@ -24,7 +25,6 @@ fn materialize(config: GraphConfig, seed: u64) -> Vec<WEdge> {
 fn check_parity(config: GraphConfig, seed: u64, expected_edges: Option<u64>) {
     let runner = Runner::new(4, 1).with_mst_config(MstConfig {
         base_case_constant: 16,
-        filter_min_edges_per_pe: 64,
         ..MstConfig::default()
     });
 
@@ -44,6 +44,18 @@ fn check_parity(config: GraphConfig, seed: u64, expected_edges: Option<u64>) {
 
     // The same graph, materialised for the sequential references.
     let edges = materialize(config, seed);
+    // The forests themselves, edge for edge: the unique-weight order
+    // leaves one MSF, and both algorithms report its canonical copies.
+    let forest = |algo| {
+        let (mut msf, _) = runner.msf_edges(edges.clone(), algo);
+        msf.sort_unstable();
+        msf
+    };
+    assert_eq!(
+        forest(Algorithm::FilterBoruvka),
+        forest(Algorithm::Boruvka),
+        "{config:?}: Filter-Borůvka's forest against Borůvka's"
+    );
     let reference = msf_weight(&kruskal(&edges));
     assert_eq!(dist_b.msf_weight, reference, "{config:?}: vs Kruskal");
     for (name, msf) in [

@@ -40,7 +40,6 @@ fn arb_graph() -> impl Strategy<Value = Vec<WEdge>> {
 fn cfg() -> MstConfig {
     MstConfig {
         base_case_constant: 8,
-        filter_min_edges_per_pe: 16,
         ..MstConfig::default()
     }
 }
@@ -67,11 +66,18 @@ proptest! {
         p in 1usize..7,
     ) {
         prop_assume!(!edges.is_empty());
-        let (msf, summary) = Runner::new(p, 1)
+        let (mut msf, summary) = Runner::new(p, 1)
             .with_mst_config(cfg())
             .msf_edges(edges.clone(), Algorithm::FilterBoruvka);
         prop_assert!(verify_msf(&edges, &msf).is_ok(), "{:?}", verify_msf(&edges, &msf));
         prop_assert_eq!(summary.msf_weight, msf_weight(&kruskal(&edges)));
+        // Edge for edge what Borůvka reports, not only the same weight.
+        let (mut by_boruvka, _) = Runner::new(p, 1)
+            .with_mst_config(cfg())
+            .msf_edges(edges.clone(), Algorithm::Boruvka);
+        msf.sort_unstable();
+        by_boruvka.sort_unstable();
+        prop_assert_eq!(msf, by_boruvka);
     }
 
     #[test]

@@ -50,6 +50,17 @@ fn mst_across_processes_matches_in_process_cells_bit_for_bit() {
 }
 
 #[test]
+fn filter_boruvka_across_processes_matches_in_process_cells_bit_for_bit() {
+    // The program itself fails the launch unless Filter-Borůvka's forest
+    // is Borůvka's; the digest adds the recursion statistics and the
+    // modeled counters of base-case rounds, hooks and `compress`.
+    let out = launch(&["--pes", "4", "--program", "filter", "--seed", "7"]);
+    let digest = digest_of(&out);
+    assert_eq!(digest, cells_digest("filter", 4, 7));
+    assert!(!digest.contains("\"base_case_calls\":0,"), "{digest}");
+}
+
+#[test]
 fn dyn_differential_across_processes() {
     let out = launch(&["--pes", "3", "--program", "dyn", "--seed", "19"]);
     assert_eq!(digest_of(&out), cells_digest("dyn", 3, 19));
