@@ -162,31 +162,6 @@ pub fn dyn_throughput_workload(
     }
 }
 
-/// Extract the value of `"name": value` from one line of a
-/// `perf_trajectory` JSON. The format is written by this crate
-/// (one entry object per line), so a line-oriented scan suffices —
-/// no general JSON parser. Shared by `perf_trajectory` (baseline
-/// embedding) and `perf_check` (the CI regression gate) so the two
-/// cannot drift apart.
-pub fn perf_json_field(line: &str, name: &str) -> Option<String> {
-    let tag = format!("\"{name}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-/// The trimmed entry rows of a `perf_trajectory` JSON: every line
-/// carrying an `"instance"` field **before** the embedded `"baseline"`
-/// section, so a file that itself embeds a baseline contributes only
-/// its own measurements.
-pub fn perf_entry_lines(text: &str) -> impl Iterator<Item = &str> {
-    text.lines()
-        .map(str::trim)
-        .take_while(|line| !line.starts_with("\"baseline\""))
-        .filter(|line| line.contains("\"instance\""))
-}
-
 /// Read a `usize` environment knob.
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -440,40 +415,6 @@ mod tests {
         assert_eq!(eng(1.5e9), "1.50G");
         assert_eq!(eng(2.5e6), "2.50M");
         assert_eq!(eng(999.0), "999.00");
-    }
-
-    #[test]
-    fn perf_json_field_extracts_values() {
-        let line = r#"    {"instance": "RHG", "cores": 16, "algo": "boruvka-1", "wall_time": 2.166799, "divergence_vs_baseline": 1.013}"#;
-        assert_eq!(perf_json_field(line, "instance").as_deref(), Some("RHG"));
-        assert_eq!(perf_json_field(line, "cores").as_deref(), Some("16"));
-        // Last field: value terminated by '}' instead of ','.
-        assert_eq!(
-            perf_json_field(line, "divergence_vs_baseline").as_deref(),
-            Some("1.013")
-        );
-        assert_eq!(perf_json_field(line, "msf_weight"), None);
-    }
-
-    #[test]
-    fn perf_entry_lines_stop_at_baseline_not_baseline_source() {
-        // "baseline_source" precedes the "baseline" array in the files
-        // perf_trajectory writes; it must NOT terminate the entry scan,
-        // while the baseline rows themselves must be excluded.
-        let text = "\
-{
-  \"entries\": [
-    {\"instance\": \"GNM\", \"algo\": \"boruvka-1\", \"wall_time\": 0.1},
-    {\"instance\": \"RHG\", \"algo\": \"boruvka-1\", \"wall_time\": 0.2}
-  ],
-  \"baseline_source\": \"BENCH_pr7.json\",
-  \"baseline\": [
-    {\"instance\": \"GNM\", \"algo\": \"boruvka-1\", \"wall_time\": 0.3}
-  ]
-}";
-        let entries: Vec<&str> = perf_entry_lines(text).collect();
-        assert_eq!(entries.len(), 2, "baseline rows leaked into entries");
-        assert!(entries[1].contains("RHG"));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   quicksort-style weight partitioning with distributed filtering
 //!   through a block-distributed representative array, down to subgraphs
 //!   sparse enough for the rounds of Algorithm 1.
-//! * [`seq`] — sequential references (Kruskal, Jarník-Prim, Borůvka,
-//!   Filter-Kruskal) for correctness and baselines.
+//! * [`seq`] — the sequential Kruskal / union-find reference.
 //! * [`shared`] — rayon shared-memory Borůvka with min-priority-write
 //!   (the hybrid-threading kernels and the Sec. VII-C stand-in).
 //! * [`verify_msf`] — MSF verification against the Kruskal reference.

@@ -1,21 +1,13 @@
-//! Sequential MST algorithms: correctness references and baselines.
+//! The sequential correctness reference: Kruskal over a union-find.
 //!
-//! All algorithms accept a symmetric directed edge list (both directions
+//! [`kruskal`] accepts a symmetric directed edge list (both directions
 //! present, the paper's input format) or a plain undirected list — each
 //! undirected edge is reported once in the output MSF.
 
-mod boruvka;
-mod filter_kruskal;
-mod kkt;
 mod kruskal;
-mod prim;
 mod union_find;
 
-pub use boruvka::boruvka;
-pub use filter_kruskal::filter_kruskal;
-pub use kkt::kkt;
 pub use kruskal::kruskal;
-pub use prim::prim;
 pub use union_find::UnionFind;
 
 use kamsta_graph::{VertexId, WEdge};
@@ -41,11 +33,6 @@ impl VertexIndex {
     #[inline]
     pub fn dense(&self, v: VertexId) -> u32 {
         self.ids.binary_search(&v).expect("vertex must exist") as u32
-    }
-
-    #[inline]
-    pub fn original(&self, d: u32) -> VertexId {
-        self.ids[d as usize]
     }
 }
 
@@ -118,12 +105,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vertex_index_roundtrip() {
+    fn vertex_index_is_dense_and_ordered() {
         let edges = vec![WEdge::new(10, 5, 1), WEdge::new(5, 99, 2)];
         let idx = VertexIndex::build(&edges);
         assert_eq!(idx.len(), 3);
-        for v in [5u64, 10, 99] {
-            assert_eq!(idx.original(idx.dense(v)), v);
+        for (d, v) in [5u64, 10, 99].into_iter().enumerate() {
+            assert_eq!(idx.dense(v), d as u32);
         }
     }
 

@@ -1,5 +1,5 @@
 //! Union-find with union by rank and path halving — the backbone of the
-//! Kruskal/Filter-Kruskal references and of MSF verification.
+//! Kruskal reference and of MSF verification.
 
 /// Disjoint-set forest over dense indices `0..n`.
 #[derive(Clone, Debug)]

@@ -2,7 +2,7 @@
 //! the source of the paper's US-road instance) and root-based
 //! distribution of externally loaded edge lists.
 
-use crate::edge::WEdge;
+use crate::edge::{VertexId, WEdge};
 use kamsta_comm::Comm;
 use std::io::BufRead;
 
@@ -10,11 +10,17 @@ use std::io::BufRead;
 /// `a <u> <v> <w>` arc lines (1-based vertices; we keep them 1-based).
 /// Returns `(n, edges)`. Most DIMACS graphs list both arc directions; use
 /// [`symmetrize`] if the source does not.
+///
+/// Every arc endpoint must lie in the header's `1..=n`, so an arc before
+/// the `p` line is an error, and `n` must stay below the reserved
+/// `VertexId::MAX`. Violations come back as `InvalidData` naming the
+/// line.
 pub fn parse_dimacs<R: BufRead>(reader: R) -> std::io::Result<(u64, Vec<WEdge>)> {
     let mut n = 0u64;
     let mut edges = Vec::new();
-    for line in reader.lines() {
+    for (at, line) in reader.lines().enumerate() {
         let line = line?;
+        let bad = |msg: &str| invalid(at + 1, msg);
         let mut parts = line.split_whitespace();
         match parts.next() {
             Some("c") | None => continue,
@@ -25,16 +31,25 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> std::io::Result<(u64, Vec<WEdge>)>
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| bad("missing n in p-line"))?;
+                if n == VertexId::MAX {
+                    return Err(bad("n reaches the reserved vertex id"));
+                }
             }
             Some("a") => {
-                let u: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad("bad arc src"))?;
-                let v: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad("bad arc dst"))?;
+                let mut endpoint = |what: &str| {
+                    parts
+                        .next()
+                        .and_then(|s| s.parse::<u64>().ok())
+                        .ok_or_else(|| bad(&format!("bad arc {what}")))
+                        .and_then(|x| {
+                            (1..=n)
+                                .contains(&x)
+                                .then_some(x)
+                                .ok_or_else(|| bad(&format!("arc {what} {x} outside 1..={n}")))
+                        })
+                };
+                let u = endpoint("src")?;
+                let v = endpoint("dst")?;
                 let w: u32 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -47,8 +62,11 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> std::io::Result<(u64, Vec<WEdge>)>
     Ok((n, edges))
 }
 
-fn bad(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+fn invalid(line: usize, msg: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("line {line}: {msg}"),
+    )
 }
 
 /// Load a DIMACS `.gr` file from disk.

@@ -78,16 +78,6 @@ pub struct RunSummary {
     pub wall_stats: WallStats,
 }
 
-impl RunSummary {
-    /// Wall/modeled divergence ratio: how many wall seconds the whole
-    /// simulation burns per modeled second of the algorithm. Large
-    /// jumps mean the wall time went somewhere the cost model does not
-    /// charge — a generator cliff, load imbalance, host contention.
-    pub fn wall_modeled_divergence(&self) -> f64 {
-        self.wall_time / self.modeled_time.max(f64::MIN_POSITIVE)
-    }
-}
-
 /// A configured simulated machine plus algorithm parameters.
 #[derive(Clone, Debug)]
 pub struct Runner {
@@ -364,21 +354,26 @@ mod tests {
     fn armed_transient_faults_dont_change_the_summary() {
         let config = GraphConfig::Grid2D { rows: 10, cols: 10 };
         let plain = Runner::new(4, 1).run_generated(config, Algorithm::Boruvka, 7);
-        let noisy = Runner::new(4, 1)
-            .with_transport(TransportKind::Bytes)
-            .with_faults(
-                FaultPlan::seeded(3)
-                    .with_short_writes(0.4)
-                    .with_short_reads(0.4)
-                    .with_duplicates(0.3)
-                    .with_retries(0.3),
-            )
-            .run_generated(config, Algorithm::Boruvka, 7);
-        assert_eq!(plain.msf_weight, noisy.msf_weight);
-        assert_eq!(plain.msf_edges, noisy.msf_edges);
-        assert_eq!(plain.messages, noisy.messages);
-        assert_eq!(plain.bytes, noisy.bytes);
-        assert_eq!(plain.modeled_time, noisy.modeled_time);
+        let transient = FaultPlan::seeded(3)
+            .with_short_writes(0.4)
+            .with_short_reads(0.4)
+            .with_duplicates(0.3)
+            .with_retries(0.3);
+        // The empty plan still arms the per-frame checksums.
+        for (transport, plan) in [
+            (TransportKind::Bytes, transient),
+            (TransportKind::Sockets, FaultPlan::seeded(7)),
+        ] {
+            let noisy = Runner::new(4, 1)
+                .with_transport(transport)
+                .with_faults(plan)
+                .run_generated(config, Algorithm::Boruvka, 7);
+            assert_eq!(plain.msf_weight, noisy.msf_weight);
+            assert_eq!(plain.msf_edges, noisy.msf_edges);
+            assert_eq!(plain.messages, noisy.messages);
+            assert_eq!(plain.bytes, noisy.bytes);
+            assert_eq!(plain.modeled_time, noisy.modeled_time);
+        }
     }
 
     #[test]

@@ -216,19 +216,8 @@ impl MstService {
     }
 
     /// Replace the edge set by a generated family and solve its MSF once
-    /// through the static pipeline (dropping any queued updates).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine failure; see
-    /// [`MstService::try_load_generated`] for the typed variant.
-    pub fn load_generated(&mut self, config: GraphConfig, seed: u64) {
-        self.try_load_generated(config, seed)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`MstService::load_generated`]: an unrecoverable
-    /// transport failure degrades the service instead of panicking.
+    /// through the static pipeline (dropping any queued updates). An
+    /// unrecoverable transport failure degrades the service.
     pub fn try_load_generated(
         &mut self,
         config: GraphConfig,
@@ -260,17 +249,9 @@ impl MstService {
     /// Returns the flush outcome when one ran. Out-of-range updates
     /// are dropped (see [`Self::handle`] for the reporting variant) —
     /// the maintainer would otherwise panic the whole machine
-    /// mid-flush on a malformed client request.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine failure; see [`MstService::try_submit`].
-    pub fn submit(&mut self, up: Update) -> Option<BatchOutcome> {
-        self.try_submit(up).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MstService::submit`]: a degraded service refuses the
-    /// update, and an auto-flush failure degrades the service.
+    /// mid-flush on a malformed client request. A degraded service
+    /// refuses the update, and an auto-flush failure degrades the
+    /// service.
     pub fn try_submit(&mut self, up: Update) -> Result<Option<BatchOutcome>, ServiceError> {
         self.check_poisoned()?;
         if !self.in_range(&up) {
@@ -285,20 +266,11 @@ impl MstService {
     }
 
     /// Apply every queued update as one batch. `None` when the queue was
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine failure; see [`MstService::try_flush`].
-    pub fn flush(&mut self) -> Option<BatchOutcome> {
-        self.try_flush().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MstService::flush`]: an unrecoverable transport
-    /// failure poisons the service — the failing batch is dropped, the
-    /// cached forest stays at the last successful flush, and every
-    /// later fallible call answers [`ServiceError::Degraded`]
-    /// immediately instead of panicking or blocking on a dead machine.
+    /// empty. An unrecoverable transport failure poisons the service —
+    /// the failing batch is dropped, the cached forest stays at the last
+    /// successful flush, and every later call answers
+    /// [`ServiceError::Degraded`] immediately instead of panicking or
+    /// blocking on a dead machine.
     pub fn try_flush(&mut self) -> Result<Option<BatchOutcome>, ServiceError> {
         self.check_poisoned()?;
         if self.queue.is_empty() {
@@ -323,31 +295,12 @@ impl MstService {
     }
 
     /// Forest weight (flushes pending updates first).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine failure; see [`MstService::try_msf_weight`].
-    pub fn msf_weight(&mut self) -> u64 {
-        self.try_msf_weight().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MstService::msf_weight`].
     pub fn try_msf_weight(&mut self) -> Result<u64, ServiceError> {
         self.try_flush()?;
         Ok(self.rep.weight)
     }
 
     /// Forest size (flushes pending updates first).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine failure; see
-    /// [`MstService::try_msf_edge_count`].
-    pub fn msf_edge_count(&mut self) -> u64 {
-        self.try_msf_edge_count().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MstService::msf_edge_count`].
     pub fn try_msf_edge_count(&mut self) -> Result<u64, ServiceError> {
         self.try_flush()?;
         Ok(self.rep.msf_edges)
@@ -356,15 +309,6 @@ impl MstService {
     /// Forest membership of `{u, v}`, answered by a binary search on the
     /// pair's home shard — no machine run (flushes pending updates
     /// first).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine failure; see [`MstService::try_in_msf`].
-    pub fn in_msf(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.try_in_msf(u, v).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MstService::in_msf`].
     pub fn try_in_msf(&mut self, u: VertexId, v: VertexId) -> Result<bool, ServiceError> {
         self.try_flush()?;
         if u == v || u >= self.cfg.n || v >= self.cfg.n {
@@ -379,15 +323,6 @@ impl MstService {
     }
 
     /// The full forest as a canonical sorted edge list (flushes first).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine failure; see [`MstService::try_msf_edges`].
-    pub fn msf_edges(&mut self) -> Vec<WEdge> {
-        self.try_msf_edges().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MstService::msf_edges`].
     pub fn try_msf_edges(&mut self) -> Result<Vec<WEdge>, ServiceError> {
         self.try_flush()?;
         let mut out: Vec<WEdge> = self
@@ -461,22 +396,25 @@ mod tests {
     #[test]
     fn queries_flush_the_queue_first() {
         let mut s = service(3, 8, 100);
-        s.submit(Update::Insert(WEdge::new(0, 1, 3)));
-        s.submit(Update::Insert(WEdge::new(1, 2, 4)));
+        s.try_submit(Update::Insert(WEdge::new(0, 1, 3))).unwrap();
+        s.try_submit(Update::Insert(WEdge::new(1, 2, 4))).unwrap();
         assert_eq!(s.pending(), 2);
-        assert_eq!(s.msf_weight(), 7, "read-your-writes");
+        assert_eq!(s.try_msf_weight().unwrap(), 7, "read-your-writes");
         assert_eq!(s.pending(), 0);
-        assert!(s.in_msf(1, 0) && s.in_msf(2, 1));
-        assert!(!s.in_msf(0, 2) && !s.in_msf(5, 5));
+        assert!(s.try_in_msf(1, 0).unwrap() && s.try_in_msf(2, 1).unwrap());
+        assert!(!s.try_in_msf(0, 2).unwrap() && !s.try_in_msf(5, 5).unwrap());
     }
 
     #[test]
     fn auto_flush_at_the_batch_threshold() {
         let mut s = service(2, 16, 4);
         for k in 0..3u64 {
-            assert!(s.submit(Update::Insert(WEdge::new(k, k + 1, 1))).is_none());
+            assert!(s
+                .try_submit(Update::Insert(WEdge::new(k, k + 1, 1)))
+                .unwrap()
+                .is_none());
         }
-        let outcome = s.submit(Update::Insert(WEdge::new(3, 4, 1)));
+        let outcome = s.try_submit(Update::Insert(WEdge::new(3, 4, 1))).unwrap();
         assert!(outcome.is_some(), "4th update crosses the threshold");
         assert_eq!(s.pending(), 0);
         assert_eq!(outcome.unwrap().msf_edges, 4);
@@ -522,10 +460,13 @@ mod tests {
             s.handle(Request::Update(Update::Insert(WEdge::new(0, 99, 1)))),
             Response::Rejected
         );
-        assert!(s.submit(Update::Delete { u: 99, v: 0 }).is_none());
+        assert!(s
+            .try_submit(Update::Delete { u: 99, v: 0 })
+            .unwrap()
+            .is_none());
         assert_eq!(s.pending(), 0, "rejected updates never enter the queue");
-        s.submit(Update::Insert(WEdge::new(0, 7, 3)));
-        assert_eq!(s.msf_weight(), 3, "the service keeps serving");
+        s.try_submit(Update::Insert(WEdge::new(0, 7, 3))).unwrap();
+        assert_eq!(s.try_msf_weight().unwrap(), 3, "the service keeps serving");
     }
 
     #[test]
@@ -568,21 +509,30 @@ mod tests {
             .max_batch(2)
             .build()
             .unwrap();
-        s.submit(Update::Insert(WEdge::new(0, 1, 3)));
-        s.submit(Update::Insert(WEdge::new(1, 2, 4)));
-        assert_eq!(s.msf_weight(), 7);
+        s.try_submit(Update::Insert(WEdge::new(0, 1, 3))).unwrap();
+        s.try_submit(Update::Insert(WEdge::new(1, 2, 4))).unwrap();
+        assert_eq!(s.try_msf_weight().unwrap(), 7);
     }
 
     #[test]
     fn generated_load_then_updates() {
         let mut s = service(4, 64, 64);
-        s.load_generated(GraphConfig::Grid2D { rows: 8, cols: 8 }, 5);
-        assert_eq!(s.msf_edge_count(), 63, "spanning tree of the grid");
-        let before = s.msf_weight();
+        s.try_load_generated(GraphConfig::Grid2D { rows: 8, cols: 8 }, 5)
+            .unwrap();
+        assert_eq!(
+            s.try_msf_edge_count().unwrap(),
+            63,
+            "spanning tree of the grid"
+        );
+        let before = s.try_msf_weight().unwrap();
         // Insert a zero-ish weight shortcut: must enter the forest.
-        s.submit(Update::Insert(WEdge::new(0, 63, 1)));
-        assert!(s.in_msf(0, 63));
-        assert!(s.msf_weight() < before + 1);
-        assert_eq!(s.msf_edge_count(), 63, "still spanning, one cycle broken");
+        s.try_submit(Update::Insert(WEdge::new(0, 63, 1))).unwrap();
+        assert!(s.try_in_msf(0, 63).unwrap());
+        assert!(s.try_msf_weight().unwrap() < before + 1);
+        assert_eq!(
+            s.try_msf_edge_count().unwrap(),
+            63,
+            "still spanning, one cycle broken"
+        );
     }
 }
