@@ -13,7 +13,6 @@ fn exchange(p: usize, kind: AlltoallKind, words_per_dest: usize) {
         let recv = match kind {
             AlltoallKind::Direct => comm.alltoallv_direct(bufs),
             AlltoallKind::Grid => comm.alltoallv_grid(bufs),
-            AlltoallKind::Hypercube => comm.alltoallv_hypercube(bufs),
             AlltoallKind::Auto => comm.sparse_alltoallv(bufs),
         };
         assert_eq!(recv.buckets(), p);
@@ -26,7 +25,6 @@ fn bench_alltoall(c: &mut Criterion) {
     for (name, kind) in [
         ("one-level", AlltoallKind::Direct),
         ("two-level", AlltoallKind::Grid),
-        ("hypercube", AlltoallKind::Hypercube),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &kind, |b, &kind| {
             b.iter(|| exchange(64, kind, 4));

@@ -87,16 +87,14 @@ fn bench_sorts(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("comparison_weight", n), &n, |b, _| {
             b.iter(|| {
                 let mut v = edges.clone();
-                v.sort_unstable_by_key(|e| (e.weight_key(), e.id));
+                v.sort_unstable_by_key(|e| (e.w, e.id));
                 v
             })
         });
         group.bench_with_input(BenchmarkId::new("radix_weight", n), &n, |b, _| {
             b.iter(|| {
                 let mut v = edges.clone();
-                radix_sort_by_key(&mut v, |e: &CEdge| {
-                    (e.packed_weight_key().expect("packable").0, e.id)
-                });
+                radix_sort_by_key(&mut v, |e: &CEdge| ((e.w as u128) << 64) | e.id as u128);
                 v
             })
         });

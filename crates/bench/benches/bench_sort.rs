@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kamsta_comm::{FlatBuckets, Machine, MachineConfig};
 use kamsta_graph::CEdge;
-use kamsta_sort::{hypercube_quicksort, multiway_merge_flat, sample_sort};
+use kamsta_sort::{hypercube_quicksort, multiway_merge_flat, sample_sort_by_key};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -19,7 +19,7 @@ fn run_sort(p: usize, per_pe: usize, hypercube: bool) {
         if hypercube {
             hypercube_quicksort(comm, data, 42)
         } else {
-            sample_sort(comm, data, 42)
+            sample_sort_by_key(comm, data, 42, |&x| x)
         }
     });
 }
@@ -33,9 +33,11 @@ fn bench_sort(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hypercube", per_pe), &per_pe, |b, &n| {
             b.iter(|| run_sort(16, n, true))
         });
-        group.bench_with_input(BenchmarkId::new("sample_sort", per_pe), &per_pe, |b, &n| {
-            b.iter(|| run_sort(16, n, false))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("sample_sort_by_key", per_pe),
+            &per_pe,
+            |b, &n| b.iter(|| run_sort(16, n, false)),
+        );
     }
     group.finish();
 }

@@ -3,7 +3,7 @@
 //! Three questions, matching the PR 10 redesign of the byte lane
 //! (DESIGN.md §12):
 //!
-//! 1. **Encode/decode throughput** of `WEdge` and `PackedEdge` buckets
+//! 1. **Encode/decode throughput** of `WEdge` and `CEdge` buckets
 //!    through `wire::write_slice` / `wire::read_vec` — the exact code
 //!    the flat exchange runs per (peer, round).
 //! 2. **Coalesced vs per-message framing**: one `CH_DATA` frame
@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kamsta_comm::wire::{self, FrameHeader, Wire, WireReader, CH_DATA, FRAME_HEADER_LEN};
-use kamsta_graph::{PackedEdge, WEdge};
+use kamsta_graph::{CEdge, WEdge};
 
 fn wedges(n: usize) -> Vec<WEdge> {
     (0..n as u64)
@@ -30,15 +30,11 @@ fn wedges(n: usize) -> Vec<WEdge> {
         .collect()
 }
 
-fn packed(n: usize) -> Vec<PackedEdge> {
+fn cedges(n: usize) -> Vec<CEdge> {
     wedges(n)
         .into_iter()
         .enumerate()
-        .map(|(i, e)| {
-            PackedEdge(
-                ((e.w as u128) << 96) | ((e.u as u128) << 48) | (e.v as u128) | (i as u128) << 1,
-            )
-        })
+        .map(|(i, e)| CEdge::from_wedge(e, i as u64))
         .collect()
 }
 
@@ -57,13 +53,13 @@ fn bench_encode_decode(c: &mut Criterion) {
     for pow in [10usize, 14, 17, 20] {
         let n = 1usize << pow;
         let we = wedges(n);
-        let pe = packed(n);
+        let ce = cedges(n);
         let mut scratch = Vec::new();
         group.bench_with_input(BenchmarkId::new("wedge", n), &n, |b, _| {
             b.iter(|| roundtrip(&we, &mut scratch))
         });
-        group.bench_with_input(BenchmarkId::new("packed_edge", n), &n, |b, _| {
-            b.iter(|| roundtrip(&pe, &mut scratch))
+        group.bench_with_input(BenchmarkId::new("cedge", n), &n, |b, _| {
+            b.iter(|| roundtrip(&ce, &mut scratch))
         });
     }
     group.finish();

@@ -1,4 +1,4 @@
-//! Personalized (sparse) all-to-all exchange in four flavours, all on the
+//! Personalized (sparse) all-to-all exchange in three flavours, all on the
 //! flat zero-copy buffer representation ([`FlatBuckets`]).
 //!
 //! This module implements Sec. VI-A of the paper ("Reducing Startup
@@ -11,11 +11,9 @@
 //!   `row(j)`, column `col(i)`, cutting startup cost to `O(α√p)` at the
 //!   price of doubled volume. Includes the paper's incomplete-last-row
 //!   rule;
-//! * **hypercube** — `log p` pairwise phases (the `d = log p` end of the
-//!   generalisation discussed in the paper, \[45\]);
 //! * **auto** ([`crate::Comm::sparse_alltoallv`]) — the paper's threshold
 //!   rule: use the grid variant when the average bytes per message is below
-//!   500 bytes, direct otherwise.
+//!   500 bytes (`GRID_THRESHOLD_BYTES`), direct otherwise.
 //!
 //! Every strategy sends and receives [`FlatBuckets`]: one contiguous
 //! payload per PE, sub-message boundaries expressed as displacement
@@ -43,10 +41,12 @@ pub enum AlltoallKind {
     Direct,
     /// Always two-level grid (`α·√p` startups, 2× volume).
     Grid,
-    /// Hypercube (`α·log p` startups, `log p`× volume); requires
-    /// power-of-two `p`, otherwise falls back to the grid variant.
-    Hypercube,
 }
+
+/// The [`AlltoallKind::Auto`] rule's switch point, in average bytes per
+/// message: below it the grid route wins (the paper's value on
+/// SuperMUC-NG).
+const GRID_THRESHOLD_BYTES: u64 = 500;
 
 /// The virtual two-dimensional PE grid of Sec. VI-A.
 ///
@@ -298,125 +298,6 @@ impl Comm {
         out
     }
 
-    /// Hypercube all-to-all: `log p` pairwise phases, each moving all data
-    /// whose destination differs in the current bit (Johnsson & Ho, ref. 45
-    /// of the paper; the `d = log p` end of the paper's generalised grid).
-    ///
-    /// Carried data stays in one flat buffer per PE, keyed by final
-    /// destination with a 4-byte source tag per element (charged).
-    /// Requires power-of-two `p`; other sizes fall back to the grid
-    /// variant.
-    pub fn alltoallv_hypercube<T: Wire + Clone + Send + Sync + 'static>(
-        &self,
-        bufs: FlatBuckets<T>,
-    ) -> FlatBuckets<T> {
-        let p = self.size();
-        if !p.is_power_of_two() {
-            return self.alltoallv_grid(bufs);
-        }
-        if p == 1 {
-            return bufs;
-        }
-        let me = self.rank();
-        let dims = crate::ceil_log2(p);
-        // carried.bucket(j) = (source, item) pairs currently held here
-        // destined for j.
-        let mut carried: FlatBuckets<(u32, T)> = bufs.map(|x| (me as u32, x));
-        for d in 0..dims {
-            let bit = 1usize << d;
-            let partner = me ^ bit;
-            // Everything whose destination's bit d differs from mine moves.
-            let moving: usize = (0..p)
-                .filter(|j| (j & bit) != (me & bit))
-                .map(|j| carried.count(j))
-                .sum();
-            let mut keep = FlatBuilder::with_capacity(carried.total_len() - moving, p);
-            let mut send = FlatBuilder::with_capacity(moving, p);
-            for j in 0..p {
-                if (j & bit) != (me & bit) {
-                    send.extend_from_slice(carried.bucket(j));
-                } else {
-                    keep.extend_from_slice(carried.bucket(j));
-                }
-                keep.seal();
-                send.seal();
-            }
-            let keep = keep.finish(p);
-            let send = send.finish(p);
-            let out_bytes = bytes_of::<(u32, T)>(send.total_len());
-            let received = self
-                .exchange(Some((partner, send)), Some(partner))
-                .expect("hypercube partner always sends");
-            let in_bytes = bytes_of::<(u32, T)>(received.total_len());
-            self.charge_comm(0, out_bytes.max(in_bytes)); // α charged by exchange
-            carried = merge_flat(keep, received);
-        }
-        // All remaining data is destined here; group it by source (stable,
-        // so each source's stream keeps its order).
-        let mine: Vec<(u32, T)> = carried.into_payload();
-        FlatBuckets::from_dest_fn(p, mine, |(src, _)| *src as usize).map(|(_, x)| x)
-    }
-
-    /// d-dimensional generalisation of the grid all-to-all (Sec. VI-A:
-    /// "For larger p, the grid approach can easily be generalized to
-    /// dimensions 2 < d ≤ log(p)"). Messages are routed digit by digit
-    /// through a `side^d` torus, cutting startups to `O(d·p^(1/d))` at
-    /// `d×` the volume; carried elements are tagged `(dest, src)` (8
-    /// bytes, charged). Requires `p = side^d` exactly; other shapes fall
-    /// back to the 2D grid (`d = 2`) or direct (`d < 2`).
-    pub fn alltoallv_dd<T: Wire + Clone + Send + Sync + 'static>(
-        &self,
-        bufs: FlatBuckets<T>,
-        d: u32,
-    ) -> FlatBuckets<T> {
-        let p = self.size();
-        if d < 2 || p < 4 {
-            return self.alltoallv_direct(bufs);
-        }
-        let side = (p as f64).powf(1.0 / d as f64).round() as usize;
-        if side < 2 || side.pow(d) != p {
-            return self.alltoallv_grid(bufs);
-        }
-        let me = self.rank();
-        let digit = |x: usize, k: u32| (x / side.pow(k)) % side;
-        // carried: (final_dest, original_src, payload), flat.
-        let mut carried: Vec<(u32, u32, T)> = Vec::with_capacity(bufs.total_len());
-        for j in 0..p {
-            for x in bufs.bucket(j) {
-                carried.push((j as u32, me as u32, x.clone()));
-            }
-        }
-        // Route the highest digit first, mirroring the 2D row-then-column
-        // scheme. In round k every PE talks only to the `side` PEs that
-        // differ in digit k; an element steps to the PE with digit k
-        // corrected, other digits unchanged.
-        for k in (0..d).rev() {
-            let hop = |dest: usize| -> usize {
-                let want = digit(dest, k);
-                (me as isize + (want as isize - digit(me, k) as isize) * side.pow(k) as isize)
-                    as usize
-            };
-            let out = FlatBuckets::from_dest_fn(p, carried, |&(dest, _, _)| hop(dest as usize));
-            let out_bytes = bytes_of::<(u32, u32, T)>(out.total_len() - out.count(me));
-            // Partners: PEs agreeing with me on all digits except k — a
-            // symmetric relation, so the send and receive sets coincide.
-            let mut partners: Vec<usize> = (0..side)
-                .map(|v| {
-                    (me as isize + (v as isize - digit(me, k) as isize) * side.pow(k) as isize)
-                        as usize
-                })
-                .collect();
-            partners.sort_unstable();
-            let received = self.raw_exchange_flat(out, &partners, &partners);
-            let in_bytes = bytes_of::<(u32, u32, T)>(received.total_len() - received.count(me));
-            carried = received.into_payload();
-            self.charge_comm(side as u64, out_bytes.max(in_bytes));
-        }
-        // Group by original source (stable).
-        debug_assert!(carried.iter().all(|&(dest, _, _)| dest as usize == me));
-        FlatBuckets::from_dest_fn(p, carried, |&(_, src, _)| src as usize).map(|(_, _, x)| x)
-    }
-
     /// Sparse all-to-all with the paper's automatic strategy selection:
     /// measure the global average bytes per message and use the two-level
     /// grid when it is below the threshold (500 bytes on the paper's
@@ -428,7 +309,6 @@ impl Comm {
         match self.alltoall_kind {
             AlltoallKind::Direct => return self.alltoallv_direct(bufs),
             AlltoallKind::Grid => return self.alltoallv_grid(bufs),
-            AlltoallKind::Hypercube => return self.alltoallv_hypercube(bufs),
             AlltoallKind::Auto => {}
         }
         let p = self.size();
@@ -438,7 +318,7 @@ impl Comm {
         let out_bytes = bytes_of::<T>(bufs.total_len());
         let total = self.allreduce_sum(out_bytes);
         let avg_per_message = total / (p as u64 * p as u64);
-        if avg_per_message < self.grid_threshold_bytes as u64 {
+        if avg_per_message < GRID_THRESHOLD_BYTES {
             self.alltoallv_grid(bufs)
         } else {
             self.alltoallv_direct(bufs)
@@ -454,7 +334,7 @@ impl Comm {
     /// Collective.
     ///
     /// This is the wire pattern behind the MST pipeline's pull-based
-    /// label protocol and the batch-dynamic layer's membership lookups.
+    /// label protocol.
     pub fn request_reply<Q, A>(&self, requests: FlatBuckets<Q>, resolve: impl Fn(&Q) -> A) -> Vec<A>
     where
         Q: Wire + Clone + Send + Sync + 'static,
@@ -468,20 +348,6 @@ impl Comm {
         let replies = FlatBuckets::from_counts(answers, &reply_counts);
         self.sparse_alltoallv(replies).into_payload()
     }
-}
-
-/// Merge two equally-bucketed flat buffers: bucket `j` of the result is
-/// `a.bucket(j) ++ b.bucket(j)`. One pass, one allocation.
-fn merge_flat<T: Clone>(a: FlatBuckets<T>, b: FlatBuckets<T>) -> FlatBuckets<T> {
-    debug_assert_eq!(a.buckets(), b.buckets());
-    let p = a.buckets();
-    let mut out = FlatBuilder::with_capacity(a.total_len() + b.total_len(), p);
-    for j in 0..p {
-        out.extend_from_slice(a.bucket(j));
-        out.extend_from_slice(b.bucket(j));
-        out.seal();
-    }
-    out.finish(p)
 }
 
 /// Convenience used by algorithm crates: deliver keyed items to explicit

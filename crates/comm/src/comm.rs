@@ -126,7 +126,6 @@ pub struct Comm {
     /// children's `comm_id` derivation.
     splits: Cell<u64>,
     pub(crate) alltoall_kind: AlltoallKind,
-    pub(crate) grid_threshold_bytes: usize,
     /// Reusable send/scratch buffers for the byte lane. Buckets are
     /// encoded directly into a pooled buffer, handed to the transport,
     /// and recycled once the bytes are on the wire — steady-state rounds
@@ -148,7 +147,6 @@ pub(crate) fn bytes_of<T>(n: usize) -> u64 {
 }
 
 impl Comm {
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring MachineConfig
     pub(crate) fn new(
         rank: usize,
         size: usize,
@@ -157,7 +155,6 @@ impl Comm {
         clock: Arc<Clock>,
         cost: CostModel,
         alltoall_kind: AlltoallKind,
-        grid_threshold_bytes: usize,
     ) -> Self {
         Self {
             rank,
@@ -171,7 +168,6 @@ impl Comm {
             bepoch: Cell::new(0),
             splits: Cell::new(0),
             alltoall_kind,
-            grid_threshold_bytes,
             pool: RefCell::new(Vec::new()),
         }
     }
@@ -624,76 +620,6 @@ impl Comm {
         self.allreduce(value, |a, b| *a.max(b))
     }
 
-    /// Convenience: global minimum of a `u64`.
-    pub fn allreduce_min(&self, value: u64) -> u64 {
-        self.allreduce(value, |a, b| *a.min(b))
-    }
-
-    /// Element-wise vector all-reduce — the primitive behind the replicated
-    /// base case (Sec. IV-D: "the lightest edge for each vertex can then be
-    /// computed using an allReduce-operation with vector length n′").
-    ///
-    /// Implemented as a hypercube butterfly with fold-in/fold-out for
-    /// non-power-of-two `p`, so simulation work per PE is `O(ℓ log p)`
-    /// rather than `O(ℓ·p)`. Charged at the recursive-halving bound
-    /// `α log p + 2β·ℓ`.
-    ///
-    /// All PEs must pass vectors of equal length. `op` must be associative
-    /// and commutative (element-wise min/max/sum style).
-    pub fn allreduce_vec<T, F>(&self, mut value: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Wire + Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let p = self.size;
-        let len = value.len();
-        self.charge_comm(self.log2p(), 2 * bytes_of::<T>(len));
-        if p == 1 {
-            return value;
-        }
-        let q = crate::floor_pow2(p);
-        let extras = p - q; // ranks q..p fold into ranks 0..extras
-                            // Fold-in: rank q+r sends to r.
-        if self.rank >= q {
-            let dest = self.rank - q;
-            self.exchange(Some((dest, std::mem::take(&mut value))), None::<usize>);
-        } else if self.rank < extras {
-            let src = self.rank + q;
-            let other = self
-                .exchange::<Vec<T>>(None, Some(src))
-                .expect("fold-in partner must send");
-            combine_elementwise(&mut value, &other, &op, self.rank < src);
-        } else {
-            self.exchange(None::<(usize, Vec<T>)>, None);
-        }
-        // Butterfly among ranks 0..q.
-        let dims = crate::ceil_log2(q);
-        for d in 0..dims {
-            if self.rank < q {
-                let partner = self.rank ^ (1 << d);
-                let other = self
-                    .exchange(Some((partner, value.clone())), Some(partner))
-                    .expect("butterfly partner must send");
-                combine_elementwise(&mut value, &other, &op, self.rank < partner);
-            } else {
-                self.exchange(None::<(usize, Vec<T>)>, None);
-            }
-        }
-        // Fold-out: rank r sends the result back to q+r.
-        if self.rank >= q {
-            let src = self.rank - q;
-            value = self
-                .exchange(None, Some(src))
-                .expect("fold-out partner must send");
-        } else if self.rank < extras {
-            let dest = self.rank + q;
-            self.exchange(Some((dest, value.clone())), None);
-        } else {
-            self.exchange(None::<(usize, Vec<T>)>, None);
-        }
-        value
-    }
-
     /// Exclusive prefix "sum" with `op` over rank order; rank 0 receives
     /// `identity`. Cost: `α log p + β·size_of::<T>()`.
     pub fn exscan<T, F>(&self, value: T, identity: T, op: F) -> T
@@ -819,7 +745,6 @@ impl Comm {
             Arc::clone(&self.clock),
             self.cost,
             self.alltoall_kind,
-            self.grid_threshold_bytes,
         )
     }
 }
@@ -839,22 +764,4 @@ fn mix_comm_id(parent: u64, split_no: u64, color: u64) -> u64 {
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
     x
-}
-
-/// Element-wise combine; `self_first` fixes the operand order so all PEs of
-/// a butterfly round compute bit-identical results even for non-commutative
-/// tie-breaking ops.
-fn combine_elementwise<T, F>(acc: &mut [T], other: &[T], op: &F, self_first: bool)
-where
-    T: Clone,
-    F: Fn(&T, &T) -> T,
-{
-    assert_eq!(
-        acc.len(),
-        other.len(),
-        "allreduce_vec requires equal-length vectors on all PEs"
-    );
-    for (a, b) in acc.iter_mut().zip(other.iter()) {
-        *a = if self_first { op(a, b) } else { op(b, a) };
-    }
 }

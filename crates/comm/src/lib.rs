@@ -9,15 +9,13 @@
 //!
 //! * [`Comm::barrier`], [`Comm::broadcast`], [`Comm::gather`],
 //!   [`Comm::allgather`], [`Comm::allgatherv`]
-//! * [`Comm::reduce`], [`Comm::allreduce`], [`Comm::allreduce_vec`]
-//!   (the vector allreduce that powers the replicated base case)
+//! * [`Comm::reduce`], [`Comm::allreduce`]
 //! * [`Comm::exscan`] (exclusive prefix sums)
-//! * personalized all-to-all in five flavours: direct
+//! * personalized all-to-all in three flavours: direct
 //!   ([`Comm::alltoallv_direct`]), **two-level grid**
-//!   ([`Comm::alltoallv_grid`], Sec. VI-A of the paper), its
-//!   d-dimensional generalisation ([`Comm::alltoallv_dd`]), hypercube
-//!   ([`Comm::alltoallv_hypercube`]) and the threshold-based automatic
-//!   selection ([`Comm::sparse_alltoallv`]) — all on the flat zero-copy
+//!   ([`Comm::alltoallv_grid`], Sec. VI-A of the paper) and the
+//!   threshold-based automatic selection between the two
+//!   ([`Comm::sparse_alltoallv`]) — all on the flat zero-copy
 //!   buffer representation ([`FlatBuckets`]: one contiguous payload plus
 //!   a displacement array, the MPI `sdispls`/`rdispls` layout)
 //! * sub-communicators ([`Comm::split`]), used by the 2D-partitioned

@@ -111,11 +111,6 @@ pub struct MachineConfig {
     pub cost: CostModel,
     /// All-to-all strategy (Sec. VI-A); `Auto` applies the 500-byte rule.
     pub alltoall: AlltoallKind,
-    /// Threshold for the automatic grid/direct decision, in average bytes
-    /// per message (paper: 500 on SuperMUC-NG).
-    pub grid_threshold_bytes: usize,
-    /// Stack size per PE thread.
-    pub stack_size: usize,
     /// Transport backend; `None` resolves `KAMSTA_TRANSPORT` at run time
     /// (default: [`TransportKind::Cells`]).
     pub transport: Option<TransportKind>,
@@ -185,8 +180,6 @@ impl MachineConfig {
             pes,
             cost,
             alltoall: AlltoallKind::Auto,
-            grid_threshold_bytes: 500,
-            stack_size: 4 << 20,
             transport: None,
             io_timeout: None,
             handshake_timeout: None,
@@ -445,7 +438,6 @@ impl Machine {
                 clock,
                 cfg.cost,
                 cfg.alltoall,
-                cfg.grid_threshold_bytes,
             )
         };
         match (resolved.transport, &resolved.sockets) {
@@ -596,7 +588,6 @@ impl Machine {
             Arc::clone(&clock),
             cfg.cost,
             cfg.alltoall,
-            cfg.grid_threshold_bytes,
         );
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             comm.pool().install(|| rank_fn(&comm))
@@ -640,6 +631,9 @@ fn take_once<T: Send>(items: Vec<T>) -> impl Fn(usize) -> T + Sync {
     move |rank| slots[rank].lock().take().expect("taken once per rank")
 }
 
+/// Stack size of every in-process PE thread.
+const PE_STACK_BYTES: usize = 4 << 20;
+
 /// The shared PE-thread runner behind every in-process mode of
 /// [`Machine::try_run`]: spawn `cfg.pes` named threads, build each PE's
 /// communicator with `make_comm`, and classify every unwind —
@@ -680,7 +674,7 @@ where
                 let clock = Arc::clone(clock);
                 std::thread::Builder::new()
                     .name(format!("pe-{rank}"))
-                    .stack_size(cfg.stack_size)
+                    .stack_size(PE_STACK_BYTES)
                     .spawn_scoped(scope, move || {
                         let comm = match make_comm(rank, clock) {
                             Ok(c) => c,

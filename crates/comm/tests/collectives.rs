@@ -1,7 +1,9 @@
 //! Semantics tests for every collective, across odd/even/power-of-two PE
 //! counts and all all-to-all strategies.
 
-use kamsta_comm::{route, AlltoallKind, FlatBuckets, Machine, MachineConfig};
+use kamsta_comm::{
+    bytes_for, route, AlltoallKind, Comm, FlatBuckets, Machine, MachineConfig, PeStats,
+};
 
 const PE_COUNTS: &[usize] = &[1, 2, 3, 4, 5, 7, 8, 13, 16];
 
@@ -102,7 +104,7 @@ fn reductions_scalar() {
         let out = Machine::run(MachineConfig::new(p), |comm| {
             let sum = comm.allreduce_sum(comm.rank() as u64 + 1);
             let max = comm.allreduce_max(comm.rank() as u64);
-            let min = comm.allreduce_min(comm.rank() as u64 + 5);
+            let min = comm.allreduce(comm.rank() as u64 + 5, |a, b| *a.min(b));
             let red = comm.reduce(0, comm.rank() as u64, |a, b| a + b);
             (sum, max, min, red)
         });
@@ -135,35 +137,6 @@ fn allreduce_is_deterministic_for_noncommutative_op() {
 }
 
 #[test]
-fn allreduce_vec_elementwise_min_and_sum() {
-    for &p in PE_COUNTS {
-        let len = 100;
-        let out = Machine::run(MachineConfig::new(p), move |comm| {
-            let r = comm.rank() as u64;
-            // vec[i] = (rank * 31 + i) % 97 — min over ranks is checkable
-            let mine: Vec<u64> = (0..len).map(|i| (r * 31 + i) % 97).collect();
-            let mins = comm.allreduce_vec(mine.clone(), |a, b| *a.min(b));
-            let sums = comm.allreduce_vec(mine, |a, b| a + b);
-            (mins, sums)
-        });
-        let mut expect_min = vec![u64::MAX; len as usize];
-        let mut expect_sum = vec![0u64; len as usize];
-        for r in 0..p as u64 {
-            for i in 0..len {
-                let v = (r * 31 + i) % 97;
-                let idx = i as usize;
-                expect_min[idx] = expect_min[idx].min(v);
-                expect_sum[idx] += v;
-            }
-        }
-        for (mins, sums) in out.results {
-            assert_eq!(mins, expect_min, "p={p}");
-            assert_eq!(sums, expect_sum, "p={p}");
-        }
-    }
-}
-
-#[test]
 fn exscan_computes_exclusive_prefixes() {
     for &p in PE_COUNTS {
         let out = Machine::run(MachineConfig::new(p), |comm| {
@@ -190,7 +163,6 @@ fn check_alltoall(p: usize, kind: AlltoallKind) {
         let recv = match kind {
             AlltoallKind::Direct => comm.alltoallv_direct(bufs),
             AlltoallKind::Grid => comm.alltoallv_grid(bufs),
-            AlltoallKind::Hypercube => comm.alltoallv_hypercube(bufs),
             AlltoallKind::Auto => comm.sparse_alltoallv(bufs),
         };
         recv.to_nested()
@@ -226,17 +198,6 @@ fn alltoall_grid_all_sizes() {
 }
 
 #[test]
-fn alltoall_hypercube_power_of_two_and_fallback() {
-    for p in [1, 2, 4, 8, 16, 32] {
-        check_alltoall(p, AlltoallKind::Hypercube);
-    }
-    // Non-power-of-two falls back to grid; must still be correct.
-    for p in [3, 5, 6, 7, 12] {
-        check_alltoall(p, AlltoallKind::Hypercube);
-    }
-}
-
-#[test]
 fn alltoall_auto_all_sizes() {
     for &p in PE_COUNTS {
         check_alltoall(p, AlltoallKind::Auto);
@@ -267,6 +228,67 @@ fn grid_uses_fewer_message_startups_than_direct_at_scale() {
     assert!(grid.modeled_time < direct.modeled_time);
     // ...at the cost of roughly doubled volume.
     assert!(grid.total_bytes() >= direct.total_bytes());
+}
+
+/// Per-PE stats of one all-to-all of `elems` `u64`s per message at `p`
+/// PEs, performed by `exchange`.
+fn alltoall_stats(p: usize, elems: usize, exchange: fn(&Comm, FlatBuckets<u64>)) -> Vec<PeStats> {
+    Machine::run(MachineConfig::new(p), move |comm| {
+        let bufs = FlatBuckets::from_nested(vec![vec![comm.rank() as u64; elems]; p]);
+        exchange(comm, bufs);
+    })
+    .stats
+}
+
+fn auto(comm: &Comm, bufs: FlatBuckets<u64>) {
+    comm.sparse_alltoallv(bufs);
+}
+
+fn sum_then_grid(comm: &Comm, bufs: FlatBuckets<u64>) {
+    comm.allreduce_sum(bytes_for::<u64>(bufs.total_len()));
+    comm.alltoallv_grid(bufs);
+}
+
+fn sum_then_direct(comm: &Comm, bufs: FlatBuckets<u64>) {
+    comm.allreduce_sum(bytes_for::<u64>(bufs.total_len()));
+    comm.alltoallv_direct(bufs);
+}
+
+fn bare_direct(comm: &Comm, bufs: FlatBuckets<u64>) {
+    comm.alltoallv_direct(bufs);
+}
+
+#[test]
+fn auto_selection_follows_the_500_byte_rule() {
+    // Sec. VI-A: above 8 PEs, Auto allreduces the send volume, then takes
+    // the grid while the average message is below 500 bytes (62 × 8 B)
+    // and the direct exchange from there on (63 × 8 B); at ≤ 8 PEs it is
+    // the bare direct exchange.
+    for elems in [1, 62] {
+        assert_eq!(
+            alltoall_stats(16, elems, auto),
+            alltoall_stats(16, elems, sum_then_grid)
+        );
+    }
+    for elems in [63, 200] {
+        assert_eq!(
+            alltoall_stats(16, elems, auto),
+            alltoall_stats(16, elems, sum_then_direct)
+        );
+    }
+    for p in [2, 5, 8] {
+        for elems in [1, 200] {
+            assert_eq!(
+                alltoall_stats(p, elems, auto),
+                alltoall_stats(p, elems, bare_direct)
+            );
+        }
+    }
+    // The three routes charge differently, so the comparisons above pin
+    // which one Auto took.
+    let one = |route| alltoall_stats(16, 1, route);
+    assert_ne!(one(sum_then_grid), one(sum_then_direct));
+    assert_ne!(one(sum_then_direct), one(bare_direct));
 }
 
 #[test]

@@ -111,7 +111,6 @@ fn mixed_workload(comm: &Comm) -> Vec<u64> {
     if let Some(r) = comm.reduce(0, me + 5, |a, b| a.wrapping_mul(*b).wrapping_add(1)) {
         acc.push(r);
     }
-    acc.extend(comm.allreduce_vec(vec![me, me * 2, 99 - me], |a, b| *a.min(b)));
 
     // Every all-to-all strategy on the same skewed payload.
     let mk = |salt: u64| {
@@ -128,10 +127,7 @@ fn mixed_workload(comm: &Comm) -> Vec<u64> {
     };
     acc.extend(comm.alltoallv_direct(mk(1)).into_payload());
     acc.extend(comm.alltoallv_grid(mk(2)).into_payload());
-    acc.extend(comm.alltoallv_hypercube(mk(3)).into_payload());
-    acc.extend(comm.alltoallv_dd(mk(4), 2).into_payload());
-    acc.extend(comm.alltoallv_dd(mk(5), 3).into_payload());
-    acc.extend(comm.sparse_alltoallv(mk(6)).into_payload());
+    acc.extend(comm.sparse_alltoallv(mk(3)).into_payload());
     acc.extend(route(
         comm,
         (0..2 * p).map(|k| (k % p, me * 31 + k as u64)).collect(),
@@ -183,12 +179,7 @@ fn cross_transport_oracle_results_and_charges_identical() {
 
 #[test]
 fn alltoall_kinds_agree_across_transports() {
-    for kind in [
-        AlltoallKind::Auto,
-        AlltoallKind::Direct,
-        AlltoallKind::Grid,
-        AlltoallKind::Hypercube,
-    ] {
+    for kind in [AlltoallKind::Auto, AlltoallKind::Direct, AlltoallKind::Grid] {
         let run = |t: TransportKind| {
             Machine::run(
                 MachineConfig::new(9).with_alltoall(kind).with_transport(t),

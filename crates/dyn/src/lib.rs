@@ -23,8 +23,8 @@
 //! components of `T'`, the new forest can only use, per component pair,
 //! the lightest surviving crossing edge (cycle property), so the
 //! certificate `T' ∪ batch-inserts ∪ per-pair-lightest-candidates` stays
-//! tiny while remaining exact — [`maintainer`] documents the proof
-//! obligations on each piece.
+//! tiny while remaining exact — the `maintainer` module documents the
+//! proof obligations on each piece.
 //!
 //! Updates route to their home PE with count-then-scatter
 //! [`kamsta_comm::FlatBuckets`]; shard lookups binary-search the

@@ -328,32 +328,6 @@ impl DynMst {
         all
     }
 
-    /// Forest membership for a batch of pair queries, answered at each
-    /// pair's home shard through the value-only request/reply exchange.
-    /// Every PE passes its own queries; answers align with them.
-    /// Collective.
-    pub fn in_msf_batch(&self, comm: &Comm, queries: &[(VertexId, VertexId)]) -> Vec<bool> {
-        let (n, p) = (self.cfg.n, self.p);
-        let items: Vec<(VertexId, VertexId, u32)> = queries
-            .iter()
-            .enumerate()
-            .map(|(k, &(u, v))| (u.min(v), u.max(v), k as u32))
-            .collect();
-        comm.charge_local(items.len() as u64);
-        let requests = FlatBuckets::from_dest_fn(p, items, |&(u, v, _)| {
-            home_of_pair(n, p, u.min(n - 1), v.min(n - 1))
-        });
-        let sent = requests.payload().to_vec();
-        let answers = comm.request_reply(requests, |&(u, v, _)| {
-            u != v && v < n && find_pair(&self.shard.msf, u, v).is_ok()
-        });
-        let mut out = vec![false; queries.len()];
-        for ((_, _, k), a) in sent.into_iter().zip(answers) {
-            out[k as usize] = a;
-        }
-        out
-    }
-
     /// Apply one batch of updates. Every PE contributes its own slice of
     /// the batch (the service front-end submits everything from rank 0);
     /// conflicting updates to one pair resolve last-writer-wins in
@@ -782,29 +756,6 @@ mod tests {
         for (o, edges) in out.results {
             assert_eq!(edges, vec![WEdge::new(0, 1, 3)]);
             assert_eq!(o.msf_weight, 3);
-        }
-    }
-
-    #[test]
-    fn membership_queries_answer_at_the_home_shard() {
-        let out = Machine::run(MachineConfig::new(4), |comm| {
-            let mut d = DynMst::new(comm, small_cfg(10));
-            let batch: Vec<Update> = if comm.rank() == 0 {
-                vec![
-                    Update::Insert(WEdge::new(0, 9, 1)),
-                    Update::Insert(WEdge::new(3, 4, 2)),
-                    Update::Insert(WEdge::new(0, 4, 3)),
-                    Update::Insert(WEdge::new(9, 4, 9)), // cycle: non-tree
-                ]
-            } else {
-                Vec::new()
-            };
-            d.apply_batch(comm, &batch);
-            // Every PE asks in reversed direction too.
-            d.in_msf_batch(comm, &[(9, 0), (4, 3), (4, 0), (4, 9), (7, 8), (5, 5)])
-        });
-        for r in out.results {
-            assert_eq!(r, vec![true, true, true, false, false, false]);
         }
     }
 

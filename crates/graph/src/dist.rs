@@ -33,10 +33,6 @@ pub struct DistGraph {
     pub first_shared: bool,
     /// True if this PE's last vertex also appears on a later PE.
     pub last_shared: bool,
-    /// Replicated, sorted list of all globally shared vertices (at most
-    /// `p − 1`). Lets any PE decide shared-ness of any vertex locally —
-    /// the property pointer doubling exploits (Sec. IV-B).
-    shared_vertices: Vec<VertexId>,
     /// Replicated: the smallest and the largest source id of the whole
     /// machine (`None` for the empty graph), read off the boundary
     /// allgather [`DistGraph::establish`] performs anyway.
@@ -105,17 +101,6 @@ impl DistGraph {
             }
         }
 
-        // Replicated shared-vertex list: boundary vertices spanning
-        // consecutive non-empty PEs (everyone computes the same list).
-        let mut shared_vertices = Vec::new();
-        let mut prev_last: Option<VertexId> = None;
-        for b in all_bounds.iter().flatten() {
-            if prev_last == Some(b.0) {
-                shared_vertices.push(b.0);
-            }
-            prev_last = Some(b.1);
-        }
-        shared_vertices.dedup();
         // The sequence is globally sorted: the first holder starts on the
         // smallest source, the last one ends on the largest.
         let mut holders = all_bounds.iter().flatten();
@@ -124,8 +109,9 @@ impl DistGraph {
             .map(|first| (first.0, holders.last().unwrap_or(first).1));
 
         // One scan finds the distinct sources: it builds the local-vertex
-        // index and counts the vertices (minus one if the first is already
-        // counted by an earlier PE).
+        // index and counts the vertices, minus one if the first is already
+        // counted by an earlier PE (the base-case switch of Sec. IV-D
+        // counts each shared vertex once).
         let mut verts: Vec<VertexId> = Vec::new();
         let mut seg_offsets: Vec<usize> = Vec::new();
         for (k, e) in edges.iter().enumerate() {
@@ -161,7 +147,6 @@ impl DistGraph {
             m_global,
             first_shared,
             last_shared,
-            shared_vertices,
             id_span,
             verts,
             seg_offsets,
@@ -169,17 +154,6 @@ impl DistGraph {
             rank: comm.rank(),
             p,
         }
-    }
-
-    /// True if `v` is shared between PEs anywhere in the machine —
-    /// decidable locally from replicated state (at most `p − 1` entries).
-    pub fn is_shared_global(&self, v: VertexId) -> bool {
-        self.shared_vertices.binary_search(&v).is_ok()
-    }
-
-    /// The replicated list of globally shared vertices, ascending.
-    pub fn shared_vertices(&self) -> &[VertexId] {
-        &self.shared_vertices
     }
 
     /// The closed range `(min, max)` of all source ids machine-wide —
@@ -202,14 +176,6 @@ impl DistGraph {
     #[inline]
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Home PE of a directed edge: the unique PE whose slice contains it
-    /// (assuming it exists in the graph). `O(log p)` binary search on the
-    /// replicated locator.
-    pub fn home_of_edge(&self, e: &WEdge) -> usize {
-        let idx = self.locator.partition_point(|first| first <= e);
-        idx.saturating_sub(1)
     }
 
     /// Home PE of a vertex: the *last* PE holding edges with source `v`
@@ -317,11 +283,6 @@ impl DistGraph {
         self.verts.binary_search(&v).ok()
     }
 
-    /// True if `v` appears as a source of one of this PE's edges.
-    pub fn is_local_vertex(&self, v: VertexId) -> bool {
-        self.local_index(v).is_some()
-    }
-
     /// True if `v` is one of this PE's boundary vertices shared with a
     /// neighbouring PE. Purely local (Sec. IV-B: "This property can be
     /// determined locally from the distributed graph data structure").
@@ -351,13 +312,6 @@ impl DistGraph {
             .iter()
             .zip(self.seg_offsets.windows(2))
             .map(|(&v, w)| (v, w[0]..w[1]))
-    }
-
-    /// Number of local vertices *not* shared with a previous PE — the
-    /// count whose global sum drives the base-case switch (Sec. IV-D
-    /// counts each shared vertex once).
-    pub fn owned_vertex_count(&self) -> u64 {
-        self.verts.len() as u64 - u64::from(self.first_shared)
     }
 }
 
@@ -432,7 +386,7 @@ mod tests {
                 g.m_global,
                 g.first_shared,
                 g.last_shared,
-                g.owned_vertex_count(),
+                g.local_vertices().len() as u64 - u64::from(g.first_shared),
             )
         });
         for (rank, (n, m, first_shared, last_shared, owned)) in out.results.into_iter().enumerate()
@@ -468,31 +422,17 @@ mod tests {
                 WEdge::new(4, 3, 4),
             ]
             .iter()
-            .map(|e| g.home_of_edge(e))
+            .map(|e| g.content_homes(e).end - 1)
             .collect();
             let vertex_homes: Vec<usize> = (0..5).map(|v| g.home_of_vertex(v)).collect();
             (edge_homes, vertex_homes)
         });
         for (edge_homes, vertex_homes) in out.results {
-            // (3,2,3) sits on PE 1 (vertex 3 spans PEs 1 and 2).
+            // The last PE that can hold each edge; (3,2,3) sits on PE 1
+            // (vertex 3 spans PEs 1 and 2).
             assert_eq!(edge_homes, vec![0, 1, 1, 2]);
             // vertex 3 is shared between PE1 and PE2; home = last holder.
             assert_eq!(vertex_homes, vec![0, 0, 1, 2, 2]);
-        }
-    }
-
-    #[test]
-    fn global_shared_list_is_replicated() {
-        let out = Machine::run(MachineConfig::new(3), |comm| {
-            let g = DistGraph::establish(comm, path_slice(comm.rank()));
-            (
-                g.shared_vertices().to_vec(),
-                (0..5).map(|v| g.is_shared_global(v)).collect::<Vec<bool>>(),
-            )
-        });
-        for (list, flags) in out.results {
-            assert_eq!(list, vec![3], "vertex 3 spans PEs 1 and 2");
-            assert_eq!(flags, vec![false, false, false, true, false]);
         }
     }
 
@@ -537,7 +477,6 @@ mod tests {
                 for v in 0..=5 * stride {
                     let want = verts.iter().position(|&x| x == v);
                     assert_eq!(g.local_index(v), want, "stride {stride}, vertex {v}");
-                    assert_eq!(g.is_local_vertex(v), want.is_some());
                 }
                 for v in (0..5).map(|k| k * stride) {
                     assert_eq!(g.is_ghost(v), g.home_of_vertex(v) != comm.rank());
@@ -570,7 +509,7 @@ mod tests {
                 g.segment_offsets().to_vec(),
                 g.local_index(4),
                 g.is_ghost(4),
-                g.owned_vertex_count(),
+                g.local_vertices().len() as u64 - u64::from(g.first_shared),
             )
         });
         assert_eq!(
@@ -593,7 +532,7 @@ mod tests {
             assert_eq!(g.id_span(), Some((0, 6)), "empty PEs hold no bound");
             (
                 g.n_global,
-                g.home_of_edge(&WEdge::new(5, 6, 2)),
+                g.content_homes(&WEdge::new(5, 6, 2)).end - 1,
                 g.home_of_vertex(6),
                 g.home_of_vertex(0),
             )

@@ -126,96 +126,15 @@ impl CEdge {
         ((self.u as u128) << 64) | self.v as u128
     }
 
-    /// The unique-weight total order `(w, min(u,v), max(u,v))` packed
-    /// into a [`PackedEdge`] key; `None` when an endpoint exceeds the
-    /// 48-bit packable range (callers fall back to comparison sorting).
-    #[inline]
-    pub fn packed_weight_key(&self) -> Option<PackedEdge> {
-        PackedEdge::pack(&self.wedge())
-    }
-
     #[inline]
     pub fn is_self_loop(&self) -> bool {
         self.u == self.v
     }
 }
 
-/// The unique-weight total order `(w, min(u,v), max(u,v))` of Sec. II-C
-/// packed into one `u128`: weight in bits 96..128, the smaller endpoint
-/// in bits 48..96, the larger in bits 0..48. Integer comparison equals
-/// the tuple order, and a single LSD radix sort over the 16 bytes (most
-/// of them constant for realistic inputs) replaces the comparison sort on
-/// the dedup-prefilter and base-case phases.
-///
-/// Packable iff both endpoints fit in 48 bits (`2^48` vertices —
-/// beyond any feasible instance; the graders fall back to comparison
-/// sorting otherwise).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct PackedEdge(pub u128);
-
-impl PackedEdge {
-    /// Largest endpoint label a packed key can hold.
-    pub const MAX_PACKABLE_VERTEX: VertexId = (1 << 48) - 1;
-
-    const MASK48: u128 = (1 << 48) - 1;
-
-    /// Pack the direction-symmetric unique-weight key; `None` if an
-    /// endpoint exceeds [`Self::MAX_PACKABLE_VERTEX`].
-    #[inline]
-    pub fn pack(e: &WEdge) -> Option<Self> {
-        let lo = e.u.min(e.v);
-        let hi = e.u.max(e.v);
-        if hi > Self::MAX_PACKABLE_VERTEX {
-            return None;
-        }
-        Some(Self(
-            ((e.w as u128) << 96) | ((lo as u128) << 48) | hi as u128,
-        ))
-    }
-
-    /// The edge weight.
-    #[inline]
-    pub fn weight(&self) -> Weight {
-        (self.0 >> 96) as Weight
-    }
-
-    /// The endpoints as `(min, max)`.
-    #[inline]
-    pub fn endpoints(&self) -> (VertexId, VertexId) {
-        (
-            ((self.0 >> 48) & Self::MASK48) as VertexId,
-            (self.0 & Self::MASK48) as VertexId,
-        )
-    }
-
-    /// The `(w, min, max)` tuple this key encodes.
-    #[inline]
-    pub fn weight_key(&self) -> (Weight, VertexId, VertexId) {
-        let (lo, hi) = self.endpoints();
-        (self.weight(), lo, hi)
-    }
-}
-
-impl kamsta_sort::RadixKey for PackedEdge {
-    const BYTES: usize = 16;
-    #[inline(always)]
-    fn radix_word(&self, i: usize) -> u64 {
-        (self.0 >> (8 * i)) as u64
-    }
-    #[inline(always)]
-    fn bit_or(a: Self, b: Self) -> Self {
-        Self(a.0 | b.0)
-    }
-    #[inline(always)]
-    fn bit_and(a: Self, b: Self) -> Self {
-        Self(a.0 & b.0)
-    }
-}
-
 /// Wire formats (transport boundary): edges are Pod-like, so they cross
 /// the byte transport as fixed-width little-endian field walks — `WEdge`
-/// as `u, v, w` (20 bytes), `CEdge` as `u, v, w, id` (28 bytes),
-/// `PackedEdge` as its `u128` key (16 bytes).
+/// as `u, v, w` (20 bytes), `CEdge` as `u, v, w, id` (28 bytes).
 impl kamsta_comm::Wire for WEdge {
     fn wire_write(&self, out: &mut Vec<u8>) {
         self.u.wire_write(out);
@@ -256,19 +175,6 @@ impl kamsta_comm::Wire for CEdge {
     }
 }
 
-impl kamsta_comm::Wire for PackedEdge {
-    fn wire_write(&self, out: &mut Vec<u8>) {
-        self.0.wire_write(out);
-    }
-    fn wire_read(r: &mut kamsta_comm::WireReader<'_>) -> Result<Self, kamsta_comm::WireError> {
-        Ok(Self(u128::wire_read(r)?))
-    }
-    #[inline]
-    fn wire_min_size() -> usize {
-        16
-    }
-}
-
 impl PartialOrd for CEdge {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -280,29 +186,6 @@ impl Ord for CEdge {
     /// sorting stays total and deterministic.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.u, self.v, self.w, self.id).cmp(&(other.u, other.v, other.w, other.id))
-    }
-}
-
-/// Compare two edges in the unique-weight total order (lighter first).
-#[inline]
-pub fn lighter<E: HasWeightKey>(a: &E, b: &E) -> bool {
-    a.weight_key_of() < b.weight_key_of()
-}
-
-/// Trait unifying weight-key access over [`WEdge`] and [`CEdge`].
-pub trait HasWeightKey {
-    fn weight_key_of(&self) -> (Weight, VertexId, VertexId);
-}
-
-impl HasWeightKey for WEdge {
-    fn weight_key_of(&self) -> (Weight, VertexId, VertexId) {
-        self.weight_key()
-    }
-}
-
-impl HasWeightKey for CEdge {
-    fn weight_key_of(&self) -> (Weight, VertexId, VertexId) {
-        self.weight_key()
     }
 }
 
@@ -343,9 +226,8 @@ mod tests {
         // Same weight, different endpoints: order decided by labels.
         let a = WEdge::new(1, 2, 5);
         let b = WEdge::new(1, 3, 5);
-        assert!(lighter(&a, &b));
-        assert!(lighter(&a.reversed(), &b));
-        assert!(!lighter(&b, &a));
+        assert!(a.weight_key() < b.weight_key());
+        assert!(a.reversed().weight_key() < b.weight_key());
     }
 
     #[test]
@@ -363,43 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_edge_roundtrips_and_orders_like_weight_key() {
-        let edges = [
-            WEdge::new(7, 3, 10),
-            WEdge::new(3, 7, 10),
-            WEdge::new(0, 1, 10),
-            WEdge::new(1, 0, 9),
-            WEdge::new(1u64 << 47, 5, 9),
-        ];
-        for e in &edges {
-            let p = PackedEdge::pack(e).unwrap();
-            assert_eq!(p.weight_key(), e.weight_key(), "{e:?}");
-        }
-        for a in &edges {
-            for b in &edges {
-                let (pa, pb) = (PackedEdge::pack(a).unwrap(), PackedEdge::pack(b).unwrap());
-                assert_eq!(
-                    pa.cmp(&pb),
-                    a.weight_key().cmp(&b.weight_key()),
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
-        // Direction symmetry survives packing.
-        assert_eq!(
-            PackedEdge::pack(&edges[0]),
-            PackedEdge::pack(&edges[0].reversed())
-        );
-    }
-
-    #[test]
-    fn packed_edge_rejects_oversized_vertices() {
-        assert!(PackedEdge::pack(&WEdge::new(1 << 48, 0, 1)).is_none());
-        assert!(PackedEdge::pack(&WEdge::new(0, 1 << 48, 1)).is_none());
-        assert!(PackedEdge::pack(&WEdge::new(PackedEdge::MAX_PACKABLE_VERTEX, 0, 1)).is_some());
-    }
-
-    #[test]
     fn lex_key_realises_cedge_ord() {
         let edges = [
             CEdge::new(1, 2, 3, 0),
@@ -407,6 +252,23 @@ mod tests {
             CEdge::new(0, 9, 9, 9),
             CEdge::new(u64::MAX, 0, 7, 2),
             CEdge::new(1, 3, 0, u64::MAX),
+        ];
+        for a in &edges {
+            for b in &edges {
+                assert_eq!(a.lex_key().cmp(&b.lex_key()), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn lex_key_realises_wedge_ord() {
+        let edges = [
+            WEdge::new(1, 2, 3),
+            WEdge::new(1, 2, 4),
+            WEdge::new(0, 9, 9),
+            WEdge::new(u64::MAX, 0, 7),
+            WEdge::new(1, 3, 0),
+            WEdge::new(1, 3, u32::MAX),
         ];
         for a in &edges {
             for b in &edges {

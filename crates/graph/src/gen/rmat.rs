@@ -87,7 +87,7 @@ pub fn rmat(comm: &Comm, params: RmatParams, seed: u64) -> Vec<WEdge> {
     }
     comm.charge_local(edges.len() as u64 * params.scale as u64);
     // Paper methodology: global sort, then equal redistribution.
-    let sorted = kamsta_sort::sort_auto(comm, edges, seed ^ 0x4D41_5254);
+    let sorted = kamsta_sort::sort_auto_by_key(comm, edges, seed ^ 0x4D41_5254, WEdge::lex_key);
     kamsta_sort::rebalance(comm, sorted)
 }
 

@@ -17,7 +17,7 @@ pub mod io;
 pub mod varint;
 
 pub use dist::{assign_ids, home_of_id, id_offsets, DistGraph};
-pub use edge::{lighter, CEdge, HasWeightKey, PackedEdge, VertexId, WEdge, Weight};
+pub use edge::{CEdge, VertexId, WEdge, Weight};
 pub use gen::GraphConfig;
 pub use input::{canonicalize_pair_ids, InputGraph};
 pub use varint::CompressedEdges;

@@ -1,81 +1,15 @@
 //! Property tests for the packed-key radix sort path: sorting edges by
-//! [`PackedEdge`] keys must be a permutation that matches `sort_unstable`
-//! under the `(w, min(u,v), max(u,v))` total order — including inputs
-//! obeying the distinct-weight invariant the paper assumes (Sec. II-C).
+//! their packed keys — [`CEdge::lex_key`] and [`WEdge::lex_key`] for the
+//! lexicographic order, the packed `(w, id)` for the unique-weight order
+//! over pair-canonical ids — must be a permutation that matches the
+//! comparison sort under the order the key realises.
 
-use kamsta_graph::{CEdge, PackedEdge, WEdge};
-use kamsta_sort::{radix_sort_by_key, radix_sort_keys};
+use kamsta_graph::{CEdge, WEdge};
+use kamsta_sort::radix_sort_by_key;
 use proptest::prelude::*;
-
-fn weight_order(a: &WEdge, b: &WEdge) -> std::cmp::Ordering {
-    a.weight_key().cmp(&b.weight_key())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn packed_key_radix_matches_comparison_sort(
-        raw in prop::collection::vec((0u64..1 << 20, 0u64..1 << 20, any::<u32>()), 0..400),
-    ) {
-        let edges: Vec<WEdge> = raw.iter().map(|&(u, v, w)| WEdge::new(u, v, w)).collect();
-        let mut keys: Vec<PackedEdge> = edges
-            .iter()
-            .map(|e| PackedEdge::pack(e).expect("u, v < 2^48 are packable"))
-            .collect();
-        let mut reference = keys.clone();
-        reference.sort_unstable();
-        radix_sort_keys(&mut keys);
-        prop_assert_eq!(&keys, &reference);
-
-        // Sorting the edges through the packed key is a permutation of
-        // the input matching the comparison sort's order.
-        let mut by_radix = edges.clone();
-        radix_sort_by_key(&mut by_radix, |e: &WEdge| {
-            PackedEdge::pack(e).expect("packable").0
-        });
-        let mut by_cmp = edges.clone();
-        by_cmp.sort_by(weight_order); // stable, like the radix path
-        prop_assert_eq!(
-            by_radix.iter().map(WEdge::weight_key).collect::<Vec<_>>(),
-            by_cmp.iter().map(WEdge::weight_key).collect::<Vec<_>>()
-        );
-        // Permutation: same multiset of edges.
-        let mut a = by_radix;
-        let mut b = edges;
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn unique_weight_invariant_edges_sort_identically(
-        n in 2u64..120,
-        seed in any::<u64>(),
-    ) {
-        // Distinct-weight-free instance (Sec. II-C): every undirected
-        // pair gets a unique weight, both directions present. The packed
-        // key must order both directions identically and the radix sort
-        // must reproduce the comparison order exactly.
-        let mut edges: Vec<CEdge> = Vec::new();
-        let mut w = 1u32;
-        for i in 0..n {
-            let j = (i + 1 + seed % (n - 1).max(1)) % n;
-            if i == j {
-                continue;
-            }
-            edges.push(CEdge::new(i, j, w, 2 * w as u64));
-            edges.push(CEdge::new(j, i, w, 2 * w as u64 + 1));
-            w += 1;
-        }
-        let mut by_radix = edges.clone();
-        radix_sort_by_key(&mut by_radix, |e: &CEdge| {
-            (e.packed_weight_key().expect("packable").0, e.id)
-        });
-        let mut by_cmp = edges.clone();
-        by_cmp.sort_unstable_by_key(|e| (e.weight_key(), e.id));
-        prop_assert_eq!(by_radix, by_cmp);
-    }
 
     #[test]
     fn lex_key_radix_matches_cedge_ord(
@@ -88,6 +22,39 @@ proptest! {
         let mut by_radix = edges.clone();
         radix_sort_by_key(&mut by_radix, CEdge::lex_key);
         let mut by_cmp = edges;
+        by_cmp.sort_unstable();
+        prop_assert_eq!(by_radix, by_cmp);
+    }
+
+    #[test]
+    fn lex_key_radix_matches_wedge_ord(
+        raw in prop::collection::vec((0u64..1 << 10, 0u64..1 << 10, 0u32..16), 0..400),
+    ) {
+        // Narrow ranges: many duplicates, as RMAT's generator emits.
+        let edges: Vec<WEdge> = raw.iter().map(|&(u, v, w)| WEdge::new(u, v, w)).collect();
+        let mut by_radix = edges.clone();
+        radix_sort_by_key(&mut by_radix, WEdge::lex_key);
+        let mut by_cmp = edges;
+        by_cmp.sort_unstable();
+        prop_assert_eq!(by_radix, by_cmp);
+    }
+
+    #[test]
+    fn weight_id_key_radix_matches_the_tuple_order(
+        raw in prop::collection::vec((0u64..1 << 20, 0u64..1 << 20, any::<u32>(), any::<u64>()), 0..400),
+    ) {
+        let edges: Vec<CEdge> = raw
+            .iter()
+            .map(|&(u, v, w, id)| CEdge::new(u, v, w, id))
+            .collect();
+        let mut by_radix = edges.clone();
+        radix_sort_by_key(&mut by_radix, |e: &CEdge| ((e.w as u128) << 64) | e.id as u128);
+        let mut by_cmp = edges;
+        by_cmp.sort_unstable_by_key(|e| (e.w, e.id));
+        let weight_ids = |v: &[CEdge]| v.iter().map(|e| (e.w, e.id)).collect::<Vec<_>>();
+        prop_assert_eq!(weight_ids(&by_radix), weight_ids(&by_cmp));
+        // Permutation: same multiset of edges.
+        by_radix.sort_unstable();
         by_cmp.sort_unstable();
         prop_assert_eq!(by_radix, by_cmp);
     }

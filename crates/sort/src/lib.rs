@@ -1,17 +1,22 @@
 //! # kamsta-sort — distributed sorting over `kamsta-comm`
 //!
-//! The paper's MST algorithms lean on distributed comparison sorting in two
-//! places: rebuilding the lexicographically sorted distributed edge list
-//! after every contraction round (`REDISTRIBUTE`, Sec. IV-C) and sorting
-//! pivot samples in Filter-Borůvka (Sec. V). Following Sec. II-A / VI-C:
+//! The paper's MST algorithms lean on distributed sorting to rebuild the
+//! lexicographically sorted distributed edge list after every contraction
+//! round (`REDISTRIBUTE`, Sec. IV-C) and to lay out inputs that arrive
+//! unsorted (RMAT's generator, `InputGraph::from_unsorted_edges`).
+//! Filter-Borůvka's pivot samples (Sec. V) are small enough to allgather
+//! and sort locally, so they never reach this crate's distributed
+//! sorters. Following Sec. II-A / VI-C:
 //!
 //! * [`hypercube_quicksort`] moves the data a logarithmic number of times —
 //!   right for small inputs on many PEs (the paper uses it when the average
 //!   number of elements per PE is ≤ 512);
-//! * [`sample_sort`] is a two-level AMS-style sample sort that moves data a
-//!   constant number of times — right for large inputs. Its splitter sample
-//!   is itself sorted with the hypercube algorithm, as in the paper;
-//! * [`sort_auto`] applies the paper's selection rule;
+//! * [`sample_sort_by_key`] is a two-level AMS-style sample sort that moves
+//!   data a constant number of times — right for large inputs. Its local
+//!   phase is the LSD radix sort on a packed key ([`local_radix_sort`]);
+//!   its splitter sample is itself sorted with the hypercube algorithm, as
+//!   in the paper;
+//! * [`sort_auto_by_key`] applies the paper's selection rule;
 //! * [`rebalance`] restores perfectly balanced block distribution while
 //!   preserving global order — the output contract of `REDISTRIBUTE`.
 //!
@@ -33,7 +38,7 @@ pub use radix::{
     par_radix_sort_by_key, radix_order_by_key, radix_sort_by_key, radix_sort_keys, RadixKey,
     SortOutcome, TooLongForRadix,
 };
-pub use sample::{sample_sort, sample_sort_by_key};
+pub use sample::sample_sort_by_key;
 
 use kamsta_comm::{Comm, Wire};
 
@@ -43,24 +48,10 @@ use kamsta_comm::{Comm, Wire};
 pub const HYPERCUBE_THRESHOLD: u64 = 512;
 
 /// The paper's sorter selection rule (Sec. VI-C): hypercube quicksort for
-/// small inputs, two-level sample sort for large ones. Collective.
-pub fn sort_auto<T>(comm: &Comm, data: Vec<T>, seed: u64) -> Vec<T>
-where
-    T: Wire + Ord + Clone + Send + Sync + 'static,
-{
-    let total = comm.allreduce_sum(data.len() as u64);
-    let avg_per_pe = total / comm.size() as u64;
-    if avg_per_pe <= HYPERCUBE_THRESHOLD {
-        hypercube_quicksort(comm, data, seed)
-    } else {
-        sample_sort(comm, data, seed)
-    }
-}
-
-/// [`sort_auto`] with a packed radix key for the local phases. `key_of`
-/// must realise exactly `T`'s `Ord`; the hypercube path (small inputs,
-/// where startups dominate and local sorting is negligible) stays
-/// comparison-based. Collective.
+/// small inputs, two-level sample sort for large ones. `key_of` must
+/// realise exactly `T`'s `Ord`; it drives the sample sort's local radix
+/// phase, while the hypercube path (small inputs, where startups dominate
+/// and local sorting is negligible) stays comparison-based. Collective.
 pub fn sort_auto_by_key<T, K>(
     comm: &Comm,
     data: Vec<T>,

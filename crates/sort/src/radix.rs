@@ -3,11 +3,11 @@
 //!
 //! The local phases of the distributed sorts — and the dedup prefilter of
 //! `REDISTRIBUTE` (Sec. VI-B) — order edges under keys that pack into
-//! wide integers (`kamsta-graph`'s `PackedEdge`, the full lexicographic
-//! `(u, v, w, id)` key, the `(u, v)` pair key). The engine computes the
-//! *sorted order* of a slice — the input indices, ascending by key —
-//! and leaves moving the elements to the caller: the in-place sorters
-//! gather along it, the prefilter only walks it
+//! wide integers (`kamsta-graph`'s full lexicographic `(u, v, w, id)`
+//! key, the `(u, v)` pair key, the unique-weight `(w, id)`). The engine
+//! computes the *sorted order* of a slice — the input indices, ascending
+//! by key — and leaves moving the elements to the caller: the in-place
+//! sorters gather along it, the prefilter only walks it
 //! ([`radix_order_by_key`]). An OR/AND fold finds the bytes that
 //! actually vary; they are compacted into a narrow `u32`/`u64`/`u128`
 //! so the stable counting passes move small records, and the same scan
@@ -191,7 +191,7 @@ compact_key_uint!(u128, 16);
 
 /// The engine tags every record with a `u32` input index and counts
 /// digits into `u32` histograms; a slice longer than `u32::MAX` would be
-/// permuted wrongly, so [`plan`] refuses it with this error. The
+/// permuted wrongly, so the engine's planner refuses it with this error. The
 /// in-place sorters turn the refusal into their comparison path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TooLongForRadix {
@@ -607,8 +607,8 @@ pub(crate) fn par_radix_order_by_key<T: Sync, K: RadixKey + Send + Sync>(
     })
 }
 
-/// Width-parallel [`radix_sort_by_key`]: the order of
-/// [`par_radix_order_by_key`] followed by a parallel gather — same
+/// Width-parallel [`radix_sort_by_key`]: the width-parallel
+/// [`radix_order_by_key`] followed by a parallel gather — same
 /// [`SortOutcome`], bit-identical output at every rayon width. The
 /// comparison fallback runs `par_sort_unstable_by_key`; as with the
 /// sequential fallback, cross-width determinism there relies on the

@@ -9,7 +9,7 @@
 //! per-partner volumes, making this "two-level" in the AMS sense as well.
 
 use crate::hypercube::hypercube_quicksort;
-use crate::local::{local_radix_sort, local_sort};
+use crate::local::local_radix_sort;
 use crate::merge::multiway_merge_flat;
 use crate::radix::RadixKey;
 use kamsta_comm::{Comm, FlatBuckets, Wire};
@@ -21,21 +21,14 @@ const OVERSAMPLING: usize = 16;
 /// Sort the distributed sequence; returns this PE's bucket of the globally
 /// sorted result (rank-order concatenation is sorted). Collective.
 ///
-/// The output is bucket-partitioned, not perfectly balanced; callers that
-/// need balanced blocks compose with [`crate::rebalance`].
-pub fn sample_sort<T>(comm: &Comm, data: Vec<T>, seed: u64) -> Vec<T>
-where
-    T: Wire + Ord + Clone + Send + Sync + 'static,
-{
-    sample_sort_impl(comm, data, seed, |c, d| local_sort(c, d))
-}
-
-/// [`sample_sort`] with the local phase replaced by the LSD radix sort on
-/// packed keys ([`crate::radix`]). `key_of` must realise exactly `T`'s
-/// `Ord` — the distributed plumbing (splitters, merge) still compares.
+/// The local phase is the LSD radix sort on `key_of`, which must realise
+/// exactly `T`'s `Ord` — the distributed plumbing (splitters, merge)
+/// still compares. The output is bucket-partitioned, not perfectly
+/// balanced; callers that need balanced blocks compose with
+/// [`crate::rebalance`].
 pub fn sample_sort_by_key<T, K>(
     comm: &Comm,
-    data: Vec<T>,
+    mut data: Vec<T>,
     seed: u64,
     key_of: impl Fn(&T) -> K + Copy + Sync,
 ) -> Vec<T>
@@ -43,24 +36,11 @@ where
     T: Wire + Ord + Copy + Send + Sync + 'static,
     K: RadixKey + Send,
 {
-    sample_sort_impl(comm, data, seed, move |c, d| local_radix_sort(c, d, key_of))
-}
-
-fn sample_sort_impl<T>(
-    comm: &Comm,
-    mut data: Vec<T>,
-    seed: u64,
-    local: impl Fn(&Comm, &mut [T]),
-) -> Vec<T>
-where
-    T: Wire + Ord + Clone + Send + Sync + 'static,
-{
     let p = comm.size();
+    local_radix_sort(comm, &mut data, key_of);
     if p == 1 {
-        local(comm, &mut data);
         return data;
     }
-    local(comm, &mut data);
 
     // Regular sampling of the locally sorted run.
     let s = OVERSAMPLING.min(data.len());
@@ -68,7 +48,7 @@ where
     for i in 0..s {
         // Evenly spaced picks, biased away from position 0.
         let idx = ((i + 1) * data.len()) / (s + 1);
-        sample.push(data[idx.min(data.len() - 1)].clone());
+        sample.push(data[idx.min(data.len() - 1)]);
     }
 
     // Sort the global sample with the hypercube sorter (small input).
@@ -83,7 +63,7 @@ where
         for i in 1..p as u64 {
             let pos = (i * total) / p as u64;
             if pos >= my_offset && pos < my_offset + my_sorted_sample.len() as u64 {
-                owned_splitters.push(my_sorted_sample[(pos - my_offset) as usize].clone());
+                owned_splitters.push(my_sorted_sample[(pos - my_offset) as usize]);
             }
         }
     }

@@ -2,7 +2,7 @@
 //! over arbitrary PE counts, every sorter returns the sorted multiset.
 
 use kamsta_comm::{Machine, MachineConfig};
-use kamsta_sort::{hypercube_quicksort, rebalance, sample_sort};
+use kamsta_sort::{hypercube_quicksort, rebalance, sample_sort_by_key};
 use proptest::prelude::*;
 
 proptest! {
@@ -34,7 +34,7 @@ proptest! {
         let chunks_for_run = chunks.clone();
         let out = Machine::run(MachineConfig::new(p), move |comm| {
             let data = chunks_for_run.get(comm.rank()).cloned().unwrap_or_default();
-            sample_sort(comm, data, seed)
+            sample_sort_by_key(comm, data, seed, |&x| x)
         });
         let flat: Vec<u32> = out.results.into_iter().flatten().collect();
         let mut expected: Vec<u32> = chunks.iter().take(p).flatten().copied().collect();

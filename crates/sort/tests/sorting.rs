@@ -1,8 +1,11 @@
 //! End-to-end correctness of the distributed sorters: the rank-order
 //! concatenation of outputs must be the sorted multiset of all inputs.
 
-use kamsta_comm::{Machine, MachineConfig};
-use kamsta_sort::{hypercube_quicksort, is_globally_sorted, rebalance, sample_sort, sort_auto};
+use kamsta_comm::{Comm, Machine, MachineConfig, PeStats};
+use kamsta_sort::{
+    hypercube_quicksort, is_globally_sorted, rebalance, sample_sort_by_key, sort_auto_by_key,
+    HYPERCUBE_THRESHOLD,
+};
 
 /// Deterministic pseudo-random input for PE `rank`.
 fn input_for(rank: usize, n: usize, salt: u64) -> Vec<u64> {
@@ -25,8 +28,8 @@ fn check_sorter(p: usize, per_pe: usize, salt: u64, which: &str) {
         let data = input_for(comm.rank(), per_pe, salt);
         let sorted = match which_owned.as_str() {
             "hypercube" => hypercube_quicksort(comm, data, 42),
-            "sample" => sample_sort(comm, data, 42),
-            "auto" => sort_auto(comm, data, 42),
+            "sample" => sample_sort_by_key(comm, data, 42, |&x| x),
+            "auto" => sort_auto_by_key(comm, data, 42, |&x| x),
             _ => unreachable!(),
         };
         let ok = is_globally_sorted(comm, &sorted);
@@ -76,23 +79,65 @@ fn sample_sorts_various_sizes() {
 }
 
 #[test]
-fn sample_sorts_skewed_duplicates() {
+fn auto_sorts_skewed_duplicates() {
+    // Heavy duplication, only 4 distinct keys, on both sides of the
+    // threshold: the hypercube's pivots and the sample sort's splitters
+    // both land on runs of equal keys.
     let p = 6;
-    let out = Machine::run(MachineConfig::new(p), move |comm| {
-        // Heavy duplication: only 4 distinct keys.
-        let data: Vec<u64> = (0..200).map(|i| (i + comm.rank()) as u64 % 4).collect();
-        sample_sort(comm, data, 3)
+    for per_pe in [200, 2000] {
+        let out = Machine::run(MachineConfig::new(p), move |comm| {
+            let data: Vec<u64> = (0..per_pe).map(|i| (i + comm.rank()) as u64 % 4).collect();
+            sort_auto_by_key(comm, data, 3, |&x| x)
+        });
+        let flat: Vec<u64> = out.results.into_iter().flatten().collect();
+        assert_eq!(flat.len(), per_pe * p);
+        assert!(flat.windows(2).all(|w| w[0] <= w[1]), "per_pe={per_pe}");
+    }
+}
+
+/// Outputs and per-PE stats of `sort` on `per_pe` elements per PE.
+fn sort_run(per_pe: usize, sort: fn(&Comm, Vec<u64>) -> Vec<u64>) -> (Vec<Vec<u64>>, Vec<PeStats>) {
+    let out = Machine::run(MachineConfig::new(8), move |comm| {
+        sort(comm, input_for(comm.rank(), per_pe, 4))
     });
-    let flat: Vec<u64> = out.results.into_iter().flatten().collect();
-    assert_eq!(flat.len(), 200 * p);
-    assert!(flat.windows(2).all(|w| w[0] <= w[1]));
+    (out.results, out.stats)
+}
+
+fn auto(comm: &Comm, data: Vec<u64>) -> Vec<u64> {
+    sort_auto_by_key(comm, data, 42, |&x| x)
+}
+
+fn sum_then_hypercube(comm: &Comm, data: Vec<u64>) -> Vec<u64> {
+    comm.allreduce_sum(data.len() as u64);
+    hypercube_quicksort(comm, data, 42)
+}
+
+fn sum_then_sample_sort(comm: &Comm, data: Vec<u64>) -> Vec<u64> {
+    comm.allreduce_sum(data.len() as u64);
+    sample_sort_by_key(comm, data, 42, |&x| x)
 }
 
 #[test]
-fn auto_picks_hypercube_for_small_and_sample_for_large() {
-    // Functional check only: both paths must sort correctly.
-    check_sorter(8, 10, 4, "auto"); // avg 10 <= 512 → hypercube path
-    check_sorter(8, 2000, 5, "auto"); // avg 2000 > 512 → sample path
+fn auto_picks_hypercube_up_to_the_threshold_and_sample_sort_above() {
+    // Sec. VI-C: hypercube quicksort while the average per PE is at most
+    // HYPERCUBE_THRESHOLD, the sample sort from one element above it. The
+    // charges tell the two routes apart, so equal stats pin the choice.
+    let t = HYPERCUBE_THRESHOLD as usize;
+    for per_pe in [10, t] {
+        assert_eq!(sort_run(per_pe, auto), sort_run(per_pe, sum_then_hypercube));
+        check_sorter(8, per_pe, 4, "auto");
+    }
+    for per_pe in [t + 1, 2000] {
+        assert_eq!(
+            sort_run(per_pe, auto),
+            sort_run(per_pe, sum_then_sample_sort)
+        );
+        check_sorter(8, per_pe, 5, "auto");
+    }
+    assert_ne!(
+        sort_run(t, sum_then_hypercube).1,
+        sort_run(t, sum_then_sample_sort).1
+    );
 }
 
 #[test]
@@ -100,7 +145,7 @@ fn sorters_are_deterministic() {
     let run = || {
         Machine::run(MachineConfig::new(6), |comm| {
             let data = input_for(comm.rank(), 300, 11);
-            sample_sort(comm, data, 99)
+            sample_sort_by_key(comm, data, 99, |&x| x)
         })
         .results
     };
@@ -113,7 +158,7 @@ fn sort_then_rebalance_gives_balanced_sorted_blocks() {
     let per_pe = 123;
     let out = Machine::run(MachineConfig::new(p), move |comm| {
         let data = input_for(comm.rank(), per_pe, 13);
-        let sorted = sample_sort(comm, data, 21);
+        let sorted = sample_sort_by_key(comm, data, 21, |&x| x);
         let balanced = rebalance(comm, sorted);
         let ok = is_globally_sorted(comm, &balanced);
         (balanced, ok)
@@ -134,7 +179,7 @@ fn sort_then_rebalance_gives_balanced_sorted_blocks() {
 fn sorting_charges_communication_and_work() {
     let out = Machine::run(MachineConfig::new(4), |comm| {
         let data = input_for(comm.rank(), 1000, 17);
-        sample_sort(comm, data, 1);
+        sample_sort_by_key(comm, data, 1, |&x| x);
     });
     assert!(out.total_messages() > 0);
     assert!(out.total_bytes() > 0);

@@ -124,7 +124,6 @@ fn alltoall_strategies_do_not_change_results() {
         kamsta::AlltoallKind::Auto,
         kamsta::AlltoallKind::Direct,
         kamsta::AlltoallKind::Grid,
-        kamsta::AlltoallKind::Hypercube,
     ] {
         let s = Runner::new(8, 1)
             .with_mst_config(small_cfg())
