@@ -1,6 +1,6 @@
 //! Micro-bench below the end-to-end benchmark's `graph.prepare_s`:
-//! `InputGraph::from_sorted_edges` step by step — assign ids, compress
-//! the original list, establish the distributed structure, canonicalise
+//! `InputGraph::from_sorted_edges` step by step — compute the id space
+//! and assign ids, establish the distributed structure, canonicalise
 //! pair ids — at p = 2, on the benchmark's two input shapes (GNM
 //! 2^16 / 2^20, RGG-2D 2^18 / 2^22), a small GNM, a small RGG, and a
 //! certificate-shaped input (a spanning tree on 2^15 vertices, ≈ 2 n
@@ -11,13 +11,12 @@
 //! run per input, every PE in lockstep, so that generating the input is
 //! paid once and a step costs what its slowest PE took. The `whole`
 //! column is `from_sorted_edges` itself on the same slices — what the
-//! four steps should add up to.
+//! three steps should add up to.
 
 use kamsta_comm::{Comm, Machine, MachineConfig};
 use kamsta_graph::hash::mix64;
 use kamsta_graph::{
-    assign_ids, canonicalize_pair_ids, id_offsets, CompressedEdges, DistGraph, GraphConfig,
-    InputGraph, WEdge,
+    assign_ids, canonicalize_pair_ids, id_offsets, DistGraph, GraphConfig, InputGraph, WEdge,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,7 +24,7 @@ use std::time::Instant;
 const PES: usize = 2;
 const WARM_UP: usize = 1;
 const SAMPLES: usize = 7;
-const STEPS: [&str; 5] = ["assign", "compress", "establish", "canonicalize", "whole"];
+const STEPS: [&str; 4] = ["assign", "establish", "canonicalize", "whole"];
 
 #[derive(Clone, Copy)]
 enum Input {
@@ -58,7 +57,7 @@ impl Input {
 
 /// Milliseconds of each step of one preparation of `edges` on this PE,
 /// in the order of [`STEPS`]; the steps are `from_sorted_edges`' body.
-fn time_steps(comm: &Comm, edges: &[WEdge]) -> [f64; 5] {
+fn time_steps(comm: &Comm, edges: &[WEdge]) -> [f64; 4] {
     let (stepwise, whole) = (edges.to_vec(), edges.to_vec());
     let mut last = Instant::now();
     let mut lap = || {
@@ -67,24 +66,22 @@ fn time_steps(comm: &Comm, edges: &[WEdge]) -> [f64; 5] {
     };
     comm.barrier();
     lap();
-    let with_ids = assign_ids(comm, stepwise);
+    let offsets = id_offsets(comm, stepwise.len());
+    let with_ids = assign_ids(stepwise, offsets[comm.rank()]);
     let assign = lap();
-    let offsets = id_offsets(comm, with_ids.len());
-    let compressed = CompressedEdges::compress(&with_ids, offsets[comm.rank()]);
-    let compress = lap();
     let mut graph = DistGraph::establish(comm, with_ids);
     let establish = lap();
     canonicalize_pair_ids(comm, &mut graph);
     let canonicalize = lap();
-    drop(black_box((graph, compressed)));
+    drop(black_box(graph));
     comm.barrier();
     lap();
     black_box(InputGraph::from_sorted_edges(comm, whole));
-    [assign, compress, establish, canonicalize, lap()]
+    [assign, establish, canonicalize, lap()]
 }
 
 /// Median over the samples of the slowest PE's time for `step`.
-fn median_of_slowest(per_pe: &[Vec<[f64; 5]>], step: usize) -> f64 {
+fn median_of_slowest(per_pe: &[Vec<[f64; 4]>], step: usize) -> f64 {
     let mut samples: Vec<f64> = (0..SAMPLES)
         .map(|k| per_pe.iter().map(|t| t[k][step]).fold(0.0, f64::max))
         .collect();
@@ -112,7 +109,7 @@ fn main() {
     ] {
         let out = Machine::run(MachineConfig::new(PES), move |comm| {
             let edges = input.slice(comm);
-            let times: Vec<[f64; 5]> = (0..WARM_UP + SAMPLES)
+            let times: Vec<[f64; 4]> = (0..WARM_UP + SAMPLES)
                 .map(|_| time_steps(comm, &edges))
                 .skip(WARM_UP)
                 .collect();

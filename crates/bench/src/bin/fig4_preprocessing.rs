@@ -28,8 +28,8 @@ fn main() {
 
     let noprep = |algo: Algorithm, threads: usize| Variant { algo, threads };
     let variants = [
-        noprep(Algorithm::BoruvkaNoPreprocessing, 1),
-        noprep(Algorithm::BoruvkaNoPreprocessing, 8),
+        noprep(Algorithm::Boruvka, 1),
+        noprep(Algorithm::Boruvka, 8),
         noprep(Algorithm::FilterBoruvka, 1),
         noprep(Algorithm::FilterBoruvka, 8),
     ];

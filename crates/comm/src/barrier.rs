@@ -155,11 +155,6 @@ impl ClockBarrier {
         }
     }
 
-    #[allow(dead_code)] // diagnostic surface used by tests
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Mark the barrier poisoned (a PE panicked) and wake every parked
     /// waiter; spinning waiters notice the flag themselves.
     pub fn poison(&self) {
@@ -169,11 +164,6 @@ impl ClockBarrier {
                 t.unpark();
             }
         }
-    }
-
-    #[allow(dead_code)] // diagnostic surface used by tests
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
     }
 
     #[inline]

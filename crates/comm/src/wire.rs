@@ -10,9 +10,9 @@
 //!   little-endian — the layout the radix sorter and the flat buffers
 //!   already assume, so encoding a `&[CEdge]` is a plain field walk.
 //! * **Counts and displacements** (`usize`, `Vec` lengths, `FlatBuckets`
-//!   bucket counts) are LEB128 varints — the 7-bit codec of
-//!   `kamsta-graph`'s compressed edge lists, which wins on the small
-//!   values these overwhelmingly are.
+//!   bucket counts) are LEB128 varints — the paper's 7-bit codec
+//!   (Sec. VI-C), which wins on the small values these overwhelmingly
+//!   are.
 //! * **Containers** (`Vec<T>`, `Option<T>`, tuples, `FlatBuckets<T>`)
 //!   compose element encodings with varint length/count headers.
 //!

@@ -106,9 +106,9 @@ impl PhaseTimes {
 /// a modeled number). `WallStats` is the wall-side mirror: it covers
 /// the whole simulation, cut at the same seams the modeled scopes use —
 /// generate (graph generation or input distribution), prepare
-/// (`InputGraph` construction: id assignment, compression, pair-id
-/// canonicalisation), solve (the algorithm minus its redistribution
-/// rounds) and redistribute (the `redistribute` +
+/// (`InputGraph` construction: id assignment, the distributed
+/// structure, pair-id canonicalisation), solve (the algorithm minus its
+/// redistribution rounds) and redistribute (the `redistribute` +
 /// `basecase+redistributeMST` phase walls).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WallStats {
@@ -123,11 +123,6 @@ pub struct WallStats {
 }
 
 impl WallStats {
-    /// Total measured wall seconds across the four scopes.
-    pub fn total(&self) -> f64 {
-        self.generate + self.prepare + self.solve + self.redistribute
-    }
-
     /// Merge per-PE breakdowns into the bottleneck profile (element-wise
     /// max), mirroring [`PhaseTimes::reduce_max`]. Collective.
     pub fn reduce_max(comm: &Comm, mine: &WallStats) -> WallStats {

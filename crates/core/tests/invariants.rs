@@ -211,9 +211,3 @@ fn relabel_matches_allgathered_labels_on_dense_ids() {
 fn relabel_matches_allgathered_labels_on_ids_2_pow_40_apart() {
     check_relabel_against_allgathered_labels(1 << 40, false);
 }
-
-// Re-export needed for the diagnostic to compile when DistGraph is used.
-#[allow(dead_code)]
-fn _touch(g: &DistGraph) -> usize {
-    g.edges.len()
-}

@@ -278,11 +278,6 @@ impl DynMst {
         (self.shard, self.rep)
     }
 
-    /// The maintainer configuration.
-    pub fn config(&self) -> &DynConfig {
-        &self.cfg
-    }
-
     /// Cached global forest weight (replicated; no communication).
     pub fn msf_weight(&self) -> u64 {
         self.rep.weight
@@ -296,21 +291,6 @@ impl DynMst {
     /// Lifetime statistics (replicated; no communication).
     pub fn stats(&self) -> UpdateStats {
         self.rep.stats
-    }
-
-    /// The replicated scalars (for checkpointing).
-    pub fn replicated(&self) -> DynReplicated {
-        self.rep
-    }
-
-    /// This PE's forest shard (canonical `u < v`, lex-sorted).
-    pub fn local_msf(&self) -> &[CEdge] {
-        &self.shard.msf
-    }
-
-    /// This PE's store shard (canonical `u < v`, lex-sorted).
-    pub fn local_edges(&self) -> &[CEdge] {
-        &self.shard.store
     }
 
     /// The full forest, replicated (tests/debugging). Collective.

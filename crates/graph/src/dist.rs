@@ -315,15 +315,15 @@ impl DistGraph {
     }
 }
 
-/// Assign global-position ids to a distributed (sorted) edge sequence:
-/// the id of an edge is its global rank in the sequence. Collective.
-pub fn assign_ids(comm: &Comm, edges: Vec<WEdge>) -> Vec<CEdge> {
-    let offset = comm.exscan_sum(edges.len() as u64);
-    comm.charge_local(edges.len() as u64);
+/// Assign global-position ids to this PE's slice of a distributed
+/// (sorted) edge sequence: the id of an edge is its global rank in the
+/// sequence, so the slice's ids count up from `first_id`, this PE's entry
+/// of [`id_offsets`]. Local.
+pub fn assign_ids(edges: Vec<WEdge>, first_id: u64) -> Vec<CEdge> {
     edges
         .into_iter()
         .enumerate()
-        .map(|(k, e)| CEdge::from_wedge(e, offset + k as u64))
+        .map(|(k, e)| CEdge::from_wedge(e, first_id + k as u64))
         .collect()
 }
 
@@ -552,8 +552,8 @@ mod tests {
             let edges: Vec<WEdge> = (0..n)
                 .map(|k| WEdge::new(comm.rank() as u64, k as u64, 1))
                 .collect();
-            let with_ids = assign_ids(comm, edges);
             let offsets = id_offsets(comm, n);
+            let with_ids = assign_ids(edges, offsets[comm.rank()]);
             let ids: Vec<u64> = with_ids.iter().map(|e| e.id).collect();
             (ids, offsets)
         });

@@ -1,11 +1,13 @@
-//! The prepared input graph: distributed structure + the varint-compressed
-//! original edge list used to map MST edge ids back to original edges
-//! (Sec. VI-C).
+//! The prepared input graph: the distributed structure plus the id
+//! routing table `REDISTRIBUTE MST` uses to map MST edge ids back to
+//! original edges (Sec. VI-C). The paper keeps a varint-compressed copy
+//! of the input for that lookup because its working graph replaces the
+//! input; here the prepared slice stays unchanged for the whole solve,
+//! so it is its own lookup table (DESIGN.md S8).
 
 use crate::dist::{assign_ids, home_of_id, id_offsets, DistGraph};
 use crate::edge::{CEdge, WEdge};
 use crate::gen::GraphConfig;
-use crate::varint::CompressedEdges;
 use kamsta_comm::{Comm, FlatBuckets};
 
 /// Rewrite every backward (`u > v`) copy's id to the id of its
@@ -16,7 +18,7 @@ use kamsta_comm::{Comm, FlatBuckets};
 /// exactly by `(min(u,v), max(u,v))`, but unlike endpoint-based keys the
 /// id survives relabeling unchanged — so every pipeline stage breaks
 /// weight ties identically at every PE count, and `REDISTRIBUTE MST`
-/// decodes every claim to the `u < v` copy. Exact duplicate copies of a
+/// resolves every claim to the `u < v` copy. Exact duplicate copies of a
 /// pair all map to the group's minimal id; surplus duplicates keep
 /// their own (never-selected) position ids. The last step of
 /// [`InputGraph::from_sorted_edges`], which is where the ids it expects
@@ -62,33 +64,32 @@ pub fn canonicalize_pair_ids(comm: &Comm, graph: &mut DistGraph) {
     }
 }
 
-/// A fully prepared MST input: the distributed graph plus the compressed
-/// id→edge mapping and its routing table.
+/// A fully prepared MST input: the distributed graph plus the routing
+/// table of its edge ids.
+///
+/// The prepared slice is never mutated after
+/// [`InputGraph::from_sorted_edges`]: the solvers borrow or copy it, and
+/// [`InputGraph::redistribute_mst`] indexes it by global position.
 pub struct InputGraph {
+    /// This PE's prepared slice; its `k`-th edge sits at global position
+    /// `id_offsets[rank] + k`.
     pub graph: DistGraph,
-    /// Varint-compressed copy of this PE's slice of the initial edge list.
-    pub compressed: CompressedEdges,
     /// Replicated: first global edge id held by each PE.
     pub id_offsets: Vec<u64>,
 }
 
 impl InputGraph {
     /// Prepare an input from this PE's slice of a globally sorted edge
-    /// list: assign global-position ids, compress the original list,
-    /// establish the distributed structure, and canonicalise pair ids:
-    /// both directions of an undirected edge end up sharing the id of its
+    /// list: compute the id space, assign global-position ids, establish
+    /// the distributed structure, and canonicalise pair ids: both
+    /// directions of an undirected edge end up sharing the id of its
     /// globally first `u < v` copy. Collective.
     pub fn from_sorted_edges(comm: &Comm, edges: Vec<WEdge>) -> Self {
-        let with_ids = assign_ids(comm, edges);
-        let offsets = id_offsets(comm, with_ids.len());
-        let compressed = CompressedEdges::compress(&with_ids, offsets[comm.rank()]);
-        let mut graph = DistGraph::establish(comm, with_ids);
+        let id_offsets = id_offsets(comm, edges.len());
+        comm.charge_local(edges.len() as u64);
+        let mut graph = DistGraph::establish(comm, assign_ids(edges, id_offsets[comm.rank()]));
         canonicalize_pair_ids(comm, &mut graph);
-        Self {
-            graph,
-            compressed,
-            id_offsets: offsets,
-        }
+        Self { graph, id_offsets }
     }
 
     /// Generate one of the paper's graph families and prepare it.
@@ -110,12 +111,19 @@ impl InputGraph {
     }
 
     /// `REDISTRIBUTE MST`: route identified MST edge ids back to their
-    /// original home PEs and decode them from the compressed list. Ids
-    /// are pair-canonical ([`InputGraph::from_sorted_edges`]), so every
-    /// claim decodes to the `u < v` copy of its undirected edge — one
-    /// direction per MSF edge globally, independent of which stage or
-    /// direction claimed it. Returns this PE's original edges that
-    /// belong to the MSF, sorted. Collective.
+    /// original home PEs and read each off the prepared slice at its
+    /// global position. Ids are pair-canonical
+    /// ([`InputGraph::from_sorted_edges`]): a claim is the position of
+    /// its undirected edge's first `u < v` copy, which kept its own id,
+    /// so every claim resolves to that copy — one direction per MSF edge
+    /// globally, independent of which stage or direction claimed it.
+    /// Returns this PE's original edges that belong to the MSF, sorted.
+    /// Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id past the slice of its home PE, or one that is no
+    /// edge's canonical id.
     pub fn redistribute_mst(&self, comm: &Comm, ids: Vec<u64>) -> Vec<CEdge> {
         let items: Vec<(usize, u64)> = ids
             .into_iter()
@@ -124,31 +132,189 @@ impl InputGraph {
         let mut mine = kamsta_comm::route(comm, items);
         kamsta_sort::radix_sort_keys(&mut mine);
         mine.dedup();
-        comm.charge_local(self.compressed.len() as u64);
-        self.compressed.lookup_sorted(&mine)
+        // The paper decodes its compressed copy front to back here; the
+        // charge models that scan, so the solve-window counters stay
+        // those of the paper's design.
+        comm.charge_local(self.graph.edges.len() as u64);
+        let (first_id, slice) = (self.id_offsets[comm.rank()], &self.graph.edges);
+        mine.into_iter()
+            .map(|id| {
+                let e = slice.get((id - first_id) as usize);
+                let e = e.unwrap_or_else(|| panic!("id {id} is out of range for this PE's slice"));
+                assert_eq!(e.id, id, "id {id} is not the canonical id at its position");
+                *e
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::mix64;
     use kamsta_comm::{Machine, MachineConfig};
+    use proptest::prelude::*;
 
     #[test]
     fn prepares_generated_graph() {
         let out = Machine::run(MachineConfig::new(4), |comm| {
             let input = InputGraph::generate(comm, GraphConfig::Grid2D { rows: 8, cols: 8 }, 7);
-            (
-                input.graph.n_global,
-                input.graph.m_global,
-                input.compressed.len() as u64,
-                input.graph.edges.len() as u64,
-            )
+            (input.graph.n_global, input.graph.m_global)
         });
-        for (n, m, clen, elen) in out.results {
+        for (n, m) in out.results {
             assert_eq!(n, 64);
             assert_eq!(m, 2 * (8 * 7 + 7 * 8));
-            assert_eq!(clen, elen, "compressed copy covers the local slice");
+        }
+    }
+
+    /// Both directions of every `(u, v, w)`, sorted.
+    fn symmetric(raw: &[(u64, u64, u32)]) -> Vec<WEdge> {
+        let mut all: Vec<WEdge> = raw
+            .iter()
+            .flat_map(|&(u, v, w)| [WEdge::new(u, v, w), WEdge::new(v, u, w)])
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Prepare the sorted sequence `all` with PE `i` holding
+    /// `all[cuts[i]..cuts[i + 1]]`, let PE `r` claim `pick(r, ids)` out
+    /// of the ids the prepared edges carry anywhere (sorted, distinct),
+    /// and check every PE's `redistribute_mst` against the position
+    /// reference: the edges of `all` at the claimed global positions its
+    /// slice covers, ascending, with ids equal to the claims. Returns the
+    /// outputs, in rank order.
+    fn redistribute_against_positions<F>(all: &[WEdge], cuts: &[usize], pick: F) -> Vec<Vec<CEdge>>
+    where
+        F: Fn(usize, &[u64]) -> Vec<u64> + Send + Sync,
+    {
+        let (slices, p) = (all.to_vec(), cuts.len() - 1);
+        let at = cuts.to_vec();
+        let out = Machine::run(MachineConfig::new(p), move |comm| {
+            let me = comm.rank();
+            let input = InputGraph::from_sorted_edges(comm, slices[at[me]..at[me + 1]].to_vec());
+            let mut ids = comm.allgatherv(input.graph.edges.iter().map(|e| e.id).collect());
+            ids.sort_unstable();
+            ids.dedup();
+            let claims = pick(me, &ids);
+            (claims.clone(), input.redistribute_mst(comm, claims))
+        });
+        let mut claimed: Vec<u64> = out.results.iter().flat_map(|(c, _)| c.clone()).collect();
+        claimed.sort_unstable();
+        claimed.dedup();
+        let got: Vec<Vec<CEdge>> = out.results.into_iter().map(|(_, got)| got).collect();
+        for (r, got) in got.iter().enumerate() {
+            let want: Vec<CEdge> = claimed
+                .iter()
+                .filter(|&&id| (cuts[r]..cuts[r + 1]).contains(&(id as usize)))
+                .map(|&id| CEdge::from_wedge(all[id as usize], id))
+                .collect();
+            assert_eq!(got, &want, "PE {r} of cuts {cuts:?}");
+        }
+        got
+    }
+
+    #[test]
+    fn redistribution_reads_claimed_positions_across_empty_pes() {
+        // Positions: (0,1,5) 0, (1,0,5) 1, (2,9,3) 2, (9,2,3) 3. The
+        // canonical ids are 0 and 2, held by PEs 2 and 7 of nine; every
+        // PE claims both, so each is routed in from all nine.
+        let all = symmetric(&[(0, 1, 5), (2, 9, 3)]);
+        let got =
+            redistribute_against_positions(&all, &[0, 0, 0, 1, 1, 2, 2, 2, 4, 4], |_, ids| {
+                ids.to_vec()
+            });
+        assert_eq!(got[2], vec![CEdge::new(0, 1, 5, 0)]);
+        assert_eq!(got[7], vec![CEdge::new(2, 9, 3, 2)]);
+        assert_eq!(got.iter().map(Vec::len).sum::<usize>(), 2);
+    }
+
+    #[test]
+    fn redistribution_reads_duplicate_runs_straddling_pes() {
+        // (0,5,1)×4 at 0..4, (0,6,2) (1,5,3) at 4..6, (5,0,1)×4 at 6..10,
+        // (5,1,3) (6,0,2) at 10..12: surplus duplicates 1, 2 and 3 keep
+        // their own ids, and every backward copy carries a forward
+        // position.
+        let all = symmetric(&[
+            (0, 5, 1),
+            (0, 5, 1),
+            (0, 5, 1),
+            (0, 5, 1),
+            (0, 6, 2),
+            (1, 5, 3),
+        ]);
+        for cuts in [vec![0, 1, 3, 7, 9, 12], vec![0, 0, 2, 2, 8, 12, 12]] {
+            let last = cuts.len() - 2;
+            let got = redistribute_against_positions(&all, &cuts, |r, ids| {
+                if r == last {
+                    ids.iter().rev().copied().collect()
+                } else {
+                    Vec::new()
+                }
+            });
+            let ids: Vec<u64> = got.iter().flatten().map(|e| e.id).collect();
+            assert_eq!(ids, vec![0, 1, 2, 3, 4, 5], "cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for this PE's")]
+    fn redistribution_rejects_an_id_past_the_slice() {
+        let all = symmetric(&[(0, 1, 5), (1, 2, 4)]);
+        Machine::run(MachineConfig::new(2), move |comm| {
+            let slice = all[2 * comm.rank()..2 * comm.rank() + 2].to_vec();
+            let input = InputGraph::from_sorted_edges(comm, slice);
+            let claim = if comm.rank() == 0 {
+                vec![4]
+            } else {
+                Vec::new()
+            };
+            input.redistribute_mst(comm, claim)
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Few vertices and fewer weights, so contents repeat; directions
+        /// are drawn independently, so some copies have no twin; cut
+        /// points are drawn too, so PEs stay empty. About two thirds of
+        /// the ids are claimed, each by one drawn PE plus every PE a
+        /// second draw selects — so some ids arrive several times, some
+        /// twice from one PE.
+        #[test]
+        fn redistribution_matches_the_position_reference(
+            raw in prop::collection::vec((0u64..10, 0u64..10, 0u32..3, 0u8..4), 0..80),
+            cut_seeds in prop::collection::vec(0usize..1000, 15..16),
+            seed in any::<u64>(),
+        ) {
+            let mut all: Vec<WEdge> = raw
+                .iter()
+                .flat_map(|&(u, v, w, dirs)| {
+                    let fwd = (dirs != 1).then_some(WEdge::new(u, v, w));
+                    let back = (dirs != 2).then_some(WEdge::new(v, u, w));
+                    fwd.into_iter().chain(back)
+                })
+                .collect();
+            all.sort_unstable();
+            for p in [1usize, 2, 3, 5, 16] {
+                let mut cuts: Vec<usize> =
+                    cut_seeds[..p - 1].iter().map(|s| s % (all.len() + 1)).collect();
+                cuts.extend([0, all.len()]);
+                cuts.sort_unstable();
+                redistribute_against_positions(&all, &cuts, move |r, ids| {
+                    let mut claims = Vec::new();
+                    for &id in ids {
+                        let h = mix64(seed ^ id);
+                        if !h.is_multiple_of(3) {
+                            let copies = usize::from((h >> 8) as usize % p == r)
+                                + usize::from(mix64(h ^ r as u64).is_multiple_of(3));
+                            claims.extend(std::iter::repeat_n(id, copies));
+                        }
+                    }
+                    claims
+                });
+            }
         }
     }
 

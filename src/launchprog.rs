@@ -250,6 +250,41 @@ mod tests {
         }
     }
 
+    /// The forest half of the digests CI checks across OS processes,
+    /// pinned. The counter half (`messages`, `bytes`, `modeled_bits`)
+    /// moves whenever prepare or a solve changes its collectives; the
+    /// test above holds it equal across transports instead.
+    #[test]
+    fn forest_digests_are_pinned() {
+        for (program, seed, forest) in [
+            (
+                "mst",
+                7,
+                r#""weight":24038,"edges":587,"ehash":2839652703635245627,"#,
+            ),
+            (
+                "filter",
+                7,
+                r#""weight":20898,"edges":1023,"ehash":10751354732761766118,"base_case_calls":9,"partition_steps":8,"#,
+            ),
+            (
+                "dyn",
+                19,
+                r#""weight":17584,"edges":255,"ehash":4931455118826034417,"batches":3,"#,
+            ),
+        ] {
+            let cells = MachineConfig::new(4).with_transport(TransportKind::Cells);
+            let digest = Machine::run(cells, move |comm| run(program, comm, seed)).results[0]
+                .clone()
+                .expect("rank 0 renders the digest");
+            let pinned = format!("{{\"program\":\"{program}\",{forest}");
+            assert!(
+                digest.starts_with(&pinned),
+                "{digest}\ndoes not start with\n{pinned}"
+            );
+        }
+    }
+
     #[test]
     fn edge_hash_ignores_direction_and_order() {
         let a = edge_hash(&WEdge::new(3, 9, 5));

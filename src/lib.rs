@@ -29,7 +29,7 @@
 //! |---|---|
 //! | [`comm`] | SPMD runtime, collectives, two-level all-to-all, cost model |
 //! | [`sort`] | hypercube quicksort + AMS-style sample sort |
-//! | [`graph`] | distributed edge lists, generators, varint codec, IO |
+//! | [`graph`] | distributed edge lists, prepared inputs, generators, IO |
 //! | [`core`] | distributed Borůvka + Filter-Borůvka, references, verifier |
 //! | [`dynamic`] | batch-dynamic MSF maintenance (certificate re-solves) |
 //! | [`baselines`] | sparseMatrix and MND-MST competitor analogues |

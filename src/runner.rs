@@ -16,8 +16,6 @@ pub enum Algorithm {
     Boruvka,
     /// Filter-Borůvka (Algorithm 2) — the paper's `filterBoruvka`.
     FilterBoruvka,
-    /// `boruvka` with local preprocessing disabled (Fig. 4 ablation).
-    BoruvkaNoPreprocessing,
     /// The sparse-matrix Awerbuch–Shiloach competitor \[37\].
     SparseMatrix,
     /// The MND-MST competitor \[19\].
@@ -31,7 +29,6 @@ impl Algorithm {
         match self {
             Algorithm::Boruvka => "boruvka",
             Algorithm::FilterBoruvka => "filterBoruvka",
-            Algorithm::BoruvkaNoPreprocessing => "boruvka-noprep",
             Algorithm::SparseMatrix => "sparseMatrix",
             Algorithm::MndMst => "MND-MST",
         }
@@ -130,58 +127,36 @@ impl Runner {
     /// Generate one of the paper's graph families on the machine and run
     /// `algo` on it.
     pub fn run_generated(&self, config: GraphConfig, algo: Algorithm, seed: u64) -> RunSummary {
-        self.run_with(algo, move |comm| config.generate(comm, seed))
+        summarize(&self.run_with(algo, move |comm| config.generate(comm, seed)))
     }
 
-    /// Run `algo` on an explicit edge list (held replicated by the
+    /// Compute the MSF of an explicit edge list (held replicated by the
     /// caller; it is distributed internally — the distribution wall is
-    /// reported under the `generate` scope).
-    pub fn run_edges(&self, edges: Vec<WEdge>, algo: Algorithm) -> RunSummary {
-        self.run_with(algo, move |comm| {
-            kamsta_graph::io::distribute_from_root(comm, (comm.rank() == 0).then(|| edges.clone()))
-        })
-    }
-
-    /// Compute the MSF of an explicit edge list, returning the edges
-    /// (one direction per undirected MSF edge) alongside the metrics.
+    /// reported under the `generate` scope), returning the edges (one
+    /// direction per undirected MSF edge) alongside the metrics.
     pub fn msf_edges(&self, edges: Vec<WEdge>, algo: Algorithm) -> (Vec<WEdge>, RunSummary) {
-        let mst_cfg = self.effective_cfg(algo);
-        let out = Machine::run(self.machine.clone(), move |comm| {
-            let t = Instant::now();
-            let slice = kamsta_graph::io::distribute_from_root(
-                comm,
-                (comm.rank() == 0).then(|| edges.clone()),
-            );
-            let generate = t.elapsed().as_secs_f64();
-            prepared_run(comm, slice, generate, algo, &mst_cfg)
+        let out = self.run_with(algo, move |comm| {
+            kamsta_graph::io::distribute_from_root(comm, (comm.rank() == 0).then(|| edges.clone()))
         });
-        let mut msf = Vec::new();
-        for pe in &out.results {
-            msf.extend(pe.msf.iter().copied());
-        }
-        let summary = summarize(&out);
-        (msf, summary)
+        let msf = out
+            .results
+            .iter()
+            .flat_map(|pe| pe.msf.iter().copied())
+            .collect();
+        (msf, summarize(&out))
     }
 
-    fn effective_cfg(&self, algo: Algorithm) -> MstConfig {
-        match algo {
-            Algorithm::BoruvkaNoPreprocessing => self.mst.without_preprocessing(),
-            _ => self.mst,
-        }
-    }
-
-    fn run_with<F>(&self, algo: Algorithm, make_edges: F) -> RunSummary
+    fn run_with<F>(&self, algo: Algorithm, make_edges: F) -> kamsta_comm::RunOutput<PeRun>
     where
         F: Fn(&kamsta_comm::Comm) -> Vec<WEdge> + Send + Sync,
     {
-        let mst_cfg = self.effective_cfg(algo);
-        let out = Machine::run(self.machine.clone(), move |comm| {
+        let mst_cfg = self.mst;
+        Machine::run(self.machine.clone(), move |comm| {
             let t = Instant::now();
             let edges = make_edges(comm);
             let generate = t.elapsed().as_secs_f64();
             prepared_run(comm, edges, generate, algo, &mst_cfg)
-        });
-        summarize(&out)
+        })
     }
 }
 
@@ -241,7 +216,7 @@ fn run_algorithm(
     // (the collectives ending preparation leave the clocks synced).
     let before = comm.stats();
     let (msf, phases, filter_stats) = match algo {
-        Algorithm::Boruvka | Algorithm::BoruvkaNoPreprocessing => {
+        Algorithm::Boruvka => {
             let r = boruvka_mst(comm, input, cfg);
             let msf: Vec<WEdge> = r.edges.iter().map(|e| e.wedge()).collect();
             (msf, Some(PhaseTimes::reduce_max(comm, &r.phases)), None)
@@ -317,20 +292,24 @@ mod tests {
     #[test]
     fn all_algorithms_agree_on_weight() {
         let config = GraphConfig::Grid2D { rows: 12, cols: 12 };
-        let runner = Runner::new(4, 1).with_mst_config(MstConfig {
+        let cfg = MstConfig {
             base_case_constant: 16,
             ..MstConfig::default()
-        });
+        };
         let algos = [
-            Algorithm::Boruvka,
-            Algorithm::FilterBoruvka,
-            Algorithm::BoruvkaNoPreprocessing,
-            Algorithm::SparseMatrix,
-            Algorithm::MndMst,
+            (Algorithm::Boruvka, cfg),
+            (Algorithm::FilterBoruvka, cfg),
+            (Algorithm::Boruvka, cfg.without_preprocessing()),
+            (Algorithm::SparseMatrix, cfg),
+            (Algorithm::MndMst, cfg),
         ];
         let summaries: Vec<RunSummary> = algos
             .iter()
-            .map(|a| runner.run_generated(config, *a, 7))
+            .map(|&(a, cfg)| {
+                Runner::new(4, 1)
+                    .with_mst_config(cfg)
+                    .run_generated(config, a, 7)
+            })
             .collect();
         let w0 = summaries[0].msf_weight;
         for (a, s) in algos.iter().zip(&summaries) {

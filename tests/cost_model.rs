@@ -20,7 +20,10 @@ fn preprocessing_cuts_bytes_on_local_graphs() {
     };
     let runner = Runner::new(8, 1).with_mst_config(cfg());
     let with_prep = runner.run_generated(config, Algorithm::Boruvka, 42);
-    let without = runner.run_generated(config, Algorithm::BoruvkaNoPreprocessing, 42);
+    let without = runner
+        .clone()
+        .with_mst_config(cfg().without_preprocessing())
+        .run_generated(config, Algorithm::Boruvka, 42);
     assert_eq!(with_prep.msf_weight, without.msf_weight);
     assert!(
         with_prep.bytes * 2 < without.bytes,
@@ -84,7 +87,10 @@ fn filter_wins_on_dense_gnm() {
     let runner = Runner::new(16, 1)
         .with_mst_config(cfg())
         .with_cost(volume_dominated);
-    let plain = runner.run_generated(config, Algorithm::BoruvkaNoPreprocessing, 42);
+    let plain = runner
+        .clone()
+        .with_mst_config(cfg().without_preprocessing())
+        .run_generated(config, Algorithm::Boruvka, 42);
     let filter = runner.run_generated(config, Algorithm::FilterBoruvka, 42);
     assert_eq!(plain.msf_weight, filter.msf_weight);
     assert!(

@@ -31,13 +31,16 @@ fn all_algorithms_agree_on_all_families() {
     for config in families() {
         let runner = Runner::new(4, 1).with_mst_config(small_cfg());
         let reference = runner.run_generated(config, Algorithm::Boruvka, 42);
-        for algo in [
-            Algorithm::FilterBoruvka,
-            Algorithm::BoruvkaNoPreprocessing,
-            Algorithm::SparseMatrix,
-            Algorithm::MndMst,
+        for (algo, cfg) in [
+            (Algorithm::FilterBoruvka, small_cfg()),
+            (Algorithm::Boruvka, small_cfg().without_preprocessing()),
+            (Algorithm::SparseMatrix, small_cfg()),
+            (Algorithm::MndMst, small_cfg()),
         ] {
-            let s = runner.run_generated(config, algo, 42);
+            let s = runner
+                .clone()
+                .with_mst_config(cfg)
+                .run_generated(config, algo, 42);
             assert_eq!(
                 s.msf_weight, reference.msf_weight,
                 "{algo:?} on {config:?}: weight mismatch"
