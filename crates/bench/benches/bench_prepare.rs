@@ -1,4 +1,5 @@
-//! Micro-bench below the end-to-end benchmark's `graph.prepare_s`:
+//! Micro-bench below the end-to-end benchmark's set-up, `graph.generate_s`
+//! and `graph.prepare_s`: generating the input, then
 //! `InputGraph::from_sorted_edges` step by step — compute the id space
 //! and assign ids, establish the distributed structure, canonicalise
 //! pair ids — at p = 2, on the benchmark's two input shapes (GNM
@@ -7,11 +8,10 @@
 //! directed edges: what every flush of the batch-dynamic layer
 //! re-prepares). EXPERIMENTS.md records the table.
 //!
-//! Not a criterion group: the steps are timed from inside one machine
-//! run per input, every PE in lockstep, so that generating the input is
-//! paid once and a step costs what its slowest PE took. The `whole`
-//! column is `from_sorted_edges` itself on the same slices — what the
-//! three steps should add up to.
+//! Not a criterion group: every step is timed from inside one machine
+//! run per input, every PE in lockstep, so a step costs what its slowest
+//! PE took. The `whole` column is `from_sorted_edges` itself on the same
+//! slices — what the three prepare steps should add up to.
 
 use kamsta_comm::{Comm, Machine, MachineConfig};
 use kamsta_graph::hash::mix64;
@@ -24,7 +24,7 @@ use std::time::Instant;
 const PES: usize = 2;
 const WARM_UP: usize = 1;
 const SAMPLES: usize = 7;
-const STEPS: [&str; 4] = ["assign", "establish", "canonicalize", "whole"];
+const STEPS: [&str; 5] = ["generate", "assign", "establish", "canonicalize", "whole"];
 
 #[derive(Clone, Copy)]
 enum Input {
@@ -55,15 +55,20 @@ impl Input {
     }
 }
 
-/// Milliseconds of each step of one preparation of `edges` on this PE,
-/// in the order of [`STEPS`]; the steps are `from_sorted_edges`' body.
-fn time_steps(comm: &Comm, edges: &[WEdge]) -> [f64; 4] {
-    let (stepwise, whole) = (edges.to_vec(), edges.to_vec());
+/// This PE's slice length and the milliseconds of each step of one
+/// generation and preparation of `input` on this PE, in the order of
+/// [`STEPS`]; the steps after `generate` are `from_sorted_edges`' body.
+fn time_steps(comm: &Comm, input: Input) -> (usize, [f64; 5]) {
     let mut last = Instant::now();
     let mut lap = || {
         let since = std::mem::replace(&mut last, Instant::now());
         (last - since).as_secs_f64() * 1e3
     };
+    comm.barrier();
+    lap();
+    let edges = input.slice(comm);
+    let generate = lap();
+    let (stepwise, whole) = (edges.clone(), edges);
     comm.barrier();
     lap();
     let offsets = id_offsets(comm, stepwise.len());
@@ -74,14 +79,15 @@ fn time_steps(comm: &Comm, edges: &[WEdge]) -> [f64; 4] {
     canonicalize_pair_ids(comm, &mut graph);
     let canonicalize = lap();
     drop(black_box(graph));
+    let len = whole.len();
     comm.barrier();
     lap();
     black_box(InputGraph::from_sorted_edges(comm, whole));
-    [assign, establish, canonicalize, lap()]
+    (len, [generate, assign, establish, canonicalize, lap()])
 }
 
 /// Median over the samples of the slowest PE's time for `step`.
-fn median_of_slowest(per_pe: &[Vec<[f64; 4]>], step: usize) -> f64 {
+fn median_of_slowest(per_pe: &[Vec<[f64; 5]>], step: usize) -> f64 {
     let mut samples: Vec<f64> = (0..SAMPLES)
         .map(|k| per_pe.iter().map(|t| t[k][step]).fold(0.0, f64::max))
         .collect();
@@ -91,7 +97,8 @@ fn median_of_slowest(per_pe: &[Vec<[f64; 4]>], step: usize) -> f64 {
 
 fn main() {
     println!(
-        "bench_prepare: from_sorted_edges by step, p = {PES}, ms, median of {SAMPLES} (slowest PE)"
+        "bench_prepare: generate, then from_sorted_edges by step, p = {PES}, ms, \
+         median of {SAMPLES} (slowest PE)"
     );
     print!("{:<22} {:>9}", "input", "edges");
     for step in STEPS {
@@ -108,12 +115,11 @@ fn main() {
         ("certificate 2^15", Input::Certificate { n: 1 << 15 }),
     ] {
         let out = Machine::run(MachineConfig::new(PES), move |comm| {
-            let edges = input.slice(comm);
-            let times: Vec<[f64; 4]> = (0..WARM_UP + SAMPLES)
-                .map(|_| time_steps(comm, &edges))
+            let runs: Vec<(usize, [f64; 5])> = (0..WARM_UP + SAMPLES)
+                .map(|_| time_steps(comm, input))
                 .skip(WARM_UP)
                 .collect();
-            (edges.len(), times)
+            (runs[0].0, runs.iter().map(|r| r.1).collect::<Vec<_>>())
         });
         let (lens, times): (Vec<usize>, Vec<_>) = out.results.into_iter().unzip();
         print!("{name:<22} {:>9}", lens.iter().sum::<usize>());

@@ -9,7 +9,7 @@
 //! directions whose source lies in its range — no communication, same
 //! divide-and-conquer determinism as KaGen.
 
-use super::{block_of, block_range, sort_local, weight_of};
+use super::{block_of, block_range, charge_order, weight_of};
 use crate::edge::WEdge;
 use crate::hash::{hash3, mix64, unit_f64, FxHashSet};
 use kamsta_comm::Comm;
@@ -50,9 +50,19 @@ fn poisson(lambda: f64, stream: u64) -> u64 {
 /// Generate this PE's slice of a G(n, m) graph with ~`m` *directed* edges
 /// (i.e. ~`m/2` undirected pairs). Multi-edges are suppressed within each
 /// bucket pair; self-loops are skipped. Partition-invariant: the same
-/// `(n, m, seed)` yields the same graph for every PE count. Collective.
+/// `(n, m, seed)` yields the same graph for every PE count. Fewer than
+/// two vertices give the empty graph. Collective.
+///
+/// The slice is written in `(u, v, w)` order, one source bucket at a
+/// time in ascending order: replay every pair stream touching the
+/// bucket, keep the directions whose source is in the bucket and in
+/// this PE's range, place them by a counting sort on the source, and
+/// sort each source's run (~m/n edges). A pair with both buckets here is
+/// replayed once per side.
 pub fn gnm(comm: &Comm, n: u64, m: u64, seed: u64) -> Vec<WEdge> {
-    assert!(n >= 2, "GNM needs at least two vertices");
+    if n < 2 {
+        return Vec::new();
+    }
     let b = BUCKETS.min(n);
     let p = comm.size();
     let me = comm.rank();
@@ -64,61 +74,90 @@ pub fn gnm(comm: &Comm, n: u64, m: u64, seed: u64) -> Vec<WEdge> {
     let mut edges: Vec<WEdge> = Vec::with_capacity((2 * m as usize / p).max(16));
 
     // Buckets overlapping my vertex range.
-    let my_buckets: Vec<u64> = if my_range.is_empty() {
-        Vec::new()
+    let my_buckets = if my_range.is_empty() {
+        0..0
     } else {
-        (block_of(n, b, my_range.start)..=block_of(n, b, my_range.end - 1)).collect()
+        block_of(n, b, my_range.start)..block_of(n, b, my_range.end - 1) + 1
     };
 
-    // Every unordered bucket pair touching one of my buckets.
-    let mut pairs: FxHashSet<(u64, u64)> = FxHashSet::default();
-    for &a in &my_buckets {
+    // Reused per bucket: the kept edges in stream order, and one
+    // counter per source.
+    let mut kept: Vec<WEdge> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    let mut seen: FxHashSet<(u64, u64)> = FxHashSet::default();
+    for s in my_buckets {
+        let rs = block_range(n, b as usize, s as usize);
+        let sources = rs.start.max(my_range.start)..rs.end.min(my_range.end);
+        kept.clear();
         for other in 0..b {
-            pairs.insert((a.min(other), a.max(other)));
+            let (a, bb) = (s.min(other), s.max(other));
+            let ra = block_range(n, b as usize, a as usize);
+            let rb = block_range(n, b as usize, bb as usize);
+            let sa = (ra.end - ra.start) as f64;
+            let sb = (rb.end - rb.start) as f64;
+            let pair_count = if a == bb {
+                sa * (sa - 1.0) / 2.0
+            } else {
+                sa * sb
+            };
+            let lambda = mu * pair_count / total_pairs;
+            let pair_seed = hash3(seed, a, bb);
+            let count = poisson(lambda, pair_seed);
+
+            seen.clear();
+            for t in 0..count {
+                let hx = hash3(pair_seed, t, 0);
+                let hy = hash3(pair_seed, t, 1);
+                let x = ra.start + hx % (ra.end - ra.start);
+                let y = rb.start + hy % (rb.end - rb.start);
+                if x == y {
+                    continue; // self-pair (only possible when a == bb)
+                }
+                let key = (x.min(y), x.max(y));
+                if !seen.insert(key) {
+                    continue; // suppress multi-edge within the bucket pair
+                }
+                let w = weight_of(x, y, seed);
+                // Keep only directions whose source is in bucket s and
+                // in my vertex range.
+                if sources.contains(&x) {
+                    kept.push(WEdge::new(x, y, w));
+                }
+                if sources.contains(&y) {
+                    kept.push(WEdge::new(y, x, w));
+                }
+            }
         }
-    }
-    let mut pairs: Vec<(u64, u64)> = pairs.into_iter().collect();
-    pairs.sort_unstable();
 
-    for (a, bb) in pairs {
-        let ra = block_range(n, b as usize, a as usize);
-        let rb = block_range(n, b as usize, bb as usize);
-        let sa = (ra.end - ra.start) as f64;
-        let sb = (rb.end - rb.start) as f64;
-        let pair_count = if a == bb {
-            sa * (sa - 1.0) / 2.0
-        } else {
-            sa * sb
-        };
-        let lambda = mu * pair_count / total_pairs;
-        let pair_seed = hash3(seed, a, bb);
-        let count = poisson(lambda, pair_seed);
-
-        let mut seen: FxHashSet<(u64, u64)> = FxHashSet::default();
-        for t in 0..count {
-            let hx = hash3(pair_seed, t, 0);
-            let hy = hash3(pair_seed, t, 1);
-            let x = ra.start + hx % (ra.end - ra.start);
-            let y = rb.start + hy % (rb.end - rb.start);
-            if x == y {
-                continue; // self-pair (only possible when a == bb)
-            }
-            let key = (x.min(y), x.max(y));
-            if !seen.insert(key) {
-                continue; // suppress multi-edge within the bucket pair
-            }
-            let w = weight_of(x, y, seed);
-            // Emit only directions whose source lives in my vertex range.
-            if my_range.contains(&x) {
-                edges.push(WEdge::new(x, y, w));
-            }
-            if my_range.contains(&y) {
-                edges.push(WEdge::new(y, x, w));
-            }
+        // Counting sort on the source into the tail of `edges`: `ends[i]`
+        // starts as the first slot of source i's run and ends as the
+        // slot past it.
+        ends.clear();
+        ends.resize((sources.end - sources.start) as usize, 0);
+        for e in &kept {
+            ends[(e.u - sources.start) as usize] += 1;
+        }
+        let base = edges.len();
+        let mut next = base;
+        for slot in ends.iter_mut() {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        edges.resize(next, WEdge::new(0, 0, 0));
+        for &e in &kept {
+            let slot = &mut ends[(e.u - sources.start) as usize];
+            edges[*slot] = e;
+            *slot += 1;
+        }
+        let mut start = base;
+        for &end in &ends {
+            edges[start..end].sort_unstable();
+            start = end;
         }
     }
     comm.charge_local(edges.len() as u64);
-    sort_local(comm, &mut edges);
+    charge_order(comm, &edges);
     edges
 }
 
@@ -128,12 +167,20 @@ mod tests {
     use kamsta_comm::{Machine, MachineConfig};
     use std::collections::HashSet;
 
+    /// The slices concatenated in rank order, checked to be strictly
+    /// sorted as emitted.
     fn generate_all(p: usize, n: u64, m: u64, seed: u64) -> Vec<WEdge> {
-        Machine::run(MachineConfig::new(p), move |comm| gnm(comm, n, m, seed))
-            .results
-            .into_iter()
-            .flatten()
-            .collect()
+        let all: Vec<WEdge> =
+            Machine::run(MachineConfig::new(p), move |comm| gnm(comm, n, m, seed))
+                .results
+                .into_iter()
+                .flatten()
+                .collect();
+        assert!(
+            all.windows(2).all(|w| w[0] < w[1]),
+            "n={n} m={m} seed={seed} p={p}: not sorted as emitted"
+        );
+        all
     }
 
     #[test]
@@ -168,7 +215,6 @@ mod tests {
             let b = generate_all(p, 300, 2400, 9);
             assert_eq!(a, b, "p={p} must generate the same graph");
         }
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "globally sorted");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! 2D grid graphs (paper: 2D-GRID) and the road-network stand-in.
 
-use super::{block_range, sort_local, weight_of};
+use super::{block_range, charge_order, weight_of};
 use crate::edge::WEdge;
 use crate::hash::{sym_hash, unit_f64};
 use kamsta_comm::Comm;
@@ -8,30 +8,31 @@ use kamsta_comm::Comm;
 /// Generate this PE's slice of a `rows × cols` 2D grid graph (4-neighbour,
 /// no wraparound). Vertex `(r, c)` has id `r·cols + c`; ids ascend row-
 /// major, so balanced id-range partitioning yields the high-locality
-/// distribution the paper exploits. Collective.
+/// distribution the paper exploits. A zero side gives the empty graph.
+/// Collective.
 pub fn grid2d(comm: &Comm, rows: u64, cols: u64, seed: u64) -> Vec<WEdge> {
-    assert!(rows >= 1 && cols >= 1);
     let n = rows * cols;
     let range = block_range(n, comm.size(), comm.rank());
     let mut edges = Vec::with_capacity((range.end - range.start) as usize * 4);
     for u in range {
         let (r, c) = (u / cols, u % cols);
         let mut push = |v: u64| edges.push(WEdge::new(u, v, weight_of(u, v, seed)));
+        // Neighbours in ascending id order.
+        if r > 0 {
+            push(u - cols);
+        }
         if c > 0 {
             push(u - 1);
         }
         if c + 1 < cols {
             push(u + 1);
         }
-        if r > 0 {
-            push(u - cols);
-        }
         if r + 1 < rows {
             push(u + cols);
         }
     }
     comm.charge_local(edges.len() as u64);
-    sort_local(comm, &mut edges);
+    charge_order(comm, &edges);
     edges
 }
 
@@ -90,28 +91,29 @@ pub fn road_like(comm: &Comm, params: RoadParams, seed: u64) -> Vec<WEdge> {
     for u in range {
         let (r, c) = (u / cols, u % cols);
         let mut push = |v: u64| edges.push(WEdge::new(u, v, weight_of(u, v, seed)));
+        // Neighbours in ascending id order: the backward diagonal into u
+        // first, the forward diagonal from u last.
+        if u > cols && has_shortcut(u - cols - 1) {
+            push(u - cols - 1);
+        }
+        if r > 0 && keep(u - cols, u) {
+            push(u - cols);
+        }
         if c > 0 && keep(u - 1, u) {
             push(u - 1);
         }
         if c + 1 < cols && keep(u, u + 1) {
             push(u + 1);
         }
-        if r > 0 && keep(u - cols, u) {
-            push(u - cols);
-        }
         if r + 1 < rows && keep(u, u + cols) {
             push(u + cols);
         }
-        // Forward diagonal from u, backward diagonal into u.
         if has_shortcut(u) {
             push(u + cols + 1);
         }
-        if u > cols && has_shortcut(u - cols - 1) {
-            push(u - cols - 1);
-        }
     }
     comm.charge_local(edges.len() as u64);
-    sort_local(comm, &mut edges);
+    charge_order(comm, &edges);
     edges
 }
 

@@ -5,9 +5,22 @@
 //! both edge directions present (each direction emitted by the PE owning
 //! its source), matching the paper's input invariant: "KaGen ensures that
 //! the generated edges are globally lexicographically sorted and thus do
-//! not produce shared vertices for the input". The RMAT generator is the
-//! exception: as in the paper, its output is sorted and redistributed
-//! with the distributed sorter afterwards.
+//! not produce shared vertices for the input".
+//!
+//! Most families write their slice in `(u, v, w)` order by construction,
+//! with no sort:
+//! - grids and the road stand-in visit their vertex range in id order
+//!   and push each vertex's neighbours in ascending id order;
+//! - RGGs sweep their owned cells, each cell's points, the 3^DIM
+//!   neighbour cells and their points, all in ascending index, and ids
+//!   are `cell·k + j`;
+//! - GNM takes its source buckets in ascending order, replays every pair
+//!   stream touching a bucket, and places the kept edges with a counting
+//!   sort on the source plus a sort of each source's short run.
+//!
+//! Two families are the exceptions. RHG sweeps by sector and band, not
+//! by source, and sorts its slice locally. RMAT, as in the paper, is
+//! sorted and redistributed with the distributed sorter.
 //!
 //! Determinism: generation is pure hashing on `(seed, structure)`, so both
 //! endpoints of an edge agree on its existence and weight without
@@ -114,6 +127,13 @@ impl GraphConfig {
     }
 
     /// Generate this PE's slice of the distributed edge list. Collective.
+    ///
+    /// The concatenation of the slices in rank order is sorted by
+    /// `(u, v, w)`. Grids, the road stand-in, RGGs and GNM emit in that
+    /// order by construction (see the module docs); RHG sorts its slice
+    /// locally, and RMAT runs the distributed sorter. A request with no
+    /// vertex pairs to draw from (fewer than two vertices, or a zero grid
+    /// side) yields an empty graph.
     pub fn generate(&self, comm: &Comm, seed: u64) -> Vec<WEdge> {
         match *self {
             GraphConfig::Grid2D { rows, cols } => grid2d(comm, rows, cols, seed),
@@ -164,12 +184,21 @@ impl GraphConfig {
     }
 }
 
-/// Sort a locally generated edge slice (most generators emit per-source
-/// groups already in source order; this finishes the job cheaply).
-pub(crate) fn sort_local(comm: &Comm, edges: &mut [WEdge]) {
+/// Charge putting a generated slice in order — γ per edge of a slice of
+/// two or more, the modeled cost of a local sort — and check that it is
+/// in order: strictly increasing in `(u, v)`, so sorted and free of
+/// repeated directed pairs. The charge is part of every family's
+/// modeled set-up cost, whether the family orders its slice by
+/// construction or by sorting it.
+pub(crate) fn charge_order(comm: &Comm, edges: &[WEdge]) {
+    debug_assert!(
+        edges
+            .windows(2)
+            .all(|w| (w[0].u, w[0].v) < (w[1].u, w[1].v)),
+        "generated slice out of order"
+    );
     if edges.len() > 1 {
         comm.charge_local(edges.len() as u64);
-        edges.sort_unstable();
     }
 }
 

@@ -9,10 +9,11 @@
 //! regularised Poisson field), which makes vertex ids — and with them the
 //! sorted distributed edge list — computable in O(1) per cell.
 
-use super::{sort_local, weight_of};
+use super::{charge_order, weight_of};
 use crate::edge::WEdge;
-use crate::hash::{hash3, unit_f64, FxHashMap};
+use crate::hash::{hash3, unit_f64};
 use kamsta_comm::Comm;
+use std::f64::consts::PI;
 
 /// Geometry of a regularised RGG: `g^DIM` cells, `k` points per cell.
 struct CellGrid<const DIM: usize> {
@@ -30,8 +31,8 @@ impl<const DIM: usize> CellGrid<DIM> {
         let avg_deg = (m as f64 / nf).max(1.0);
         // Solve n·V_DIM(r) = avg_deg for r.
         let radius = match DIM {
-            2 => (avg_deg / (std::f64::consts::PI * nf)).sqrt(),
-            3 => (3.0 * avg_deg / (4.0 * std::f64::consts::PI * nf)).cbrt(),
+            2 => (avg_deg / (PI * nf)).sqrt(),
+            3 => (3.0 * avg_deg / (4.0 * PI * nf)).cbrt(),
             _ => unreachable!("RGG supports 2D and 3D"),
         };
         let radius = radius.min(0.5);
@@ -59,6 +60,16 @@ impl<const DIM: usize> CellGrid<DIM> {
         self.cells() * self.k
     }
 
+    /// Expected degree of a point away from the boundary: the point
+    /// count times the volume of a ball of the connection radius.
+    fn expected_degree(&self) -> f64 {
+        let ball = match DIM {
+            2 => PI * self.radius.powi(2),
+            _ => 4.0 / 3.0 * PI * self.radius.powi(3),
+        };
+        self.n_actual() as f64 * ball
+    }
+
     fn cell_coords(&self, cidx: u64) -> [u64; DIM] {
         let mut c = [0u64; DIM];
         let mut rest = cidx;
@@ -73,22 +84,22 @@ impl<const DIM: usize> CellGrid<DIM> {
         coords.iter().fold(0u64, |idx, c| idx * self.g + c)
     }
 
-    /// The points of a cell: pure function of `(seed, cell)`.
-    fn points(&self, cidx: u64) -> Vec<([f64; DIM], u64)> {
+    /// The points of a cell in id order (point `j` has id `cidx·k + j`):
+    /// pure function of `(seed, cell)`.
+    fn points(&self, cidx: u64) -> impl Iterator<Item = [f64; DIM]> + '_ {
         let base = self.cell_coords(cidx);
-        (0..self.k)
-            .map(|j| {
-                let mut pos = [0.0f64; DIM];
-                for (d, item) in pos.iter_mut().enumerate() {
-                    let h = hash3(self.seed, cidx, j * DIM as u64 + d as u64);
-                    *item = (base[d] as f64 + unit_f64(h)) * self.side;
-                }
-                (pos, cidx * self.k + j)
-            })
-            .collect()
+        (0..self.k).map(move |j| {
+            let mut pos = [0.0f64; DIM];
+            for (d, item) in pos.iter_mut().enumerate() {
+                let h = hash3(self.seed, cidx, j * DIM as u64 + d as u64);
+                *item = (base[d] as f64 + unit_f64(h)) * self.side;
+            }
+            pos
+        })
     }
 
-    /// Neighbouring cells (including the cell itself) in the unit box.
+    /// Neighbouring cells (including the cell itself) in the unit box, in
+    /// ascending index.
     fn neighbours(&self, cidx: u64) -> Vec<u64> {
         let base = self.cell_coords(cidx);
         let mut out = Vec::with_capacity(3usize.pow(DIM as u32));
@@ -132,61 +143,68 @@ fn dist2<const DIM: usize>(a: &[f64; DIM], b: &[f64; DIM]) -> f64 {
     s
 }
 
+/// This PE's slice, written in `(u, v, w)` order: owned cells ascending,
+/// each cell's points ascending, and for each point its neighbour cells
+/// and their points ascending. Ids are `cell·k + j`, so that is id order.
 fn rgg<const DIM: usize>(comm: &Comm, n: u64, m: u64, seed: u64) -> Vec<WEdge> {
+    if n == 0 {
+        return Vec::new();
+    }
     let grid = CellGrid::<DIM>::new(n, m, seed);
     let cells = grid.cells();
     let range = super::block_range(cells, comm.size(), comm.rank());
     let r2 = grid.radius * grid.radius;
-    // Same shape fix as the RHG sweep: each touched cell (own slice +
-    // halo) is hashed into existence exactly once per run instead of
-    // once per neighbour visit, and undirected pairs with both cells
-    // locally owned are tested once — from the lower cell / lower id —
-    // emitting both directions. The edge set is identical to the naive
-    // neighbourhood scan.
-    let mut cache: FxHashMap<u64, Vec<([f64; DIM], u64)>> = FxHashMap::default();
-    let mut edges = Vec::new();
+    let k = grid.k as usize;
+    // A neighbour of cell c lies within c ± Σ_{d<DIM} g^d in index order,
+    // so the owned cells plus that halo on each side hold every point the
+    // sweep reads, each hashed into existence once.
+    let halo: u64 = (0..DIM as u32).map(|d| grid.g.pow(d)).sum();
+    let held = if range.is_empty() {
+        0..0
+    } else {
+        range.start.saturating_sub(halo)..(range.end + halo).min(cells)
+    };
+    let points: Vec<[f64; DIM]> = held.clone().flat_map(|c| grid.points(c)).collect();
+    let cell_points = |c: u64| &points[(c - held.start) as usize * k..][..k];
+
+    let owned_points = (range.end - range.start) as f64 * grid.k as f64;
+    let mut edges = Vec::with_capacity((owned_points * grid.expected_degree()) as usize);
     let mut work = 0u64;
     for cidx in range.clone() {
-        let mine = cache
-            .entry(cidx)
-            .or_insert_with(|| grid.points(cidx))
-            .clone();
-        for ncell in grid.neighbours(cidx) {
-            let owned = range.contains(&ncell);
-            if owned && ncell < cidx {
-                // The sweep of ncell tests this cell pair.
-                continue;
-            }
-            let theirs = cache.entry(ncell).or_insert_with(|| grid.points(ncell));
-            for (apos, aid) in &mine {
-                for (bpos, bid) in theirs.iter() {
-                    if ncell == cidx && bid <= aid {
+        let neighbours = grid.neighbours(cidx);
+        for (aid, apos) in (cidx * grid.k..).zip(cell_points(cidx)) {
+            for &ncell in &neighbours {
+                let owned = range.contains(&ncell);
+                for (bid, bpos) in (ncell * grid.k..).zip(cell_points(ncell)) {
+                    if bid == aid {
                         continue;
                     }
-                    work += 1;
+                    // A pair with both cells owned is tested from both
+                    // sides (`dist2` is bitwise symmetric, so both agree)
+                    // but counted as one test.
+                    work += u64::from(!owned || bid > aid);
                     if dist2(apos, bpos) <= r2 {
-                        edges.push(WEdge::new(*aid, *bid, weight_of(*aid, *bid, seed)));
-                        if owned {
-                            edges.push(WEdge::new(*bid, *aid, weight_of(*bid, *aid, seed)));
-                        }
+                        edges.push(WEdge::new(aid, bid, weight_of(aid, bid, seed)));
                     }
                 }
             }
         }
     }
     comm.charge_local(work + edges.len() as u64);
-    sort_local(comm, &mut edges);
+    charge_order(comm, &edges);
     edges
 }
 
 /// Generate this PE's slice of a 2D RGG with ~`n` vertices and a radius
-/// targeting ~`m` directed edges. Collective.
+/// targeting ~`m` directed edges; `n = 0` gives the empty graph.
+/// Collective.
 pub fn rgg2d(comm: &Comm, n: u64, m: u64, seed: u64) -> Vec<WEdge> {
     rgg::<2>(comm, n, m, seed)
 }
 
 /// Generate this PE's slice of a 3D RGG with ~`n` vertices and a radius
-/// targeting ~`m` directed edges. Collective.
+/// targeting ~`m` directed edges; `n = 0` gives the empty graph.
+/// Collective.
 pub fn rgg3d(comm: &Comm, n: u64, m: u64, seed: u64) -> Vec<WEdge> {
     rgg::<3>(comm, n, m, seed)
 }
@@ -203,20 +221,26 @@ mod tests {
     use kamsta_comm::{Machine, MachineConfig};
     use std::collections::HashSet;
 
+    /// The slices concatenated in rank order, checked to be strictly
+    /// sorted as emitted.
     fn generate_all<const DIM: usize>(p: usize, n: u64, m: u64, seed: u64) -> Vec<WEdge> {
-        Machine::run(MachineConfig::new(p), move |comm| {
+        let all: Vec<WEdge> = Machine::run(MachineConfig::new(p), move |comm| {
             rgg::<DIM>(comm, n, m, seed)
         })
         .results
         .into_iter()
         .flatten()
-        .collect()
+        .collect();
+        assert!(
+            all.windows(2).all(|w| w[0] < w[1]),
+            "DIM={DIM} n={n} m={m} seed={seed} p={p}: not sorted as emitted"
+        );
+        all
     }
 
     #[test]
     fn rgg2d_symmetric_sorted_no_self_loops() {
         let all = generate_all::<2>(4, 1000, 8000, 3);
-        assert!(all.windows(2).all(|w| w[0] <= w[1]));
         let set: HashSet<WEdge> = all.iter().copied().collect();
         assert_eq!(set.len(), all.len());
         for e in &all {
@@ -254,29 +278,27 @@ mod tests {
         }
     }
 
-    /// The cell-cached, symmetric-pair neighbourhood sweep must emit
-    /// exactly the edge set of the naive all-pairs distance check (cell
-    /// side ≥ radius, so the 3^DIM neighbourhood covers every candidate;
-    /// the pair orientation rules may only skip duplicate work).
+    /// The neighbourhood sweep must emit exactly the edge list of the
+    /// naive all-pairs distance check (cell side ≥ radius, so the 3^DIM
+    /// neighbourhood covers every candidate).
     #[test]
     fn sweep_matches_bruteforce_all_pairs() {
         fn check<const DIM: usize>(n: u64, m: u64, seed: u64) {
             let grid = CellGrid::<DIM>::new(n, m, seed);
-            let points: Vec<([f64; DIM], u64)> =
-                (0..grid.cells()).flat_map(|c| grid.points(c)).collect();
+            // Ids are positions in the cell-major point list.
+            let points: Vec<[f64; DIM]> = (0..grid.cells()).flat_map(|c| grid.points(c)).collect();
             let r2 = grid.radius * grid.radius;
             let mut expected: Vec<WEdge> = Vec::new();
-            for (apos, aid) in &points {
-                for (bpos, bid) in &points {
+            for (aid, apos) in (0u64..).zip(&points) {
+                for (bid, bpos) in (0u64..).zip(&points) {
                     if aid != bid && dist2(apos, bpos) <= r2 {
-                        expected.push(WEdge::new(*aid, *bid, weight_of(*aid, *bid, seed)));
+                        expected.push(WEdge::new(aid, bid, weight_of(aid, bid, seed)));
                     }
                 }
             }
             expected.sort_unstable();
             for p in [1usize, 3] {
-                let mut got = generate_all::<DIM>(p, n, m, seed);
-                got.sort_unstable();
+                let got = generate_all::<DIM>(p, n, m, seed);
                 assert_eq!(
                     got, expected,
                     "DIM={DIM} n={n} m={m} seed={seed} p={p}: sweep and brute force disagree"

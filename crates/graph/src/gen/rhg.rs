@@ -16,7 +16,7 @@
 //! deterministic Monte-Carlo binary search that every PE replays
 //! identically.
 
-use super::{sort_local, weight_of};
+use super::{charge_order, weight_of};
 use crate::edge::WEdge;
 use crate::hash::{hash3, unit_f64, FxHashMap};
 use kamsta_comm::Comm;
@@ -273,8 +273,12 @@ fn theta_ranges(pts: &[CPoint], center: f64, window: f64) -> [(usize, usize); 2]
 /// Undirected pairs whose both endpoints are locally owned are tested
 /// once (from the lower cell / lower id) and emit both directions;
 /// cut pairs are tested once per side, each side emitting its own
-/// direction — exactly the edge set of the naive band×band scan.
+/// direction — exactly the edge set of the naive band×band scan. Fewer
+/// than two vertices give the empty graph.
 pub fn rhg(comm: &Comm, params: RhgParams, seed: u64) -> Vec<WEdge> {
+    if params.n < 2 {
+        return Vec::new();
+    }
     let disk = Disk::new(&params, seed);
     let my_sectors = super::block_range(disk.a, comm.size(), comm.rank());
     let width = disk.sector_width();
@@ -352,15 +356,11 @@ pub fn rhg(comm: &Comm, params: RhgParams, seed: u64) -> Vec<WEdge> {
             }
         }
     }
-    #[cfg(debug_assertions)]
-    {
-        let mut seen = crate::hash::FxHashSet::default();
-        for e in &edges {
-            debug_assert!(seen.insert((e.u, e.v)), "duplicate directed edge {e:?}");
-        }
-    }
     comm.charge_local(work + edges.len() as u64);
-    sort_local(comm, &mut edges);
+    // The sweep runs by sector and band, not by source, so the slice
+    // needs a local sort.
+    edges.sort_unstable();
+    charge_order(comm, &edges);
     edges
 }
 
@@ -478,11 +478,7 @@ mod tests {
             }
             expected.sort_unstable();
             for p in [1usize, 3] {
-                let got = {
-                    let mut g = generate_all(p, n, m, 3.0, seed);
-                    g.sort_unstable();
-                    g
-                };
+                let got = generate_all(p, n, m, 3.0, seed);
                 assert_eq!(
                     got, expected,
                     "n={n} m={m} seed={seed} p={p}: sweep and brute force disagree"

@@ -25,45 +25,62 @@ fn families(seed: u64) -> Vec<GraphConfig> {
     ]
 }
 
+/// The slices concatenated in rank order, checked to be sorted as
+/// emitted: strictly, except for RMAT, which may repeat an edge.
 fn generate(p: usize, config: GraphConfig, seed: u64) -> Vec<WEdge> {
-    let mut all: Vec<WEdge> = Machine::run(MachineConfig::new(p), move |comm| {
+    let all: Vec<WEdge> = Machine::run(MachineConfig::new(p), move |comm| {
         config.generate(comm, seed)
     })
     .results
     .into_iter()
     .flatten()
     .collect();
-    // RMAT may contain duplicates by design; canonicalise the multiset
-    // as a sorted list for comparisons.
-    all.sort_unstable();
+    let sorted = match config {
+        GraphConfig::Rmat { .. } => all.windows(2).all(|w| w[0] <= w[1]),
+        _ => all.windows(2).all(|w| w[0] < w[1]),
+    };
+    assert!(
+        sorted,
+        "{config:?} seed={seed} p={p}: not sorted as emitted"
+    );
     all
 }
 
-/// Degenerate corpus: m = 0 and single-vertex configurations must
-/// produce valid — sorted, symmetric, loop-free, partition-invariant —
-/// and, where the family can honour it exactly, *empty* edge lists.
+/// Degenerate corpus: m = 0, fewer than two vertices and zero grid sides
+/// must produce valid — sorted, symmetric, loop-free, partition-invariant
+/// — and, where the family can honour it exactly, *empty* edge lists.
 #[test]
 fn degenerate_configs_generate_cleanly() {
-    let corpus = vec![
+    let rhg = |n, m| GraphConfig::Rhg { n, m, gamma: 3.0 };
+    // No edge budget or no vertex pair to draw from: these generate the
+    // empty graph.
+    let empty = [
+        GraphConfig::Gnm { n: 0, m: 10 },
+        GraphConfig::Gnm { n: 1, m: 10 },
         GraphConfig::Gnm { n: 2, m: 0 },
         GraphConfig::Gnm { n: 50, m: 0 },
         GraphConfig::Grid2D { rows: 1, cols: 1 },
+        GraphConfig::Grid2D { rows: 0, cols: 5 },
+        GraphConfig::Grid2D { rows: 5, cols: 0 },
         GraphConfig::RoadLike { rows: 1, cols: 1 },
+        GraphConfig::RoadLike { rows: 0, cols: 5 },
         GraphConfig::Rmat { scale: 0, m: 0 },
+        GraphConfig::Rmat { scale: 0, m: 10 },
         GraphConfig::Rmat { scale: 5, m: 0 },
+        GraphConfig::Rgg2D { n: 0, m: 10 },
         GraphConfig::Rgg2D { n: 1, m: 0 },
+        GraphConfig::Rgg2D { n: 1, m: 10 },
+        GraphConfig::Rgg3D { n: 0, m: 10 },
         GraphConfig::Rgg3D { n: 1, m: 0 },
-        GraphConfig::Rhg {
-            n: 8,
-            m: 0,
-            gamma: 3.0,
-        },
+        rhg(0, 10),
+        rhg(1, 10),
     ];
-    for config in corpus {
+    // RHG's calibration floors the target degree at 1, so m = 0 need not
+    // be empty there.
+    for config in empty.into_iter().chain([rhg(8, 0)]) {
         let a = generate(1, config, 7);
         let b = generate(4, config, 7);
         assert_eq!(a, b, "{config:?}: degenerate output must not depend on p");
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "{config:?}: sorted");
         let set: HashSet<(u64, u64, u32)> = a.iter().map(|e| (e.u, e.v, e.w)).collect();
         for e in &a {
             assert!(!e.is_self_loop(), "{config:?}: self-loop {e:?}");
@@ -73,18 +90,33 @@ fn degenerate_configs_generate_cleanly() {
             );
         }
     }
-    // Families whose structure pins the edge count honour m = 0 / one
-    // vertex exactly.
-    for config in [
-        GraphConfig::Gnm { n: 40, m: 0 },
-        GraphConfig::Grid2D { rows: 1, cols: 1 },
-        GraphConfig::Rmat { scale: 5, m: 0 },
-        GraphConfig::RoadLike { rows: 1, cols: 1 },
-    ] {
+    for config in empty {
         assert!(
             generate(3, config, 1).is_empty(),
             "{config:?} must generate no edges"
         );
+    }
+}
+
+/// More PEs than RGG cells, GNM buckets or grid vertices: the PEs left
+/// without any emit nothing, and the rest still emit exactly their part
+/// of the p = 1 graph.
+#[test]
+fn more_pes_than_cells_buckets_or_vertices() {
+    for config in [
+        GraphConfig::Rgg2D { n: 9, m: 40 },
+        GraphConfig::Gnm { n: 5, m: 12 },
+        GraphConfig::Grid2D { rows: 2, cols: 2 },
+    ] {
+        let reference = generate(1, config, 11);
+        assert!(!reference.is_empty(), "{config:?} generated nothing");
+        for p in [7usize, 16] {
+            assert_eq!(
+                generate(p, config, 11),
+                reference,
+                "{config:?}: p={p} differs from p=1"
+            );
+        }
     }
 }
 
