@@ -88,7 +88,6 @@ fn drain_frames(stream: &[u8]) -> usize {
 fn frame_header(len: usize, seq: u64) -> FrameHeader {
     FrameHeader {
         channel: CH_DATA,
-        comm: 0,
         a: seq,
         b: 0,
         len: len as u32,

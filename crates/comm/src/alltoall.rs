@@ -152,8 +152,7 @@ impl Comm {
     ) -> FlatBuckets<T> {
         let p = self.size();
         let out_bytes = bytes_of::<T>(bufs.total_len());
-        let all: Vec<usize> = (0..p).collect();
-        let recv = self.raw_exchange_flat(bufs, &all, &all);
+        let recv = self.raw_exchange_flat(bufs);
         let in_bytes = bytes_of::<T>(recv.total_len());
         self.charge_comm(p as u64, out_bytes.max(in_bytes));
         recv

@@ -128,13 +128,11 @@ const PARK: Duration = Duration::from_millis(1);
 
 impl ClockBarrier {
     /// `n` participants. `machine_threads` is the *machine-wide* OS
-    /// thread count — `p × threads_per_pe`, not just `p`: a
-    /// sub-communicator's barrier must judge host oversubscription by
-    /// every thread competing for the cores (the hybrid variants'
-    /// intra-PE pool threads included), not by its own (possibly tiny)
-    /// membership. A `p=4, t=8` machine on an 8-core host therefore
-    /// parks instead of spinning, even though its 4 PE threads alone
-    /// would fit.
+    /// thread count — `p × threads_per_pe`, not just `p`: the barrier
+    /// judges host oversubscription by every thread competing for the
+    /// cores, the hybrid variants' intra-PE pool threads included. A
+    /// `p=4, t=8` machine on an 8-core host therefore parks instead of
+    /// spinning, even though its 4 PE threads alone would fit.
     pub fn new(n: usize, machine_threads: usize) -> Self {
         assert!(n > 0, "barrier needs at least one participant");
         let rounds = crate::ceil_log2(n) as usize;

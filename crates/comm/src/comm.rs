@@ -1,5 +1,10 @@
 //! The per-PE communicator handle and the basic collective operations.
 //!
+//! A machine has exactly one communicator, the world: every PE holds one
+//! [`Comm`] over all `p` ranks. Algorithms that work on parts of the
+//! machine (hypercube quicksort's subcubes) address partners by rank on
+//! it rather than deriving sub-communicators.
+//!
 //! Every operation on [`Comm`] is *collective*: all PEs of the communicator
 //! must call it in the same order (standard MPI semantics). Collectives are
 //! built from typed exchange cells ([`crate::cells`]) and the dissemination
@@ -26,20 +31,18 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// State shared by all PEs of one cells-transport communicator.
+/// State shared by all PEs of a cells-transport machine.
 #[derive(Debug)]
 pub(crate) struct CommShared {
     pub(crate) barrier: ClockBarrier,
-    /// The typed cell blackboard: the data plane, and the hand-off of a
-    /// child's shared state in [`Comm::split`].
+    /// The typed cell blackboard: the data plane.
     pub(crate) cells: CellRegistry,
 }
 
 impl CommShared {
     /// `machine_threads` is the machine-wide OS thread count,
-    /// `p × threads_per_pe` — sub-communicator barriers judge host
-    /// oversubscription by it, not by their own size, and hybrid
-    /// machines count their intra-PE threads too.
+    /// `p × threads_per_pe`: hybrid machines count their intra-PE
+    /// threads when the barrier judges host oversubscription.
     pub(crate) fn new(p: usize, machine_threads: usize) -> Self {
         Self {
             barrier: ClockBarrier::new(p, machine_threads),
@@ -48,50 +51,14 @@ impl CommShared {
     }
 }
 
-/// A communicator's end of the byte lane (the `bytes` and `sockets`
-/// transports): the machine's one lane, shared by `Arc` with every
-/// sub-communicator — frames are demultiplexed by `comm_id`, not by
-/// connection.
-pub(crate) struct LaneEnd {
-    lane: Arc<dyn ByteLane>,
-    /// Which pipe the lane runs on, for [`Comm::transport`] only.
-    kind: TransportKind,
-    /// Local rank → machine-world rank; `None` means the identity (the
-    /// world communicator).
-    group: Option<Arc<Vec<usize>>>,
-    /// Communicator id stamped on every frame (world = 0; children
-    /// derive theirs deterministically in [`Comm::split`]).
-    comm_id: u64,
-}
-
-impl LaneEnd {
-    /// The world communicator's end of `lane`, which runs on `kind`'s
-    /// pipe: communicator id 0, local ranks are world ranks.
-    pub(crate) fn world(lane: Arc<dyn ByteLane>, kind: TransportKind) -> Self {
-        Self {
-            lane,
-            kind,
-            group: None,
-            comm_id: 0,
-        }
-    }
-
-    /// Machine-world rank of the communicator's local rank `local`.
-    #[inline]
-    fn world_of(&self, local: usize) -> usize {
-        match &self.group {
-            None => local,
-            Some(g) => g[local],
-        }
-    }
-}
-
 /// What a communicator's collectives run over.
 pub(crate) enum Backend {
     /// The shared-cells blackboard and its in-process barrier.
     Cells(Arc<CommShared>),
-    /// The byte lane, barrier included.
-    Lane(LaneEnd),
+    /// This PE's end of the byte lane (the `bytes` and `sockets`
+    /// transports, barrier included) and which pipe it runs on — the
+    /// kind is for [`Comm::transport`] only.
+    Lane(Box<dyn ByteLane>, TransportKind),
 }
 
 /// This PE's cached handle on one cell set plus its round counter. The
@@ -103,16 +70,11 @@ struct CellCacheEntry {
     epoch: u64,
 }
 
-/// A PE's handle on one communicator (MPI communicator analogue).
-///
-/// Cheap to pass by reference into algorithm code; [`Comm::split`] derives
-/// sub-communicators that share the PE's modeled clock.
+/// A PE's handle on the machine's communicator (MPI communicator
+/// analogue). Cheap to pass by reference into algorithm code.
 pub struct Comm {
     rank: usize,
     size: usize,
-    /// OS threads of the whole machine, `pes × threads_per_pe`
-    /// (constant across `split`).
-    machine_threads: usize,
     backend: Backend,
     clock: Arc<Clock>,
     cost: CostModel,
@@ -122,9 +84,6 @@ pub struct Comm {
     seq: Cell<u64>,
     /// Lane-barrier episode counter (advances identically on every PE).
     bepoch: Cell<u64>,
-    /// How many `split`s this communicator has performed — salt for the
-    /// children's `comm_id` derivation.
-    splits: Cell<u64>,
     pub(crate) alltoall_kind: AlltoallKind,
     /// Reusable send/scratch buffers for the byte lane. Buckets are
     /// encoded directly into a pooled buffer, handed to the transport,
@@ -150,7 +109,6 @@ impl Comm {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        machine_threads: usize,
         backend: Backend,
         clock: Arc<Clock>,
         cost: CostModel,
@@ -159,14 +117,12 @@ impl Comm {
         Self {
             rank,
             size,
-            machine_threads,
             backend,
             clock,
             cost,
             cell_cache: RefCell::new(HashMap::new()),
             seq: Cell::new(0),
             bepoch: Cell::new(0),
-            splits: Cell::new(0),
             alltoall_kind,
             pool: RefCell::new(Vec::new()),
         }
@@ -254,7 +210,7 @@ impl Comm {
         }
         let synced = match &self.backend {
             Backend::Cells(shared) => shared.barrier.wait(self.rank, self.clock.now()),
-            Backend::Lane(end) => self.lane_barrier(end),
+            Backend::Lane(lane, _) => self.lane_barrier(&**lane),
         };
         self.clock.set(synced);
     }
@@ -265,31 +221,27 @@ impl Comm {
     /// (mod size), `⌈log₂ size⌉` rounds in total. `max` is associative,
     /// commutative, and exact over `f64`, so every PE converges on the
     /// bit-identical synced clock the in-process barrier would produce.
-    fn lane_barrier(&self, end: &LaneEnd) -> f64 {
+    fn lane_barrier(&self, lane: &dyn ByteLane) -> f64 {
         let episode = self.bepoch.get() + 1;
         self.bepoch.set(episode);
         let mut best = self.clock.now();
         for k in 0..crate::ceil_log2(self.size) {
             let code = (episode << 8) | k as u64;
-            let to = end.world_of((self.rank + (1 << k)) % self.size);
-            let from = end.world_of((self.rank + self.size - (1 << k)) % self.size);
-            end.lane
-                .send(to, CH_BARRIER, end.comm_id, code, best.to_bits(), &[])
+            let to = (self.rank + (1 << k)) % self.size;
+            let from = (self.rank + self.size - (1 << k)) % self.size;
+            lane.send(to, CH_BARRIER, code, best.to_bits(), &[])
                 .unwrap_or_else(|e| raise(e));
-            let bits = end
-                .lane
-                .recv_barrier(from, end.comm_id, code)
-                .unwrap_or_else(|e| raise(e));
+            let bits = lane.recv_barrier(from, code).unwrap_or_else(|e| raise(e));
             best = best.max(f64::from_bits(bits));
         }
         best
     }
 
-    /// This communicator's end of the byte lane. The lane primitives of
+    /// This PE's end of the byte lane. The lane primitives of
     /// `transport.rs` are only reached when [`Comm::has_byte_lane`].
-    fn lane_end(&self) -> &LaneEnd {
+    fn lane(&self) -> &dyn ByteLane {
         match &self.backend {
-            Backend::Lane(end) => end,
+            Backend::Lane(lane, _) => &**lane,
             Backend::Cells(_) => unreachable!("byte-lane primitive on the cells transport"),
         }
     }
@@ -298,7 +250,7 @@ impl Comm {
     /// in-memory pipes or sockets) rather than the cells blackboard.
     #[inline]
     pub(crate) fn has_byte_lane(&self) -> bool {
-        matches!(self.backend, Backend::Lane(_))
+        matches!(self.backend, Backend::Lane(..))
     }
 
     /// Take a cleared scratch buffer from the lane pool (or allocate a
@@ -319,34 +271,31 @@ impl Comm {
         }
     }
 
-    /// Send one coalesced bucket frame to local rank `dst` on the byte
-    /// lane, recycling the buffer afterwards. Transport failures abort
-    /// the PE with a typed error (see [`crate::transport::raise`]).
+    /// Send one coalesced bucket frame to rank `dst` on the byte lane,
+    /// recycling the buffer afterwards. Transport failures abort the PE
+    /// with a typed error (see [`crate::transport::raise`]).
     pub(crate) fn lane_send(&self, dst: usize, seq: u64, tag: u64, buf: Vec<u8>) {
-        let end = self.lane_end();
-        end.lane
-            .send(end.world_of(dst), CH_DATA, end.comm_id, seq, tag, &buf)
+        self.lane()
+            .send(dst, CH_DATA, seq, tag, &buf)
             .unwrap_or_else(|e| raise(e));
         self.buf_put(buf);
     }
 
-    /// Broadcast one encoded frame to every *other* rank of this
-    /// communicator. The bytes are encoded exactly once: the lane writes
-    /// the same buffer to each peer's pipe.
+    /// Broadcast one encoded frame to every *other* rank. The bytes are
+    /// encoded exactly once: the lane writes the same buffer to each
+    /// peer's pipe.
     pub(crate) fn lane_broadcast(&self, seq: u64, tag: u64, buf: Vec<u8>) {
-        let end = self.lane_end();
+        let lane = self.lane();
         for dst in (0..self.size).filter(|&dst| dst != self.rank) {
-            end.lane
-                .send(end.world_of(dst), CH_DATA, end.comm_id, seq, tag, &buf)
+            lane.send(dst, CH_DATA, seq, tag, &buf)
                 .unwrap_or_else(|e| raise(e));
         }
         self.buf_put(buf);
     }
 
-    /// Pop the round-`seq` frame from local rank `src` off the byte lane
-    /// and decode it in place: `f` gets a borrowed view of the payload
-    /// (no copy out of the lane's receive buffer, which the lane
-    /// recycles).
+    /// Pop the round-`seq` frame from rank `src` off the byte lane and
+    /// decode it in place: `f` gets a borrowed view of the payload (no
+    /// copy out of the lane's receive buffer, which the lane recycles).
     pub(crate) fn lane_pop_with<R>(
         &self,
         src: usize,
@@ -355,19 +304,11 @@ impl Comm {
         what: &str,
         f: impl FnOnce(&[u8]) -> Result<R, crate::wire::WireError>,
     ) -> R {
-        let end = self.lane_end();
         let (mut f, mut decoded) = (Some(f), None);
-        end.lane
-            .recv_data(
-                end.world_of(src),
-                end.comm_id,
-                seq,
-                tag,
-                what,
-                &mut |bytes| {
-                    decoded = f.take().map(|f| f(bytes));
-                },
-            )
+        self.lane()
+            .recv_data(src, seq, tag, what, &mut |bytes| {
+                decoded = f.take().map(|f| f(bytes));
+            })
             .unwrap_or_else(|e| raise(e));
         decoded
             .expect("a successful receive hands over exactly one frame")
@@ -383,7 +324,7 @@ impl Comm {
     pub fn transport(&self) -> TransportKind {
         match &self.backend {
             Backend::Cells(_) => TransportKind::Cells,
-            Backend::Lane(end) => end.kind,
+            Backend::Lane(_, kind) => *kind,
         }
     }
 
@@ -399,8 +340,7 @@ impl Comm {
     /// Start a single-superstep round on the cell set for type `T`: the
     /// per-type epoch advances by one (identically on every PE), the set
     /// is resolved from the PE-local cache (registry mutex only on first
-    /// use of a type). Cells transport only: its data plane, plus the
-    /// hand-off of a child's shared state in [`Comm::split`].
+    /// use of a type). Cells transport only.
     pub(crate) fn cells_round<T: Send + 'static>(&self) -> Round<T> {
         let Backend::Cells(shared) = &self.backend else {
             unreachable!("cells round on a byte-lane transport");
@@ -535,22 +475,16 @@ impl Comm {
     /// All PEs obtain the vector of every PE's `value`, in rank order.
     /// Cost: `α log p + β·p·size_of::<T>()` (ℓ = total message length).
     pub fn allgather<T: Wire + Clone + Send + Sync + 'static>(&self, value: T) -> Vec<T> {
-        let all = self.allgather_uncharged(value);
+        let all = if self.size == 1 {
+            vec![value]
+        } else {
+            let round = self.xround::<T>();
+            round.post(To::All, value);
+            self.sync();
+            (0..self.size).map(|r| round.read(r).into_owned()).collect()
+        };
         self.charge_comm(self.log2p(), bytes_of::<T>(self.size));
         all
-    }
-
-    /// Allgather without cost charging — for simulation plumbing whose
-    /// real-world counterpart needs no communication (e.g. [`Comm::split`]
-    /// membership derived from static structure).
-    fn allgather_uncharged<T: Wire + Clone + Send + Sync + 'static>(&self, value: T) -> Vec<T> {
-        if self.size == 1 {
-            return vec![value];
-        }
-        let round = self.xround::<T>();
-        round.post(To::All, value);
-        self.sync();
-        (0..self.size).map(|r| round.read(r).into_owned()).collect()
     }
 
     /// All PEs obtain the concatenation (rank order) of every PE's vector.
@@ -674,94 +608,4 @@ impl Comm {
         }
         received
     }
-
-    // ------------------------------------------------------------------
-    // sub-communicators
-    // ------------------------------------------------------------------
-
-    /// Split the communicator into disjoint groups by `color`; within each
-    /// group, ranks are assigned by ascending `(key, old rank)` — MPI
-    /// `Comm_split` semantics. Collective.
-    ///
-    /// Charges no modeled cost: the algorithms in this workspace derive
-    /// colors from statically known structure (hypercube bit masks, grid
-    /// coordinates), which real implementations resolve without
-    /// communication; the exchange below is simulation plumbing.
-    pub fn split(&self, color: usize, key: usize) -> Comm {
-        let infos = self.allgather_uncharged((color, key, self.rank));
-        let mut members: Vec<(usize, usize)> = infos
-            .iter()
-            .filter(|(c, _, _)| *c == color)
-            .map(|(_, k, r)| (*k, *r))
-            .collect();
-        members.sort_unstable();
-        let my_new_rank = members
-            .iter()
-            .position(|&(_, r)| r == self.rank)
-            .expect("caller must be a member of its own color group");
-
-        let backend = match &self.backend {
-            // Byte lane: nothing to hand out at all. Every member derived
-            // the same member list from the allgather above, so each
-            // builds its child locally — the parent's lane is shared by
-            // `Arc`, local ranks map to world ranks through the group
-            // table, and frames are told apart by a deterministically
-            // derived communicator id (identical on every member: the
-            // split counter advances in SPMD order and the color is
-            // common to the group).
-            Backend::Lane(end) => {
-                let split_no = self.splits.get() + 1;
-                self.splits.set(split_no);
-                let world = members.iter().map(|&(_, r)| end.world_of(r)).collect();
-                Backend::Lane(LaneEnd {
-                    lane: Arc::clone(&end.lane),
-                    kind: end.kind,
-                    group: Some(Arc::new(world)),
-                    comm_id: mix_comm_id(end.comm_id, split_no, color as u64),
-                })
-            }
-            // Cells: the group's leader builds the child's shared state
-            // and hands it out through the parent's blackboard.
-            Backend::Cells(_) if self.size == 1 => {
-                Backend::Cells(Arc::new(CommShared::new(1, self.machine_threads)))
-            }
-            Backend::Cells(_) => {
-                let round = self.cells_round::<Arc<CommShared>>();
-                if self.rank == members[0].1 {
-                    round.publish(Arc::new(CommShared::new(
-                        members.len(),
-                        self.machine_threads,
-                    )));
-                }
-                self.sync();
-                Backend::Cells(Arc::clone(round.read(members[0].1)))
-            }
-        };
-        Comm::new(
-            my_new_rank,
-            members.len(),
-            self.machine_threads,
-            backend,
-            Arc::clone(&self.clock),
-            self.cost,
-            self.alltoall_kind,
-        )
-    }
-}
-
-/// Derive a child communicator id from the parent's id, its split
-/// counter, and the group color — splitmix64-style finalizer, so sibling
-/// groups and successive split generations land on distinct ids with
-/// overwhelming probability (ids only need to be distinct among
-/// communicators alive on one fabric at once).
-fn mix_comm_id(parent: u64, split_no: u64, color: u64) -> u64 {
-    let mut x = parent
-        ^ split_no.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ color.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
 }

@@ -11,8 +11,8 @@
 //! ## Determinism
 //!
 //! Every fault decision is a pure function of the plan's seed and the
-//! frame's coordinates — `(channel, src, dst, communicator, sequence)`
-//! — hashed through SplitMix64. No wall-clock, no global counters: the
+//! frame's coordinates — `(channel, src, dst, sequence)` — hashed
+//! through SplitMix64. No wall-clock, no global counters: the
 //! same plan on the same program produces the same fault schedule on
 //! every run and on both pipes, which is what lets the
 //! chaos suite compare a faulted run's digest against a fault-free one
@@ -68,7 +68,7 @@ const BACKOFF_CAP: Duration = Duration::from_millis(2);
 /// data-plane round sequence reaches `at_seq`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LethalFault {
-    /// Machine-world rank whose outgoing frames are corrupted.
+    /// Rank whose outgoing frames are corrupted.
     pub rank: usize,
     /// What happens to the frame.
     pub kind: LethalKind,
@@ -312,17 +312,12 @@ impl FaultyTransport {
     }
 
     /// Draw the fault schedule of one frame on `(src → dst)` for round
-    /// `seq` of communicator `comm`. Deterministic in its arguments.
-    pub(crate) fn send_faults(
-        &self,
-        channel: u8,
-        src: usize,
-        dst: usize,
-        comm: u64,
-        seq: u64,
-    ) -> SendFaults {
+    /// `seq`. Deterministic in its arguments.
+    pub(crate) fn send_faults(&self, channel: u8, src: usize, dst: usize, seq: u64) -> SendFaults {
         let p = &self.plan;
-        let key = [channel as u64, src as u64, dst as u64, comm, seq]
+        // The fixed 0 is the slot a communicator id once filled; keeping
+        // it keeps every seeded plan's schedule as it was.
+        let key = [channel as u64, src as u64, dst as u64, 0, seq]
             .into_iter()
             .fold(p.seed, |h, x| splitmix64(h ^ x));
         let delay = p
@@ -388,13 +383,9 @@ impl FaultyTransport {
 /// verified) when no fault plan is installed — TCP and in-process
 /// queues are already reliable; the checksum exists to catch *injected*
 /// corruption before it can become a wrong answer.
-pub(crate) fn frame_checksum(channel: u8, comm: u64, a: u64, b: u64, payload: &[u8]) -> u64 {
+pub(crate) fn frame_checksum(channel: u8, a: u64, b: u64, payload: &[u8]) -> u64 {
     let mut h = splitmix64(
-        (channel as u64)
-            ^ comm.rotate_left(17)
-            ^ a.rotate_left(34)
-            ^ b.rotate_left(51)
-            ^ ((payload.len() as u64) << 8),
+        (channel as u64) ^ a.rotate_left(34) ^ b.rotate_left(51) ^ ((payload.len() as u64) << 8),
     );
     let mut chunks = payload.chunks_exact(8);
     for c in &mut chunks {
@@ -462,7 +453,7 @@ mod tests {
         let c = FaultyTransport::new(FaultPlan::seeded(8).with_duplicates(0.5));
         let pattern = |fx: &FaultyTransport| {
             (0..64)
-                .map(|seq| fx.send_faults(0, 0, 1, 0, seq).duplicate)
+                .map(|seq| fx.send_faults(0, 0, 1, seq).duplicate)
                 .collect::<Vec<bool>>()
         };
         assert_eq!(pattern(&a), pattern(&b), "same seed, same schedule");
@@ -485,7 +476,7 @@ mod tests {
     fn empty_plan_never_fires() {
         let fx = FaultyTransport::new(FaultPlan::seeded(42));
         for seq in 0..256 {
-            let f = fx.send_faults(0, 0, 1, 0, seq);
+            let f = fx.send_faults(0, 0, 1, seq);
             assert!(f.delay.is_none());
             assert_eq!(f.failed_attempts, 0);
             assert!(!f.duplicate);
@@ -503,16 +494,16 @@ mod tests {
             at_seq: 5,
         }));
         assert!(
-            fx.send_faults(0, 2, 0, 0, 4).lethal.is_none(),
+            fx.send_faults(0, 2, 0, 4).lethal.is_none(),
             "before the superstep"
         );
         assert_eq!(
-            fx.send_faults(0, 2, 0, 0, 5).lethal,
+            fx.send_faults(0, 2, 0, 5).lethal,
             Some(LethalKind::Truncate)
         );
-        assert!(fx.send_faults(0, 1, 0, 0, 5).lethal.is_none(), "wrong rank");
+        assert!(fx.send_faults(0, 1, 0, 5).lethal.is_none(), "wrong rank");
         assert!(
-            fx.send_faults(1, 2, 0, 0, 5).lethal.is_none(),
+            fx.send_faults(1, 2, 0, 5).lethal.is_none(),
             "barrier frames exempt"
         );
     }
@@ -534,14 +525,14 @@ mod tests {
     #[test]
     fn checksum_detects_any_single_bit_flip() {
         let payload: Vec<u8> = (0..37u8).collect();
-        let sum = frame_checksum(0, 1, 2, 3, &payload);
-        assert_eq!(sum, frame_checksum(0, 1, 2, 3, &payload), "pure function");
+        let sum = frame_checksum(0, 2, 3, &payload);
+        assert_eq!(sum, frame_checksum(0, 2, 3, &payload), "pure function");
         for bit in 0..payload.len() * 8 {
             let mut corrupt = payload.clone();
             corrupt[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(sum, frame_checksum(0, 1, 2, 3, &corrupt), "bit {bit}");
+            assert_ne!(sum, frame_checksum(0, 2, 3, &corrupt), "bit {bit}");
         }
-        assert_ne!(sum, frame_checksum(1, 1, 2, 3, &payload), "header covered");
-        assert_ne!(sum, frame_checksum(0, 1, 2, 4, &payload), "header covered");
+        assert_ne!(sum, frame_checksum(1, 2, 3, &payload), "header covered");
+        assert_ne!(sum, frame_checksum(0, 2, 4, &payload), "header covered");
     }
 }

@@ -15,10 +15,9 @@
 //! ## Framing and the round discipline
 //!
 //! Collectives are SPMD-ordered, so every PE advances an identical
-//! per-communicator round sequence number ([`crate::Comm`] owns the
-//! counter). Each data frame carries its communicator id, the sender's
-//! sequence number and the payload type tag; a receiver waiting for
-//! round `s` of a communicator:
+//! round sequence number ([`crate::Comm`] owns the counter). Each data
+//! frame carries the sender's sequence number and the payload type tag;
+//! a receiver waiting for round `s`:
 //!
 //! * discards frames with `seq < s` — posts of earlier rounds that no
 //!   protocol step ever consumed (the byte analogue of a stale cell
@@ -29,9 +28,8 @@
 //!   type-tag mismatch — a PE skipped a send or the collectives ran out
 //!   of order.
 //!
-//! Received frames are demultiplexed by communicator id and channel,
-//! so sub-communicator traffic and barrier signals interleave freely
-//! on the shared pair pipes.
+//! Received frames are demultiplexed by channel, so data frames and
+//! barrier signals interleave freely on the pair pipes.
 //!
 //! ## The progress engine
 //!
@@ -40,7 +38,7 @@
 //! writing to each other; every pipe is therefore **non-blocking**, and
 //! both the send and the receive path run a pump loop: on `WouldBlock`,
 //! park in [`Pipe::wait`], drain the pipes that came back readable into
-//! per-communicator pending queues, then retry until the io deadline.
+//! their links' pending queues, then retry until the io deadline.
 //!
 //! ## Liveness probes
 //!
@@ -82,19 +80,16 @@ use crate::transport::TransportError;
 use crate::wire::{
     self, FrameHeader, CH_BARRIER, CH_DATA, CH_PING, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What a communicator sees of its lane, with the pipe type erased:
-/// `Comm` holds an `Arc<dyn ByteLane>` shared with every
-/// sub-communicator split off it, so nothing above this trait knows
-/// which pipe a machine runs on. Peers are machine-world ranks. `Sync`
-/// so that the `Arc` is `Send`; one PE at a time calls in (see
-/// [`Lane`]'s `links`).
-pub(crate) trait ByteLane: Send + Sync {
+/// `Comm` owns a `Box<dyn ByteLane>`, so nothing above this trait knows
+/// which pipe a machine runs on. Peers are ranks.
+pub(crate) trait ByteLane: Send {
     /// Send one frame on `channel` ([`CH_DATA`]: `a` = round sequence,
     /// `b` = payload type tag; [`CH_BARRIER`]: `a` = `episode << 8 |
     /// round`, `b` = the clock maximum as bits, empty payload).
@@ -102,20 +97,18 @@ pub(crate) trait ByteLane: Send + Sync {
         &self,
         peer: usize,
         channel: u8,
-        comm: u64,
         a: u64,
         b: u64,
         payload: &[u8],
     ) -> Result<(), TransportError>;
 
-    /// Receive the round-`seq` data frame from `peer` on communicator
-    /// `comm` and consume it in place: `f` gets a borrowed view of the
-    /// payload (decoded straight out of the recycled receive buffer,
-    /// which goes back to the link's freelist afterwards — no copy).
+    /// Receive the round-`seq` data frame from `peer` and consume it in
+    /// place: `f` gets a borrowed view of the payload (decoded straight
+    /// out of the recycled receive buffer, which goes back to the link's
+    /// freelist afterwards — no copy).
     fn recv_data(
         &self,
         peer: usize,
-        comm: u64,
         seq: u64,
         tag: u64,
         what: &str,
@@ -124,7 +117,7 @@ pub(crate) trait ByteLane: Send + Sync {
 
     /// Receive the barrier signal with exactly `code` from `peer`;
     /// returns the clock bits it carries.
-    fn recv_barrier(&self, peer: usize, comm: u64, code: u64) -> Result<u64, TransportError>;
+    fn recv_barrier(&self, peer: usize, code: u64) -> Result<u64, TransportError>;
 }
 
 /// How often a blocked receive probes its peer with a [`CH_PING`]: a
@@ -141,9 +134,9 @@ struct DataFrame {
     bytes: Vec<u8>,
 }
 
-/// Per-communicator pending queues of one link. A pipe preserves order,
-/// and within one communicator the SPMD round order makes that arrival
-/// order the consumption order — so plain FIFOs suffice.
+/// The pending queues of one link. A pipe preserves order, and the SPMD
+/// round order makes that arrival order the consumption order — so plain
+/// FIFOs suffice.
 #[derive(Default)]
 struct Pending {
     data: VecDeque<DataFrame>,
@@ -167,7 +160,7 @@ struct Link<P> {
     wr_backlog: Vec<u8>,
     /// The peer's end is gone (end-of-stream or reset observed).
     closed: bool,
-    pending: HashMap<u64, Pending>,
+    pending: Pending,
     /// Ping requests received and not yet answered with a pong.
     ping_reqs: VecDeque<u64>,
     /// Nonce of the next ping this side sends.
@@ -213,7 +206,7 @@ impl<P: Pipe> Link<P> {
             window: WINDOW_MIN,
             wr_backlog: Vec::new(),
             closed: false,
-            pending: HashMap::new(),
+            pending: Pending::default(),
             ping_reqs: VecDeque::new(),
             pings_sent: 0,
             pongs: 0,
@@ -325,8 +318,8 @@ impl<P: Pipe> Link<P> {
             let payload = &self.rd[off + FRAME_HEADER_LEN..off + total];
             // With faults armed every frame carries a checksum; verify
             // before demultiplexing so corruption can never be served
-            // as an answer — not even to another communicator.
-            if fx.is_some() && frame_checksum(h.channel, h.comm, h.a, h.b, payload) != h.sum {
+            // as an answer.
+            if fx.is_some() && frame_checksum(h.channel, h.a, h.b, payload) != h.sum {
                 return Err(TransportError::Protocol(format!(
                     "frame from PE {peer} failed its checksum (corrupt frame)"
                 )));
@@ -340,22 +333,13 @@ impl<P: Pipe> Link<P> {
                     // by an earlier round.
                     let mut bytes = self.spare.pop().unwrap_or_default();
                     bytes.extend_from_slice(payload);
-                    self.pending
-                        .entry(h.comm)
-                        .or_default()
-                        .data
-                        .push_back(DataFrame {
-                            seq: h.a,
-                            tag: h.b,
-                            bytes,
-                        })
+                    self.pending.data.push_back(DataFrame {
+                        seq: h.a,
+                        tag: h.b,
+                        bytes,
+                    })
                 }
-                CH_BARRIER => self
-                    .pending
-                    .entry(h.comm)
-                    .or_default()
-                    .barrier
-                    .push_back((h.a, h.b)),
+                CH_BARRIER => self.pending.barrier.push_back((h.a, h.b)),
                 CH_PING if h.b == 0 => self.ping_reqs.push_back(h.a),
                 CH_PING => self.pongs += 1,
                 _ => {
@@ -401,21 +385,19 @@ impl<P: Pipe> Link<P> {
         Ok(())
     }
 
-    /// Pop the round-`seq` data frame of communicator `comm` if it has
-    /// arrived, discarding stale frames of earlier rounds along the way
+    /// Pop the round-`seq` data frame if it has arrived, discarding stale frames of earlier rounds along the way
     /// (posted but never consumed, or injected duplicates of consumed
     /// rounds; their buffers go back to the freelist). A later round or
     /// another payload type at the queue head is a protocol violation.
     fn take_data(
         &mut self,
         peer: usize,
-        comm: u64,
         seq: u64,
         tag: u64,
         what: &str,
     ) -> Result<Option<DataFrame>, TransportError> {
         let Self { pending, spare, .. } = self;
-        let queue = &mut pending.entry(comm).or_default().data;
+        let queue = &mut pending.data;
         while let Some(front) = queue.front() {
             if front.seq < seq {
                 let stale = queue.pop_front().expect("front just probed");
@@ -441,25 +423,19 @@ impl<P: Pipe> Link<P> {
         Ok(None)
     }
 
-    /// Pop the barrier signal with exactly `code` of communicator `comm`
-    /// if it has arrived.
+    /// Pop the barrier signal with exactly `code` if it has arrived.
     ///
-    /// Per (pair, communicator, episode) the protocol emits exactly one
+    /// Per (pair, episode) the protocol emits exactly one
     /// barrier frame in each direction — the dissemination offsets
     /// `2^k mod p` are pairwise distinct over the rounds — and the
     /// pipe's FIFO order plus the SPMD collective order make arrival
     /// order match episode order. Codes are strictly increasing per
-    /// (link, communicator), so a frame with a *smaller* code than
+    /// link, so a frame with a *smaller* code than
     /// expected can only be an injected duplicate of an already-consumed
     /// signal: it is discarded as stale. A *larger* code means this PE
     /// missed a signal for good — a protocol error.
-    fn take_barrier(
-        &mut self,
-        peer: usize,
-        comm: u64,
-        code: u64,
-    ) -> Result<Option<u64>, TransportError> {
-        let queue = &mut self.pending.entry(comm).or_default().barrier;
+    fn take_barrier(&mut self, peer: usize, code: u64) -> Result<Option<u64>, TransportError> {
+        let queue = &mut self.pending.barrier;
         while let Some(&(got, bits)) = queue.front() {
             if got > code {
                 return Err(TransportError::Protocol(format!(
@@ -481,25 +457,23 @@ impl<P: Pipe> Link<P> {
 fn stamped_header(
     fx: Option<&FaultyTransport>,
     channel: u8,
-    comm: u64,
     a: u64,
     b: u64,
     payload: &[u8],
 ) -> [u8; FRAME_HEADER_LEN] {
     FrameHeader {
         channel,
-        comm,
         a,
         b,
         len: payload.len() as u32,
-        sum: fx.map_or(0, |_| frame_checksum(channel, comm, a, b, payload)),
+        sum: fx.map_or(0, |_| frame_checksum(channel, a, b, payload)),
     }
     .to_array()
 }
 
 /// Append one encoded [`CH_PING`] frame (`dir` 0 = request, 1 = pong).
 fn push_ping_frame(out: &mut Vec<u8>, nonce: u64, dir: u64, fx: Option<&FaultyTransport>) {
-    out.extend_from_slice(&stamped_header(fx, CH_PING, 0, nonce, dir, &[]));
+    out.extend_from_slice(&stamped_header(fx, CH_PING, nonce, dir, &[]));
 }
 
 /// `links[peer]`; `None` exactly at `peer == rank`.
@@ -511,22 +485,17 @@ fn link_mut<P>(links: &mut Links<P>, peer: usize) -> &mut Link<P> {
         .expect("no lane link to self or out-of-range peer")
 }
 
-/// This PE's end of the full mesh: one [`Link`] per peer, shared by the
-/// world communicator and everything `Comm::split` derives.
+/// This PE's end of the full mesh: one [`Link`] per peer.
 pub(crate) struct Lane<P: Pipe> {
     rank: usize,
     /// Steady-state deadline of every send and receive.
     timeout: Duration,
     /// Armed fault-injection engine; `None` is the zero-cost fast path.
     faults: Option<Arc<FaultyTransport>>,
-    /// The lane is **single-consumer**: a send or receive holds this
-    /// lock for its whole call, blocking waits included, so threads
-    /// sharing a lane would serialise and a receive could sit out its
-    /// timeout on a frame only a sibling's send would provoke. Nobody
-    /// does: a lane belongs to one PE, whose `Comm`s are `!Sync`. The
-    /// mutex is there for `ByteLane: Sync` (a `Comm` may *move* between
-    /// threads) and never contends.
-    links: Mutex<Box<Links<P>>>,
+    /// The lane is **single-consumer**: it belongs to one PE's `Comm`,
+    /// which is `!Sync`, and a send or receive borrows the links for its
+    /// whole call, blocking waits included.
+    links: RefCell<Box<Links<P>>>,
 }
 
 impl<P: Pipe> Lane<P> {
@@ -543,7 +512,7 @@ impl<P: Pipe> Lane<P> {
             rank,
             timeout,
             faults,
-            links: Mutex::new(pipes.into_iter().map(|p| p.map(Link::new)).collect()),
+            links: RefCell::new(pipes.into_iter().map(|p| p.map(Link::new)).collect()),
         }
     }
 
@@ -668,7 +637,7 @@ impl<P: Pipe> Lane<P> {
         peer: usize,
         mut take: impl FnMut(&mut Link<P>) -> Result<Option<T>, TransportError>,
     ) -> Result<T, TransportError> {
-        let mut links = self.links.lock();
+        let mut links = self.links.borrow_mut();
         // (io deadline, next probe): set when the receive first blocks —
         // a frame that is already there costs no clock read.
         let mut clock = None;
@@ -705,7 +674,7 @@ impl<P: Pipe> Lane<P> {
 }
 
 /// Byte offset of the `b` field in an encoded [`FrameHeader`].
-const HEADER_B_OFFSET: usize = 1 + 8 + 8;
+const HEADER_B_OFFSET: usize = 1 + 8;
 
 impl<P: Pipe> ByteLane for Lane<P> {
     /// With faults armed, the frame's drawn schedule is applied here, in
@@ -720,7 +689,6 @@ impl<P: Pipe> ByteLane for Lane<P> {
         &self,
         peer: usize,
         channel: u8,
-        comm: u64,
         a: u64,
         b: u64,
         payload: &[u8],
@@ -728,12 +696,12 @@ impl<P: Pipe> ByteLane for Lane<P> {
         debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD as usize);
         let mut payload = payload;
         let fx = self.faults.as_deref();
-        let mut header = stamped_header(fx, channel, comm, a, b, payload);
+        let mut header = stamped_header(fx, channel, a, b, payload);
         let total = FRAME_HEADER_LEN + payload.len();
         let (mut cap, mut cut, mut copies) = (usize::MAX, total, 1);
         let corrupt;
         if let Some(fx) = fx {
-            let sf = fx.send_faults(channel, self.rank, peer, comm, a);
+            let sf = fx.send_faults(channel, self.rank, peer, a);
             if let Some(d) = sf.delay {
                 std::thread::sleep(d);
             }
@@ -766,7 +734,7 @@ impl<P: Pipe> ByteLane for Lane<P> {
                 Some(LethalKind::Disconnect) => cut = FRAME_HEADER_LEN / 2,
             }
         }
-        let mut links = self.links.lock();
+        let mut links = self.links.borrow_mut();
         for _ in 0..copies {
             let sent = self.write_frame(&mut links, peer, &header, payload, cap, cut);
             if cut < total {
@@ -790,14 +758,13 @@ impl<P: Pipe> ByteLane for Lane<P> {
     fn recv_data(
         &self,
         peer: usize,
-        comm: u64,
         seq: u64,
         tag: u64,
         what: &str,
         f: &mut dyn FnMut(&[u8]),
     ) -> Result<(), TransportError> {
         self.recv(peer, |link| {
-            let frame = link.take_data(peer, comm, seq, tag, what)?;
+            let frame = link.take_data(peer, seq, tag, what)?;
             Ok(frame.map(|frame| {
                 f(&frame.bytes);
                 recycle(&mut link.spare, frame.bytes);
@@ -805,8 +772,8 @@ impl<P: Pipe> ByteLane for Lane<P> {
         })
     }
 
-    fn recv_barrier(&self, peer: usize, comm: u64, code: u64) -> Result<u64, TransportError> {
-        self.recv(peer, |link| link.take_barrier(peer, comm, code))
+    fn recv_barrier(&self, peer: usize, code: u64) -> Result<u64, TransportError> {
+        self.recv(peer, |link| link.take_barrier(peer, code))
     }
 }
 
@@ -877,7 +844,7 @@ mod tests {
     );
 
     fn send_data<P: Pipe>(l: &Lane<P>, peer: usize, seq: u64, tag: u64, payload: &[u8]) {
-        l.send(peer, CH_DATA, 0, seq, tag, payload).unwrap();
+        l.send(peer, CH_DATA, seq, tag, payload).unwrap();
     }
 
     fn recv_data<P: Pipe>(
@@ -887,13 +854,13 @@ mod tests {
         tag: u64,
     ) -> Result<Vec<u8>, TransportError> {
         let mut got = Vec::new();
-        l.recv_data(peer, 0, seq, tag, "test", &mut |b| got = b.to_vec())?;
+        l.recv_data(peer, seq, tag, "test", &mut |b| got = b.to_vec())?;
         Ok(got)
     }
 
     /// Write raw bytes to `peer`, bypassing the framing.
     fn write_raw<P: Pipe>(l: &Lane<P>, peer: usize, bytes: &[u8]) {
-        let mut links = l.links.lock();
+        let mut links = l.links.borrow_mut();
         let link = link_mut(&mut links, peer);
         link.wr_backlog.extend_from_slice(bytes);
         link.flush_backlog(peer).unwrap();
@@ -903,7 +870,6 @@ mod tests {
     fn data_header(len: u32) -> Vec<u8> {
         FrameHeader {
             channel: CH_DATA,
-            comm: 0,
             a: 1,
             b: 7,
             len,
@@ -1023,7 +989,7 @@ mod tests {
             let mut frame = data_header(100);
             frame.extend_from_slice(b"abc");
             write_raw(&l[0], 1, &frame);
-            link_mut(&mut l[0].links.lock(), 1).pipe.shutdown();
+            link_mut(&mut l[0].links.borrow_mut(), 1).pipe.shutdown();
             let err = recv_data(&l[1], 0, 1, 7).unwrap_err();
             let closed = TransportError::PeerClosed {
                 peer: 0,
@@ -1034,13 +1000,17 @@ mod tests {
 
         pub fn pings_are_answered_by_the_peer_pump<P: TestPipe>() {
             let l = lanes::<P>(2, T, None);
-            l[0].send_ping(&mut l[0].links.lock(), 1).unwrap();
+            l[0].send_ping(&mut l[0].links.borrow_mut(), 1).unwrap();
             // Let PE 1's pump answer and PE 0's pump collect the pong.
             let t0 = Instant::now();
             loop {
-                link_mut(&mut l[1].links.lock(), 0).pump(0, None).unwrap();
-                link_mut(&mut l[0].links.lock(), 1).pump(1, None).unwrap();
-                if link_mut(&mut l[0].links.lock(), 1).pongs > 0 {
+                link_mut(&mut l[1].links.borrow_mut(), 0)
+                    .pump(0, None)
+                    .unwrap();
+                link_mut(&mut l[0].links.borrow_mut(), 1)
+                    .pump(1, None)
+                    .unwrap();
+                if link_mut(&mut l[0].links.borrow_mut(), 1).pongs > 0 {
                     break;
                 }
                 assert!(t0.elapsed() < T, "pong never arrived");
@@ -1073,10 +1043,10 @@ mod tests {
             let code1 = 1u64 << 8; // episode 1, round 0
             let code2 = 2u64 << 8; // episode 2, round 0
             for (code, bits) in [(code1, 10), (code1, 10), (code2, 20)] {
-                l[0].send(1, CH_BARRIER, 0, code, bits, &[]).unwrap();
+                l[0].send(1, CH_BARRIER, code, bits, &[]).unwrap();
             }
-            assert_eq!(l[1].recv_barrier(0, 0, code1).unwrap(), 10);
-            assert_eq!(l[1].recv_barrier(0, 0, code2).unwrap(), 20, "twin absorbed");
+            assert_eq!(l[1].recv_barrier(0, code1).unwrap(), 10);
+            assert_eq!(l[1].recv_barrier(0, code2).unwrap(), 20, "twin absorbed");
         }
 
         pub fn injected_bitflip_surfaces_as_checksum_error<P: TestPipe>() {
@@ -1091,7 +1061,7 @@ mod tests {
 
         pub fn injected_truncate_surfaces_as_mid_frame_close<P: TestPipe>() {
             let l = lanes::<P>(2, T, lethal(LethalKind::Truncate));
-            let err = l[0].send(1, CH_DATA, 0, 0, 7, &[9u8; 64]).unwrap_err();
+            let err = l[0].send(1, CH_DATA, 0, 7, &[9u8; 64]).unwrap_err();
             assert!(
                 matches!(err, TransportError::Io(ref m) if m.contains("injected")),
                 "{err:?}"
@@ -1106,7 +1076,7 @@ mod tests {
 
         pub fn injected_disconnect_tears_down_every_link<P: TestPipe>() {
             let l = lanes::<P>(3, T, lethal(LethalKind::Disconnect));
-            let err = l[0].send(1, CH_DATA, 0, 0, 7, b"x").unwrap_err();
+            let err = l[0].send(1, CH_DATA, 0, 7, b"x").unwrap_err();
             assert!(
                 matches!(err, TransportError::Io(ref m) if m.contains("injected")),
                 "{err:?}"

@@ -18,8 +18,10 @@
 //!   ([`Comm::sparse_alltoallv`]) — all on the flat zero-copy
 //!   buffer representation ([`FlatBuckets`]: one contiguous payload plus
 //!   a displacement array, the MPI `sdispls`/`rdispls` layout)
-//! * sub-communicators ([`Comm::split`]), used by the 2D-partitioned
-//!   sparse-matrix baseline
+//! * paired point-to-point rounds ([`Comm::exchange`]), from which
+//!   hypercube algorithms address their partners and subcubes by rank
+//!
+//! A machine has one communicator: there are no sub-communicators.
 //!
 //! ## Synchronization substrate
 //!

@@ -11,7 +11,7 @@
 
 use crate::alltoall::AlltoallKind;
 use crate::barrier::BarrierPoisoned;
-use crate::comm::{Backend, Comm, CommShared, LaneEnd};
+use crate::comm::{Backend, Comm, CommShared};
 use crate::cost::{Clock, CostModel, PeStats};
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::lane::Lane;
@@ -392,7 +392,7 @@ pub struct Machine;
 impl Machine {
     /// Run `rank_fn` on `cfg.pes` PEs; blocks until all PEs return.
     ///
-    /// `rank_fn` receives this PE's [`Comm`] for the world communicator.
+    /// `rank_fn` receives this PE's [`Comm`] over the whole machine.
     /// If any PE panics, the barrier is poisoned (unblocking peers) and
     /// the panic is propagated to the caller.
     ///
@@ -424,24 +424,15 @@ impl Machine {
             .faults
             .clone()
             .map(|plan| Arc::new(FaultyTransport::new(plan)));
-        // Machine-wide OS thread count: PE threads × hybrid threads.
-        // The barrier's spin-vs-park choice keys on this, so a 4×8
-        // hybrid machine on an 8-core host parks instead of busy-
-        // spinning 32 threads against each other.
-        let machine_threads = p * cfg.cost.threads_per_pe;
-        let comm_on = |rank, backend, clock| {
-            Comm::new(
-                rank,
-                p,
-                machine_threads,
-                backend,
-                clock,
-                cfg.cost,
-                cfg.alltoall,
-            )
-        };
+        let comm_on =
+            |rank, backend, clock| Comm::new(rank, p, backend, clock, cfg.cost, cfg.alltoall);
         match (resolved.transport, &resolved.sockets) {
             (TransportKind::Cells, _) => {
+                // The barrier's spin-vs-park choice keys on the machine-
+                // wide OS thread count, PE threads × hybrid threads, so a
+                // 4×8 hybrid machine on an 8-core host parks instead of
+                // busy-spinning 32 threads against each other.
+                let machine_threads = p * cfg.cost.threads_per_pe;
                 let shared = Arc::new(CommShared::new(p, machine_threads));
                 run_pes(
                     &cfg,
@@ -569,10 +560,6 @@ impl Machine {
             }
         };
         let p = table.len();
-        // This process is one PE of a machine whose every rank runs
-        // `threads_per_pe` hybrid threads — the barrier heuristic and
-        // the intra-PE pool width both follow the machine-wide count.
-        let machine_threads = p * cfg.cost.threads_per_pe;
         let streams = mesh::connect(my_rank, listener, &table, handshake).map_err(|source| {
             MachineError::Transport {
                 rank: my_rank,
@@ -583,7 +570,6 @@ impl Machine {
         let comm = Comm::new(
             my_rank,
             p,
-            machine_threads,
             lane_backend(my_rank, streams, &resolved, faults),
             Arc::clone(&clock),
             cfg.cost,
@@ -611,7 +597,7 @@ impl Machine {
     }
 }
 
-/// The world communicator's backend on a fresh byte lane over `pipes`.
+/// A PE's backend on a fresh byte lane over `pipes`.
 /// A failed (or finished) PE drops its lane, which surfaces at its peers
 /// as `PeerClosed` bounded by the io timeout — no poison flag needed.
 fn lane_backend<P: Pipe + 'static>(
@@ -621,7 +607,7 @@ fn lane_backend<P: Pipe + 'static>(
     faults: Option<Arc<FaultyTransport>>,
 ) -> Backend {
     let lane = Lane::new(rank, pipes, resolved.io_timeout, faults);
-    Backend::Lane(LaneEnd::world(Arc::new(lane), resolved.transport))
+    Backend::Lane(Box::new(lane), resolved.transport)
 }
 
 /// Hand each PE thread its own element of `items` (pipes, a listener),

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 /// Magic carried in the `b` field of hello frames, guarding against a
 /// non-kamsta peer (or a different protocol revision) joining the mesh.
-pub(crate) const HELLO_MAGIC: u64 = 0x6B61_6D73_7461_2D37; // "kamsta-7"
+pub(crate) const HELLO_MAGIC: u64 = 0x6B61_6D73_7461_2D38; // "kamsta-8"
 
 /// The time budget of one mesh or rendezvous formation.
 #[derive(Clone, Copy)]
@@ -169,7 +169,6 @@ pub(crate) fn connect(
 pub(crate) fn hello(rank: u64) -> [u8; FRAME_HEADER_LEN] {
     FrameHeader {
         channel: CH_HELLO,
-        comm: 0,
         a: rank,
         b: HELLO_MAGIC,
         len: 0,

@@ -16,9 +16,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-/// Pseudo communicator id of rendezvous traffic — outside the id space
-/// `Comm::split` derives (which starts from the world id 0).
-const RENDEZVOUS_COMM: u64 = u64::MAX;
+/// Magic carried in the `b` field of rendezvous frames, as
+/// [`crate::mesh::HELLO_MAGIC`] is in hello frames.
+const RENDEZVOUS_MAGIC: u64 = 0x6B61_6D73_7461_2D72; // "kamsta-r"
 
 /// Blocking read of frame number `seq` of the rendezvous exchange with
 /// `peer`, decoded.
@@ -35,7 +35,7 @@ fn read_frame<T: Wire>(
             h.len
         )));
     }
-    if h.comm != RENDEZVOUS_COMM || h.a != seq {
+    if h.b != RENDEZVOUS_MAGIC || h.a != seq {
         return Err(TransportError::Protocol(format!(
             "rendezvous frame {seq} out of order"
         )));
@@ -57,9 +57,8 @@ fn write_frame(
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     FrameHeader {
         channel: CH_DATA,
-        comm: RENDEZVOUS_COMM,
         a: seq,
-        b: 0,
+        b: RENDEZVOUS_MAGIC,
         len: payload.len() as u32,
         sum: 0,
     }

@@ -11,22 +11,23 @@
 //!    recipient set ([`To`]), barrier, read/take peers' values. Cells:
 //!    publish in place, readers borrow ([`Rx::Borrowed`]). Lane: encode
 //!    once, enqueue per recipient, receivers decode ([`Rx::Owned`]).
-//! 2. **Flat exchange** ([`crate::Comm::flat_round_with`]) — deliver
-//!    `bufs.bucket(j)` to PE `j`. Cells: publish the whole
+//! 2. **Flat exchange** ([`crate::Comm::raw_exchange_flat`]) — deliver
+//!    `bufs.bucket(j)` to every PE `j`. Cells: publish the whole
 //!    [`FlatBuckets`] once, each receiver slices its bucket from the
 //!    peers' cells (zero-copy). Bytes: encode each destination's bucket
-//!    with a varint count header into its pair queue.
+//!    with a varint count header into its pair queue, and decode each
+//!    source's straight into the result.
 //! 3. **Paired flat exchange** ([`crate::Comm::paired_flat_round_with`])
 //!    — the grid route's payload + sub-message-count header in a single
 //!    round.
 //!
-//! Exchange patterns are declared on **both** sides: the sender names
-//! the PEs that will pop from it (`send_to`), the receiver the PEs it
-//! pops from (`recv_from`), and the two must describe the same edge set
-//! — the cells backend ignores `send_to` (blackboard reads are free),
-//! the byte backend delivers exactly those frames. Receivers read each
-//! source **at most once per round** (the byte queues are consumed), a
-//! discipline the cells backend also satisfies.
+//! The paired exchange's pattern is declared on **both** sides: the
+//! sender names the PEs that will pop from it (`send_to`), the receiver
+//! the PEs it pops from (`recv_from`), and the two must describe the
+//! same edge set — the cells backend ignores `send_to` (blackboard reads
+//! are free), the byte backend delivers exactly those frames. Receivers
+//! read each source **at most once per round** (the byte queues are
+//! consumed), a discipline the cells backend also satisfies.
 //!
 //! Modeled α/β charges live in the collectives above this boundary,
 //! never in the primitives, and count `size_of`-based logical bytes —
@@ -332,85 +333,6 @@ impl Comm {
         }
     }
 
-    /// **Flat exchange** (transport primitive 2): deliver `bufs.bucket(j)`
-    /// to PE `j` for every `j` in `send_to`, then hand `consume` this PE's
-    /// received parts as `(source, slice)` pairs in `recv_from` order.
-    /// `send_to`/`recv_from` must describe the same communication edge
-    /// set on all PEs; both must be ascending. Charges nothing — callers
-    /// charge per their pattern.
-    pub(crate) fn flat_round_with<T, R>(
-        &self,
-        bufs: FlatBuckets<T>,
-        send_to: &[usize],
-        recv_from: &[usize],
-        consume: impl FnOnce(&[(usize, &[T])]) -> R,
-    ) -> R
-    where
-        T: Wire + Clone + Send + Sync + 'static,
-    {
-        let me = self.rank();
-        debug_assert_eq!(bufs.buckets(), self.size(), "one bucket per destination PE");
-        debug_assert!(recv_from.windows(2).all(|w| w[0] < w[1]));
-        match self.has_byte_lane() {
-            false => {
-                let round = self.cells_round::<FlatBuckets<T>>();
-                round.publish(bufs);
-                self.sync();
-                let parts: Vec<(usize, &[T])> = recv_from
-                    .iter()
-                    .map(|&src| (src, round.read(src).bucket(me)))
-                    .collect();
-                consume(&parts)
-            }
-            true => {
-                let seq = self.next_seq();
-                let tag = wire::type_tag::<FlatBuckets<T>>();
-                // Self-delivery never touches the wire: the local bucket
-                // is handed to `consume` straight out of `bufs` (often the
-                // largest bucket of a home-sharded exchange).
-                for &dst in send_to {
-                    if dst == me {
-                        continue;
-                    }
-                    // One coalesced frame per (peer, round): the whole
-                    // bucket, serialized into a pooled buffer that the
-                    // lane recycles once the bytes are on the wire.
-                    let mut out = self.buf_take();
-                    wire::write_slice(&mut out, bufs.bucket(dst));
-                    self.lane_send(dst, seq, tag, out);
-                }
-                self.sync();
-                let owned: Vec<(usize, Vec<T>)> = recv_from
-                    .iter()
-                    .filter(|&&src| src != me)
-                    .map(|&src| {
-                        let part = self.lane_pop_with(src, seq, tag, "flat exchange", |bytes| {
-                            let mut r = WireReader::new(bytes);
-                            let v = wire::read_vec::<T>(&mut r)?;
-                            r.finish()?;
-                            Ok(v)
-                        });
-                        (src, part)
-                    })
-                    .collect();
-                let mut decoded = owned.iter();
-                let parts: Vec<(usize, &[T])> = recv_from
-                    .iter()
-                    .map(|&src| {
-                        if src == me {
-                            (me, bufs.bucket(me))
-                        } else {
-                            let (s, v) = decoded.next().expect("one decode per remote source");
-                            debug_assert_eq!(*s, src);
-                            (src, v.as_slice())
-                        }
-                    })
-                    .collect();
-                consume(&parts)
-            }
-        }
-    }
-
     /// **Paired flat exchange** (transport primitive 3): one round
     /// delivering `(data.bucket(j), sub.bucket(j))` to PE `j` — the grid
     /// route's payload plus its flat `u32` count header, without paying a
@@ -445,7 +367,7 @@ impl Comm {
             true => {
                 let seq = self.next_seq();
                 let tag = wire::type_tag::<GridMsg<T>>();
-                // Self-delivery stays off the wire, as in `flat_round_with`.
+                // Self-delivery stays off the wire, as in `raw_exchange_flat`.
                 for &dst in send_to {
                     if dst == me {
                         continue;
@@ -486,73 +408,62 @@ impl Comm {
         }
     }
 
-    /// Flat exchange materialised as a source-keyed [`FlatBuckets`]:
-    /// bucket `src` of the result is the payload PE `src` addressed to
-    /// this PE (empty for sources outside `recv_from`).
+    /// **Flat exchange** (transport primitive 2): deliver
+    /// `bufs.bucket(j)` to PE `j` for every `j`; bucket `src` of the
+    /// result is the payload PE `src` addressed to this PE. Charges
+    /// nothing — callers charge per their pattern.
     pub(crate) fn raw_exchange_flat<T: Wire + Clone + Send + Sync + 'static>(
         &self,
         bufs: FlatBuckets<T>,
-        send_to: &[usize],
-        recv_from: &[usize],
     ) -> FlatBuckets<T> {
-        let p = self.size();
+        let (p, me) = (self.size(), self.rank());
+        debug_assert_eq!(bufs.buckets(), p, "one bucket per destination PE");
         if p == 1 {
-            return if recv_from.is_empty() {
-                FlatBuckets::empty(1)
-            } else {
-                bufs
-            };
+            return bufs;
         }
-        if self.has_byte_lane() {
-            // Byte-lane fast path: decode each peer's frame straight into
-            // the result payload via `FlatBuilder::extend_from_wire` — no
-            // intermediate per-peer `Vec<T>` between the recycled frame
-            // buffer and the final allocation.
-            let me = self.rank();
-            let seq = self.next_seq();
-            let tag = wire::type_tag::<FlatBuckets<T>>();
-            for &dst in send_to {
-                if dst == me {
-                    continue;
-                }
-                let mut out = self.buf_take();
-                wire::write_slice(&mut out, bufs.bucket(dst));
-                self.lane_send(dst, seq, tag, out);
-            }
+        if !self.has_byte_lane() {
+            // Publish the whole buffer once; each receiver slices its
+            // bucket out of the peers' cells (zero-copy).
+            let round = self.cells_round::<FlatBuckets<T>>();
+            round.publish(bufs);
             self.sync();
-            let mut out = FlatBuilder::with_capacity(0, p);
-            let mut it = recv_from.iter().peekable();
-            for src in 0..p {
-                if it.peek() == Some(&&src) {
-                    it.next();
-                    if src == me {
-                        out.extend_from_slice(bufs.bucket(me));
-                    } else {
-                        self.lane_pop_with(src, seq, tag, "flat exchange", |bytes| {
-                            let mut r = WireReader::new(bytes);
-                            out.extend_from_wire(&mut r)?;
-                            r.finish()
-                        });
-                    }
-                }
+            let parts: Vec<&[T]> = (0..p).map(|src| round.read(src).bucket(me)).collect();
+            let total = parts.iter().map(|b| b.len()).sum();
+            let mut out = FlatBuilder::with_capacity(total, p);
+            for part in parts {
+                out.extend_from_slice(part);
                 out.seal();
             }
             return out.finish(p);
         }
-        self.flat_round_with(bufs, send_to, recv_from, |parts| {
-            let total: usize = parts.iter().map(|(_, b)| b.len()).sum();
-            let mut out = FlatBuilder::with_capacity(total, p);
-            let mut it = parts.iter().peekable();
-            for src in 0..p {
-                if let Some((s, b)) = it.peek() {
-                    if *s == src {
-                        out.extend_from_slice(b);
-                        it.next();
-                    }
-                }
-                out.seal();
+        // Byte lane: one coalesced frame per (peer, round), the whole
+        // bucket serialized into a pooled buffer that the lane recycles
+        // once the bytes are on the wire. Each peer's frame decodes
+        // straight into the result payload via
+        // `FlatBuilder::extend_from_wire` — no intermediate per-peer
+        // `Vec<T>` between the recycled frame buffer and the result.
+        // Self-delivery never touches the wire.
+        let seq = self.next_seq();
+        let tag = wire::type_tag::<FlatBuckets<T>>();
+        for dst in (0..p).filter(|&dst| dst != me) {
+            let mut out = self.buf_take();
+            wire::write_slice(&mut out, bufs.bucket(dst));
+            self.lane_send(dst, seq, tag, out);
+        }
+        self.sync();
+        let mut out = FlatBuilder::with_capacity(0, p);
+        for src in 0..p {
+            if src == me {
+                out.extend_from_slice(bufs.bucket(me));
+            } else {
+                self.lane_pop_with(src, seq, tag, "flat exchange", |bytes| {
+                    let mut r = WireReader::new(bytes);
+                    out.extend_from_wire(&mut r)?;
+                    r.finish()
+                });
             }
-            out.finish(p)
-        })
+            out.seal();
+        }
+        out.finish(p)
     }
 }

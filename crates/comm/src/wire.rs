@@ -42,8 +42,6 @@
 //! machine, and keeping it encoding-independent is what makes modeled
 //! times bit-for-bit identical across transports.
 
-use std::sync::Arc;
-
 // ---------------------------------------------------------------------
 // Socket frame header
 // ---------------------------------------------------------------------
@@ -64,8 +62,8 @@ pub const CH_HELLO: u8 = 2;
 /// expiry. Zero payload, absorbed below the collective layer.
 pub const CH_PING: u8 = 3;
 
-/// Encoded size of a [`FrameHeader`]: channel byte plus five LE fields.
-pub const FRAME_HEADER_LEN: usize = 1 + 8 + 8 + 8 + 4 + 8;
+/// Encoded size of a [`FrameHeader`]: channel byte plus four LE fields.
+pub const FRAME_HEADER_LEN: usize = 1 + 8 + 8 + 4 + 8;
 
 /// Maximum accepted payload length of one socket frame (256 MiB). A
 /// header announcing more is rejected as a protocol violation before
@@ -75,8 +73,8 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 28;
 
 /// The fixed-width header in front of every socket-transport frame.
 ///
-/// Layout (little-endian): `channel: u8`, `comm: u64`, `a: u64`,
-/// `b: u64`, `len: u32`, `sum: u64`, followed by `len` payload bytes.
+/// Layout (little-endian): `channel: u8`, `a: u64`, `b: u64`,
+/// `len: u32`, `sum: u64`, followed by `len` payload bytes.
 /// The meaning of `a`/`b` depends on the channel:
 ///
 /// | channel | `a` | `b` |
@@ -93,9 +91,6 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 28;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
     pub channel: u8,
-    /// Communicator id the frame belongs to — sub-communicators built by
-    /// `Comm::split` share the PE-pair streams and demultiplex on this.
-    pub comm: u64,
     pub a: u64,
     pub b: u64,
     /// Payload length in bytes.
@@ -108,7 +103,6 @@ impl FrameHeader {
     /// Append the encoded header to `out`.
     pub fn write(&self, out: &mut Vec<u8>) {
         out.push(self.channel);
-        out.extend_from_slice(&self.comm.to_le_bytes());
         out.extend_from_slice(&self.a.to_le_bytes());
         out.extend_from_slice(&self.b.to_le_bytes());
         out.extend_from_slice(&self.len.to_le_bytes());
@@ -120,11 +114,10 @@ impl FrameHeader {
     pub fn to_array(&self) -> [u8; FRAME_HEADER_LEN] {
         let mut out = [0u8; FRAME_HEADER_LEN];
         out[0] = self.channel;
-        out[1..9].copy_from_slice(&self.comm.to_le_bytes());
-        out[9..17].copy_from_slice(&self.a.to_le_bytes());
-        out[17..25].copy_from_slice(&self.b.to_le_bytes());
-        out[25..29].copy_from_slice(&self.len.to_le_bytes());
-        out[29..37].copy_from_slice(&self.sum.to_le_bytes());
+        out[1..9].copy_from_slice(&self.a.to_le_bytes());
+        out[9..17].copy_from_slice(&self.b.to_le_bytes());
+        out[17..21].copy_from_slice(&self.len.to_le_bytes());
+        out[21..29].copy_from_slice(&self.sum.to_le_bytes());
         out
     }
 
@@ -140,11 +133,10 @@ impl FrameHeader {
         let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
         Ok(Self {
             channel,
-            comm: word(1),
-            a: word(9),
-            b: word(17),
-            len: u32::from_le_bytes(buf[25..29].try_into().unwrap()),
-            sum: word(29),
+            a: word(1),
+            b: word(9),
+            len: u32::from_le_bytes(buf[17..21].try_into().unwrap()),
+            sum: word(21),
         })
     }
 }
@@ -575,21 +567,6 @@ impl Wire for String {
     }
 }
 
-/// `Arc<T>` encodes as its inner value (decode re-allocates; only used
-/// by replicated read-mostly payloads).
-impl<T: Wire> Wire for Arc<T> {
-    fn wire_write(&self, out: &mut Vec<u8>) {
-        (**self).wire_write(out);
-    }
-    fn wire_read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Arc::new(T::wire_read(r)?))
-    }
-    #[inline]
-    fn wire_min_size() -> usize {
-        T::wire_min_size()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,7 +612,6 @@ mod tests {
         roundtrip((1u8, (2u16, vec![3u32]), Some(4u64), false, 5i64));
         roundtrip(String::from("héllo"));
         roundtrip(vec![Some((1u64, 2u32)), None]);
-        assert_eq!(*decode::<Arc<u64>>(&encode(&Arc::new(9u64))).unwrap(), 9);
     }
 
     #[test]
@@ -712,7 +688,6 @@ mod tests {
     fn frame_header_roundtrips() {
         let h = FrameHeader {
             channel: CH_BARRIER,
-            comm: u64::MAX - 3,
             a: 0x0102_0304,
             b: 7.5f64.to_bits(),
             len: 12345,
@@ -746,7 +721,6 @@ mod tests {
         let mut buf = Vec::new();
         FrameHeader {
             channel: CH_DATA,
-            comm: 0,
             a: 1,
             b: 2,
             len: 3,
@@ -762,12 +736,12 @@ mod tests {
         }
         // A header lying about its length: oversized is rejected before
         // any allocation, plausible-but-unfulfilled waits for bytes.
-        buf[25..29].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
+        buf[17..21].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
         assert_eq!(
             split_frame(&buf),
             Err(WireError::Malformed("oversized frame"))
         );
-        buf[25..29].copy_from_slice(&1000u32.to_le_bytes());
+        buf[17..21].copy_from_slice(&1000u32.to_le_bytes());
         assert_eq!(split_frame(&buf), Ok(None));
     }
 

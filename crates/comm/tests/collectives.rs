@@ -315,40 +315,6 @@ fn route_delivers_keyed_items() {
 }
 
 #[test]
-fn split_forms_row_communicators() {
-    let p = 12;
-    let cols = 4;
-    let out = Machine::run(MachineConfig::new(p), move |comm| {
-        let row = comm.rank() / cols;
-        let row_comm = comm.split(row, comm.rank());
-        let members = row_comm.allgather(comm.rank());
-        (row_comm.rank(), row_comm.size(), members)
-    });
-    for (r, (new_rank, size, members)) in out.results.into_iter().enumerate() {
-        assert_eq!(size, cols);
-        assert_eq!(new_rank, r % cols);
-        let row = r / cols;
-        let expected: Vec<usize> = (0..cols).map(|c| row * cols + c).collect();
-        assert_eq!(members, expected);
-    }
-}
-
-#[test]
-fn split_then_collectives_in_group() {
-    let p = 9;
-    let out = Machine::run(MachineConfig::new(p), move |comm| {
-        let color = comm.rank() % 3;
-        let sub = comm.split(color, comm.rank());
-        sub.allreduce_sum(comm.rank() as u64)
-    });
-    for (r, sum) in out.results.into_iter().enumerate() {
-        let color = r % 3;
-        let expected: u64 = (0..p as u64).filter(|x| x % 3 == color as u64).sum();
-        assert_eq!(sum, expected);
-    }
-}
-
-#[test]
 fn exchange_pairs() {
     let out = Machine::run(MachineConfig::new(8), |comm| {
         let partner = comm.rank() ^ 1;

@@ -10,11 +10,10 @@ use kamsta_comm::{AlltoallKind, FlatBuckets, Machine, MachineConfig, WireError};
 use proptest::prelude::*;
 
 /// Encode one well-formed data frame (header + payload).
-fn good_frame(comm: u64, seq: u64, tag: u64, payload: &[u8]) -> Vec<u8> {
+fn good_frame(seq: u64, tag: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     FrameHeader {
         channel: CH_DATA,
-        comm,
         a: seq,
         b: tag,
         len: payload.len() as u32,
@@ -152,7 +151,7 @@ proptest! {
         cut_pick in any::<usize>(),
         flip_pick in any::<usize>(),
     ) {
-        let frame = good_frame(7, seq, tag, &payload);
+        let frame = good_frame(seq, tag, &payload);
         // The pristine frame parses back exactly.
         let (h, total) = split_frame(&frame).unwrap().expect("complete frame");
         prop_assert_eq!(total, frame.len());
@@ -193,7 +192,7 @@ proptest! {
         for (seq, bucket) in buckets.iter().enumerate() {
             let mut payload = Vec::new();
             wire::write_slice(&mut payload, bucket);
-            stream.extend_from_slice(&good_frame(7, seq as u64, 3, &payload));
+            stream.extend_from_slice(&good_frame(seq as u64, 3, &payload));
         }
 
         // Arbitrary cut points — including cuts inside headers, inside
@@ -213,7 +212,7 @@ proptest! {
             let mut off = 0;
             while let Some((h, total)) = split_frame(&rd[off..]).unwrap() {
                 prop_assert_eq!(h.channel, CH_DATA);
-                prop_assert_eq!((h.comm, h.b), (7, 3));
+                prop_assert_eq!(h.b, 3);
                 let payload = &rd[off + FRAME_HEADER_LEN..off + total];
                 let mut r = wire::WireReader::new(payload);
                 let vals = wire::read_vec::<u64>(&mut r).unwrap();
@@ -244,7 +243,7 @@ proptest! {
         // Never a panic, never an out-of-bounds read.
         let mut payload = Vec::new();
         wire::write_slice(&mut payload, &bucket);
-        let mut frame = good_frame(7, 0, 0, &payload);
+        let mut frame = good_frame(0, 0, &payload);
         let bit = flip_pick % (frame.len() * 8);
         frame[bit / 8] ^= 1 << (bit % 8);
 
@@ -267,7 +266,7 @@ proptest! {
         // A header announcing an absurd payload length, with no payload
         // behind it: rejected from the header alone.
         let mut out = Vec::new();
-        FrameHeader { channel: CH_DATA, comm: 0, a: 0, b: 0, len: lie, sum: 0 }.write(&mut out);
+        FrameHeader { channel: CH_DATA, a: 0, b: 0, len: lie, sum: 0 }.write(&mut out);
         prop_assert!(matches!(
             split_frame(&out),
             Err(WireError::Malformed("oversized frame"))

@@ -72,34 +72,6 @@ fn mixed_collectives_stress_many_epochs() {
     }
 }
 
-/// Sub-communicators keep independent cell registries and epochs even
-/// when parent and child collectives interleave for many rounds.
-#[test]
-fn split_interleaved_with_parent_collectives() {
-    let p = 12;
-    let out = Machine::run(MachineConfig::new(p), move |comm| {
-        let color = comm.rank() % 3;
-        let sub = comm.split(color, comm.rank());
-        let mut acc = 0u64;
-        for r in 0..100u64 {
-            acc ^= sub.allreduce_sum(comm.rank() as u64 + r);
-            acc ^= comm.allreduce_sum(r);
-            acc ^= sub.allgatherv(vec![r, acc & 0xFF]).iter().sum::<u64>();
-        }
-        (color, acc)
-    });
-    for (rank, (color, acc)) in out.results.iter().enumerate() {
-        let twin = out
-            .results
-            .iter()
-            .enumerate()
-            .find(|(other, (c, _))| c == color && *other != rank);
-        if let Some((_, (_, other_acc))) = twin {
-            assert_eq!(acc, other_acc, "sub-communicator color {color} diverged");
-        }
-    }
-}
-
 /// A PE dying mid-run must unblock peers parked inside a collective: the
 /// barrier is poisoned and every waiter panics instead of deadlocking.
 #[test]

@@ -137,11 +137,6 @@ fn mixed_workload(comm: &Comm) -> Vec<u64> {
     let requests =
         FlatBuckets::from_dest_fn(p, (0..3 * p as u64).collect(), |&q| (q % p as u64) as usize);
     acc.extend(comm.request_reply(requests, |&q| q * 2 + me));
-
-    // Sub-communicators: parity groups, collectives inside, then back.
-    let sub = comm.split(comm.rank() % 2, comm.rank());
-    acc.push(sub.allreduce_sum(me + 50));
-    acc.extend(sub.allgather(me));
     acc.push(comm.allreduce_sum(acc.iter().copied().fold(0u64, u64::wrapping_add)));
     acc
 }
@@ -199,18 +194,5 @@ fn alltoall_kinds_agree_across_transports() {
         let cells = run(TransportKind::Cells);
         assert_eq!(cells, run(TransportKind::Bytes), "{kind:?}");
         assert_eq!(cells, run(TransportKind::Sockets), "{kind:?}");
-    }
-}
-
-#[test]
-fn transport_is_inherited_by_split_subcommunicators() {
-    for kind in [TransportKind::Bytes, TransportKind::Sockets] {
-        let out = Machine::run(MachineConfig::new(4).with_transport(kind), |comm| {
-            assert_eq!(comm.transport(), kind);
-            let sub = comm.split(comm.rank() / 2, comm.rank());
-            assert_eq!(sub.transport(), kind);
-            sub.allreduce_sum(comm.rank() as u64)
-        });
-        assert_eq!(out.results, vec![1, 1, 5, 5], "{kind:?}");
     }
 }

@@ -68,11 +68,6 @@ impl WorkloadGen {
         self
     }
 
-    /// Number of live edges.
-    pub fn live_len(&self) -> usize {
-        self.live.len()
-    }
-
     /// The live set as a canonical sorted edge list.
     pub fn live_edges(&self) -> Vec<WEdge> {
         let mut out = self.live.clone();

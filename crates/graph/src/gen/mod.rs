@@ -35,7 +35,7 @@ mod rmat;
 pub use gnm::gnm;
 pub use grid::{grid2d, road_like, RoadParams};
 pub use rgg::{rgg2d, rgg3d, rgg_actual_n};
-pub use rhg::{rhg, rhg_actual_n, RhgParams};
+pub use rhg::{rhg, RhgParams};
 pub use rmat::{rmat, RmatParams};
 
 use crate::edge::{VertexId, WEdge, Weight};

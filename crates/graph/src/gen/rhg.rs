@@ -199,10 +199,6 @@ impl Disk {
         }
     }
 
-    fn n_actual(&self) -> u64 {
-        self.a * self.b * self.k
-    }
-
     fn sector_width(&self) -> f64 {
         2.0 * PI / self.a as f64
     }
@@ -362,11 +358,6 @@ pub fn rhg(comm: &Comm, params: RhgParams, seed: u64) -> Vec<WEdge> {
     edges.sort_unstable();
     charge_order(comm, &edges);
     edges
-}
-
-/// Actual vertex count after cell dicing.
-pub fn rhg_actual_n(params: &RhgParams, seed: u64) -> u64 {
-    Disk::new(params, seed).n_actual()
 }
 
 #[cfg(test)]

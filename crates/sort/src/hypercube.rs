@@ -6,14 +6,21 @@
 //! rounds each PE locally sorts its remaining elements, and the
 //! rank-order concatenation is globally sorted. Data moves `log p` times —
 //! exactly the regime the paper reserves for *small* inputs (≤ 512
-//! elements per PE on average, Sec. VI-C), where startup costs dominate.
+//! elements per PE on average, Sec. VI-C), where startups dominate.
+//!
+//! Every data movement is a partner exchange along one dimension, all on
+//! the communicator the sort is handed. So is the pivot agreement: each
+//! subcube gathers its members' samples by recursive doubling, one
+//! exchange per subcube dimension, and charges exactly what an
+//! allgather over the subcube would.
 //!
 //! Non-power-of-two communicators fold the surplus ranks' data into the
-//! largest power-of-two prefix first; surplus ranks finish empty, which is
-//! harmless for the splitter-sorting use case and still globally sorted.
+//! largest power-of-two prefix first; surplus ranks then idle through the
+//! exchange rounds and finish empty, which is harmless for the
+//! splitter-sorting use case and still globally sorted.
 
 use crate::local::local_sort;
-use kamsta_comm::{Comm, Wire};
+use kamsta_comm::{bytes_for, Comm, Wire};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,20 +56,24 @@ where
         return data;
     }
     let q = kamsta_comm::floor_pow2(p);
-    let data = if q == p {
+    let mut data = if q == p {
         data
     } else {
         // Fold surplus ranks q..p into ranks 0..(p-q).
         fold_in_surplus(comm, data, q)
     };
-
-    // Active PEs run the hypercube phase on a sub-communicator; surplus
-    // PEs get a singleton communicator and fall through with no data.
-    let active = comm.rank() < q;
-    let sub = comm.split(if active { 0 } else { 1 + comm.rank() }, comm.rank());
-    let mut data = data;
-    if active {
-        data = hypercube_phase(&sub, data, seed);
+    if comm.rank() < q {
+        data = hypercube_phase(comm, data, q, seed);
+    } else {
+        // Surplus ranks hold nothing; they only keep the exchange rounds
+        // in step (every PE calls every collective): per level, the
+        // level + 1 rounds of the pivot gather, then the data round.
+        for level in 0..kamsta_comm::ceil_log2(q) {
+            for _ in 0..=level {
+                comm.exchange::<Vec<T>>(None, None);
+            }
+            comm.exchange::<Vec<T>>(None, None);
+        }
     }
     local_sort(comm, &mut data);
     comm.barrier();
@@ -77,14 +88,14 @@ fn fold_in_surplus<T: Wire + Ord + Send + 'static>(comm: &Comm, data: Vec<T>, q:
     if me >= q {
         let n = data.len();
         comm.exchange(Some((me - q, data)), None::<usize>);
-        comm.charge_comm(0, kamsta_comm::bytes_for::<T>(n));
+        comm.charge_comm(0, bytes_for::<T>(n));
         Vec::new()
     } else if me < extras {
         let mut data = data;
         let incoming = comm
             .exchange::<Vec<T>>(None, Some(me + q))
             .expect("surplus partner must send");
-        comm.charge_comm(0, kamsta_comm::bytes_for::<T>(incoming.len()));
+        comm.charge_comm(0, bytes_for::<T>(incoming.len()));
         data.extend(incoming);
         data
     } else {
@@ -95,44 +106,52 @@ fn fold_in_surplus<T: Wire + Ord + Send + 'static>(comm: &Comm, data: Vec<T>, q:
     }
 }
 
-/// The quicksort rounds on a power-of-two communicator.
-fn hypercube_phase<T>(sub: &Comm, mut data: Vec<T>, seed: u64) -> Vec<T>
+/// The quicksort rounds on ranks `0..q` of `comm` (`q` a power of two).
+fn hypercube_phase<T>(comm: &Comm, mut data: Vec<T>, q: usize, seed: u64) -> Vec<T>
 where
     T: Wire + Ord + Clone + Send + Sync + 'static,
 {
-    let q = sub.size();
     debug_assert!(q.is_power_of_two());
-    let dims = kamsta_comm::ceil_log2(q);
-    for level in (0..dims).rev() {
-        // Groups of size 2^(level+1) agree on a pivot.
-        let group = sub.split(sub.rank() >> (level + 1), sub.rank());
-        let mut rng = rng_for(seed, level, sub.rank());
-        let mut sample = Vec::with_capacity(3);
+    let me = comm.rank();
+    for level in (0..kamsta_comm::ceil_log2(q)).rev() {
+        // The 2^(level+1) ranks of this subcube agree on a pivot: gather
+        // their samples by recursive doubling, lower block first, so the
+        // vector comes out in rank order.
+        let mut rng = rng_for(seed, level, me);
+        let mut gathered = Vec::with_capacity(3);
         for _ in 0..3.min(data.len()) {
-            sample.push(data[rng.gen_range(0..data.len())].clone());
+            gathered.push(data[rng.gen_range(0..data.len())].clone());
         }
-        let gathered = group.allgatherv(sample);
+        for k in 0..=level {
+            let partner = me ^ (1 << k);
+            let theirs = comm
+                .exchange(Some((partner, gathered.clone())), Some(partner))
+                .expect("subcube partner always sends");
+            gathered = if me < partner {
+                [gathered, theirs].concat()
+            } else {
+                [theirs, gathered].concat()
+            };
+        }
+        comm.charge_comm(0, bytes_for::<T>(gathered.len()));
         let pivot = median(gathered);
 
         let (low, high): (Vec<T>, Vec<T>) = match &pivot {
             Some(pv) => {
-                sub.charge_local(data.len() as u64);
+                comm.charge_local(data.len() as u64);
                 data.drain(..).partition(|x| *x <= *pv)
             }
             None => (Vec::new(), Vec::new()),
         };
 
-        let partner = sub.rank() ^ (1 << level);
-        let lower_half = sub.rank() & (1 << level) == 0;
+        let partner = me ^ (1 << level);
+        let lower_half = me & (1 << level) == 0;
         let (keep, send) = if lower_half { (low, high) } else { (high, low) };
-        let sent_bytes = kamsta_comm::bytes_for::<T>(send.len());
-        let received = sub
+        let sent_bytes = bytes_for::<T>(send.len());
+        let received = comm
             .exchange(Some((partner, send)), Some(partner))
             .expect("hypercube partner always sends");
-        sub.charge_comm(
-            0,
-            sent_bytes.max(kamsta_comm::bytes_for::<T>(received.len())),
-        );
+        comm.charge_comm(0, sent_bytes.max(bytes_for::<T>(received.len())));
         data = keep;
         data.extend(received);
     }

@@ -10,7 +10,10 @@
 //!
 //! * [`hypercube_quicksort`] moves the data a logarithmic number of times —
 //!   right for small inputs on many PEs (the paper uses it when the average
-//!   number of elements per PE is ≤ 512);
+//!   number of elements per PE is ≤ 512). It runs on the communicator it
+//!   is handed: data moves by partner exchange along one dimension per
+//!   level, and each subcube gathers its pivot sample by recursive
+//!   doubling;
 //! * [`sample_sort_by_key`] is a two-level AMS-style sample sort that moves
 //!   data a constant number of times — right for large inputs. Its local
 //!   phase is the LSD radix sort on a packed key ([`local_radix_sort`]);

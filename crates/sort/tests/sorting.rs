@@ -140,6 +140,64 @@ fn auto_picks_hypercube_up_to_the_threshold_and_sample_sort_above() {
     );
 }
 
+/// SplitMix64 finalizer over `h ^ x`: the digest fold of the pinned test.
+fn fold(h: u64, x: u64) -> u64 {
+    let mut z = (h ^ x).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn hypercube_quicksort_is_pinned() {
+    // Per p: one digest folding, rank by rank and sort by sort, every
+    // output element and the sort's (messages, bytes, local_ops), plus
+    // the modeled seconds every PE ends on. Recorded when each level's
+    // pivot sample was still gathered by an allgatherv over a split-off
+    // subcube communicator; the partner exchanges that replaced it must
+    // reproduce the counters exactly and the clock up to float
+    // association (one `α·L + β·B` advance became L + 1 advances).
+    const PINS: [(usize, u64, f64); 6] = [
+        (2, 0x0a71_221f_d1d9_6995, 0.000_151_011_4),
+        (3, 0xad70_ed37_ecc3_8f2d, 0.000_229_025_400_000_000_08),
+        (4, 0x3f36_65de_2925_ff19, 0.000_305_057_400_000_000_26),
+        (5, 0x5187_dccf_270b_4995, 0.000_394_737_000_000_000_26),
+        (8, 0x7ead_8a54_c49c_7938, 0.000_498_124_000_000_000_2),
+        (16, 0x7abd_61c5_eb8d_ce13, 0.000_715_139_200_000_000_1),
+    ];
+    const SIZES: [usize; 7] = [0, 1, 3, 17, 100, 512, 1000];
+    for (p, digest, modeled) in PINS {
+        let out = Machine::run(MachineConfig::new(p).with_threads(1), |comm| {
+            let me = comm.rank();
+            let mut h = 0;
+            for (salt, &n) in (0u64..).zip(&SIZES) {
+                // Every third PE is short, and the entry clocks are skewed.
+                let n = if me % 3 == 2 { n / 4 } else { n };
+                comm.charge_local((me as u64 * 7_919 + salt * 13) % 5_000);
+                let before = comm.stats();
+                let sorted = hypercube_quicksort(comm, input_for(me, n, salt), salt);
+                let d = comm.stats().since(&before);
+                h = sorted
+                    .iter()
+                    .fold(fold(h, sorted.len() as u64), |h, &x| fold(h, x));
+                for x in [d.messages, d.bytes, d.local_ops] {
+                    h = fold(h, x);
+                }
+            }
+            h
+        });
+        let got = out.results.iter().fold(0, |h, &r| fold(h, r));
+        assert_eq!(got, digest, "p={p}: outputs or counters moved");
+        for (rank, s) in out.stats.iter().enumerate() {
+            assert!(
+                (s.modeled_time - modeled).abs() <= 1e-12 * modeled,
+                "p={p} rank={rank}: modeled {:?}, pinned {modeled:?}",
+                s.modeled_time
+            );
+        }
+    }
+}
+
 #[test]
 fn sorters_are_deterministic() {
     let run = || {

@@ -12,7 +12,7 @@
 //! the service, so consecutive machine runs resume where the last one
 //! left off.
 
-use kamsta_comm::{Machine, MachineConfig, MachineError, TransportKind};
+use kamsta_comm::{Machine, MachineConfig, MachineError};
 use kamsta_dyn::{
     home_of_pair, BatchOutcome, DynConfig, DynMst, DynReplicated, DynShard, Update, UpdateStats,
 };
@@ -107,10 +107,10 @@ pub struct MstService {
 /// one place.
 ///
 /// ```
-/// use kamsta::{DynConfig, MstService, TransportKind};
+/// use kamsta::{DynConfig, MachineConfig, MstService, TransportKind};
 ///
 /// let svc = MstService::builder(4, DynConfig::new(64))
-///     .transport(TransportKind::Bytes)
+///     .machine(MachineConfig::new(4).with_transport(TransportKind::Bytes))
 ///     .max_batch(16)
 ///     .build()
 ///     .unwrap();
@@ -121,7 +121,6 @@ pub struct MstServiceBuilder {
     pes: usize,
     cfg: DynConfig,
     machine: Option<MachineConfig>,
-    transport: Option<TransportKind>,
     max_batch: usize,
 }
 
@@ -130,13 +129,6 @@ impl MstServiceBuilder {
     /// model, transport). Its PE count must match the builder's.
     pub fn machine(mut self, machine: MachineConfig) -> Self {
         self.machine = Some(machine);
-        self
-    }
-
-    /// Pin the communication transport, overriding both the machine
-    /// config and `KAMSTA_TRANSPORT`.
-    pub fn transport(mut self, transport: TransportKind) -> Self {
-        self.transport = Some(transport);
         self
     }
 
@@ -157,9 +149,6 @@ impl MstServiceBuilder {
                 expected: self.pes,
                 got: machine.pes,
             });
-        }
-        if let Some(t) = self.transport {
-            machine = machine.with_transport(t);
         }
         // Pin the env-resolved transport so the validation is durable: a
         // KAMSTA_TRANSPORT change after construction must not poison a
@@ -185,7 +174,6 @@ impl MstService {
             pes,
             cfg,
             machine: None,
-            transport: None,
             max_batch: 64,
         }
     }
@@ -377,6 +365,7 @@ impl MstService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kamsta_comm::TransportKind;
     use kamsta_core::dist::MstConfig;
 
     fn dyn_cfg(n: u64) -> DynConfig {
@@ -490,22 +479,18 @@ mod tests {
 
     #[test]
     fn builder_pins_transport_and_machine_settings() {
-        // An explicit transport survives into the machine config...
+        // The machine config's transport survives into the service...
         let svc = MstService::builder(2, dyn_cfg(8))
-            .transport(TransportKind::Bytes)
+            .machine(MachineConfig::new(2).with_transport(TransportKind::Bytes))
             .build()
             .unwrap();
         assert_eq!(svc.machine.transport, Some(TransportKind::Bytes));
-        // ...and wins over the one in a full machine config.
-        let svc = MstService::builder(2, dyn_cfg(8))
-            .machine(MachineConfig::new(2).with_transport(TransportKind::Cells))
-            .transport(TransportKind::Bytes)
-            .build()
-            .unwrap();
-        assert_eq!(svc.machine.transport, Some(TransportKind::Bytes));
+        // ...and without one, the env-resolved transport is pinned.
+        let svc = MstService::builder(2, dyn_cfg(8)).build().unwrap();
+        assert!(svc.machine.transport.is_some());
         // A service over the socket transport serves like any other.
         let mut s = MstService::builder(2, dyn_cfg(8))
-            .transport(TransportKind::Sockets)
+            .machine(MachineConfig::new(2).with_transport(TransportKind::Sockets))
             .max_batch(2)
             .build()
             .unwrap();
