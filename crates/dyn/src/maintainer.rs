@@ -13,10 +13,17 @@
 //! 1. canonicalise + assign fresh ids + route updates to pair homes;
 //! 2. resolve last-writer-wins per pair, merge into the store shard;
 //! 3. classify globally: effective inserts, deletions, forest hits;
-//! 4. assemble the certificate `T' ∪ I ∪ C` (see below);
-//! 5. re-solve the certificate with [`boruvka_mst`] and adopt the
-//!    result as the new forest — skipped entirely when the batch
-//!    provably cannot change the forest.
+//! 4. replicate the certificate `T' ∪ I ∪ C` (see below) on every PE;
+//! 5. solve it with one local Kruskal on every PE and keep the forest
+//!    edges homed here as the new forest shard — skipped entirely when
+//!    the batch provably cannot change the forest.
+//!
+//! Step 5 is the paper's Sec. IV-D base case: once the graph left is
+//! small, stop paying collective rounds and solve it sequentially. The
+//! certificate holds up to `n − 1` forest edges, so every PE pays
+//! Θ(n log n) local work for it; in exchange a flush runs no pipeline
+//! round at all. Every certificate edge is the store's own canonical
+//! copy, so `msf ⊆ store` holds without a lookup.
 //!
 //! Exactness of the certificate, writing `D` for removed edge content
 //! (deletions plus the old copies of re-weighted pairs), `I` for new
@@ -37,12 +44,16 @@
 //!   `MSF(A) ⊆ X ⊆ A ⇒ MSF(X) = MSF(A)` with `X = T' ∪ C ∪ I`
 //!   finishes: re-solving the certificate yields `MSF(G_new)` exactly,
 //!   with the same `(w, min, max)` tie-breaking a from-scratch run uses.
+//!   The static pipeline gets that order from pair-canonical ids
+//!   (DESIGN.md §5); the local Kruskal sorts by `(w, u, v)` over the
+//!   canonical `u < v` copies, which is the same order. Ids never break
+//!   ties here: inserted edges carry fresh ids.
 
 use kamsta_comm::{Comm, FlatBuckets};
 use kamsta_core::dist::{boruvka_mst, MstConfig};
 use kamsta_core::seq::UnionFind;
-use kamsta_graph::gen::block_of;
-use kamsta_graph::hash::{FxHashMap, FxHashSet};
+use kamsta_graph::gen::{block_of, block_range};
+use kamsta_graph::hash::FxHashMap;
 use kamsta_graph::{CEdge, InputGraph, VertexId, WEdge, Weight};
 
 /// Configuration of a batch-dynamic MSF maintainer.
@@ -52,12 +63,13 @@ pub struct DynConfig {
     /// bound fixes the `block_of` home sharding, so it cannot change
     /// after construction.
     pub n: u64,
-    /// Configuration of the certificate re-solves.
+    /// Configuration of the bootstrap solve. Batches never run the
+    /// static pipeline: they solve their certificate locally.
     pub mst: MstConfig,
 }
 
 impl DynConfig {
-    /// Maintainer over the vertex space `[0, n)` with default re-solve
+    /// Maintainer over the vertex space `[0, n)` with default bootstrap
     /// parameters.
     pub fn new(n: u64) -> Self {
         Self {
@@ -66,7 +78,8 @@ impl DynConfig {
         }
     }
 
-    /// Override the certificate re-solve configuration.
+    /// Override the bootstrap solve's configuration (batches do not use
+    /// it).
     pub fn with_mst(mut self, mst: MstConfig) -> Self {
         self.mst = mst;
         self
@@ -102,7 +115,7 @@ pub struct UpdateStats {
     pub tree_deletes: u64,
     /// Certificate re-solves performed.
     pub resolves: u64,
-    /// Batches answered without touching the MST pipeline.
+    /// Batches answered without a certificate solve.
     pub skipped_resolves: u64,
     /// Total (global, undirected) edges across all certificates.
     pub certificate_edges: u64,
@@ -179,6 +192,64 @@ pub fn vertex_bound(comm: &Comm, input: &InputGraph) -> u64 {
 /// unique per shard, so the `(u, v)` prefix decides).
 fn find_pair(list: &[CEdge], u: VertexId, v: VertexId) -> Result<usize, usize> {
     list.binary_search_by(|e| (e.u, e.v).cmp(&(u, v)))
+}
+
+/// Kruskal over a replicated certificate of canonical, pair-disjoint
+/// `u < v` edges, in the unique-weight order `(w, u, v)`: the forest, in
+/// that order. Charges the radix sort by what ran plus one unit per edge
+/// for the union-find walk.
+fn certificate_forest(comm: &Comm, mut cert: Vec<CEdge>) -> Vec<CEdge> {
+    debug_assert!(
+        cert.iter().all(|e| e.u < e.v),
+        "certificate edges are canonical"
+    );
+    debug_assert!(
+        {
+            let mut pairs: Vec<(VertexId, VertexId)> = cert.iter().map(|e| (e.u, e.v)).collect();
+            pairs.sort_unstable();
+            pairs.windows(2).all(|w| w[0] != w[1])
+        },
+        "T', I and C are pair-disjoint"
+    );
+    kamsta_sort::local_radix_sort(comm, &mut cert, |e| {
+        (((e.w as u128) << 64) | e.u as u128, e.v)
+    });
+    comm.charge_local(cert.len() as u64);
+    let index = EndpointIndex::new(&cert);
+    let mut uf = UnionFind::new(index.verts.len());
+    let mut forest = Vec::with_capacity(index.verts.len().saturating_sub(1));
+    for (e, (a, b)) in cert.into_iter().zip(index.ends) {
+        if uf.union(a, b) {
+            forest.push(e);
+        }
+    }
+    forest
+}
+
+/// Dense `u32` indices for the endpoints of a list of edges, assigned
+/// in first-seen order.
+struct EndpointIndex {
+    /// The index of each vertex.
+    of: FxHashMap<VertexId, u32>,
+    /// The vertex of each index.
+    verts: Vec<VertexId>,
+    /// Each edge's pair of endpoint indices.
+    ends: Vec<(u32, u32)>,
+}
+
+impl EndpointIndex {
+    fn new(edges: &[CEdge]) -> Self {
+        let mut of: FxHashMap<VertexId, u32> = FxHashMap::default();
+        let mut verts: Vec<VertexId> = Vec::new();
+        let mut dense = |x: VertexId| {
+            *of.entry(x).or_insert_with(|| {
+                verts.push(x);
+                (verts.len() - 1) as u32
+            })
+        };
+        let ends = edges.iter().map(|e| (dense(e.u), dense(e.v))).collect();
+        Self { of, verts, ends }
+    }
 }
 
 /// An update routed to its pair home (`delete` ignores `w`).
@@ -429,28 +500,32 @@ impl DynMst {
             };
         }
 
-        // 4. Certificate: surviving forest + this batch's inserts +
-        //    (only when the forest was hit) replacement candidates.
-        let mut cert: Vec<CEdge> = self.shard.msf.clone();
-        cert.extend(inserted.iter().copied());
-        if tree_global > 0 {
-            let candidates = self.replacement_candidates(comm, &inserted);
-            self.rep.stats.replacement_candidates += comm.allreduce_sum(candidates.len() as u64);
-            cert.extend(candidates);
-        }
+        // 4. Certificate, replicated: the surviving forest, then this
+        //    batch's inserts plus (only when the forest was hit) the
+        //    replacement candidates.
+        let mut cert: Vec<CEdge> = comm.allgatherv(self.shard.msf.clone());
+        let survivors = cert.len() as u64;
+        let mut fresh = if tree_global > 0 {
+            self.replacement_candidates(comm, &cert, &inserted)
+        } else {
+            Vec::new()
+        };
+        fresh.extend(inserted);
+        cert.extend(comm.allgatherv(fresh));
+        let cert_global = cert.len() as u64;
+        self.rep.stats.replacement_candidates += cert_global - survivors - ins_global;
 
-        // 5. Re-solve the certificate through the static pipeline and
-        //    adopt its forest.
-        let cert_global = comm.allreduce_sum(cert.len() as u64);
-        comm.charge_local(cert.len() as u64);
-        let directed: Vec<WEdge> = cert
-            .iter()
-            .flat_map(|e| [e.wedge(), e.wedge().reversed()])
-            .collect();
-        let input = InputGraph::from_unsorted_edges(comm, directed);
-        let r = boruvka_mst(comm, &input, &self.cfg.mst);
-        self.shard.msf = self.adopt(comm, r.edges);
-        self.refresh_cached(comm);
+        // 5. Solve the certificate locally and keep the forest edges
+        //    homed here (`block_range` is `home_of_pair`'s inverse, and
+        //    certificate edges are canonical), lex-sorted: pairs are
+        //    unique, so the pair order is the lex order.
+        let forest = certificate_forest(comm, cert);
+        self.rep.weight = forest.iter().map(|e| e.w as u64).sum();
+        self.rep.msf_edges = forest.len() as u64;
+        let home = block_range(n, p, comm.rank());
+        let mut msf: Vec<CEdge> = forest.into_iter().filter(|e| home.contains(&e.u)).collect();
+        kamsta_sort::local_radix_sort(comm, &mut msf, CEdge::pair_key);
+        self.shard.msf = msf;
         self.rep.stats.resolves += 1;
         self.rep.stats.certificate_edges += cert_global;
         BatchOutcome {
@@ -462,50 +537,52 @@ impl DynMst {
         }
     }
 
-    /// The replacement-candidate scan: replicate the surviving forest's
-    /// pair list (≤ n − 1 edges — the certificate is small by design),
-    /// label its components with a local union-find, and harvest from
-    /// this PE's store shard the lightest edge per crossed component
-    /// pair. Pairs inserted this batch are excluded — they are not part
-    /// of the pre-batch graph the cut/cycle argument runs on, and they
-    /// travel in the certificate anyway. Collective.
-    fn replacement_candidates(&self, comm: &Comm, inserted: &[CEdge]) -> Vec<CEdge> {
-        let t_pairs: Vec<(VertexId, VertexId)> =
-            comm.allgatherv(self.shard.msf.iter().map(|e| (e.u, e.v)).collect());
-        let mut vidx: FxHashMap<VertexId, u32> = FxHashMap::default();
-        for &(u, v) in &t_pairs {
-            for x in [u, v] {
-                let next = vidx.len() as u32;
-                vidx.entry(x).or_insert(next);
-            }
+    /// The replacement-candidate scan: label the components of the
+    /// replicated surviving forest `forest` (up to n − 1 edges) with a
+    /// local union-find, and harvest from this PE's store shard the
+    /// lightest edge per crossed component pair. Pairs inserted this
+    /// batch (`inserted`, lex-sorted) are excluded — they are not part of
+    /// the pre-batch graph the cut/cycle argument runs on, and they
+    /// travel in the certificate anyway. Local.
+    fn replacement_candidates(
+        &self,
+        comm: &Comm,
+        forest: &[CEdge],
+        inserted: &[CEdge],
+    ) -> Vec<CEdge> {
+        let index = EndpointIndex::new(forest);
+        let mut uf = UnionFind::new(index.verts.len());
+        for &(a, b) in &index.ends {
+            uf.union(a, b);
         }
-        let mut uf = UnionFind::new(vidx.len());
-        for &(u, v) in &t_pairs {
-            uf.union(vidx[&u], vidx[&v]);
-        }
-        let roots: Vec<u64> = (0..vidx.len() as u32).map(|i| uf.find(i) as u64).collect();
-        // Vertices outside the forest are singleton components; give them
-        // labels disjoint from the root indices.
-        let comp = |x: VertexId| -> u64 {
-            match vidx.get(&x) {
-                Some(&i) => roots[i as usize],
-                None => roots.len() as u64 + x,
-            }
-        };
-        comm.charge_local((t_pairs.len() + self.shard.store.len()) as u64);
-        let inserted_pairs: FxHashSet<(VertexId, VertexId)> =
-            inserted.iter().map(|e| (e.u, e.v)).collect();
-        let mut best: FxHashMap<(u64, u64), CEdge> = FxHashMap::default();
+        // A component's label is its representative's vertex id. A vertex
+        // outside the forest is a singleton component and its own
+        // representative, so labels are disjoint by construction.
+        let reps: Vec<VertexId> = (0..index.verts.len() as u32)
+            .map(|i| index.verts[uf.find(i) as usize])
+            .collect();
+        let comp = |x: VertexId| index.of.get(&x).map_or(x, |&i| reps[i as usize]);
+        comm.charge_local((forest.len() + self.shard.store.len()) as u64);
+        let mut best: FxHashMap<(VertexId, VertexId), CEdge> = FxHashMap::default();
+        // The store is lex-sorted: look `comp(u)` up once per source run.
+        let mut run: Option<(VertexId, VertexId)> = None;
         for e in &self.shard.store {
-            if inserted_pairs.contains(&(e.u, e.v)) {
+            let lu = match run {
+                Some((u, l)) if u == e.u => l,
+                _ => {
+                    let l = comp(e.u);
+                    run = Some((e.u, l));
+                    l
+                }
+            };
+            let lv = comp(e.v);
+            // Intra-component edges (forest edges among them) never
+            // replace anything.
+            if lu == lv || find_pair(inserted, e.u, e.v).is_ok() {
                 continue;
             }
-            let (la, lb) = (comp(e.u), comp(e.v));
-            if la == lb {
-                continue; // intra-component (forest edges land here too)
-            }
-            let slot = best.entry((la.min(lb), la.max(lb))).or_insert(*e);
-            if (e.weight_key(), e.id) < (slot.weight_key(), slot.id) {
+            let slot = best.entry((lu.min(lv), lu.max(lv))).or_insert(*e);
+            if e.weight_key() < slot.weight_key() {
                 *slot = *e;
             }
         }
@@ -736,6 +813,51 @@ mod tests {
         for (o, edges) in out.results {
             assert_eq!(edges, vec![WEdge::new(0, 1, 3)]);
             assert_eq!(o.msf_weight, 3);
+        }
+    }
+
+    #[test]
+    fn vertex_ids_at_the_top_of_the_id_space() {
+        // Sixteen vertices just below u64::MAX: a weight-1 path plus
+        // heavier chords (i, i + 2). No bootstrap, so only the flush runs.
+        // The second batch cuts one vertex out of the forest (its path
+        // edges go, so it is a singleton of T') and inserts elsewhere;
+        // its chords must come back as candidates.
+        let at = |i: u64| u64::MAX - 16 + i;
+        for p in [1usize, 3] {
+            for cut in 0..16u64 {
+                let out = Machine::run(MachineConfig::new(p), move |comm| {
+                    let mine = |ops: Vec<Update>| if comm.rank() == 0 { ops } else { Vec::new() };
+                    let mut live: Vec<WEdge> =
+                        (0..15).map(|i| WEdge::new(at(i), at(i + 1), 1)).collect();
+                    live.extend((0..14).map(|i| WEdge::new(at(i), at(i + 2), 10 + i as Weight)));
+                    let mut d = DynMst::new(comm, DynConfig::new(u64::MAX));
+                    d.apply_batch(
+                        comm,
+                        &mine(live.iter().map(|&e| Update::Insert(e)).collect()),
+                    );
+                    let (gone, kept): (Vec<WEdge>, Vec<WEdge>) = live
+                        .iter()
+                        .partition(|e| e.w == 1 && (e.u == at(cut) || e.v == at(cut)));
+                    let mut batch: Vec<Update> = gone
+                        .iter()
+                        .map(|e| Update::Delete { u: e.u, v: e.v })
+                        .collect();
+                    batch.push(Update::Insert(WEdge::new(at(0), at(15), 5)));
+                    let o = d.apply_batch(comm, &mine(batch));
+                    let mut live = kept;
+                    live.push(WEdge::new(at(0), at(15), 5));
+                    live.sort_unstable();
+                    (o, live, d.collect_edges(comm), d.collect_msf(comm))
+                });
+                for (o, live, edges, msf) in out.results {
+                    assert!(o.resolved && o.tree_deletes > 0);
+                    assert_eq!(edges, live, "p={p} cut={cut}: store");
+                    let mut want = kamsta_core::seq::kruskal(&live);
+                    want.sort_unstable();
+                    assert_eq!(msf, want, "p={p} cut={cut}: forest");
+                }
+            }
         }
     }
 

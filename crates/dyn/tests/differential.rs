@@ -10,7 +10,7 @@
 
 use kamsta_comm::{Machine, MachineConfig, TransportKind};
 use kamsta_core::dist::{boruvka_mst, MstConfig};
-use kamsta_dyn::{DynConfig, DynMst, WorkloadGen};
+use kamsta_dyn::{DynConfig, DynMst, Update, WorkloadGen};
 use kamsta_graph::io::distribute_from_root;
 use kamsta_graph::{GraphConfig, InputGraph, WEdge};
 use proptest::prelude::*;
@@ -199,6 +199,72 @@ fn dyn_pipeline_is_transport_invariant() {
 #[test]
 fn gnm_p16_thousand_op_workload() {
     run_sequence(16, GraphConfig::Gnm { n: 96, m: 640 }, 42, 20, 50);
+}
+
+/// All weights equal: only the `(min, max)` tie-break decides the forest,
+/// which the batch solve must order exactly as a from-scratch run does
+/// (the random-weight families leave most ties to chance). A 7 × 8 grid
+/// of weight-1 edges takes batches of deletes plus weight-1 inserts, and
+/// after every batch the forest must equal a from-scratch solve over the
+/// maintainer's own edge set.
+#[test]
+fn equal_weights_match_a_scratch_solve() {
+    let (rows, cols) = (7u64, 8u64);
+    let mut grid: Vec<WEdge> = Vec::new();
+    for r in 0..rows {
+        for c in 0..cols {
+            let x = r * cols + c;
+            if c + 1 < cols {
+                grid.extend([WEdge::new(x, x + 1, 1), WEdge::new(x + 1, x, 1)]);
+            }
+            if r + 1 < rows {
+                grid.extend([WEdge::new(x, x + cols, 1), WEdge::new(x + cols, x, 1)]);
+            }
+        }
+    }
+    grid.sort_unstable();
+    for p in [1usize, 2, 3, 5] {
+        let grid = grid.clone();
+        Machine::run(MachineConfig::new(p), move |comm| {
+            let n = rows * cols;
+            let slice = distribute_from_root(comm, (comm.rank() == 0).then(|| grid.clone()));
+            let input = InputGraph::from_sorted_edges(comm, slice);
+            let mut dynmst = DynMst::bootstrap(comm, DynConfig::new(n).with_mst(mst_cfg()), &input);
+            let initial = dynmst.collect_edges(comm);
+            let mut workload = WorkloadGen::new(n, 0x7135 + p as u64, &initial).with_delete_pct(50);
+            for b in 0..8 {
+                let batch: Vec<Update> = workload
+                    .next_batch(12)
+                    .into_iter()
+                    .map(|up| match up {
+                        Update::Insert(e) => Update::Insert(WEdge::new(e.u, e.v, 1)),
+                        delete => delete,
+                    })
+                    .collect();
+                let slice: &[_] = if comm.rank() == 0 { &batch } else { &[] };
+                dynmst.apply_batch(comm, slice);
+
+                let live = dynmst.collect_edges(comm);
+                let symmetric = (comm.rank() == 0).then(|| {
+                    let mut all: Vec<WEdge> =
+                        live.iter().flat_map(|e| [*e, e.reversed()]).collect();
+                    all.sort_unstable();
+                    all
+                });
+                let ref_input =
+                    InputGraph::from_sorted_edges(comm, distribute_from_root(comm, symmetric));
+                let r = boruvka_mst(comm, &ref_input, &mst_cfg());
+                let mut ref_msf: Vec<WEdge> = comm.allgatherv(
+                    r.edges
+                        .iter()
+                        .map(|e| WEdge::new(e.u.min(e.v), e.u.max(e.v), e.w))
+                        .collect(),
+                );
+                ref_msf.sort_unstable();
+                assert_eq!(dynmst.collect_msf(comm), ref_msf, "p={p} batch {b}");
+            }
+        });
+    }
 }
 
 /// Degenerate dynamic inputs: an empty maintainer accepts deletes and

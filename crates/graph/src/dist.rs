@@ -190,8 +190,8 @@ impl DistGraph {
     /// last PE that starts strictly below `e` may end on copies of it,
     /// and every PE whose locator entry *equals* `e` either starts with
     /// `e` or is empty and inherited the next holder's first edge
-    /// (sparse inputs — a 2-edge certificate re-solve at p = 16 — make
-    /// such runs long); the two are indistinguishable from the
+    /// (sparse inputs — 2 edges over 16 PEs — make such runs long); the
+    /// two are indistinguishable from the
     /// replicated locator alone. The range is therefore a superset of
     /// the holders, which is safe: a PE that cannot place a pushed
     /// content ignores it ([`DistGraph::adopt_pair_id`]). Empty when `e`

@@ -50,12 +50,18 @@ pub fn weight_of(u: VertexId, v: VertexId, seed: u64) -> Weight {
     (sym_hash(u, v, seed) % 254 + 1) as Weight
 }
 
+/// First item of block `b` of `n` items in `parts` blocks, `⌊b·n/parts⌋`,
+/// computed wide so that no `n` up to `u64::MAX` overflows.
+#[inline]
+fn block_start(n: u64, parts: u64, b: u64) -> u64 {
+    (b as u128 * n as u128 / parts as u128) as u64
+}
+
 /// Balanced block range of `n` items for PE `rank` of `p`.
 #[inline]
 pub fn block_range(n: u64, p: usize, rank: usize) -> std::ops::Range<u64> {
-    let p = p as u64;
-    let r = rank as u64;
-    (r * n / p)..((r + 1) * n / p)
+    let (p, r) = (p as u64, rank as u64);
+    block_start(n, p, r)..block_start(n, p, r + 1)
 }
 
 /// Exact inverse of [`block_range`]: the block index whose range contains
@@ -65,10 +71,10 @@ pub fn block_of(n: u64, parts: u64, v: u64) -> u64 {
     debug_assert!(v < n);
     let mut b = ((v as u128 * parts as u128) / n as u128) as u64;
     // Fix up the off-by-one that integer flooring can introduce.
-    while b + 1 < parts && (b + 1) * n / parts <= v {
+    while b + 1 < parts && block_start(n, parts, b + 1) <= v {
         b += 1;
     }
-    while b > 0 && b * n / parts > v {
+    while b > 0 && block_start(n, parts, b) > v {
         b -= 1;
     }
     b
@@ -237,6 +243,25 @@ mod tests {
                 assert!(
                     range.contains(&v),
                     "n={n} parts={parts} v={v}: block {b} range {range:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_of_inverts_block_range_at_the_top_of_the_id_space() {
+        let n = u64::MAX;
+        for parts in [1u64, 2, 3, 7, 16] {
+            let probes = (0..parts).flat_map(|b| {
+                let r = block_range(n, parts as usize, b as usize);
+                [r.start, r.start + 1, r.end - 1, r.end.saturating_sub(2)]
+            });
+            for v in probes.chain([n / 3, n - 1, n - 17]) {
+                let b = block_of(n, parts, v);
+                let range = block_range(n, parts as usize, b as usize);
+                assert!(
+                    range.contains(&v),
+                    "parts={parts} v={v}: block {b} range {range:?}"
                 );
             }
         }

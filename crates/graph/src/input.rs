@@ -99,17 +99,6 @@ impl InputGraph {
         Self::from_sorted_edges(comm, edges)
     }
 
-    /// Prepare an input from an arbitrarily distributed, *unsorted* edge
-    /// list: globally sort it with the distributed sorter (local phases
-    /// radix on the packed `(u, v, w)` key), rebalance, and establish the
-    /// structure. The certificate re-solves of the batch-dynamic layer
-    /// enter here. Collective.
-    pub fn from_unsorted_edges(comm: &Comm, edges: Vec<WEdge>) -> Self {
-        let sorted = kamsta_sort::sort_auto_by_key(comm, edges, 0x00D1_5C0E, WEdge::lex_key);
-        let balanced = kamsta_sort::rebalance(comm, sorted);
-        Self::from_sorted_edges(comm, balanced)
-    }
-
     /// `REDISTRIBUTE MST`: route identified MST edge ids back to their
     /// original home PEs and read each off the prepared slice at its
     /// global position. Ids are pair-canonical

@@ -3,7 +3,7 @@
 //! The paper's MST algorithms lean on distributed sorting to rebuild the
 //! lexicographically sorted distributed edge list after every contraction
 //! round (`REDISTRIBUTE`, Sec. IV-C) and to lay out inputs that arrive
-//! unsorted (RMAT's generator, `InputGraph::from_unsorted_edges`).
+//! unsorted (RMAT's generator).
 //! Filter-Borůvka's pivot samples (Sec. V) are small enough to allgather
 //! and sort locally, so they never reach this crate's distributed
 //! sorters. Following Sec. II-A / VI-C:
