@@ -2,39 +2,39 @@
 //! vs from-scratch recomputation at every batch boundary, over a sweep
 //! of batch sizes — the amortisation curve of the certificate re-solve.
 //!
-//! Environment:
+//! Flags:
 //!
-//! * `KAMSTA_MAX_CORES` — simulated core count (default 16);
-//! * `KAMSTA_V_PER_CORE` / `KAMSTA_M_PER_CORE` — weak-scaling sizes
+//! * `--max-cores N` — simulated core count (default 16);
+//! * `--v-per-core LOG2` / `--m-per-core LOG2` — weak-scaling sizes
 //!   (defaults 10 / 14);
-//! * `KAMSTA_DYN_OPS` — total update operations per sweep point
-//!   (default 1024);
-//! * `KAMSTA_DYN_BATCHES` — comma-separated batch sizes
-//!   (default `16,64,256`);
-//! * `KAMSTA_DYN_OUT` — optional JSON output path.
+//! * `--ops N` — total update operations per sweep point (default 1024);
+//! * `--batches B1,B2,...` — batch sizes (default `16,64,256`);
+//! * `--out PATH` — optional JSON output path.
 
-use kamsta_bench::{bench_mst_config, dyn_throughput_workload, env_usize, Table, WeakScale};
+use kamsta::cli;
+use kamsta_bench::{bench_mst_config, dyn_throughput_workload, Table, WeakScale};
+use std::num::NonZeroUsize;
 
 const SEED: u64 = 42;
 const FAMILIES: [&str; 3] = ["GNM", "2D-RGG", "RMAT"];
 
-fn batch_sizes() -> Vec<usize> {
-    std::env::var("KAMSTA_DYN_BATCHES")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|x| x.trim().parse().ok())
-                .filter(|&b| b > 0)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![16, 64, 256])
-}
+const USAGE: &str = "usage: dyn_throughput [--max-cores N] [--v-per-core LOG2] \
+                     [--m-per-core LOG2] [--ops N] [--batches B1,B2,...] [--out PATH]";
 
 fn main() {
-    let cores = env_usize("KAMSTA_MAX_CORES", 16);
-    let ops = env_usize("KAMSTA_DYN_OPS", 1024);
-    let ws = WeakScale::from_env();
+    let (cores, ops, batches, ws, out) = cli::parse_or_exit(USAGE, |f| {
+        let nz = |n: usize| NonZeroUsize::new(n).expect("defaults are positive");
+        let batches: Vec<NonZeroUsize> = f.get_list("--batches", vec![nz(16), nz(64), nz(256)])?;
+        let ws = WeakScale::from_flags(f, WeakScale::DEFAULT)?;
+        let out: Option<String> = f.get_opt("--out")?;
+        Ok((
+            f.get("--max-cores", nz(16))?.get(),
+            f.get("--ops", 1024)?,
+            batches,
+            ws,
+            out,
+        ))
+    });
     let cfg = bench_mst_config();
 
     let mut table = Table::new(&[
@@ -52,9 +52,9 @@ fn main() {
     let mut json_entries: Vec<String> = Vec::new();
     for family in FAMILIES {
         let config = ws.config(family, cores);
-        for batch in batch_sizes() {
-            let batches = (ops / batch).max(1);
-            let t = dyn_throughput_workload(cores, config, cfg, SEED, batches, batch);
+        for batch in batches.iter().map(|b| b.get()) {
+            let n_batches = (ops / batch).max(1);
+            let t = dyn_throughput_workload(cores, config, cfg, SEED, n_batches, batch);
             table.row(vec![
                 family.to_string(),
                 batch.to_string(),
@@ -88,7 +88,7 @@ fn main() {
     println!("dyn_throughput: cores={cores} seed={SEED} (dyn apply vs from-scratch per batch)");
     table.print();
 
-    if let Ok(path) = std::env::var("KAMSTA_DYN_OUT") {
+    if let Some(path) = out {
         let json = format!(
             "{{\n  \"bench\": \"dyn_throughput\", \"cores\": {cores}, \"seed\": {SEED},\n  \
              \"entries\": [\n{}\n  ]\n}}\n",

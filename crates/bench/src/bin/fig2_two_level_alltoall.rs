@@ -5,11 +5,10 @@
 //! one-level grows with the core count, two-level stays flat.
 
 use kamsta::{Algorithm, AlltoallKind, Phase};
-use kamsta_bench::{bench_mst_config, core_series, env_usize, Table, Variant, WeakScale};
+use kamsta_bench::{bench_mst_config, core_series, weak_scaling_args, Table, Variant, WeakScale};
 
 fn main() {
-    let max_cores = env_usize("KAMSTA_MAX_CORES", 64);
-    let ws = WeakScale::from_env();
+    let (max_cores, ws) = weak_scaling_args("fig2_two_level_alltoall", WeakScale::DEFAULT);
     println!(
         "# Fig. 2 — contraction-phase time, GNM(2^{}, 2^{}) per core (paper: 2^17, 2^21)",
         ws.v_per_core, ws.m_per_core

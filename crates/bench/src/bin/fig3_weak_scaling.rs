@@ -5,14 +5,13 @@
 //! share the same algorithm structure).
 
 use kamsta_bench::{
-    bench_mst_config, core_series, eng, env_usize, paper_variants, Table, WeakScale,
+    bench_mst_config, core_series, eng, paper_variants, weak_scaling_args, Table, WeakScale,
 };
 
 const FAMILIES: [&str; 6] = ["2D-GRID", "2D-RGG", "3D-RGG", "GNM", "RHG", "RMAT"];
 
 fn main() {
-    let max_cores = env_usize("KAMSTA_MAX_CORES", 64);
-    let ws = WeakScale::from_env();
+    let (max_cores, ws) = weak_scaling_args("fig3_weak_scaling", WeakScale::DEFAULT);
     println!(
         "# Fig. 3 — weak scaling, 2^{} vertices and 2^{} directed edges per core (paper: 2^17 / 2^21)",
         ws.v_per_core, ws.m_per_core

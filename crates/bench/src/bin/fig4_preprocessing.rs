@@ -5,19 +5,18 @@
 //! up to 5× on these inputs.
 
 use kamsta::{Algorithm, MstConfig};
-use kamsta_bench::{bench_mst_config, core_series, env_usize, Table, Variant, WeakScale};
+use kamsta_bench::{bench_mst_config, core_series, weak_scaling_args, Table, Variant, WeakScale};
 
 const FAMILIES: [&str; 4] = ["2D-GRID", "2D-RGG", "3D-RGG", "RHG"];
 
 fn main() {
-    let max_cores = env_usize("KAMSTA_MAX_CORES", 64);
-    // Fig. 4 uses denser inputs than Fig. 3 (2^23 vs 2^21 per core): add
-    // two to the default edge density.
-    let base = WeakScale::from_env();
-    let ws = WeakScale {
-        v_per_core: base.v_per_core,
-        m_per_core: env_usize("KAMSTA_M_PER_CORE", base.m_per_core as usize + 2) as u32,
+    // Fig. 4 uses denser inputs than Fig. 3 (2^23 vs 2^21 per core): two
+    // more in the default edge density.
+    let scale = WeakScale {
+        m_per_core: 16,
+        ..WeakScale::DEFAULT
     };
+    let (max_cores, ws) = weak_scaling_args("fig4_preprocessing", scale);
     println!(
         "# Fig. 4 — no-preprocessing ablation, 2^{} vertices / 2^{} edges per core (paper: 2^17 / 2^23)",
         ws.v_per_core, ws.m_per_core

@@ -5,14 +5,16 @@
 //! DIMACS loader exists for running the real US-road instance when
 //! available (`kamsta_graph::io::load_dimacs`).
 
-use kamsta_bench::{
-    bench_mst_config, core_series, env_usize, paper_variants, standin_instances, Table,
-};
+use kamsta::cli;
+use kamsta_bench::{bench_mst_config, core_series, paper_variants, standin_instances, Table};
+
+const USAGE: &str = "usage: fig5_strong_scaling [--max-cores N] [--scale LOG2]";
 
 fn main() {
-    let max_cores = env_usize("KAMSTA_MAX_CORES", 64);
     // Instance size: fixed (strong scaling). Default 2^14 vertices-ish.
-    let scale = env_usize("KAMSTA_STRONG_SCALE", 14) as u32;
+    let (max_cores, scale) = cli::parse_or_exit(USAGE, |f| {
+        Ok((f.get("--max-cores", 64)?, f.get("--scale", 14)?))
+    });
     println!("# Fig. 5 — strong scaling on real-world stand-ins (scale 2^{scale}; * = synthetic stand-in)");
     println!("# cells: modeled seconds (lower is better)\n");
 

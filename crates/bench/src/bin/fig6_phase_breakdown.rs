@@ -3,13 +3,12 @@
 //! 3D-RGG, GNM and RMAT at three machine sizes.
 
 use kamsta::{Algorithm, Phase};
-use kamsta_bench::{bench_mst_config, env_usize, Table, Variant, WeakScale};
+use kamsta_bench::{bench_mst_config, weak_scaling_args, Table, Variant, WeakScale};
 
 const FAMILIES: [&str; 3] = ["3D-RGG", "GNM", "RMAT"];
 
 fn main() {
-    let max_cores = env_usize("KAMSTA_MAX_CORES", 64);
-    let ws = WeakScale::from_env();
+    let (max_cores, ws) = weak_scaling_args("fig6_phase_breakdown", WeakScale::DEFAULT);
     let core_points = [max_cores / 4, max_cores / 2, max_cores];
     println!(
         "# Fig. 6 — normalized phase breakdown, 2^{} vertices / 2^{} edges per core",

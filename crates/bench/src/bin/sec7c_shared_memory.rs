@@ -13,9 +13,12 @@
 //! expected hybrid "speedup" there is ≈ 1.0 (pool overhead shows up as
 //! a few percent); the ≥ 2× target applies to hosts with ≥ t free cores.
 
-use kamsta::{Algorithm, Machine, MachineConfig, RunSummary, Runner, WEdge};
-use kamsta_bench::{bench_mst_config, env_usize, Table, WeakScale};
+use kamsta::{cli, Algorithm, Machine, MachineConfig, RunSummary, Runner, WEdge};
+use kamsta_bench::{bench_mst_config, Table, WeakScale};
 use kamsta_graph::InputGraph;
+use std::num::NonZeroUsize;
+
+const USAGE: &str = "usage: sec7c_shared_memory [--v-per-core LOG2] [--m-per-core LOG2] [--reps N]";
 
 fn best_of(reps: usize, run: impl Fn() -> RunSummary) -> RunSummary {
     let mut best: Option<RunSummary> = None;
@@ -29,9 +32,13 @@ fn best_of(reps: usize, run: impl Fn() -> RunSummary) -> RunSummary {
 }
 
 fn main() {
-    let ws = WeakScale::from_env();
-    let pes = env_usize("KAMSTA_SEC7C_PES", 4);
-    let reps = env_usize("KAMSTA_SEC7C_REPS", 3);
+    let (ws, reps) = cli::parse_or_exit(USAGE, |f| {
+        Ok((
+            WeakScale::from_flags(f, WeakScale::DEFAULT)?,
+            f.get("--reps", NonZeroUsize::new(3).expect("3 > 0"))?.get(),
+        ))
+    });
+    let pes = 4;
     let config = ws.config("GNM", 16);
     let seed = 42u64;
 

@@ -2,9 +2,11 @@
 //! originals next to the structure-matched stand-ins this reproduction
 //! uses (DESIGN.md S5), with the stand-ins' actual generated sizes.
 
-use kamsta::{GraphConfig, Machine, MachineConfig};
-use kamsta_bench::{env_usize, standin_instances, Table};
+use kamsta::{cli, GraphConfig, Machine, MachineConfig};
+use kamsta_bench::{standin_instances, Table};
 use kamsta_graph::InputGraph;
+
+const USAGE: &str = "usage: table1_instances [--scale LOG2]";
 
 fn measure(config: GraphConfig) -> (u64, u64) {
     let out = Machine::run(MachineConfig::new(4), move |comm| {
@@ -15,7 +17,7 @@ fn measure(config: GraphConfig) -> (u64, u64) {
 }
 
 fn main() {
-    let scale = env_usize("KAMSTA_STRONG_SCALE", 14) as u32;
+    let scale = cli::parse_or_exit(USAGE, |f| f.get("--scale", 14));
     println!("# Table I — strong-scaling instances (paper originals vs. generated stand-ins)\n");
     let mut table = Table::new(&[
         "instance",

@@ -5,12 +5,18 @@
 //! fed into base cases (should stay `O(n)`-ish, i.e. grow far slower
 //! than `m`).
 
-use kamsta::{Algorithm, GraphConfig};
-use kamsta_bench::{bench_mst_config, env_usize, Table, Variant};
+use kamsta::{cli, Algorithm, GraphConfig};
+use kamsta_bench::{bench_mst_config, Table, Variant};
+use std::num::NonZeroUsize;
+
+const USAGE: &str = "usage: thm1_filter_work [--log-n LOG2] [--max-cores N]";
 
 fn main() {
-    let n = 1u64 << env_usize("KAMSTA_THM1_LOGN", 13);
-    let cores = env_usize("KAMSTA_MAX_CORES", 16).min(16);
+    let (log_n, cores) = cli::parse_or_exit(USAGE, |f| {
+        let cores: NonZeroUsize = f.get("--max-cores", NonZeroUsize::new(16).expect("16 > 0"))?;
+        Ok((f.get("--log-n", 13)?, cores.get().min(16)))
+    });
+    let n = 1u64 << log_n;
     println!("# Theorem 1 — Filter-Borůvka work/span scaling on GNM(n = {n}), {cores} PEs\n");
 
     let mut table = Table::new(&[

@@ -6,13 +6,14 @@
 //! building-block ablations (all-to-all variants, sorters, the
 //! hash-filter dedup).
 //!
-//! All binaries accept the environment variables:
+//! All binaries take their flags through [`kamsta::cli`]:
 //!
-//! * `KAMSTA_MAX_CORES` — largest simulated core count (default 64);
-//! * `KAMSTA_V_PER_CORE` / `KAMSTA_M_PER_CORE` — log2 of the per-core
+//! * `--max-cores N` — largest simulated core count (default 64);
+//! * `--v-per-core LOG2` / `--m-per-core LOG2` — log2 of the per-core
 //!   weak-scaling sizes (defaults 10 / 14; the paper used 17 / 21 —
 //!   scaled down per DESIGN.md S3).
 
+use kamsta::cli::{self, Flags};
 use kamsta::{Algorithm, GraphConfig, MstConfig, RunSummary, Runner};
 use kamsta_comm::{Comm, Machine, MachineConfig};
 use kamsta_core::dist::boruvka_mst;
@@ -162,14 +163,6 @@ pub fn dyn_throughput_workload(
     }
 }
 
-/// Read a `usize` environment knob.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Simulated core counts for a scaling series: powers of two from 4 to
 /// `max`.
 pub fn core_series(max: usize) -> Vec<usize> {
@@ -190,16 +183,33 @@ pub struct WeakScale {
 }
 
 impl WeakScale {
-    pub fn from_env() -> Self {
-        Self {
-            v_per_core: env_usize("KAMSTA_V_PER_CORE", 10) as u32,
-            m_per_core: env_usize("KAMSTA_M_PER_CORE", 14) as u32,
-        }
+    /// 2^10 vertices and 2^14 directed edges per core.
+    pub const DEFAULT: Self = Self {
+        v_per_core: 10,
+        m_per_core: 14,
+    };
+
+    /// The sizes `--v-per-core` / `--m-per-core` give, falling back to
+    /// `default`'s.
+    pub fn from_flags(flags: &Flags, default: Self) -> Result<Self, String> {
+        Ok(Self {
+            v_per_core: flags.get("--v-per-core", default.v_per_core)?,
+            m_per_core: flags.get("--m-per-core", default.m_per_core)?,
+        })
     }
 
     pub fn config(&self, family: &str, cores: usize) -> GraphConfig {
         GraphConfig::weak_scaled(family, self.v_per_core, self.m_per_core, cores)
     }
+}
+
+/// The command line of a weak-scaling figure binary: `--max-cores`
+/// (default 64) and the sizes (defaults `scale`'s).
+pub fn weak_scaling_args(bin: &str, scale: WeakScale) -> (usize, WeakScale) {
+    let usage = format!("usage: {bin} [--max-cores N] [--v-per-core LOG2] [--m-per-core LOG2]");
+    cli::parse_or_exit(&usage, |f| {
+        Ok((f.get("--max-cores", 64)?, WeakScale::from_flags(f, scale)?))
+    })
 }
 
 /// An algorithm variant as plotted in the paper: algorithm × hybrid

@@ -1,10 +1,10 @@
 //! `kamsta_launch` — run a rank program on `p` real OS processes over
 //! the socket transport, under a supervising parent.
 //!
-//! Launcher mode (no `KAMSTA_LAUNCH_RENDEZVOUS` in the environment):
-//! binds a loopback rendezvous listener, spawns `--pes` copies of this
-//! same binary as workers, serves the rank-assignment handshake, and
-//! then **supervises**: worker stderr is piped through the launcher
+//! Launcher mode (no `--rendezvous`): binds a loopback rendezvous
+//! listener, spawns `--pes` copies of this same binary as workers, serves
+//! the rank-assignment handshake, and then **supervises**: worker stderr
+//! is piped through the launcher
 //! (echoed live, with the last typed error line captured), worker exits
 //! are polled, and on the first failure the launcher emits a structured
 //! JSON failure report on stderr —
@@ -20,13 +20,15 @@
 //! with backoff (`{"event":"relaunch",...}` announces each attempt).
 //! Exit status 0 iff some attempt's every worker exited 0.
 //!
-//! Worker mode (`KAMSTA_LAUNCH_RENDEZVOUS` set, as the launcher does
-//! for its children): connect to the rendezvous, form the TCP mesh via
-//! [`Machine::try_run_worker`], run the program from
+//! Worker mode (`--rendezvous ADDR --rank R`, which the launcher passes
+//! to each child together with its own `--pes`, `--program`, `--seed`,
+//! `--stagger-ms` and `--timeout-ms`): connect to the rendezvous, form
+//! the TCP mesh via [`Machine::try_run_worker`], run the program from
 //! [`kamsta::launchprog`]. Rank 0 prints the JSON digest on stdout; a
 //! typed transport failure prints `transport-error: ...` on stderr and
-//! exits 3. Fault plans (`KAMSTA_FAULTS`) and the handshake deadline
-//! (`KAMSTA_HANDSHAKE_TIMEOUT_MS`) ride the inherited environment.
+//! exits 3. The machine settings — fault plans (`KAMSTA_FAULTS`) and the
+//! handshake deadline (`KAMSTA_HANDSHAKE_TIMEOUT_MS`) among them — ride
+//! the inherited environment.
 //!
 //! ```text
 //! kamsta_launch --pes 4 --program mst --seed 7 [--stagger-ms 50] \
@@ -35,11 +37,14 @@
 //!
 //! `--stagger-ms k` makes worker `r` sleep `r*k` ms before contacting
 //! the rendezvous, forcing out-of-order connects through the handshake.
+//! A bad command line (an unknown program too) exits 2 before any spawn.
 
+use kamsta::cli::{self, Flags};
 use kamsta::comm::serve_rendezvous;
 use kamsta::{launchprog, Machine, MachineConfig, MachineError};
 use std::io::BufRead;
 use std::net::TcpListener;
+use std::num::NonZeroUsize;
 use std::os::unix::process::ExitStatusExt;
 use std::process::{exit, Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
@@ -52,72 +57,50 @@ struct Opts {
     stagger_ms: u64,
     timeout_ms: u64,
     relaunch: u32,
+    /// `Some` in worker mode: the launcher's rendezvous address.
+    rendezvous: Option<String>,
+    rank: Option<usize>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: kamsta_launch --pes N [--program sum|mst|filter|dyn|die] [--seed S] \
-         [--stagger-ms MS] [--timeout-ms MS] [--relaunch N]"
-    );
-    exit(2)
+fn usage() -> String {
+    format!(
+        "usage: kamsta_launch --pes N [--program {}] [--seed S] [--stagger-ms MS] \
+         [--timeout-ms MS] [--relaunch N] [--rendezvous ADDR --rank R (worker mode)]",
+        launchprog::PROGRAMS.join("|")
+    )
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        pes: 0,
-        program: "sum".into(),
-        seed: 42,
-        stagger_ms: 0,
-        timeout_ms: 30_000,
-        relaunch: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let Some(value) = args.next() else { usage() };
-        match flag.as_str() {
-            "--pes" => opts.pes = value.parse().unwrap_or_else(|_| usage()),
-            "--program" => opts.program = value,
-            "--seed" => opts.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--stagger-ms" => opts.stagger_ms = value.parse().unwrap_or_else(|_| usage()),
-            "--timeout-ms" => opts.timeout_ms = value.parse().unwrap_or_else(|_| usage()),
-            "--relaunch" => opts.relaunch = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
+fn parse_opts(flags: &Flags) -> Result<Opts, String> {
+    let pes: Option<NonZeroUsize> = flags.get_opt("--pes")?;
+    let program: String = flags.get("--program", "sum".into())?;
+    if !launchprog::PROGRAMS.contains(&program.as_str()) {
+        return Err(format!("unknown program {program:?}"));
     }
-    if opts.pes == 0 {
-        usage()
-    }
-    opts
+    Ok(Opts {
+        pes: pes.ok_or("--pes is required")?.get(),
+        program,
+        seed: flags.get("--seed", 42)?,
+        stagger_ms: flags.get("--stagger-ms", 0)?,
+        timeout_ms: flags.get("--timeout-ms", 30_000)?,
+        relaunch: flags.get("--relaunch", 0)?,
+        rendezvous: flags.get_opt("--rendezvous")?,
+        rank: flags.get_opt("--rank")?,
+    })
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("launch-error: {name}={v:?} is not a number");
-            exit(2)
-        }),
-        Err(_) => default,
-    }
-}
-
-fn worker(rendezvous: String) -> ! {
-    let pes = env_u64("KAMSTA_LAUNCH_PES", 0) as usize;
-    let rank = std::env::var("KAMSTA_LAUNCH_RANK")
-        .ok()
-        .map(|v| v.parse::<usize>().unwrap_or_else(|_| usage()));
-    let program = std::env::var("KAMSTA_LAUNCH_PROGRAM").unwrap_or_else(|_| "sum".into());
-    let seed = env_u64("KAMSTA_LAUNCH_SEED", 42);
-    let stagger = env_u64("KAMSTA_LAUNCH_STAGGER_MS", 0);
-    let timeout = Duration::from_millis(env_u64("KAMSTA_LAUNCH_TIMEOUT_MS", 30_000));
-    if stagger > 0 {
-        std::thread::sleep(Duration::from_millis(rank.unwrap_or(0) as u64 * stagger));
+fn worker(opts: &Opts, rendezvous: String) -> ! {
+    if opts.stagger_ms > 0 {
+        std::thread::sleep(Duration::from_millis(
+            opts.rank.unwrap_or(0) as u64 * opts.stagger_ms,
+        ));
     }
     // KAMSTA_FAULTS / KAMSTA_HANDSHAKE_TIMEOUT_MS resolve inside the
     // machine config, identically on every worker (inherited env).
-    let cfg = MachineConfig::new(pes)
+    let cfg = MachineConfig::new(opts.pes)
         .with_rendezvous(rendezvous)
-        .with_io_timeout(timeout);
-    match Machine::try_run_worker(cfg, rank, |comm| launchprog::run(&program, comm, seed)) {
+        .with_io_timeout(Duration::from_millis(opts.timeout_ms));
+    let (program, seed) = (&opts.program, opts.seed);
+    match Machine::try_run_worker(cfg, opts.rank, |comm| launchprog::run(program, comm, seed)) {
         Ok(run) => {
             if let Some(digest) = run.result {
                 println!("{digest}");
@@ -179,14 +162,14 @@ fn report_failure(pe: usize, phase: &str, status: ExitStatus, last_error: &Optio
 fn spawn_workers(opts: &Opts, exe: &std::path::Path, addr: &str) -> Vec<Supervised> {
     (0..opts.pes)
         .map(|rank| {
+            // `--program` is one of `PROGRAMS`, so no value holds a space.
+            let args = format!(
+                "--rendezvous {addr} --rank {rank} --pes {} --program {} --seed {} \
+                 --stagger-ms {} --timeout-ms {}",
+                opts.pes, opts.program, opts.seed, opts.stagger_ms, opts.timeout_ms
+            );
             let mut child = Command::new(exe)
-                .env("KAMSTA_LAUNCH_RENDEZVOUS", addr)
-                .env("KAMSTA_LAUNCH_PES", opts.pes.to_string())
-                .env("KAMSTA_LAUNCH_RANK", rank.to_string())
-                .env("KAMSTA_LAUNCH_PROGRAM", &opts.program)
-                .env("KAMSTA_LAUNCH_SEED", opts.seed.to_string())
-                .env("KAMSTA_LAUNCH_STAGGER_MS", opts.stagger_ms.to_string())
-                .env("KAMSTA_LAUNCH_TIMEOUT_MS", opts.timeout_ms.to_string())
+                .args(args.split(' '))
                 .stderr(Stdio::piped())
                 .spawn()
                 .unwrap_or_else(|e| {
@@ -351,8 +334,9 @@ fn launcher(opts: Opts) -> ! {
 }
 
 fn main() {
-    match std::env::var("KAMSTA_LAUNCH_RENDEZVOUS") {
-        Ok(addr) => worker(addr),
-        Err(_) => launcher(parse_opts()),
+    let opts = cli::parse_or_exit(&usage(), parse_opts);
+    match opts.rendezvous.clone() {
+        Some(addr) => worker(&opts, addr),
+        None => launcher(opts),
     }
 }

@@ -19,13 +19,15 @@ use kamsta_core::dist::{boruvka_mst, filter_mst, MstConfig};
 use kamsta_dyn::{DynConfig, DynMst, Update};
 use kamsta_graph::{CEdge, GraphConfig, InputGraph, WEdge};
 
-/// Run the named program; rank 0 gets `Some(json_digest)`.
-///
-/// Programs: `sum` (mixed collectives), `mst` (generate + Borůvka),
-/// `filter` (Filter-Borůvka, checked against Borůvka on the same input),
-/// `dyn` (batch-dynamic maintenance), `die` (one rank exits the OS
-/// process mid-run — launcher-only, it would take the whole in-process
-/// machine down).
+/// The names [`run`] accepts: `sum` (mixed collectives), `mst`
+/// (generate + Borůvka), `filter` (Filter-Borůvka, checked against
+/// Borůvka on the same input), `dyn` (batch-dynamic maintenance), `die`
+/// (one rank exits the OS process mid-run — launcher-only, it would take
+/// the whole in-process machine down).
+pub const PROGRAMS: [&str; 5] = ["sum", "mst", "filter", "dyn", "die"];
+
+/// Run the named program (one of [`PROGRAMS`]); rank 0 gets
+/// `Some(json_digest)`.
 ///
 /// # Panics
 ///
@@ -37,7 +39,7 @@ pub fn run(name: &str, comm: &Comm, seed: u64) -> Option<String> {
         "filter" => prog_filter(comm, seed),
         "dyn" => prog_dyn(comm, seed),
         "die" => prog_die(comm),
-        other => panic!("unknown launch program {other:?} (expected sum|mst|filter|dyn|die)"),
+        other => panic!("unknown launch program {other:?} (expected {PROGRAMS:?})"),
     }
 }
 

@@ -45,6 +45,7 @@ pub use kamsta_dyn as dynamic;
 pub use kamsta_graph as graph;
 pub use kamsta_sort as sort;
 
+pub mod cli;
 pub mod launchprog;
 mod runner;
 mod service;
@@ -58,7 +59,7 @@ pub use kamsta_core::{verify_msf, Phase, PhaseTimes, WallStats};
 pub use kamsta_dyn::{DynConfig, DynMst, Update, UpdateStats};
 pub use kamsta_graph::{GraphConfig, InputGraph, WEdge};
 pub use runner::{Algorithm, RunSummary, Runner};
-pub use service::{MstService, MstServiceBuilder, Request, Response, ServiceError};
+pub use service::{MstService, MstServiceBuilder, ServiceError};
 
 /// Convenience: single-node minimum spanning forest of an edge list
 /// (undirected or symmetric directed), via the shared-memory parallel

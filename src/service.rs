@@ -18,42 +18,6 @@ use kamsta_dyn::{
 };
 use kamsta_graph::{GraphConfig, InputGraph, VertexId, WEdge};
 
-/// One request to the service loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Mutate the edge set (queued, applied in batches).
-    Update(Update),
-    /// Total weight of the current forest.
-    MsfWeight,
-    /// Number of edges in the current forest.
-    MsfEdgeCount,
-    /// Is `{u, v}` a forest edge?
-    InMsf(VertexId, VertexId),
-    /// Force the queued updates through now.
-    Flush,
-}
-
-/// The service's answer to one [`Request`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// The update was queued (and possibly auto-flushed).
-    Queued,
-    /// The update referenced a vertex outside `[0, n)` and was dropped
-    /// — a malformed client request must not panic the machine.
-    Rejected,
-    /// Outcome of an explicit flush (`None` when nothing was queued).
-    Flushed(Option<BatchOutcome>),
-    /// Forest weight.
-    Weight(u64),
-    /// Forest size.
-    Count(u64),
-    /// Forest membership.
-    Membership(bool),
-    /// The service is poisoned by an unrecoverable machine failure and
-    /// refuses the request; see [`MstService::poisoned`] for the cause.
-    Degraded,
-}
-
 /// A failed service operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceError {
@@ -235,11 +199,11 @@ impl MstService {
 
     /// Queue one update; flush automatically at the batch threshold.
     /// Returns the flush outcome when one ran. Out-of-range updates
-    /// are dropped (see [`Self::handle`] for the reporting variant) —
-    /// the maintainer would otherwise panic the whole machine
-    /// mid-flush on a malformed client request. A degraded service
-    /// refuses the update, and an auto-flush failure degrades the
-    /// service.
+    /// are dropped (a caller that must report them checks
+    /// [`Self::in_range`] first) — the maintainer would otherwise panic
+    /// the whole machine mid-flush on a malformed client request. A
+    /// degraded service refuses the update, and an auto-flush failure
+    /// degrades the service.
     pub fn try_submit(&mut self, up: Update) -> Result<Option<BatchOutcome>, ServiceError> {
         self.check_poisoned()?;
         if !self.in_range(&up) {
@@ -332,30 +296,6 @@ impl MstService {
         self.queue.len()
     }
 
-    /// Serve one request. A machine failure (or an already-degraded
-    /// service) answers [`Response::Degraded`] — the loop keeps serving,
-    /// every request gets a typed answer, nothing panics or blocks.
-    pub fn handle(&mut self, req: Request) -> Response {
-        let served = match req {
-            Request::Update(up) => {
-                if !self.in_range(&up) {
-                    return Response::Rejected;
-                }
-                self.try_submit(up).map(|_| Response::Queued)
-            }
-            Request::Flush => self.try_flush().map(Response::Flushed),
-            Request::MsfWeight => self.try_msf_weight().map(Response::Weight),
-            Request::MsfEdgeCount => self.try_msf_edge_count().map(Response::Count),
-            Request::InMsf(u, v) => self.try_in_msf(u, v).map(Response::Membership),
-        };
-        served.unwrap_or(Response::Degraded)
-    }
-
-    /// The request loop: serve a whole script of requests in order.
-    pub fn run_loop(&mut self, requests: impl IntoIterator<Item = Request>) -> Vec<Response> {
-        requests.into_iter().map(|r| self.handle(r)).collect()
-    }
-
     fn install(&mut self, results: Vec<(DynShard, DynReplicated)>) {
         self.rep = results[0].1;
         self.shards = results.into_iter().map(|(s, _)| s).collect();
@@ -413,42 +353,28 @@ mod tests {
     #[test]
     fn request_loop_serves_a_script() {
         let mut s = service(2, 6, 50);
-        let responses = s.run_loop([
-            Request::Update(Update::Insert(WEdge::new(0, 1, 2))),
-            Request::Update(Update::Insert(WEdge::new(1, 2, 3))),
-            Request::Update(Update::Insert(WEdge::new(0, 2, 9))),
-            Request::MsfWeight,
-            Request::InMsf(0, 2),
-            Request::Update(Update::Delete { u: 1, v: 2 }),
-            Request::MsfWeight,
-            Request::InMsf(0, 2),
-            Request::MsfEdgeCount,
-            Request::Flush,
-        ]);
-        assert_eq!(
-            responses,
-            vec![
-                Response::Queued,
-                Response::Queued,
-                Response::Queued,
-                Response::Weight(5),
-                Response::Membership(false),
-                Response::Queued,
-                Response::Weight(11), // 0-2 replaces the deleted 1-2
-                Response::Membership(true),
-                Response::Count(2),
-                Response::Flushed(None),
-            ]
-        );
+        for e in [
+            WEdge::new(0, 1, 2),
+            WEdge::new(1, 2, 3),
+            WEdge::new(0, 2, 9),
+        ] {
+            assert_eq!(s.try_submit(Update::Insert(e)), Ok(None), "queued");
+        }
+        assert_eq!(s.try_msf_weight(), Ok(5));
+        assert_eq!(s.try_in_msf(0, 2), Ok(false));
+        assert_eq!(s.try_submit(Update::Delete { u: 1, v: 2 }), Ok(None));
+        assert_eq!(s.try_msf_weight(), Ok(11), "0-2 replaces the deleted 1-2");
+        assert_eq!(s.try_in_msf(0, 2), Ok(true));
+        assert_eq!(s.try_msf_edge_count(), Ok(2));
+        assert_eq!(s.try_flush(), Ok(None), "nothing left to flush");
     }
 
     #[test]
     fn out_of_range_updates_are_rejected_not_fatal() {
         let mut s = service(2, 8, 2);
-        assert_eq!(
-            s.handle(Request::Update(Update::Insert(WEdge::new(0, 99, 1)))),
-            Response::Rejected
-        );
+        let stray = Update::Insert(WEdge::new(0, 99, 1));
+        assert!(!s.in_range(&stray));
+        assert_eq!(s.try_submit(stray), Ok(None));
         assert!(s
             .try_submit(Update::Delete { u: 99, v: 0 })
             .unwrap()

@@ -24,7 +24,6 @@ fn launch(args: &[&str]) -> std::process::Output {
 fn launch_env(args: &[&str], env: &[(&str, &str)]) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_kamsta_launch"));
     cmd.args(args)
-        .env_remove("KAMSTA_LAUNCH_RENDEZVOUS")
         .env_remove("KAMSTA_TRANSPORT")
         .env_remove("KAMSTA_FAULTS");
     for (k, v) in env {
@@ -114,6 +113,18 @@ fn dying_worker_fails_the_launch_with_a_typed_error_not_a_hang() {
     // (or a liveness probe fail) and the supervisor reaps the exit —
     // well inside the 5s io deadline, nowhere near a hang.
     assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+}
+
+#[test]
+fn unknown_program_is_a_usage_error_before_any_worker_starts() {
+    let start = Instant::now();
+    let out = launch(&["--pes", "2", "--program", "frob"]);
+    let elapsed = start.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("sum|mst|filter|dyn|die"), "{stderr}");
+    assert!(!stderr.contains("worker-failure"), "{stderr}");
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
 }
 
 #[test]
