@@ -23,12 +23,13 @@ use crate::alltoall::AlltoallKind;
 use crate::barrier::ClockBarrier;
 use crate::cells::{CellRegistry, CellSet, Round};
 use crate::cost::{Clock, CostModel, PeStats};
-use crate::lane::ByteLane;
+use crate::lane::Lane;
 use crate::transport::{raise, To, TransportKind};
 use crate::wire::{Wire, CH_BARRIER, CH_DATA};
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 /// State shared by all PEs of a cells-transport machine.
@@ -55,10 +56,9 @@ impl CommShared {
 pub(crate) enum Backend {
     /// The shared-cells blackboard and its in-process barrier.
     Cells(Arc<CommShared>),
-    /// This PE's end of the byte lane (the `bytes` and `sockets`
-    /// transports, barrier included) and which pipe it runs on — the
-    /// kind is for [`Comm::transport`] only.
-    Lane(Box<dyn ByteLane>, TransportKind),
+    /// This PE's end of the byte lane (the `sockets` transport, barrier
+    /// included).
+    Lane(Lane<TcpStream>),
 }
 
 /// This PE's cached handle on one cell set plus its round counter. The
@@ -210,7 +210,7 @@ impl Comm {
         }
         let synced = match &self.backend {
             Backend::Cells(shared) => shared.barrier.wait(self.rank, self.clock.now()),
-            Backend::Lane(lane, _) => self.lane_barrier(&**lane),
+            Backend::Lane(lane) => self.lane_barrier(lane),
         };
         self.clock.set(synced);
     }
@@ -221,7 +221,7 @@ impl Comm {
     /// (mod size), `⌈log₂ size⌉` rounds in total. `max` is associative,
     /// commutative, and exact over `f64`, so every PE converges on the
     /// bit-identical synced clock the in-process barrier would produce.
-    fn lane_barrier(&self, lane: &dyn ByteLane) -> f64 {
+    fn lane_barrier(&self, lane: &Lane<TcpStream>) -> f64 {
         let episode = self.bepoch.get() + 1;
         self.bepoch.set(episode);
         let mut best = self.clock.now();
@@ -239,15 +239,15 @@ impl Comm {
 
     /// This PE's end of the byte lane. The lane primitives of
     /// `transport.rs` are only reached when [`Comm::has_byte_lane`].
-    fn lane(&self) -> &dyn ByteLane {
+    fn lane(&self) -> &Lane<TcpStream> {
         match &self.backend {
-            Backend::Lane(lane, _) => &**lane,
+            Backend::Lane(lane) => lane,
             Backend::Cells(_) => unreachable!("byte-lane primitive on the cells transport"),
         }
     }
 
-    /// Whether this communicator's frames travel the byte lane (over
-    /// in-memory pipes or sockets) rather than the cells blackboard.
+    /// Whether this communicator's frames travel the byte lane rather
+    /// than the cells blackboard.
     #[inline]
     pub(crate) fn has_byte_lane(&self) -> bool {
         matches!(self.backend, Backend::Lane(..))
@@ -304,14 +304,9 @@ impl Comm {
         what: &str,
         f: impl FnOnce(&[u8]) -> Result<R, crate::wire::WireError>,
     ) -> R {
-        let (mut f, mut decoded) = (Some(f), None);
         self.lane()
-            .recv_data(src, seq, tag, what, &mut |bytes| {
-                decoded = f.take().map(|f| f(bytes));
-            })
-            .unwrap_or_else(|e| raise(e));
-        decoded
-            .expect("a successful receive hands over exactly one frame")
+            .recv_data(src, seq, tag, what, f)
+            .unwrap_or_else(|e| raise(e))
             .unwrap_or_else(|e| {
                 raise(crate::transport::TransportError::Protocol(format!(
                     "decoding {what} of round {seq}: {e}"
@@ -324,7 +319,7 @@ impl Comm {
     pub fn transport(&self) -> TransportKind {
         match &self.backend {
             Backend::Cells(_) => TransportKind::Cells,
-            Backend::Lane(_, kind) => *kind,
+            Backend::Lane(_) => TransportKind::Sockets,
         }
     }
 

@@ -6,7 +6,7 @@
 //! delayed, duplicated, chopped into short writes/reads, transiently
 //! refused (forcing the retransmit/backoff path), or lethally corrupted
 //! — and the byte lane (`lane.rs`) consults its [`FaultyTransport`] at
-//! the same points whichever pipe it runs on, in-memory or TCP.
+//! the same points whether its PEs are threads or processes.
 //!
 //! ## Determinism
 //!
@@ -14,7 +14,7 @@
 //! frame's coordinates — `(channel, src, dst, sequence)` — hashed
 //! through SplitMix64. No wall-clock, no global counters: the
 //! same plan on the same program produces the same fault schedule on
-//! every run and on both pipes, which is what lets the
+//! every run, in-process or across processes, which is what lets the
 //! chaos suite compare a faulted run's digest against a fault-free one
 //! by string equality. (The one exception is short *reads*, which key
 //! on a per-link read counter that depends on arrival timing; they only

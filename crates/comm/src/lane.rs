@@ -1,16 +1,15 @@
 //! The byte lane: length-prefixed [`Wire`](crate::wire) frames between
-//! every pair of PEs, over whichever [`Pipe`] the machine runs on.
+//! every pair of PEs, over a [`Pipe`] per pair.
 //!
-//! There is **one** lane. `TransportKind::Sockets` is this lane on
-//! non-blocking TCP streams — between threads of one process
-//! (`Machine::try_run`) or between OS processes spawned by the
-//! `kamsta_launch` binary (`Machine::try_run_worker`);
-//! `TransportKind::Bytes` is the same lane on in-memory byte queues.
-//! The two share every rule below and differ in the pipe alone. The
-//! collective layer above the transport boundary is untouched: the
-//! three primitives of `transport.rs` route their encoded buckets
-//! through [`ByteLane`], and the dissemination barrier runs over
-//! [`CH_BARRIER`] frames.
+//! `TransportKind::Sockets` is this lane on non-blocking TCP streams —
+//! between threads of one process (`Machine::try_run`) or between OS
+//! processes spawned by the `kamsta_launch` binary
+//! (`Machine::try_run_worker`). The lane is generic over the pipe so
+//! that everything platform-specific stays in `pipe.rs`. The collective
+//! layer above the transport boundary is untouched: the three
+//! primitives of `transport.rs` route their encoded buckets through
+//! [`Lane::send`] and [`Lane::recv_data`], and the dissemination
+//! barrier runs over [`CH_BARRIER`] frames.
 //!
 //! ## Framing and the round discipline
 //!
@@ -85,40 +84,6 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// What a communicator sees of its lane, with the pipe type erased:
-/// `Comm` owns a `Box<dyn ByteLane>`, so nothing above this trait knows
-/// which pipe a machine runs on. Peers are ranks.
-pub(crate) trait ByteLane: Send {
-    /// Send one frame on `channel` ([`CH_DATA`]: `a` = round sequence,
-    /// `b` = payload type tag; [`CH_BARRIER`]: `a` = `episode << 8 |
-    /// round`, `b` = the clock maximum as bits, empty payload).
-    fn send(
-        &self,
-        peer: usize,
-        channel: u8,
-        a: u64,
-        b: u64,
-        payload: &[u8],
-    ) -> Result<(), TransportError>;
-
-    /// Receive the round-`seq` data frame from `peer` and consume it in
-    /// place: `f` gets a borrowed view of the payload (decoded straight
-    /// out of the recycled receive buffer, which goes back to the link's
-    /// freelist afterwards — no copy).
-    fn recv_data(
-        &self,
-        peer: usize,
-        seq: u64,
-        tag: u64,
-        what: &str,
-        f: &mut dyn FnMut(&[u8]),
-    ) -> Result<(), TransportError>;
-
-    /// Receive the barrier signal with exactly `code` from `peer`;
-    /// returns the clock bits it carries.
-    fn recv_barrier(&self, peer: usize, code: u64) -> Result<u64, TransportError>;
-}
 
 /// How often a blocked receive probes its peer with a [`CH_PING`]: a
 /// fraction of the io timeout, clamped so probes neither spam loopback
@@ -476,6 +441,9 @@ fn push_ping_frame(out: &mut Vec<u8>, nonce: u64, dir: u64, fx: Option<&FaultyTr
     out.extend_from_slice(&stamped_header(fx, CH_PING, nonce, dir, &[]));
 }
 
+/// Byte offset of the `b` field in an encoded [`FrameHeader`].
+const HEADER_B_OFFSET: usize = 1 + 8;
+
 /// `links[peer]`; `None` exactly at `peer == rank`.
 type Links<P> = [Option<Link<P>>];
 
@@ -671,12 +639,11 @@ impl<P: Pipe> Lane<P> {
             self.wait_and_pump(&mut links, peer, false, nap)?;
         }
     }
-}
 
-/// Byte offset of the `b` field in an encoded [`FrameHeader`].
-const HEADER_B_OFFSET: usize = 1 + 8;
-
-impl<P: Pipe> ByteLane for Lane<P> {
+    /// Send one frame to `peer` on `channel` ([`CH_DATA`]: `a` = round
+    /// sequence, `b` = payload type tag; [`CH_BARRIER`]: `a` = `episode
+    /// << 8 | round`, `b` = the clock maximum as bits, empty payload).
+    ///
     /// With faults armed, the frame's drawn schedule is applied here, in
     /// the one send path: a pre-send delay, transient refusals each
     /// followed by a capped-exponential backoff (they never put a byte
@@ -685,7 +652,7 @@ impl<P: Pipe> ByteLane for Lane<P> {
     /// cap, a duplicate as a second transmission, and the plan's lethal
     /// fault as a corrupted byte or a cut point after which every pipe
     /// goes down.
-    fn send(
+    pub(crate) fn send(
         &self,
         peer: usize,
         channel: u8,
@@ -755,24 +722,30 @@ impl<P: Pipe> ByteLane for Lane<P> {
         Ok(())
     }
 
-    fn recv_data(
+    /// Receive the round-`seq` data frame from `peer` and consume it in
+    /// place: `f` gets a borrowed view of the payload (decoded straight
+    /// out of the recycled receive buffer, which goes back to the link's
+    /// freelist afterwards — no copy).
+    pub(crate) fn recv_data<R>(
         &self,
         peer: usize,
         seq: u64,
         tag: u64,
         what: &str,
-        f: &mut dyn FnMut(&[u8]),
-    ) -> Result<(), TransportError> {
-        self.recv(peer, |link| {
-            let frame = link.take_data(peer, seq, tag, what)?;
-            Ok(frame.map(|frame| {
-                f(&frame.bytes);
-                recycle(&mut link.spare, frame.bytes);
-            }))
-        })
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, TransportError> {
+        let frame = self.recv(peer, |link| link.take_data(peer, seq, tag, what))?;
+        let out = f(&frame.bytes);
+        recycle(
+            &mut link_mut(&mut self.links.borrow_mut(), peer).spare,
+            frame.bytes,
+        );
+        Ok(out)
     }
 
-    fn recv_barrier(&self, peer: usize, code: u64) -> Result<u64, TransportError> {
+    /// Receive the barrier signal with exactly `code` from `peer`;
+    /// returns the clock bits it carries.
+    pub(crate) fn recv_barrier(&self, peer: usize, code: u64) -> Result<u64, TransportError> {
         self.recv(peer, |link| link.take_barrier(peer, code))
     }
 }
@@ -781,85 +754,34 @@ impl<P: Pipe> ByteLane for Lane<P> {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, LethalFault};
-    use crate::pipe::MemPipe;
     use std::net::TcpStream;
 
     const T: Duration = Duration::from_secs(5);
 
-    /// A pipe the framing tests can build a whole mesh of — every test
-    /// below runs its one body over each implementation.
-    trait TestPipe: Pipe {
-        fn pipes(p: usize) -> Vec<Vec<Option<Self>>>;
-    }
-
-    impl TestPipe for MemPipe {
-        fn pipes(p: usize) -> Vec<Vec<Option<Self>>> {
-            MemPipe::mesh(p)
-        }
-    }
-
-    impl TestPipe for TcpStream {
-        fn pipes(p: usize) -> Vec<Vec<Option<Self>>> {
-            crate::mesh::tests::loopback(p, T)
-        }
-    }
-
-    fn lanes<P: TestPipe>(p: usize, timeout: Duration, plan: Option<FaultPlan>) -> Vec<Lane<P>> {
+    fn lanes(p: usize, timeout: Duration, plan: Option<FaultPlan>) -> Vec<Lane<TcpStream>> {
         let faults = plan.map(|pl| Arc::new(FaultyTransport::new(pl)));
-        P::pipes(p)
+        crate::mesh::tests::loopback(p, T)
             .into_iter()
             .enumerate()
             .map(|(rank, pipes)| Lane::new(rank, pipes, timeout, faults.clone()))
             .collect()
     }
 
-    /// Run one generic test body over both pipes.
-    macro_rules! on_both_pipes {
-        ($($name:ident),* $(,)?) => {$(
-            #[test]
-            fn $name() {
-                cases::$name::<MemPipe>();
-                cases::$name::<TcpStream>();
-            }
-        )*};
-    }
-
-    on_both_pipes!(
-        data_frames_roundtrip,
-        stale_frames_are_discarded,
-        future_frame_is_a_protocol_error,
-        tag_mismatch_is_a_protocol_error,
-        peer_drop_surfaces_as_peer_closed,
-        send_to_a_finished_peer_is_not_an_error,
-        frames_before_a_reset_are_still_delivered,
-        missing_frame_times_out_with_bound,
-        oversized_frame_header_is_rejected,
-        truncated_frame_surfaces_as_mid_frame_close,
-        pings_are_answered_by_the_peer_pump,
-        transient_faults_are_absorbed_bit_identically,
-        duplicate_barrier_signals_are_discarded_as_stale,
-        injected_bitflip_surfaces_as_checksum_error,
-        injected_truncate_surfaces_as_mid_frame_close,
-        injected_disconnect_tears_down_every_link,
-    );
-
-    fn send_data<P: Pipe>(l: &Lane<P>, peer: usize, seq: u64, tag: u64, payload: &[u8]) {
+    fn send_data(l: &Lane<TcpStream>, peer: usize, seq: u64, tag: u64, payload: &[u8]) {
         l.send(peer, CH_DATA, seq, tag, payload).unwrap();
     }
 
-    fn recv_data<P: Pipe>(
-        l: &Lane<P>,
+    fn recv_data(
+        l: &Lane<TcpStream>,
         peer: usize,
         seq: u64,
         tag: u64,
     ) -> Result<Vec<u8>, TransportError> {
-        let mut got = Vec::new();
-        l.recv_data(peer, seq, tag, "test", &mut |b| got = b.to_vec())?;
-        Ok(got)
+        l.recv_data(peer, seq, tag, "test", <[u8]>::to_vec)
     }
 
     /// Write raw bytes to `peer`, bypassing the framing.
-    fn write_raw<P: Pipe>(l: &Lane<P>, peer: usize, bytes: &[u8]) {
+    fn write_raw(l: &Lane<TcpStream>, peer: usize, bytes: &[u8]) {
         let mut links = l.links.borrow_mut();
         let link = link_mut(&mut links, peer);
         link.wr_backlog.extend_from_slice(bytes);
@@ -887,209 +809,221 @@ mod tests {
         }))
     }
 
-    mod cases {
-        use super::*;
+    #[test]
+    fn data_frames_roundtrip() {
+        let l = lanes(2, T, None);
+        send_data(&l[0], 1, 1, 42, &[1, 2, 3, 4]);
+        assert_eq!(recv_data(&l[1], 0, 1, 42).unwrap(), [1, 2, 3, 4]);
+    }
 
-        pub fn data_frames_roundtrip<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            send_data(&l[0], 1, 1, 42, &[1, 2, 3, 4]);
-            assert_eq!(recv_data(&l[1], 0, 1, 42).unwrap(), [1, 2, 3, 4]);
-        }
+    #[test]
+    fn stale_frames_are_discarded() {
+        let l = lanes(2, T, None);
+        send_data(&l[0], 1, 1, 7, b"old"); // never consumed
+        send_data(&l[0], 1, 3, 7, b"new");
+        assert_eq!(recv_data(&l[1], 0, 3, 7).unwrap(), b"new");
+    }
 
-        pub fn stale_frames_are_discarded<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            send_data(&l[0], 1, 1, 7, b"old"); // never consumed
-            send_data(&l[0], 1, 3, 7, b"new");
-            assert_eq!(recv_data(&l[1], 0, 3, 7).unwrap(), b"new");
-        }
+    #[test]
+    fn future_frame_is_a_protocol_error() {
+        let l = lanes(2, T, None);
+        send_data(&l[0], 1, 5, 7, b"x");
+        let err = recv_data(&l[1], 0, 2, 7).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Protocol(ref m)
+                if m.contains("skipped a send") && m.contains("round 5")),
+            "{err:?}"
+        );
+    }
 
-        pub fn future_frame_is_a_protocol_error<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            send_data(&l[0], 1, 5, 7, b"x");
-            let err = recv_data(&l[1], 0, 2, 7).unwrap_err();
-            assert!(
-                matches!(err, TransportError::Protocol(ref m)
-                    if m.contains("skipped a send") && m.contains("round 5")),
-                "{err:?}"
-            );
-        }
+    #[test]
+    fn tag_mismatch_is_a_protocol_error() {
+        let l = lanes(2, T, None);
+        send_data(&l[0], 1, 1, 7, b"x");
+        let err = recv_data(&l[1], 0, 1, 8).unwrap_err();
+        // The round matched; the report must name the tags, not
+        // claim a frame "of round 1" was found in round 1.
+        assert!(
+            matches!(err, TransportError::Protocol(ref m)
+                if m.contains("expected payload type tag 0x8, found 0x7")
+                    && !m.contains("found frame of round")),
+            "{err:?}"
+        );
+    }
 
-        pub fn tag_mismatch_is_a_protocol_error<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            send_data(&l[0], 1, 1, 7, b"x");
-            let err = recv_data(&l[1], 0, 1, 8).unwrap_err();
-            // The round matched; the report must name the tags, not
-            // claim a frame "of round 1" was found in round 1.
-            assert!(
-                matches!(err, TransportError::Protocol(ref m)
-                    if m.contains("expected payload type tag 0x8, found 0x7")
-                        && !m.contains("found frame of round")),
-                "{err:?}"
-            );
-        }
+    #[test]
+    fn peer_drop_surfaces_as_peer_closed() {
+        let mut l = lanes(2, T, None);
+        drop(l.remove(0));
+        let err = recv_data(&l[0], 0, 1, 7).unwrap_err();
+        let closed = TransportError::PeerClosed {
+            peer: 0,
+            mid_frame: false,
+        };
+        assert_eq!(err, closed);
+    }
 
-        pub fn peer_drop_surfaces_as_peer_closed<P: TestPipe>() {
-            let mut l = lanes::<P>(2, T, None);
-            drop(l.remove(0));
-            let err = recv_data(&l[0], 0, 1, 7).unwrap_err();
-            let closed = TransportError::PeerClosed {
-                peer: 0,
-                mid_frame: false,
-            };
-            assert_eq!(err, closed);
-        }
+    #[test]
+    fn send_to_a_finished_peer_is_not_an_error() {
+        // A PE that finished its program no longer reads; a peer may
+        // still owe it an injected duplicate or a frame no protocol
+        // step consumes. That send must go through (into the void).
+        let mut l = lanes(2, T, None);
+        drop(l.remove(1));
+        send_data(&l[0], 1, 1, 7, b"unread");
+    }
 
-        pub fn send_to_a_finished_peer_is_not_an_error<P: TestPipe>() {
-            // A PE that finished its program no longer reads; a peer may
-            // still owe it an injected duplicate or a frame no protocol
-            // step consumes. That send must go through (into the void).
-            let mut l = lanes::<P>(2, T, None);
-            drop(l.remove(1));
-            send_data(&l[0], 1, 1, 7, b"unread");
-        }
+    #[test]
+    fn frames_before_a_reset_are_still_delivered() {
+        // PE 1 finishes with a frame of PE 0's (a duplicate, say)
+        // still unread: TCP answers that close with a reset. What
+        // PE 1 sent before leaving must still reach PE 0.
+        let mut l = lanes(2, T, None);
+        send_data(&l[1], 0, 1, 7, b"last words");
+        send_data(&l[0], 1, 1, 7, b"never read");
+        drop(l.remove(1));
+        std::thread::sleep(Duration::from_millis(20)); // let the reset land
+        assert_eq!(recv_data(&l[0], 1, 1, 7).unwrap(), b"last words");
+    }
 
-        pub fn frames_before_a_reset_are_still_delivered<P: TestPipe>() {
-            // PE 1 finishes with a frame of PE 0's (a duplicate, say)
-            // still unread: TCP answers that close with a reset. What
-            // PE 1 sent before leaving must still reach PE 0.
-            let mut l = lanes::<P>(2, T, None);
-            send_data(&l[1], 0, 1, 7, b"last words");
-            send_data(&l[0], 1, 1, 7, b"never read");
-            drop(l.remove(1));
-            std::thread::sleep(Duration::from_millis(20)); // let the reset land
-            assert_eq!(recv_data(&l[0], 1, 1, 7).unwrap(), b"last words");
-        }
+    #[test]
+    fn missing_frame_times_out_with_bound() {
+        let timeout = Duration::from_millis(150);
+        let l = lanes(2, timeout, None);
+        let t0 = Instant::now();
+        let err = recv_data(&l[1], 0, 1, 7).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Timeout { peer: 0, .. }),
+            "{err:?}"
+        );
+        assert!(t0.elapsed() < timeout * 20, "timeout must be bounded");
+    }
 
-        pub fn missing_frame_times_out_with_bound<P: TestPipe>() {
-            let timeout = Duration::from_millis(150);
-            let l = lanes::<P>(2, timeout, None);
-            let t0 = Instant::now();
-            let err = recv_data(&l[1], 0, 1, 7).unwrap_err();
-            assert!(
-                matches!(err, TransportError::Timeout { peer: 0, .. }),
-                "{err:?}"
-            );
-            assert!(t0.elapsed() < timeout * 20, "timeout must be bounded");
-        }
+    #[test]
+    fn oversized_frame_header_is_rejected() {
+        let l = lanes(2, T, None);
+        write_raw(&l[0], 1, &data_header(MAX_FRAME_PAYLOAD + 1));
+        let err = recv_data(&l[1], 0, 1, 7).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Protocol(ref m) if m.contains("oversized")),
+            "{err:?}"
+        );
+    }
 
-        pub fn oversized_frame_header_is_rejected<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            write_raw(&l[0], 1, &data_header(MAX_FRAME_PAYLOAD + 1));
-            let err = recv_data(&l[1], 0, 1, 7).unwrap_err();
-            assert!(
-                matches!(err, TransportError::Protocol(ref m) if m.contains("oversized")),
-                "{err:?}"
-            );
-        }
+    #[test]
+    fn truncated_frame_surfaces_as_mid_frame_close() {
+        let l = lanes(2, T, None);
+        // A valid header promising 100 bytes, then only 3, then the
+        // end of the stream.
+        let mut frame = data_header(100);
+        frame.extend_from_slice(b"abc");
+        write_raw(&l[0], 1, &frame);
+        Pipe::shutdown(&mut link_mut(&mut l[0].links.borrow_mut(), 1).pipe);
+        let err = recv_data(&l[1], 0, 1, 7).unwrap_err();
+        let closed = TransportError::PeerClosed {
+            peer: 0,
+            mid_frame: true,
+        };
+        assert_eq!(err, closed);
+    }
 
-        pub fn truncated_frame_surfaces_as_mid_frame_close<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            // A valid header promising 100 bytes, then only 3, then the
-            // end of the stream.
-            let mut frame = data_header(100);
-            frame.extend_from_slice(b"abc");
-            write_raw(&l[0], 1, &frame);
-            link_mut(&mut l[0].links.borrow_mut(), 1).pipe.shutdown();
-            let err = recv_data(&l[1], 0, 1, 7).unwrap_err();
-            let closed = TransportError::PeerClosed {
-                peer: 0,
-                mid_frame: true,
-            };
-            assert_eq!(err, closed);
-        }
-
-        pub fn pings_are_answered_by_the_peer_pump<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            l[0].send_ping(&mut l[0].links.borrow_mut(), 1).unwrap();
-            // Let PE 1's pump answer and PE 0's pump collect the pong.
-            let t0 = Instant::now();
-            loop {
-                link_mut(&mut l[1].links.borrow_mut(), 0)
-                    .pump(0, None)
-                    .unwrap();
-                link_mut(&mut l[0].links.borrow_mut(), 1)
-                    .pump(1, None)
-                    .unwrap();
-                if link_mut(&mut l[0].links.borrow_mut(), 1).pongs > 0 {
-                    break;
-                }
-                assert!(t0.elapsed() < T, "pong never arrived");
-                std::thread::sleep(Duration::from_millis(1));
+    #[test]
+    fn pings_are_answered_by_the_peer_pump() {
+        let l = lanes(2, T, None);
+        l[0].send_ping(&mut l[0].links.borrow_mut(), 1).unwrap();
+        // Let PE 1's pump answer and PE 0's pump collect the pong.
+        let t0 = Instant::now();
+        loop {
+            link_mut(&mut l[1].links.borrow_mut(), 0)
+                .pump(0, None)
+                .unwrap();
+            link_mut(&mut l[0].links.borrow_mut(), 1)
+                .pump(1, None)
+                .unwrap();
+            if link_mut(&mut l[0].links.borrow_mut(), 1).pongs > 0 {
+                break;
             }
-            // The probe traffic is invisible to the data plane.
-            send_data(&l[0], 1, 1, 42, b"after-ping");
-            assert_eq!(recv_data(&l[1], 0, 1, 42).unwrap(), b"after-ping");
+            assert!(t0.elapsed() < T, "pong never arrived");
+            std::thread::sleep(Duration::from_millis(1));
         }
+        // The probe traffic is invisible to the data plane.
+        send_data(&l[0], 1, 1, 42, b"after-ping");
+        assert_eq!(recv_data(&l[1], 0, 1, 42).unwrap(), b"after-ping");
+    }
 
-        pub fn transient_faults_are_absorbed_bit_identically<P: TestPipe>() {
-            let plan = FaultPlan::seeded(23)
-                .with_delays(0.3, 60)
-                .with_short_writes(0.5)
-                .with_short_reads(0.5)
-                .with_duplicates(0.4)
-                .with_retries(0.4);
-            let l = lanes::<P>(2, Duration::from_secs(10), Some(plan));
-            let payload: Vec<u8> = (0..997u32).flat_map(|x| x.to_le_bytes()).collect();
-            for round in 0..24u64 {
-                send_data(&l[0], 1, round, 7, &payload);
-                send_data(&l[1], 0, round, 7, &payload);
-                assert_eq!(recv_data(&l[1], 0, round, 7).unwrap(), payload);
-                assert_eq!(recv_data(&l[0], 1, round, 7).unwrap(), payload);
-            }
+    #[test]
+    fn transient_faults_are_absorbed_bit_identically() {
+        let plan = FaultPlan::seeded(23)
+            .with_delays(0.3, 60)
+            .with_short_writes(0.5)
+            .with_short_reads(0.5)
+            .with_duplicates(0.4)
+            .with_retries(0.4);
+        let l = lanes(2, Duration::from_secs(10), Some(plan));
+        let payload: Vec<u8> = (0..997u32).flat_map(|x| x.to_le_bytes()).collect();
+        for round in 0..24u64 {
+            send_data(&l[0], 1, round, 7, &payload);
+            send_data(&l[1], 0, round, 7, &payload);
+            assert_eq!(recv_data(&l[1], 0, round, 7).unwrap(), payload);
+            assert_eq!(recv_data(&l[0], 1, round, 7).unwrap(), payload);
         }
+    }
 
-        pub fn duplicate_barrier_signals_are_discarded_as_stale<P: TestPipe>() {
-            let l = lanes::<P>(2, T, None);
-            let code1 = 1u64 << 8; // episode 1, round 0
-            let code2 = 2u64 << 8; // episode 2, round 0
-            for (code, bits) in [(code1, 10), (code1, 10), (code2, 20)] {
-                l[0].send(1, CH_BARRIER, code, bits, &[]).unwrap();
-            }
-            assert_eq!(l[1].recv_barrier(0, code1).unwrap(), 10);
-            assert_eq!(l[1].recv_barrier(0, code2).unwrap(), 20, "twin absorbed");
+    #[test]
+    fn duplicate_barrier_signals_are_discarded_as_stale() {
+        let l = lanes(2, T, None);
+        let code1 = 1u64 << 8; // episode 1, round 0
+        let code2 = 2u64 << 8; // episode 2, round 0
+        for (code, bits) in [(code1, 10), (code1, 10), (code2, 20)] {
+            l[0].send(1, CH_BARRIER, code, bits, &[]).unwrap();
         }
+        assert_eq!(l[1].recv_barrier(0, code1).unwrap(), 10);
+        assert_eq!(l[1].recv_barrier(0, code2).unwrap(), 20, "twin absorbed");
+    }
 
-        pub fn injected_bitflip_surfaces_as_checksum_error<P: TestPipe>() {
-            let l = lanes::<P>(2, T, lethal(LethalKind::BitFlip));
-            send_data(&l[0], 1, 0, 7, b"payload-to-corrupt");
-            let err = recv_data(&l[1], 0, 0, 7).unwrap_err();
-            assert!(
-                matches!(err, TransportError::Protocol(ref m) if m.contains("checksum")),
-                "{err:?}"
-            );
-        }
+    #[test]
+    fn injected_bitflip_surfaces_as_checksum_error() {
+        let l = lanes(2, T, lethal(LethalKind::BitFlip));
+        send_data(&l[0], 1, 0, 7, b"payload-to-corrupt");
+        let err = recv_data(&l[1], 0, 0, 7).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Protocol(ref m) if m.contains("checksum")),
+            "{err:?}"
+        );
+    }
 
-        pub fn injected_truncate_surfaces_as_mid_frame_close<P: TestPipe>() {
-            let l = lanes::<P>(2, T, lethal(LethalKind::Truncate));
-            let err = l[0].send(1, CH_DATA, 0, 7, &[9u8; 64]).unwrap_err();
-            assert!(
-                matches!(err, TransportError::Io(ref m) if m.contains("injected")),
-                "{err:?}"
-            );
-            let err = recv_data(&l[1], 0, 0, 7).unwrap_err();
-            let closed = TransportError::PeerClosed {
-                peer: 0,
-                mid_frame: true,
-            };
-            assert_eq!(err, closed);
-        }
+    #[test]
+    fn injected_truncate_surfaces_as_mid_frame_close() {
+        let l = lanes(2, T, lethal(LethalKind::Truncate));
+        let err = l[0].send(1, CH_DATA, 0, 7, &[9u8; 64]).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Io(ref m) if m.contains("injected")),
+            "{err:?}"
+        );
+        let err = recv_data(&l[1], 0, 0, 7).unwrap_err();
+        let closed = TransportError::PeerClosed {
+            peer: 0,
+            mid_frame: true,
+        };
+        assert_eq!(err, closed);
+    }
 
-        pub fn injected_disconnect_tears_down_every_link<P: TestPipe>() {
-            let l = lanes::<P>(3, T, lethal(LethalKind::Disconnect));
-            let err = l[0].send(1, CH_DATA, 0, 7, b"x").unwrap_err();
-            assert!(
-                matches!(err, TransportError::Io(ref m) if m.contains("injected")),
-                "{err:?}"
-            );
-            // The bystander's link went down with the target's; the
-            // link between the two healthy PEs is unaffected.
-            let err = recv_data(&l[2], 0, 0, 7).unwrap_err();
-            assert!(
-                matches!(err, TransportError::PeerClosed { peer: 0, .. }),
-                "{err:?}"
-            );
-            send_data(&l[1], 2, 0, 7, b"still up");
-            assert_eq!(recv_data(&l[2], 1, 0, 7).unwrap(), b"still up");
-        }
+    #[test]
+    fn injected_disconnect_tears_down_every_link() {
+        let l = lanes(3, T, lethal(LethalKind::Disconnect));
+        let err = l[0].send(1, CH_DATA, 0, 7, b"x").unwrap_err();
+        assert!(
+            matches!(err, TransportError::Io(ref m) if m.contains("injected")),
+            "{err:?}"
+        );
+        // The bystander's link went down with the target's; the
+        // link between the two healthy PEs is unaffected.
+        let err = recv_data(&l[2], 0, 0, 7).unwrap_err();
+        assert!(
+            matches!(err, TransportError::PeerClosed { peer: 0, .. }),
+            "{err:?}"
+        );
+        send_data(&l[1], 2, 0, 7, b"still up");
+        assert_eq!(recv_data(&l[2], 1, 0, 7).unwrap(), b"still up");
     }
 }

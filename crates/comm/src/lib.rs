@@ -37,28 +37,25 @@
 //! ## Transport boundary
 //!
 //! Every collective is written once against an internal transport
-//! boundary (`DESIGN.md` §8) with two implementations — the cells
-//! blackboard and one byte lane that runs over two kinds of pipe —
-//! selected per machine via [`MachineConfig::with_transport`] or
-//! `KAMSTA_TRANSPORT={cells,bytes,sockets}`:
+//! boundary (`DESIGN.md` §8) with two implementations, selected per
+//! machine via [`MachineConfig::with_transport`] or
+//! `KAMSTA_TRANSPORT={cells,sockets}`:
 //!
 //! * [`TransportKind::Cells`] (default) — the zero-copy exchange-cell
-//!   blackboard above;
-//! * [`TransportKind::Bytes`] — the byte lane on in-memory pipes:
-//!   [`Wire`]-encoded frames (fixed-width little-endian Pod fields,
-//!   varint counts) through per-PE-pair byte queues;
-//! * [`TransportKind::Sockets`] — the same lane on per-PE-pair TCP
-//!   streams, between threads ([`Machine::try_run`] binds a loopback
-//!   mesh) or OS processes ([`Machine::try_run_worker`] + the
-//!   `kamsta_launch` binary).
+//!   blackboard above, the in-process reference;
+//! * [`TransportKind::Sockets`] — the byte lane: [`Wire`]-encoded
+//!   frames (fixed-width little-endian Pod fields, varint counts) on
+//!   per-PE-pair TCP streams, between threads ([`Machine::try_run`]
+//!   binds a loopback mesh) or OS processes
+//!   ([`Machine::try_run_worker`] + the `kamsta_launch` binary).
 //!
 //! On the lane, barriers are frames too and failures are typed
 //! [`TransportError`]s bounded by the configured io timeout, never
-//! hangs — under `bytes` exactly as under `sockets`.
+//! hangs.
 //!
 //! Payloads crossing collectives therefore implement [`Wire`]. Modeled
 //! α-β-γ charges sit above the boundary and count `size_of`-based
-//! logical bytes, so cost counters are bit-for-bit identical under all
+//! logical bytes, so cost counters are bit-for-bit identical under both
 //! backends — the determinism suites double as cross-transport oracles.
 //!
 //! ## Cost model
@@ -106,8 +103,7 @@ pub use cost::{Clock, CostModel, PeStats};
 pub use fault::{FaultPlan, FaultyTransport, LethalFault, LethalKind};
 pub use flat::{FlatBuckets, FlatBuilder};
 pub use machine::{
-    Machine, MachineConfig, MachineError, ResolvedConfig, RunOutput, SocketSetup, SocketSetupCfg,
-    WorkerRun,
+    Machine, MachineConfig, MachineError, ResolvedConfig, RunOutput, SocketSetup, WorkerRun,
 };
 pub use rendezvous::serve_rendezvous;
 pub use transport::{TransportError, TransportKind};

@@ -1,13 +1,14 @@
 //! The machine: runs an SPMD rank program on `p` PEs — as threads of
-//! this process (the cells blackboard, or the byte lane over in-memory
-//! pipes or a loopback socket mesh), or as one rank of a multi-process
-//! socket machine ([`Machine::try_run_worker`], driven by the
-//! `kamsta_launch` binary).
+//! this process (the cells blackboard, or the byte lane over a loopback
+//! socket mesh), or as one rank of a multi-process socket machine
+//! ([`Machine::try_run_worker`], driven by the `kamsta_launch` binary).
 //!
 //! All configuration validation and environment resolution lives in
 //! **one** place, [`MachineConfig::resolve`]; every entry point funnels
 //! through it, so there is exactly one code path that can reject a
-//! config or read `KAMSTA_TRANSPORT` / `KAMSTA_SOCKET_TIMEOUT_MS`.
+//! config or read the five machine settings (`KAMSTA_TRANSPORT`,
+//! `KAMSTA_THREADS`, `KAMSTA_FAULTS`, `KAMSTA_SOCKET_TIMEOUT_MS`,
+//! `KAMSTA_HANDSHAKE_TIMEOUT_MS`).
 
 use crate::alltoall::AlltoallKind;
 use crate::barrier::BarrierPoisoned;
@@ -15,11 +16,10 @@ use crate::comm::{Backend, Comm, CommShared};
 use crate::cost::{Clock, CostModel, PeStats};
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::lane::Lane;
-use crate::pipe::{MemPipe, Pipe};
 use crate::transport::{TransportError, TransportKind};
 use crate::{mesh, rendezvous};
 use parking_lot::Mutex;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,8 +32,10 @@ pub enum MachineError {
     /// `pes == 0`: a machine needs at least one processing element.
     NoPes,
     /// `KAMSTA_TRANSPORT` was set to something other than
-    /// `cells`/`bytes`/`sockets`.
+    /// `cells`/`sockets`.
     UnknownTransport(String),
+    /// `KAMSTA_THREADS` was not a positive integer.
+    InvalidThreads(String),
     /// A front-end with state sharded over a fixed PE count was handed a
     /// config for a different count.
     PeCountMismatch { expected: usize, got: usize },
@@ -42,10 +44,9 @@ pub enum MachineError {
     InvalidTimeout(String),
     /// `KAMSTA_FAULTS` (or `with_faults`) did not parse as a fault plan.
     InvalidFaultPlan(String),
-    /// The socket setup does not fit the run mode: endpoints for the
-    /// wrong PE count, unparsable addresses, socket options on a
-    /// non-socket transport, or a rendezvous config handed to the
-    /// in-process runner.
+    /// The socket setup does not fit the run mode: an unparsable or
+    /// unbindable address, a rendezvous on a non-socket transport, or a
+    /// rendezvous config handed to the in-process runner.
     SocketConfig(String),
     /// A PE failed at run time with a typed transport error — a peer
     /// died, a deadline passed, or the frame protocol was violated.
@@ -59,7 +60,13 @@ impl std::fmt::Display for MachineError {
             MachineError::UnknownTransport(v) => {
                 write!(
                     f,
-                    "unknown KAMSTA_TRANSPORT value {v:?} (expected \"cells\", \"bytes\" or \"sockets\")"
+                    "unknown KAMSTA_TRANSPORT value {v:?} (expected \"cells\" or \"sockets\")"
+                )
+            }
+            MachineError::InvalidThreads(v) => {
+                write!(
+                    f,
+                    "invalid KAMSTA_THREADS value {v:?} (want a positive integer)"
                 )
             }
             MachineError::PeCountMismatch { expected, got } => {
@@ -91,31 +98,24 @@ impl std::error::Error for MachineError {
     }
 }
 
-/// How a sockets-transport machine finds its peers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SocketSetupCfg {
-    /// A static rank-indexed address table: entry `r` is where rank `r`
-    /// listens. Workers know their rank a priori.
-    Endpoints(Vec<String>),
-    /// A rendezvous server (the launcher) that assigns ranks and
-    /// broadcasts the address table.
-    Rendezvous(String),
-}
-
 /// Configuration of a distributed machine run.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Number of processing elements (MPI ranks in the paper).
     pub pes: usize,
-    /// Machine cost parameters, including hybrid threads per PE.
+    /// Machine cost parameters; their `threads_per_pe` is replaced by
+    /// the resolved `threads` when the machine runs.
     pub cost: CostModel,
+    /// Hybrid threads per PE; `None` resolves `KAMSTA_THREADS` at run
+    /// time (default: 1).
+    pub threads: Option<usize>,
     /// All-to-all strategy (Sec. VI-A); `Auto` applies the 500-byte rule.
     pub alltoall: AlltoallKind,
     /// Transport backend; `None` resolves `KAMSTA_TRANSPORT` at run time
     /// (default: [`TransportKind::Cells`]).
     pub transport: Option<TransportKind>,
-    /// Send/receive deadline of the byte lane (`bytes` and `sockets`);
-    /// `None` resolves `KAMSTA_SOCKET_TIMEOUT_MS` at run time
+    /// Send/receive deadline of the byte lane (`sockets`); `None`
+    /// resolves `KAMSTA_SOCKET_TIMEOUT_MS` at run time
     /// (default: 30 s).
     pub io_timeout: Option<Duration>,
     /// Mesh/rendezvous formation deadline; `None` resolves
@@ -126,9 +126,10 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan; `None` resolves
     /// `KAMSTA_FAULTS` at run time (default: no faults armed).
     pub faults: Option<FaultPlan>,
-    /// Peer discovery for the sockets transport; `None` means an
+    /// Address of the rendezvous server (the launcher) that assigns the
+    /// ranks of a multi-process sockets machine; `None` means an
     /// in-process loopback mesh on ephemeral ports.
-    pub socket_setup: Option<SocketSetupCfg>,
+    pub rendezvous: Option<String>,
 }
 
 /// A [`MachineConfig`] after the single validation/env-resolution pass.
@@ -136,15 +137,17 @@ pub struct MachineConfig {
 pub struct ResolvedConfig {
     /// The transport the run will use.
     pub transport: TransportKind,
-    /// The byte lane's io deadline in effect: under `bytes` and
-    /// `sockets` alike it bounds every send and receive, so a PE that
-    /// never reaches a collective surfaces at its peers as a typed
-    /// timeout (the cells blackboard has no deadline).
+    /// Hybrid threads per PE in effect.
+    pub threads: usize,
+    /// The byte lane's io deadline in effect: under `sockets` it bounds
+    /// every send and receive, so a PE that never reaches a collective
+    /// surfaces at its peers as a typed timeout (the cells blackboard
+    /// has no deadline).
     pub io_timeout: Duration,
     /// The mesh-formation deadline in effect (meaningful under sockets).
     pub handshake_timeout: Duration,
-    /// The fault plan armed on the run's transport (bytes and sockets;
-    /// the cells blackboard sits above the transport boundary).
+    /// The fault plan armed on the run's transport (sockets; the cells
+    /// blackboard sits above the transport boundary).
     pub faults: Option<FaultPlan>,
     /// Socket peer discovery — `Some` iff `transport` is sockets.
     pub sockets: Option<SocketSetup>,
@@ -155,8 +158,6 @@ pub struct ResolvedConfig {
 pub enum SocketSetup {
     /// In-process mesh over ephemeral loopback ports.
     Loopback,
-    /// Static rank-indexed address table.
-    Endpoints(Vec<SocketAddr>),
     /// Rendezvous server assigning ranks.
     Rendezvous { addr: SocketAddr },
 }
@@ -164,27 +165,21 @@ pub enum SocketSetup {
 impl MachineConfig {
     /// A machine with `pes` PEs and default cost parameters.
     ///
-    /// Hybrid threads per PE default to `KAMSTA_THREADS` when set (the
+    /// Hybrid threads per PE resolve from `KAMSTA_THREADS` when set (the
     /// CI hybrid leg forces every machine in the suite through the
     /// intra-PE pool this way); [`MachineConfig::with_threads`]
     /// overrides it per machine.
     pub fn new(pes: usize) -> Self {
-        let mut cost = CostModel::default();
-        if let Some(t) = std::env::var("KAMSTA_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cost.threads_per_pe = t.max(1);
-        }
         Self {
             pes,
-            cost,
+            cost: CostModel::default(),
+            threads: None,
             alltoall: AlltoallKind::Auto,
             transport: None,
             io_timeout: None,
             handshake_timeout: None,
             faults: None,
-            socket_setup: None,
+            rendezvous: None,
         }
     }
 
@@ -194,27 +189,16 @@ impl MachineConfig {
         self
     }
 
-    /// Run over sockets against a static rank-indexed address table
-    /// (entry `r` is where rank `r` listens). Implies
-    /// [`TransportKind::Sockets`].
-    pub fn with_endpoints<S: Into<String>>(mut self, addrs: impl IntoIterator<Item = S>) -> Self {
-        self.transport = Some(TransportKind::Sockets);
-        self.socket_setup = Some(SocketSetupCfg::Endpoints(
-            addrs.into_iter().map(Into::into).collect(),
-        ));
-        self
-    }
-
     /// Run over sockets, discovering peers through a rendezvous server
     /// (the launcher). Implies [`TransportKind::Sockets`].
     pub fn with_rendezvous(mut self, addr: impl Into<String>) -> Self {
         self.transport = Some(TransportKind::Sockets);
-        self.socket_setup = Some(SocketSetupCfg::Rendezvous(addr.into()));
+        self.rendezvous = Some(addr.into());
         self
     }
 
-    /// Bound every send and receive of the byte lane (`bytes` and
-    /// `sockets`) by `timeout`, overriding `KAMSTA_SOCKET_TIMEOUT_MS`.
+    /// Bound every send and receive of the byte lane (`sockets`) by
+    /// `timeout`, overriding `KAMSTA_SOCKET_TIMEOUT_MS`.
     pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = Some(timeout);
         self
@@ -236,8 +220,8 @@ impl MachineConfig {
 
     /// **The** validation and environment-resolution pass: every entry
     /// point (`try_run`, `try_run_worker`, the service builder) funnels
-    /// through here, and nothing else reads the `KAMSTA_TRANSPORT` /
-    /// `KAMSTA_SOCKET_TIMEOUT_MS` variables or rejects a config shape.
+    /// through here, and nothing else reads the machine settings'
+    /// `KAMSTA_*` variables or rejects a config shape.
     pub fn resolve(&self) -> Result<ResolvedConfig, MachineError> {
         if self.pes == 0 {
             return Err(MachineError::NoPes);
@@ -245,6 +229,16 @@ impl MachineConfig {
         let transport = match self.transport {
             Some(k) => k,
             None => TransportKind::from_env()?,
+        };
+        let threads = match self.threads {
+            Some(t) => t,
+            None => match std::env::var("KAMSTA_THREADS") {
+                Err(_) => 1,
+                Ok(v) => match v.parse::<usize>() {
+                    Ok(t) if t > 0 => t,
+                    _ => return Err(MachineError::InvalidThreads(v)),
+                },
+            },
         };
         let timeout_of = |field: Option<Duration>,
                           var: &str,
@@ -279,25 +273,9 @@ impl MachineConfig {
                 Ok(v) => Some(FaultPlan::parse(&v).map_err(MachineError::InvalidFaultPlan)?),
             },
         };
-        let sockets = match (transport, &self.socket_setup) {
+        let sockets = match (transport, &self.rendezvous) {
             (TransportKind::Sockets, None) => Some(SocketSetup::Loopback),
-            (TransportKind::Sockets, Some(SocketSetupCfg::Endpoints(addrs))) => {
-                if addrs.len() != self.pes {
-                    return Err(MachineError::SocketConfig(format!(
-                        "{} endpoints for a {}-PE machine",
-                        addrs.len(),
-                        self.pes
-                    )));
-                }
-                let mut parsed = Vec::with_capacity(addrs.len());
-                for a in addrs {
-                    parsed.push(a.parse().map_err(|_| {
-                        MachineError::SocketConfig(format!("unparsable endpoint {a:?}"))
-                    })?);
-                }
-                Some(SocketSetup::Endpoints(parsed))
-            }
-            (TransportKind::Sockets, Some(SocketSetupCfg::Rendezvous(addr))) => {
+            (TransportKind::Sockets, Some(addr)) => {
                 let addr = addr.parse().map_err(|_| {
                     MachineError::SocketConfig(format!("unparsable rendezvous address {addr:?}"))
                 })?;
@@ -306,12 +284,13 @@ impl MachineConfig {
             (_, None) => None,
             (_, Some(_)) => {
                 return Err(MachineError::SocketConfig(format!(
-                    "socket endpoints/rendezvous configured, but the transport is {transport:?}"
+                    "socket rendezvous configured, but the transport is {transport:?}"
                 )))
             }
         };
         Ok(ResolvedConfig {
             transport,
+            threads,
             io_timeout,
             handshake_timeout,
             faults,
@@ -319,9 +298,10 @@ impl MachineConfig {
         })
     }
 
-    /// Set hybrid threads per PE (the paper's `-1` / `-8` variants).
+    /// Set hybrid threads per PE (the paper's `-1` / `-8` variants),
+    /// overriding `KAMSTA_THREADS`.
     pub fn with_threads(mut self, t: usize) -> Self {
-        self.cost.threads_per_pe = t.max(1);
+        self.threads = Some(t.max(1));
         self
     }
 
@@ -331,18 +311,21 @@ impl MachineConfig {
         self
     }
 
-    /// Override the cost model.
+    /// Override the cost model (its `threads_per_pe` is not used: hybrid
+    /// width is [`MachineConfig::with_threads`]'s).
     pub fn with_cost(mut self, cost: CostModel) -> Self {
-        let t = self.cost.threads_per_pe;
         self.cost = cost;
-        self.cost.threads_per_pe = t;
         self
     }
+}
 
-    /// Total simulated cores: `pes × threads_per_pe` (the paper scales
-    /// inputs by cores, not ranks).
-    pub fn cores(&self) -> usize {
-        self.pes * self.cost.threads_per_pe
+impl ResolvedConfig {
+    /// `cfg`'s cost model at the resolved hybrid width.
+    fn cost(&self, cfg: &MachineConfig) -> CostModel {
+        CostModel {
+            threads_per_pe: self.threads,
+            ..cfg.cost
+        }
     }
 }
 
@@ -408,10 +391,10 @@ impl Machine {
     }
 
     /// [`Machine::run`] with failures typed: a bad config (zero PEs,
-    /// unknown `KAMSTA_TRANSPORT`, malformed endpoints) comes back as
-    /// [`MachineError`] before any thread is spawned, and a transport
-    /// failure at run time (peer death, timeout, protocol violation —
-    /// possible under sockets and bytes) comes back as
+    /// unknown `KAMSTA_TRANSPORT`, an unparsable `KAMSTA_THREADS`) comes
+    /// back as [`MachineError`] before any thread is spawned, and a
+    /// transport failure at run time (peer death, timeout, protocol
+    /// violation — possible under sockets) comes back as
     /// [`MachineError::Transport`] instead of unwinding.
     pub fn try_run<F, R>(cfg: MachineConfig, rank_fn: F) -> Result<RunOutput<R>, MachineError>
     where
@@ -420,36 +403,24 @@ impl Machine {
     {
         let resolved = cfg.resolve()?;
         let p = cfg.pes;
+        let cost = resolved.cost(&cfg);
         let faults = resolved
             .faults
             .clone()
             .map(|plan| Arc::new(FaultyTransport::new(plan)));
-        let comm_on =
-            |rank, backend, clock| Comm::new(rank, p, backend, clock, cfg.cost, cfg.alltoall);
+        let comm_on = |rank, backend, clock| Comm::new(rank, p, backend, clock, cost, cfg.alltoall);
         match (resolved.transport, &resolved.sockets) {
             (TransportKind::Cells, _) => {
                 // The barrier's spin-vs-park choice keys on the machine-
                 // wide OS thread count, PE threads × hybrid threads, so a
                 // 4×8 hybrid machine on an 8-core host parks instead of
                 // busy-spinning 32 threads against each other.
-                let machine_threads = p * cfg.cost.threads_per_pe;
+                let machine_threads = p * resolved.threads;
                 let shared = Arc::new(CommShared::new(p, machine_threads));
                 run_pes(
                     &cfg,
                     |rank, clock| Ok(comm_on(rank, Backend::Cells(Arc::clone(&shared)), clock)),
                     || shared.barrier.poison(),
-                    &rank_fn,
-                )
-            }
-            (TransportKind::Bytes, _) => {
-                let pipes = take_once(MemPipe::mesh(p));
-                run_pes(
-                    &cfg,
-                    |rank, clock| {
-                        let lane = lane_backend(rank, pipes(rank), &resolved, faults.clone());
-                        Ok(comm_on(rank, lane, clock))
-                    },
-                    || {},
                     &rank_fn,
                 )
             }
@@ -460,18 +431,16 @@ impl Machine {
                         .to_string(),
                 ))
             }
-            (TransportKind::Sockets, setup) => {
+            (TransportKind::Sockets, _) => {
                 // In-process socket mesh: bind all listeners up front so
                 // every PE thread's connect has a live accept side, then
                 // let each thread dial its own streams.
                 let mut addrs = Vec::with_capacity(p);
                 let mut listeners = Vec::with_capacity(p);
                 for rank in 0..p {
-                    let listener = match setup {
-                        Some(SocketSetup::Endpoints(table)) => TcpListener::bind(table[rank]),
-                        _ => TcpListener::bind("127.0.0.1:0"),
-                    }
-                    .map_err(|e| MachineError::SocketConfig(format!("binding rank {rank}: {e}")))?;
+                    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| {
+                        MachineError::SocketConfig(format!("binding rank {rank}: {e}"))
+                    })?;
                     addrs.push(listener.local_addr().map_err(|e| {
                         MachineError::SocketConfig(format!("binding rank {rank}: {e}"))
                     })?);
@@ -498,10 +467,9 @@ impl Machine {
     }
 
     /// Run **one rank** of a multi-process socket machine in this
-    /// process. The config must use the sockets transport with either
-    /// static endpoints (then `rank` is required and names this
-    /// process's slot) or a rendezvous server (then `rank` is an
-    /// optional preference the rendezvous honours).
+    /// process. The config must name a rendezvous server
+    /// ([`MachineConfig::with_rendezvous`]); `rank` is an optional
+    /// preference the rendezvous honours.
     ///
     /// Blocks until this rank's program returns; peers run in other
     /// processes. Transport failures — a dead peer, a missed deadline —
@@ -515,50 +483,27 @@ impl Machine {
     where
         F: FnOnce(&Comm) -> R,
     {
-        let mut resolved = cfg.resolve()?;
+        let resolved = cfg.resolve()?;
         let start = Instant::now();
         let handshake = resolved.handshake_timeout;
         let faults = resolved
             .faults
             .clone()
             .map(|plan| Arc::new(FaultyTransport::new(plan)));
-        let (my_rank, listener, table) = match resolved.sockets.take() {
-            None | Some(SocketSetup::Loopback) => {
-                return Err(MachineError::SocketConfig(
-                    "try_run_worker needs with_endpoints(..) or with_rendezvous(..) \
-                     on the sockets transport"
-                        .to_string(),
-                ))
-            }
-            Some(SocketSetup::Endpoints(table)) => {
-                let Some(r) = rank else {
-                    return Err(MachineError::SocketConfig(
-                        "static endpoints need an explicit rank for this worker".to_string(),
-                    ));
-                };
-                if r >= table.len() {
-                    return Err(MachineError::SocketConfig(format!(
-                        "worker rank {r} out of range for {} endpoints",
-                        table.len()
-                    )));
-                }
-                let listener = TcpListener::bind(table[r])
-                    .map_err(|e| MachineError::SocketConfig(format!("binding rank {r}: {e}")))?;
-                (r, listener, table)
-            }
-            Some(SocketSetup::Rendezvous { addr }) => {
-                let (r, listener, table) =
-                    rendezvous::rendezvous_client(&addr.to_string(), rank, handshake)
-                        .map_err(|source| MachineError::Transport { rank: 0, source })?;
-                if table.len() != cfg.pes {
-                    return Err(MachineError::PeCountMismatch {
-                        expected: cfg.pes,
-                        got: table.len(),
-                    });
-                }
-                (r, listener, table)
-            }
+        let Some(SocketSetup::Rendezvous { addr }) = resolved.sockets else {
+            return Err(MachineError::SocketConfig(
+                "try_run_worker needs with_rendezvous(..) on the sockets transport".to_string(),
+            ));
         };
+        let (my_rank, listener, table) =
+            rendezvous::rendezvous_client(&addr.to_string(), rank, handshake)
+                .map_err(|source| MachineError::Transport { rank: 0, source })?;
+        if table.len() != cfg.pes {
+            return Err(MachineError::PeCountMismatch {
+                expected: cfg.pes,
+                got: table.len(),
+            });
+        }
         let p = table.len();
         let streams = mesh::connect(my_rank, listener, &table, handshake).map_err(|source| {
             MachineError::Transport {
@@ -572,7 +517,7 @@ impl Machine {
             p,
             lane_backend(my_rank, streams, &resolved, faults),
             Arc::clone(&clock),
-            cfg.cost,
+            resolved.cost(&cfg),
             cfg.alltoall,
         );
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -597,21 +542,20 @@ impl Machine {
     }
 }
 
-/// A PE's backend on a fresh byte lane over `pipes`.
+/// A PE's backend on a fresh byte lane over `streams`.
 /// A failed (or finished) PE drops its lane, which surfaces at its peers
 /// as `PeerClosed` bounded by the io timeout — no poison flag needed.
-fn lane_backend<P: Pipe + 'static>(
+fn lane_backend(
     rank: usize,
-    pipes: Vec<Option<P>>,
+    streams: Vec<Option<TcpStream>>,
     resolved: &ResolvedConfig,
     faults: Option<Arc<FaultyTransport>>,
 ) -> Backend {
-    let lane = Lane::new(rank, pipes, resolved.io_timeout, faults);
-    Backend::Lane(Box::new(lane), resolved.transport)
+    Backend::Lane(Lane::new(rank, streams, resolved.io_timeout, faults))
 }
 
-/// Hand each PE thread its own element of `items` (pipes, a listener),
-/// prepared on the launching thread: `take(rank)` moves it out, once.
+/// Hand each PE thread its own listener, bound on the launching thread:
+/// `take(rank)` moves it out, once.
 fn take_once<T: Send>(items: Vec<T>) -> impl Fn(usize) -> T + Sync {
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     move |rank| slots[rank].lock().take().expect("taken once per rank")
@@ -753,10 +697,11 @@ mod tests {
     }
 
     #[test]
-    fn cores_scales_with_threads() {
+    fn with_threads_sets_the_resolved_width() {
         let cfg = MachineConfig::new(8).with_threads(8);
-        assert_eq!(cfg.cores(), 64);
-        assert_eq!(cfg.cost.threads_per_pe, 8);
+        assert_eq!(cfg.resolve().unwrap().threads, 8);
+        let out = Machine::run(cfg, |comm| comm.threads_per_pe());
+        assert_eq!(out.results, vec![8; 8]);
     }
 
     #[test]

@@ -1,19 +1,15 @@
-//! The pipes a byte lane runs over: an ordered, reliable,
-//! non-blocking byte stream between one PE and one peer.
+//! The pipe a byte lane runs over: an ordered, reliable, non-blocking
+//! byte stream between one PE and one peer.
 //!
 //! [`Lane`](crate::lane::Lane) owns everything above the bytes —
 //! framing, sequencing, checksums, fault injection — and is generic
-//! over this trait, so a transport is exactly "which pipe": the
-//! non-blocking [`TcpStream`] of `TransportKind::Sockets`, or the
-//! in-memory [`MemPipe`] of `TransportKind::Bytes`. Everything
-//! platform- or transport-specific (`poll(2)`, `cfg(unix)`, condvars)
-//! lives here, below the lane.
+//! over this trait. Its one implementor is the non-blocking
+//! [`TcpStream`] of `TransportKind::Sockets`; a shared-memory ring
+//! would be a second. Everything platform-specific (`poll(2)`,
+//! `cfg(unix)`) lives here, below the lane.
 
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::io::{self, ErrorKind, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One PE's end of the byte stream to one peer. Closing is by drop
@@ -49,156 +45,6 @@ pub(crate) trait Pipe: Send + Sized {
     where
         Self: 'a;
 }
-
-// ---------------------------------------------------------------------
-// The memory pipe
-// ---------------------------------------------------------------------
-
-/// One direction of a [`MemPipe`]: an unbounded byte queue, and the
-/// condvar its one reader parks on.
-#[derive(Default)]
-struct Chan {
-    state: Mutex<ChanState>,
-    arrived: Condvar,
-}
-
-#[derive(Default)]
-struct ChanState {
-    bytes: VecDeque<u8>,
-    /// Either end shut the queue: reads drain what is left and then
-    /// report end-of-stream, writes are accepted and dropped.
-    closed: bool,
-    /// The reader is parked on `arrived`. Writers notify only then, so
-    /// the common hand-off — the reader still polling, or busy
-    /// computing — costs them no futex call.
-    parked: bool,
-}
-
-impl ChanState {
-    fn readable(&self) -> bool {
-        !self.bytes.is_empty() || self.closed
-    }
-}
-
-impl Chan {
-    /// Change the queue under its lock, then wake a parked reader.
-    fn update(&self, change: impl FnOnce(&mut ChanState)) {
-        let mut s = self.state.lock();
-        change(&mut s);
-        let parked = s.parked;
-        drop(s);
-        if parked {
-            self.arrived.notify_one();
-        }
-    }
-}
-
-/// Turns a reader polls its queue, yielding the core between them,
-/// before it parks: a peer's answer is typically microseconds away, well
-/// under a futex park/unpark round-trip, and on an oversubscribed host
-/// the yield hands the core to the very PE being waited on.
-const POLLS_BEFORE_PARK: u32 = 64;
-
-/// The in-memory pipe: a pair of byte queues between two PE threads of
-/// one process. Unbounded, so a write never blocks; otherwise it
-/// behaves like a stream socket — partial reads, end-of-stream once the
-/// peer dropped its end, and a write to a peer that is gone succeeds
-/// the way a write into a kernel send buffer does (a PE that finished
-/// must not fail the peer still posting it a duplicate or a frame no
-/// protocol step consumes; a *dead* peer surfaces at the next read).
-/// A queue keeps the capacity of the largest backlog it ever held.
-pub(crate) struct MemPipe {
-    tx: Arc<Chan>,
-    rx: Arc<Chan>,
-}
-
-impl MemPipe {
-    /// The full mesh of a `p`-PE machine: `mesh[rank][peer]` is `rank`'s
-    /// end of its pipe to `peer` (`None` on the diagonal).
-    pub(crate) fn mesh(p: usize) -> Vec<Vec<Option<MemPipe>>> {
-        // chans[src][dst]: written by `src`, read by `dst`.
-        let chans: Vec<Vec<Arc<Chan>>> = (0..p)
-            .map(|_| (0..p).map(|_| Arc::default()).collect())
-            .collect();
-        (0..p)
-            .map(|me| {
-                (0..p)
-                    .map(|peer| {
-                        (peer != me).then(|| MemPipe {
-                            tx: Arc::clone(&chans[me][peer]),
-                            rx: Arc::clone(&chans[peer][me]),
-                        })
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-impl Drop for MemPipe {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl Pipe for MemPipe {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut s = self.rx.state.lock();
-        if !s.readable() {
-            return Err(ErrorKind::WouldBlock.into());
-        }
-        // The queue is a ring: one `read` per contiguous half.
-        let n = s.bytes.read(buf)?;
-        Ok(n + s.bytes.read(&mut buf[n..])?)
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        self.tx.update(|s| {
-            if !s.closed {
-                bufs.iter().for_each(|b| s.bytes.extend(b.iter()));
-            }
-        });
-        Ok(bufs.iter().map(|b| b.len()).sum())
-    }
-
-    fn shutdown(&mut self) {
-        self.tx.update(|s| s.closed = true);
-        self.rx.update(|s| s.closed = true);
-    }
-
-    /// Writes never block and queues never fill, so nothing but the
-    /// awaited queue can end this wait: `others` keep their bytes until
-    /// the lane next receives from them.
-    fn wait<'a>(
-        (key, pipe): (usize, &'a Self),
-        _writing: bool,
-        _others: impl Iterator<Item = (usize, &'a Self)>,
-        timeout: Duration,
-    ) -> Vec<usize> {
-        let rx = &pipe.rx;
-        for _ in 0..POLLS_BEFORE_PARK {
-            if rx.state.lock().readable() {
-                return vec![key];
-            }
-            std::thread::yield_now();
-        }
-        let mut s = rx.state.lock();
-        if !s.readable() {
-            s.parked = true;
-            rx.arrived.wait_for(&mut s, timeout);
-            s.parked = false;
-        }
-        if s.readable() {
-            vec![key]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The TCP pipe
-// ---------------------------------------------------------------------
 
 /// Kernel-level waiting via `poll(2)`, declared directly against the
 /// system libc (no crate dependency). The lane parks the thread here

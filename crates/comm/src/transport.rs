@@ -1,11 +1,10 @@
-//! The transport boundary: one collective layer, three backends.
+//! The transport boundary: one collective layer, two backends.
 //!
 //! Every collective in this crate is written **once**, against the three
 //! primitives below; each primitive has a shared-cells implementation
 //! (the epoch-stamped zero-copy blackboard of `cells.rs`) and a
-//! byte-lane implementation on the one lane of `lane.rs`, which carries
-//! the same [`Wire`]-encoded frames over in-memory pipes (`bytes`) or
-//! TCP streams (`sockets`):
+//! byte-lane implementation on the lane of `lane.rs`, which carries
+//! [`Wire`]-encoded frames over TCP streams (`sockets`):
 //!
 //! 1. **Blackboard round** ([`XRound`]) — post one typed value with a
 //!    recipient set ([`To`]), barrier, read/take peers' values. Cells:
@@ -14,7 +13,7 @@
 //! 2. **Flat exchange** ([`crate::Comm::raw_exchange_flat`]) — deliver
 //!    `bufs.bucket(j)` to every PE `j`. Cells: publish the whole
 //!    [`FlatBuckets`] once, each receiver slices its bucket from the
-//!    peers' cells (zero-copy). Bytes: encode each destination's bucket
+//!    peers' cells (zero-copy). Lane: encode each destination's bucket
 //!    with a varint count header into its pair queue, and decode each
 //!    source's straight into the result.
 //! 3. **Paired flat exchange** ([`crate::Comm::paired_flat_round_with`])
@@ -50,16 +49,13 @@ pub enum TransportKind {
     /// Epoch-stamped typed exchange cells: in-process, zero-copy.
     #[default]
     Cells,
-    /// The byte lane on in-memory pipes: `Wire`-encoded frames through
-    /// per-PE-pair byte queues, between threads of one process.
-    Bytes,
-    /// The same lane on per-PE-pair TCP streams, across threads or OS
-    /// processes.
+    /// The byte lane: `Wire`-encoded frames on per-PE-pair TCP streams,
+    /// across threads or OS processes.
     Sockets,
 }
 
 impl TransportKind {
-    /// Resolve the transport from `KAMSTA_TRANSPORT` (`cells` | `bytes` |
+    /// Resolve the transport from `KAMSTA_TRANSPORT` (`cells` |
     /// `sockets`; unset means [`TransportKind::Cells`]). An unrecognised
     /// value is a configuration error, surfaced through
     /// [`crate::MachineConfig::resolve`] rather than silently ignored.
@@ -68,7 +64,6 @@ impl TransportKind {
             Err(_) => Ok(TransportKind::Cells),
             Ok(v) => match v.as_str() {
                 "cells" => Ok(TransportKind::Cells),
-                "bytes" => Ok(TransportKind::Bytes),
                 "sockets" => Ok(TransportKind::Sockets),
                 other => Err(MachineError::UnknownTransport(other.to_string())),
             },
@@ -232,7 +227,7 @@ pub(crate) enum XRound<'c, T: Send + 'static> {
 }
 
 /// Byte-lane state of one blackboard round: frames through the
-/// communicator's lane (in-process queues or sockets) plus a local slot
+/// communicator's lane plus a local slot
 /// standing in for "my own cell" — self-delivery never touches the lane.
 pub(crate) struct LaneRound<'c, T> {
     comm: &'c Comm,

@@ -1,6 +1,6 @@
 //! Machine-level fault-injection behavior: a transient plan must leave
-//! every collective's results exactly right on both byte-moving
-//! backends, a lethal plan must come back as a typed transport error
+//! every collective's results exactly right on the byte lane, a lethal
+//! plan must come back as a typed transport error
 //! well inside the io deadline, and the `KAMSTA_FAULTS` plan format
 //! must round-trip through the builder API.
 
@@ -9,9 +9,12 @@ use kamsta_comm::{
 };
 use std::time::{Duration, Instant};
 
-fn with_plan(p: usize, transport: TransportKind, plan: FaultPlan) -> MachineConfig {
-    MachineConfig::new(p)
-        .with_transport(transport)
+fn sockets(p: usize) -> MachineConfig {
+    MachineConfig::new(p).with_transport(TransportKind::Sockets)
+}
+
+fn with_plan(p: usize, plan: FaultPlan) -> MachineConfig {
+    sockets(p)
         .with_io_timeout(Duration::from_secs(10))
         .with_faults(plan)
 }
@@ -79,84 +82,73 @@ fn fault_plan_parse_rejects_malformed_entries() {
 fn armed_empty_plan_leaves_results_identical() {
     // `FaultPlan::seeded` with no faults still arms the per-frame
     // checksums — results must match the unarmed run bit-for-bit.
-    for transport in [TransportKind::Bytes, TransportKind::Sockets] {
-        let program = |comm: &kamsta_comm::Comm| {
-            let v = comm.allgatherv(vec![comm.rank() as u64; comm.rank() + 1]);
-            (v, comm.allreduce_sum(comm.rank() as u64 + 1))
-        };
-        let plain =
-            Machine::try_run(MachineConfig::new(4).with_transport(transport), program).unwrap();
-        let armed =
-            Machine::try_run(with_plan(4, transport, FaultPlan::seeded(7)), program).unwrap();
-        assert_eq!(plain.results, armed.results);
-    }
+    let program = |comm: &kamsta_comm::Comm| {
+        let v = comm.allgatherv(vec![comm.rank() as u64; comm.rank() + 1]);
+        (v, comm.allreduce_sum(comm.rank() as u64 + 1))
+    };
+    let plain = Machine::try_run(sockets(4), program).unwrap();
+    let armed = Machine::try_run(with_plan(4, FaultPlan::seeded(7)), program).unwrap();
+    assert_eq!(plain.results, armed.results);
 }
 
 #[test]
-fn transient_faults_leave_collectives_exact_on_both_backends() {
+fn transient_faults_leave_collectives_exact() {
     // Delays, short reads/writes, duplicates, and transient retries all
     // at once: the framing layer must absorb every one of them, so the
     // collectives' results are *exactly* the fault-free values.
-    for transport in [TransportKind::Bytes, TransportKind::Sockets] {
-        for seed in [1u64, 23, 1009] {
-            let out = Machine::try_run(with_plan(4, transport, noisy(seed)), |comm| {
-                let mine: Vec<u64> = (0..64).map(|i| comm.rank() as u64 * 1000 + i).collect();
-                let all = comm.allgatherv(mine);
-                let total = comm.allreduce_sum(comm.rank() as u64 + 1);
-                (all, total)
-            })
-            .unwrap_or_else(|e| panic!("{transport:?} seed {seed}: {e}"));
-            let expected: Vec<u64> = (0..4u64)
-                .flat_map(|r| (0..64).map(move |i| r * 1000 + i))
-                .collect();
-            for (all, total) in out.results {
-                assert_eq!(all, expected);
-                assert_eq!(total, 1 + 2 + 3 + 4);
-            }
+    for seed in [1u64, 23, 1009] {
+        let out = Machine::try_run(with_plan(4, noisy(seed)), |comm| {
+            let mine: Vec<u64> = (0..64).map(|i| comm.rank() as u64 * 1000 + i).collect();
+            let all = comm.allgatherv(mine);
+            let total = comm.allreduce_sum(comm.rank() as u64 + 1);
+            (all, total)
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let expected: Vec<u64> = (0..4u64)
+            .flat_map(|r| (0..64).map(move |i| r * 1000 + i))
+            .collect();
+        for (all, total) in out.results {
+            assert_eq!(all, expected);
+            assert_eq!(total, 1 + 2 + 3 + 4);
         }
     }
 }
 
 #[test]
 fn lethal_faults_surface_as_typed_errors_within_the_deadline() {
-    // Every unrecoverable fault kind, on both backends: the machine
-    // must return `MachineError::Transport` — not hang, not panic with
-    // a bare string — well under twice the io deadline.
+    // Every unrecoverable fault kind: the machine must return
+    // `MachineError::Transport` — not hang, not panic with a bare
+    // string — well under twice the io deadline.
     let deadline = Duration::from_secs(5);
-    for transport in [TransportKind::Bytes, TransportKind::Sockets] {
-        for kind in [
-            LethalKind::Truncate,
-            LethalKind::BitFlip,
-            LethalKind::Disconnect,
-        ] {
-            let plan = FaultPlan::seeded(11).with_lethal(LethalFault {
-                rank: 1,
-                kind,
-                at_seq: 1,
-            });
-            let cfg = MachineConfig::new(3)
-                .with_transport(transport)
-                .with_io_timeout(deadline)
-                .with_faults(plan);
-            let start = Instant::now();
-            let err = Machine::try_run(cfg, |comm| {
-                let mut acc = 0u64;
-                for round in 0..8u64 {
-                    acc = comm.allreduce_sum(acc + comm.rank() as u64 + round);
-                }
-                acc
-            })
-            .unwrap_err();
-            let elapsed = start.elapsed();
-            assert!(
-                matches!(err, MachineError::Transport { .. }),
-                "{transport:?}/{kind:?}: {err:?}"
-            );
-            assert!(
-                elapsed < deadline * 2,
-                "{transport:?}/{kind:?} took {elapsed:?}, deadline {deadline:?}"
-            );
-        }
+    for kind in [
+        LethalKind::Truncate,
+        LethalKind::BitFlip,
+        LethalKind::Disconnect,
+    ] {
+        let plan = FaultPlan::seeded(11).with_lethal(LethalFault {
+            rank: 1,
+            kind,
+            at_seq: 1,
+        });
+        let cfg = sockets(3).with_io_timeout(deadline).with_faults(plan);
+        let start = Instant::now();
+        let err = Machine::try_run(cfg, |comm| {
+            let mut acc = 0u64;
+            for round in 0..8u64 {
+                acc = comm.allreduce_sum(acc + comm.rank() as u64 + round);
+            }
+            acc
+        })
+        .unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(err, MachineError::Transport { .. }),
+            "{kind:?}: {err:?}"
+        );
+        assert!(
+            elapsed < deadline * 2,
+            "{kind:?} took {elapsed:?}, deadline {deadline:?}"
+        );
     }
 }
 
@@ -170,7 +162,7 @@ fn corrupted_frames_are_reported_as_corruption_not_wrong_answers() {
         kind: LethalKind::BitFlip,
         at_seq: 0,
     });
-    let err = Machine::try_run(with_plan(2, TransportKind::Bytes, plan), |comm| {
+    let err = Machine::try_run(with_plan(2, plan), |comm| {
         comm.allgatherv(vec![comm.rank() as u64; 32])
     })
     .unwrap_err();

@@ -2,9 +2,9 @@
 //! [`MachineError`]s through `resolve`/`try_run` instead of poisoning a
 //! PE thread.
 //!
-//! Everything lives in one `#[test]` because the `KAMSTA_TRANSPORT`
-//! checks mutate process-global environment state — a single test per
-//! binary keeps that serial.
+//! Everything lives in one `#[test]` because the `KAMSTA_TRANSPORT` and
+//! `KAMSTA_THREADS` checks mutate process-global environment state — a
+//! single test per binary keeps that serial.
 
 use kamsta_comm::{Machine, MachineConfig, MachineError, SocketSetup, TransportKind};
 use std::time::Duration;
@@ -24,10 +24,10 @@ fn invalid_configs_are_typed_errors() {
     assert_eq!(out.results, vec![0, 1, 2]);
 
     // Explicit transport wins over the environment.
-    std::env::set_var("KAMSTA_TRANSPORT", "bytes");
+    std::env::set_var("KAMSTA_TRANSPORT", "sockets");
     assert_eq!(
         MachineConfig::new(2).resolve().map(|r| r.transport),
-        Ok(TransportKind::Bytes)
+        Ok(TransportKind::Sockets)
     );
     assert_eq!(
         MachineConfig::new(2)
@@ -35,6 +35,13 @@ fn invalid_configs_are_typed_errors() {
             .resolve()
             .map(|r| r.transport),
         Ok(TransportKind::Cells)
+    );
+
+    // `bytes` names no transport.
+    std::env::set_var("KAMSTA_TRANSPORT", "bytes");
+    assert_eq!(
+        MachineConfig::new(2).resolve(),
+        Err(MachineError::UnknownTransport("bytes".into()))
     );
 
     // A typo'd KAMSTA_TRANSPORT is rejected loudly, not silently run on
@@ -48,7 +55,7 @@ fn invalid_configs_are_typed_errors() {
     assert!(Machine::try_run(cfg, |_| ()).is_err());
     // ...unless the caller pinned the transport programmatically.
     assert!(MachineConfig::new(2)
-        .with_transport(TransportKind::Bytes)
+        .with_transport(TransportKind::Sockets)
         .resolve()
         .is_ok());
 
@@ -100,28 +107,31 @@ fn invalid_configs_are_typed_errors() {
         Ok(TransportKind::Cells)
     );
 
-    // Endpoint tables must cover exactly the PE count and parse.
-    assert!(matches!(
-        MachineConfig::new(3)
-            .with_endpoints(["127.0.0.1:7001", "127.0.0.1:7002"])
-            .resolve(),
-        Err(MachineError::SocketConfig(_))
-    ));
-    assert!(matches!(
-        MachineConfig::new(2)
-            .with_endpoints(["127.0.0.1:7001", "not-an-address"])
-            .resolve(),
-        Err(MachineError::SocketConfig(_))
-    ));
-    let resolved = MachineConfig::new(2)
-        .with_endpoints(["127.0.0.1:7001", "127.0.0.1:7002"])
-        .resolve()
-        .unwrap();
-    assert!(matches!(resolved.sockets, Some(SocketSetup::Endpoints(ref t)) if t.len() == 2));
+    // Hybrid threads resolve from KAMSTA_THREADS (default 1); a value
+    // that is not a positive integer is a typed error, not a silent
+    // t = 1 run, and with_threads wins over the environment.
+    std::env::remove_var("KAMSTA_THREADS");
+    assert_eq!(MachineConfig::new(2).resolve().map(|r| r.threads), Ok(1));
+    std::env::set_var("KAMSTA_THREADS", "4");
+    assert_eq!(MachineConfig::new(2).resolve().map(|r| r.threads), Ok(4));
+    for bad in ["two", "0"] {
+        std::env::set_var("KAMSTA_THREADS", bad);
+        let cfg = MachineConfig::new(2);
+        assert_eq!(cfg.resolve(), Err(MachineError::InvalidThreads(bad.into())));
+        assert!(Machine::try_run(cfg, |_| ()).is_err());
+        assert_eq!(
+            MachineConfig::new(2)
+                .with_threads(2)
+                .resolve()
+                .map(|r| r.threads),
+            Ok(2)
+        );
+    }
+    std::env::remove_var("KAMSTA_THREADS");
 
-    // Socket discovery options on a non-socket transport are rejected —
-    // with_endpoints implies sockets, so only an explicit override hits it.
-    let mut cfg = MachineConfig::new(2).with_endpoints(["127.0.0.1:7001", "127.0.0.1:7002"]);
+    // A rendezvous on a non-socket transport is rejected — with_rendezvous
+    // implies sockets, so only an explicit override hits it.
+    let mut cfg = MachineConfig::new(2).with_rendezvous("127.0.0.1:7000");
     cfg.transport = Some(TransportKind::Cells);
     assert!(matches!(cfg.resolve(), Err(MachineError::SocketConfig(_))));
 
@@ -152,4 +162,7 @@ fn invalid_configs_are_typed_errors() {
     assert!(MachineError::UnknownTransport("x".into())
         .to_string()
         .contains("sockets"));
+    assert!(MachineError::InvalidThreads("two".into())
+        .to_string()
+        .contains("KAMSTA_THREADS"));
 }

@@ -78,7 +78,7 @@ fn geometric_generators_deterministic_across_pes_and_transports() {
         let reference = generate(1, TransportKind::Cells, config, seed);
         assert!(!reference.is_empty(), "{config:?} generated nothing");
         let want = digest(&reference);
-        for transport in [TransportKind::Cells, TransportKind::Bytes] {
+        for transport in [TransportKind::Cells, TransportKind::Sockets] {
             for p in [1usize, 2, 4, 16] {
                 let got = generate(p, transport, config, seed);
                 assert_eq!(

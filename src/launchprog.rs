@@ -247,7 +247,6 @@ mod tests {
             };
             let cells = run_on(TransportKind::Cells);
             assert!(cells[0].is_some() && cells[1..].iter().all(Option::is_none));
-            assert_eq!(cells, run_on(TransportKind::Bytes), "{program}");
             assert_eq!(cells, run_on(TransportKind::Sockets), "{program}");
         }
     }

@@ -339,12 +339,9 @@ mod tests {
             .with_duplicates(0.3)
             .with_retries(0.3);
         // The empty plan still arms the per-frame checksums.
-        for (transport, plan) in [
-            (TransportKind::Bytes, transient),
-            (TransportKind::Sockets, FaultPlan::seeded(7)),
-        ] {
+        for plan in [transient, FaultPlan::seeded(7)] {
             let noisy = Runner::new(4, 1)
-                .with_transport(transport)
+                .with_transport(TransportKind::Sockets)
                 .with_faults(plan)
                 .run_generated(config, Algorithm::Boruvka, 7);
             assert_eq!(plain.msf_weight, noisy.msf_weight);

@@ -74,7 +74,7 @@ pub struct MstService {
 /// use kamsta::{DynConfig, MachineConfig, MstService, TransportKind};
 ///
 /// let svc = MstService::builder(4, DynConfig::new(64))
-///     .machine(MachineConfig::new(4).with_transport(TransportKind::Bytes))
+///     .machine(MachineConfig::new(4).with_transport(TransportKind::Sockets))
 ///     .max_batch(16)
 ///     .build()
 ///     .unwrap();
@@ -114,10 +114,12 @@ impl MstServiceBuilder {
                 got: machine.pes,
             });
         }
-        // Pin the env-resolved transport so the validation is durable: a
-        // KAMSTA_TRANSPORT change after construction must not poison a
-        // later auto-flush.
-        machine.transport = Some(machine.resolve()?.transport);
+        // Pin the env-resolved transport and hybrid width so the
+        // validation is durable: a KAMSTA_TRANSPORT or KAMSTA_THREADS
+        // change after construction must not poison a later auto-flush.
+        let resolved = machine.resolve()?;
+        machine.transport = Some(resolved.transport);
+        machine.threads = Some(resolved.threads);
         Ok(MstService {
             machine,
             cfg: self.cfg,
@@ -407,10 +409,10 @@ mod tests {
     fn builder_pins_transport_and_machine_settings() {
         // The machine config's transport survives into the service...
         let svc = MstService::builder(2, dyn_cfg(8))
-            .machine(MachineConfig::new(2).with_transport(TransportKind::Bytes))
+            .machine(MachineConfig::new(2).with_transport(TransportKind::Sockets))
             .build()
             .unwrap();
-        assert_eq!(svc.machine.transport, Some(TransportKind::Bytes));
+        assert_eq!(svc.machine.transport, Some(TransportKind::Sockets));
         // ...and without one, the env-resolved transport is pinned.
         let svc = MstService::builder(2, dyn_cfg(8)).build().unwrap();
         assert!(svc.machine.transport.is_some());

@@ -5,11 +5,11 @@
 //! pure function of (program, p, seed) that folds in results *and* the
 //! machine-wide modeled cost counters. A transient fault plan (delays,
 //! short reads/writes, duplicate frames, transient send refusals) must
-//! be *invisible* in that digest on both byte-moving transports: one
-//! string equality checks that the framing layer absorbed every
-//! injected fault without changing a single modeled byte. Lethal plans
-//! must terminate with a typed error well under twice the io deadline —
-//! the failure mode this suite exists to rule out is the hang.
+//! be *invisible* in that digest on the byte lane: one string equality
+//! checks that the framing layer absorbed every injected fault without
+//! changing a single modeled byte. Lethal plans must terminate with a
+//! typed error well under twice the io deadline — the failure mode this
+//! suite exists to rule out is the hang.
 
 use kamsta::{
     launchprog, DynConfig, FaultPlan, GraphConfig, LethalFault, LethalKind, Machine, MachineConfig,
@@ -60,14 +60,13 @@ fn transient(seed: u64) -> FaultPlan {
 fn transient_plans_are_digest_invisible_across_transports_and_scales() {
     for p in [2usize, 4, 8] {
         let oracle = digest("sum", p, TransportKind::Cells, 11, None);
-        for transport in [TransportKind::Bytes, TransportKind::Sockets] {
-            for fault_seed in [5u64, 71] {
-                let got = digest("sum", p, transport, 11, Some(transient(fault_seed)));
-                assert_eq!(
-                    got, oracle,
-                    "sum p={p} {transport:?} fault_seed={fault_seed}"
-                );
-            }
+        let transport = TransportKind::Sockets;
+        for fault_seed in [5u64, 71] {
+            let got = digest("sum", p, transport, 11, Some(transient(fault_seed)));
+            assert_eq!(
+                got, oracle,
+                "sum p={p} {transport:?} fault_seed={fault_seed}"
+            );
         }
     }
 }
@@ -78,42 +77,40 @@ fn transient_plans_leave_the_mst_pipeline_digest_identical() {
     // all-to-alls, recursion) under an aggressive transient plan: the
     // forest and the modeled cost counters both survive untouched.
     let oracle = digest("mst", 4, TransportKind::Cells, 11, None);
-    for transport in [TransportKind::Bytes, TransportKind::Sockets] {
-        let got = digest("mst", 4, transport, 11, Some(transient(29)));
-        assert_eq!(got, oracle, "mst {transport:?}");
-    }
+    let transport = TransportKind::Sockets;
+    let got = digest("mst", 4, transport, 11, Some(transient(29)));
+    assert_eq!(got, oracle, "mst {transport:?}");
 }
 
 #[test]
 fn lethal_plans_terminate_typed_well_under_twice_the_deadline() {
     let deadline = Duration::from_secs(5);
-    for transport in [TransportKind::Bytes, TransportKind::Sockets] {
-        for kind in [
-            LethalKind::Truncate,
-            LethalKind::BitFlip,
-            LethalKind::Disconnect,
-        ] {
-            let plan = FaultPlan::seeded(13).with_lethal(LethalFault {
-                rank: 1,
-                kind,
-                at_seq: 2,
-            });
-            let cfg = MachineConfig::new(4)
-                .with_transport(transport)
-                .with_io_timeout(deadline)
-                .with_faults(plan);
-            let start = Instant::now();
-            let err = Machine::try_run(cfg, |comm| launchprog::run("sum", comm, 11)).unwrap_err();
-            let elapsed = start.elapsed();
-            assert!(
-                matches!(err, MachineError::Transport { .. }),
-                "{transport:?}/{kind:?}: {err:?}"
-            );
-            assert!(
-                elapsed < deadline * 2,
-                "{transport:?}/{kind:?}: took {elapsed:?} against a {deadline:?} deadline"
-            );
-        }
+    let transport = TransportKind::Sockets;
+    for kind in [
+        LethalKind::Truncate,
+        LethalKind::BitFlip,
+        LethalKind::Disconnect,
+    ] {
+        let plan = FaultPlan::seeded(13).with_lethal(LethalFault {
+            rank: 1,
+            kind,
+            at_seq: 2,
+        });
+        let cfg = MachineConfig::new(4)
+            .with_transport(transport)
+            .with_io_timeout(deadline)
+            .with_faults(plan);
+        let start = Instant::now();
+        let err = Machine::try_run(cfg, |comm| launchprog::run("sum", comm, 11)).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(err, MachineError::Transport { .. }),
+            "{transport:?}/{kind:?}: {err:?}"
+        );
+        assert!(
+            elapsed < deadline * 2,
+            "{transport:?}/{kind:?}: took {elapsed:?} against a {deadline:?} deadline"
+        );
     }
 }
 
@@ -131,7 +128,7 @@ fn service_degrades_typed_after_an_unrecoverable_fault() {
     let mut svc = MstService::builder(2, DynConfig::new(64))
         .machine(
             MachineConfig::new(2)
-                .with_transport(TransportKind::Bytes)
+                .with_transport(TransportKind::Sockets)
                 .with_io_timeout(Duration::from_secs(5))
                 .with_faults(plan),
         )

@@ -142,7 +142,7 @@ fn theorem_1_calls_are_logarithmic_and_base_case_volume_linear() {
             if log_degree == 3 || log_degree == 5 {
                 for (t, transport) in [
                     (2, TransportKind::Cells),
-                    (1, TransportKind::Bytes),
+                    (1, TransportKind::Sockets),
                     (2, TransportKind::Sockets),
                 ] {
                     let (stats_v, ids_v, _, at_v) = run(p, t, transport, log_degree);
