@@ -1,62 +1,65 @@
-//! Criterion micro-bench: the Sec. VI-B parallel-edge elimination
-//! ablation — local prefilter + sort vs. pure sorting. The paper's
+//! The Sec. VI-B parallel-edge elimination ablation, the row ROADMAP
+//! item 10 asks of `DedupStrategy::Sort`: `redistribute` with the local
+//! prefilter (`DedupStrategy::HashFilter`) against pure sorting
+//! (`DedupStrategy::Sort`), at p = 2 on a post-contraction-like slice —
+//! few distinct endpoint pairs, 4 … 64 parallel copies each. The paper's
 //! prefilter is a per-PE hash table ("outperforms the pure sorting
 //! approach by up to a factor of 2.5 if the hash table remains small
-//! enough to fit into the cache"); `DedupStrategy::HashFilter` keeps the
-//! paper's name but is a sort-and-reduce: order the slice by its
-//! `(u, v)` pair key, keep each pair's `(w, id)`-minimal copy. Either
-//! way the point is the same — parallel copies never enter the
-//! distributed sort.
+//! enough to fit into the cache"); `HashFilter` keeps the paper's name
+//! but is a sort-and-reduce: order the slice by its `(u, v)` pair key,
+//! keep each pair's `(w, id)`-minimal copy. Either way parallel copies
+//! never enter the distributed sort. The kernel is the one below
+//! `core.redistribute_probe_s`; EXPERIMENTS.md records the table.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kamsta::{DedupStrategy, MstConfig};
-use kamsta_comm::{Machine, MachineConfig};
+use kamsta_bench::{lockstep_ms, lockstep_row, ms_cell, ratio_cell, Table, BENCH_PES, SAMPLES};
 use kamsta_core::dist::redistribute;
+use kamsta_graph::hash::mix64;
 use kamsta_graph::CEdge;
 
-/// Post-contraction-like edge set: few distinct endpoint pairs, many
-/// parallel copies — exactly the shape local preprocessing leaves behind.
-fn parallel_heavy_edges(rank: usize, pairs: u64, copies: u64) -> Vec<CEdge> {
-    let mut edges = Vec::with_capacity((pairs * copies) as usize);
+const PAIRS: u64 = 1 << 13;
+
+/// Post-contraction-like edge set: few distinct endpoint pairs, each
+/// with `copies` parallel copies spread over the slice — the shape
+/// local preprocessing leaves behind. Both PEs hold the same pairs.
+fn parallel_heavy_edges(rank: usize, copies: u64) -> Vec<CEdge> {
     let salt = rank as u64 * 1_000_003;
-    for k in 0..pairs {
-        let u = k * 7 % 1000;
-        let v = 1000 + (k * 13) % 1000;
-        for c in 0..copies {
-            let w = ((salt + k * 31 + c * 97) % 254 + 1) as u32;
-            edges.push(CEdge::new(u, v, w, salt + k * copies + c));
-        }
-    }
-    edges
+    (0..copies)
+        .flat_map(|c| {
+            (0..PAIRS).map(move |k| {
+                let w = ((salt + k * 31 + c * 97) % 254 + 1) as u32;
+                CEdge::new(k, PAIRS + mix64(k) % PAIRS, w, salt + c * PAIRS + k)
+            })
+        })
+        .collect()
 }
 
-fn run_dedup(strategy: DedupStrategy, pairs: u64, copies: u64) {
-    Machine::run(MachineConfig::new(8), move |comm| {
-        let edges = parallel_heavy_edges(comm.rank(), pairs, copies);
-        let cfg = MstConfig {
-            dedup: strategy,
-            ..MstConfig::default()
-        };
-        let g = redistribute(comm, edges, &cfg);
-        assert!(g.m_global > 0);
-    });
-}
-
-fn bench_dedup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_edge_dedup_p8");
-    group.sample_size(10);
+fn main() {
+    println!(
+        "bench_dedup: redistribute of {PAIRS} pairs × copies per PE, p = {BENCH_PES}, ms, \
+         median of {SAMPLES} (slowest PE)"
+    );
+    let mut table = Table::new(&["copies", "pure_sort_ms", "hash_filter_ms", "sort/filter"]);
     for copies in [4u64, 16, 64] {
-        group.bench_with_input(BenchmarkId::new("pure_sort", copies), &copies, |b, &cp| {
-            b.iter(|| run_dedup(DedupStrategy::Sort, 2000, cp))
+        let ms = lockstep_row(|comm| {
+            let edges = parallel_heavy_edges(comm.rank(), copies);
+            [DedupStrategy::Sort, DedupStrategy::HashFilter]
+                .into_iter()
+                .map(|dedup| {
+                    let cfg = MstConfig {
+                        dedup,
+                        ..MstConfig::default()
+                    };
+                    lockstep_ms(comm, || edges.clone(), |e| redistribute(comm, e, &cfg))
+                })
+                .collect()
         });
-        group.bench_with_input(
-            BenchmarkId::new("hash_filter", copies),
-            &copies,
-            |b, &cp| b.iter(|| run_dedup(DedupStrategy::HashFilter, 2000, cp)),
-        );
+        table.row(vec![
+            copies.to_string(),
+            ms_cell(ms[0]),
+            ms_cell(ms[1]),
+            ratio_cell(ms[0] / ms[1]),
+        ]);
     }
-    group.finish();
+    table.print();
 }
-
-criterion_group!(benches, bench_dedup);
-criterion_main!(benches);

@@ -1,28 +1,16 @@
-//! Criterion micro-bench for the intra-PE thread pool (vendor/rayon,
-//! DESIGN.md S11): recursive `join` fan-out against straight-line
-//! recursion, `par_sort_unstable` against `sort_unstable` across the
-//! 2^14–2^22 size range, and the cost of building + entering a
-//! width handle (`ThreadPoolBuilder::build` + `install`) — the
-//! per-PE-run overhead `Comm::pool()` pays.
-//!
-//! On a single-core host the parallel rows bound the pool's *overhead*
-//! (they cannot win); on multi-core hosts they show the crossover.
+//! The intra-PE thread pool (vendor/rayon, DESIGN.md §11) against the
+//! sequential code it stands beside: recursive `join` fan-out against
+//! straight-line recursion, and `par_sort_unstable` against
+//! `sort_unstable` across 2^14 … 2^22 keys — the crossover behind
+//! §11's profitability cutoffs (`PAR_RADIX_CUTOFF`, `PAR_BUILD_CUTOFF`
+//! and the merge sort's 2^15 are all near 2^16). The pool is as wide as
+//! the host's cores, so on a one-core host the pool columns bound its
+//! overhead; what building and entering a pool costs a PE run is inside
+//! `benchmark/`'s `comm.machine_start_ms`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kamsta_bench::{median_ms, ms_cell, ratio_cell, sort_ms, Table, SAMPLES};
+use kamsta_graph::hash::mix64;
 use rayon::prelude::*;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn make_keys(n: usize) -> Vec<u64> {
-    let mut s = 0xfeed_f00d_dead_beefu64;
-    (0..n).map(|_| splitmix(&mut s)).collect()
-}
 
 fn fib_join(n: u64) -> u64 {
     if n < 2 {
@@ -39,76 +27,39 @@ fn fib_seq(n: u64) -> u64 {
     fib_seq(n - 1) + fib_seq(n - 2)
 }
 
-fn bench_join_fan_out(c: &mut Criterion) {
-    let mut group = c.benchmark_group("join_fan_out");
-    group.sample_size(10);
-    let wide = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
+fn main() {
+    let width = std::thread::available_parallelism().map_or(1, |w| w.get());
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
         .build()
-        .unwrap();
-    group.bench_function(BenchmarkId::from_parameter("fib18_sequential"), |b| {
-        b.iter(|| fib_seq(std::hint::black_box(18)))
-    });
-    group.bench_function(BenchmarkId::from_parameter("fib18_join_w1"), |b| {
-        b.iter(|| fib_join(std::hint::black_box(18)))
-    });
-    group.bench_function(BenchmarkId::from_parameter("fib18_join_w8"), |b| {
-        b.iter(|| wide.install(|| fib_join(std::hint::black_box(18))))
-    });
-    group.finish();
-}
+        .expect("a pool as wide as the host");
+    println!("bench_pool: pool width {width}, ms, median of {SAMPLES}");
 
-fn bench_par_sort(c: &mut Criterion) {
-    let mut group = c.benchmark_group("par_sort");
-    group.sample_size(10);
-    let wide = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build()
-        .unwrap();
-    for shift in [14u32, 18, 22] {
-        let n = 1usize << shift;
-        let keys = make_keys(n);
-        group.bench_with_input(BenchmarkId::new("sort_unstable", n), &keys, |b, keys| {
-            b.iter(|| {
-                let mut v = keys.clone();
-                v.sort_unstable();
-                v
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("par_sort_w8", n), &keys, |b, keys| {
-            b.iter(|| {
-                let mut v = keys.clone();
-                wide.install(|| v.par_sort_unstable());
-                v
-            })
-        });
+    let mut join = Table::new(&["fib", "sequential_ms", "join_ms", "seq/join"]);
+    for n in [14u64, 18, 22] {
+        let seq = median_ms(|| n, fib_seq);
+        let par = median_ms(|| n, |n| pool.install(|| fib_join(n)));
+        join.row(vec![
+            n.to_string(),
+            ms_cell(seq),
+            ms_cell(par),
+            ratio_cell(seq / par),
+        ]);
     }
-    group.finish();
-}
+    join.print();
+    println!();
 
-fn bench_pool_handle(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_handle");
-    // Build + enter + leave: what every PE run pays once around its
-    // rank closure (Comm::pool().install(..)).
-    group.bench_function(BenchmarkId::from_parameter("build_install_noop"), |b| {
-        b.iter(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(8)
-                .build()
-                .unwrap()
-                .install(|| std::hint::black_box(1u64))
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("current_num_threads"), |b| {
-        b.iter(rayon::current_num_threads)
-    });
-    group.finish();
+    let mut sort = Table::new(&["keys", "sort_unstable_ms", "par_sort_ms", "seq/par"]);
+    for shift in [14u32, 16, 18, 22] {
+        let keys: Vec<u64> = (0..1u64 << shift).map(mix64).collect();
+        let seq = sort_ms(&keys, |v| v.sort_unstable());
+        let par = sort_ms(&keys, |v| pool.install(|| v.par_sort_unstable()));
+        sort.row(vec![
+            format!("2^{shift}"),
+            ms_cell(seq),
+            ms_cell(par),
+            ratio_cell(seq / par),
+        ]);
+    }
+    sort.print();
 }
-
-criterion_group!(
-    benches,
-    bench_join_fan_out,
-    bench_par_sort,
-    bench_pool_handle
-);
-criterion_main!(benches);

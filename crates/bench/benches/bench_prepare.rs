@@ -8,11 +8,12 @@
 //! directed edges: what every flush of the batch-dynamic layer
 //! re-prepares). EXPERIMENTS.md records the table.
 //!
-//! Not a criterion group: every step is timed from inside one machine
-//! run per input, every PE in lockstep, so a step costs what its slowest
+//! Every step is timed from inside one machine run per input, every PE
+//! in lockstep ([`kamsta_bench::lockstep`]), so a step costs what its slowest
 //! PE took. The `whole` column is `from_sorted_edges` itself on the same
 //! slices — what the three prepare steps should add up to.
 
+use kamsta_bench::{lockstep, median_of_slowest, ms_cell, Table, BENCH_PES, SAMPLES};
 use kamsta_comm::{Comm, Machine, MachineConfig};
 use kamsta_graph::hash::mix64;
 use kamsta_graph::{
@@ -21,9 +22,6 @@ use kamsta_graph::{
 use std::hint::black_box;
 use std::time::Instant;
 
-const PES: usize = 2;
-const WARM_UP: usize = 1;
-const SAMPLES: usize = 7;
 const STEPS: [&str; 5] = ["generate", "assign", "establish", "canonicalize", "whole"];
 
 #[derive(Clone, Copy)]
@@ -58,14 +56,13 @@ impl Input {
 /// This PE's slice length and the milliseconds of each step of one
 /// generation and preparation of `input` on this PE, in the order of
 /// [`STEPS`]; the steps after `generate` are `from_sorted_edges`' body.
+/// The caller starts it behind a barrier.
 fn time_steps(comm: &Comm, input: Input) -> (usize, [f64; 5]) {
     let mut last = Instant::now();
     let mut lap = || {
         let since = std::mem::replace(&mut last, Instant::now());
         (last - since).as_secs_f64() * 1e3
     };
-    comm.barrier();
-    lap();
     let edges = input.slice(comm);
     let generate = lap();
     let (stepwise, whole) = (edges.clone(), edges);
@@ -86,25 +83,14 @@ fn time_steps(comm: &Comm, input: Input) -> (usize, [f64; 5]) {
     (len, [generate, assign, establish, canonicalize, lap()])
 }
 
-/// Median over the samples of the slowest PE's time for `step`.
-fn median_of_slowest(per_pe: &[Vec<[f64; 5]>], step: usize) -> f64 {
-    let mut samples: Vec<f64> = (0..SAMPLES)
-        .map(|k| per_pe.iter().map(|t| t[k][step]).fold(0.0, f64::max))
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[SAMPLES / 2]
-}
-
 fn main() {
     println!(
-        "bench_prepare: generate, then from_sorted_edges by step, p = {PES}, ms, \
+        "bench_prepare: generate, then from_sorted_edges by step, p = {BENCH_PES}, ms, \
          median of {SAMPLES} (slowest PE)"
     );
-    print!("{:<22} {:>9}", "input", "edges");
-    for step in STEPS {
-        print!(" {step:>12}");
-    }
-    println!();
+    let mut headers = vec!["input", "edges"];
+    headers.extend(STEPS);
+    let mut table = Table::new(&headers);
     let gnm = |n, m| Input::Family(GraphConfig::Gnm { n, m });
     let rgg = |n, m| Input::Family(GraphConfig::Rgg2D { n, m });
     for (name, input) in [
@@ -114,18 +100,20 @@ fn main() {
         ("RGG-2D 2^18 / 2^22", rgg(1 << 18, 1 << 22)),
         ("certificate 2^15", Input::Certificate { n: 1 << 15 }),
     ] {
-        let out = Machine::run(MachineConfig::new(PES), move |comm| {
-            let runs: Vec<(usize, [f64; 5])> = (0..WARM_UP + SAMPLES)
-                .map(|_| time_steps(comm, input))
-                .skip(WARM_UP)
-                .collect();
-            (runs[0].0, runs.iter().map(|r| r.1).collect::<Vec<_>>())
-        });
-        let (lens, times): (Vec<usize>, Vec<_>) = out.results.into_iter().unzip();
-        print!("{name:<22} {:>9}", lens.iter().sum::<usize>());
+        let per_pe = Machine::run(MachineConfig::new(BENCH_PES), move |comm| {
+            lockstep(comm, || (), |()| time_steps(comm, input))
+        })
+        .results;
+        let edges: usize = per_pe.iter().map(|runs| runs[0].0).sum();
+        let mut row = vec![name.to_string(), edges.to_string()];
         for step in 0..STEPS.len() {
-            print!(" {:>12.2}", median_of_slowest(&times, step));
+            let times: Vec<Vec<f64>> = per_pe
+                .iter()
+                .map(|runs| runs.iter().map(|r| r.1[step]).collect())
+                .collect();
+            row.push(ms_cell(median_of_slowest(&times)));
         }
-        println!();
+        table.row(row);
     }
+    table.print();
 }

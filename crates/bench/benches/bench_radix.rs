@@ -1,174 +1,95 @@
-//! Criterion micro-bench: LSD radix sort on packed edge keys vs the
-//! comparison sort it replaces, and flat vs nested bucket construction —
-//! the two substrate changes of the data plane.
+//! LSD radix sort against the comparison sort, single-thread, behind two
+//! numbers of the end-to-end benchmark.
 //!
-//! The radix sorter gates itself on profitability (active key bytes vs
-//! `log n`): the `id_sort` group shows the regime it engages in (narrow
-//! vertex/edge-id keys — the pull protocol's sorts), the `edge_sort`
-//! group the full-entropy first-round keys where it falls back to the
-//! comparison sort, so those rows bound the gate's overhead. The
-//! `prefilter_order` group is `REDISTRIBUTE`'s local kernel on the
-//! post-relabel shape of a GNM round: the in-place sort on the full
-//! `lex_key` (8 active bytes — what `DedupStrategy::Sort`, `kamsta-dyn`'s
-//! maintainer and the `sort.local_radix_mkeys_per_s` probe run) beside
-//! the bare order on the `(u, v)` pair key (4 active bytes) that the
-//! prefilter walks.
+//! * `sort.local_radix_mkeys_per_s` and the radix gate (DESIGN.md §14):
+//!   the sorter engages only when its pass count undercuts `log n`
+//!   comparison levels. The first table sorts three key shapes — narrow
+//!   vertex ids (the pull protocol's sorts, where radix engages), the
+//!   full `lex_key` of first-round edges and the `(w, id)` weight key
+//!   (full entropy, where it falls back, so those rows bound the gate's
+//!   overhead).
+//! * `core.redistribute_probe_s`: the second table is `REDISTRIBUTE`'s
+//!   local kernel on the post-relabel shape of a GNM round — the
+//!   in-place sort on the full `lex_key` (8 active bytes: what
+//!   `DedupStrategy::Sort` and `kamsta-dyn`'s maintainer run) beside the
+//!   bare order on the `(u, v)` pair key (4 active bytes) that the
+//!   prefilter walks.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kamsta_comm::FlatBuckets;
+use kamsta_bench::{median_ms, ms_cell, ratio_cell, sort_ms, Table, SAMPLES};
+use kamsta_graph::hash::mix64;
 use kamsta_graph::CEdge;
 use kamsta_sort::{radix_order_by_key, radix_sort_by_key, radix_sort_keys};
 
-fn make_edges(n: usize) -> Vec<CEdge> {
-    let mut state = 0x1234_5678_9abc_def0u64;
-    let mut rng = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        state >> 16
-    };
+/// `n` directed edges with endpoints below `2^log_v`, weights in
+/// [1, 255) and ids below `2^log_id`, no locality; `salt` picks the
+/// stream.
+fn edges(n: u64, log_v: u32, log_id: u32, salt: u64) -> Vec<CEdge> {
     (0..n)
         .map(|k| {
+            let r = |i: u64| mix64(salt ^ (k << 2) ^ i);
             CEdge::new(
-                rng() % (1 << 20),
-                rng() % (1 << 20),
-                (rng() % 254 + 1) as u32,
-                k as u64,
+                r(0) % (1 << log_v),
+                r(1) % (1 << log_v),
+                (r(2) % 254 + 1) as u32,
+                r(3) % (1 << log_id),
             )
         })
         .collect()
 }
 
-fn bench_id_sorts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("id_sort");
-    group.sample_size(10);
-    let mut state = 0xfeed_f00d_dead_beefu64;
-    let mut rng = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        state >> 16
-    };
-    for n in [1usize << 12, 1 << 16, 1 << 19] {
-        let ids: Vec<u64> = (0..n).map(|_| rng() % (1 << 20)).collect();
-        group.bench_with_input(BenchmarkId::new("comparison", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = ids.clone();
-                v.sort_unstable();
-                v
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("radix", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = ids.clone();
-                radix_sort_keys(&mut v);
-                v
-            })
-        });
+fn main() {
+    println!("bench_radix: single-thread sorts, ms, median of {SAMPLES}");
+    let mut sorts = Table::new(&["key", "n", "comparison_ms", "radix_ms", "cmp/radix"]);
+    for shift in [12u32, 16, 19] {
+        let n = 1u64 << shift;
+        let ids: Vec<u64> = (0..n).map(|k| mix64(k) % (1 << 20)).collect();
+        let first_round = edges(n, 20, shift, 1);
+        let weight_key = |e: &CEdge| ((e.w as u128) << 64) | e.id as u128;
+        let rows = [
+            (
+                "vertex id",
+                sort_ms(&ids, |v| v.sort_unstable()),
+                sort_ms(&ids, |v| radix_sort_keys(v)),
+            ),
+            (
+                "lex_key",
+                sort_ms(&first_round, |v| v.sort_unstable()),
+                sort_ms(&first_round, |v| radix_sort_by_key(v, CEdge::lex_key)),
+            ),
+            (
+                "(w, id)",
+                sort_ms(&first_round, |v| v.sort_unstable_by_key(|e| (e.w, e.id))),
+                sort_ms(&first_round, |v| radix_sort_by_key(v, weight_key)),
+            ),
+        ];
+        for (key, cmp, radix) in rows {
+            sorts.row(vec![
+                key.to_string(),
+                format!("2^{shift}"),
+                ms_cell(cmp),
+                ms_cell(radix),
+                ratio_cell(cmp / radix),
+            ]);
+        }
     }
-    group.finish();
-}
+    sorts.print();
+    println!();
 
-fn bench_sorts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("edge_sort");
-    group.sample_size(10);
-    for n in [1usize << 12, 1 << 16, 1 << 19] {
-        let edges = make_edges(n);
-        group.bench_with_input(BenchmarkId::new("comparison_lex", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = edges.clone();
-                v.sort_unstable();
-                v
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("radix_lex", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = edges.clone();
-                radix_sort_by_key(&mut v, CEdge::lex_key);
-                v
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("comparison_weight", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = edges.clone();
-                v.sort_unstable_by_key(|e| (e.w, e.id));
-                v
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("radix_weight", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = edges.clone();
-                radix_sort_by_key(&mut v, |e: &CEdge| ((e.w as u128) << 64) | e.id as u128);
-                v
-            })
-        });
+    let mut prefilter = Table::new(&["edges", "lex_sort_ms", "pair_order_ms", "sort/order"]);
+    for shift in [16u32, 19, 20] {
+        // Component labels below 2^16, original edge ids below 2^21.
+        let relabelled = edges(1 << shift, 16, 21, 2);
+        let sort = sort_ms(&relabelled, |v| radix_sort_by_key(v, CEdge::lex_key));
+        let order = median_ms(
+            || (),
+            |()| radix_order_by_key(&relabelled, |e| Some(e.pair_key())),
+        );
+        prefilter.row(vec![
+            format!("2^{shift}"),
+            ms_cell(sort),
+            ms_cell(order),
+            ratio_cell(sort / order),
+        ]);
     }
-    group.finish();
+    prefilter.print();
 }
-
-/// Directed edges as `relabel` leaves them after the first round of a
-/// 2^16-vertex GNM solve: component labels below 2^16, weights in
-/// [1, 255), original edge ids below 2^21, no locality.
-fn post_relabel_edges(n: usize) -> Vec<CEdge> {
-    let mut state = 0x0dd_ba11_5eed_cafeu64;
-    let mut rng = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        state >> 16
-    };
-    (0..n)
-        .map(|_| {
-            CEdge::new(
-                rng() % (1 << 16),
-                rng() % (1 << 16),
-                (rng() % 254 + 1) as u32,
-                rng() % (1 << 21),
-            )
-        })
-        .collect()
-}
-
-fn bench_prefilter_order(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prefilter_order");
-    group.sample_size(10);
-    for n in [1usize << 16, 1 << 19, 1 << 20] {
-        let edges = post_relabel_edges(n);
-        group.bench_with_input(BenchmarkId::new("lex_key", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = edges.clone();
-                radix_sort_by_key(&mut v, CEdge::lex_key);
-                v
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("pair_key_order", n), &n, |b, _| {
-            b.iter(|| radix_order_by_key(&edges, |e| Some(e.pair_key())))
-        });
-    }
-    group.finish();
-}
-
-fn bench_bucket_construction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bucket_construction_p64");
-    group.sample_size(10);
-    let p = 64usize;
-    for n in [1usize << 12, 1 << 16, 1 << 19] {
-        let edges = make_edges(n);
-        group.bench_with_input(BenchmarkId::new("nested_push", n), &n, |b, _| {
-            b.iter(|| {
-                let mut bufs: Vec<Vec<CEdge>> = (0..p).map(|_| Vec::new()).collect();
-                for e in &edges {
-                    bufs[(e.u as usize) % p].push(*e);
-                }
-                bufs
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("flat_count_scatter", n), &n, |b, _| {
-            b.iter(|| FlatBuckets::from_dest_fn(p, edges.clone(), |e| (e.u as usize) % p))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_id_sorts,
-    bench_sorts,
-    bench_prefilter_order,
-    bench_bucket_construction
-);
-criterion_main!(benches);

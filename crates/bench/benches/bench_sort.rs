@@ -1,50 +1,19 @@
-//! Criterion micro-bench: the two distributed sorters across the
-//! small/large regimes behind the paper's selection rule (Sec. VI-C),
-//! and the sample sort's receive-side merge — the merge tree of
-//! `multiway_merge_flat` beside the binary-heap merge it replaced.
+//! The sample sort's receive-side merge, single-thread: the merge tree
+//! of `multiway_merge_flat` beside the binary-heap merge it replaced
+//! (DESIGN.md §14, "The merge tree and its tie rule"), on the k sorted
+//! runs one PE of a k-PE machine receives in `REDISTRIBUTE` — a part of
+//! `core.redistribute_probe_s`. The distributed sorters themselves are
+//! `benchmark/`'s `sort.dist_sort_s` row.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kamsta_comm::{FlatBuckets, Machine, MachineConfig};
+use kamsta_bench::{median_ms, ms_cell, ratio_cell, Table, SAMPLES};
+use kamsta_comm::FlatBuckets;
 use kamsta_graph::CEdge;
-use kamsta_sort::{hypercube_quicksort, multiway_merge_flat, sample_sort_by_key};
+use kamsta_sort::multiway_merge_flat;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-fn run_sort(p: usize, per_pe: usize, hypercube: bool) {
-    Machine::run(MachineConfig::new(p), move |comm| {
-        let base = comm.rank() as u64;
-        let data: Vec<u64> = (0..per_pe as u64)
-            .map(|i| (base * 2_654_435_761).wrapping_add(i * 40_503) % 1_000_000)
-            .collect();
-        if hypercube {
-            hypercube_quicksort(comm, data, 42)
-        } else {
-            sample_sort_by_key(comm, data, 42, |&x| x)
-        }
-    });
-}
-
-fn bench_sort(c: &mut Criterion) {
-    // The paper's threshold is 512 elements/PE: hypercube below, sample
-    // sort above.
-    let mut group = c.benchmark_group("distributed_sort_p16");
-    group.sample_size(10);
-    for per_pe in [256usize, 4096, 65536] {
-        group.bench_with_input(BenchmarkId::new("hypercube", per_pe), &per_pe, |b, &n| {
-            b.iter(|| run_sort(16, n, true))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("sample_sort_by_key", per_pe),
-            &per_pe,
-            |b, &n| b.iter(|| run_sort(16, n, false)),
-        );
-    }
-    group.finish();
-}
-
 /// The receive-side merge before the merge tree: a binary heap of run
-/// heads, ties broken by run index. Kept here as the baseline the
-/// `receive_merge` rows compare against.
+/// heads, ties broken by run index. Kept here as the `heap_ms` baseline.
 fn heap_merge<T: Ord + Clone>(runs: &FlatBuckets<T>) -> Vec<T> {
     let mut heads: Vec<std::slice::Iter<'_, T>> = runs.iter_buckets().map(<[T]>::iter).collect();
     let mut heap: BinaryHeap<Reverse<(&T, usize)>> = BinaryHeap::with_capacity(runs.buckets());
@@ -91,21 +60,20 @@ fn edge_runs(k: usize) -> FlatBuckets<CEdge> {
     FlatBuckets::from_nested(runs)
 }
 
-fn bench_receive_merge(c: &mut Criterion) {
-    let mut group = c.benchmark_group("receive_merge_2e19_edges");
-    group.sample_size(10);
+fn main() {
+    println!("bench_sort: receive merge of 2^19 edges in k runs, ms, median of {SAMPLES}");
+    let mut table = Table::new(&["k", "heap_ms", "tree_ms", "heap/tree"]);
     for k in [2usize, 4, 16, 64] {
         let runs = edge_runs(k);
         assert_eq!(heap_merge(&runs), multiway_merge_flat(&runs));
-        group.bench_with_input(BenchmarkId::new("heap", k), &k, |b, _| {
-            b.iter(|| heap_merge(&runs))
-        });
-        group.bench_with_input(BenchmarkId::new("tree", k), &k, |b, _| {
-            b.iter(|| multiway_merge_flat(&runs))
-        });
+        let heap = median_ms(|| (), |()| heap_merge(&runs));
+        let tree = median_ms(|| (), |()| multiway_merge_flat(&runs));
+        table.row(vec![
+            k.to_string(),
+            ms_cell(heap),
+            ms_cell(tree),
+            ratio_cell(heap / tree),
+        ]);
     }
-    group.finish();
+    table.print();
 }
-
-criterion_group!(benches, bench_sort, bench_receive_merge);
-criterion_main!(benches);

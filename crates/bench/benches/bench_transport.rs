@@ -1,22 +1,22 @@
-//! Criterion micro-bench: the byte-transport data path in isolation.
+//! The byte lane's data path in isolation, single-thread (DESIGN.md §12).
 //!
-//! Three questions, matching the PR 10 redesign of the byte lane
-//! (DESIGN.md §12):
-//!
-//! 1. **Encode/decode throughput** of `WEdge` and `CEdge` buckets
-//!    through `wire::write_slice` / `wire::read_vec` — the exact code
-//!    the flat exchange runs per (peer, round).
+//! 1. **Encode/decode** of `WEdge` and `CEdge` buckets through
+//!    `wire::write_slice` / `wire::read_vec` — the code the flat
+//!    exchange runs per (peer, round), and what `benchmark/`'s
+//!    `comm.wire_roundtrip_mb_per_s` row measures on the workload's own
+//!    `WEdge` slice.
 //! 2. **Coalesced vs per-message framing**: one `CH_DATA` frame
-//!    carrying a whole bucket against one frame per element (the
-//!    pre-PR-10 shape), both reassembled through `wire::split_frame`.
+//!    carrying a whole bucket against one frame per element (the shape
+//!    before coalescing), both reassembled through `wire::split_frame` —
+//!    §12's "one frame per (peer, round)".
 //! 3. **Pooled vs fresh buffers**: serializing into a buffer whose
 //!    capacity survives from the previous round against allocating a
-//!    new `Vec` each round.
+//!    new `Vec` each round — §12's send-buffer pool.
 //!
-//! Sizes span 2^10–2^20 elements — the per-peer bucket range of the
-//! weak-scaled perf-trajectory instances.
+//! Sizes span 2^10 … 2^20 elements, the per-peer bucket range of the
+//! benchmark's workloads.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kamsta_bench::{median_ms, ms_cell, ratio_cell, Table, SAMPLES};
 use kamsta_comm::wire::{self, FrameHeader, Wire, WireReader, CH_DATA, FRAME_HEADER_LEN};
 use kamsta_graph::{CEdge, WEdge};
 
@@ -45,24 +45,6 @@ fn roundtrip<T: Wire>(bucket: &[T], scratch: &mut Vec<u8>) -> usize {
     let out = wire::read_vec::<T>(&mut r).expect("self-encoded bucket decodes");
     r.finish().expect("no trailing bytes");
     out.len()
-}
-
-fn bench_encode_decode(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wire_roundtrip");
-    group.sample_size(10);
-    for pow in [10usize, 14, 17, 20] {
-        let n = 1usize << pow;
-        let we = wedges(n);
-        let ce = cedges(n);
-        let mut scratch = Vec::new();
-        group.bench_with_input(BenchmarkId::new("wedge", n), &n, |b, _| {
-            b.iter(|| roundtrip(&we, &mut scratch))
-        });
-        group.bench_with_input(BenchmarkId::new("cedge", n), &n, |b, _| {
-            b.iter(|| roundtrip(&ce, &mut scratch))
-        });
-    }
-    group.finish();
 }
 
 /// Reassemble a byte stream frame by frame, decoding each payload as a
@@ -95,70 +77,86 @@ fn frame_header(len: usize, seq: u64) -> FrameHeader {
     }
 }
 
-fn bench_framing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("framing");
-    group.sample_size(10);
-    for pow in [10usize, 14, 17] {
-        let n = 1usize << pow;
-        let bucket = wedges(n);
+/// The bucket as one coalesced frame, and as one frame per element.
+fn framed(bucket: &[WEdge]) -> (Vec<u8>, Vec<u8>) {
+    let mut coalesced = Vec::new();
+    let mut payload = Vec::new();
+    wire::write_slice(&mut payload, bucket);
+    frame_header(payload.len(), 0).write(&mut coalesced);
+    coalesced.extend_from_slice(&payload);
 
-        // One coalesced frame for the whole bucket (the PR 10 shape).
-        let mut coalesced = Vec::new();
-        let mut payload = Vec::new();
-        wire::write_slice(&mut payload, &bucket);
-        frame_header(payload.len(), 0).write(&mut coalesced);
-        coalesced.extend_from_slice(&payload);
-
-        // One frame per element (the pre-PR-10 shape, reconstructed).
-        let mut per_msg = Vec::new();
-        for (i, e) in bucket.iter().enumerate() {
-            let mut p = Vec::new();
-            wire::write_slice(&mut p, std::slice::from_ref(e));
-            frame_header(p.len(), i as u64).write(&mut per_msg);
-            per_msg.extend_from_slice(&p);
-        }
-
-        group.bench_with_input(BenchmarkId::new("coalesced", n), &n, |b, _| {
-            b.iter(|| drain_frames(&coalesced))
-        });
-        group.bench_with_input(BenchmarkId::new("per_message", n), &n, |b, _| {
-            b.iter(|| drain_frames(&per_msg))
-        });
+    let mut per_msg = Vec::new();
+    for (i, e) in bucket.iter().enumerate() {
+        let mut p = Vec::new();
+        wire::write_slice(&mut p, std::slice::from_ref(e));
+        frame_header(p.len(), i as u64).write(&mut per_msg);
+        per_msg.extend_from_slice(&p);
     }
-    group.finish();
+    (coalesced, per_msg)
 }
 
-fn bench_buffer_pool(c: &mut Criterion) {
-    let mut group = c.benchmark_group("send_buffers");
-    group.sample_size(10);
-    for pow in [10usize, 14, 17, 20] {
+fn main() {
+    println!("bench_transport: the byte lane's codec, ms, median of {SAMPLES}");
+    let mut codec = Table::new(&["n", "wedge_ms", "cedge_ms", "cedge/wedge"]);
+    let mut framing = Table::new(&[
+        "n",
+        "coalesced_ms",
+        "per_message_ms",
+        "per_message/coalesced",
+    ]);
+    let mut buffers = Table::new(&["n", "pooled_ms", "fresh_ms", "fresh/pooled"]);
+    for pow in [10u32, 14, 17, 20] {
         let n = 1usize << pow;
-        let bucket = wedges(n);
+        let size = format!("2^{pow}");
+        let (we, ce) = (wedges(n), cedges(n));
+        let mut scratch = Vec::new();
+        let wedge = median_ms(|| (), |()| roundtrip(&we, &mut scratch));
+        let cedge = median_ms(|| (), |()| roundtrip(&ce, &mut scratch));
+        codec.row(vec![
+            size.clone(),
+            ms_cell(wedge),
+            ms_cell(cedge),
+            ratio_cell(cedge / wedge),
+        ]);
+
+        let (coalesced, per_msg) = framed(&we);
+        let one = median_ms(|| (), |()| drain_frames(&coalesced));
+        let each = median_ms(|| (), |()| drain_frames(&per_msg));
+        framing.row(vec![
+            size.clone(),
+            ms_cell(one),
+            ms_cell(each),
+            ratio_cell(each / one),
+        ]);
+
+        // The steady-state round keeps its capacity and encodes in place
+        // (wire::encode_into semantics: clear + write).
         let mut pooled = Vec::new();
-        group.bench_with_input(BenchmarkId::new("pooled", n), &n, |b, _| {
-            b.iter(|| {
-                // The steady-state round: capacity survives, encode in
-                // place (wire::encode_into semantics — clear + write).
+        let kept = median_ms(
+            || (),
+            |()| {
                 pooled.clear();
-                wire::write_slice(&mut pooled, &bucket);
+                wire::write_slice(&mut pooled, &we);
                 pooled.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("fresh", n), &n, |b, _| {
-            b.iter(|| {
+            },
+        );
+        let fresh = median_ms(
+            || (),
+            |()| {
                 let mut buf = Vec::new();
-                wire::write_slice(&mut buf, &bucket);
-                buf.len()
-            })
-        });
+                wire::write_slice(&mut buf, &we);
+                buf
+            },
+        );
+        buffers.row(vec![
+            size,
+            ms_cell(kept),
+            ms_cell(fresh),
+            ratio_cell(fresh / kept),
+        ]);
     }
-    group.finish();
+    for table in [codec, framing, buffers] {
+        table.print();
+        println!();
+    }
 }
-
-criterion_group!(
-    benches,
-    bench_encode_decode,
-    bench_framing,
-    bench_buffer_pool
-);
-criterion_main!(benches);

@@ -2,9 +2,12 @@
 //!
 //! One binary per table and figure of the paper's evaluation (Sec. VII);
 //! see `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured outcomes. Criterion micro-benches cover the
-//! building-block ablations (all-to-all variants, sorters, the
-//! hash-filter dedup).
+//! recorded paper-vs-measured outcomes. The per-kernel benches under
+//! `benches/` are plain-`main` tables — one row per size, one column per
+//! variant, then a ratio — timed by one timer: [`lockstep_ms`] on a
+//! [`BENCH_PES`]-PE machine, or [`median_ms`] for single-thread
+//! kernels. Each names the `benchmark/` row or design decision it
+//! explains.
 //!
 //! All binaries take their flags through [`kamsta::cli`]:
 //!
@@ -20,6 +23,8 @@ use kamsta_core::dist::boruvka_mst;
 use kamsta_dyn::{DynConfig, DynMst, WorkloadGen};
 use kamsta_graph::io::distribute_from_root;
 use kamsta_graph::{InputGraph, WEdge};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Measurements of one batch-dynamic update workload against the
 /// from-scratch alternative (same deterministic update stream, same
@@ -330,6 +335,130 @@ impl Table {
     }
 }
 
+/// PEs of every lockstep bench: the benchmark's p, which fits a 2-core
+/// host.
+pub const BENCH_PES: usize = 2;
+
+/// Untimed calls before a bench's timed ones.
+pub const WARM_UP: usize = 2;
+
+/// Timed calls of every bench kernel; a number is their median.
+pub const SAMPLES: usize = 9;
+
+/// What each of the [`SAMPLES`] timed calls of `call` returns, after
+/// [`WARM_UP`] untimed ones. Every call first builds its input
+/// (`input`, untimed), then runs `sync`, then `call`.
+fn repeat<I, T>(
+    mut input: impl FnMut() -> I,
+    mut sync: impl FnMut(),
+    mut call: impl FnMut(I) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(SAMPLES);
+    for k in 0..WARM_UP + SAMPLES {
+        let input = black_box(input());
+        sync();
+        let result = call(input);
+        if k >= WARM_UP {
+            out.push(result);
+        }
+    }
+    out
+}
+
+/// What each timed call of `call` returns on this PE, every call
+/// started behind a barrier once its input is built, so the PEs run it
+/// in lockstep.
+pub fn lockstep<I, T>(comm: &Comm, input: impl FnMut() -> I, call: impl FnMut(I) -> T) -> Vec<T> {
+    repeat(input, || comm.barrier(), call)
+}
+
+/// Milliseconds of each timed [`lockstep`] call on this PE; pass them
+/// to [`median_of_slowest`] with the other PEs'.
+pub fn lockstep_ms<I, R>(
+    comm: &Comm,
+    input: impl FnMut() -> I,
+    mut call: impl FnMut(I) -> R,
+) -> Vec<f64> {
+    lockstep(comm, input, |i| ms(|| call(i)))
+}
+
+/// Median milliseconds of a single-thread call.
+pub fn median_ms<I, R>(input: impl FnMut() -> I, mut call: impl FnMut(I) -> R) -> f64 {
+    median(repeat(input, || {}, |i| ms(|| call(i))))
+}
+
+/// Median milliseconds of `sort` on a fresh copy of `data`.
+pub fn sort_ms<T: Clone, R>(data: &[T], mut sort: impl FnMut(&mut Vec<T>) -> R) -> f64 {
+    median_ms(
+        || data.to_vec(),
+        |mut v| {
+            black_box(sort(&mut v));
+            v
+        },
+    )
+}
+
+/// Milliseconds `f` takes; what it returns is dropped after the clock
+/// stops.
+fn ms<R>(f: impl FnOnce() -> R) -> f64 {
+    let start = Instant::now();
+    let out = black_box(f());
+    let elapsed = start.elapsed();
+    drop(out);
+    elapsed.as_secs_f64() * 1e3
+}
+
+/// The median of `xs`: the mean of the two middle values when their
+/// count is even.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    assert!(!xs.is_empty(), "the median of no samples");
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+/// A lockstep call costs what its slowest PE took: `per_pe[pe][call]`
+/// in, the median over calls of that maximum out.
+pub fn median_of_slowest(per_pe: &[Vec<f64>]) -> f64 {
+    median(
+        (0..per_pe[0].len())
+            .map(|k| per_pe.iter().map(|t| t[k]).fold(0.0, f64::max))
+            .collect(),
+    )
+}
+
+/// Run `body` on every PE of a [`BENCH_PES`]-PE machine. `body` returns
+/// one [`lockstep_ms`] list per variant; the result is each
+/// variant's [`median_of_slowest`].
+pub fn lockstep_row(body: impl Fn(&Comm) -> Vec<Vec<f64>> + Send + Sync) -> Vec<f64> {
+    let per_pe = Machine::run(MachineConfig::new(BENCH_PES), body).results;
+    (0..per_pe[0].len())
+        .map(|v| {
+            let variant: Vec<Vec<f64>> = per_pe.iter().map(|pe| pe[v].clone()).collect();
+            median_of_slowest(&variant)
+        })
+        .collect()
+}
+
+/// A table cell in milliseconds, to three significant digits.
+pub fn ms_cell(x: f64) -> String {
+    let decimals = if x > 0.0 {
+        (2 - x.log10().floor() as i32).clamp(1, 6)
+    } else {
+        1
+    };
+    format!("{x:.*}", decimals as usize)
+}
+
+/// A ratio cell.
+pub fn ratio_cell(x: f64) -> String {
+    format!("{x:.2}")
+}
+
 /// The Fig. 5 / Table I stand-in instances (DESIGN.md S5): name, paper
 /// original description, and the structure-matched generator config at
 /// the given vertex scale.
@@ -425,6 +554,53 @@ mod tests {
         assert_eq!(eng(1.5e9), "1.50G");
         assert_eq!(eng(2.5e6), "2.50M");
         assert_eq!(eng(999.0), "999.00");
+    }
+
+    #[test]
+    fn the_slowest_pe_decides_each_call_then_the_median_is_taken() {
+        // Odd count: call maxima 4, 9, 2 → median 4, which is neither
+        // PE's own median (2 and 3) nor the slower of the two.
+        let odd = [vec![1.0, 9.0, 2.0], vec![4.0, 3.0, 0.5]];
+        assert_eq!(median_of_slowest(&odd), 4.0);
+        // Even count: call maxima 5, 1, 8, 3 → mean of 3 and 5.
+        let even = [vec![5.0, 1.0, 2.0, 3.0], vec![0.0, 0.5, 8.0, 1.0]];
+        assert_eq!(median_of_slowest(&even), 4.0);
+    }
+
+    #[test]
+    fn warm_up_calls_never_reach_the_result() {
+        let per_pe = Machine::run(MachineConfig::new(BENCH_PES), |comm| {
+            let mut built = 0;
+            lockstep(
+                comm,
+                || {
+                    built += 1;
+                    built
+                },
+                |k| k,
+            )
+        })
+        .results;
+        let timed: Vec<usize> = (WARM_UP + 1..=WARM_UP + SAMPLES).collect();
+        for calls in per_pe {
+            assert_eq!(calls, timed);
+        }
+        // Warm-up calls far slower than every timed call leave the
+        // median untouched.
+        let mut calls = 0;
+        let median = median_ms(
+            || {
+                calls += 1;
+                calls
+            },
+            |k| {
+                if k <= WARM_UP {
+                    std::thread::sleep(std::time::Duration::from_millis(300));
+                }
+            },
+        );
+        assert_eq!(calls, WARM_UP + SAMPLES);
+        assert!(median < 300.0, "a warm-up call was timed: {median} ms");
     }
 
     #[test]

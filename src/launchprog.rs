@@ -17,6 +17,7 @@
 use kamsta_comm::{Comm, FlatBuckets};
 use kamsta_core::dist::{boruvka_mst, filter_mst, MstConfig};
 use kamsta_dyn::{DynConfig, DynMst, Update};
+use kamsta_graph::hash::mix64;
 use kamsta_graph::{CEdge, GraphConfig, InputGraph, WEdge};
 
 /// The names [`run`] accepts: `sum` (mixed collectives), `mst`
@@ -43,19 +44,12 @@ pub fn run(name: &str, comm: &Comm, seed: u64) -> Option<String> {
     }
 }
 
-/// SplitMix64 finalizer — the order-independent per-item hash whose
-/// wrapping sum digests an edge set without fixing an edge order.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Direction- and order-independent hash of one undirected edge.
+/// Direction- and order-independent hash of one undirected edge: a
+/// per-item [`mix64`] hash whose wrapping sum digests an edge set
+/// without fixing an edge order.
 fn edge_hash(e: &WEdge) -> u64 {
     let (a, b) = (e.u.min(e.v), e.u.max(e.v));
-    splitmix64(a ^ splitmix64(b ^ splitmix64(e.w as u64)))
+    mix64(a ^ mix64(b ^ mix64(e.w as u64)))
 }
 
 /// Close out a program: snapshot this PE's counters, reduce them
@@ -84,15 +78,15 @@ fn digest(comm: &Comm, program: &str, fields: &[(&str, u64)]) -> Option<String> 
 fn prog_sum(comm: &Comm, seed: u64) -> Option<String> {
     let p = comm.size();
     let me = comm.rank() as u64;
-    let mut acc = comm.allreduce_sum(splitmix64(seed ^ me) >> 32);
+    let mut acc = comm.allreduce_sum(mix64(seed ^ me) >> 32);
     acc = acc.wrapping_add(comm.exscan_sum(me + 1).wrapping_mul(31));
-    for v in comm.allgather(splitmix64(acc ^ me) >> 40) {
+    for v in comm.allgather(mix64(acc ^ me) >> 40) {
         acc = acc.wrapping_mul(0x0000_0100_0000_01B3).wrapping_add(v);
     }
     let bufs = FlatBuckets::from_dest_fn(
         p,
         (0..6 * p as u64)
-            .map(|k| splitmix64(seed ^ me ^ k))
+            .map(|k| mix64(seed ^ me ^ k))
             .collect::<Vec<u64>>(),
         |&x| (x % p as u64) as usize,
     );
@@ -182,7 +176,7 @@ fn prog_dyn(comm: &Comm, seed: u64) -> Option<String> {
         let batch: Vec<Update> = if comm.rank() == 0 {
             (0..12u64)
                 .map(|k| {
-                    let r = splitmix64(seed ^ (batch_no << 32) ^ k);
+                    let r = mix64(seed ^ (batch_no << 32) ^ k);
                     let u = r % n;
                     let v = (r >> 17) % n;
                     if k % 5 == 4 {
