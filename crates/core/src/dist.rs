@@ -36,6 +36,7 @@
 pub use crate::dist_array::DistArray;
 pub use crate::filter::{filter_mst, FilterStats};
 use crate::instrument::{Phase, PhaseTimes, Phased};
+pub use crate::numbering::{IdLabels, VertexNumbering};
 use crate::seq::UnionFind;
 use kamsta_comm::{Comm, FlatBuckets};
 use kamsta_graph::hash::FxHashMap;
@@ -177,7 +178,7 @@ const NOT_ASKED: u64 = u64::MAX;
 /// the whole id span when the span is at most `K` ids wide per queried
 /// id. Read off `bench_pull`'s crossover (EXPERIMENTS.md); it also bounds
 /// the table at `8 K` bytes per queried id.
-const DENSE_SPAN_PER_QUERY: u64 = 8;
+pub const DENSE_SPAN_PER_QUERY: u64 = 8;
 
 /// The answers of one pull, by queried id: a table indexed by
 /// `id − span.min` when the queried ids are dense in their span, a hash
@@ -854,22 +855,15 @@ pub(crate) type RootedSolution = (Vec<u64>, Vec<(VertexId, VertexId)>);
 /// component — for every vertex present in `all`, in order of first
 /// appearance.
 fn kruskal_ids_and_labels(all: &[CEdge]) -> RootedSolution {
-    let mut vidx: FxHashMap<VertexId, u32> = FxHashMap::default();
-    let mut verts: Vec<VertexId> = Vec::new();
-    for e in all {
-        for v in [e.u, e.v] {
-            vidx.entry(v).or_insert_with(|| {
-                verts.push(v);
-                (verts.len() - 1) as u32
-            });
-        }
-    }
+    let index = VertexNumbering::of_edges(all);
+    let verts = index.verts();
+    let number = |x: VertexId| index.get(x).expect("every endpoint is numbered");
     let mut order: Vec<CEdge> = all.iter().filter(|e| !e.is_self_loop()).copied().collect();
     sort_by_unique_weight(&mut order);
     let mut uf = UnionFind::new(verts.len());
     let mut ids = Vec::new();
     for e in order {
-        if uf.union(vidx[&e.u], vidx[&e.v]) {
+        if uf.union(number(e.u), number(e.v)) {
             ids.push(e.id);
         }
     }

@@ -21,6 +21,7 @@ pub mod dist;
 mod dist_array;
 mod filter;
 pub mod instrument;
+mod numbering;
 pub mod seq;
 pub mod shared;
 mod verify;

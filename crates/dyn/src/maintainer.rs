@@ -14,16 +14,22 @@
 //! 2. resolve last-writer-wins per pair, merge into the store shard;
 //! 3. classify globally: effective inserts, deletions, forest hits;
 //! 4. replicate the certificate `T' ∪ I ∪ C` (see below) on every PE;
-//! 5. solve it with one local Kruskal on every PE and keep the forest
-//!    edges homed here as the new forest shard — skipped entirely when
-//!    the batch provably cannot change the forest.
+//! 5. solve it with one local Kruskal on every PE and apply the change to
+//!    the forest shard: drop the edges Kruskal evicted, merge in the new
+//!    forest edges homed here — skipped entirely when the batch provably
+//!    cannot change the forest.
 //!
 //! Step 5 is the paper's Sec. IV-D base case: once the graph left is
 //! small, stop paying collective rounds and solve it sequentially. The
-//! certificate holds up to `n − 1` forest edges, so every PE pays
-//! Θ(n log n) local work for it; in exchange a flush runs no pipeline
-//! round at all. Every certificate edge is the store's own canonical
-//! copy, so `msf ⊆ store` holds without a lookup.
+//! certificate holds up to `n − 1` forest edges, so every PE pays Θ(n)
+//! local work for it; in exchange a flush runs no pipeline round at all.
+//! That work reuses what is already indexed or in order: one vertex
+//! numbering per flush, a table over `[0, n)` when the density rule
+//! admits one, serves both the candidate scan and the solve; the gathered
+//! `T'` is lex-sorted, so a stable order on `w` alone puts it in the
+//! solve's order; and nothing re-sorts the forest shard. Every
+//! certificate edge is the store's own canonical copy, so `msf ⊆ store`
+//! holds without a lookup.
 //!
 //! Exactness of the certificate, writing `D` for removed edge content
 //! (deletions plus the old copies of re-weighted pairs), `I` for new
@@ -45,12 +51,12 @@
 //!   finishes: re-solving the certificate yields `MSF(G_new)` exactly,
 //!   with the same `(w, min, max)` tie-breaking a from-scratch run uses.
 //!   The static pipeline gets that order from pair-canonical ids
-//!   (DESIGN.md §5); the local Kruskal sorts by `(w, u, v)` over the
+//!   (DESIGN.md §5); the local Kruskal runs in `(w, u, v)` order over the
 //!   canonical `u < v` copies, which is the same order. Ids never break
 //!   ties here: inserted edges carry fresh ids.
 
 use kamsta_comm::{Comm, FlatBuckets};
-use kamsta_core::dist::{boruvka_mst, MstConfig};
+use kamsta_core::dist::{boruvka_mst, MstConfig, VertexNumbering};
 use kamsta_core::seq::UnionFind;
 use kamsta_graph::gen::{block_of, block_range};
 use kamsta_graph::hash::FxHashMap;
@@ -194,62 +200,85 @@ fn find_pair(list: &[CEdge], u: VertexId, v: VertexId) -> Result<usize, usize> {
     list.binary_search_by(|e| (e.u, e.v).cmp(&(u, v)))
 }
 
-/// Kruskal over a replicated certificate of canonical, pair-disjoint
-/// `u < v` edges, in the unique-weight order `(w, u, v)`: the forest, in
-/// that order. Charges the radix sort by what ran plus one unit per edge
-/// for the union-find walk.
-fn certificate_forest(comm: &Comm, mut cert: Vec<CEdge>) -> Vec<CEdge> {
+/// What a certificate solve changes in the forest: the surviving edges
+/// Kruskal rejects and the new ones it takes, each in the order Kruskal
+/// met them. The new forest is `T′ ∖ evicted ∪ joined`.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct ForestChange {
+    /// Edges of `T′` that close a cycle with lighter certificate edges.
+    evicted: Vec<CEdge>,
+    /// Edges of `I ∪ C` in the new forest.
+    joined: Vec<CEdge>,
+}
+
+/// Kruskal over a replicated certificate `T′ ∪ extra` of canonical,
+/// pair-disjoint `u < v` edges, in the unique-weight order `(w, u, v)`.
+/// `survivors` is `T′` as gathered, lex-sorted, so a stable order on `w`
+/// alone is `(w, u, v)` on it; `extra` (`I ∪ C`, tens of edges) is sorted
+/// on its own and merged in. `index` numbers `T′`'s endpoints and is
+/// handed those of `extra`. Charges both orders by what ran plus one unit
+/// per edge for the union-find walk.
+fn certificate_forest(
+    comm: &Comm,
+    index: &mut VertexNumbering,
+    survivors: &[CEdge],
+    mut extra: Vec<CEdge>,
+) -> ForestChange {
     debug_assert!(
-        cert.iter().all(|e| e.u < e.v),
+        survivors.iter().chain(&extra).all(|e| e.u < e.v),
         "certificate edges are canonical"
     );
     debug_assert!(
         {
-            let mut pairs: Vec<(VertexId, VertexId)> = cert.iter().map(|e| (e.u, e.v)).collect();
+            let mut pairs: Vec<(VertexId, VertexId)> =
+                survivors.iter().chain(&extra).map(|e| (e.u, e.v)).collect();
             pairs.sort_unstable();
             pairs.windows(2).all(|w| w[0] != w[1])
         },
         "T', I and C are pair-disjoint"
     );
-    kamsta_sort::local_radix_sort(comm, &mut cert, |e| {
+    let order = kamsta_sort::local_radix_order(comm, survivors, |e| Some(e.w))
+        .unwrap_or_else(|e| panic!("a replicated forest must be u32-indexable: {e}"));
+    kamsta_sort::local_radix_sort(comm, &mut extra, |e| {
         (((e.w as u128) << 64) | e.u as u128, e.v)
     });
-    comm.charge_local(cert.len() as u64);
-    let index = EndpointIndex::new(&cert);
-    let mut uf = UnionFind::new(index.verts.len());
-    let mut forest = Vec::with_capacity(index.verts.len().saturating_sub(1));
-    for (e, (a, b)) in cert.into_iter().zip(index.ends) {
-        if uf.union(a, b) {
-            forest.push(e);
+    comm.charge_local((survivors.len() + extra.len()) as u64);
+    for e in &extra {
+        index.number(e.u);
+        index.number(e.v);
+    }
+    let mut uf = UnionFind::new(index.len());
+    let mut union = |e: &CEdge| {
+        let number = |x: VertexId| index.get(x).expect("certificate endpoints are numbered");
+        uf.union(number(e.u), number(e.v))
+    };
+    let mut change = ForestChange::default();
+    let mut extra = extra.into_iter().peekable();
+    for e in order.iter().map(|&i| &survivors[i as usize]) {
+        while let Some(x) = extra.next_if(|x| (x.w, x.u, x.v) < (e.w, e.u, e.v)) {
+            if union(&x) {
+                change.joined.push(x);
+            }
+        }
+        if !union(e) {
+            change.evicted.push(*e);
         }
     }
-    forest
+    change.joined.extend(extra.filter(|x| union(x)));
+    change
 }
 
-/// Dense `u32` indices for the endpoints of a list of edges, assigned
-/// in first-seen order.
-struct EndpointIndex {
-    /// The index of each vertex.
-    of: FxHashMap<VertexId, u32>,
-    /// The vertex of each index.
-    verts: Vec<VertexId>,
-    /// Each edge's pair of endpoint indices.
-    ends: Vec<(u32, u32)>,
-}
-
-impl EndpointIndex {
-    fn new(edges: &[CEdge]) -> Self {
-        let mut of: FxHashMap<VertexId, u32> = FxHashMap::default();
-        let mut verts: Vec<VertexId> = Vec::new();
-        let mut dense = |x: VertexId| {
-            *of.entry(x).or_insert_with(|| {
-                verts.push(x);
-                (verts.len() - 1) as u32
-            })
-        };
-        let ends = edges.iter().map(|e| (dense(e.u), dense(e.v))).collect();
-        Self { of, verts, ends }
+/// The vertex numbering of a resolving flush, made once over the
+/// surviving forest `T′` and extended by the certificate solve: a table
+/// over the vertex space `[0, n)` whenever the density rule admits one
+/// for `T′`'s endpoint count.
+fn flush_numbering(n: u64, survivors: &[CEdge]) -> VertexNumbering {
+    let mut index = VertexNumbering::new(Some((0, n - 1)), 2 * survivors.len());
+    for e in survivors {
+        index.number(e.u);
+        index.number(e.v);
     }
+    index
 }
 
 /// An update routed to its pair home (`delete` ignores `w`).
@@ -440,10 +469,9 @@ impl DynMst {
         let mut eff_deletes = 0u64;
         let mut si = 0usize;
         for r in &last {
-            while si < store.len() && (store[si].u, store[si].v) < (r.u, r.v) {
-                new_store.push(store[si]);
-                si += 1;
-            }
+            let run = store[si..].partition_point(|e| (e.u, e.v) < (r.u, r.v));
+            new_store.extend_from_slice(&store[si..si + run]);
+            si += run;
             let existing =
                 (si < store.len() && (store[si].u, store[si].v) == (r.u, r.v)).then(|| {
                     si += 1;
@@ -502,29 +530,65 @@ impl DynMst {
 
         // 4. Certificate, replicated: the surviving forest, then this
         //    batch's inserts plus (only when the forest was hit) the
-        //    replacement candidates.
-        let mut cert: Vec<CEdge> = comm.allgatherv(self.shard.msf.clone());
-        let survivors = cert.len() as u64;
+        //    replacement candidates. Shards are lex-sorted and homed by
+        //    ascending blocks, so the gathered forest is lex-sorted.
+        let survivors: Vec<CEdge> = comm.allgatherv(self.shard.msf.clone());
+        debug_assert!(
+            survivors
+                .windows(2)
+                .all(|w| (w[0].u, w[0].v) < (w[1].u, w[1].v)),
+            "the gathered T' is lex-sorted"
+        );
+        let mut index = flush_numbering(n, &survivors);
         let mut fresh = if tree_global > 0 {
-            self.replacement_candidates(comm, &cert, &inserted)
+            self.replacement_candidates(comm, &index, &survivors, &inserted)
         } else {
             Vec::new()
         };
         fresh.extend(inserted);
-        cert.extend(comm.allgatherv(fresh));
-        let cert_global = cert.len() as u64;
-        self.rep.stats.replacement_candidates += cert_global - survivors - ins_global;
+        let extra = comm.allgatherv(fresh);
+        let cert_global = (survivors.len() + extra.len()) as u64;
+        self.rep.stats.replacement_candidates += extra.len() as u64 - ins_global;
 
-        // 5. Solve the certificate locally and keep the forest edges
-        //    homed here (`block_range` is `home_of_pair`'s inverse, and
-        //    certificate edges are canonical), lex-sorted: pairs are
+        // 5. Solve the certificate locally. The new forest shard is the
+        //    old one minus the edges Kruskal evicted, merged with the new
+        //    forest edges homed here (`block_range` is `home_of_pair`'s
+        //    inverse, and certificate edges are canonical); pairs are
         //    unique, so the pair order is the lex order.
-        let forest = certificate_forest(comm, cert);
-        self.rep.weight = forest.iter().map(|e| e.w as u64).sum();
-        self.rep.msf_edges = forest.len() as u64;
+        let change = certificate_forest(comm, &mut index, &survivors, extra);
+        let weight = |edges: &[CEdge]| edges.iter().map(|e| e.w as u64).sum::<u64>();
+        self.rep.weight = weight(&survivors) - weight(&change.evicted) + weight(&change.joined);
+        self.rep.msf_edges = (survivors.len() - change.evicted.len() + change.joined.len()) as u64;
         let home = block_range(n, p, comm.rank());
-        let mut msf: Vec<CEdge> = forest.into_iter().filter(|e| home.contains(&e.u)).collect();
-        kamsta_sort::local_radix_sort(comm, &mut msf, CEdge::pair_key);
+        let mut evicted: Vec<(VertexId, VertexId)> = change
+            .evicted
+            .iter()
+            .filter(|e| home.contains(&e.u))
+            .map(|e| (e.u, e.v))
+            .collect();
+        let mut joined: Vec<CEdge> = change
+            .joined
+            .into_iter()
+            .filter(|e| home.contains(&e.u))
+            .collect();
+        evicted.sort_unstable();
+        joined.sort_unstable_by_key(|e| (e.u, e.v));
+        comm.charge_local((self.shard.msf.len() + joined.len()) as u64);
+        if !evicted.is_empty() {
+            self.shard
+                .msf
+                .retain(|e| evicted.binary_search(&(e.u, e.v)).is_err());
+        }
+        let old = std::mem::take(&mut self.shard.msf);
+        let mut msf = Vec::with_capacity(old.len() + joined.len());
+        let mut rest = &old[..];
+        for e in joined {
+            let run = rest.partition_point(|x| (x.u, x.v) < (e.u, e.v));
+            msf.extend_from_slice(&rest[..run]);
+            msf.push(e);
+            rest = &rest[run..];
+        }
+        msf.extend_from_slice(rest);
         self.shard.msf = msf;
         self.rep.stats.resolves += 1;
         self.rep.stats.certificate_edges += cert_global;
@@ -538,44 +602,33 @@ impl DynMst {
     }
 
     /// The replacement-candidate scan: label the components of the
-    /// replicated surviving forest `forest` (up to n − 1 edges) with a
-    /// local union-find, and harvest from this PE's store shard the
-    /// lightest edge per crossed component pair. Pairs inserted this
-    /// batch (`inserted`, lex-sorted) are excluded — they are not part of
-    /// the pre-batch graph the cut/cycle argument runs on, and they
-    /// travel in the certificate anyway. Local.
+    /// replicated surviving forest `forest` (up to n − 1 edges, numbered
+    /// by `index`) with a local union-find, and harvest from this PE's
+    /// store shard the lightest edge per crossed component pair. Pairs
+    /// inserted this batch (`inserted`, lex-sorted) are excluded — they
+    /// are not part of the pre-batch graph the cut/cycle argument runs
+    /// on, and they travel in the certificate anyway. Local.
     fn replacement_candidates(
         &self,
         comm: &Comm,
+        index: &VertexNumbering,
         forest: &[CEdge],
         inserted: &[CEdge],
     ) -> Vec<CEdge> {
-        let index = EndpointIndex::new(forest);
-        let mut uf = UnionFind::new(index.verts.len());
-        for &(a, b) in &index.ends {
-            uf.union(a, b);
+        let number = |x: VertexId| index.get(x).expect("forest endpoints are numbered");
+        let mut uf = UnionFind::new(index.len());
+        for e in forest {
+            uf.union(number(e.u), number(e.v));
         }
         // A component's label is its representative's vertex id. A vertex
-        // outside the forest is a singleton component and its own
-        // representative, so labels are disjoint by construction.
-        let reps: Vec<VertexId> = (0..index.verts.len() as u32)
-            .map(|i| index.verts[uf.find(i) as usize])
-            .collect();
-        let comp = |x: VertexId| index.of.get(&x).map_or(x, |&i| reps[i as usize]);
+        // outside the forest is a singleton component and its own label,
+        // so labels are disjoint by construction.
+        let verts = index.verts();
+        let comp = index.labels(|d| verts[uf.find(d) as usize]);
         comm.charge_local((forest.len() + self.shard.store.len()) as u64);
         let mut best: FxHashMap<(VertexId, VertexId), CEdge> = FxHashMap::default();
-        // The store is lex-sorted: look `comp(u)` up once per source run.
-        let mut run: Option<(VertexId, VertexId)> = None;
         for e in &self.shard.store {
-            let lu = match run {
-                Some((u, l)) if u == e.u => l,
-                _ => {
-                    let l = comp(e.u);
-                    run = Some((e.u, l));
-                    l
-                }
-            };
-            let lv = comp(e.v);
+            let (lu, lv) = (comp.get(e.u), comp.get(e.v));
             // Intra-component edges (forest edges among them) never
             // replace anything.
             if lu == lv || find_pair(inserted, e.u, e.v).is_ok() {
@@ -859,6 +912,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn flush_numbering_flips_at_k_ids_per_vertex() {
+        // Two vertices per surviving forest edge: a forest of `m` edges
+        // admits a table over a space of up to 2 K m ids.
+        let k = kamsta_core::dist::DENSE_SPAN_PER_QUERY;
+        let path = |m: u64| -> Vec<CEdge> { (0..m).map(|i| CEdge::new(i, i + 1, 1, i)).collect() };
+        for m in [1u64, 5, 64] {
+            assert!(flush_numbering(2 * k * m, &path(m)).is_table(), "m={m}");
+            assert!(
+                !flush_numbering(2 * k * m + 1, &path(m)).is_table(),
+                "m={m}"
+            );
+        }
+        assert!(!flush_numbering(2, &[]).is_table(), "no forest, no table");
+        assert!(!flush_numbering(u64::MAX, &path(1 << 12)).is_table());
+    }
+
+    /// The reference: a full `(w, u, v)` sort of the certificate, then
+    /// Kruskal — the forest in the order it was taken, and the rejects.
+    fn kruskal_by_full_sort(cert: &[CEdge]) -> (Vec<CEdge>, Vec<CEdge>) {
+        let mut all = cert.to_vec();
+        all.sort_unstable_by_key(|e| (e.w, e.u, e.v));
+        let mut uf = UnionFind::new(all.iter().map(|e| e.v as usize + 1).max().unwrap_or(0));
+        all.into_iter()
+            .partition(|e| uf.union(e.u as u32, e.v as u32))
+    }
+
+    #[test]
+    fn certificate_keeps_the_order_of_a_full_sort() {
+        // T′: a random forest over 300 vertices with weights in 1..=3, so
+        // most weights tie and only the (u, v) tie-break orders them;
+        // lex-sorted, as gathered. I ∪ C: pairs outside T′, shuffled.
+        let n = 300u64;
+        let out = Machine::run(MachineConfig::new(1), move |comm| {
+            let mix = kamsta_graph::hash::mix64;
+            for seed in 0..8u64 {
+                let mut survivors: Vec<CEdge> = (1..n)
+                    .filter(|&v| !mix(seed ^ v).is_multiple_of(8))
+                    .map(|v| CEdge::new(mix(seed + v) % v, v, (mix(v ^ seed) % 3) as Weight + 1, v))
+                    .collect();
+                survivors.sort_unstable_by_key(|e| (e.u, e.v));
+                let mut extra: Vec<CEdge> = (0..200u64)
+                    .map(|k| {
+                        let (a, b) = (mix(seed ^ (k << 20)) % n, mix(seed ^ (k << 40)) % n);
+                        CEdge::new(a.min(b), a.max(b), (mix(k + seed) % 3) as Weight + 1, n + k)
+                    })
+                    .filter(|e| e.u < e.v && find_pair(&survivors, e.u, e.v).is_err())
+                    .collect();
+                extra.sort_unstable_by_key(|e| (e.u, e.v));
+                extra.dedup_by_key(|e| (e.u, e.v));
+                extra.sort_unstable_by_key(|e| mix(e.id ^ seed));
+                let cert: Vec<CEdge> = survivors.iter().chain(&extra).copied().collect();
+                let (forest, rejected) = kruskal_by_full_sort(&cert);
+                let table = flush_numbering(n, &survivors);
+                let mut map = VertexNumbering::new(None, 0);
+                for e in &survivors {
+                    map.number(e.u);
+                    map.number(e.v);
+                }
+                assert!(table.is_table() && !map.is_table());
+                for mut index in [table, map] {
+                    let change = certificate_forest(comm, &mut index, &survivors, extra.clone());
+                    let joined: Vec<CEdge> = forest.iter().filter(|e| e.id >= n).copied().collect();
+                    let evicted: Vec<CEdge> =
+                        rejected.iter().filter(|e| e.id < n).copied().collect();
+                    assert_eq!(change.joined, joined, "seed {seed}: joined, in order");
+                    assert_eq!(change.evicted, evicted, "seed {seed}: evicted, in order");
+                    // The forest, in order: T′ ∖ evicted ∪ joined, in the
+                    // order of a full sort.
+                    let mut got: Vec<CEdge> = survivors
+                        .iter()
+                        .filter(|e| !change.evicted.contains(e))
+                        .chain(&change.joined)
+                        .copied()
+                        .collect();
+                    got.sort_unstable_by_key(|e| (e.w, e.u, e.v));
+                    assert_eq!(got, forest, "seed {seed}: forest");
+                    assert!(!change.evicted.is_empty(), "seed {seed}: nothing evicted");
+                }
+            }
+        });
+        assert_eq!(out.results.len(), 1);
     }
 
     #[test]

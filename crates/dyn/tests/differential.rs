@@ -10,6 +10,7 @@
 
 use kamsta_comm::{Machine, MachineConfig, TransportKind};
 use kamsta_core::dist::{boruvka_mst, MstConfig};
+use kamsta_core::seq::kruskal;
 use kamsta_dyn::{DynConfig, DynMst, Update, WorkloadGen};
 use kamsta_graph::io::distribute_from_root;
 use kamsta_graph::{GraphConfig, InputGraph, WEdge};
@@ -262,6 +263,46 @@ fn equal_weights_match_a_scratch_solve() {
                 ref_msf.sort_unstable();
                 assert_eq!(dynmst.collect_msf(comm), ref_msf, "p={p} batch {b}");
             }
+        });
+    }
+}
+
+/// Vertex ids `2^40` apart in the full id space `[0, u64::MAX)`: the
+/// flush numbers vertices in its hash map, not in a table over the span
+/// (the differential cases above, with `n` near the forest's size, take
+/// the table). A random stream over 40 such vertices, and after every
+/// batch the store and the forest must equal the live set and a scratch
+/// Kruskal over it.
+#[test]
+fn strided_ids_match_a_scratch_solve() {
+    let at = |k: u64| k << 40;
+    let spread = |e: WEdge| WEdge::new(at(e.u), at(e.v), e.w);
+    for p in [1usize, 2, 3] {
+        Machine::run(MachineConfig::new(p), move |comm| {
+            let mut workload =
+                WorkloadGen::new(40, 0x5721_DE00 + p as u64, &[]).with_delete_pct(35);
+            let mut dynmst = DynMst::new(comm, DynConfig::new(u64::MAX));
+            for b in 0..10 {
+                let batch: Vec<Update> = workload
+                    .next_batch(if b == 0 { 120 } else { 16 })
+                    .into_iter()
+                    .map(|up| match up {
+                        Update::Insert(e) => Update::Insert(spread(e)),
+                        Update::Delete { u, v } => Update::Delete { u: at(u), v: at(v) },
+                    })
+                    .collect();
+                let slice: &[_] = if comm.rank() == 0 { &batch } else { &[] };
+                dynmst.apply_batch(comm, slice);
+                let live: Vec<WEdge> = workload.live_edges().into_iter().map(spread).collect();
+                assert_eq!(dynmst.collect_edges(comm), live, "p={p} batch {b}: store");
+                let mut want = kruskal(&live);
+                want.sort_unstable();
+                assert_eq!(dynmst.collect_msf(comm), want, "p={p} batch {b}: forest");
+            }
+            assert!(
+                dynmst.stats().tree_deletes > 0,
+                "p={p}: the forest was never hit"
+            );
         });
     }
 }
