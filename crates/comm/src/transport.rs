@@ -34,7 +34,7 @@
 //! backends, which the determinism suites exploit as a cross-transport
 //! oracle.
 
-use crate::cells::Round;
+use crate::cells::{CellRef, Round};
 use crate::comm::Comm;
 use crate::flat::{FlatBuckets, FlatBuilder};
 use crate::machine::MachineError;
@@ -193,7 +193,7 @@ pub(crate) enum To {
 /// A value received in a round: borrowed straight out of a peer's cell
 /// on the cells backend, decoded and owned on the byte backend.
 pub(crate) enum Rx<'r, T> {
-    Borrowed(&'r T),
+    Borrowed(CellRef<'r, T>),
     Owned(T),
 }
 
@@ -214,7 +214,7 @@ impl<T: Clone> Rx<'_, T> {
     #[inline]
     pub(crate) fn into_owned(self) -> T {
         match self {
-            Rx::Borrowed(r) => r.clone(),
+            Rx::Borrowed(r) => (*r).clone(),
             Rx::Owned(v) => v,
         }
     }
@@ -222,7 +222,7 @@ impl<T: Clone> Rx<'_, T> {
 
 /// One blackboard round over whichever backend the communicator uses.
 pub(crate) enum XRound<'c, T: Send + 'static> {
-    Cells(Round<T>),
+    Cells(&'c Comm, Round<T>),
     Lane(LaneRound<'c, T>),
 }
 
@@ -283,7 +283,7 @@ impl<T: Wire + Send + 'static> XRound<'_, T> {
     /// Post this PE's value for the round (before the barrier).
     pub(crate) fn post(&self, to: To, value: T) {
         match self {
-            XRound::Cells(r) => r.publish(value),
+            XRound::Cells(_, r) => r.publish(value),
             XRound::Lane(b) => b.post(to, value),
         }
     }
@@ -295,7 +295,7 @@ impl<T: Wire + Send + 'static> XRound<'_, T> {
         T: Sync,
     {
         match self {
-            XRound::Cells(r) => Rx::Borrowed(r.read(src)),
+            XRound::Cells(comm, r) => Rx::Borrowed(comm.read_cell(r, src)),
             XRound::Lane(b) => Rx::Owned(b.take(src)),
         }
     }
@@ -303,7 +303,7 @@ impl<T: Wire + Send + 'static> XRound<'_, T> {
     /// Move PE `src`'s posted value out of the round.
     pub(crate) fn take(&self, src: usize) -> T {
         match self {
-            XRound::Cells(r) => r.take(src),
+            XRound::Cells(_, r) => r.take(src),
             XRound::Lane(b) => b.take(src),
         }
     }
@@ -324,7 +324,7 @@ impl Comm {
         if self.has_byte_lane() {
             XRound::Lane(LaneRound::new(self, self.next_seq()))
         } else {
-            XRound::Cells(self.cells_round::<T>())
+            XRound::Cells(self, self.cells_round::<T>())
         }
     }
 
@@ -350,12 +350,13 @@ impl Comm {
                 let round = self.cells_round::<GridMsg<T>>();
                 round.publish(GridMsg { data, sub });
                 self.sync();
-                let parts: Vec<(&[T], &[u32])> = recv_from
+                let msgs: Vec<_> = recv_from
                     .iter()
-                    .map(|&src| {
-                        let m = round.read(src);
-                        (m.data.bucket(me), m.sub.bucket(me))
-                    })
+                    .map(|&src| self.read_cell(&round, src))
+                    .collect();
+                let parts: Vec<(&[T], &[u32])> = msgs
+                    .iter()
+                    .map(|m| (m.data.bucket(me), m.sub.bucket(me)))
                     .collect();
                 consume(&parts)
             }
@@ -418,18 +419,22 @@ impl Comm {
         }
         if !self.has_byte_lane() {
             // Publish the whole buffer once; each receiver slices its
-            // bucket out of the peers' cells (zero-copy).
+            // bucket out of the peers' cells (zero-copy). Every PE reads
+            // every buffer once, so the last to copy its bucket out drops
+            // the buffer — before the caller's next allocation, not at
+            // the publisher's next barrier.
             let round = self.cells_round::<FlatBuckets<T>>();
-            round.publish(bufs);
+            round.publish_for(bufs, p);
             self.sync();
-            let parts: Vec<&[T]> = (0..p).map(|src| round.read(src).bucket(me)).collect();
-            let total = parts.iter().map(|b| b.len()).sum();
-            let mut out = FlatBuilder::with_capacity(total, p);
-            for part in parts {
-                out.extend_from_slice(part);
-                out.seal();
-            }
-            return out.finish(p);
+            return self.read_all_once(&round, |sent| {
+                let total = sent.iter().map(|peer| peer.count(me)).sum();
+                let mut out = FlatBuilder::with_capacity(total, p);
+                for peer in sent {
+                    out.extend_from_slice(peer.bucket(me));
+                    out.seal();
+                }
+                out.finish(p)
+            });
         }
         // Byte lane: one coalesced frame per (peer, round), the whole
         // bucket serialized into a pooled buffer that the lane recycles

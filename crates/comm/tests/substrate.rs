@@ -2,8 +2,13 @@
 //! barrier, the typed epoch-stamped exchange cells and the
 //! single-superstep collective protocol built on them (DESIGN.md §6).
 
-use kamsta_comm::{route, AlltoallKind, FlatBuckets, Machine, MachineConfig};
+use kamsta_comm::{
+    route, AlltoallKind, FlatBuckets, Machine, MachineConfig, TransportKind, Wire, WireError,
+    WireReader,
+};
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Hammer mixed collectives from all PEs for many epochs. Every round
@@ -132,6 +137,179 @@ fn single_pe_fast_paths_match_semantics() {
     assert_eq!(agv, vec![10, 11]);
     assert_eq!(ex, None);
     assert_eq!(rt, vec![99]);
+}
+
+/// Generations of [`Counted`] values tracked at once, per PE. Collective
+/// `k` tags its values with `k mod GENERATIONS`; by the time the tag comes
+/// round again every older value is checked dead.
+const GENERATIONS: usize = 4;
+/// The largest machine [`published_values_die_one_collective_later`] runs.
+const MAX_PES: usize = 16;
+
+/// Live [`Counted`] values by holder PE and generation.
+static LIVE: [[AtomicUsize; GENERATIONS]; MAX_PES] =
+    [const { [const { AtomicUsize::new(0) }; GENERATIONS] }; MAX_PES];
+
+thread_local! {
+    /// The PE this thread runs (a PE's rank closure stays on its thread).
+    static HOLDER: Cell<usize> = const { Cell::new(0) };
+}
+
+/// A payload that counts its live instances. Every instance belongs to
+/// the PE that made it — by construction, clone or decode — so a value a
+/// PE published and the copies it made to publish are counted against
+/// that PE, while copies made by receivers are counted against them.
+#[derive(Debug)]
+struct Counted {
+    holder: usize,
+    generation: usize,
+    value: u64,
+}
+
+impl Counted {
+    fn new(generation: usize, value: u64) -> Self {
+        let holder = HOLDER.with(Cell::get);
+        LIVE[holder][generation].fetch_add(1, Ordering::Relaxed);
+        Self {
+            holder,
+            generation,
+            value,
+        }
+    }
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        Self::new(self.generation, self.value)
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        LIVE[self.holder][self.generation].fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Wire for Counted {
+    fn wire_write(&self, out: &mut Vec<u8>) {
+        (self.generation as u64).wire_write(out);
+        self.value.wire_write(out);
+    }
+    fn wire_read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let generation = u64::wire_read(r)? as usize;
+        Ok(Self::new(generation, u64::wire_read(r)?))
+    }
+}
+
+/// Every collective kind the cells blackboard carries, by name.
+const KINDS: [&str; 7] = [
+    "direct all-to-all",
+    "grid all-to-all",
+    "allgather",
+    "allgatherv",
+    "gatherv",
+    "request_reply",
+    "hypercube pair exchange",
+];
+
+/// Run collective `k` of the sequence with [`Counted`] payloads of
+/// generation `k mod GENERATIONS`, check what arrived, and drop it all.
+fn counted_collective(comm: &kamsta_comm::Comm, k: usize) {
+    let (p, me) = (comm.size(), comm.rank());
+    let gen = k % GENERATIONS;
+    let tag = |from: usize, to: usize| (k * 10_000 + from * 100 + to) as u64;
+    let per_dest = || -> FlatBuckets<Counted> {
+        FlatBuckets::from_nested(
+            (0..p)
+                .map(|d| vec![Counted::new(gen, tag(me, d))])
+                .collect(),
+        )
+    };
+    match k % KINDS.len() {
+        kind @ (0 | 1) => {
+            let recv = if kind == 0 {
+                comm.alltoallv_direct(per_dest())
+            } else {
+                comm.alltoallv_grid(per_dest())
+            };
+            for (src, b) in recv.iter_buckets().enumerate() {
+                assert_eq!(b.len(), 1);
+                assert_eq!(b[0].value, tag(src, me));
+            }
+        }
+        2 => {
+            let all = comm.allgather(Counted::new(gen, tag(me, 0)));
+            assert!(all.iter().enumerate().all(|(r, c)| c.value == tag(r, 0)));
+        }
+        3 => {
+            let all = comm.allgatherv(vec![Counted::new(gen, tag(me, 0)); me % 3 + 1]);
+            assert_eq!(all.len(), (0..p).map(|r| r % 3 + 1).sum::<usize>());
+        }
+        4 => {
+            let root = k % p;
+            let got = comm.gatherv(root, vec![Counted::new(gen, tag(me, root)); 2]);
+            assert_eq!(got.map(|all| all.len()), (me == root).then_some(2 * p));
+        }
+        5 => {
+            let answers = comm.request_reply(per_dest(), |q| Counted::new(gen, q.value + 1));
+            for (d, a) in answers.iter().enumerate() {
+                assert_eq!(a.value, tag(me, d) + 1);
+            }
+        }
+        _ => {
+            let dims = usize::BITS - (p - 1).leading_zeros();
+            let partner = me ^ (1 << ((k / KINDS.len()) % dims as usize));
+            if partner < p {
+                let got = comm.exchange(
+                    Some((partner, vec![Counted::new(gen, tag(me, partner))])),
+                    Some(partner),
+                );
+                assert_eq!(got.expect("partner sends")[0].value, tag(partner, me));
+            } else {
+                assert!(comm.exchange::<Vec<Counted>>(None, None).is_none());
+            }
+        }
+    }
+}
+
+/// A value published on the cells blackboard dies at its publisher's
+/// next barrier, whatever the next collective's payload type: after
+/// collective `k + 1` returns on a PE, nothing that PE published or
+/// relayed in collective `k` is alive anywhere. Each collective kind
+/// publishes a different cell type, so a value left until its own type's
+/// lane is reused shows up here.
+#[test]
+fn published_values_die_one_collective_later() {
+    for p in [2usize, 3, 7, 16] {
+        let cfg = MachineConfig::new(p).with_transport(TransportKind::Cells);
+        Machine::run(cfg, move |comm| {
+            let me = comm.rank();
+            HOLDER.with(|h| h.set(me));
+            for k in 0..4 * KINDS.len() {
+                counted_collective(comm, k);
+                if let Some(prev) = k.checked_sub(1) {
+                    let alive = LIVE[me][prev % GENERATIONS].load(Ordering::Relaxed);
+                    assert_eq!(
+                        alive,
+                        0,
+                        "p = {p}, rank {me}: {alive} values of collective {prev} ({}) \
+                         alive after collective {k} ({}) returned",
+                        KINDS[prev % KINDS.len()],
+                        KINDS[k % KINDS.len()],
+                    );
+                }
+            }
+        });
+        for (pe, gens) in LIVE.iter().enumerate() {
+            for (gen, live) in gens.iter().enumerate() {
+                let live = live.load(Ordering::Relaxed);
+                assert_eq!(
+                    live, 0,
+                    "p = {p}: PE {pe} generation {gen} outlived the run"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

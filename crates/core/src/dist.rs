@@ -517,17 +517,21 @@ pub fn exchange_labels(comm: &Comm, g: &DistGraph, labels: &[VertexId]) -> Pulle
 /// slot: the vertex keeps its id) alike; on the sparse fallback ghosts
 /// probe the map and locally homed destinations go through
 /// [`DistGraph::local_index`]. Preserves ids and weights, so the
-/// symmetric closure of the distributed edge list is maintained. Borrows
-/// the edge slice: the output is a fresh vector either way, so callers
-/// never have to clone their graph to call this.
-pub fn relabel(
+/// symmetric closure of the distributed edge list is maintained.
+///
+/// An owned edge vector is rewritten in place and returned, so a caller
+/// that is done with its edges never holds two slices of them; a
+/// borrowed slice (an input graph the caller must keep) is copied into a
+/// fresh vector. Both give the same edges in the same order.
+pub fn relabel<'e>(
     comm: &Comm,
     g: &DistGraph,
-    edges: &[CEdge],
+    edges: impl Into<Cow<'e, [CEdge]>>,
     labels: &[VertexId],
     table: &Pulled,
 ) -> Vec<CEdge> {
     debug_assert!(g.pes() == comm.size());
+    let edges = edges.into();
     comm.charge_local(edges.len() as u64);
     match &table.0 {
         Table::Dense { lo, slots } => {
@@ -546,25 +550,38 @@ pub fn relabel(
 /// [`relabel`] with the destination lookup compiled in.
 fn relabel_by(
     g: &DistGraph,
-    edges: &[CEdge],
+    edges: Cow<'_, [CEdge]>,
     labels: &[VertexId],
     label_of_dst: impl Fn(VertexId) -> VertexId,
 ) -> Vec<CEdge> {
     let verts = g.local_vertices();
     let mut cursor = 0usize;
-    // Few edges become self-loops in a round: sized once, never regrown.
-    let mut out = Vec::with_capacity(edges.len());
-    for &(mut e) in edges {
+    // Rewrite one edge; false when it became a self-loop.
+    let mut rewrite = |e: &mut CEdge| {
         while verts[cursor] != e.u {
             cursor += 1;
         }
         e.u = labels[cursor];
         e.v = label_of_dst(e.v);
-        if e.u != e.v {
-            out.push(e);
+        e.u != e.v
+    };
+    match edges {
+        Cow::Owned(mut edges) => {
+            edges.retain_mut(rewrite);
+            edges
+        }
+        Cow::Borrowed(edges) => {
+            // Few edges become self-loops in a round: sized once, never
+            // regrown.
+            let mut out = Vec::with_capacity(edges.len());
+            for &(mut e) in edges {
+                if rewrite(&mut e) {
+                    out.push(e);
+                }
+            }
+            out
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -960,7 +977,9 @@ pub(crate) fn rooted_base_case(comm: &Comm, edges: &[CEdge]) -> Option<RootedSol
 /// before the graph is replaced — nothing for [`boruvka_mst`], the hooks
 /// of the representative array for Filter-Borůvka's base case. The loop
 /// reads a borrowed graph in place until its first redistribution builds
-/// an owned one, so an input is never cloned. Collective.
+/// an owned one, so an input is never cloned; an owned graph's edges are
+/// relabelled in place, since the graph is replaced right after.
+/// Collective.
 pub(crate) fn boruvka_rounds<'g>(
     ph: &mut Phased<'_>,
     mut g: Cow<'g, DistGraph>,
@@ -978,7 +997,13 @@ pub(crate) fn boruvka_rounds<'g>(
         on_labels(&g, &outcome.labels);
         let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
             let ghost = exchange_labels(c, &g, &outcome.labels);
-            relabel(c, &g, &g.edges, &outcome.labels, &ghost)
+            match &mut g {
+                Cow::Owned(owned) => {
+                    let edges = std::mem::take(&mut owned.edges);
+                    relabel(c, owned, edges, &outcome.labels, &ghost)
+                }
+                Cow::Borrowed(input) => relabel(c, input, &input.edges, &outcome.labels, &ghost),
+            }
         });
         g = Cow::Owned(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
     }
@@ -1000,9 +1025,12 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
         });
         if pre.applied {
             msf_ids.extend(&pre.mst_edge_ids);
-            let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
-                let ghost = exchange_labels(c, &input.graph, &pre.labels);
-                relabel(c, &input.graph, &pre.edges, &pre.labels, &ghost)
+            // The survivors go in by value and are relabelled in place:
+            // neither they nor the labels outlive this phase.
+            let PreprocessOutcome { edges, labels, .. } = pre;
+            let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, move |c| {
+                let ghost = exchange_labels(c, &input.graph, &labels);
+                relabel(c, &input.graph, edges, &labels, &ghost)
             });
             start =
                 Cow::Owned(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
@@ -1222,6 +1250,76 @@ pub(crate) mod tests {
                 assert_paths_agree(&queries, lo, width, "random id multiset");
             }
         }
+    }
+
+    /// `relabel` rewrites an owned edge vector in place and copies a
+    /// borrowed one; both must give the same edges in the same order and
+    /// charge the same work, on the dense table (ids `0..N`) and on the
+    /// sparse map (ids `2^40` apart, as in
+    /// `density_rule_flips_at_k_ids_per_query`). The labels come from a
+    /// real contraction round, so some edges become self-loops; the slices
+    /// are cut inside vertices, so a vertex is one PE's last and the next
+    /// PE's first.
+    #[test]
+    fn owned_and_borrowed_relabel_agree() {
+        const N: u64 = 25;
+        let mut paths_seen = [false; 2];
+        for p in [1usize, 2, 3] {
+            for stride in [1u64, 1 << 40] {
+                let out = Machine::run(MachineConfig::new(p), move |comm| {
+                    let mut all: Vec<(u64, u64)> = (0..N)
+                        .flat_map(|u| (0..N).map(move |v| (u, v)))
+                        .filter(|&(u, v)| u != v && u.abs_diff(v) <= 3)
+                        .collect();
+                    all.sort_unstable();
+                    let chunk = all.len().div_ceil(p);
+                    let lo = (comm.rank() * chunk).min(all.len());
+                    let hi = ((comm.rank() + 1) * chunk).min(all.len());
+                    let edges: Vec<CEdge> = all[lo..hi]
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &(u, v))| {
+                            let w = 1 + kamsta_graph::hash::mix64(u.min(v) << 8 | u.max(v)) % 50;
+                            CEdge::new(u * stride, v * stride, w as u32, (lo + k) as u64)
+                        })
+                        .collect();
+                    let g = DistGraph::establish(comm, edges);
+                    let sels = min_edges(comm, &g);
+                    let labels = contract_components(comm, &g, &sels).labels;
+                    let table = exchange_labels(comm, &g, &labels);
+
+                    let before = comm.stats();
+                    let borrowed = relabel(comm, &g, &g.edges, &labels, &table);
+                    let between = comm.stats();
+                    let owned = relabel(comm, &g, g.edges.clone(), &labels, &table);
+                    let after = comm.stats();
+                    assert_eq!(owned, borrowed, "p = {p}, stride {stride}");
+                    assert_eq!(
+                        between.since(&before).local_ops,
+                        after.since(&between).local_ops,
+                        "p = {p}, stride {stride}: the same charge"
+                    );
+                    let loops = g.edges.len() - owned.len();
+                    (table.is_dense(), loops, g.last_shared)
+                });
+                let results = out.results;
+                assert!(
+                    results.iter().any(|&(_, loops, _)| loops > 0),
+                    "p = {p}, stride {stride}: contraction made self-loops"
+                );
+                if p > 1 {
+                    assert!(
+                        results[..p - 1].iter().any(|&(_, _, shared)| shared),
+                        "p = {p}: a vertex is shared by neighbouring slices"
+                    );
+                }
+                for (dense, _, _) in results {
+                    assert!(!dense || stride == 1, "strided ids take the map");
+                    paths_seen[usize::from(dense)] = true;
+                }
+            }
+        }
+        assert_eq!(paths_seen, [true, true], "both Pulled paths ran");
     }
 
     #[test]
