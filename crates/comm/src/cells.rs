@@ -40,44 +40,30 @@
 //!
 //! ## Lifetime of a published value
 //!
-//! A value that is published but not taken (every `read`-only round: a
-//! broadcast, an allgather, a flat exchange's whole [`crate::FlatBuckets`])
-//! is dropped by its publisher at the exit of the **next barrier after
-//! its round's own**, whatever types the rounds in between used. Each
-//! `Comm` keeps a [`Ledger`]: the rounds it opened since its last barrier
-//! and those it opened before that, two generations of `(cell set,
-//! epoch)` entries. When a barrier exits, the older generation's lanes
-//! are emptied — each only if it still carries its entry's epoch — and
-//! the younger one becomes the older.
+//! A value is published for its consumers and the last one drops it.
+//! The publisher names how many PEs consume the value
+//! ([`Round::publish`]): all `p` for a broadcast, an allgather or a flat
+//! exchange's whole [`crate::FlatBuckets`], one for a value addressed to
+//! one PE, and the declared receivers of a paired round. A consumer
+//! either moves the value out ([`Round::take`], a round's one consumer)
+//! or reads it inside [`crate::Comm::read_cells`], which finishes its
+//! read when the borrows end ([`Round::finish_read`]). The last consumer
+//! to finish drops the value — a payload lives through its own round's
+//! reading and no longer, whatever rounds follow it.
 //!
-//! Why this is safe: it is the argument above with "the barrier of round
-//! `e + 1`" widened to "the publisher's next barrier", so it needs one
-//! rule more — **no PE holds a cell read across a barrier**, of any
-//! round type. A round opened before barrier `k` is read between
-//! barriers `k` and `k + 1`; its publisher empties it after leaving
-//! barrier `k + 1`, which happens-after every PE arrived there, so after
-//! every reader let go. Every collective obeys the rule: each reads its
-//! round and copies out before returning, the grid all-to-all's two
-//! paired rounds each consume their borrows inside the round, and the
-//! hypercube and `request_reply` are sequences of such collectives.
-//! Debug builds check it: every cell read is a counted [`CellRef`], and
-//! a barrier entered with one alive panics. A payload thus lives through
-//! one round of reading, not until its type's lane is reused (which, for
-//! a round type used once per pipeline stage, was two stages later), and
-//! a run's end drops whatever is left.
-//!
-//! A round whose readers are known can let go sooner. A flat exchange's
-//! payload is a PE's whole send buffer, and every PE reads every one of
-//! them exactly once, so it is published for `p` readers
-//! ([`Round::publish_for`]): each reader finishes its read after copying
-//! its bucket out ([`Round::finish_read`]), and the last one drops the
-//! buffer. That happens before the caller's next allocation, where the
-//! ledger would wait for the next barrier. The ledger still covers it:
-//! it finds the lane empty.
+//! Why this is safe: reads are scoped, so a consumer finishes before it
+//! reaches its next barrier, and the owner reuses the lane only after
+//! that barrier (the argument above). A lane that still owes consumers
+//! when its owner publishes into it again therefore had a consumer that
+//! never finished, a protocol violation: the publish panics and names
+//! the epoch, in every build. The count must also not be short: a reader
+//! the publisher did not count could drop the value under a counted
+//! one's borrow. Callers derive it from the same recipient set the byte
+//! lane delivers to, so the two backends agree on who reads.
 
 use parking_lot::Mutex;
 use std::any::{Any, TypeId};
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -89,18 +75,16 @@ use std::sync::Arc;
 pub(crate) struct ExchangeCell<T> {
     stamps: [AtomicU64; 2],
     values: [UnsafeCell<Option<T>>; 2],
-    /// Readers still to finish with the lane's value, when it was
-    /// published for a known number of them (0 otherwise).
-    readers: [AtomicUsize; 2],
+    /// Consumers still to finish with the lane's value.
+    consumers: [AtomicUsize; 2],
 }
 
 // Safety: lane access is serialised by the single-superstep protocol
-// (writes before a barrier, reads after it, release after the next
-// barrier or by the last declared reader, reuse two rounds later) — see
-// the module docs. `T: Send` suffices for the cell to be shared: values
-// only *move* across threads through `publish`/`take`/`finish_read`;
-// methods that hand out `&T` across threads additionally require
-// `T: Sync`.
+// (writes before a barrier, reads after it, drop by the last consumer
+// before its next barrier, reuse two rounds later) — see the module
+// docs. `T: Send` suffices for the cell to be shared: values only
+// *move* across threads through `publish`/`take`/`finish_read`; methods
+// that hand out `&T` across threads additionally require `T: Sync`.
 unsafe impl<T: Send> Sync for ExchangeCell<T> {}
 
 impl<T> ExchangeCell<T> {
@@ -108,34 +92,41 @@ impl<T> ExchangeCell<T> {
         Self {
             stamps: [AtomicU64::new(0), AtomicU64::new(0)],
             values: [UnsafeCell::new(None), UnsafeCell::new(None)],
-            readers: [AtomicUsize::new(0), AtomicUsize::new(0)],
+            consumers: [AtomicUsize::new(0), AtomicUsize::new(0)],
         }
     }
 
-    /// Publish `value` for round `e` (called by the owning PE only,
-    /// before the round's barrier), to be read by `readers` PEs that each
-    /// call [`ExchangeCell::finish_read`], or by an undeclared set when
-    /// `readers` is 0.
-    fn publish(&self, e: u64, value: T, readers: usize) {
+    /// Publish `value` for round `e` and its `consumers` (called by the
+    /// owning PE only, before the round's barrier). With no consumer the
+    /// value is dropped at once.
+    fn publish(&self, e: u64, value: T, consumers: usize) {
         let lane = (e & 1) as usize;
-        // Safety: any reader of this lane finished two rounds ago (module
-        // docs); the owning PE is the only writer.
+        let owed = self.consumers[lane].load(Ordering::Acquire);
+        assert!(
+            owed == 0,
+            "exchange-cell publish of epoch {e} found {owed} consumers of epoch {} \
+             unfinished: a PE never read or took a value addressed to it",
+            self.stamps[lane].load(Ordering::Relaxed)
+        );
+        // Safety: every consumer of this lane's last round finished
+        // (checked above) and dropped its borrows; the owning PE is the
+        // only writer.
         unsafe {
-            *self.values[lane].get() = Some(value);
+            *self.values[lane].get() = (consumers > 0).then_some(value);
         }
-        self.readers[lane].store(readers, Ordering::Relaxed);
+        self.consumers[lane].store(consumers, Ordering::Relaxed);
         self.stamps[lane].store(e, Ordering::Release);
     }
 
-    /// One declared reader of round `e` is done with the value; the last
-    /// one drops it.
+    /// One consumer of round `e` is done with the value; the last one
+    /// drops it.
     fn finish_read(&self, e: u64) {
         let lane = (e & 1) as usize;
-        let left = self.readers[lane].fetch_sub(1, Ordering::AcqRel);
-        // A miscount could free a value another reader still borrows.
+        let left = self.consumers[lane].fetch_sub(1, Ordering::AcqRel);
+        // A miscount could free a value another consumer still borrows.
         assert!(left > 0, "more reads finished than the publisher declared");
         if left == 1 {
-            // Safety: every other reader finished before its decrement
+            // Safety: every other consumer finished before its decrement
             // (Release), which happens-before ours (Acquire); the owner
             // writes the lane again only after its next barrier, which
             // this PE reaches after this call.
@@ -157,43 +148,34 @@ impl<T> ExchangeCell<T> {
     }
 
     /// Borrow the value published for round `e`. Called after the round's
-    /// barrier; the reference must be dropped before this PE's next use
-    /// of the same cell set (enforced by `Round`'s borrow).
+    /// barrier; the reference must be dropped before this consumer's
+    /// [`ExchangeCell::finish_read`].
     fn read(&self, e: u64) -> &T
     where
         T: Sync,
     {
         let lane = self.check_stamp(e, "read");
         // Safety: stamp == e proves the publish of round e is visible
-        // (Acquire pairs with the publisher's Release), and no write can
-        // touch this lane until round e + 2.
+        // (Acquire pairs with the publisher's Release), and the value
+        // stays until this consumer finishes.
         unsafe { (*self.values[lane].get()).as_ref() }
             .expect("exchange cell empty despite matching stamp")
     }
 
-    /// Drop the value published for round `e` if the lane still carries
-    /// that round (called by the owning PE only, after the barrier that
-    /// follows round `e`'s). The stamp stays, so a late read still finds
-    /// its epoch and reports the empty lane instead of reading a stale one.
-    fn release(&self, e: u64) {
-        let lane = (e & 1) as usize;
-        if self.stamps[lane].load(Ordering::Relaxed) == e {
-            // Safety: every reader of round e — the last declared one
-            // included, which may have emptied the lane — arrived at the
-            // barrier this PE has just left (module docs).
-            drop(unsafe { (*self.values[lane].get()).take() });
-        }
-    }
-
-    /// Move the value published for round `e` out of the cell. At most
-    /// one PE may take from a given cell per round (the protocol's
-    /// designated receiver).
+    /// Move the value published for round `e` out of the cell: the
+    /// round's one consumer.
     fn take(&self, e: u64) -> T {
         let lane = self.check_stamp(e, "take");
-        // Safety: as in `read`, plus take-exclusivity: only the
-        // designated receiver of this round touches the Option.
+        let owed = self.consumers[lane].swap(0, Ordering::Acquire);
+        assert!(owed != 0, "exchange cell taken twice in epoch {e}");
+        assert!(
+            owed == 1,
+            "exchange cell of epoch {e} has {owed} consumers, not one taker"
+        );
+        // Safety: as in `read`, plus take-exclusivity: the lane's one
+        // consumer is the only PE that touches the Option.
         unsafe { (*self.values[lane].get()).take() }
-            .unwrap_or_else(|| panic!("exchange cell taken twice in epoch {e}"))
+            .expect("exchange cell empty despite an unfinished consumer")
     }
 }
 
@@ -207,101 +189,6 @@ impl<T> CellSet<T> {
         Self {
             cells: (0..p).map(|_| ExchangeCell::new()).collect(),
         }
-    }
-}
-
-/// A cell set with its payload type erased: what a [`Ledger`] holds to
-/// empty its owner's lanes.
-pub(crate) trait Release: Send + Sync {
-    /// Drop what PE `rank` published in round `epoch`, if its lane still
-    /// carries that round.
-    fn release(&self, rank: usize, epoch: u64);
-}
-
-impl<T: Send> Release for CellSet<T> {
-    fn release(&self, rank: usize, epoch: u64) {
-        self.cells[rank].release(epoch);
-    }
-}
-
-/// Rounds a PE opened: each cell set with the round's epoch.
-type Opened = Vec<(Arc<dyn Release>, u64)>;
-
-/// One PE's record of the rounds it opened, by barrier generation, and —
-/// in debug builds — its count of live cell reads (module docs, "Lifetime
-/// of a published value").
-#[derive(Default)]
-pub(crate) struct Ledger {
-    /// `[0]`: rounds opened since the last barrier; `[1]`: rounds opened
-    /// before it. Both keep their capacity, so a warm ledger allocates
-    /// nothing.
-    opened: RefCell<[Opened; 2]>,
-    #[cfg(debug_assertions)]
-    reads: std::cell::Cell<usize>,
-}
-
-impl Ledger {
-    /// Record that this PE opened round `epoch` of `set`.
-    pub(crate) fn opened(&self, set: Arc<dyn Release>, epoch: u64) {
-        self.opened.borrow_mut()[0].push((set, epoch));
-    }
-
-    /// A counted borrow of a cell value (the count only exists in debug
-    /// builds).
-    pub(crate) fn read<'r, T>(&'r self, value: &'r T) -> CellRef<'r, T> {
-        #[cfg(debug_assertions)]
-        self.reads.set(self.reads.get() + 1);
-        CellRef {
-            value,
-            #[cfg(debug_assertions)]
-            ledger: self,
-        }
-    }
-
-    /// Entering a barrier: no cell read may still be alive.
-    #[inline]
-    pub(crate) fn entering_barrier(&self) {
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            self.reads.get(),
-            0,
-            "a cell read is held across a barrier: its publisher empties the \
-             lane after this barrier's successor"
-        );
-    }
-
-    /// Leaving a barrier: empty `rank`'s lanes of the rounds opened before
-    /// the previous barrier, and age the rounds opened since.
-    pub(crate) fn left_barrier(&self, rank: usize) {
-        let mut opened = self.opened.borrow_mut();
-        let [young, old] = &mut *opened;
-        for (set, epoch) in old.drain(..) {
-            set.release(rank, epoch);
-        }
-        std::mem::swap(young, old);
-    }
-}
-
-/// A borrowed cell value; in debug builds it is counted in its PE's
-/// [`Ledger`] until dropped.
-pub(crate) struct CellRef<'r, T> {
-    value: &'r T,
-    #[cfg(debug_assertions)]
-    ledger: &'r Ledger,
-}
-
-impl<T> std::ops::Deref for CellRef<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        self.value
-    }
-}
-
-#[cfg(debug_assertions)]
-impl<T> Drop for CellRef<'_, T> {
-    fn drop(&mut self) {
-        self.ledger.reads.set(self.ledger.reads.get() - 1);
     }
 }
 
@@ -354,20 +241,16 @@ impl<T: Send + 'static> Round<T> {
         Self { set, epoch, rank }
     }
 
-    /// Publish this PE's value for the round (before the barrier).
-    pub(crate) fn publish(&self, value: T) {
-        self.set.cells[self.rank].publish(self.epoch, value, 0);
+    /// Publish this PE's value for the round (before the barrier), for
+    /// `consumers` PEs that each take it or read it and then call
+    /// [`Round::finish_read`]: the last of them drops the value.
+    pub(crate) fn publish(&self, value: T, consumers: usize) {
+        self.set.cells[self.rank].publish(self.epoch, value, consumers);
     }
 
-    /// Publish this PE's value for exactly `readers` PEs, each of which
-    /// reads it once and then calls [`Round::finish_read`]: the last of
-    /// them drops the value.
-    pub(crate) fn publish_for(&self, value: T, readers: usize) {
-        self.set.cells[self.rank].publish(self.epoch, value, readers);
-    }
-
-    /// Borrow the value PE `r` published this round (after the barrier).
-    pub(crate) fn read(&self, r: usize) -> &T
+    /// Borrow the value PE `r` published this round (after the barrier);
+    /// [`crate::Comm::read_cells`] scopes the borrow.
+    fn read(&self, r: usize) -> &T
     where
         T: Sync,
     {
@@ -375,15 +258,38 @@ impl<T: Send + 'static> Round<T> {
     }
 
     /// Move the value PE `r` published this round out of its cell (after
-    /// the barrier; at most one taker per cell per round).
+    /// the barrier; the value's one consumer).
     pub(crate) fn take(&self, r: usize) -> T {
         self.set.cells[r].take(self.epoch)
     }
 
-    /// This PE is done reading what PE `r` published with
-    /// [`Round::publish_for`]; no borrow of it may be alive.
-    pub(crate) fn finish_read(&self, r: usize) {
+    /// This PE is done reading what PE `r` published; no borrow of it
+    /// may be alive.
+    fn finish_read(&self, r: usize) {
         self.set.cells[r].finish_read(self.epoch);
+    }
+}
+
+impl crate::Comm {
+    /// Hand `f` what each PE of `srcs` published in `round`, in `srcs`
+    /// order, then finish this PE's read of each: the last consumer of a
+    /// value drops it. It is the only way to borrow a cell value outside
+    /// this module, so no borrow outlives `f` and every consumer finishes
+    /// before its next barrier.
+    pub(crate) fn read_cells<T: Send + Sync + 'static, R>(
+        &self,
+        round: &Round<T>,
+        srcs: impl IntoIterator<Item = usize> + Clone,
+        f: impl FnOnce(&[&T]) -> R,
+    ) -> R {
+        let values: Vec<&T> = srcs
+            .clone()
+            .into_iter()
+            .map(|src| round.read(src))
+            .collect();
+        let out = f(&values);
+        srcs.into_iter().for_each(|src| round.finish_read(src));
+        out
     }
 }
 
@@ -395,7 +301,7 @@ mod tests {
     fn publish_take_roundtrip() {
         let set: Arc<CellSet<Vec<u32>>> = CellRegistry::new(2).get();
         let r0 = Round::new(Arc::clone(&set), 1, 0);
-        r0.publish(vec![1, 2, 3]);
+        r0.publish(vec![1, 2, 3], 1);
         let r1 = Round::new(set, 1, 1);
         assert_eq!(r1.take(0), vec![1, 2, 3]);
     }
@@ -404,7 +310,7 @@ mod tests {
     fn reads_are_non_destructive() {
         let set: Arc<CellSet<String>> = CellRegistry::new(1).get();
         let round = Round::new(set, 1, 0);
-        round.publish(String::from("hello"));
+        round.publish(String::from("hello"), 1);
         assert_eq!(round.read(0), "hello");
         assert_eq!(round.read(0), "hello");
     }
@@ -414,8 +320,9 @@ mod tests {
         let set: Arc<CellSet<u64>> = CellRegistry::new(1).get();
         for e in 1..=6 {
             let round = Round::new(Arc::clone(&set), e, 0);
-            round.publish(e * 10);
+            round.publish(e * 10, 1);
             assert_eq!(*round.read(0), e * 10);
+            round.finish_read(0);
         }
     }
 
@@ -433,59 +340,35 @@ mod tests {
     fn stale_epoch_read_panics() {
         let set: Arc<CellSet<u8>> = CellRegistry::new(1).get();
         let r1 = Round::new(Arc::clone(&set), 1, 0);
-        r1.publish(7);
+        r1.publish(7, 1);
         let r2 = Round::new(set, 2, 0);
         let _ = r2.take(0); // nothing published in epoch 2
-    }
-
-    #[test]
-    fn release_empties_only_the_round_it_names() {
-        let set: Arc<CellSet<Vec<u8>>> = CellRegistry::new(1).get();
-        Round::new(Arc::clone(&set), 1, 0).publish(vec![1]);
-        let r2 = Round::new(Arc::clone(&set), 2, 0);
-        r2.publish(vec![2]);
-        set.release(0, 1);
-        set.release(0, 2);
-        // Lane 1 now carries round 3: releasing round 1 must not touch it.
-        let r3 = Round::new(Arc::clone(&set), 3, 0);
-        r3.publish(vec![3]);
-        set.release(0, 1);
-        assert_eq!(r3.read(0), &[3]);
-        let empty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r2.take(0)));
-        assert!(
-            empty.is_err(),
-            "a released lane keeps its stamp but not its value"
-        );
     }
 
     #[test]
     fn the_last_declared_reader_drops_the_value() {
         let set: Arc<CellSet<Vec<u8>>> = CellRegistry::new(2).get();
         let round = Round::new(Arc::clone(&set), 1, 0);
-        round.publish_for(vec![7], 2);
+        round.publish(vec![7], 2);
         round.finish_read(0);
         assert_eq!(round.read(0), &[7], "one of two readers is still reading");
         round.finish_read(0);
         let gone = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| round.take(0)));
         assert!(gone.is_err(), "the second reader dropped the value");
-        set.release(0, 1); // the ledger's later release finds the lane empty
     }
 
-    /// The debug guard: a PE that enters a barrier with a cell read still
-    /// alive panics there, before its publisher could empty the lane.
-    #[cfg(debug_assertions)]
+    /// The lifetime rule's check: a lane whose consumer never finished
+    /// still owes it when its owner publishes into the lane again, two
+    /// rounds later, and that publish panics.
     #[test]
-    #[should_panic(expected = "held across a barrier")]
-    fn a_read_held_across_a_barrier_panics() {
-        let cfg = crate::MachineConfig::new(2).with_transport(crate::TransportKind::Cells);
-        crate::Machine::run(cfg, |comm| {
-            let round = comm.cells_round::<u64>();
-            round.publish(comm.rank() as u64);
-            comm.sync();
-            let held = comm.read_cell(&round, 1 - comm.rank());
-            comm.sync();
-            *held
-        });
+    #[should_panic(expected = "publish of epoch 3 found 1 consumers of epoch 1 unfinished")]
+    fn reuse_with_an_unfinished_consumer_panics() {
+        let set: Arc<CellSet<Vec<u8>>> = CellRegistry::new(2).get();
+        Round::new(Arc::clone(&set), 1, 0).publish(vec![1], 1);
+        let r2 = Round::new(Arc::clone(&set), 2, 0);
+        r2.publish(vec![2], 1);
+        assert_eq!(r2.take(0), [2]);
+        Round::new(set, 3, 0).publish(vec![3], 1);
     }
 
     #[test]
@@ -493,7 +376,7 @@ mod tests {
     fn double_take_panics() {
         let set: Arc<CellSet<u8>> = CellRegistry::new(1).get();
         let round = Round::new(set, 1, 0);
-        round.publish(9);
+        round.publish(9, 1);
         let _ = round.take(0);
         let _ = round.take(0);
     }

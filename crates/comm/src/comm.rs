@@ -17,14 +17,14 @@
 //! cells validate that readers see exactly the round they expect, which is
 //! what lets the old publish → barrier → read → barrier → clear discipline
 //! drop its second barrier (see `cells.rs` for the safety argument). A
-//! published value is dropped by its publisher when it leaves the barrier
-//! after its round's, so a slice-sized payload lives through one round of
-//! reading and no longer. On a single-PE communicator the collectives
-//! skip synchronisation entirely.
+//! published value is published for its consumers and the last one drops
+//! it, so a slice-sized payload lives through its round's reading and no
+//! longer. On a single-PE communicator the collectives skip
+//! synchronisation entirely.
 
 use crate::alltoall::AlltoallKind;
 use crate::barrier::ClockBarrier;
-use crate::cells::{CellRef, CellRegistry, CellSet, Ledger, Round};
+use crate::cells::{CellRegistry, CellSet, Round};
 use crate::cost::{Clock, CostModel, PeStats};
 use crate::lane::Lane;
 use crate::transport::{raise, To, TransportKind};
@@ -82,9 +82,6 @@ pub struct Comm {
     clock: Arc<Clock>,
     cost: CostModel,
     cell_cache: RefCell<HashMap<TypeId, CellCacheEntry>>,
-    /// The cell rounds this PE opened, emptied one barrier after their
-    /// own; and, in debug builds, its live cell reads.
-    ledger: Ledger,
     /// Round sequence of the byte lane; advances identically on every PE
     /// (SPMD collective order), stamping each frame.
     seq: Cell<u64>,
@@ -127,7 +124,6 @@ impl Comm {
             clock,
             cost,
             cell_cache: RefCell::new(HashMap::new()),
-            ledger: Ledger::default(),
             seq: Cell::new(0),
             bepoch: Cell::new(0),
             alltoall_kind,
@@ -210,11 +206,8 @@ impl Comm {
 
     /// Internal rendezvous: synchronises PEs *and* max-syncs modeled
     /// clocks (the max-reduction rides inside the dissemination rounds),
-    /// but charges nothing. Collectives are built from this. On the way
-    /// out it empties the cell lanes this PE published before the
-    /// previous barrier: every reader of them has arrived here.
+    /// but charges nothing. Collectives are built from this.
     pub(crate) fn sync(&self) {
-        self.ledger.entering_barrier();
         if self.size > 1 {
             let synced = match &self.backend {
                 Backend::Cells(shared) => shared.barrier.wait(self.rank, self.clock.now()),
@@ -222,7 +215,6 @@ impl Comm {
             };
             self.clock.set(synced);
         }
-        self.ledger.left_barrier(self.rank);
     }
 
     /// Dissemination barrier over the byte lane, folding in the clock
@@ -343,11 +335,9 @@ impl Comm {
     }
 
     /// Start a single-superstep round on the cell set for type `T`: the
-    /// per-type epoch advances by one (identically on every PE), the set
-    /// is resolved from the PE-local cache (registry mutex only on first
-    /// use of a type), and the round goes into the ledger that empties
-    /// this PE's lane of it one barrier after the round's own. Cells
-    /// transport only.
+    /// per-type epoch advances by one (identically on every PE), and the
+    /// set is resolved from the PE-local cache (registry mutex only on
+    /// first use of a type). Cells transport only.
     pub(crate) fn cells_round<T: Send + 'static>(&self) -> Round<T> {
         let Backend::Cells(shared) = &self.backend else {
             unreachable!("cells round on a byte-lane transport");
@@ -363,38 +353,7 @@ impl Comm {
         let set = Arc::clone(&entry.set)
             .downcast::<CellSet<T>>()
             .expect("cell cache entry keyed by TypeId");
-        self.ledger.opened(Arc::clone(&set) as _, entry.epoch);
         Round::new(set, entry.epoch, self.rank)
-    }
-
-    /// Borrow what PE `src` published in `round`. Collectives read cells
-    /// through this alone, so a debug build counts every borrow and
-    /// [`Comm::sync`] can assert none is held across a barrier.
-    pub(crate) fn read_cell<'r, T: Send + Sync + 'static>(
-        &'r self,
-        round: &'r Round<T>,
-        src: usize,
-    ) -> CellRef<'r, T> {
-        self.ledger.read(round.read(src))
-    }
-
-    /// Hand `f` what every PE published in `round` — published with
-    /// [`Round::publish_for`] for all `p` PEs — then finish this PE's
-    /// reads, so the last PE to finish with a value drops it without
-    /// waiting for its publisher's next barrier. The borrows cannot
-    /// outlive `f`.
-    pub(crate) fn read_all_once<T: Send + Sync + 'static, R>(
-        &self,
-        round: &Round<T>,
-        f: impl FnOnce(&[CellRef<'_, T>]) -> R,
-    ) -> R {
-        let values: Vec<_> = (0..self.size)
-            .map(|src| self.read_cell(round, src))
-            .collect();
-        let out = f(&values);
-        drop(values);
-        (0..self.size).for_each(|src| round.finish_read(src));
-        out
     }
 
     /// Explicit barrier (collective). Charges `α·log p`.
@@ -428,7 +387,7 @@ impl Comm {
             );
         }
         self.sync();
-        let out = round.read(root).into_owned();
+        let out = round.read_owned(root);
         self.charge_comm(self.log2p(), bytes_of::<T>(1));
         out
     }
@@ -453,7 +412,7 @@ impl Comm {
             );
         }
         self.sync();
-        let out = round.read(root).into_owned();
+        let out = round.read_owned(root);
         self.charge_comm(self.log2p(), bytes_of::<T>(out.len()));
         out
     }
@@ -519,7 +478,7 @@ impl Comm {
             let round = self.xround::<T>();
             round.post(To::All, value);
             self.sync();
-            (0..self.size).map(|r| round.read(r).into_owned()).collect()
+            (0..self.size).map(|r| round.read_owned(r)).collect()
         };
         self.charge_comm(self.log2p(), bytes_of::<T>(self.size));
         all
@@ -536,13 +495,13 @@ impl Comm {
         let round = self.xround::<Vec<T>>();
         round.post(To::All, value);
         self.sync();
-        // One read per source (the byte transport consumes its queues).
-        let parts: Vec<_> = (0..self.size).map(|r| round.read(r)).collect();
-        let total: usize = parts.iter().map(|v| v.len()).sum();
-        let mut all = Vec::with_capacity(total);
-        for v in &parts {
-            all.extend_from_slice(v);
-        }
+        let all = round.read_all(|parts| {
+            let mut all = Vec::with_capacity(parts.iter().map(|v| v.len()).sum());
+            for v in parts {
+                all.extend_from_slice(v);
+            }
+            all
+        });
         self.charge_comm(self.log2p(), bytes_of::<T>(all.len()));
         all
     }

@@ -8,8 +8,10 @@
 //!
 //! 1. **Blackboard round** ([`XRound`]) — post one typed value with a
 //!    recipient set ([`To`]), barrier, read/take peers' values. Cells:
-//!    publish in place, readers borrow ([`Rx::Borrowed`]). Lane: encode
-//!    once, enqueue per recipient, receivers decode ([`Rx::Owned`]).
+//!    publish in place for as many consumers as the set names, readers
+//!    borrow inside a scoped read ([`XRound::read_all`]) and the last
+//!    one drops the value. Lane: encode once, enqueue per recipient,
+//!    receivers decode ([`XRound::read_owned`] moves the decode out).
 //! 2. **Flat exchange** ([`crate::Comm::raw_exchange_flat`]) — deliver
 //!    `bufs.bucket(j)` to every PE `j`. Cells: publish the whole
 //!    [`FlatBuckets`] once, each receiver slices its bucket from the
@@ -23,10 +25,12 @@
 //! The paired exchange's pattern is declared on **both** sides: the
 //! sender names the PEs that will pop from it (`send_to`), the receiver
 //! the PEs it pops from (`recv_from`), and the two must describe the
-//! same edge set — the cells backend ignores `send_to` (blackboard reads
-//! are free), the byte backend delivers exactly those frames. Receivers
-//! read each source **at most once per round** (the byte queues are
-//! consumed), a discipline the cells backend also satisfies.
+//! same edge set. The cells backend publishes for `send_to.len()`
+//! consumers, so a PE named there that never reads leaves the lane owing
+//! one, and its owner's next publish into that lane panics; the byte
+//! backend delivers exactly those frames. Receivers read each source
+//! **at most once per round** (the byte queues are consumed, and a cell
+//! read finishes one consumer).
 //!
 //! Modeled α/β charges live in the collectives above this boundary,
 //! never in the primitives, and count `size_of`-based logical bytes —
@@ -34,13 +38,12 @@
 //! backends, which the determinism suites exploit as a cross-transport
 //! oracle.
 
-use crate::cells::{CellRef, Round};
+use crate::cells::Round;
 use crate::comm::Comm;
 use crate::flat::{FlatBuckets, FlatBuilder};
 use crate::machine::MachineError;
 use crate::wire::{self, Wire, WireReader};
 use std::cell::RefCell;
-use std::ops::Deref;
 use std::time::Duration;
 
 /// Which transport a machine's collectives run over.
@@ -179,45 +182,15 @@ pub(crate) fn raise(e: TransportError) -> ! {
     std::panic::panic_any(e)
 }
 
-/// Recipient set of a blackboard post. The cells backend ignores this
-/// (its blackboard is readable by everyone for free); the byte backend
-/// encodes once and enqueues exactly these frames.
+/// Recipient set of a blackboard post. The cells backend publishes for
+/// as many consumers as it names; the byte backend encodes once and
+/// enqueues exactly these frames.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum To {
     /// Every other PE of the communicator (plus the local slot).
     All,
     /// One PE (possibly self).
     One(usize),
-}
-
-/// A value received in a round: borrowed straight out of a peer's cell
-/// on the cells backend, decoded and owned on the byte backend.
-pub(crate) enum Rx<'r, T> {
-    Borrowed(CellRef<'r, T>),
-    Owned(T),
-}
-
-impl<T> Deref for Rx<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        match self {
-            Rx::Borrowed(r) => r,
-            Rx::Owned(v) => v,
-        }
-    }
-}
-
-impl<T: Clone> Rx<'_, T> {
-    /// The value by ownership — cloning only when it is still borrowed
-    /// from a cell, never re-cloning an already-owned decode.
-    #[inline]
-    pub(crate) fn into_owned(self) -> T {
-        match self {
-            Rx::Borrowed(r) => (*r).clone(),
-            Rx::Owned(v) => v,
-        }
-    }
 }
 
 /// One blackboard round over whichever backend the communicator uses.
@@ -283,20 +256,42 @@ impl<T: Wire + Send + 'static> XRound<'_, T> {
     /// Post this PE's value for the round (before the barrier).
     pub(crate) fn post(&self, to: To, value: T) {
         match self {
-            XRound::Cells(_, r) => r.publish(value),
+            XRound::Cells(comm, r) => r.publish(
+                value,
+                match to {
+                    To::All => comm.size(),
+                    To::One(_) => 1,
+                },
+            ),
             XRound::Lane(b) => b.post(to, value),
         }
     }
 
-    /// The value PE `src` posted this round (after the barrier); at most
-    /// one `read`/`take` per source per round.
-    pub(crate) fn read(&self, src: usize) -> Rx<'_, T>
+    /// The value PE `src` posted this round (after the barrier), by
+    /// ownership: cloned out of its cell, or the byte lane's decode
+    /// moved out. At most one read or take per source per round.
+    pub(crate) fn read_owned(&self, src: usize) -> T
+    where
+        T: Clone + Sync,
+    {
+        match self {
+            XRound::Cells(comm, r) => comm.read_cells(r, [src], |v| v[0].clone()),
+            XRound::Lane(b) => b.take(src),
+        }
+    }
+
+    /// Hand `f` every PE's posted value, in rank order (after the
+    /// barrier): borrowed from the cells, or decoded off the byte lane.
+    pub(crate) fn read_all<R>(&self, f: impl FnOnce(&[&T]) -> R) -> R
     where
         T: Sync,
     {
         match self {
-            XRound::Cells(comm, r) => Rx::Borrowed(comm.read_cell(r, src)),
-            XRound::Lane(b) => Rx::Owned(b.take(src)),
+            XRound::Cells(comm, r) => comm.read_cells(r, 0..comm.size(), f),
+            XRound::Lane(b) => {
+                let owned: Vec<T> = (0..b.comm.size()).map(|src| b.take(src)).collect();
+                f(&owned.iter().collect::<Vec<_>>())
+            }
         }
     }
 
@@ -348,17 +343,15 @@ impl Comm {
         match self.has_byte_lane() {
             false => {
                 let round = self.cells_round::<GridMsg<T>>();
-                round.publish(GridMsg { data, sub });
+                round.publish(GridMsg { data, sub }, send_to.len());
                 self.sync();
-                let msgs: Vec<_> = recv_from
-                    .iter()
-                    .map(|&src| self.read_cell(&round, src))
-                    .collect();
-                let parts: Vec<(&[T], &[u32])> = msgs
-                    .iter()
-                    .map(|m| (m.data.bucket(me), m.sub.bucket(me)))
-                    .collect();
-                consume(&parts)
+                self.read_cells(&round, recv_from.iter().copied(), |msgs| {
+                    let parts: Vec<(&[T], &[u32])> = msgs
+                        .iter()
+                        .map(|m| (m.data.bucket(me), m.sub.bucket(me)))
+                        .collect();
+                    consume(&parts)
+                })
             }
             true => {
                 let seq = self.next_seq();
@@ -421,12 +414,11 @@ impl Comm {
             // Publish the whole buffer once; each receiver slices its
             // bucket out of the peers' cells (zero-copy). Every PE reads
             // every buffer once, so the last to copy its bucket out drops
-            // the buffer — before the caller's next allocation, not at
-            // the publisher's next barrier.
+            // the buffer, before the caller's next allocation.
             let round = self.cells_round::<FlatBuckets<T>>();
-            round.publish_for(bufs, p);
+            round.publish(bufs, p);
             self.sync();
-            return self.read_all_once(&round, |sent| {
+            return self.read_cells(&round, 0..p, |sent| {
                 let total = sent.iter().map(|peer| peer.count(me)).sum();
                 let mut out = FlatBuilder::with_capacity(total, p);
                 for peer in sent {
@@ -465,5 +457,29 @@ impl Comm {
             out.seal();
         }
         out.finish(p)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{FlatBuckets, Machine, MachineConfig, TransportKind};
+
+    /// Both sides of a paired round must declare the same edge set. On
+    /// cells, a `send_to` naming a PE that never reads leaves the lane
+    /// owing that consumer: the owner's next publish into the lane (its
+    /// round after next of the type) panics instead of leaking the value.
+    #[test]
+    #[should_panic(expected = "publish of epoch 3 found 1 consumers of epoch 1 unfinished")]
+    fn a_paired_send_nobody_reads_panics_on_cells() {
+        let cfg = MachineConfig::new(2).with_transport(TransportKind::Cells);
+        Machine::run(cfg, |comm| {
+            // Rank 0 names rank 1 as a reader; rank 1 reads nobody.
+            let send_to: &[usize] = if comm.rank() == 0 { &[1] } else { &[] };
+            for _ in 0..3 {
+                let data = FlatBuckets::from_nested(vec![vec![7u64], vec![8]]);
+                let sub = FlatBuckets::from_nested(vec![vec![1u32], vec![1]]);
+                comm.paired_flat_round_with(data, sub, send_to, &[], |parts| parts.len());
+            }
+        });
     }
 }

@@ -9,6 +9,7 @@ use kamsta_comm::{
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 /// Hammer mixed collectives from all PEs for many epochs. Every round
@@ -272,21 +273,42 @@ fn counted_collective(comm: &kamsta_comm::Comm, k: usize) {
     }
 }
 
-/// A value published on the cells blackboard dies at its publisher's
-/// next barrier, whatever the next collective's payload type: after
-/// collective `k + 1` returns on a PE, nothing that PE published or
-/// relayed in collective `k` is alive anywhere. Each collective kind
-/// publishes a different cell type, so a value left until its own type's
-/// lane is reused shows up here.
+/// A value published on the cells blackboard dies with its last
+/// consumer, whatever the next collective's payload type. Two
+/// assertions check it:
+/// - after collective `k + 1` returns on a PE, nothing that PE published
+///   or relayed in collective `k` is alive anywhere;
+/// - once every PE has returned from collective `k` (a plain thread
+///   barrier, not a collective), nothing any PE made for `k` is alive.
+///
+/// Each collective kind publishes a different cell type, so a value left
+/// until its own type's lane is reused shows up here. Both assertions
+/// share one run: the `LIVE` counters are global to this test binary.
 #[test]
 fn published_values_die_one_collective_later() {
     for p in [2usize, 3, 7, 16] {
         let cfg = MachineConfig::new(p).with_transport(TransportKind::Cells);
+        let returned = Barrier::new(p);
+        let returned = &returned;
         Machine::run(cfg, move |comm| {
             let me = comm.rank();
             HOLDER.with(|h| h.set(me));
             for k in 0..4 * KINDS.len() {
                 counted_collective(comm, k);
+                // No PE makes a generation-`k` value again before every
+                // PE has passed this check: that takes collective `k + 1`.
+                returned.wait();
+                let alive: usize = LIVE
+                    .iter()
+                    .map(|gens| gens[k % GENERATIONS].load(Ordering::Relaxed))
+                    .sum();
+                assert_eq!(
+                    alive,
+                    0,
+                    "p = {p}: {alive} values of collective {k} ({}) alive after every PE \
+                     returned from it",
+                    KINDS[k % KINDS.len()],
+                );
                 if let Some(prev) = k.checked_sub(1) {
                     let alive = LIVE[me][prev % GENERATIONS].load(Ordering::Relaxed);
                     assert_eq!(

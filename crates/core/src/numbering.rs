@@ -11,7 +11,8 @@ const UNNUMBERED: u32 = u32::MAX;
 
 /// Dense `u32` numbers for vertex ids, handed out in first-seen order.
 /// The numbers sit in a table indexed by `id − lo` when the density rule
-/// ([`dense_width`]) admits one for the id span and the vertex count, and
+/// ([`DENSE_SPAN_PER_QUERY`](crate::dist::DENSE_SPAN_PER_QUERY) ids of
+/// span per vertex) admits one for the id span and the vertex count, and
 /// in a hash map otherwise. Which one is decided at construction from
 /// those two arguments alone; both hand out the same numbers.
 #[derive(Debug)]
