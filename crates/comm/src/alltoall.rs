@@ -305,22 +305,55 @@ impl Comm {
         &self,
         bufs: FlatBuckets<T>,
     ) -> FlatBuckets<T> {
-        match self.alltoall_kind {
-            AlltoallKind::Direct => return self.alltoallv_direct(bufs),
-            AlltoallKind::Grid => return self.alltoallv_grid(bufs),
-            AlltoallKind::Auto => {}
-        }
-        let p = self.size();
-        if p <= 8 {
-            return self.alltoallv_direct(bufs);
-        }
-        let out_bytes = bytes_of::<T>(bufs.total_len());
-        let total = self.allreduce_sum(out_bytes);
-        let avg_per_message = total / (p as u64 * p as u64);
-        if avg_per_message < GRID_THRESHOLD_BYTES {
+        if self.routes_by_grid(&bufs) {
             self.alltoallv_grid(bufs)
         } else {
             self.alltoallv_direct(bufs)
+        }
+    }
+
+    /// [`Comm::sparse_alltoallv`] with the received runs handed to
+    /// `consume` where they lie, one per source in source order, instead
+    /// of returned in an owned buffer. The direct route is the scoped
+    /// exchange ([`Comm::alltoallv_runs`]); the grid route assembles its
+    /// buffer as it always does, and `consume` reads that. Charges as
+    /// [`Comm::sparse_alltoallv`] does, before `consume` runs; `consume`
+    /// does local work only — no collective.
+    pub fn sparse_alltoallv_with<T, R>(
+        &self,
+        bufs: FlatBuckets<T>,
+        consume: impl FnOnce(&[&[T]]) -> R,
+    ) -> R
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
+        if self.routes_by_grid(&bufs) {
+            let recv = self.alltoallv_grid(bufs);
+            return consume(&recv.iter_buckets().collect::<Vec<_>>());
+        }
+        let p = self.size();
+        let out_bytes = bytes_of::<T>(bufs.total_len());
+        self.alltoallv_runs(bufs, |runs| {
+            let in_bytes = bytes_of::<T>(runs.iter().map(|r| r.len()).sum());
+            self.charge_comm(p as u64, out_bytes.max(in_bytes));
+            consume(runs)
+        })
+    }
+
+    /// The strategy of [`Comm::sparse_alltoallv`]: the configured kind,
+    /// or under [`AlltoallKind::Auto`] the grid when `p > 8` and the
+    /// global average message is below `GRID_THRESHOLD_BYTES` (an
+    /// allreduce, so collective in that case).
+    fn routes_by_grid<T>(&self, bufs: &FlatBuckets<T>) -> bool {
+        let p = self.size();
+        match self.alltoall_kind {
+            AlltoallKind::Direct => false,
+            AlltoallKind::Grid => true,
+            AlltoallKind::Auto if p <= 8 => false,
+            AlltoallKind::Auto => {
+                let total = self.allreduce_sum(bytes_of::<T>(bufs.total_len()));
+                total / (p as u64 * p as u64) < GRID_THRESHOLD_BYTES
+            }
         }
     }
 

@@ -17,7 +17,11 @@
 //!    [`FlatBuckets`] once, each receiver slices its bucket from the
 //!    peers' cells (zero-copy). Lane: encode each destination's bucket
 //!    with a varint count header into its pair queue, and decode each
-//!    source's straight into the result.
+//!    source's straight into the result. Its scoped form
+//!    ([`crate::Comm::alltoallv_runs`]) hands a consumer the runs where
+//!    they lie instead — the peers' cells, or one decode per peer and
+//!    this PE's own bucket — so a caller that only reads them (the
+//!    sample sort's merge) never owns a receive buffer.
 //! 3. **Paired flat exchange** ([`crate::Comm::paired_flat_round_with`])
 //!    — the grid route's payload + sub-message-count header in a single
 //!    round.
@@ -428,21 +432,11 @@ impl Comm {
                 out.finish(p)
             });
         }
-        // Byte lane: one coalesced frame per (peer, round), the whole
-        // bucket serialized into a pooled buffer that the lane recycles
-        // once the bytes are on the wire. Each peer's frame decodes
-        // straight into the result payload via
-        // `FlatBuilder::extend_from_wire` — no intermediate per-peer
-        // `Vec<T>` between the recycled frame buffer and the result.
-        // Self-delivery never touches the wire.
-        let seq = self.next_seq();
-        let tag = wire::type_tag::<FlatBuckets<T>>();
-        for dst in (0..p).filter(|&dst| dst != me) {
-            let mut out = self.buf_take();
-            wire::write_slice(&mut out, bufs.bucket(dst));
-            self.lane_send(dst, seq, tag, out);
-        }
-        self.sync();
+        // Byte lane: each peer's frame decodes straight into the result
+        // payload via `FlatBuilder::extend_from_wire` — no intermediate
+        // per-peer `Vec<T>` between the recycled frame buffer and the
+        // result.
+        let (seq, tag) = self.lane_send_buckets(&bufs);
         let mut out = FlatBuilder::with_capacity(0, p);
         for src in 0..p {
             if src == me {
@@ -457,6 +451,82 @@ impl Comm {
             out.seal();
         }
         out.finish(p)
+    }
+
+    /// **Scoped flat exchange** (transport primitive 2, borrowed):
+    /// deliver `bufs.bucket(j)` to PE `j` for every `j`, as the owned
+    /// flat exchange does, but hand `consume` one run per source, in
+    /// source order, where the run lies — no owned receive buffer.
+    /// Cells: the peers' published buckets, read zero-copy inside one
+    /// scoped read (the last consumer still drops each buffer). Lane: each
+    /// peer's frame decoded once; this PE's own run is read from `bufs`.
+    /// `consume` does local work only — no collective: on cells every
+    /// peer's buffer stays published until it returns. Charges nothing —
+    /// callers charge per their pattern.
+    pub fn alltoallv_runs<T, R>(
+        &self,
+        bufs: FlatBuckets<T>,
+        consume: impl FnOnce(&[&[T]]) -> R,
+    ) -> R
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
+        let (p, me) = (self.size(), self.rank());
+        debug_assert_eq!(bufs.buckets(), p, "one bucket per destination PE");
+        if p == 1 {
+            return consume(&[bufs.bucket(0)]);
+        }
+        if !self.has_byte_lane() {
+            let round = self.cells_round::<FlatBuckets<T>>();
+            round.publish(bufs, p);
+            self.sync();
+            return self.read_cells(&round, 0..p, |sent| {
+                let runs: Vec<&[T]> = sent.iter().map(|peer| peer.bucket(me)).collect();
+                consume(&runs)
+            });
+        }
+        let (seq, tag) = self.lane_send_buckets(&bufs);
+        let decoded: Vec<Vec<T>> = (0..p)
+            .map(|src| {
+                if src == me {
+                    return Vec::new();
+                }
+                self.lane_pop_with(src, seq, tag, "flat exchange", |bytes| {
+                    let mut r = WireReader::new(bytes);
+                    let run = wire::read_vec::<T>(&mut r)?;
+                    r.finish()?;
+                    Ok(run)
+                })
+            })
+            .collect();
+        let runs: Vec<&[T]> = (0..p)
+            .map(|src| {
+                if src == me {
+                    bufs.bucket(me)
+                } else {
+                    &decoded[src]
+                }
+            })
+            .collect();
+        consume(&runs)
+    }
+
+    /// The byte-lane send half of both flat exchanges: one coalesced
+    /// frame per (peer, round), each destination's bucket serialized into
+    /// a pooled buffer that the lane recycles once the bytes are on the
+    /// wire, then the round's barrier. Self-delivery never touches the
+    /// wire. Returns the round's `(seq, tag)` for the receive half.
+    fn lane_send_buckets<T: Wire + 'static>(&self, bufs: &FlatBuckets<T>) -> (u64, u64) {
+        let me = self.rank();
+        let seq = self.next_seq();
+        let tag = wire::type_tag::<FlatBuckets<T>>();
+        for dst in (0..self.size()).filter(|&dst| dst != me) {
+            let mut out = self.buf_take();
+            wire::write_slice(&mut out, bufs.bucket(dst));
+            self.lane_send(dst, seq, tag, out);
+        }
+        self.sync();
+        (seq, tag)
     }
 }
 

@@ -41,6 +41,7 @@ use crate::seq::UnionFind;
 use kamsta_comm::{Comm, FlatBuckets};
 use kamsta_graph::hash::FxHashMap;
 use kamsta_graph::{CEdge, DistGraph, InputGraph, VertexId, Weight};
+use kamsta_sort::Sorted;
 use std::borrow::Cow;
 
 /// Parallel-edge elimination strategy used by [`redistribute`]
@@ -594,25 +595,25 @@ fn relabel_by(
 /// of an undirected pair see the same weight multiset, so the surviving
 /// graph stays symmetric. Collective.
 pub fn redistribute(comm: &Comm, edges: Vec<CEdge>, cfg: &MstConfig) -> DistGraph {
-    let filtered: Vec<CEdge> = match cfg.dedup {
+    // Distributed sort under the lexicographic order, local phases radix
+    // on the packed (u, v, w, id) key.
+    let mut sorted = match cfg.dedup {
         DedupStrategy::HashFilter => {
             let kept = prefilter_pairs(comm, &edges);
             // The survivors are copies: release the input before the
-            // distributed sort allocates its send and receive buffers.
+            // distributed sort allocates its buffers.
             drop(edges);
-            kept
+            // Already in order: the sort skips its local scan.
+            kamsta_sort::sort_auto_sorted(comm, kept, 0xC0FFEE)
         }
         DedupStrategy::Sort => {
             // Same linear scan as the prefilter pays, so the Sec. VI-B
             // ablation compares strategies under equal γ-accounting.
             comm.charge_local(edges.len() as u64);
-            edges.into_iter().filter(|e| !e.is_self_loop()).collect()
+            let filtered = edges.into_iter().filter(|e| !e.is_self_loop()).collect();
+            kamsta_sort::sort_auto_by_key(comm, filtered, 0xC0FFEE, CEdge::lex_key)
         }
     };
-
-    // Distributed sort under the lexicographic order, local phases radix
-    // on the packed (u, v, w, id) key.
-    let mut sorted = kamsta_sort::sort_auto_by_key(comm, filtered, 0xC0FFEE, CEdge::lex_key);
     comm.charge_local(sorted.len() as u64);
     // Keep the first (lightest, smallest-id) copy of each consecutive pair
     // group; groups straddling PE boundaries are resolved below.
@@ -932,10 +933,11 @@ fn lightest_per_pair(
 
 /// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
 /// dedup — self-loops, identical duplicates and parallel copies never
-/// travel, and the survivors are already in lexicographic order. Both
+/// travel, and the survivors are already in lexicographic order (one
+/// copy per pair, pairs ascending: the [`Sorted`] witness). Both
 /// directions survive, keeping the edge list symmetric.
-fn prefilter_pairs(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
-    lightest_per_pair(comm, edges, |e| !e.is_self_loop())
+fn prefilter_pairs(comm: &Comm, edges: &[CEdge]) -> Sorted<CEdge> {
+    Sorted::assume(lightest_per_pair(comm, edges, |e| !e.is_self_loop()))
 }
 
 /// Keep-lightest-per-*unordered*-pair prefilter for the replicated base
@@ -1368,7 +1370,7 @@ pub(crate) mod tests {
     fn run_prefilters(edges: &[CEdge], t: usize) -> [(Vec<CEdge>, u64); 2] {
         let edges = edges.to_vec();
         let out = Machine::run(MachineConfig::new(1).with_threads(t), move |comm| {
-            let pairs = prefilter_pairs(comm, &edges);
+            let pairs = prefilter_pairs(comm, &edges).into_inner();
             let pairs_ops = comm.stats().local_ops;
             let unordered = prefilter_unordered(comm, &edges);
             let unordered_ops = comm.stats().local_ops - pairs_ops;

@@ -1,38 +1,60 @@
 //! Order-preserving rebalancing and global sortedness checks.
 
-use kamsta_comm::{Comm, FlatBuckets, Wire};
+use kamsta_comm::{bytes_for, Comm, FlatBuckets, Wire};
 
 /// Redistribute a globally ordered sequence so PE `i` ends up with the
 /// contiguous block `[i·N/p, (i+1)·N/p)` of global positions — the output
 /// contract of the paper's `REDISTRIBUTE` (Sec. IV-C re-establishes the
 /// distributed graph data structure on balanced, sorted edges).
 /// Preserves global order. Collective.
-pub fn rebalance<T: Wire + Clone + Send + Sync + 'static>(comm: &Comm, data: Vec<T>) -> Vec<T> {
-    let p = comm.size();
+///
+/// Only the elements that change owner move: this PE's share of its own
+/// block stays in place, what leaves is moved out (not cloned), and
+/// what arrives is placed around the kept range in one `reserve_exact`.
+/// The charge is the whole direct exchange's, kept range included, as
+/// if every element went through it.
+pub fn rebalance<T: Wire + Clone + Send + Sync + 'static>(comm: &Comm, mut data: Vec<T>) -> Vec<T> {
+    let (p, me) = (comm.size(), comm.rank());
     if p == 1 {
         return data;
     }
     let n = data.len() as u64;
     let counts = comm.allgather(n);
     let total: u64 = counts.iter().sum();
-    let my_offset: u64 = counts[..comm.rank()].iter().sum();
+    let my_offset: u64 = counts[..me].iter().sum();
 
     // Target block of PE i: [i·total/p, (i+1)·total/p). My elements hold
     // the contiguous global positions [my_offset, my_offset + n), so each
-    // destination receives a contiguous range of my payload: the flat
-    // buffer is the payload plus an O(p) count array — no per-item work.
-    let target_start = |i: usize| (i as u64 * total) / p as u64;
+    // destination receives a contiguous range of my payload, starting at
+    // local position `start(i)`.
+    let start = |i: usize| {
+        let global = (i as u64 * total) / p as u64;
+        (global.clamp(my_offset, my_offset + n) - my_offset) as usize
+    };
+    let keep = start(me)..start(me + 1);
     let counts: Vec<usize> = (0..p)
-        .map(|i| {
-            let lo = target_start(i).clamp(my_offset, my_offset + n);
-            let hi = target_start(i + 1).clamp(my_offset, my_offset + n);
-            (hi - lo) as usize
-        })
+        .map(|i| if i == me { 0 } else { start(i + 1) - start(i) })
         .collect();
-    let bufs = FlatBuckets::from_counts(data, &counts);
+    let mut leaving = Vec::with_capacity(data.len() - keep.len());
+    leaving.extend(data.drain(..keep.start));
+    leaving.extend(data.drain(keep.len()..));
+
+    let out_bytes = bytes_for::<T>(n as usize);
     // Receiving in source-rank order preserves global order because source
-    // ranks hold ascending global position ranges.
-    comm.alltoallv_direct(bufs).into_payload()
+    // ranks hold ascending global position ranges: lower ranks' runs go
+    // before the kept range, higher ranks' after it.
+    comm.alltoallv_runs(FlatBuckets::from_counts(leaving, &counts), |runs| {
+        let arrived: usize = runs.iter().map(|r| r.len()).sum();
+        let in_bytes = bytes_for::<T>(arrived + data.len());
+        comm.charge_comm(p as u64, out_bytes.max(in_bytes));
+        data.reserve_exact(arrived);
+        // One shift of the kept range, into the capacity just reserved.
+        data.splice(0..0, runs[..me].concat());
+        for run in &runs[me + 1..] {
+            data.extend_from_slice(run);
+        }
+    });
+    data
 }
 
 /// Check that the distributed sequence is globally sorted (each PE locally

@@ -20,6 +20,9 @@
 //!   its splitter sample is itself sorted with the hypercube algorithm, as
 //!   in the paper;
 //! * [`sort_auto_by_key`] applies the paper's selection rule;
+//!   [`sort_auto_sorted`] / [`sample_sort_sorted`] take input that its
+//!   producer already sorted ([`Sorted`]) and skip the local phase's
+//!   sortedness scan at equal charges;
 //! * [`rebalance`] restores perfectly balanced block distribution while
 //!   preserving global order — the output contract of `REDISTRIBUTE`.
 //!
@@ -35,13 +38,13 @@ mod sample;
 
 pub use balance::{is_globally_sorted, rebalance};
 pub use hypercube::hypercube_quicksort;
-pub use local::{local_radix_order, local_radix_sort, local_sort};
-pub use merge::multiway_merge_flat;
+pub use local::{local_radix_order, local_radix_sort, local_sort, Sorted};
+pub use merge::merge_runs;
 pub use radix::{
     par_radix_sort_by_key, radix_order_by_key, radix_sort_by_key, radix_sort_keys, RadixKey,
     SortOutcome, TooLongForRadix,
 };
-pub use sample::sample_sort_by_key;
+pub use sample::{sample_sort_by_key, sample_sort_sorted};
 
 use kamsta_comm::{Comm, Wire};
 
@@ -65,11 +68,29 @@ where
     T: Wire + Ord + Copy + Send + Sync + 'static,
     K: RadixKey + Send,
 {
-    let total = comm.allreduce_sum(data.len() as u64);
-    let avg_per_pe = total / comm.size() as u64;
-    if avg_per_pe <= HYPERCUBE_THRESHOLD {
+    if hypercube_fits(comm, data.len()) {
         hypercube_quicksort(comm, data, seed)
     } else {
         sample_sort_by_key(comm, data, seed, key_of)
     }
+}
+
+/// [`sort_auto_by_key`] on a slice already sorted on every PE (the
+/// [`Sorted`] witness): the same choice, output and charges, without the
+/// sample sort's sortedness scan. Collective.
+pub fn sort_auto_sorted<T>(comm: &Comm, data: Sorted<T>, seed: u64) -> Vec<T>
+where
+    T: Wire + Ord + Copy + Send + Sync + 'static,
+{
+    if hypercube_fits(comm, data.len()) {
+        hypercube_quicksort(comm, data.into_inner(), seed)
+    } else {
+        sample_sort_sorted(comm, data, seed)
+    }
+}
+
+/// Whether the average input per PE is small enough for the hypercube
+/// sorter ([`HYPERCUBE_THRESHOLD`]). Collective.
+fn hypercube_fits(comm: &Comm, len: usize) -> bool {
+    comm.allreduce_sum(len as u64) / comm.size() as u64 <= HYPERCUBE_THRESHOLD
 }

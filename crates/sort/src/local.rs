@@ -1,7 +1,8 @@
 //! Local sorting kernels with hybrid (rayon) parallelism.
 
 use crate::radix::{
-    par_radix_order_by_key, par_radix_sort_by_key, RadixKey, SortOutcome, TooLongForRadix,
+    par_radix_order_by_key, par_radix_sort_by_key, sorted_outcome, RadixKey, SortOutcome,
+    TooLongForRadix,
 };
 use kamsta_comm::Comm;
 use rayon::prelude::*;
@@ -58,6 +59,44 @@ pub fn local_radix_sort<T: Copy + Ord + Send + Sync, K: RadixKey + Send>(
 ) {
     let outcome = par_radix_sort_by_key(data, key_of);
     charge_outcome(comm, data.len(), outcome);
+}
+
+/// A PE's slice that its producer knows to be sorted under `T`'s `Ord`
+/// — the witness that lets [`crate::sort_auto_sorted`] and
+/// [`crate::sample_sort_sorted`] skip the sortedness scan
+/// [`local_radix_sort`] would make of it. Debug builds check the claim.
+#[derive(Clone, Debug)]
+pub struct Sorted<T>(Vec<T>);
+
+impl<T: Ord> Sorted<T> {
+    /// Take `data` as sorted, on its producer's word.
+    pub fn assume(data: Vec<T>) -> Self {
+        debug_assert!(data.is_sorted(), "Sorted::assume on unsorted data");
+        Sorted(data)
+    }
+}
+
+impl<T> std::ops::Deref for Sorted<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T> Sorted<T> {
+    /// The sorted slice.
+    pub fn into_inner(self) -> Vec<T> {
+        self.0
+    }
+
+    /// Charge γ exactly as [`local_radix_sort`] charges on this sorted
+    /// slice, where its plan needs no scan to know the outcome: nothing
+    /// below two elements, the comparison path's `n·⌈log2 n⌉` up to the
+    /// small-sort cutoff (96), one scan's `n` above it.
+    pub(crate) fn charge(&self, comm: &Comm) {
+        charge_outcome(comm, self.len(), sorted_outcome(self.len()));
+    }
 }
 
 /// The order [`local_radix_sort`] would apply to the elements `key_of`

@@ -1,7 +1,5 @@
 //! K-way merging of sorted runs (receive-side of the sample sort).
 
-use kamsta_comm::FlatBuckets;
-
 /// Append the merge of two sorted runs to `out`. Ties take the left run.
 fn merge_two<T: Ord + Clone>(left: &[T], right: &[T], out: &mut Vec<T>) {
     let (mut i, mut j) = (0, 0);
@@ -18,55 +16,72 @@ fn merge_two<T: Ord + Clone>(left: &[T], right: &[T], out: &mut Vec<T>) {
     out.extend_from_slice(&right[j..]);
 }
 
-/// Merge the sorted runs of a flat receive buffer (one run per source
-/// bucket) into one sorted vector — the zero-copy receive side of the
-/// sample sort: the first level reads the runs straight out of the
-/// contiguous buffer.
+/// Merge sorted runs into one sorted vector, reading each run where it
+/// lies — the receive side of the sample sort, whose runs are the
+/// exchanged buckets (DESIGN.md §14). The output is the one allocation
+/// the size of the input; the rest is `O(k)`.
 ///
-/// Two runs are one two-finger merge. More are a balanced tree of that
-/// same merge over *adjacent* runs: each level merges runs `2i` and
-/// `2i + 1` into the other of two buffers, `⌈log2 k⌉` streaming passes
-/// for `k` non-empty runs. Ties take the left run at every node, and
-/// adjacent merging keeps runs in source order, so equal elements come
-/// out in run-index order — the tie-break that keeps distributed sorts
-/// deterministic.
-pub fn multiway_merge_flat<T: Ord + Clone>(runs: &FlatBuckets<T>) -> Vec<T> {
-    let total = runs.total_len();
-    // Run boundaries in the current level's buffer, empty runs dropped.
-    let mut bounds: Vec<usize> = vec![0];
-    bounds.extend(
-        runs.displs()
-            .windows(2)
-            .filter(|w| w[1] > w[0])
-            .map(|w| w[1]),
-    );
-    if bounds.len() <= 2 {
-        return runs.payload().to_vec();
+/// Two non-empty runs are one two-finger merge. More are a tournament
+/// (loser) tree over the run heads: each element out replays one
+/// leaf-to-root path of about `⌈log2 k⌉` matches, and nothing is
+/// written but the output. A tie goes to the lower run index at every
+/// match, so equal elements come out in run-index order — the tie-break
+/// that keeps distributed sorts deterministic. The last run standing is
+/// copied in one piece.
+pub fn merge_runs<T: Ord + Clone>(runs: &[&[T]]) -> Vec<T> {
+    let live: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+    let mut out = Vec::with_capacity(live.iter().map(|r| r.len()).sum());
+    match live[..] {
+        [] => {}
+        [only] => out.extend_from_slice(only),
+        [left, right] => merge_two(left, right, &mut out),
+        _ => merge_tournament(&live, &mut out),
     }
-    let mut merged = Vec::with_capacity(total);
-    let mut spare = Vec::new();
-    let mut level: &[T] = runs.payload();
-    loop {
-        let mut next_bounds = vec![0];
-        for pair in bounds.windows(3).step_by(2) {
-            let (left, right) = (&level[pair[0]..pair[1]], &level[pair[1]..pair[2]]);
-            merge_two(left, right, &mut merged);
-            next_bounds.push(merged.len());
-        }
-        if bounds.len().is_multiple_of(2) {
-            // An odd run out moves up a level unmerged.
-            merged.extend_from_slice(&level[bounds[bounds.len() - 2]..]);
-            next_bounds.push(merged.len());
-        }
-        if next_bounds.len() == 2 {
-            return merged;
-        }
-        bounds = next_bounds;
-        std::mem::swap(&mut merged, &mut spare);
-        merged.clear();
-        merged.reserve_exact(total);
-        level = &spare;
+    out
+}
+
+/// The loser tree of [`merge_runs`] over `k ≥ 3` non-empty runs. Node
+/// `n ∈ 1..k` holds the loser of its match, leaf `k + i` is run `i`,
+/// and the overall winner is kept apart.
+fn merge_tournament<T: Ord + Clone>(runs: &[&[T]], out: &mut Vec<T>) {
+    let k = runs.len();
+    let mut heads = vec![0usize; k];
+    // Run `a`'s head leaves before run `b`'s; an exhausted run loses.
+    let beats = |heads: &[usize], a: usize, b: usize| match (
+        runs[a].get(heads[a]),
+        runs[b].get(heads[b]),
+    ) {
+        (Some(x), Some(y)) => x.cmp(y).then(a.cmp(&b)).is_lt(),
+        (x, _) => x.is_some(),
+    };
+    let mut winners = vec![0usize; 2 * k];
+    let mut losers = vec![0usize; k];
+    for (i, w) in winners[k..].iter_mut().enumerate() {
+        *w = i;
     }
+    for n in (1..k).rev() {
+        let (a, b) = (winners[2 * n], winners[2 * n + 1]);
+        let a_wins = beats(&heads, a, b);
+        winners[n] = if a_wins { a } else { b };
+        losers[n] = if a_wins { b } else { a };
+    }
+    let mut winner = winners[1];
+    let mut left = k;
+    while left > 1 {
+        out.push(runs[winner][heads[winner]].clone());
+        heads[winner] += 1;
+        if heads[winner] == runs[winner].len() {
+            left -= 1;
+        }
+        let mut n = (k + winner) / 2;
+        while n > 0 {
+            if beats(&heads, losers[n], winner) {
+                std::mem::swap(&mut losers[n], &mut winner);
+            }
+            n /= 2;
+        }
+    }
+    out.extend_from_slice(&runs[winner][heads[winner]..]);
 }
 
 #[cfg(test)]
@@ -74,7 +89,7 @@ mod tests {
     use super::*;
 
     fn merge_nested<T: Ord + Clone>(runs: Vec<Vec<T>>) -> Vec<T> {
-        multiway_merge_flat(&FlatBuckets::from_nested(runs))
+        merge_runs(&runs.iter().map(Vec::as_slice).collect::<Vec<_>>())
     }
 
     #[test]

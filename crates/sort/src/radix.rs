@@ -312,6 +312,18 @@ fn plan<K: RadixKey>(
     })
 }
 
+/// How the in-place sorters run on a slice of `len` elements that is
+/// already sorted: the plan they reach when the sortedness scan finds
+/// the keys in order, without the scan.
+pub(crate) fn sorted_outcome(len: usize) -> SortOutcome {
+    match plan::<u32>(len, || None) {
+        Ok(Plan::Sorted) => SortOutcome::AlreadySorted,
+        Ok(Plan::Compare | Plan::Radix { .. }) | Err(TooLongForRadix { .. }) => {
+            SortOutcome::Comparison
+        }
+    }
+}
+
 /// A run of up to eight adjacent active key bytes — one field of a
 /// packed key, typically — and the compacted-key byte it lands on.
 struct ByteRun {

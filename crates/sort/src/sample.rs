@@ -9,8 +9,8 @@
 //! per-partner volumes, making this "two-level" in the AMS sense as well.
 
 use crate::hypercube::hypercube_quicksort;
-use crate::local::local_radix_sort;
-use crate::merge::multiway_merge_flat;
+use crate::local::{local_radix_sort, Sorted};
+use crate::merge::merge_runs;
 use crate::radix::RadixKey;
 use kamsta_comm::{Comm, FlatBuckets, Wire};
 
@@ -36,8 +36,28 @@ where
     T: Wire + Ord + Copy + Send + Sync + 'static,
     K: RadixKey + Send,
 {
-    let p = comm.size();
     local_radix_sort(comm, &mut data, key_of);
+    sort_sorted_runs(comm, data, seed)
+}
+
+/// [`sample_sort_by_key`] on a slice already sorted on every PE: the
+/// local phase charges what the radix sort would charge on it
+/// ([`Sorted`]) and neither scans nor moves it. Same output, messages,
+/// bytes and γ. Collective.
+pub fn sample_sort_sorted<T>(comm: &Comm, data: Sorted<T>, seed: u64) -> Vec<T>
+where
+    T: Wire + Ord + Copy + Send + Sync + 'static,
+{
+    data.charge(comm);
+    sort_sorted_runs(comm, data.into_inner(), seed)
+}
+
+/// The distributed phase of the sample sort on a locally sorted `data`.
+fn sort_sorted_runs<T>(comm: &Comm, data: Vec<T>, seed: u64) -> Vec<T>
+where
+    T: Wire + Ord + Copy + Send + Sync + 'static,
+{
+    let p = comm.size();
     if p == 1 {
         return data;
     }
@@ -88,8 +108,10 @@ where
     }
     let bufs = FlatBuckets::from_counts(data, &counts);
 
-    // Deliver and merge the sorted runs.
-    let runs = comm.sparse_alltoallv(bufs);
-    comm.charge_local(runs.total_len() as u64);
-    multiway_merge_flat(&runs)
+    // Deliver the sorted runs and merge them where they arrive: the
+    // peers' buckets, never copied into a receive buffer first.
+    comm.sparse_alltoallv_with(bufs, |runs| {
+        comm.charge_local(runs.iter().map(|r| r.len() as u64).sum());
+        merge_runs(runs)
+    })
 }

@@ -3,8 +3,8 @@
 
 use kamsta_comm::{Comm, Machine, MachineConfig, PeStats};
 use kamsta_sort::{
-    hypercube_quicksort, is_globally_sorted, rebalance, sample_sort_by_key, sort_auto_by_key,
-    HYPERCUBE_THRESHOLD,
+    hypercube_quicksort, is_globally_sorted, rebalance, sample_sort_by_key, sample_sort_sorted,
+    sort_auto_by_key, sort_auto_sorted, Sorted, HYPERCUBE_THRESHOLD,
 };
 
 /// Deterministic pseudo-random input for PE `rank`.
@@ -194,6 +194,104 @@ fn hypercube_quicksort_is_pinned() {
                 "p={p} rank={rank}: modeled {:?}, pinned {modeled:?}",
                 s.modeled_time
             );
+        }
+    }
+}
+
+/// Fold one call's output and its (messages, bytes, local_ops) into `h`.
+fn pin(h: u64, out: &[u64], d: PeStats) -> u64 {
+    let h = out
+        .iter()
+        .fold(fold(h, out.len() as u64), |h, &x| fold(h, x));
+    [d.messages, d.bytes, d.local_ops].into_iter().fold(h, fold)
+}
+
+/// How a pinned run hands locally sorted input to the sorters: by key,
+/// which scans it, or through the `Sorted` witness, which must not show.
+#[derive(Clone, Copy, Debug)]
+enum SortedEntry {
+    ByKey,
+    Witness,
+}
+
+impl SortedEntry {
+    fn sample_sort(self, comm: &Comm, data: Vec<u64>, seed: u64) -> Vec<u64> {
+        match self {
+            SortedEntry::ByKey => sample_sort_by_key(comm, data, seed, |&x| x),
+            SortedEntry::Witness => sample_sort_sorted(comm, Sorted::assume(data), seed),
+        }
+    }
+
+    fn auto(self, comm: &Comm, data: Vec<u64>, seed: u64) -> Vec<u64> {
+        match self {
+            SortedEntry::ByKey => sort_auto_by_key(comm, data, seed, |&x| x),
+            SortedEntry::Witness => sort_auto_sorted(comm, Sorted::assume(data), seed),
+        }
+    }
+}
+
+#[test]
+fn sample_sort_and_rebalance_are_pinned() {
+    // Per p: one digest folding, rank by rank and call by call, every
+    // output element and each call's (messages, bytes, local_ops), plus
+    // the modeled seconds every PE ends on. Per round a PE holds 0, 1,
+    // 2, 96, 97 or 3 000 elements — the local sort's cutoffs on sorted
+    // input: no charge below 2, the comparison path up to 96, one scan
+    // above. The calls: the sample sort on unsorted input, `rebalance`
+    // of its output, `rebalance` of that balanced output (nothing moves),
+    // then the sample sort and the automatic sorter on locally sorted
+    // input. Recorded while the sample sort still copied its runs into a
+    // receive buffer and `rebalance` every element; the `Sorted` witness
+    // must reproduce the by-key pins exactly.
+    const PINS: [(usize, u64, f64); 5] = [
+        (2, 0xb150_ff9f_1fa5_d424, 0.000_973_755_200_000_001_7),
+        (3, 0x1950_4763_b40a_2550, 0.001_652_072_600_000_002),
+        (5, 0x6348_9d82_3de8_9dae, 0.002_844_076_199_999_996_2),
+        (8, 0xafba_da8d_c3eb_faef, 0.003_465_065_799_999_982_7),
+        (16, 0xe6f0_8199_617c_8457, 0.005_351_433_399_999_978),
+    ];
+    const SIZES: [usize; 6] = [0, 1, 2, 96, 97, 3_000];
+    for (p, digest, modeled) in PINS {
+        for entry in [SortedEntry::ByKey, SortedEntry::Witness] {
+            let out = Machine::run(MachineConfig::new(p).with_threads(1), move |comm| {
+                let me = comm.rank();
+                let mut h = 0;
+                for salt in 0..SIZES.len() as u64 {
+                    let n = SIZES[(me + salt as usize) % SIZES.len()];
+                    comm.charge_local((me as u64 * 7_919 + salt * 13) % 5_000);
+                    let input = input_for(me, n, salt + 100);
+                    let mut sorted_input = input.clone();
+                    sorted_input.sort_unstable();
+
+                    let before = comm.stats();
+                    let sorted = sample_sort_by_key(comm, input, salt, |&x| x);
+                    h = pin(h, &sorted, comm.stats().since(&before));
+                    let before = comm.stats();
+                    let balanced = rebalance(comm, sorted);
+                    h = pin(h, &balanced, comm.stats().since(&before));
+                    let before = comm.stats();
+                    let again = rebalance(comm, balanced);
+                    h = pin(h, &again, comm.stats().since(&before));
+                    let before = comm.stats();
+                    let sorted = entry.sample_sort(comm, sorted_input.clone(), salt);
+                    h = pin(h, &sorted, comm.stats().since(&before));
+                    let before = comm.stats();
+                    let sorted = entry.auto(comm, sorted_input, salt);
+                    h = pin(h, &sorted, comm.stats().since(&before));
+                }
+                // Every PE ends on the slowest one's clock.
+                comm.barrier();
+                h
+            });
+            let got = out.results.iter().fold(0, |h, &r| fold(h, r));
+            assert_eq!(got, digest, "p={p} {entry:?}: outputs or counters moved");
+            for (rank, s) in out.stats.iter().enumerate() {
+                assert!(
+                    (s.modeled_time - modeled).abs() <= 1e-12 * modeled,
+                    "p={p} {entry:?} rank={rank}: modeled {:?}, pinned {modeled:?}",
+                    s.modeled_time
+                );
+            }
         }
     }
 }
