@@ -9,11 +9,15 @@
 //!   (full entropy, where it falls back, so those rows bound the gate's
 //!   overhead).
 //! * `core.redistribute_probe_s`: the second table is `REDISTRIBUTE`'s
-//!   local kernel on the post-relabel shape of a GNM round — the
+//!   local kernel on a GNM round's labels, drawn at random — the
 //!   in-place sort on the full `lex_key` (8 active bytes: what
 //!   `DedupStrategy::Sort` and `kamsta-dyn`'s maintainer run) beside the
 //!   bare order on the `(u, v)` pair key (4 active bytes) that the
-//!   prefilter walks.
+//!   prefilter walks on its radix side. Random sources make runs of one
+//!   edge, which is that side's shape (Filter-Borůvka's light
+//!   subgraphs); a slice in the old `(u, v)` order after `relabel` takes
+//!   the prefilter's group side instead, which orders runs, not edges
+//!   (DESIGN.md §14; `bench_dedup`'s relabelled-GNM row).
 
 use kamsta_bench::{median_ms, ms_cell, ratio_cell, sort_ms, Table, SAMPLES};
 use kamsta_graph::hash::mix64;

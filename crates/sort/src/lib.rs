@@ -38,7 +38,7 @@ mod sample;
 
 pub use balance::{is_globally_sorted, rebalance};
 pub use hypercube::hypercube_quicksort;
-pub use local::{local_radix_order, local_radix_sort, local_sort, Sorted};
+pub use local::{local_radix_order, local_radix_sort, local_sort, radix_order_charge, Sorted};
 pub use merge::merge_runs;
 pub use radix::{
     par_radix_sort_by_key, radix_order_by_key, radix_sort_by_key, radix_sort_keys, RadixKey,

@@ -1,8 +1,8 @@
 //! Local sorting kernels with hybrid (rayon) parallelism.
 
 use crate::radix::{
-    par_radix_order_by_key, par_radix_sort_by_key, sorted_outcome, RadixKey, SortOutcome,
-    TooLongForRadix,
+    order_outcome, par_radix_order_by_key, par_radix_sort_by_key, sorted_outcome, RadixKey,
+    SortOutcome, TooLongForRadix,
 };
 use kamsta_comm::Comm;
 use rayon::prelude::*;
@@ -26,13 +26,13 @@ pub fn local_sort<T: Ord + Send>(comm: &Comm, data: &mut [T]) {
     }
 }
 
-/// Charge γ for a radix-engine call on `n` elements by what actually
-/// ran: `n` for an already-sorted scan, `n·passes` for the counting-sort
-/// passes, `n·log n` for the comparison fallback (as [`local_sort`]
-/// charges).
-fn charge_outcome(comm: &Comm, n: usize, outcome: SortOutcome) {
+/// γ for a radix-engine call on `n` elements by what actually ran: `n`
+/// for an already-sorted scan, `n·passes` for the counting-sort passes,
+/// `n·log n` for the comparison fallback (as [`local_sort`] charges);
+/// nothing below two elements.
+fn outcome_ops(n: usize, outcome: SortOutcome) -> u64 {
     if n < 2 {
-        return;
+        return 0;
     }
     let logn = kamsta_comm::ceil_log2(n).max(1) as u64;
     let levels = match outcome {
@@ -40,7 +40,15 @@ fn charge_outcome(comm: &Comm, n: usize, outcome: SortOutcome) {
         SortOutcome::Radix(passes) => (passes as u64).clamp(1, logn),
         SortOutcome::Comparison => logn,
     };
-    comm.charge_local(n as u64 * levels);
+    n as u64 * levels
+}
+
+/// Charge [`outcome_ops`] for a radix-engine call on `n` elements.
+fn charge_outcome(comm: &Comm, n: usize, outcome: SortOutcome) {
+    let ops = outcome_ops(n, outcome);
+    if ops > 0 {
+        comm.charge_local(ops);
+    }
 }
 
 /// Sort a local slice by a packed radix key, charging γ by what
@@ -114,6 +122,21 @@ pub fn local_radix_order<T: Sync, K: RadixKey + Send + Sync>(
     Ok(order)
 }
 
+/// The γ units [`local_radix_order`] charges on a slice of `len`
+/// elements whose kept keys, in input order, are `keys` — for a caller
+/// that reaches the same order another way and charges what the engine
+/// would have (`REDISTRIBUTE`'s prefilter, DESIGN.md §14). The same
+/// plan decides, and nothing is sorted: the keys are read once, to the
+/// end, so the caller's own scan can ride along. A slice past the `u32`
+/// index range is refused as [`local_radix_order`] refuses it.
+pub fn radix_order_charge<K: RadixKey>(
+    len: usize,
+    keys: impl IntoIterator<Item = K>,
+) -> Result<u64, TooLongForRadix> {
+    let (kept, outcome) = order_outcome(len, keys.into_iter())?;
+    Ok(outcome_ops(kept, outcome))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +174,40 @@ mod tests {
             let (par, par_ops) = run(t).results.remove(0);
             assert_eq!(par, seq, "t={t} permutation");
             assert_eq!(par_ops, seq_ops, "t={t} charge");
+        }
+    }
+
+    #[test]
+    fn order_charge_is_what_the_order_charges() {
+        // Every plan: nothing, one element, the small-slice cutoff (96)
+        // and past it, sorted, radix and comparison keys, with elements
+        // dropped in between — on both sides of the parallel cutoff.
+        let shapes: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![7],
+            (0..96).rev().collect(),
+            (0..97).collect(),
+            (0..97).rev().collect(),
+            (0..70_000u64).map(|i| i * 2_654_435_761 % 4_096).collect(),
+            (0..70_000u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect(),
+        ];
+        let keep = |&x: &u64| (x % 3 != 1).then_some(x);
+        for t in [1usize, 4] {
+            for data in &shapes {
+                let data = data.clone();
+                let out = Machine::run(MachineConfig::new(1).with_threads(t), move |comm| {
+                    local_radix_order(comm, &data, keep).unwrap();
+                    let charged = comm.stats().local_ops;
+                    (
+                        charged,
+                        radix_order_charge(data.len(), data.iter().filter_map(keep)),
+                    )
+                });
+                let (charged, predicted) = out.results[0];
+                assert_eq!(predicted, Ok(charged), "t={t}");
+            }
         }
     }
 

@@ -312,6 +312,24 @@ fn plan<K: RadixKey>(
     })
 }
 
+/// How [`radix_order_by_key`] would run on a slice of `len` elements
+/// whose kept keys, in input order, are `keys`, and how many keys there
+/// are — the plan without the order. The keys are consumed to the end
+/// whatever the plan, so a caller may observe them on the way.
+pub(crate) fn order_outcome<K: RadixKey>(
+    len: usize,
+    keys: impl Iterator<Item = K>,
+) -> Result<(usize, SortOutcome), TooLongForRadix> {
+    let fold = Fold::of(keys);
+    let kept = fold.as_ref().map_or(0, |f| f.kept);
+    let outcome = match plan(len, || fold)? {
+        Plan::Sorted => SortOutcome::AlreadySorted,
+        Plan::Compare => SortOutcome::Comparison,
+        Plan::Radix { active, .. } => SortOutcome::Radix(active.len()),
+    };
+    Ok((kept, outcome))
+}
+
 /// How the in-place sorters run on a slice of `len` elements that is
 /// already sorted: the plan they reach when the sortedness scan finds
 /// the keys in order, without the scan.
