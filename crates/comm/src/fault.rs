@@ -39,9 +39,10 @@
 
 use std::time::Duration;
 
-/// SplitMix64 finalizer — the hash driving every fault decision.
+/// SplitMix64 finalizer: the hash driving every fault decision, and
+/// the workspace's one 64-bit mixer (`kamsta_graph::hash::mix64`).
 #[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

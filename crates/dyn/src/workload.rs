@@ -9,7 +9,7 @@
 //! graph generators play.
 
 use crate::Update;
-use kamsta_graph::hash::FxHashMap;
+use kamsta_graph::hash::{mix64, FxHashMap};
 use kamsta_graph::{VertexId, WEdge, Weight};
 
 /// splitmix64: the tiny deterministic stream the generators also build
@@ -20,11 +20,9 @@ pub struct SplitMix(pub u64);
 impl SplitMix {
     /// Next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
+        let z = mix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 }
 

@@ -5,14 +5,9 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// SplitMix64 finalizer — a strong 64-bit mixer.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// SplitMix64 finalizer — a strong 64-bit mixer, the one the fault
+/// plans draw from too.
+pub use kamsta_comm::fault::splitmix64 as mix64;
 
 /// Combine two values into one hash (order-sensitive).
 #[inline]
