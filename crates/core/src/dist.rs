@@ -21,12 +21,15 @@
 //!    re-establishing the distributed graph structure.
 //!
 //! An optional [`local_contract`] pass (Sec. IV-A) contracts purely local
-//! subtrees before the first communication round; the gate compares the
-//! globally averaged fraction of PE-internal edges against 0.25. Under
-//! the block vertex partition a random graph's fraction is about 1/p, so
-//! GNM and RMAT take the pass at p ≤ 3 and skip it from p = 4 on (GNM
-//! reads 0.50 / 0.25 / 0.12 at p = 2 / 4 / 8, RMAT 0.48 / 0.23 / 0.11);
-//! grids, RGGs and RHG read above 0.8 and take it at every p.
+//! subtrees before the first communication round. The paper runs it on
+//! "partitioned graphs with many local edges"; the gate reads the
+//! [`excess_locality`] of the partition — the fraction of PE-internal
+//! edges beyond the `Σᵢ (mᵢ/m)²` (about `1/p`) that the block partition
+//! gives a graph without locality — against 0.25. GNM and RMAT read
+//! about 0 at every `p ≥ 2` (|e| ≤ 0.05) and skip it; grids, road-like
+//! graphs, RGGs and RHG read well above it and take it (3D-RGG is the
+//! lowest, 0.56 on 2^12 vertices at `p = 16`); on one PE every graph
+//! takes it.
 //!
 //! Algorithm 2 ([`filter_mst`]) partitions edges by the unique-weight
 //! total order around sampled pivots, recursing on the light half first
@@ -648,12 +651,74 @@ pub fn redistribute(comm: &Comm, edges: Vec<CEdge>, cfg: &MstConfig) -> DistGrap
 // local preprocessing (Sec. IV-A)
 // ---------------------------------------------------------------------
 
-/// Fraction of globally PE-internal edges above which local contraction
-/// is worthwhile (the high-locality gate of Sec. IV-A).
-const PREPROCESS_MIN_LOCAL_FRACTION: f64 = 0.25;
+/// Excess locality ([`excess_locality`]) at or above which local
+/// contraction runs: the high-locality gate of Sec. IV-A. Read off a
+/// sweep of the seven families at `2 ≤ p ≤ 16` (EXPERIMENTS.md "The gate
+/// reads locality beyond the partition's"): GNM and RMAT read |e| ≤ 0.05,
+/// the geometric families 0.56 and more, so both sides clear it by 0.2
+/// or more.
+const PREPROCESS_MIN_EXCESS_LOCALITY: f64 = 0.25;
 
-/// A live edge of [`local_contract`]: the current components of its
-/// endpoints and its position in the slice (12 bytes per local edge).
+/// The local indices of the vertices that are local and not shared —
+/// the *contractible* ones of [`local_contract`]. Only the slice's first
+/// and last vertex can be shared, so they form one range.
+fn contractible(g: &DistGraph) -> std::ops::Range<usize> {
+    let n = g.local_vertices().len();
+    let lo = usize::from(g.first_shared);
+    lo..(n - usize::from(g.last_shared)).max(lo)
+}
+
+/// The locality of `g` beyond what its partition alone gives a graph —
+/// the quantity the Sec. IV-A gate of [`local_contract`] reads. With `f`
+/// the fraction of edges whose endpoints are both contractible on one PE
+/// and `f₀ = Σᵢ (mᵢ/m)²` (`DistGraph::same_pe_chance`), it returns
+/// `e = (f − f₀)/(1 − f₀)`. In a symmetric edge list a random edge's
+/// destination lies on PE `i` with probability `mᵢ/m`, so a graph without
+/// locality reads `f ≈ f₀` (`1/p` for equal slices; RMAT's unequal ones
+/// need no vertex count) and `e ≈ 0` at every `p`; `e = 1` when no edge
+/// leaves its PE's contractible vertices, and when one PE holds every
+/// edge (always at `p = 1`). 0 for the empty graph. Collective (one
+/// allreduce); the same value on every PE.
+///
+/// The count reads segment ends, not the slice: under the symmetric
+/// closure every destination between two sources of this slice is a
+/// source of it, so a contractible vertex's internal edges are its
+/// destinations between the first and the last contractible vertex. A
+/// segment (sorted by destination) whose two ends lie in that range
+/// counts whole — the common case on a local graph, whose pass then reads
+/// the slice once — and only a straddling one takes two binary searches.
+/// γ is charged for a scan of the slice: the count the paper's gate
+/// takes, and the first round of the pass it decides on.
+pub fn excess_locality(comm: &Comm, g: &DistGraph) -> f64 {
+    let verts = g.local_vertices();
+    let offsets = g.segment_offsets();
+    let inner = contractible(g);
+    let mut internal = 0u64;
+    if !inner.is_empty() {
+        let (first, last) = (verts[inner.start], verts[inner.end - 1]);
+        for a in inner {
+            // Segments are non-empty and sorted by destination.
+            let seg = &g.edges[offsets[a]..offsets[a + 1]];
+            internal += if first <= seg[0].v && seg[seg.len() - 1].v <= last {
+                seg.len()
+            } else {
+                let from = seg.partition_point(|e| e.v < first);
+                seg[from..].partition_point(|e| e.v <= last)
+            } as u64;
+        }
+    }
+    comm.charge_local(g.edges.len() as u64);
+    let internal = comm.allreduce_sum(internal);
+    let f0 = g.same_pe_chance;
+    match g.m_global {
+        0 => 0.0,
+        _ if f0 >= 1.0 => 1.0,
+        m => (internal as f64 / m as f64 - f0) / (1.0 - f0),
+    }
+}
+
+/// A live edge of [`contract_local_subtrees`]: the current components of
+/// its endpoints and its position in the slice (12 bytes per local edge).
 #[derive(Clone, Copy)]
 struct LiveEdge {
     /// Component of the source, always a contractible vertex's.
@@ -687,14 +752,32 @@ fn offer(slot: &mut Option<Lightest>, e: &CEdge, to: u32) {
     }
 }
 
-/// Contract purely local subtrees before the first communication round
-/// (Sec. IV-A). A vertex is *contractible* when it is local and not
-/// shared, so its full adjacency is on this PE and its minimum edge is a
-/// valid global minimum (cut property). Components grow only through
-/// contractible vertices. Gate and outcome flag are global (allreduce on
-/// the internal-edge fraction), so the PEs take or skip the pass
-/// together; random graphs skip it only from p = 4 on (module doc).
-/// Collective.
+/// Local preprocessing (Sec. IV-A) behind its locality gate: the pass
+/// [`contract_local_subtrees`] runs when the [`excess_locality`] of `g`
+/// reaches 0.25 (and `cfg.preprocessing` is set); otherwise nothing is
+/// built and the outcome is empty with `applied == false`. The gate is
+/// global, so the PEs take or skip the pass together. Random graphs read
+/// an excess near 0 and skip it at every `p ≥ 2`; grids, RGGs and RHG
+/// take it (module doc). Collective.
+pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> PreprocessOutcome {
+    let excess = excess_locality(comm, g);
+    if !(cfg.preprocessing && excess >= PREPROCESS_MIN_EXCESS_LOCALITY) {
+        return PreprocessOutcome {
+            edges: Vec::new(),
+            labels: Vec::new(),
+            applied: false,
+            mst_edge_ids: Vec::new(),
+        };
+    }
+    contract_scanned(comm, g)
+}
+
+/// Contract purely local subtrees (Sec. IV-A), whatever the locality: the
+/// pass [`local_contract`] runs once its gate accepts. A vertex is
+/// *contractible* when it is local and not shared, so its full adjacency
+/// is on this PE and its minimum edge is a valid global minimum (cut
+/// property). Components grow only through contractible vertices. Always
+/// `applied`. Local: it communicates nothing.
 ///
 /// **The freeze rule.** Rounds are synchronous: every open component
 /// takes the lightest edge leaving it, over the full adjacency of its
@@ -717,34 +800,32 @@ fn offer(slot: &mut Option<Lightest>, e: &CEdge, to: u32) {
 /// internal (for good) and keeps each open component's minimum in a
 /// vector. The live list that remains at the end is the surviving edge
 /// list. γ is charged per live edge scanned.
-pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> PreprocessOutcome {
+pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome {
+    comm.charge_local(g.edges.len() as u64);
+    contract_scanned(comm, g)
+}
+
+/// [`contract_local_subtrees`] once γ for its first scan of the slice is
+/// charged — by the pass itself, or by the gate's count before it.
+fn contract_scanned(comm: &Comm, g: &DistGraph) -> PreprocessOutcome {
     let verts = g.local_vertices();
     let offsets = g.segment_offsets();
     let n = verts.len();
     assert!(g.edges.len() < u32::MAX as usize, "edge positions are u32");
-    // Only the slice's first and last vertex can be shared, so the
-    // contractible vertices are the index range `lo..hi`.
-    let lo = usize::from(g.first_shared);
-    let hi = (n - usize::from(g.last_shared)).max(lo);
+    let std::ops::Range { start: lo, end: hi } = contractible(g);
     let none = n as u32;
 
     // Resolve every edge with a contractible source to local indices —
     // the source is the segment number, the destination one lookup. The
-    // same pass counts the edges with both endpoints contractible for the
-    // gate and is the first round's scan: every vertex is a component,
+    // same pass is the first round's scan: every vertex is a component,
     // its segment holds all its edges, self-loops are internal already.
-    comm.charge_local(g.edges.len() as u64);
     let mut live: Vec<LiveEdge> = Vec::with_capacity(offsets[hi] - offsets[lo]);
     let mut lightest: Vec<Option<Lightest>> = vec![None; n];
-    let mut internal = 0u64;
     for a in lo..hi {
         for pos in offsets[a]..offsets[a + 1] {
             let e = &g.edges[pos];
             let b = match g.local_index(e.v) {
-                Some(b) if (lo..hi).contains(&b) => {
-                    internal += 1;
-                    b as u32
-                }
+                Some(b) if (lo..hi).contains(&b) => b as u32,
                 _ => none,
             };
             if b == a as u32 {
@@ -757,19 +838,6 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
             });
             offer(&mut lightest[a], e, b);
         }
-    }
-    // Locality gate: the globally averaged fraction of internal edges.
-    let internal_global = comm.allreduce_sum(internal);
-    let applied = cfg.preprocessing
-        && g.m_global > 0
-        && (internal_global as f64) >= PREPROCESS_MIN_LOCAL_FRACTION * g.m_global as f64;
-    if !applied {
-        return PreprocessOutcome {
-            edges: Vec::new(),
-            labels: Vec::new(),
-            applied: false,
-            mst_edge_ids: Vec::new(),
-        };
     }
 
     let mut uf = UnionFind::new(n);

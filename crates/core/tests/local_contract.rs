@@ -1,5 +1,6 @@
-//! `local_contract` (Sec. IV-A) checked as properties of its outcome, on
-//! every PE, against the global graph — not against a second
+//! The Sec. IV-A pass (`contract_local_subtrees`, and `local_contract`
+//! when its locality gate accepts) checked as properties of its outcome,
+//! on every PE, against the global graph — not against a second
 //! implementation:
 //!
 //! 1. every emitted id is an edge of the sequential Kruskal MSF;
@@ -11,13 +12,13 @@
 //!    any component leaves the contractible set.
 
 use kamsta_comm::{Machine, MachineConfig};
-use kamsta_core::dist::{local_contract, MstConfig, PreprocessOutcome};
+use kamsta_core::dist::{contract_local_subtrees, local_contract, MstConfig, PreprocessOutcome};
 use kamsta_core::seq::{kruskal, UnionFind};
 use kamsta_graph::io::{distribute_from_root, symmetrize};
 use kamsta_graph::{CEdge, GraphConfig, InputGraph, VertexId, WEdge, Weight};
 use std::collections::{HashMap, HashSet};
 
-/// What one PE held and what `local_contract` made of it.
+/// What one PE held and what Sec. IV-A made of it.
 struct Pe {
     edges: Vec<CEdge>,
     verts: Vec<VertexId>,
@@ -38,9 +39,17 @@ enum Source {
     Generated(GraphConfig, u64),
 }
 
+/// How a test runs Sec. IV-A: behind the real locality gate, or the pass
+/// alone, whatever the locality.
+#[derive(Clone, Copy)]
+enum Via {
+    Gate,
+    Pass,
+}
+
 /// Prepare the input on `p` PEs and contract it; returns the global
 /// (symmetric, directed) edge list and every PE's view.
-fn contract(p: usize, source: Source) -> (Vec<WEdge>, Vec<Pe>) {
+fn contract(p: usize, source: Source, via: Via) -> (Vec<WEdge>, Vec<Pe>) {
     let out = Machine::run(MachineConfig::new(p), move |comm| {
         let slice = match &source {
             Source::Edges(all) => {
@@ -49,7 +58,10 @@ fn contract(p: usize, source: Source) -> (Vec<WEdge>, Vec<Pe>) {
             Source::Generated(config, seed) => config.generate(comm, *seed),
         };
         let g = InputGraph::from_sorted_edges(comm, slice).graph;
-        let pre = local_contract(comm, &g, &MstConfig::default());
+        let pre = match via {
+            Via::Gate => local_contract(comm, &g, &MstConfig::default()),
+            Via::Pass => contract_local_subtrees(comm, &g),
+        };
         Pe {
             verts: g.local_vertices().to_vec(),
             first_shared: g.first_shared,
@@ -165,7 +177,8 @@ impl Rng {
 /// `m` random undirected edges on `n` vertices with weights in `1..4`, so
 /// almost every comparison is decided by the id tie-break. `band` bounds
 /// `|u − v|`: a small band keeps edges inside a PE under the 1D
-/// partition, so the gate also accepts at large `p`.
+/// partition, so the gate also accepts at large `p`; with `band = n` the
+/// graph has no locality beyond what the partition gives it.
 fn tied_graph(n: u64, m: usize, band: u64, seed: u64) -> Vec<WEdge> {
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let pairs = (0..m)
@@ -183,23 +196,34 @@ const PES: [usize; 5] = [1, 2, 3, 5, 16];
 
 #[test]
 fn properties_hold_under_heavy_weight_ties() {
-    let mut applied = 0;
+    let mut contracted = 0;
     for seed in 0..6 {
         for p in PES {
-            // Unbanded: locality only while p is small.
+            // Unbanded: the gate takes it at p = 1 only; the pass itself
+            // runs on it at every p.
             let edges = tied_graph(60, 240, 60, seed);
-            let (global, pes) = contract(p, Source::Edges(edges));
-            applied += usize::from(check(&format!("random seed {seed}"), &global, &pes));
+            let (global, pes) = contract(p, Source::Edges(edges.clone()), Via::Gate);
+            assert_eq!(
+                check(&format!("random seed {seed}, gated"), &global, &pes),
+                p == 1,
+                "the gate rejects the unbanded graphs at every p ≥ 2 (p = {p})"
+            );
+            let (global, pes) = contract(p, Source::Edges(edges), Via::Pass);
+            assert!(check(&format!("random seed {seed}"), &global, &pes));
+            contracted += usize::from(pes.iter().any(|pe| !pe.pre.mst_edge_ids.is_empty()));
             // Banded: local at every p.
             let edges = tied_graph(200, 700, 4, seed);
-            let (global, pes) = contract(p, Source::Edges(edges));
+            let (global, pes) = contract(p, Source::Edges(edges), Via::Gate);
             assert!(
                 check(&format!("banded seed {seed}"), &global, &pes),
                 "banded graphs pass the gate at p = {p}"
             );
         }
     }
-    assert!(applied >= 12, "the unbanded graphs pass the gate at p ≤ 2");
+    assert!(
+        contracted >= 12,
+        "the pass contracts the unbanded graphs at small p: {contracted}"
+    );
 }
 
 #[test]
@@ -214,11 +238,15 @@ fn properties_hold_on_the_generator_families() {
     ];
     for config in families {
         for p in PES {
-            let (global, pes) = contract(p, Source::Generated(config, 11));
+            let (global, pes) = contract(p, Source::Generated(config, 11), Via::Gate);
             let applied = check(config.family(), &global, &pes);
             if p == 1 {
                 assert!(applied, "{}: one PE holds every edge", config.family());
             }
+            // The pass itself, also where the gate skips it (GNM and
+            // RMAT at p ≥ 2).
+            let (global, pes) = contract(p, Source::Generated(config, 11), Via::Pass);
+            check(config.family(), &global, &pes);
         }
     }
 }
@@ -228,7 +256,7 @@ fn one_pe_contracts_the_whole_graph() {
     // No ghosts and no shared vertices: the pass is a complete Borůvka.
     let edges = tied_graph(80, 200, 80, 3);
     let vertices: HashSet<VertexId> = edges.iter().map(|e| e.u).collect();
-    let (global, pes) = contract(1, Source::Edges(edges));
+    let (global, pes) = contract(1, Source::Edges(edges), Via::Gate);
     assert!(check("p = 1", &global, &pes));
     let pre = &pes[0].pre;
     assert!(pre.edges.is_empty(), "every edge ends inside a component");
@@ -242,24 +270,26 @@ fn more_pes_than_vertices() {
     // A 3-vertex path over 8 PEs: 4 directed edges, so half the PEs are
     // empty and the rest hold one edge each — every vertex is shared or
     // alone with a ghost, and whatever the gate says, nothing may break.
-    let edges = symmetrize(vec![WEdge::new(0, 1, 2), WEdge::new(1, 2, 2)]);
-    let (global, pes) = contract(8, Source::Edges(edges));
-    check("p > n", &global, &pes);
-    for pe in &pes {
-        assert!(
-            pe.pre.mst_edge_ids.is_empty(),
-            "no vertex has its adjacency local"
-        );
+    for via in [Via::Gate, Via::Pass] {
+        let edges = symmetrize(vec![WEdge::new(0, 1, 2), WEdge::new(1, 2, 2)]);
+        let (global, pes) = contract(8, Source::Edges(edges), via);
+        check("p > n", &global, &pes);
+        for pe in &pes {
+            assert!(
+                pe.pre.mst_edge_ids.is_empty(),
+                "no vertex has its adjacency local"
+            );
+        }
+        // A triangle plus an isolated edge over 16 PEs.
+        let edges = symmetrize(vec![
+            WEdge::new(0, 1, 1),
+            WEdge::new(1, 2, 1),
+            WEdge::new(0, 2, 1),
+            WEdge::new(7, 9, 1),
+        ]);
+        let (global, pes) = contract(16, Source::Edges(edges), via);
+        check("p > m", &global, &pes);
     }
-    // A triangle plus an isolated edge over 16 PEs.
-    let edges = symmetrize(vec![
-        WEdge::new(0, 1, 1),
-        WEdge::new(1, 2, 1),
-        WEdge::new(0, 2, 1),
-        WEdge::new(7, 9, 1),
-    ]);
-    let (global, pes) = contract(16, Source::Edges(edges));
-    check("p > m", &global, &pes);
 }
 
 #[test]
@@ -277,7 +307,7 @@ fn hub_spanning_several_pes_contracts_nothing_around_it() {
             pairs.push(WEdge::new(u, u + d, ((u + d) % 3 + 1) as Weight));
         }
     }
-    let (global, pes) = contract(16, Source::Edges(symmetrize(pairs)));
+    let (global, pes) = contract(16, Source::Edges(symmetrize(pairs)), Via::Gate);
     assert!(check("hub", &global, &pes), "the cluster carries the gate");
     for pe in &pes[1..3] {
         assert_eq!(pe.verts, vec![0]);
@@ -331,7 +361,7 @@ fn an_open_component_merging_into_one_that_sits_out() {
         .chain(&pe1)
         .map(|&(u, v, w)| WEdge::new(u, v, w))
         .collect();
-    let (global, pes) = contract(2, Source::Edges(symmetrize(pairs)));
+    let (global, pes) = contract(2, Source::Edges(symmetrize(pairs)), Via::Gate);
     assert!(check("sits-out merge", &global, &pes));
     let pe = &pes[0];
     assert_eq!(pe.verts, vec![0, 1, 2, 3, 4, 5]);

@@ -29,6 +29,11 @@ pub struct DistGraph {
     pub n_global: u64,
     /// Global number of (directed) edges.
     pub m_global: u64,
+    /// Replicated: the chance that two edges drawn at random lie on one
+    /// PE, `Σᵢ (mᵢ/m)²` over the PEs' edge counts `mᵢ` — `1/p` when the
+    /// slices are equal, 1 when one PE holds every edge, 0 for the empty
+    /// graph.
+    pub same_pe_chance: f64,
     /// True if this PE's first vertex also appears on an earlier PE.
     pub first_shared: bool,
     /// True if this PE's last vertex also appears on a later PE.
@@ -138,13 +143,24 @@ impl DistGraph {
         comm.charge_local(edges.len() as u64);
         let dedup = u64::from(first_shared);
         let n_global = comm.allreduce_sum(verts.len() as u64 - dedup);
-        let m_global = comm.allreduce_sum(edges.len() as u64);
+        // The sum's allgather, read twice: an allreduce charges exactly
+        // this.
+        let pe_edges = comm.allgather(edges.len() as u64);
+        let m_global: u64 = pe_edges.iter().sum();
+        let same_pe_chance = match m_global {
+            0 => 0.0,
+            m => pe_edges
+                .iter()
+                .map(|&mi| (mi as f64 / m as f64).powi(2))
+                .sum(),
+        };
 
         Self {
             edges,
             locator,
             n_global,
             m_global,
+            same_pe_chance,
             first_shared,
             last_shared,
             id_span,

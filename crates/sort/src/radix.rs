@@ -793,12 +793,12 @@ fn lsd_passes<C: CompactKey>(records: &mut [(C, u32)], digits: usize) {
 mod tests {
     use super::*;
 
+    /// The SplitMix64 stream: the finalizer over the state before its
+    /// increment, which the finalizer adds itself.
     fn splitmix(state: &mut u64) -> u64 {
+        let z = kamsta_comm::fault::splitmix64(*state);
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     #[test]

@@ -142,10 +142,7 @@ fn auto_picks_hypercube_up_to_the_threshold_and_sample_sort_above() {
 
 /// SplitMix64 finalizer over `h ^ x`: the digest fold of the pinned test.
 fn fold(h: u64, x: u64) -> u64 {
-    let mut z = (h ^ x).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    kamsta_comm::fault::splitmix64(h ^ x)
 }
 
 #[test]
