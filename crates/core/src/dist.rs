@@ -43,11 +43,11 @@ pub use crate::dist_array::DistArray;
 pub use crate::filter::{filter_mst, FilterStats};
 use crate::instrument::{Phase, PhaseTimes, Phased};
 pub use crate::numbering::{IdLabels, VertexNumbering};
+use crate::prefilter::{prefilter_pairs, prefilter_unordered};
 use crate::seq::UnionFind;
 use kamsta_comm::{Comm, FlatBuckets};
 use kamsta_graph::hash::FxHashMap;
 use kamsta_graph::{CEdge, DistGraph, InputGraph, VertexId, Weight};
-use kamsta_sort::Sorted;
 use std::borrow::Cow;
 
 /// Parallel-edge elimination strategy used by [`redistribute`]
@@ -973,234 +973,6 @@ fn kruskal_ids_and_labels(all: &[CEdge]) -> RootedSolution {
     (ids, labels)
 }
 
-/// The kernel of both prefilters: of the edges `keep` accepts, the copy
-/// minimal in `(w, id)` of every ordered `(u, v)` pair, in `(u, v)`
-/// order — the sequence "sort by `(u, v, w, id)`, keep the first of each
-/// `(u, v)` run" produces, without sorting `w` and `id` into place.
-///
-/// One input-order pass ([`RunScan`]) finds the runs of kept edges with
-/// equal `u`, counts the kept edges and takes their destinations' span.
-/// Where the runs are long and the span dense — the post-`relabel`
-/// slices of a Borůvka round, still in the old `(u, v)` order — each
-/// source's runs are merged in a table over the span ([`group_walk`]).
-/// Elsewhere (Filter-Borůvka's light subgraphs, random slices) the
-/// radix engine orders the kept edges by their pair key alone and one
-/// walk along that order emits each run's minimum. Output and γ charge
-/// are the same on both sides — the group side charges what the radix
-/// order would have, from the keys the pass saw — and independent of
-/// `threads_per_pe` (DESIGN.md §14).
-fn lightest_per_pair(
-    comm: &Comm,
-    edges: &[CEdge],
-    keep: impl Fn(&CEdge) -> bool + Sync,
-) -> Vec<CEdge> {
-    comm.charge_local(edges.len() as u64);
-    let mut scan = RunScan::new(edges.len());
-    let order_ops = kamsta_sort::radix_order_charge(edges.len(), scan.keys(edges, &keep));
-    if let Some((lo, width)) = scan.table() {
-        // The pass ran to the end, so the charge is the whole slice's.
-        comm.charge_local(order_ops.unwrap_or_else(|e| too_long(e)));
-        return group_walk(edges, &keep, &scan, lo, width);
-    }
-    let order = kamsta_sort::local_radix_order(comm, edges, |e| keep(e).then(|| e.pair_key()))
-        .unwrap_or_else(|e| too_long(e));
-    let mut out = Vec::with_capacity(order.len());
-    let mut run = order.iter().map(|&i| edges[i as usize]);
-    let Some(mut best) = run.next() else {
-        return out;
-    };
-    for e in run {
-        if (e.u, e.v) != (best.u, best.v) {
-            out.push(best);
-            best = e;
-        } else if (e.w, e.id) < (best.w, best.id) {
-            best = e;
-        }
-    }
-    out.push(best);
-    out
-}
-
-fn too_long(e: kamsta_sort::TooLongForRadix) -> ! {
-    panic!("a PE's edge slice must be u32-indexable: {e}")
-}
-
-/// The mean number of kept edges per source run from which the
-/// prefilter merges runs in a table ([`group_walk`]) rather than
-/// radix-ordering pair keys. Below it a group's table traffic and its
-/// destination sort cost more than the four counting passes they
-/// replace (EXPERIMENTS.md "The prefilter walks source groups").
-const GROUP_WALK_MIN_RUN: usize = 8;
-
-/// The runs [`RunScan`] sees before it judges their mean length.
-const GROUP_WALK_SAMPLE_RUNS: usize = 64;
-
-/// A maximal stretch of kept edges with one source, by the input
-/// position of its first edge; it ends where the next run starts (or
-/// at the slice's end), and the edges `keep` drops in between are
-/// skipped again when it is walked.
-struct Run {
-    u: VertexId,
-    start: u32,
-}
-
-/// What [`lightest_per_pair`]'s input-order pass learns: the source
-/// runs, the number of kept edges and their destinations' span. The
-/// pass gives up — and the radix side pays for the prefix it read, not
-/// for the slice — at the first run boundary where
-/// [`GROUP_WALK_SAMPLE_RUNS`] or more runs average fewer than
-/// [`GROUP_WALK_MIN_RUN`] kept edges, or at the first edge that
-/// stretches the span beyond what the density rule allows on the whole
-/// slice.
-struct RunScan {
-    runs: Vec<Run>,
-    kept: usize,
-    span: Option<(u64, u64)>,
-    max_span: u64,
-    gave_up: bool,
-}
-
-impl RunScan {
-    fn new(len: usize) -> Self {
-        RunScan {
-            runs: Vec::new(),
-            kept: 0,
-            span: None,
-            max_span: DENSE_SPAN_PER_QUERY.saturating_mul(len as u64),
-            gave_up: false,
-        }
-    }
-
-    /// The pair keys of the kept edges in input order, each seen by the
-    /// scan on the way; they end early where the scan gives up.
-    fn keys<'a>(
-        &'a mut self,
-        edges: &'a [CEdge],
-        keep: &'a impl Fn(&CEdge) -> bool,
-    ) -> impl Iterator<Item = u128> + 'a {
-        edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| keep(e))
-            .map_while(|(i, e)| self.see(i, e).then(|| e.pair_key()))
-    }
-
-    /// Take the kept edge at input position `i`; false once the table
-    /// walk is ruled out.
-    #[inline]
-    fn see(&mut self, i: usize, e: &CEdge) -> bool {
-        if self.runs.last().is_none_or(|r| r.u != e.u) {
-            let runs = self.runs.len();
-            if runs >= GROUP_WALK_SAMPLE_RUNS && self.kept < GROUP_WALK_MIN_RUN * runs {
-                self.gave_up = true;
-                return false;
-            }
-            self.runs.push(Run {
-                u: e.u,
-                start: i as u32,
-            });
-        }
-        let (lo, hi) = self.span.get_or_insert((e.v, e.v));
-        *lo = (*lo).min(e.v);
-        *hi = (*hi).max(e.v);
-        if *hi - *lo >= self.max_span {
-            self.gave_up = true;
-            return false;
-        }
-        self.kept += 1;
-        true
-    }
-
-    /// The table `(lo, width)` over the kept destinations when the pass
-    /// saw the whole slice, the runs average [`GROUP_WALK_MIN_RUN`]
-    /// kept edges and the span is dense by [`dense_width`].
-    fn table(&self) -> Option<(u64, usize)> {
-        if self.gave_up || self.kept < GROUP_WALK_MIN_RUN * self.runs.len() {
-            return None;
-        }
-        dense_width(self.span, self.kept).filter(|&(_, width)| u32::try_from(width).is_ok())
-    }
-}
-
-/// The table side of [`lightest_per_pair`]. The runs are ordered by
-/// source with the (stable) radix engine, so each source's runs form
-/// one group, in input order. A group keeps, per destination, the input
-/// position of its `(w, id)`-lightest copy in a slot of a table over the
-/// span; the slot is stamped with the group's number, so the table is
-/// filled once per call and never cleared. The group's distinct
-/// destinations, sorted, then emit one copy each: sources ascending,
-/// destinations ascending within a source — the definition's sequence.
-fn group_walk(
-    edges: &[CEdge],
-    keep: impl Fn(&CEdge) -> bool,
-    scan: &RunScan,
-    lo: u64,
-    width: usize,
-) -> Vec<CEdge> {
-    let runs = &scan.runs;
-    let (order, _) = kamsta_sort::radix_order_by_key(runs, |r| Some(r.u))
-        .expect("fewer runs than edges, which are u32-indexable");
-    let end_of = |r: usize| runs.get(r + 1).map_or(edges.len(), |n| n.start as usize);
-    // `(stamp, position)`: stamp 0 is no group's.
-    let mut slots: Vec<(u32, u32)> = vec![(0, 0); width];
-    let mut dests: Vec<u32> = Vec::new();
-    let mut out = Vec::with_capacity(scan.kept);
-    let mut stamp = 0u32;
-    let mut k = 0;
-    while k < order.len() {
-        let u = runs[order[k] as usize].u;
-        stamp += 1;
-        dests.clear();
-        while let Some(&r) = order.get(k).filter(|&&r| runs[r as usize].u == u) {
-            let r = r as usize;
-            for i in runs[r].start as usize..end_of(r) {
-                let e = &edges[i];
-                if !keep(e) {
-                    continue;
-                }
-                let d = (e.v - lo) as u32;
-                let slot = &mut slots[d as usize];
-                if slot.0 != stamp {
-                    *slot = (stamp, i as u32);
-                    dests.push(d);
-                } else {
-                    let best = &edges[slot.1 as usize];
-                    if (e.w, e.id) < (best.w, best.id) {
-                        slot.1 = i as u32;
-                    }
-                }
-            }
-            k += 1;
-        }
-        dests.sort_unstable();
-        out.extend(dests.iter().map(|&d| edges[slots[d as usize].1 as usize]));
-    }
-    out
-}
-
-/// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
-/// dedup — self-loops, identical duplicates and parallel copies never
-/// travel, and the survivors are already in lexicographic order (one
-/// copy per pair, pairs ascending: the [`Sorted`] witness). Both
-/// directions survive, keeping the edge list symmetric.
-fn prefilter_pairs(comm: &Comm, edges: &[CEdge]) -> Sorted<CEdge> {
-    Sorted::assume(lightest_per_pair(comm, edges, |e| !e.is_self_loop()))
-}
-
-/// Keep-lightest-per-*unordered*-pair prefilter for the replicated base
-/// cases. The symmetric closure holds both directions of every
-/// undirected edge machine-wide, and a sequential Kruskal can only ever
-/// use, per unordered pair, the copy minimal in `(w, id)` — the back
-/// edge and every (also heavier) parallel copy join two already-connected
-/// components. Keeping only the `u < v` direction halves the gathered
-/// volume, and makes the ordered pair `(u, v) = (min, max)` the
-/// unordered one, so the per-pair minimum is exactly the candidate the
-/// sequential tie-break would pick. The undirected MSF is unique under
-/// the unique-weight total order, so the forest is unchanged.
-fn prefilter_unordered(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
-    lightest_per_pair(comm, edges, |e| e.u < e.v)
-}
-
 /// The base case (Sec. IV-D stand-in): gather the prefiltered remaining
 /// edges at rank 0 and solve sequentially there. Only the root receives
 /// the MSF ids and the component labels ([`kruskal_ids_and_labels`]) —
@@ -1601,322 +1373,5 @@ pub(crate) mod tests {
         let all: Vec<CEdge> = out.results.iter().flat_map(|(_, e)| e.clone()).collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].w, all[1].w, "surviving weights symmetric");
-    }
-
-    /// The prefilters' definition: of the edges `keep` accepts, sorted by
-    /// `CEdge::lex_key`, the first of every `(u, v)` run.
-    fn reference_prefilter(edges: &[CEdge], keep: impl Fn(&CEdge) -> bool) -> Vec<CEdge> {
-        let mut kept: Vec<CEdge> = edges.iter().filter(|e| keep(e)).copied().collect();
-        kept.sort_by_key(CEdge::lex_key);
-        kept.dedup_by(|a, b| a.u == b.u && a.v == b.v);
-        kept
-    }
-
-    /// A prefilter's `keep` rule.
-    type Keep = fn(&CEdge) -> bool;
-
-    /// The two prefilters' `keep` rules, by name.
-    const KEEPS: [(&str, Keep); 2] = [
-        ("prefilter_pairs", |e| !e.is_self_loop()),
-        ("prefilter_unordered", |e| e.u < e.v),
-    ];
-
-    /// The γ units `local_radix_order` charges on the pair keys of the
-    /// edges `keep` accepts: what a prefilter charges beyond its `n`-unit
-    /// scan, whichever side ran.
-    fn radix_order_ops(edges: &[CEdge], keep: Keep) -> u64 {
-        let edges = edges.to_vec();
-        let out = Machine::run(MachineConfig::new(1), move |comm| {
-            kamsta_sort::local_radix_order(comm, &edges, |e| keep(e).then(|| e.pair_key()))
-                .unwrap();
-            comm.stats().local_ops
-        });
-        out.results[0]
-    }
-
-    /// Whether `lightest_per_pair` merges source groups in a table on
-    /// `edges` (true) or radix-orders their pair keys (false).
-    fn walks_groups(edges: &[CEdge], keep: Keep) -> bool {
-        let mut scan = RunScan::new(edges.len());
-        scan.keys(edges, &keep).for_each(drop);
-        scan.table().is_some()
-    }
-
-    /// Both prefilters on one PE with `t` pool threads: their outputs and
-    /// the γ units each charged.
-    fn run_prefilters(edges: &[CEdge], t: usize) -> [(Vec<CEdge>, u64); 2] {
-        let edges = edges.to_vec();
-        let out = Machine::run(MachineConfig::new(1).with_threads(t), move |comm| {
-            let pairs = prefilter_pairs(comm, &edges).into_inner();
-            let pairs_ops = comm.stats().local_ops;
-            let unordered = prefilter_unordered(comm, &edges);
-            let unordered_ops = comm.stats().local_ops - pairs_ops;
-            [(pairs, pairs_ops), (unordered, unordered_ops)]
-        });
-        out.results.into_iter().next().unwrap()
-    }
-
-    /// Each prefilter's output is its definition's, and its charge is
-    /// `n` plus what the radix order charges on the kept pair keys.
-    fn assert_prefilters_match_their_definition(edges: &[CEdge], t: usize, what: &str) {
-        let got = run_prefilters(edges, t);
-        for ((name, keep), (out, ops)) in KEEPS.into_iter().zip(got) {
-            assert_eq!(
-                out,
-                reference_prefilter(edges, keep),
-                "{what}: {name}, t={t}"
-            );
-            let expect = edges.len() as u64 + radix_order_ops(edges, keep);
-            assert_eq!(ops, expect, "{what}: {name}'s charge, t={t}");
-        }
-    }
-
-    /// `n` random edges over `labels` endpoints spaced `1 << shift`
-    /// apart, weights below `weights`, ids below `ids` — small ranges
-    /// make parallel copies, equal weights and exact duplicates common.
-    fn multigraph(
-        n: usize,
-        labels: u64,
-        shift: u32,
-        weights: u64,
-        ids: u64,
-        seed: u64,
-    ) -> Vec<CEdge> {
-        let mut state = seed;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 24
-        };
-        (0..n)
-            .map(|_| {
-                CEdge::new(
-                    (rng() % labels) << shift,
-                    (rng() % labels) << shift,
-                    (rng() % weights + 1) as u32,
-                    rng() % ids,
-                )
-            })
-            .collect()
-    }
-
-    /// The post-`relabel` shape of a Borůvka round: `n` edges among
-    /// `vertices` vertices sorted by `(u, v)`, then both endpoints
-    /// relabelled to `base + hash mod labels`. A label's edges lie in
-    /// runs apart in the slice; an edge inside one label is a self-loop
-    /// inside its run; small `weights` and `ids` make equal weights and
-    /// exact duplicates across one source's runs common.
-    fn relabelled(
-        n: usize,
-        vertices: u64,
-        labels: u64,
-        base: u64,
-        weights: u64,
-        ids: u64,
-        seed: u64,
-    ) -> Vec<CEdge> {
-        let label = |x: u64| base + kamsta_graph::hash::mix64(seed ^ x) % labels;
-        let mut edges = multigraph(n, vertices, 0, weights, ids, seed);
-        edges.sort_unstable_by_key(|e| (e.u, e.v));
-        for e in &mut edges {
-            (e.u, e.v) = (label(e.u), label(e.v));
-        }
-        edges
-    }
-
-    /// Runs of the given lengths that both prefilters keep whole (`u <
-    /// v`, no self-loop): sources cycle through five labels, so every
-    /// source's runs lie apart; destinations lie in `[lo, lo + width)`
-    /// and take both ends, so the kept span is exactly `width` wide.
-    fn runs_over_span(lens: &[usize], lo: u64, width: u64, seed: u64) -> Vec<CEdge> {
-        let n: usize = lens.iter().sum();
-        let mut edges = Vec::with_capacity(n);
-        for (r, &len) in lens.iter().enumerate() {
-            for _ in 0..len {
-                let k = edges.len() as u64;
-                let v = match k {
-                    0 => lo,
-                    _ if k + 1 == n as u64 => lo + width - 1,
-                    _ => lo + kamsta_graph::hash::mix64(seed ^ k) % width,
-                };
-                let w = 1 + (kamsta_graph::hash::mix64(seed ^ !k) % 3) as u32;
-                edges.push(CEdge::new((r % 5) as u64, v, w, k % 7));
-            }
-        }
-        edges
-    }
-
-    #[test]
-    fn prefilters_match_their_definition_on_pinned_shapes() {
-        let shapes: Vec<(&str, Vec<CEdge>)> = vec![
-            ("empty", vec![]),
-            ("one edge", vec![CEdge::new(3, 1, 7, 0)]),
-            (
-                "all self-loops",
-                (0..300).map(|i| CEdge::new(i % 7, i % 7, 1, i)).collect(),
-            ),
-            (
-                "endpoints above 2^32",
-                multigraph(5_000, 200, 27, 250, 1 << 20, 1),
-            ),
-            (
-                "endpoints above 2^48",
-                multigraph(5_000, 200, 44, 250, 1 << 20, 2),
-            ),
-            ("exact duplicates", multigraph(5_000, 12, 0, 2, 3, 3)),
-            (
-                "equal weights, ids differ",
-                multigraph(5_000, 12, 0, 1, 1 << 30, 4),
-            ),
-            (
-                "RMAT-like, >= 16 copies per pair",
-                multigraph(40_000, 48, 3, 250, 1 << 20, 5),
-            ),
-            // Both sides of the engine's small-slice cutoff (96) …
-            ("n = 95", multigraph(95, 30, 0, 9, 50, 6)),
-            ("n = 96", multigraph(96, 30, 0, 9, 50, 7)),
-            ("n = 97", multigraph(97, 30, 0, 9, 50, 8)),
-            // … and of its parallel cutoff (65 536), which the t = 2 and
-            // t = 8 runs below cross.
-            ("n = 65 535", multigraph(65_535, 3_000, 0, 250, 1 << 21, 9)),
-            ("n = 65 536", multigraph(65_536, 3_000, 0, 250, 1 << 21, 10)),
-            ("n = 65 537", multigraph(65_537, 3_000, 0, 250, 1 << 21, 11)),
-        ];
-        for (what, edges) in &shapes {
-            for t in [1usize, 2, 8] {
-                assert_prefilters_match_their_definition(edges, t, what);
-            }
-        }
-        // Relabel-shaped slices, with the side each prefilter
-        // (`[pairs, unordered]`) must take on them.
-        let limit = 8 * 64 * 16;
-        let relabel_shapes: Vec<(&str, Vec<CEdge>, [bool; 2])> = vec![
-            (
-                "a GNM round after relabel",
-                relabelled(40_000, 2_000, 700, 0, 250, 1 << 21, 13),
-                [true, true],
-            ),
-            (
-                "one source's runs apart, self-loops inside runs",
-                relabelled(5_000, 100, 12, 0, 250, 1 << 20, 14),
-                [true, true],
-            ),
-            (
-                "exact duplicates and equal weights across runs",
-                relabelled(5_000, 100, 12, 0, 2, 3, 15),
-                [true, true],
-            ),
-            (
-                "span at the density limit",
-                runs_over_span(&[16; 64], 9, limit, 16),
-                [true, true],
-            ),
-            (
-                "span one id past the density limit",
-                runs_over_span(&[16; 64], 9, limit + 1, 17),
-                [false, false],
-            ),
-            (
-                "mean run at the threshold",
-                runs_over_span(&[GROUP_WALK_MIN_RUN; 100], 9, 50, 18),
-                [true, true],
-            ),
-            (
-                "mean run one edge below the threshold",
-                runs_over_span(
-                    &[
-                        [GROUP_WALK_MIN_RUN; 99].as_slice(),
-                        &[GROUP_WALK_MIN_RUN - 1],
-                    ]
-                    .concat(),
-                    9,
-                    50,
-                    19,
-                ),
-                [false, false],
-            ),
-            (
-                "long runs, endpoints above 2^32",
-                relabelled(20_000, 500, 300, (1 << 32) + 7, 250, 1 << 20, 20),
-                [true, true],
-            ),
-            (
-                "long runs, endpoints above 2^48",
-                relabelled(20_000, 500, 300, (1 << 48) + 9, 250, 1 << 20, 21),
-                [true, true],
-            ),
-        ];
-        for (what, edges, sides) in &relabel_shapes {
-            for ((name, keep), side) in KEEPS.into_iter().zip(sides) {
-                assert_eq!(walks_groups(edges, keep), *side, "{what}: {name}'s side");
-            }
-            for t in [1usize, 2, 8] {
-                assert_prefilters_match_their_definition(edges, t, what);
-            }
-        }
-    }
-
-    #[test]
-    fn prefilter_output_and_charge_are_thread_invariant() {
-        // Well past the parallel cutoff, on the post-relabel shape of a
-        // GNM round: the width-parallel order must reproduce both the
-        // survivors and the γ units of the sequential one.
-        // Random sources take the radix side, the relabel shape (runs of
-        // about 32 edges per source vertex) the group side.
-        let shapes = [
-            (
-                "2^17 random edges",
-                multigraph(1 << 17, 1 << 12, 0, 254, 1 << 21, 12),
-                false,
-            ),
-            (
-                "2^17 relabelled edges",
-                relabelled(1 << 17, 1 << 12, 1 << 11, 0, 254, 1 << 21, 22),
-                true,
-            ),
-        ];
-        for (what, edges, groups) in &shapes {
-            for (name, keep) in KEEPS {
-                assert_eq!(walks_groups(edges, keep), *groups, "{what}: {name}'s side");
-            }
-            let seq = run_prefilters(edges, 1);
-            assert!(seq[0].0.len() > 1 << 16 && seq[0].1 > 0, "{what}");
-            for t in [2usize, 8] {
-                assert_eq!(run_prefilters(edges, t), seq, "{what}: t={t}");
-            }
-            assert_prefilters_match_their_definition(edges, 8, what);
-        }
-    }
-
-    mod prefilter_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            #[test]
-            fn prefilters_match_their_definition(
-                n in 0usize..400,
-                labels in 1u64..40,
-                shift in 0u32..50,
-                weights in 1u64..6,
-                ids in 1u64..500,
-                seed in any::<u64>(),
-                t in 1usize..4,
-                runs in any::<bool>(),
-            ) {
-                // Run-structured: `labels` vertices relabelled onto as many
-                // labels from `2^shift` on; long runs reach the group side.
-                let (edges, what) = if runs {
-                    let edges = relabelled(n, labels, labels, 1 << shift, weights, ids, seed);
-                    (edges, "relabelled multigraph")
-                } else {
-                    (multigraph(n, labels, shift, weights, ids, seed), "random multigraph")
-                };
-                assert_prefilters_match_their_definition(&edges, t, what);
-            }
-        }
     }
 }

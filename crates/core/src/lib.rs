@@ -22,6 +22,7 @@ mod dist_array;
 mod filter;
 pub mod instrument;
 mod numbering;
+mod prefilter;
 pub mod seq;
 pub mod shared;
 mod verify;
