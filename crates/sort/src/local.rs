@@ -1,8 +1,8 @@
 //! Local sorting kernels with hybrid (rayon) parallelism.
 
 use crate::radix::{
-    order_outcome, par_radix_order_by_key, par_radix_sort_by_key, sorted_outcome, RadixKey,
-    SortOutcome, TooLongForRadix,
+    order_outcome, par_radix_order_by_key, par_radix_sort_by_key, sorted_outcome, KeyFold,
+    RadixKey, SortOutcome, TooLongForRadix,
 };
 use kamsta_comm::Comm;
 use rayon::prelude::*;
@@ -133,7 +133,18 @@ pub fn radix_order_charge<K: RadixKey>(
     len: usize,
     keys: impl IntoIterator<Item = K>,
 ) -> Result<u64, TooLongForRadix> {
-    let (kept, outcome) = order_outcome(len, keys.into_iter())?;
+    radix_order_charge_of(len, KeyFold::of(keys.into_iter()))
+}
+
+/// [`radix_order_charge`] from the [`KeyFold`] of the kept keys in input
+/// order (`None` when nothing is kept) rather than from the keys — for a
+/// caller that meets the keys segment by segment and joins the segments'
+/// folds in input order.
+pub fn radix_order_charge_of<K: RadixKey>(
+    len: usize,
+    fold: Option<KeyFold<K>>,
+) -> Result<u64, TooLongForRadix> {
+    let (kept, outcome) = order_outcome(len, fold)?;
     Ok(outcome_ops(kept, outcome))
 }
 
@@ -207,6 +218,64 @@ mod tests {
                 });
                 let (charged, predicted) = out.results[0];
                 assert_eq!(predicted, Ok(charged), "t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn joined_segment_folds_equal_the_scan() {
+        // Every plan, on keys in runs of equal values, cut at random
+        // points — some inside a run, some twice at one point (an empty
+        // segment) — and joined in segment order.
+        let mix = kamsta_comm::fault::splitmix64;
+        let shapes: Vec<(&str, Vec<u64>, SortOutcome)> = vec![
+            (
+                "sorted",
+                (0..5_000).map(|i| i / 7).collect(),
+                SortOutcome::AlreadySorted,
+            ),
+            (
+                "compare, past the small-slice cutoff",
+                (0..5_000u64).map(|i| mix(i / 3)).collect(),
+                SortOutcome::Comparison,
+            ),
+            (
+                "compare, below it",
+                (0..60u64).map(|i| (i / 4) % 5).collect(),
+                SortOutcome::Comparison,
+            ),
+            (
+                "radix",
+                (0..5_000u64).map(|i| mix(i / 5) % 256).collect(),
+                SortOutcome::Radix(1),
+            ),
+        ];
+        for (what, keys, plan) in &shapes {
+            let scan = KeyFold::of(keys.iter().copied());
+            let (_, outcome) = order_outcome(keys.len(), scan).unwrap();
+            assert_eq!(outcome, *plan, "{what}: the plan");
+            let inside_runs: Vec<usize> = (1..keys.len())
+                .filter(|&i| keys[i - 1] == keys[i])
+                .collect();
+            for trial in 0..24u64 {
+                let seed = mix(trial ^ keys.len() as u64);
+                let mut cuts: Vec<usize> = (0..1 + seed % 9)
+                    .map(|k| mix(seed ^ k) as usize % (keys.len() + 1))
+                    .collect();
+                cuts.push(inside_runs[seed as usize % inside_runs.len()]);
+                cuts.push(cuts[0]);
+                cuts.extend([0, keys.len()]);
+                cuts.sort_unstable();
+                let joined = cuts
+                    .windows(2)
+                    .filter_map(|w| KeyFold::of(keys[w[0]..w[1]].iter().copied()))
+                    .reduce(KeyFold::join);
+                assert_eq!(joined, scan, "{what}: cuts {cuts:?}");
+                assert_eq!(
+                    radix_order_charge_of(keys.len(), joined),
+                    radix_order_charge(keys.len(), keys.iter().copied()),
+                    "{what}: the charge"
+                );
             }
         }
     }

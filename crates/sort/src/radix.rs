@@ -222,9 +222,13 @@ fn check_indexable(len: usize) -> Result<(), TooLongForRadix> {
 /// What one scan over the keys of the kept elements learns: how many
 /// there are, whether they are already in order, and the OR/AND folds
 /// that tell constant bytes from active ones. `join` is associative, so
-/// chunk folds combined in chunk order *equal* the sequential scan —
-/// they are not approximations of it.
-struct Fold<K> {
+/// the folds of consecutive segments joined in segment order *equal* the
+/// scan over their concatenation — they are not approximations of it —
+/// which lets a caller that meets its keys segment by segment, in any
+/// order of segments, charge what the scan would
+/// ([`radix_order_charge_of`](crate::radix_order_charge_of)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeyFold<K> {
     kept: usize,
     sorted: bool,
     ors: K,
@@ -233,29 +237,42 @@ struct Fold<K> {
     last: K,
 }
 
-impl<K: RadixKey> Fold<K> {
-    fn of(mut keys: impl Iterator<Item = K>) -> Option<Self> {
-        let first = keys.next()?;
-        let mut f = Fold {
+impl<K: RadixKey> KeyFold<K> {
+    /// The fold of the one key `k`.
+    #[inline]
+    pub fn new(k: K) -> Self {
+        KeyFold {
             kept: 1,
             sorted: true,
-            ors: first,
-            ands: first,
-            first,
-            last: first,
-        };
+            ors: k,
+            ands: k,
+            first: k,
+            last: k,
+        }
+    }
+
+    /// Fold in `k`, the key after the last one folded.
+    #[inline]
+    pub fn push(&mut self, k: K) {
+        self.kept += 1;
+        self.sorted &= self.last <= k;
+        self.last = k;
+        self.ors = K::bit_or(self.ors, k);
+        self.ands = K::bit_and(self.ands, k);
+    }
+
+    /// The fold of `keys` in order; `None` when there are none.
+    pub fn of(mut keys: impl Iterator<Item = K>) -> Option<Self> {
+        let mut f = KeyFold::new(keys.next()?);
         for k in keys {
-            f.kept += 1;
-            f.sorted &= f.last <= k;
-            f.last = k;
-            f.ors = K::bit_or(f.ors, k);
-            f.ands = K::bit_and(f.ands, k);
+            f.push(k);
         }
         Some(f)
     }
 
-    fn join(self, right: Self) -> Self {
-        Fold {
+    /// The fold of `self`'s keys followed by `right`'s.
+    pub fn join(self, right: Self) -> Self {
+        KeyFold {
             kept: self.kept + right.kept,
             sorted: self.sorted && right.sorted && self.last <= right.first,
             ors: K::bit_or(self.ors, right.ors),
@@ -281,7 +298,7 @@ enum Plan {
 
 fn plan<K: RadixKey>(
     len: usize,
-    fold: impl FnOnce() -> Option<Fold<K>>,
+    fold: impl FnOnce() -> Option<KeyFold<K>>,
 ) -> Result<Plan, TooLongForRadix> {
     check_indexable(len)?;
     if len < 2 {
@@ -313,14 +330,12 @@ fn plan<K: RadixKey>(
 }
 
 /// How [`radix_order_by_key`] would run on a slice of `len` elements
-/// whose kept keys, in input order, are `keys`, and how many keys there
-/// are — the plan without the order. The keys are consumed to the end
-/// whatever the plan, so a caller may observe them on the way.
+/// whose kept keys, in input order, fold to `fold`, and how many keys
+/// there are — the plan without the order.
 pub(crate) fn order_outcome<K: RadixKey>(
     len: usize,
-    keys: impl Iterator<Item = K>,
+    fold: Option<KeyFold<K>>,
 ) -> Result<(usize, SortOutcome), TooLongForRadix> {
-    let fold = Fold::of(keys);
     let kept = fold.as_ref().map_or(0, |f| f.kept);
     let outcome = match plan(len, || fold)? {
         Plan::Sorted => SortOutcome::AlreadySorted,
@@ -498,7 +513,7 @@ pub fn radix_order_by_key<T, K: RadixKey>(
     data: &[T],
     key_of: impl Fn(&T) -> Option<K>,
 ) -> Result<(Vec<u32>, SortOutcome), TooLongForRadix> {
-    let fold = || Fold::of(data.iter().filter_map(&key_of));
+    let fold = || KeyFold::of(data.iter().filter_map(&key_of));
     Ok(match plan(data.len(), fold)? {
         Plan::Sorted => (indices(keyed(data, &key_of)), SortOutcome::AlreadySorted),
         Plan::Compare => {
@@ -527,7 +542,7 @@ pub fn radix_sort_by_key<T: Copy, K: RadixKey>(
     key_of: impl Fn(&T) -> K,
 ) -> SortOutcome {
     let some_key = |x: &T| Some(key_of(x));
-    let fold = || Fold::of(data.iter().filter_map(some_key));
+    let fold = || KeyFold::of(data.iter().filter_map(some_key));
     match plan(data.len(), fold) {
         Ok(Plan::Sorted) => SortOutcome::AlreadySorted,
         Ok(Plan::Radix { active, kept }) => {
@@ -572,23 +587,23 @@ struct SendMutPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendMutPtr<T> {}
 unsafe impl<T: Send> Sync for SendMutPtr<T> {}
 
-/// The [`Fold`] of the kept keys from per-chunk folds joined in chunk
+/// The [`KeyFold`] of the kept keys from per-chunk folds joined in chunk
 /// order — equal to the sequential scan's, whatever the chunk count.
 fn par_fold<T: Sync, K: RadixKey + Send>(
     data: &[T],
     key_of: &(impl Fn(&T) -> Option<K> + Sync),
-) -> Option<Fold<K>> {
+) -> Option<KeyFold<K>> {
     use rayon::prelude::*;
     let chunks = data.len().div_ceil(PAR_RADIX_CHUNK);
-    let folds: Vec<Option<Fold<K>>> = (0..chunks)
+    let folds: Vec<Option<KeyFold<K>>> = (0..chunks)
         .into_par_iter()
         .map(|c| {
             let lo = c * PAR_RADIX_CHUNK;
             let hi = data.len().min(lo + PAR_RADIX_CHUNK);
-            Fold::of(data[lo..hi].iter().filter_map(key_of))
+            KeyFold::of(data[lo..hi].iter().filter_map(key_of))
         })
         .collect();
-    folds.into_iter().flatten().reduce(Fold::join)
+    folds.into_iter().flatten().reduce(KeyFold::join)
 }
 
 /// Width-parallel [`radix_order_by_key`]: same decisions, same
@@ -889,7 +904,7 @@ mod tests {
         let len = u32::MAX as usize + 1;
         assert_eq!(check_indexable(len), Err(TooLongForRadix { len }));
         // The plan is where it is applied, before the keys are looked at …
-        let fold = || -> Option<Fold<u64>> { unreachable!("refused before the fold") };
+        let fold = || -> Option<KeyFold<u64>> { unreachable!("refused before the fold") };
         assert!(matches!(plan(len, fold), Err(TooLongForRadix { .. })));
         // … and an accepted length still reaches the fold.
         assert!(matches!(plan::<u64>(1000, || None), Ok(Plan::Sorted)));
