@@ -56,6 +56,10 @@ pub struct PhaseTimes {
     pub modeled: [f64; 8],
     /// Wall-clock seconds per phase (simulation time; indicative only).
     pub wall: [f64; 8],
+    /// Local work charged per phase (γ units) on this PE: what `modeled`
+    /// holds besides the α and β terms. [`PhaseTimes::reduce_max`] keeps
+    /// the calling PE's counts — merging them would be a collective more.
+    pub local_ops: [u64; 8],
 }
 
 impl PhaseTimes {
@@ -92,6 +96,7 @@ impl PhaseTimes {
         PhaseTimes {
             modeled: merged_m.try_into().unwrap(),
             wall: merged_w.try_into().unwrap(),
+            local_ops: mine.local_ops,
         }
     }
 }
@@ -157,14 +162,16 @@ impl<'a> Phased<'a> {
         self.comm
     }
 
-    /// Run `f`, attributing its modeled-clock delta and wall time to
-    /// `phase`.
+    /// Run `f`, attributing its modeled-clock delta, local work and wall
+    /// time to `phase`.
     pub fn measure<R>(&mut self, phase: Phase, f: impl FnOnce(&Comm) -> R) -> R {
         let clock_before = self.comm.clock().now();
+        let ops_before = self.comm.stats().local_ops;
         let wall_before = Instant::now();
         let out = f(self.comm);
         let i = phase.index();
         self.times.modeled[i] += self.comm.clock().now() - clock_before;
+        self.times.local_ops[i] += self.comm.stats().local_ops - ops_before;
         self.times.wall[i] += wall_before.elapsed().as_secs_f64();
         out
     }
