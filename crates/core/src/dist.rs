@@ -43,11 +43,14 @@ pub use crate::dist_array::DistArray;
 pub use crate::filter::{filter_mst, FilterStats};
 use crate::instrument::{Phase, PhaseTimes, Phased};
 pub use crate::numbering::{IdLabels, VertexNumbering};
-use crate::prefilter::{prefilter_pairs, prefilter_unordered};
+use crate::prefilter::{
+    lightest_per_label_pair, prefilter_pairs, prefilter_unordered, segment_table,
+};
 use crate::seq::UnionFind;
 use kamsta_comm::{Comm, FlatBuckets};
 use kamsta_graph::hash::FxHashMap;
 use kamsta_graph::{CEdge, DistGraph, InputGraph, VertexId, Weight};
+use kamsta_sort::Sorted;
 use std::borrow::Cow;
 
 /// Parallel-edge elimination strategy used by [`redistribute`]
@@ -162,10 +165,15 @@ pub struct ContractOutcome {
 #[derive(Clone, Debug)]
 pub struct PreprocessOutcome {
     /// Local edges surviving contraction (intra-component edges removed),
-    /// in input order and still with original endpoints — [`relabel`]
-    /// rewrites them. Empty when the gate rejects (`applied == false`):
-    /// the caller keeps using its own graph, nothing is cloned.
+    /// in input order and still with original endpoints — the round that
+    /// follows rewrites them ([`relabel_or_defer`]). Empty when the gate
+    /// rejects (`applied == false`): the caller keeps using its own
+    /// graph, nothing is cloned.
     pub edges: Vec<CEdge>,
+    /// The survivors' vertex segments: local vertex `i`'s surviving edges
+    /// are `edges[offsets[i]..offsets[i + 1]]` (one entry more than the
+    /// local vertices). Empty when the gate rejects.
+    pub offsets: Vec<usize>,
     /// Local component label of every local vertex, by local index: the
     /// minimum member id of its component (the vertex itself when it is
     /// shared or was never merged). Empty when the gate rejects.
@@ -533,6 +541,10 @@ pub fn exchange_labels(comm: &Comm, g: &DistGraph, labels: &[VertexId]) -> Pulle
 /// that is done with its edges never holds two slices of them; a
 /// borrowed slice (an input graph the caller must keep) is copied into a
 /// fresh vector. Both give the same edges in the same order.
+///
+/// A Borůvka round calls it through [`relabel_or_defer`], which writes
+/// nothing where `REDISTRIBUTE`'s prefilter can rewrite the edges as it
+/// reads them.
 pub fn relabel<'e>(
     comm: &Comm,
     g: &DistGraph,
@@ -594,6 +606,123 @@ fn relabel_by(
     }
 }
 
+/// What [`relabel`] makes of every destination id in `[lo, lo + width)`,
+/// less `lo`, by id: the table [`lightest_per_label_pair`] reads labels
+/// from. `table` is [`exchange_labels`]' output for `g` and `labels`;
+/// the span holds every vertex of `g`, hence every label. Dense, it is
+/// `table` re-based to 4-byte entries; sparse, it starts at the identity
+/// and takes this PE's labels of the vertices it is home to, then the
+/// ghosts' from the map. Either way O(width + vertices) work, which the
+/// density rule bounds by the slice.
+fn destination_table(
+    g: &DistGraph,
+    labels: &[VertexId],
+    table: &Pulled,
+    (lo, width): (u64, usize),
+) -> Vec<u32> {
+    let off = |label: VertexId| (label - lo) as u32;
+    match &table.0 {
+        Table::Dense { lo: at, slots } => (lo..lo + width as u64)
+            .map(|v| off(dense_get(*at, slots, v).unwrap_or(v)))
+            .collect(),
+        Table::Sparse(ghost) => {
+            let mut dst: Vec<u32> = (0..width as u32).collect();
+            let verts = g.local_vertices();
+            let homed = verts.len() - usize::from(g.last_shared);
+            for (&v, &label) in verts[..homed].iter().zip(labels) {
+                dst[(v - lo) as usize] = off(label);
+            }
+            for (&v, &label) in ghost {
+                dst[(v - lo) as usize] = off(label);
+            }
+            dst
+        }
+    }
+}
+
+/// A round's edges between `RELABEL` and `REDISTRIBUTE`
+/// ([`relabel_or_defer`]): rewritten to component labels already, or
+/// still with their old endpoints, for the prefilter to rewrite as it
+/// reads them. Either way [`Relabelled::prefilter`] and
+/// [`redistribute_relabelled`] see what [`relabel`] makes of them.
+pub struct Relabelled<'a>(Stage<'a>);
+
+enum Stage<'a> {
+    /// [`relabel`]'s output.
+    Rewritten(Vec<CEdge>),
+    /// What [`lightest_per_label_pair`] reads in its place: the edges with
+    /// their vertex segments and labels, and the destinations' labels
+    /// ([`destination_table`]) over the walk's table.
+    Deferred {
+        edges: Cow<'a, [CEdge]>,
+        offsets: &'a [usize],
+        labels: &'a [VertexId],
+        dst: Vec<u32>,
+        span: (u64, usize),
+    },
+}
+
+/// `RELABEL` of one Borůvka round (Sec. IV-C), for `REDISTRIBUTE`.
+/// `edges` is `g.edges` or a subsequence of it in input order (the
+/// survivors of [`contract_local_subtrees`]), `offsets[i]..offsets[i +
+/// 1]` is local vertex `i`'s segment of it, and `table` is
+/// [`exchange_labels`]' output for `g` and `labels`.
+///
+/// Where the prefilter dedups ([`DedupStrategy::HashFilter`]), the
+/// segments average 8 edges or more and the id span is dense for the
+/// slice, nothing is written: the edges wait, as they are, for
+/// `REDISTRIBUTE`'s walk over label groups ([`Relabelled::prefilter`]),
+/// and γ for the rewrite is charged here, where [`relabel`] charges it.
+/// The choice reads per-vertex counts and the span, not the edges.
+/// Short segments (Filter-Borůvka's light subgraphs and base cases) and
+/// sparse id spaces take [`relabel`], and so does the pure-sorting
+/// ablation.
+pub fn relabel_or_defer<'a>(
+    comm: &Comm,
+    g: &'a DistGraph,
+    edges: Cow<'a, [CEdge]>,
+    offsets: &'a [usize],
+    labels: &'a [VertexId],
+    table: Pulled,
+    cfg: &MstConfig,
+) -> Relabelled<'a> {
+    let segments = offsets.windows(2).filter(|seg| seg[0] < seg[1]).count();
+    let span = match cfg.dedup {
+        DedupStrategy::HashFilter => segment_table(edges.len(), segments, g.id_span()),
+        DedupStrategy::Sort => None,
+    };
+    let Some(span) = span else {
+        return Relabelled(Stage::Rewritten(relabel(comm, g, edges, labels, &table)));
+    };
+    comm.charge_local(edges.len() as u64);
+    let dst = destination_table(g, labels, &table, span);
+    Relabelled(Stage::Deferred {
+        edges,
+        offsets,
+        labels,
+        dst,
+        span,
+    })
+}
+
+impl Relabelled<'_> {
+    /// `REDISTRIBUTE`'s local prefilter on the relabelled edges: the
+    /// output and γ of [`prefilter_pairs`] on [`relabel`]'s output. The
+    /// edges are released before it returns.
+    pub fn prefilter(self, comm: &Comm) -> Sorted<CEdge> {
+        match self.0 {
+            Stage::Rewritten(edges) => prefilter_pairs(comm, &edges),
+            Stage::Deferred {
+                edges,
+                offsets,
+                labels,
+                dst,
+                span,
+            } => lightest_per_label_pair(comm, &edges, offsets, labels, &dst, span),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // pipeline stage 4: REDISTRIBUTE
 // ---------------------------------------------------------------------
@@ -604,28 +733,58 @@ fn relabel_by(
 /// of an undirected pair see the same weight multiset, so the surviving
 /// graph stays symmetric. Collective.
 pub fn redistribute(comm: &Comm, edges: Vec<CEdge>, cfg: &MstConfig) -> DistGraph {
-    // Distributed sort under the lexicographic order, local phases radix
-    // on the packed (u, v, w, id) key.
-    let mut sorted = match cfg.dedup {
+    match cfg.dedup {
         DedupStrategy::HashFilter => {
             let kept = prefilter_pairs(comm, &edges);
             // The survivors are copies: release the input before the
             // distributed sort allocates its buffers.
             drop(edges);
-            // Already in order: the sort skips its local scan.
-            kamsta_sort::sort_auto_sorted(comm, kept, 0xC0FFEE)
+            establish_prefiltered(comm, kept)
         }
         DedupStrategy::Sort => {
             // Same linear scan as the prefilter pays, so the Sec. VI-B
             // ablation compares strategies under equal γ-accounting.
             comm.charge_local(edges.len() as u64);
             let filtered = edges.into_iter().filter(|e| !e.is_self_loop()).collect();
-            kamsta_sort::sort_auto_by_key(comm, filtered, 0xC0FFEE, CEdge::lex_key)
+            // Distributed sort under the lexicographic order, local phases
+            // radix on the packed (u, v, w, id) key.
+            let sorted = kamsta_sort::sort_auto_by_key(comm, filtered, 0xC0FFEE, CEdge::lex_key);
+            establish_lightest(comm, sorted)
         }
-    };
+    }
+}
+
+#[cfg(test)]
+impl Relabelled<'_> {
+    /// Whether the rewrite waits for the prefilter's walk.
+    fn is_deferred(&self) -> bool {
+        matches!(self.0, Stage::Deferred { .. })
+    }
+}
+
+/// [`redistribute`] of a round's edges as [`relabel`] rewrites them. A
+/// deferred rewrite ([`relabel_or_defer`]) happens in the prefilter's
+/// walk, which releases the edges before the distributed sort. Collective.
+pub fn redistribute_relabelled(comm: &Comm, edges: Relabelled<'_>, cfg: &MstConfig) -> DistGraph {
+    match edges.0 {
+        Stage::Rewritten(edges) => redistribute(comm, edges, cfg),
+        deferred => establish_prefiltered(comm, Relabelled(deferred).prefilter(comm)),
+    }
+}
+
+/// The prefilter's survivors through the distributed sort — already in
+/// order, so its local phase skips its scan — and into a graph.
+fn establish_prefiltered(comm: &Comm, kept: Sorted<CEdge>) -> DistGraph {
+    establish_lightest(comm, kamsta_sort::sort_auto_sorted(comm, kept, 0xC0FFEE))
+}
+
+/// The end of `REDISTRIBUTE`: of a globally sorted edge sequence, the
+/// first (lightest, smallest-id) copy of every pair, balanced and
+/// established as a graph. Collective.
+fn establish_lightest(comm: &Comm, mut sorted: Vec<CEdge>) -> DistGraph {
     comm.charge_local(sorted.len() as u64);
-    // Keep the first (lightest, smallest-id) copy of each consecutive pair
-    // group; groups straddling PE boundaries are resolved below.
+    // Keep the first copy of each consecutive pair group; groups
+    // straddling PE boundaries are resolved below.
     sorted.dedup_by(|a, b| a.u == b.u && a.v == b.v);
 
     let my_first = sorted.first().map(|e| (e.u, e.v));
@@ -764,6 +923,7 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
     if !(cfg.preprocessing && excess >= PREPROCESS_MIN_EXCESS_LOCALITY) {
         return PreprocessOutcome {
             edges: Vec::new(),
+            offsets: Vec::new(),
             labels: Vec::new(),
             applied: false,
             mst_edge_ids: Vec::new(),
@@ -909,16 +1069,27 @@ fn contract_scanned(comm: &Comm, g: &DistGraph) -> PreprocessOutcome {
         .collect();
 
     // Survivors in input order: a shared first vertex's edges, the live
-    // list, a shared last vertex's edges.
+    // list segment by segment, a shared last vertex's edges.
     let survivors = offsets[lo] + live.len() + (g.edges.len() - offsets[hi]);
     comm.charge_local(survivors as u64);
     let mut edges: Vec<CEdge> = Vec::with_capacity(survivors);
+    let mut seg_offsets: Vec<usize> = Vec::with_capacity(n + 1);
     edges.extend_from_slice(&g.edges[..offsets[lo]]);
-    edges.extend(live.iter().map(|l| g.edges[l.pos as usize]));
+    seg_offsets.extend_from_slice(&offsets[..=lo]);
+    let mut live = live.iter().peekable();
+    for &end in &offsets[lo + 1..=hi] {
+        while let Some(l) = live.next_if(|l| (l.pos as usize) < end) {
+            edges.push(g.edges[l.pos as usize]);
+        }
+        seg_offsets.push(edges.len());
+    }
+    let shift = edges.len();
     edges.extend_from_slice(&g.edges[offsets[hi]..]);
+    seg_offsets.extend(offsets[hi + 1..].iter().map(|&o| shift + (o - offsets[hi])));
 
     PreprocessOutcome {
         edges,
+        offsets: seg_offsets,
         labels,
         applied: true,
         mst_edge_ids,
@@ -998,9 +1169,8 @@ pub(crate) fn rooted_base_case(comm: &Comm, edges: &[CEdge]) -> Option<RootedSol
 /// before the graph is replaced — nothing for [`boruvka_mst`], the hooks
 /// of the representative array for Filter-Borůvka's base case. The loop
 /// reads a borrowed graph in place until its first redistribution builds
-/// an owned one, so an input is never cloned; an owned graph's edges are
-/// relabelled in place, since the graph is replaced right after.
-/// Collective.
+/// an owned one, so an input is never cloned; an owned graph hands its
+/// edges over, since the graph is replaced right after. Collective.
 pub(crate) fn boruvka_rounds<'g>(
     ph: &mut Phased<'_>,
     mut g: Cow<'g, DistGraph>,
@@ -1016,19 +1186,32 @@ pub(crate) fn boruvka_rounds<'g>(
         });
         msf_ids.extend(&outcome.mst_edge_ids);
         on_labels(&g, &outcome.labels);
-        let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
-            let ghost = exchange_labels(c, &g, &outcome.labels);
-            match &mut g {
-                Cow::Owned(owned) => {
-                    let edges = std::mem::take(&mut owned.edges);
-                    relabel(c, owned, edges, &outcome.labels, &ghost)
-                }
-                Cow::Borrowed(input) => relabel(c, input, &input.edges, &outcome.labels, &ghost),
-            }
+        let (graph, labels) = (&mut g, &outcome.labels);
+        let relabelled = ph.measure(Phase::ExchangeLabelsRelabel, move |c| {
+            exchange_and_relabel(c, graph, labels, cfg)
         });
-        g = Cow::Owned(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
+        g = Cow::Owned(ph.measure(Phase::Redistribute, |c| {
+            redistribute_relabelled(c, relabelled, cfg)
+        }));
     }
     g
+}
+
+/// `EXCHANGE LABELS` + `RELABEL` of one round on `g`'s edges, which an
+/// owned graph hands over and an input graph lends.
+fn exchange_and_relabel<'a>(
+    comm: &Comm,
+    g: &'a mut Cow<'_, DistGraph>,
+    labels: &'a [VertexId],
+    cfg: &MstConfig,
+) -> Relabelled<'a> {
+    let table = exchange_labels(comm, g, labels);
+    let edges = match g {
+        Cow::Owned(owned) => Cow::Owned(std::mem::take(&mut owned.edges)),
+        Cow::Borrowed(input) => Cow::Borrowed(&input.edges[..]),
+    };
+    let g: &'a DistGraph = g;
+    relabel_or_defer(comm, g, edges, g.segment_offsets(), labels, table, cfg)
 }
 
 /// The scalable distributed Borůvka algorithm (Algorithm 1): optional
@@ -1046,15 +1229,30 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
         });
         if pre.applied {
             msf_ids.extend(&pre.mst_edge_ids);
-            // The survivors go in by value and are relabelled in place:
-            // neither they nor the labels outlive this phase.
-            let PreprocessOutcome { edges, labels, .. } = pre;
-            let relabeled = ph.measure(Phase::ExchangeLabelsRelabel, move |c| {
-                let ghost = exchange_labels(c, &input.graph, &labels);
-                relabel(c, &input.graph, edges, &labels, &ghost)
+            // The survivors go in by value and are released by
+            // `REDISTRIBUTE`'s prefilter: neither they nor the labels
+            // outlive its phase.
+            let PreprocessOutcome {
+                edges,
+                offsets,
+                labels,
+                ..
+            } = pre;
+            let relabelled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
+                let table = exchange_labels(c, &input.graph, &labels);
+                relabel_or_defer(
+                    c,
+                    &input.graph,
+                    Cow::Owned(edges),
+                    &offsets,
+                    &labels,
+                    table,
+                    cfg,
+                )
             });
-            start =
-                Cow::Owned(ph.measure(Phase::Redistribute, |c| redistribute(c, relabeled, cfg)));
+            start = Cow::Owned(ph.measure(Phase::Redistribute, |c| {
+                redistribute_relabelled(c, relabelled, cfg)
+            }));
         }
     }
 
@@ -1341,6 +1539,131 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(paths_seen, [true, true], "both Pulled paths ran");
+    }
+
+    /// The band graph on `n` vertices `stride` ids apart: every vertex's
+    /// neighbours within `reach`, weights by unordered pair, the sorted
+    /// edge list cut into `p` equal slices — inside vertices, so a vertex
+    /// is one PE's last and the next PE's first.
+    fn band_graph(comm: &Comm, n: u64, reach: u64, stride: u64) -> DistGraph {
+        let mut all: Vec<(u64, u64)> = (0..n)
+            .flat_map(|u| (0..n).map(move |v| (u, v)))
+            .filter(|&(u, v)| u != v && u.abs_diff(v) <= reach)
+            .collect();
+        all.sort_unstable();
+        let p = comm.size();
+        let chunk = all.len().div_ceil(p);
+        let lo = (comm.rank() * chunk).min(all.len());
+        let hi = ((comm.rank() + 1) * chunk).min(all.len());
+        let edges = all[lo..hi]
+            .iter()
+            .enumerate()
+            .map(|(k, &(u, v))| {
+                let w = 1 + kamsta_graph::hash::mix64(u.min(v) << 8 | u.max(v)) % 50;
+                CEdge::new(u * stride, v * stride, w as u32, (lo + k) as u64)
+            })
+            .collect();
+        DistGraph::establish(comm, edges)
+    }
+
+    /// What one PE saw of a round through both paths: the rewrite was
+    /// deferred, the `Pulled` table dense, contraction made self-loops,
+    /// the slice was cut inside a vertex.
+    type RoundView = (bool, bool, bool, bool);
+
+    /// A round's `RELABEL` + prefilter, deferred where
+    /// [`relabel_or_defer`] defers it, against [`relabel`] then
+    /// [`prefilter_pairs`]: the same edges and the same γ units, with the
+    /// edges lent (an input graph) and handed over (an owned graph).
+    fn assert_round_paths_agree(
+        comm: &Comm,
+        g: &DistGraph,
+        edges: &[CEdge],
+        offsets: &[usize],
+        labels: &[VertexId],
+        what: &str,
+    ) -> RoundView {
+        let table = exchange_labels(comm, g, labels);
+        let before = comm.stats().local_ops;
+        let rewritten = relabel(comm, g, edges, labels, &table);
+        let reference = prefilter_pairs(comm, &rewritten).into_inner();
+        let reference_ops = comm.stats().local_ops - before;
+        let cfg = MstConfig::default();
+        let mut deferred = Vec::new();
+        for edges in [Cow::Borrowed(edges), Cow::Owned(edges.to_vec())] {
+            let before = comm.stats().local_ops;
+            let staged = relabel_or_defer(comm, g, edges, offsets, labels, table.clone(), &cfg);
+            deferred.push(staged.is_deferred());
+            let out = staged.prefilter(comm).into_inner();
+            assert_eq!(out, reference, "{what}: output");
+            assert_eq!(
+                comm.stats().local_ops - before,
+                reference_ops,
+                "{what}: γ units"
+            );
+        }
+        assert_eq!(deferred[0], deferred[1], "{what}: one side for both");
+        let loops = rewritten.len() < edges.len();
+        (
+            deferred[0],
+            table.is_dense(),
+            loops,
+            g.first_shared || g.last_shared,
+        )
+    }
+
+    #[test]
+    fn deferred_relabel_matches_relabel_then_prefilter() {
+        // Band graphs of 12 neighbours a vertex: 60 vertices pull a dense
+        // table; 240 ask few ghosts for a wide span, so their table is the
+        // map while the walk's span stays dense; ids 2^40 apart take the
+        // map and `relabel`. GNM's local contraction leaves long survivor
+        // segments.
+        let mut views: Vec<(&str, RoundView)> = Vec::new();
+        for p in [1usize, 2, 3] {
+            for t in [1usize, 2, 8] {
+                let out = Machine::run(MachineConfig::new(p).with_threads(t), move |comm| {
+                    let mut views = Vec::new();
+                    for (what, n, stride) in [
+                        ("dense table", 60, 1),
+                        ("sparse table, dense span", 240, 1),
+                        ("ids 2^40 apart", 60, 1 << 40),
+                    ] {
+                        let g = band_graph(comm, n, 6, stride);
+                        let sels = min_edges(comm, &g);
+                        let labels = contract_components(comm, &g, &sels).labels;
+                        let offsets = g.segment_offsets();
+                        let view =
+                            assert_round_paths_agree(comm, &g, &g.edges, offsets, &labels, what);
+                        views.push((what, view));
+                    }
+                    let gnm = kamsta_graph::GraphConfig::Gnm { n: 200, m: 2_400 };
+                    let input = InputGraph::generate(comm, gnm, 5);
+                    let pre = contract_local_subtrees(comm, &input.graph);
+                    let what = "survivors of local contraction";
+                    let view = assert_round_paths_agree(
+                        comm,
+                        &input.graph,
+                        &pre.edges,
+                        &pre.offsets,
+                        &pre.labels,
+                        what,
+                    );
+                    views.push((what, view));
+                    views
+                });
+                views.extend(out.results.into_iter().flatten());
+            }
+        }
+        let seen = |what: &str, pick: fn(&RoundView) -> bool| {
+            views.iter().any(|(w, v)| *w == what && pick(v))
+        };
+        assert!(seen("dense table", |v| v.0 && v.1 && v.2 && v.3));
+        assert!(seen("sparse table, dense span", |v| v.0 && !v.1 && v.3));
+        assert!(seen("ids 2^40 apart", |v| !v.0 && !v.1 && v.2));
+        // Survivors join different components: they make no self-loops.
+        assert!(seen("survivors of local contraction", |v| v.0));
+        assert!(views.iter().all(|(w, v)| *w != "ids 2^40 apart" || !v.0));
     }
 
     #[test]

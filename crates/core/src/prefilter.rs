@@ -1,15 +1,19 @@
 //! `REDISTRIBUTE`'s local per-pair prefilter (Sec. VI-B): of the edges
 //! a slice keeps, the `(w, id)`-lightest copy of every ordered `(u, v)`
-//! pair, pairs ascending. [`lightest_per_pair`] is the one kernel behind
-//! both callers — [`prefilter_pairs`] before the distributed sort and
-//! [`prefilter_unordered`] before the rooted base case — with two sides:
-//! a table walk over source groups ([`group_walk`]) and a radix order of
-//! the pair keys (DESIGN.md §14).
+//! pair, pairs ascending. [`lightest_per_pair`] is the kernel behind
+//! both callers on a plain slice — [`prefilter_pairs`] before the
+//! distributed sort and [`prefilter_unordered`] before the rooted base
+//! case — with two sides: a table walk over source groups
+//! ([`group_walk`]) and a radix order of the pair keys. A Borůvka round
+//! whose edges still carry their old endpoints takes the same walk with
+//! the vertex segments as runs and the labels as sources
+//! ([`lightest_per_label_pair`]), so its relabelled slice is never
+//! written (DESIGN.md §14).
 
 use crate::dist::{dense_width, DENSE_SPAN_PER_QUERY};
 use kamsta_comm::Comm;
 use kamsta_graph::{CEdge, VertexId};
-use kamsta_sort::Sorted;
+use kamsta_sort::{KeyFold, Sorted};
 
 /// The kernel of both prefilters: of the edges `keep` accepts, the copy
 /// minimal in `(w, id)` of every ordered `(u, v)` pair, in `(u, v)`
@@ -18,14 +22,13 @@ use kamsta_sort::Sorted;
 ///
 /// One input-order pass ([`RunScan`]) finds the runs of kept edges with
 /// equal `u`, counts the kept edges and takes their destinations' span.
-/// Where the runs are long and the span dense — the post-`relabel`
-/// slices of a Borůvka round, still in the old `(u, v)` order — each
-/// source's runs are merged in a table over the span ([`group_walk`]).
-/// Elsewhere (Filter-Borůvka's light subgraphs, random slices) the
-/// radix engine orders the kept edges by their pair key alone and one
-/// walk along that order emits each run's minimum. Output and γ charge
-/// are the same on both sides — the group side charges what the radix
-/// order would have, from the keys the pass saw — and independent of
+/// Where the runs are long and the span dense, each source's runs are
+/// merged in a table over the span ([`group_walk`]). Elsewhere
+/// (Filter-Borůvka's light subgraphs, random slices) the radix engine
+/// orders the kept edges by their pair key alone and one walk along that
+/// order emits each run's minimum. Output and γ charge are the same on
+/// both sides — the group side charges what the radix order would have,
+/// from the fold of the keys the walk saw — and independent of
 /// `threads_per_pe` (DESIGN.md §14).
 fn lightest_per_pair(
     comm: &Comm,
@@ -33,12 +36,13 @@ fn lightest_per_pair(
     keep: impl Fn(&CEdge) -> bool + Sync,
 ) -> Vec<CEdge> {
     comm.charge_local(edges.len() as u64);
-    let mut scan = RunScan::new(edges.len());
-    let order_ops = kamsta_sort::radix_order_charge(edges.len(), scan.keys(edges, &keep));
-    if let Some((lo, width)) = scan.table() {
-        // The pass ran to the end, so the charge is the whole slice's.
-        comm.charge_local(order_ops.unwrap_or_else(|e| too_long(e)));
-        return group_walk(edges, &keep, &scan, lo, width);
+    let scan = RunScan::of(edges, &keep);
+    if let Some(table) = scan.table() {
+        let lo = table.0;
+        let dst = |_: VertexId, e: &CEdge| keep(e).then(|| (e.v - lo) as u32);
+        let (out, fold) = group_walk(edges, &scan.runs, dst, table, scan.kept);
+        comm.charge_local(order_charge(edges.len(), fold));
+        return out;
     }
     let order = kamsta_sort::local_radix_order(comm, edges, |e| keep(e).then(|| e.pair_key()))
         .unwrap_or_else(|e| too_long(e));
@@ -59,6 +63,12 @@ fn lightest_per_pair(
     out
 }
 
+/// The γ units `local_radix_order` charges on a slice of `len` edges
+/// whose kept pair keys fold to `fold`.
+fn order_charge(len: usize, fold: Option<KeyFold<u128>>) -> u64 {
+    kamsta_sort::radix_order_charge_of(len, fold).unwrap_or_else(|e| too_long(e))
+}
+
 fn too_long(e: kamsta_sort::TooLongForRadix) -> ! {
     panic!("a PE's edge slice must be u32-indexable: {e}")
 }
@@ -73,10 +83,12 @@ const GROUP_WALK_MIN_RUN: usize = 8;
 /// The runs [`RunScan`] sees before it judges their mean length.
 const GROUP_WALK_SAMPLE_RUNS: usize = 64;
 
-/// A maximal stretch of kept edges with one source, by the input
-/// position of its first edge; it ends where the next run starts (or
-/// at the slice's end), and the edges `keep` drops in between are
-/// skipped again when it is walked.
+/// A stretch of a slice whose edges share one source, by the input
+/// position of its first edge; it ends where the next run starts (or at
+/// the slice's end). [`RunScan`]'s runs are maximal stretches of kept
+/// edges with equal `u`, and the edges `keep` drops in between are
+/// skipped again when they are walked; a round's runs are the vertex
+/// segments, with the vertex's label as the source.
 struct Run {
     u: VertexId,
     start: u32,
@@ -99,28 +111,22 @@ struct RunScan {
 }
 
 impl RunScan {
-    fn new(len: usize) -> Self {
-        RunScan {
+    /// The pass over the edges of `edges` that `keep` accepts, up to
+    /// where it gives up.
+    fn of(edges: &[CEdge], keep: impl Fn(&CEdge) -> bool) -> Self {
+        let mut scan = RunScan {
             runs: Vec::new(),
             kept: 0,
             span: None,
-            max_span: DENSE_SPAN_PER_QUERY.saturating_mul(len as u64),
+            max_span: DENSE_SPAN_PER_QUERY.saturating_mul(edges.len() as u64),
             gave_up: false,
+        };
+        for (i, e) in edges.iter().enumerate() {
+            if keep(e) && !scan.see(i, e) {
+                break;
+            }
         }
-    }
-
-    /// The pair keys of the kept edges in input order, each seen by the
-    /// scan on the way; they end early where the scan gives up.
-    fn keys<'a>(
-        &'a mut self,
-        edges: &'a [CEdge],
-        keep: &'a impl Fn(&CEdge) -> bool,
-    ) -> impl Iterator<Item = u128> + 'a {
-        edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| keep(e))
-            .map_while(|(i, e)| self.see(i, e).then(|| e.pair_key()))
+        scan
     }
 
     /// Take the kept edge at input position `i`; false once the table
@@ -160,60 +166,202 @@ impl RunScan {
     }
 }
 
-/// The table side of [`lightest_per_pair`]. The runs are ordered by
-/// source with the (stable) radix engine, so each source's runs form
-/// one group, in input order. A group keeps, per destination, the input
-/// position of its `(w, id)`-lightest copy in a slot of a table over the
-/// span; the slot is stamped with the group's number, so the table is
-/// filled once per call and never cleared. The group's distinct
-/// destinations, sorted, then emit one copy each: sources ascending,
-/// destinations ascending within a source — the definition's sequence.
+/// The table side of the prefilter, on any runs that partition `edges`
+/// in input order. `dst(u, e)` is the slot of the destination edge `e`
+/// keeps in the output when its run's source is `u` — the destination is
+/// `lo + slot`, and the slot below `width` — or `None` to drop the edge.
+///
+/// The runs are ordered by source with the (stable) radix engine, so
+/// each source's runs form one group, in input order. A group keeps, per
+/// destination, the input position of its `(w, id)`-lightest copy in a
+/// table over the span; the group's distinct destinations, sorted, then
+/// emit one copy each, as `(u, destination)` with the copy's weight and
+/// id, and empty their slots again, so the table is filled once per
+/// call. Sources ascending, destinations ascending within a source: the
+/// definition's sequence.
+///
+/// The second result is the [`KeyFold`] of the kept pair keys in input
+/// order, which is all the γ charge needs, gathered on the way: the
+/// kept count; the OR and AND, over each group's distinct destinations
+/// (a multiset's are its distinct keys'); and sortedness. That is each
+/// run's order, tracked until one run is out of order, and then — only
+/// if none was — the runs' boundaries in input order, like the first and
+/// the last key, read off the runs' ends.
 fn group_walk(
     edges: &[CEdge],
-    keep: impl Fn(&CEdge) -> bool,
-    scan: &RunScan,
-    lo: u64,
-    width: usize,
-) -> Vec<CEdge> {
-    let runs = &scan.runs;
+    runs: &[Run],
+    dst: impl Fn(VertexId, &CEdge) -> Option<u32>,
+    (lo, width): (u64, usize),
+    capacity: usize,
+) -> (Vec<CEdge>, Option<KeyFold<u128>>) {
+    const EMPTY: u32 = u32::MAX;
     let (order, _) = kamsta_sort::radix_order_by_key(runs, |r| Some(r.u))
         .expect("fewer runs than edges, which are u32-indexable");
     let end_of = |r: usize| runs.get(r + 1).map_or(edges.len(), |n| n.start as usize);
-    // `(stamp, position)`: stamp 0 is no group's.
-    let mut slots: Vec<(u32, u32)> = vec![(0, 0); width];
+    let mut slots: Vec<u32> = vec![EMPTY; width];
     let mut dests: Vec<u32> = Vec::new();
-    let mut out = Vec::with_capacity(scan.kept);
-    let mut stamp = 0u32;
+    let mut out = Vec::with_capacity(capacity);
+    let (mut kept, mut ors, mut ands) = (0usize, 0u128, u128::MAX);
+    let mut runs_sorted = true;
     let mut k = 0;
     while k < order.len() {
         let u = runs[order[k] as usize].u;
-        stamp += 1;
-        dests.clear();
         while let Some(&r) = order.get(k).filter(|&&r| runs[r as usize].u == u) {
             let r = r as usize;
+            // Runs lie apart in the slice: ask for one a few runs ahead.
+            if let Some(&ahead) = order.get(k + PREFETCH_RUNS_AHEAD) {
+                prefetch(edges, runs[ahead as usize].start as usize);
+            }
+            let mut prev = 0;
             for i in runs[r].start as usize..end_of(r) {
                 let e = &edges[i];
-                if !keep(e) {
+                let Some(d) = dst(u, e) else {
                     continue;
+                };
+                kept += 1;
+                if runs_sorted {
+                    runs_sorted = prev <= d;
+                    prev = d;
                 }
-                let d = (e.v - lo) as u32;
                 let slot = &mut slots[d as usize];
-                if slot.0 != stamp {
-                    *slot = (stamp, i as u32);
+                if *slot == EMPTY {
+                    *slot = i as u32;
                     dests.push(d);
                 } else {
-                    let best = &edges[slot.1 as usize];
+                    let best = &edges[*slot as usize];
                     if (e.w, e.id) < (best.w, best.id) {
-                        slot.1 = i as u32;
+                        *slot = i as u32;
                     }
                 }
             }
             k += 1;
         }
+        if dests.is_empty() {
+            continue;
+        }
         dests.sort_unstable();
-        out.extend(dests.iter().map(|&d| edges[slots[d as usize].1 as usize]));
+        let (mut or_v, mut and_v) = (0u64, u64::MAX);
+        out.extend(dests.drain(..).map(|d| {
+            let e = &edges[std::mem::replace(&mut slots[d as usize], EMPTY) as usize];
+            let v = lo + u64::from(d);
+            (or_v, and_v) = (or_v | v, and_v & v);
+            CEdge::new(u, v, e.w, e.id)
+        }));
+        ors |= pair_key(u, or_v);
+        ands &= pair_key(u, and_v);
     }
-    out
+    if kept == 0 {
+        return (out, None);
+    }
+    // Each run's first and last kept key, in input order.
+    let mut ends = (0..runs.len()).filter_map(|r| {
+        let u = runs[r].u;
+        let mut keys = (runs[r].start as usize..end_of(r))
+            .filter_map(|i| dst(u, &edges[i]).map(|d| pair_key(u, lo + u64::from(d))));
+        let first = keys.next()?;
+        Some((first, keys.next_back().unwrap_or(first)))
+    });
+    let (first, first_run_last) = ends.next().expect("a key was kept");
+    let (last, sorted) = if runs_sorted {
+        // Every run is in order: the sequence is iff its boundaries are.
+        let (mut last, mut sorted) = (first_run_last, true);
+        for (a, b) in ends {
+            sorted &= last <= a;
+            last = b;
+        }
+        (last, sorted)
+    } else {
+        (ends.next_back().map_or(first_run_last, |(_, b)| b), false)
+    };
+    let fold = KeyFold::summary(kept, sorted, (ors, ands), (first, last));
+    (out, Some(fold))
+}
+
+/// How many runs ahead of the one it reads [`group_walk`] prefetches.
+const PREFETCH_RUNS_AHEAD: usize = 4;
+
+/// Hint the cache to load the 512 bytes (16 edges, a mean round-1
+/// segment of a `gnm-dense` slice) from `edges[at]` on. A no-op off
+/// x86-64.
+#[inline]
+fn prefetch(edges: &[CEdge], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = edges.as_ptr().wrapping_add(at).cast::<i8>();
+        for line in 0..8 {
+            // SAFETY: a prefetch is a hint; it reads nothing and never
+            // faults, whatever the address, and SSE is part of x86-64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(64 * line)) };
+        }
+    }
+}
+
+/// The pair key `(u, v)` of `CEdge::pair_key`.
+#[inline]
+fn pair_key(u: VertexId, v: VertexId) -> u128 {
+    u128::from(u) << 64 | u128::from(v)
+}
+
+/// The table `(lo, width)` over a Borůvka round's relabelled
+/// destinations when [`lightest_per_label_pair`] takes the slice: its
+/// `len` edges average [`GROUP_WALK_MIN_RUN`] or more per non-empty
+/// vertex segment (`segments` of them), and `span` — the graph's id
+/// span, which holds every vertex and so every label — is dense for
+/// `len` edges by [`dense_width`]. `None` sends the slice to `relabel`
+/// and [`prefilter_pairs`]: Filter-Borůvka's light subgraphs and the
+/// base cases, whose segments are short, and sparse id spaces. It reads
+/// nothing but per-vertex counts, so choosing costs no pass.
+pub(crate) fn segment_table(
+    len: usize,
+    segments: usize,
+    span: Option<(u64, u64)>,
+) -> Option<(u64, usize)> {
+    if len < GROUP_WALK_MIN_RUN * segments || u32::try_from(len).is_err() {
+        return None;
+    }
+    dense_width(span, len).filter(|&(_, width)| u32::try_from(width).is_ok())
+}
+
+/// [`prefilter_pairs`] on what `relabel` would make of a round's edges,
+/// without writing that slice: `edges` is `g.edges` or a subsequence of
+/// it in input order, `offsets[i]..offsets[i + 1]` is local vertex `i`'s
+/// segment of it and `labels[i]` its label, and `dst[v − lo]` is the
+/// label of destination `v`, less `lo`, over the table `(lo, width)` of
+/// [`segment_table`]. Each segment is a run whose source is its
+/// vertex's label ([`group_walk`]); a destination whose label is its
+/// source's — a self-loop contraction made — is dropped. Output and γ
+/// are exactly `prefilter_pairs(comm, &relabel(..))`'s: the relabelled
+/// slice's length — the kept count — then the radix order's charge, from
+/// the fold of the kept keys in vertex order, which is that slice's
+/// order.
+pub(crate) fn lightest_per_label_pair(
+    comm: &Comm,
+    edges: &[CEdge],
+    offsets: &[usize],
+    labels: &[VertexId],
+    dst: &[u32],
+    (lo, width): (u64, usize),
+) -> Sorted<CEdge> {
+    debug_assert_eq!(dst.len(), width);
+    let runs: Vec<Run> = offsets
+        .windows(2)
+        .zip(labels)
+        .filter(|(seg, _)| seg[0] < seg[1])
+        .map(|(seg, &u)| Run {
+            u,
+            start: seg[0] as u32,
+        })
+        .collect();
+    let dst = |u: VertexId, e: &CEdge| {
+        let d = dst[e.v.wrapping_sub(lo) as usize];
+        (lo + u64::from(d) != u).then_some(d)
+    };
+    let (out, fold) = group_walk(edges, &runs, dst, (lo, width), edges.len());
+    let kept = fold.map_or(0, |f| f.count());
+    comm.charge_local(kept as u64);
+    comm.charge_local(order_charge(kept, fold));
+    Sorted::assume(out)
 }
 
 /// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
@@ -278,9 +426,7 @@ mod tests {
     /// Whether `lightest_per_pair` merges source groups in a table on
     /// `edges` (true) or radix-orders their pair keys (false).
     fn walks_groups(edges: &[CEdge], keep: Keep) -> bool {
-        let mut scan = RunScan::new(edges.len());
-        scan.keys(edges, &keep).for_each(drop);
-        scan.table().is_some()
+        RunScan::of(edges, keep).table().is_some()
     }
 
     /// Both prefilters on one PE with `t` pool threads: their outputs and
@@ -530,6 +676,220 @@ mod tests {
         }
     }
 
+    /// A Borůvka round's slice before `relabel`: edges sorted by `(u, v)`
+    /// over old endpoints, each local vertex's segment of them (empty for
+    /// a vertex a subsequence dropped) and its label, and the label of
+    /// every id of the span `[lo, lo + width)`, which holds old endpoints
+    /// and labels alike.
+    #[derive(Clone)]
+    pub(crate) struct Unrelabelled {
+        pub(crate) edges: Vec<CEdge>,
+        pub(crate) verts: Vec<VertexId>,
+        pub(crate) offsets: Vec<usize>,
+        pub(crate) labels: Vec<VertexId>,
+        pub(crate) lo: u64,
+        pub(crate) dst: Vec<u32>,
+    }
+
+    impl Unrelabelled {
+        /// `edges` (sorted by `(u, v)`, endpoints in the span) under the
+        /// labelling `label_of`.
+        pub(crate) fn new(
+            edges: Vec<CEdge>,
+            lo: u64,
+            width: usize,
+            label_of: impl Fn(u64) -> u64,
+        ) -> Self {
+            let mut verts: Vec<VertexId> = edges.iter().map(|e| e.u).collect();
+            verts.dedup();
+            let labels = verts.iter().map(|&v| label_of(v)).collect();
+            let dst = (lo..lo + width as u64)
+                .map(|v| (label_of(v) - lo) as u32)
+                .collect();
+            let mut pre = Unrelabelled {
+                edges,
+                verts,
+                offsets: Vec::new(),
+                labels,
+                lo,
+                dst,
+            };
+            pre.offsets = pre.segments();
+            pre
+        }
+
+        /// The pre-image of `relabelled(n, vertices, labels, base, ..)`:
+        /// the same multigraph on the vertices `base + x` under the same
+        /// labels, which `relabel` maps onto that slice.
+        fn of_relabelled(
+            n: usize,
+            vertices: u64,
+            labels: u64,
+            base: u64,
+            weights: u64,
+            ids: u64,
+            seed: u64,
+        ) -> Self {
+            let mut edges = multigraph(n, vertices, 0, weights, ids, seed);
+            edges.sort_unstable_by_key(|e| (e.u, e.v));
+            for e in &mut edges {
+                (e.u, e.v) = (base + e.u, base + e.v);
+            }
+            let label = |v: u64| base + kamsta_graph::hash::mix64(seed ^ (v - base)) % labels;
+            let pre = Self::new(edges, base, vertices.max(labels) as usize, label);
+            let mut want = relabelled(n, vertices, labels, base, weights, ids, seed);
+            want.retain(|e| !e.is_self_loop());
+            assert_eq!(pre.relabel(), want, "the pre-image relabels onto the shape");
+            pre
+        }
+
+        /// The vertices' segments of the current edges.
+        fn segments(&self) -> Vec<usize> {
+            let mut offsets = vec![0];
+            offsets.extend(
+                self.verts
+                    .iter()
+                    .map(|&v| self.edges.partition_point(|e| e.u <= v)),
+            );
+            offsets
+        }
+
+        /// The subsequence of the edges `keep(position)` accepts, on the
+        /// same vertices — what local contraction leaves.
+        fn subsequence(&self, keep: impl Fn(usize) -> bool) -> Self {
+            let mut sub = self.clone();
+            sub.edges = (0..self.edges.len())
+                .filter(|&i| keep(i))
+                .map(|i| self.edges[i])
+                .collect();
+            sub.offsets = sub.segments();
+            sub
+        }
+
+        /// Each vertex's first edge alone: every run holds one edge.
+        fn first_edges(&self) -> Self {
+            self.subsequence(|i| i == 0 || self.edges[i - 1].u != self.edges[i].u)
+        }
+
+        fn label_of(&self, v: VertexId) -> VertexId {
+            self.lo + u64::from(self.dst[(v - self.lo) as usize])
+        }
+
+        /// What `relabel` makes of the edges.
+        fn relabel(&self) -> Vec<CEdge> {
+            self.edges
+                .iter()
+                .map(|e| CEdge::new(self.label_of(e.u), self.label_of(e.v), e.w, e.id))
+                .filter(|e| !e.is_self_loop())
+                .collect()
+        }
+    }
+
+    /// `n` random edges over `vertices` vertices, sorted by `(u, v)`.
+    fn sorted_multigraph(n: usize, vertices: u64, seed: u64) -> Vec<CEdge> {
+        let mut edges = multigraph(n, vertices, 0, 250, 1 << 20, seed);
+        edges.sort_unstable_by_key(|e| (e.u, e.v));
+        edges
+    }
+
+    /// Output, γ units and the bits of the modeled seconds of one call,
+    /// on a fresh one-PE machine with `t` pool threads.
+    type Charged = (Vec<CEdge>, u64, u64);
+
+    fn charged(t: usize, run: impl FnOnce(&Comm) -> Vec<CEdge> + Send + Sync) -> Charged {
+        let run = std::sync::Mutex::new(Some(run));
+        let out = Machine::run(MachineConfig::new(1).with_threads(t), |comm| {
+            let run = run.lock().unwrap().take().expect("one PE");
+            let out = run(comm);
+            let stats = comm.stats();
+            (out, stats.local_ops, stats.modeled_time.to_bits())
+        });
+        out.results.into_iter().next().unwrap()
+    }
+
+    /// The fused kernel against its definition: on a slice before
+    /// `relabel`, `lightest_per_label_pair` gives what `prefilter_pairs`
+    /// gives on `relabel`'s output — the same edges, the same γ units and
+    /// the same modeled seconds, bit for bit.
+    pub(crate) fn assert_fused_matches_relabel_then_prefilter(
+        pre: &Unrelabelled,
+        t: usize,
+        what: &str,
+    ) {
+        let table = (pre.lo, pre.dst.len());
+        let fused = charged(t, |comm| {
+            lightest_per_label_pair(comm, &pre.edges, &pre.offsets, &pre.labels, &pre.dst, table)
+                .into_inner()
+        });
+        let rewritten = pre.relabel();
+        let reference = charged(t, |comm| prefilter_pairs(comm, &rewritten).into_inner());
+        assert_eq!(fused.0, reference.0, "{what}: output, t={t}");
+        assert_eq!(fused.0, reference_prefilter(&rewritten, |_| true), "{what}");
+        assert_eq!(fused.1, reference.1, "{what}: γ units, t={t}");
+        assert_eq!(fused.2, reference.2, "{what}: modeled seconds, t={t}");
+    }
+
+    #[test]
+    fn fused_kernel_matches_relabel_then_prefilter_on_pinned_shapes() {
+        let shapes = [
+            (
+                "a GNM round",
+                Unrelabelled::of_relabelled(40_000, 2_000, 700, 0, 250, 1 << 21, 13),
+            ),
+            (
+                "one source's runs apart, self-loops inside runs",
+                Unrelabelled::of_relabelled(5_000, 100, 12, 0, 250, 1 << 20, 14),
+            ),
+            (
+                "exact duplicates and equal weights across runs",
+                Unrelabelled::of_relabelled(5_000, 100, 12, 0, 2, 3, 15),
+            ),
+            (
+                "long runs, endpoints above 2^32",
+                Unrelabelled::of_relabelled(20_000, 500, 300, (1 << 32) + 7, 250, 1 << 20, 20),
+            ),
+            (
+                "long runs, endpoints above 2^48",
+                Unrelabelled::of_relabelled(20_000, 500, 300, (1 << 48) + 9, 250, 1 << 20, 21),
+            ),
+            (
+                "past the parallel cutoff",
+                Unrelabelled::of_relabelled(1 << 17, 1 << 12, 1 << 11, 0, 254, 1 << 21, 22),
+            ),
+            (
+                "one edge",
+                Unrelabelled::new(vec![CEdge::new(3, 1, 7, 0)], 0, 4, |v| v),
+            ),
+            (
+                "every edge a self-loop after contraction",
+                Unrelabelled::of_relabelled(3_000, 50, 1, 0, 9, 1 << 20, 23),
+            ),
+            (
+                "one edge a vertex, labels permuted: runs in order, boundaries not",
+                Unrelabelled::new(sorted_multigraph(6_000, 2_000, 25), 0, 2_000, |v| {
+                    (7 * v + 3) % 2_000
+                })
+                .first_edges(),
+            ),
+            (
+                "sorted after relabel: identity labels",
+                Unrelabelled::new(sorted_multigraph(3_000, 200, 24), 0, 200, |v| v),
+            ),
+        ];
+        for (what, pre) in &shapes {
+            for t in [1usize, 2, 8] {
+                assert_fused_matches_relabel_then_prefilter(pre, t, what);
+                // Local contraction's survivors: a subsequence in input
+                // order, some segments emptied whole.
+                let survivors = pre.subsequence(|i| {
+                    let v = pre.edges[i].u;
+                    v % 7 != 3 && !kamsta_graph::hash::mix64(i as u64).is_multiple_of(3)
+                });
+                assert_fused_matches_relabel_then_prefilter(&survivors, t, what);
+            }
+        }
+    }
+
     mod prefilter_properties {
         use super::*;
         use proptest::prelude::*;
@@ -557,6 +917,44 @@ mod tests {
                     (multigraph(n, labels, shift, weights, ids, seed), "random multigraph")
                 };
                 assert_prefilters_match_their_definition(&edges, t, what);
+            }
+
+            #[test]
+            fn fused_kernel_matches_relabel_then_prefilter(
+                n in 0usize..900,
+                vertices in 1u64..400,
+                labels in 1u64..400,
+                weights in 1u64..6,
+                ids in 1u64..500,
+                seed in any::<u64>(),
+                t in 1usize..4,
+                mode in 0u8..4,
+                drop_every in 0u64..4,
+            ) {
+                // Random labels, labels in vertex order (most runs in
+                // order, boundaries not) or the identity (the whole
+                // relabelled slice in order), then maybe a subsequence; or
+                // a permutation on each vertex's first edge alone, where
+                // every run is in order and the boundaries, in vertex
+                // order, decide.
+                let mut edges = multigraph(n, vertices, 0, weights, ids, seed);
+                edges.sort_unstable_by_key(|e| (e.u, e.v));
+                let width = vertices.max(labels);
+                let label = |v: u64| match mode {
+                    0 => kamsta_graph::hash::mix64(seed ^ v) % labels,
+                    1 => v * labels / width,
+                    2 => v,
+                    _ => (v * 1_000_003 + seed % width) % width,
+                };
+                let pre = Unrelabelled::new(edges, 0, width as usize, label);
+                let pre = match (mode, drop_every) {
+                    (3, _) => pre.first_edges(),
+                    (_, 0) => pre,
+                    _ => pre.subsequence(|i| {
+                        kamsta_graph::hash::mix64(seed ^ !(i as u64)) % 4 >= drop_every
+                    }),
+                };
+                assert_fused_matches_relabel_then_prefilter(&pre, t, "random labels");
             }
         }
     }

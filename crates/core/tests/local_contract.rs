@@ -90,6 +90,7 @@ fn check(what: &str, global: &[WEdge], pes: &[Pe]) -> bool {
         assert_eq!(pre.applied, applied, "{what}: the gate is global");
         if !applied {
             assert!(pre.edges.is_empty() && pre.labels.is_empty() && pre.mst_edge_ids.is_empty());
+            assert!(pre.offsets.is_empty());
             continue;
         }
         let n = pe.verts.len();
@@ -140,6 +141,19 @@ fn check(what: &str, global: &[WEdge], pes: &[Pe]) -> bool {
         };
         let want: Vec<CEdge> = pe.edges.iter().filter(|e| !inside(e)).copied().collect();
         assert_eq!(pre.edges, want, "{what}: surviving edges");
+        // Their vertex segments: vertex i's survivors, by local index.
+        assert_eq!(pre.offsets.len(), n + 1, "{what}: one segment a vertex");
+        for (i, seg) in pre.offsets.windows(2).enumerate() {
+            assert!(
+                pre.edges[seg[0]..seg[1]].iter().all(|e| e.u == pe.verts[i]),
+                "{what}: segment of vertex {i}"
+            );
+        }
+        assert_eq!(
+            pre.offsets[n],
+            pre.edges.len(),
+            "{what}: the segments cover the survivors"
+        );
 
         // 4. Fixpoint: a component's lightest outgoing edge leaves the
         // contractible set.

@@ -261,6 +261,29 @@ impl<K: RadixKey> KeyFold<K> {
         self.ands = K::bit_and(self.ands, k);
     }
 
+    /// The fold of a sequence of `kept ≥ 1` keys known by its summary:
+    /// their OR and AND, the first and the last key, and whether they are
+    /// in order — for a caller that gathers those in another order than
+    /// the sequence's (the OR and AND of a multiset are those of its
+    /// distinct keys, in any order).
+    pub fn summary(kept: usize, sorted: bool, (ors, ands): (K, K), (first, last): (K, K)) -> Self {
+        debug_assert!(kept >= 1, "a fold holds at least one key");
+        KeyFold {
+            kept,
+            sorted,
+            ors,
+            ands,
+            first,
+            last,
+        }
+    }
+
+    /// The number of keys folded.
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.kept
+    }
+
     /// The fold of `keys` in order; `None` when there are none.
     pub fn of(mut keys: impl Iterator<Item = K>) -> Option<Self> {
         let mut f = KeyFold::new(keys.next()?);
@@ -279,6 +302,23 @@ impl<K: RadixKey> KeyFold<K> {
             ands: K::bit_and(self.ands, right.ands),
             first: self.first,
             last: right.last,
+        }
+    }
+}
+
+impl KeyFold<u64> {
+    /// The fold of the keys `hi << 64 | k`, for the keys `k` folded here:
+    /// a run of pair keys that share their source `hi`, folded on the
+    /// destinations alone.
+    pub fn prefixed(self, hi: u64) -> KeyFold<u128> {
+        let wide = |k: u64| u128::from(hi) << 64 | u128::from(k);
+        KeyFold {
+            kept: self.kept,
+            sorted: self.sorted,
+            ors: wide(self.ors),
+            ands: wide(self.ands),
+            first: wide(self.first),
+            last: wide(self.last),
         }
     }
 }
