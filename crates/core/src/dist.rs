@@ -11,14 +11,21 @@
 //! 2. [`contract_components`] — hooking along the selected edges, 2-cycle
 //!    root election and distributed pointer doubling over the vertex-home
 //!    partition (Sec. IV-B), emitting the round's MST edge ids;
-//! 3. [`exchange_labels`] + [`relabel`] — the pull-based ghost-label
-//!    protocol and endpoint rewriting (Sec. IV-C): the pulled labels come
-//!    back as a [`Pulled`] — a table over the graph's id span whenever
-//!    the ghosts are dense in it, which then also holds this PE's own
-//!    labels, so rewriting a destination is one array load;
-//! 4. [`redistribute`] — parallel-edge elimination (local per-pair
-//!    prefilter or pure sorting, Sec. VI-B), distributed sorting, and
-//!    re-establishing the distributed graph structure.
+//! 3. [`exchange_labels`] + [`relabel_or_defer`] — the pull-based
+//!    ghost-label protocol and endpoint rewriting (Sec. IV-C): the pulled
+//!    labels come back as a [`Pulled`] — a table over the graph's id span
+//!    whenever the ghosts are dense in it, which then also holds this
+//!    PE's own labels, so rewriting a destination is one array load.
+//!    Where the vertex segments are long and the id span dense, nothing
+//!    is rewritten here: the edges wait, with their labels, for stage 4's
+//!    prefilter. Elsewhere [`relabel`] writes the relabelled slice;
+//! 4. [`redistribute_relabelled`] — parallel-edge elimination (local
+//!    per-pair prefilter or pure sorting, Sec. VI-B), distributed
+//!    sorting, and re-establishing the distributed graph structure. The
+//!    prefilter walks each label's vertex segments and rewrites the
+//!    copies it keeps as it reads them, so the relabelled slice of a
+//!    deferred rewrite is never written ([`redistribute`] is the same
+//!    stage on edges that are rewritten already).
 //!
 //! An optional [`local_contract`] pass (Sec. IV-A) contracts purely local
 //! subtrees before the first communication round. The paper runs it on
@@ -723,6 +730,14 @@ impl Relabelled<'_> {
     }
 }
 
+#[cfg(test)]
+impl Relabelled<'_> {
+    /// Whether the rewrite waits for the prefilter's walk.
+    fn is_deferred(&self) -> bool {
+        matches!(self.0, Stage::Deferred { .. })
+    }
+}
+
 // ---------------------------------------------------------------------
 // pipeline stage 4: REDISTRIBUTE
 // ---------------------------------------------------------------------
@@ -751,14 +766,6 @@ pub fn redistribute(comm: &Comm, edges: Vec<CEdge>, cfg: &MstConfig) -> DistGrap
             let sorted = kamsta_sort::sort_auto_by_key(comm, filtered, 0xC0FFEE, CEdge::lex_key);
             establish_lightest(comm, sorted)
         }
-    }
-}
-
-#[cfg(test)]
-impl Relabelled<'_> {
-    /// Whether the rewrite waits for the prefilter's walk.
-    fn is_deferred(&self) -> bool {
-        matches!(self.0, Stage::Deferred { .. })
     }
 }
 
