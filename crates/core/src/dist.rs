@@ -1062,6 +1062,9 @@ fn contract_scanned(comm: &Comm, g: &DistGraph) -> PreprocessOutcome {
         live.truncate(kept);
     }
 
+    // The rounds' state is dead: release it before the outcome is built.
+    drop((lightest, label, roots, sits_out));
+
     // Representative per component: the minimum member, which an
     // ascending walk meets first.
     let mut rep: Vec<VertexId> = vec![VertexId::MAX; n];
