@@ -714,7 +714,7 @@ pub fn relabel_or_defer<'a>(
 
 impl Relabelled<'_> {
     /// `REDISTRIBUTE`'s local prefilter on the relabelled edges: the
-    /// output and γ of [`prefilter_pairs`] on [`relabel`]'s output. The
+    /// output and γ of `prefilter_pairs` on [`relabel`]'s output. The
     /// edges are released before it returns.
     pub fn prefilter(self, comm: &Comm) -> Sorted<CEdge> {
         match self.0 {

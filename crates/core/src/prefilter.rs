@@ -183,10 +183,10 @@ impl RunScan {
 /// The second result is the [`KeyFold`] of the kept pair keys in input
 /// order, which is all the γ charge needs, gathered on the way: the
 /// kept count; the OR and AND, over each group's distinct destinations
-/// (a multiset's are its distinct keys'); and sortedness. That is each
-/// run's order, tracked until one run is out of order, and then — only
-/// if none was — the runs' boundaries in input order, like the first and
-/// the last key, read off the runs' ends.
+/// (a multiset's are its distinct keys'); and sortedness — each run's
+/// order, tracked until one run is out of order. The first and the last
+/// key, and — only if every run is in order — the runs' boundaries in
+/// input order, are read off the runs' ends afterwards.
 fn group_walk(
     edges: &[CEdge],
     runs: &[Run],
@@ -682,24 +682,19 @@ mod tests {
     /// every id of the span `[lo, lo + width)`, which holds old endpoints
     /// and labels alike.
     #[derive(Clone)]
-    pub(crate) struct Unrelabelled {
-        pub(crate) edges: Vec<CEdge>,
-        pub(crate) verts: Vec<VertexId>,
-        pub(crate) offsets: Vec<usize>,
-        pub(crate) labels: Vec<VertexId>,
-        pub(crate) lo: u64,
-        pub(crate) dst: Vec<u32>,
+    struct Unrelabelled {
+        edges: Vec<CEdge>,
+        verts: Vec<VertexId>,
+        offsets: Vec<usize>,
+        labels: Vec<VertexId>,
+        lo: u64,
+        dst: Vec<u32>,
     }
 
     impl Unrelabelled {
         /// `edges` (sorted by `(u, v)`, endpoints in the span) under the
         /// labelling `label_of`.
-        pub(crate) fn new(
-            edges: Vec<CEdge>,
-            lo: u64,
-            width: usize,
-            label_of: impl Fn(u64) -> u64,
-        ) -> Self {
+        fn new(edges: Vec<CEdge>, lo: u64, width: usize, label_of: impl Fn(u64) -> u64) -> Self {
             let mut verts: Vec<VertexId> = edges.iter().map(|e| e.u).collect();
             verts.dedup();
             let labels = verts.iter().map(|&v| label_of(v)).collect();
@@ -811,11 +806,7 @@ mod tests {
     /// `relabel`, `lightest_per_label_pair` gives what `prefilter_pairs`
     /// gives on `relabel`'s output — the same edges, the same γ units and
     /// the same modeled seconds, bit for bit.
-    pub(crate) fn assert_fused_matches_relabel_then_prefilter(
-        pre: &Unrelabelled,
-        t: usize,
-        what: &str,
-    ) {
+    fn assert_fused_matches_relabel_then_prefilter(pre: &Unrelabelled, t: usize, what: &str) {
         let table = (pre.lo, pre.dst.len());
         let fused = charged(t, |comm| {
             lightest_per_label_pair(comm, &pre.edges, &pre.offsets, &pre.labels, &pre.dst, table)

@@ -306,23 +306,6 @@ impl<K: RadixKey> KeyFold<K> {
     }
 }
 
-impl KeyFold<u64> {
-    /// The fold of the keys `hi << 64 | k`, for the keys `k` folded here:
-    /// a run of pair keys that share their source `hi`, folded on the
-    /// destinations alone.
-    pub fn prefixed(self, hi: u64) -> KeyFold<u128> {
-        let wide = |k: u64| u128::from(hi) << 64 | u128::from(k);
-        KeyFold {
-            kept: self.kept,
-            sorted: self.sorted,
-            ors: wide(self.ors),
-            ands: wide(self.ands),
-            first: wide(self.first),
-            last: wide(self.last),
-        }
-    }
-}
-
 /// How a slice is going to be ordered — decided once, before anything
 /// is allocated, and identically by the sequential and the parallel
 /// entry points (the fold they hand in is the same value).
