@@ -224,8 +224,8 @@ fn check_indexable(len: usize) -> Result<(), TooLongForRadix> {
 /// that tell constant bytes from active ones. `join` is associative, so
 /// the folds of consecutive segments joined in segment order *equal* the
 /// scan over their concatenation — they are not approximations of it —
-/// which lets a caller that meets its keys segment by segment, in any
-/// order of segments, charge what the scan would
+/// which lets a caller that meets the segments in another order charge
+/// what the scan would
 /// ([`radix_order_charge_of`](crate::radix_order_charge_of)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyFold<K> {
