@@ -620,18 +620,22 @@ fn relabel_by(
 /// `table` re-based to 4-byte entries; sparse, it starts at the identity
 /// and takes this PE's labels of the vertices it is home to, then the
 /// ghosts' from the map. Either way O(width + vertices) work, which the
-/// density rule bounds by the slice.
+/// density rule bounds by the slice. `None` when a ghost lies outside
+/// the span — a destination that is a source nowhere, which `relabel`
+/// keeps as it is (the dense pull falls back to the map for it).
 fn destination_table(
     g: &DistGraph,
     labels: &[VertexId],
     table: &Pulled,
     (lo, width): (u64, usize),
-) -> Vec<u32> {
+) -> Option<Vec<u32>> {
     let off = |label: VertexId| (label - lo) as u32;
     match &table.0 {
-        Table::Dense { lo: at, slots } => (lo..lo + width as u64)
-            .map(|v| off(dense_get(*at, slots, v).unwrap_or(v)))
-            .collect(),
+        Table::Dense { lo: at, slots } => Some(
+            (lo..lo + width as u64)
+                .map(|v| off(dense_get(*at, slots, v).unwrap_or(v)))
+                .collect(),
+        ),
         Table::Sparse(ghost) => {
             let mut dst: Vec<u32> = (0..width as u32).collect();
             let verts = g.local_vertices();
@@ -640,9 +644,9 @@ fn destination_table(
                 dst[(v - lo) as usize] = off(label);
             }
             for (&v, &label) in ghost {
-                dst[(v - lo) as usize] = off(label);
+                *dst.get_mut(v.checked_sub(lo)? as usize)? = off(label);
             }
-            dst
+            Some(dst)
         }
     }
 }
@@ -698,11 +702,11 @@ pub fn relabel_or_defer<'a>(
         DedupStrategy::HashFilter => segment_table(edges.len(), segments, g.id_span()),
         DedupStrategy::Sort => None,
     };
-    let Some(span) = span else {
+    let deferred = span.and_then(|span| Some((span, destination_table(g, labels, &table, span)?)));
+    let Some((span, dst)) = deferred else {
         return Relabelled(Stage::Rewritten(relabel(comm, g, edges, labels, &table)));
     };
     comm.charge_local(edges.len() as u64);
-    let dst = destination_table(g, labels, &table, span);
     Relabelled(Stage::Deferred {
         edges,
         offsets,
@@ -1674,6 +1678,29 @@ pub(crate) mod tests {
         // Survivors join different components: they make no self-loops.
         assert!(seen("survivors of local contraction", |v| v.0));
         assert!(views.iter().all(|(w, v)| *w != "ids 2^40 apart" || !v.0));
+    }
+
+    #[test]
+    fn a_destination_beyond_the_id_span_takes_relabel() {
+        // One edge leads to an id that is a source nowhere, past the id
+        // span: the pull takes the map, and the round rewrites with
+        // `relabel`, which keeps that id, instead of walking a table the
+        // id falls outside of.
+        let out = Machine::run(MachineConfig::new(2), |comm| {
+            let band = band_graph(comm, 60, 6, 1);
+            let mut edges = band.edges.clone();
+            if comm.rank() == 0 {
+                edges.push(CEdge::new(edges[0].u, 10_000, 1, 1 << 30));
+                edges.sort_unstable();
+            }
+            let g = DistGraph::establish(comm, edges);
+            let sels = min_edges(comm, &g);
+            let labels = contract_components(comm, &g, &sels).labels;
+            let what = "a destination past the span";
+            assert_round_paths_agree(comm, &g, &g.edges, g.segment_offsets(), &labels, what)
+        });
+        let (deferred, dense, _, _) = out.results[0];
+        assert!(!deferred && !dense, "rank 0 rewrites with relabel");
     }
 
     #[test]
