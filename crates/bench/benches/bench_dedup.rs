@@ -1,22 +1,24 @@
 //! The Sec. VI-B parallel-edge elimination ablation, the row ROADMAP
-//! item 10 asks of `DedupStrategy::Sort`: `redistribute` with the local
+//! item 10 asks of `DedupStrategy::Sort`: `REDISTRIBUTE` with the local
 //! prefilter (`DedupStrategy::HashFilter`) against pure sorting
-//! (`DedupStrategy::Sort`), at p = 2, on one slice shape per side of
-//! the prefilter's selection (DESIGN.md §14). The paper's prefilter is
-//! a per-PE hash table ("outperforms the pure sorting approach by up to
-//! a factor of 2.5 if the hash table remains small enough to fit into
-//! the cache"). `HashFilter` keeps the paper's name and is a table
-//! filter again where a slice allows one:
+//! (`DedupStrategy::Sort`), at p = 2, on one slice shape per path of the
+//! prefilter (DESIGN.md §14). The paper's prefilter is a per-PE hash
+//! table ("outperforms the pure sorting approach by up to a factor of
+//! 2.5 if the hash table remains small enough to fit into the cache").
+//! `HashFilter` keeps the paper's name and is a table filter where a
+//! Borůvka round allows one:
 //!
-//! * the post-contraction-like rows — few distinct endpoint pairs, 4 …
-//!   64 parallel copies each, sources in runs of one edge — take the
-//!   radix side: order the slice by its `(u, v)` pair key, keep each
-//!   pair's `(w, id)`-minimal copy;
-//! * the relabelled-GNM row — a Borůvka round's slice after `relabel`,
-//!   still in the old `(u, v)` order, so each source's edges lie in a
-//!   few long runs over a dense label span — takes the group side: one
-//!   source at a time, the lightest copy per destination in a table
-//!   over the span.
+//! * the copies rows — few distinct endpoint pairs, 4 … 64 parallel
+//!   copies each, sources in runs of one edge, handed to `redistribute`
+//!   — take the plain slice's one path: order the slice by its `(u, v)`
+//!   pair key, keep each pair's `(w, id)`-minimal copy;
+//! * the relabelled-GNM row — round 1 of a GNM solve, its labels from a
+//!   real contraction, through the round's own calls (`relabel_or_defer`
+//!   then `redistribute_relabelled`) on the input graph's borrowed edges
+//!   — times what rounds run: under `HashFilter` the label walk, one
+//!   label at a time, the lightest copy per destination in a table over
+//!   the id span, relabelling as it reads; under `Sort`, `relabel` and
+//!   the distributed sort of the full key.
 //!
 //! Either way parallel copies never enter the distributed sort. The
 //! kernel is the one below `core.redistribute_probe_s`; EXPERIMENTS.md
@@ -24,9 +26,13 @@
 
 use kamsta::{DedupStrategy, MstConfig};
 use kamsta_bench::{lockstep_ms, lockstep_row, ms_cell, ratio_cell, Table, BENCH_PES, SAMPLES};
-use kamsta_core::dist::redistribute;
+use kamsta_core::dist::{
+    contract_components, exchange_labels, min_edges, redistribute, redistribute_relabelled,
+    relabel_or_defer,
+};
 use kamsta_graph::hash::mix64;
-use kamsta_graph::CEdge;
+use kamsta_graph::{CEdge, GraphConfig, InputGraph};
+use std::borrow::Cow;
 
 const PAIRS: u64 = 1 << 13;
 
@@ -45,59 +51,48 @@ fn parallel_heavy_edges(rank: usize, copies: u64) -> Vec<CEdge> {
         .collect()
 }
 
-/// Vertices of the relabelled GNM slice, each with `DEGREE` edges.
-const GNM_VERTICES: u64 = 1 << 15;
-const DEGREE: u64 = 16;
-/// Components the vertices are relabelled to.
-const LABELS: u64 = 1 << 13;
-
-/// A PE's slice of a GNM round after `relabel`: its block of vertices'
-/// edges sorted by `(u, v)`, then both endpoints replaced by their
-/// component's label (`LABELS` labels, hashed). A label's edges lie in
-/// runs of about `DEGREE` apart in the slice; edges inside a component
-/// became self-loops and are gone, as `relabel` drops them.
-fn relabelled_gnm_edges(rank: usize) -> Vec<CEdge> {
-    let block = GNM_VERTICES / BENCH_PES as u64;
-    let label = |x: u64| mix64(x ^ 0x1abe1) % LABELS;
-    let mut edges: Vec<CEdge> = (rank as u64 * block..(rank as u64 + 1) * block)
-        .flat_map(|u| {
-            (0..DEGREE).map(move |k| {
-                let id = u * DEGREE + k;
-                let v = mix64(id) % GNM_VERTICES;
-                CEdge::new(u, v, (mix64(!id) % 254 + 1) as u32, id)
-            })
-        })
-        .collect();
-    edges.sort_unstable();
-    edges.retain_mut(|e| {
-        (e.u, e.v) = (label(e.u), label(e.v));
-        e.u != e.v
-    });
-    edges
-}
+/// The GNM graph of the relabelled row: 2^15 vertices, 16 edges each.
+const GNM: GraphConfig = GraphConfig::Gnm {
+    n: 1 << 15,
+    m: 1 << 19,
+};
 
 fn main() {
     println!(
-        "bench_dedup: redistribute per PE of {PAIRS} pairs × copies, and of a GNM slice \
-         ({GNM_VERTICES} vertices, degree {DEGREE}) relabelled to {LABELS} labels; \
-         p = {BENCH_PES}, ms, median of {SAMPLES} (slowest PE)"
+        "bench_dedup: redistribute per PE of {PAIRS} pairs × copies, and round 1 of a GNM \
+         solve ({GNM:?}) from relabel on; p = {BENCH_PES}, ms, median of {SAMPLES} (slowest PE)"
     );
     let mut table = Table::new(&["slice", "pure_sort_ms", "hash_filter_ms", "sort/filter"]);
     for copies in [Some(4u64), Some(16), Some(64), None] {
         let ms = lockstep_row(|comm| {
-            let edges = match copies {
-                Some(copies) => parallel_heavy_edges(comm.rank(), copies),
-                None => relabelled_gnm_edges(comm.rank()),
+            let strategies = [DedupStrategy::Sort, DedupStrategy::HashFilter];
+            let configs = strategies.map(|dedup| MstConfig {
+                dedup,
+                ..MstConfig::default()
+            });
+            let Some(copies) = copies else {
+                let input = InputGraph::generate(comm, GNM, 42);
+                let g = &input.graph;
+                let labels = contract_components(comm, g, &min_edges(comm, g)).labels;
+                let table = exchange_labels(comm, g, &labels);
+                return configs
+                    .iter()
+                    .map(|cfg| {
+                        let round = |table| {
+                            let edges = Cow::Borrowed(&g.edges[..]);
+                            let offsets = g.segment_offsets();
+                            let staged =
+                                relabel_or_defer(comm, g, edges, offsets, &labels, table, cfg);
+                            redistribute_relabelled(comm, staged, cfg)
+                        };
+                        lockstep_ms(comm, || table.clone(), round)
+                    })
+                    .collect();
             };
-            [DedupStrategy::Sort, DedupStrategy::HashFilter]
-                .into_iter()
-                .map(|dedup| {
-                    let cfg = MstConfig {
-                        dedup,
-                        ..MstConfig::default()
-                    };
-                    lockstep_ms(comm, || edges.clone(), |e| redistribute(comm, e, &cfg))
-                })
+            let edges = parallel_heavy_edges(comm.rank(), copies);
+            configs
+                .iter()
+                .map(|cfg| lockstep_ms(comm, || edges.clone(), |e| redistribute(comm, e, cfg)))
                 .collect()
         });
         table.row(vec![

@@ -16,13 +16,14 @@
 //!    labels come back as a [`Pulled`] — a table over the graph's id span
 //!    whenever the ghosts are dense in it, which then also holds this
 //!    PE's own labels, so rewriting a destination is one array load.
-//!    Where the vertex segments are long and the id span dense, nothing
-//!    is rewritten here: the edges wait, with their labels, for stage 4's
-//!    prefilter. Elsewhere [`relabel`] writes the relabelled slice;
+//!    Where the label runs (adjacent segments of one component) are
+//!    long and the id span dense, nothing is rewritten here: the edges
+//!    wait, with their labels, for stage 4's prefilter. Elsewhere
+//!    [`relabel`] writes the relabelled slice;
 //! 4. [`redistribute_relabelled`] — parallel-edge elimination (local
 //!    per-pair prefilter or pure sorting, Sec. VI-B), distributed
 //!    sorting, and re-establishing the distributed graph structure. The
-//!    prefilter walks each label's vertex segments and rewrites the
+//!    prefilter walks each label's runs and rewrites the
 //!    copies it keeps as it reads them, so the relabelled slice of a
 //!    deferred rewrite is never written ([`redistribute`] is the same
 //!    stage on edges that are rewritten already).
@@ -68,9 +69,10 @@ use std::borrow::Cow;
 pub enum DedupStrategy {
     /// Local per-`(u, v)`-pair prefilter before the distributed sort.
     /// The name is the paper's (Sec. VI-B keeps a hash table per PE).
-    /// Where a slice's sources lie in long runs over a dense destination
-    /// span it is a table filter: one source at a time, the lightest copy
-    /// per destination in a table over the span. Elsewhere it is a
+    /// Where a Borůvka round's edges lie in long label runs over a dense
+    /// id span it is a table filter that also rewrites the labels: one
+    /// label at a time, the lightest copy per destination in a table over
+    /// the span ([`relabel_or_defer`]). Every other slice takes the
     /// sort-and-reduce: the radix engine orders the slice by its `(u, v)`
     /// pair key and one walk keeps each pair's `(w, id)`-minimal copy
     /// (DESIGN.md §14).
@@ -663,13 +665,13 @@ enum Stage<'a> {
     Rewritten(Vec<CEdge>),
     /// What [`lightest_per_label_pair`] reads in its place: the edges with
     /// their vertex segments and labels, and the destinations' labels
-    /// ([`destination_table`]) over the walk's table.
+    /// ([`destination_table`]) from id `lo` on.
     Deferred {
         edges: Cow<'a, [CEdge]>,
         offsets: &'a [usize],
         labels: &'a [VertexId],
         dst: Vec<u32>,
-        span: (u64, usize),
+        lo: u64,
     },
 }
 
@@ -680,12 +682,16 @@ enum Stage<'a> {
 /// [`exchange_labels`]' output for `g` and `labels`.
 ///
 /// Where the prefilter dedups ([`DedupStrategy::HashFilter`]), the
-/// segments average 8 edges or more and the id span is dense for the
+/// edges average 8 or more per *label run* — a maximal stretch of
+/// adjacent non-empty segments with one label, which is what `relabel`
+/// would make one source run of — and the id span is dense for the
 /// slice, nothing is written: the edges wait, as they are, for
 /// `REDISTRIBUTE`'s walk over label groups ([`Relabelled::prefilter`]),
 /// and γ for the rewrite is charged here, where [`relabel`] charges it.
-/// The choice reads per-vertex counts and the span, not the edges.
-/// Short segments (Filter-Borůvka's light subgraphs and base cases) and
+/// The choice reads per-vertex offsets and labels and the span, not the
+/// edges. Runs count labels, not vertices, so local contraction's
+/// survivors — short segments, long runs of one component — defer too.
+/// Short runs (Filter-Borůvka's light subgraphs and base cases) and
 /// sparse id spaces take [`relabel`], and so does the pure-sorting
 /// ablation.
 pub fn relabel_or_defer<'a>(
@@ -697,13 +703,13 @@ pub fn relabel_or_defer<'a>(
     table: Pulled,
     cfg: &MstConfig,
 ) -> Relabelled<'a> {
-    let segments = offsets.windows(2).filter(|seg| seg[0] < seg[1]).count();
     let span = match cfg.dedup {
-        DedupStrategy::HashFilter => segment_table(edges.len(), segments, g.id_span()),
+        DedupStrategy::HashFilter => segment_table(edges.len(), offsets, labels, g.id_span()),
         DedupStrategy::Sort => None,
     };
-    let deferred = span.and_then(|span| Some((span, destination_table(g, labels, &table, span)?)));
-    let Some((span, dst)) = deferred else {
+    let deferred =
+        span.and_then(|span| Some((span.0, destination_table(g, labels, &table, span)?)));
+    let Some((lo, dst)) = deferred else {
         return Relabelled(Stage::Rewritten(relabel(comm, g, edges, labels, &table)));
     };
     comm.charge_local(edges.len() as u64);
@@ -712,7 +718,7 @@ pub fn relabel_or_defer<'a>(
         offsets,
         labels,
         dst,
-        span,
+        lo,
     })
 }
 
@@ -728,8 +734,8 @@ impl Relabelled<'_> {
                 offsets,
                 labels,
                 dst,
-                span,
-            } => lightest_per_label_pair(comm, &edges, offsets, labels, &dst, span),
+                lo,
+            } => lightest_per_label_pair(comm, &edges, offsets, labels, &dst, lo),
         }
     }
 }
@@ -1678,6 +1684,77 @@ pub(crate) mod tests {
         // Survivors join different components: they make no self-loops.
         assert!(seen("survivors of local contraction", |v| v.0));
         assert!(views.iter().all(|(w, v)| *w != "ids 2^40 apart" || !v.0));
+    }
+
+    /// A round on the survivors of local contraction on `graph`, per PE:
+    /// whether [`relabel_or_defer`] deferred the rewrite, and the output,
+    /// γ units and modeled-seconds bits of the deferred path (`defer`) or
+    /// of [`relabel`] then [`prefilter_pairs`] — each on a machine of its
+    /// own, so both clocks start from the same state.
+    fn survivor_round(
+        graph: kamsta_graph::GraphConfig,
+        p: usize,
+        t: usize,
+        defer: bool,
+    ) -> Vec<(bool, Vec<CEdge>, u64, u64)> {
+        let machine = MachineConfig::new(p).with_threads(t);
+        let out = Machine::run(machine, move |comm| {
+            let input = InputGraph::generate(comm, graph, 7);
+            let g = &input.graph;
+            let PreprocessOutcome {
+                edges,
+                offsets,
+                labels,
+                ..
+            } = contract_local_subtrees(comm, g);
+            let table = exchange_labels(comm, g, &labels);
+            let cfg = MstConfig::default();
+            let (deferred, out) = if defer {
+                let staged =
+                    relabel_or_defer(comm, g, Cow::Owned(edges), &offsets, &labels, table, &cfg);
+                (staged.is_deferred(), staged.prefilter(comm))
+            } else {
+                let rewritten = relabel(comm, g, edges, &labels, &table);
+                (false, prefilter_pairs(comm, &rewritten))
+            };
+            let stats = comm.stats();
+            (
+                deferred,
+                out.into_inner(),
+                stats.local_ops,
+                stats.modeled_time.to_bits(),
+            )
+        });
+        out.results
+    }
+
+    #[test]
+    fn survivors_of_local_contraction_take_the_label_walk() {
+        // An RGG's survivors are the edges of frozen components near the
+        // PE boundaries: segments of about 5 edges, but a component's
+        // vertices are adjacent in id order, so its segments form label
+        // runs of 8 or more. One PE contracts every edge.
+        let rgg = kamsta_graph::GraphConfig::Rgg2D {
+            n: 1 << 12,
+            m: 1 << 16,
+        };
+        for p in [1usize, 2, 3] {
+            for t in [1usize, 2, 8] {
+                let walked = survivor_round(rgg, p, t, true);
+                let rewritten = survivor_round(rgg, p, t, false);
+                for (rank, (w, r)) in walked.iter().zip(&rewritten).enumerate() {
+                    let at = format!("p = {p}, t = {t}, rank {rank}");
+                    if p == 1 {
+                        assert!(!w.0 && w.1.is_empty(), "{at}: nothing survives");
+                    } else {
+                        assert!(w.0, "{at}: the rewrite is deferred");
+                    }
+                    assert_eq!(w.1, r.1, "{at}: output");
+                    assert_eq!(w.2, r.2, "{at}: γ units");
+                    assert_eq!(w.3, r.3, "{at}: modeled seconds");
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,6 +86,16 @@ impl PhaseTimes {
 
     /// Merge per-PE times into the bottleneck profile (element-wise max):
     /// the modeled BSP clock advances with the slowest PE per phase.
+    ///
+    /// Each PE's wall clock runs through its waits: a PE that reaches a
+    /// phase's first collective early waits there for the others, and
+    /// that wait is booked to the phase it waits *in*, not to the phase
+    /// the slower PE is still finishing. The per-phase maxima can then
+    /// take the same seconds twice, once from each PE, so the phase
+    /// shares of a solve can sum past 100 % (103–111 % on `rgg-local`,
+    /// where one PE's local contraction runs long and the other waits
+    /// in `exchangeLabels+relabel`) and the unattributed remainder can
+    /// go negative.
     pub fn reduce_max(comm: &Comm, mine: &PhaseTimes) -> PhaseTimes {
         let merged_m = comm.allreduce(mine.modeled.to_vec(), |a, b| {
             a.iter().zip(b).map(|(x, y)| x.max(*y)).collect()

@@ -1,16 +1,14 @@
 //! `REDISTRIBUTE`'s local per-pair prefilter (Sec. VI-B): of the edges
 //! a slice keeps, the `(w, id)`-lightest copy of every ordered `(u, v)`
-//! pair, pairs ascending. [`lightest_per_pair`] is the kernel behind
-//! both callers on a plain slice — [`prefilter_pairs`] before the
-//! distributed sort and [`prefilter_unordered`] before the rooted base
-//! case — with two sides: a table walk over source groups
-//! ([`group_walk`]) and a radix order of the pair keys. A Borůvka round
-//! whose edges still carry their old endpoints takes the same walk with
-//! the vertex segments as runs and the labels as sources
-//! ([`lightest_per_label_pair`]), so its relabelled slice is never
-//! written (DESIGN.md §14).
+//! pair, pairs ascending. A plain slice — [`prefilter_pairs`] before the
+//! distributed sort, [`prefilter_unordered`] before the rooted base
+//! case — takes one path, [`lightest_per_pair`]: a radix order of the
+//! pair keys. The per-PE table is for a Borůvka round whose edges still
+//! carry their old endpoints: [`lightest_per_label_pair`] walks the
+//! round's label runs one label at a time and rewrites each edge as it
+//! reads it, so the relabelled slice is never written (DESIGN.md §14).
 
-use crate::dist::{dense_width, DENSE_SPAN_PER_QUERY};
+use crate::dist::dense_width;
 use kamsta_comm::Comm;
 use kamsta_graph::{CEdge, VertexId};
 use kamsta_sort::{KeyFold, Sorted};
@@ -18,32 +16,16 @@ use kamsta_sort::{KeyFold, Sorted};
 /// The kernel of both prefilters: of the edges `keep` accepts, the copy
 /// minimal in `(w, id)` of every ordered `(u, v)` pair, in `(u, v)`
 /// order — the sequence "sort by `(u, v, w, id)`, keep the first of each
-/// `(u, v)` run" produces, without sorting `w` and `id` into place.
-///
-/// One input-order pass ([`RunScan`]) finds the runs of kept edges with
-/// equal `u`, counts the kept edges and takes their destinations' span.
-/// Where the runs are long and the span dense, each source's runs are
-/// merged in a table over the span ([`group_walk`]). Elsewhere
-/// (Filter-Borůvka's light subgraphs, random slices) the radix engine
-/// orders the kept edges by their pair key alone and one walk along that
-/// order emits each run's minimum. Output and γ charge are the same on
-/// both sides — the group side charges what the radix order would have,
-/// from the fold of the keys the walk saw — and independent of
-/// `threads_per_pe` (DESIGN.md §14).
+/// `(u, v)` run" produces, without sorting `w` and `id` into place. The
+/// radix engine orders the kept edges by their pair key alone and one
+/// walk along that order emits each run's minimum. Output and γ charge
+/// are independent of `threads_per_pe` (DESIGN.md §14).
 fn lightest_per_pair(
     comm: &Comm,
     edges: &[CEdge],
     keep: impl Fn(&CEdge) -> bool + Sync,
 ) -> Vec<CEdge> {
     comm.charge_local(edges.len() as u64);
-    let scan = RunScan::of(edges, &keep);
-    if let Some(table) = scan.table() {
-        let lo = table.0;
-        let dst = |_: VertexId, e: &CEdge| keep(e).then(|| (e.v - lo) as u32);
-        let (out, fold) = group_walk(edges, &scan.runs, dst, table, scan.kept);
-        comm.charge_local(order_charge(edges.len(), fold));
-        return out;
-    }
     let order = kamsta_sort::local_radix_order(comm, edges, |e| keep(e).then(|| e.pair_key()))
         .unwrap_or_else(|e| too_long(e));
     let mut out = Vec::with_capacity(order.len());
@@ -63,144 +45,142 @@ fn lightest_per_pair(
     out
 }
 
-/// The γ units `local_radix_order` charges on a slice of `len` edges
-/// whose kept pair keys fold to `fold`.
-fn order_charge(len: usize, fold: Option<KeyFold<u128>>) -> u64 {
-    kamsta_sort::radix_order_charge_of(len, fold).unwrap_or_else(|e| too_long(e))
-}
-
 fn too_long(e: kamsta_sort::TooLongForRadix) -> ! {
     panic!("a PE's edge slice must be u32-indexable: {e}")
 }
 
-/// The mean number of kept edges per source run from which the
-/// prefilter merges runs in a table ([`group_walk`]) rather than
-/// radix-ordering pair keys. Below it a group's table traffic and its
-/// destination sort cost more than the four counting passes they
-/// replace (EXPERIMENTS.md "The prefilter walks source groups").
+/// The mean number of edges per label run from which a Borůvka round
+/// leaves its rewrite to the table walk ([`lightest_per_label_pair`])
+/// rather than writing `relabel`'s slice for the radix order. Below it
+/// a group's table traffic and its destination sort cost more than the
+/// four counting passes they replace (EXPERIMENTS.md "The prefilter
+/// walks source groups").
 const GROUP_WALK_MIN_RUN: usize = 8;
 
-/// The runs [`RunScan`] sees before it judges their mean length.
-const GROUP_WALK_SAMPLE_RUNS: usize = 64;
-
-/// A stretch of a slice whose edges share one source, by the input
+/// A label run of a round's edges: a maximal stretch of adjacent
+/// non-empty vertex segments with the same label `u`, by the input
 /// position of its first edge; it ends where the next run starts (or at
-/// the slice's end). [`RunScan`]'s runs are maximal stretches of kept
-/// edges with equal `u`, and the edges `keep` drops in between are
-/// skipped again when they are walked; a round's runs are the vertex
-/// segments, with the vertex's label as the source.
+/// the slice's end). Empty segments do not break it: their vertices add
+/// nothing to `relabel`'s output, where a run's edges, less the
+/// self-loops it drops, are one stretch with one source.
 struct Run {
     u: VertexId,
     start: u32,
 }
 
-/// What [`lightest_per_pair`]'s input-order pass learns: the source
-/// runs, the number of kept edges and their destinations' span. The
-/// pass gives up — and the radix side pays for the prefix it read, not
-/// for the slice — at the first run boundary where
-/// [`GROUP_WALK_SAMPLE_RUNS`] or more runs average fewer than
-/// [`GROUP_WALK_MIN_RUN`] kept edges, or at the first edge that
-/// stretches the span beyond what the density rule allows on the whole
-/// slice.
-struct RunScan {
-    runs: Vec<Run>,
-    kept: usize,
+/// The label runs of a round's edges, in input order: `offsets[i]..
+/// offsets[i + 1]` is local vertex `i`'s segment and `labels[i]` its
+/// label. Per-vertex work only.
+fn label_runs<'a>(offsets: &'a [usize], labels: &'a [VertexId]) -> impl Iterator<Item = Run> + 'a {
+    let mut last = None;
+    offsets
+        .windows(2)
+        .zip(labels)
+        .filter(move |&(seg, &u)| seg[0] < seg[1] && last.replace(u) != Some(u))
+        .map(|(seg, &u)| Run {
+            u,
+            start: seg[0] as u32,
+        })
+}
+
+/// How many runs ahead of the one it reads [`lightest_per_label_pair`]
+/// prefetches.
+const PREFETCH_RUNS_AHEAD: usize = 4;
+
+/// Hint the cache to load the 512 bytes (16 edges, a mean round-1
+/// segment of a `gnm-dense` slice) from `edges[at]` on. A no-op off
+/// x86-64.
+#[inline]
+fn prefetch(edges: &[CEdge], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = edges.as_ptr().wrapping_add(at).cast::<i8>();
+        for line in 0..8 {
+            // SAFETY: a prefetch is a hint; it reads nothing and never
+            // faults, whatever the address, and SSE is part of x86-64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(64 * line)) };
+        }
+    }
+}
+
+/// The pair key `(u, v)` of `CEdge::pair_key`.
+#[inline]
+fn pair_key(u: VertexId, v: VertexId) -> u128 {
+    u128::from(u) << 64 | u128::from(v)
+}
+
+/// The table `(lo, width)` over a Borůvka round's relabelled
+/// destinations when [`lightest_per_label_pair`] takes the slice: its
+/// `len` edges average [`GROUP_WALK_MIN_RUN`] or more per label run
+/// (the segments `offsets` cuts, under `labels`), and `span` — the
+/// graph's id span, which holds every vertex and so every label — is
+/// dense for `len` edges by [`dense_width`]. `None` sends the slice to
+/// `relabel` and [`prefilter_pairs`]: Filter-Borůvka's light subgraphs
+/// and the base cases, whose label runs are short, and sparse id
+/// spaces. It reads per-vertex offsets and labels, not the edges, so
+/// choosing costs no pass over the slice.
+pub(crate) fn segment_table(
+    len: usize,
+    offsets: &[usize],
+    labels: &[VertexId],
     span: Option<(u64, u64)>,
-    max_span: u64,
-    gave_up: bool,
+) -> Option<(u64, usize)> {
+    let runs = label_runs(offsets, labels).count();
+    if len < GROUP_WALK_MIN_RUN * runs || u32::try_from(len).is_err() {
+        return None;
+    }
+    dense_width(span, len).filter(|&(_, width)| u32::try_from(width).is_ok())
 }
 
-impl RunScan {
-    /// The pass over the edges of `edges` that `keep` accepts, up to
-    /// where it gives up.
-    fn of(edges: &[CEdge], keep: impl Fn(&CEdge) -> bool) -> Self {
-        let mut scan = RunScan {
-            runs: Vec::new(),
-            kept: 0,
-            span: None,
-            max_span: DENSE_SPAN_PER_QUERY.saturating_mul(edges.len() as u64),
-            gave_up: false,
-        };
-        for (i, e) in edges.iter().enumerate() {
-            if keep(e) && !scan.see(i, e) {
-                break;
-            }
-        }
-        scan
-    }
-
-    /// Take the kept edge at input position `i`; false once the table
-    /// walk is ruled out.
-    #[inline]
-    fn see(&mut self, i: usize, e: &CEdge) -> bool {
-        if self.runs.last().is_none_or(|r| r.u != e.u) {
-            let runs = self.runs.len();
-            if runs >= GROUP_WALK_SAMPLE_RUNS && self.kept < GROUP_WALK_MIN_RUN * runs {
-                self.gave_up = true;
-                return false;
-            }
-            self.runs.push(Run {
-                u: e.u,
-                start: i as u32,
-            });
-        }
-        let (lo, hi) = self.span.get_or_insert((e.v, e.v));
-        *lo = (*lo).min(e.v);
-        *hi = (*hi).max(e.v);
-        if *hi - *lo >= self.max_span {
-            self.gave_up = true;
-            return false;
-        }
-        self.kept += 1;
-        true
-    }
-
-    /// The table `(lo, width)` over the kept destinations when the pass
-    /// saw the whole slice, the runs average [`GROUP_WALK_MIN_RUN`]
-    /// kept edges and the span is dense by [`dense_width`].
-    fn table(&self) -> Option<(u64, usize)> {
-        if self.gave_up || self.kept < GROUP_WALK_MIN_RUN * self.runs.len() {
-            return None;
-        }
-        dense_width(self.span, self.kept).filter(|&(_, width)| u32::try_from(width).is_ok())
-    }
-}
-
-/// The table side of the prefilter, on any runs that partition `edges`
-/// in input order. `dst(u, e)` is the slot of the destination edge `e`
-/// keeps in the output when its run's source is `u` — the destination is
-/// `lo + slot`, and the slot below `width` — or `None` to drop the edge.
+/// [`prefilter_pairs`] on what `relabel` would make of a round's edges,
+/// without writing that slice: `edges` is `g.edges` or a subsequence of
+/// it in input order, `offsets[i]..offsets[i + 1]` is local vertex `i`'s
+/// segment of it and `labels[i]` its label, and `dst[v − lo]` is the
+/// label of destination `v`, less `lo`, over the table of
+/// [`segment_table`]. A destination whose label is its source's — a
+/// self-loop contraction made — is dropped.
 ///
-/// The runs are ordered by source with the (stable) radix engine, so
-/// each source's runs form one group, in input order. A group keeps, per
-/// destination, the input position of its `(w, id)`-lightest copy in a
-/// table over the span; the group's distinct destinations, sorted, then
-/// emit one copy each, as `(u, destination)` with the copy's weight and
-/// id, and empty their slots again, so the table is filled once per
-/// call. Sources ascending, destinations ascending within a source: the
-/// definition's sequence.
+/// The label runs are ordered by label with the (stable) radix engine,
+/// so each label's runs form one group, in input order. A group keeps,
+/// per destination, the input position of its `(w, id)`-lightest copy
+/// in a table over the span; the group's distinct destinations, sorted,
+/// then emit one copy each, as `(label, destination)` with the copy's
+/// weight and id, and empty their slots again, so the table is filled
+/// once per call. Labels ascending, destinations ascending within a
+/// label: the definition's sequence.
 ///
-/// The second result is the [`KeyFold`] of the kept pair keys in input
-/// order, which is all the γ charge needs, gathered on the way: the
-/// kept count; the OR and AND, over each group's distinct destinations
-/// (a multiset's are its distinct keys'); and sortedness — each run's
+/// γ is exactly `prefilter_pairs(comm, &relabel(..))`'s: the relabelled
+/// slice's length — the kept count — then the radix order's charge,
+/// from the [`KeyFold`] of the kept pair keys in input order, which is
+/// that slice's order. The walk gathers the fold on the way: the kept
+/// count; the OR and AND, over each group's distinct destinations (a
+/// multiset's are its distinct keys'); and sortedness — each run's
 /// order, tracked until one run is out of order. The first and the last
 /// key, and — only if every run is in order — the runs' boundaries in
 /// input order, are read off the runs' ends afterwards.
-fn group_walk(
+pub(crate) fn lightest_per_label_pair(
+    comm: &Comm,
     edges: &[CEdge],
-    runs: &[Run],
-    dst: impl Fn(VertexId, &CEdge) -> Option<u32>,
-    (lo, width): (u64, usize),
-    capacity: usize,
-) -> (Vec<CEdge>, Option<KeyFold<u128>>) {
+    offsets: &[usize],
+    labels: &[VertexId],
+    dst: &[u32],
+    lo: u64,
+) -> Sorted<CEdge> {
     const EMPTY: u32 = u32::MAX;
-    let (order, _) = kamsta_sort::radix_order_by_key(runs, |r| Some(r.u))
+    let runs: Vec<Run> = label_runs(offsets, labels).collect();
+    let (order, _) = kamsta_sort::radix_order_by_key(&runs, |r| Some(r.u))
         .expect("fewer runs than edges, which are u32-indexable");
     let end_of = |r: usize| runs.get(r + 1).map_or(edges.len(), |n| n.start as usize);
-    let mut slots: Vec<u32> = vec![EMPTY; width];
+    // The slot of the destination `e` keeps under source `u`, or `None`
+    // for a self-loop.
+    let slot_of = |u: VertexId, e: &CEdge| {
+        let d = dst[e.v.wrapping_sub(lo) as usize];
+        (lo + u64::from(d) != u).then_some(d)
+    };
+    let mut slots: Vec<u32> = vec![EMPTY; dst.len()];
     let mut dests: Vec<u32> = Vec::new();
-    let mut out = Vec::with_capacity(capacity);
+    let mut out = Vec::with_capacity(edges.len());
     let (mut kept, mut ors, mut ands) = (0usize, 0u128, u128::MAX);
     let mut runs_sorted = true;
     let mut k = 0;
@@ -215,7 +195,7 @@ fn group_walk(
             let mut prev = 0;
             for i in runs[r].start as usize..end_of(r) {
                 let e = &edges[i];
-                let Some(d) = dst(u, e) else {
+                let Some(d) = slot_of(u, e) else {
                     continue;
                 };
                 kept += 1;
@@ -250,118 +230,38 @@ fn group_walk(
         ors |= pair_key(u, or_v);
         ands &= pair_key(u, and_v);
     }
-    if kept == 0 {
-        return (out, None);
-    }
     // Each run's first and last kept key, in input order.
-    let mut ends = (0..runs.len()).filter_map(|r| {
-        let u = runs[r].u;
-        let mut keys = (runs[r].start as usize..end_of(r))
-            .filter_map(|i| dst(u, &edges[i]).map(|d| pair_key(u, lo + u64::from(d))));
-        let first = keys.next()?;
-        Some((first, keys.next_back().unwrap_or(first)))
+    let fold = (kept > 0).then(|| {
+        let mut ends = (0..runs.len()).filter_map(|r| {
+            let u = runs[r].u;
+            let mut keys = (runs[r].start as usize..end_of(r))
+                .filter_map(|i| slot_of(u, &edges[i]).map(|d| pair_key(u, lo + u64::from(d))));
+            let first = keys.next()?;
+            Some((first, keys.next_back().unwrap_or(first)))
+        });
+        let (first, first_run_last) = ends.next().expect("a key was kept");
+        let (last, sorted) = if runs_sorted {
+            // Every run is in order: the sequence is iff its boundaries are.
+            let (mut last, mut sorted) = (first_run_last, true);
+            for (a, b) in ends {
+                sorted &= last <= a;
+                last = b;
+            }
+            (last, sorted)
+        } else {
+            (ends.next_back().map_or(first_run_last, |(_, b)| b), false)
+        };
+        KeyFold::summary(kept, sorted, (ors, ands), (first, last))
     });
-    let (first, first_run_last) = ends.next().expect("a key was kept");
-    let (last, sorted) = if runs_sorted {
-        // Every run is in order: the sequence is iff its boundaries are.
-        let (mut last, mut sorted) = (first_run_last, true);
-        for (a, b) in ends {
-            sorted &= last <= a;
-            last = b;
-        }
-        (last, sorted)
-    } else {
-        (ends.next_back().map_or(first_run_last, |(_, b)| b), false)
-    };
-    let fold = KeyFold::summary(kept, sorted, (ors, ands), (first, last));
-    (out, Some(fold))
-}
-
-/// How many runs ahead of the one it reads [`group_walk`] prefetches.
-const PREFETCH_RUNS_AHEAD: usize = 4;
-
-/// Hint the cache to load the 512 bytes (16 edges, a mean round-1
-/// segment of a `gnm-dense` slice) from `edges[at]` on. A no-op off
-/// x86-64.
-#[inline]
-fn prefetch(edges: &[CEdge], at: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = edges.as_ptr().wrapping_add(at).cast::<i8>();
-        for line in 0..8 {
-            // SAFETY: a prefetch is a hint; it reads nothing and never
-            // faults, whatever the address, and SSE is part of x86-64.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(64 * line)) };
-        }
-    }
-}
-
-/// The pair key `(u, v)` of `CEdge::pair_key`.
-#[inline]
-fn pair_key(u: VertexId, v: VertexId) -> u128 {
-    u128::from(u) << 64 | u128::from(v)
-}
-
-/// The table `(lo, width)` over a Borůvka round's relabelled
-/// destinations when [`lightest_per_label_pair`] takes the slice: its
-/// `len` edges average [`GROUP_WALK_MIN_RUN`] or more per non-empty
-/// vertex segment (`segments` of them), and `span` — the graph's id
-/// span, which holds every vertex and so every label — is dense for
-/// `len` edges by [`dense_width`]. `None` sends the slice to `relabel`
-/// and [`prefilter_pairs`]: Filter-Borůvka's light subgraphs and the
-/// base cases, whose segments are short, and sparse id spaces. It reads
-/// nothing but per-vertex counts, so choosing costs no pass.
-pub(crate) fn segment_table(
-    len: usize,
-    segments: usize,
-    span: Option<(u64, u64)>,
-) -> Option<(u64, usize)> {
-    if len < GROUP_WALK_MIN_RUN * segments || u32::try_from(len).is_err() {
-        return None;
-    }
-    dense_width(span, len).filter(|&(_, width)| u32::try_from(width).is_ok())
-}
-
-/// [`prefilter_pairs`] on what `relabel` would make of a round's edges,
-/// without writing that slice: `edges` is `g.edges` or a subsequence of
-/// it in input order, `offsets[i]..offsets[i + 1]` is local vertex `i`'s
-/// segment of it and `labels[i]` its label, and `dst[v − lo]` is the
-/// label of destination `v`, less `lo`, over the table `(lo, width)` of
-/// [`segment_table`]. Each segment is a run whose source is its
-/// vertex's label ([`group_walk`]); a destination whose label is its
-/// source's — a self-loop contraction made — is dropped. Output and γ
-/// are exactly `prefilter_pairs(comm, &relabel(..))`'s: the relabelled
-/// slice's length — the kept count — then the radix order's charge, from
-/// the fold of the kept keys in vertex order, which is that slice's
-/// order.
-pub(crate) fn lightest_per_label_pair(
-    comm: &Comm,
-    edges: &[CEdge],
-    offsets: &[usize],
-    labels: &[VertexId],
-    dst: &[u32],
-    (lo, width): (u64, usize),
-) -> Sorted<CEdge> {
-    debug_assert_eq!(dst.len(), width);
-    let runs: Vec<Run> = offsets
-        .windows(2)
-        .zip(labels)
-        .filter(|(seg, _)| seg[0] < seg[1])
-        .map(|(seg, &u)| Run {
-            u,
-            start: seg[0] as u32,
-        })
-        .collect();
-    let dst = |u: VertexId, e: &CEdge| {
-        let d = dst[e.v.wrapping_sub(lo) as usize];
-        (lo + u64::from(d) != u).then_some(d)
-    };
-    let (out, fold) = group_walk(edges, &runs, dst, (lo, width), edges.len());
-    let kept = fold.map_or(0, |f| f.count());
     comm.charge_local(kept as u64);
     comm.charge_local(order_charge(kept, fold));
     Sorted::assume(out)
+}
+
+/// The γ units `local_radix_order` charges on a slice of `len` edges
+/// whose kept pair keys fold to `fold`.
+fn order_charge(len: usize, fold: Option<KeyFold<u128>>) -> u64 {
+    kamsta_sort::radix_order_charge_of(len, fold).unwrap_or_else(|e| too_long(e))
 }
 
 /// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
@@ -412,7 +312,7 @@ mod tests {
 
     /// The γ units `local_radix_order` charges on the pair keys of the
     /// edges `keep` accepts: what a prefilter charges beyond its `n`-unit
-    /// scan, whichever side ran.
+    /// scan.
     fn radix_order_ops(edges: &[CEdge], keep: Keep) -> u64 {
         let edges = edges.to_vec();
         let out = Machine::run(MachineConfig::new(1), move |comm| {
@@ -421,12 +321,6 @@ mod tests {
             comm.stats().local_ops
         });
         out.results[0]
-    }
-
-    /// Whether `lightest_per_pair` merges source groups in a table on
-    /// `edges` (true) or radix-orders their pair keys (false).
-    fn walks_groups(edges: &[CEdge], keep: Keep) -> bool {
-        RunScan::of(edges, keep).table().is_some()
     }
 
     /// Both prefilters on one PE with `t` pool threads: their outputs and
@@ -536,6 +430,7 @@ mod tests {
 
     #[test]
     fn prefilters_match_their_definition_on_pinned_shapes() {
+        let limit = 8 * 64 * 16;
         let shapes: Vec<(&str, Vec<CEdge>)> = vec![
             ("empty", vec![]),
             ("one edge", vec![CEdge::new(3, 1, 7, 0)]),
@@ -569,45 +464,32 @@ mod tests {
             ("n = 65 535", multigraph(65_535, 3_000, 0, 250, 1 << 21, 9)),
             ("n = 65 536", multigraph(65_536, 3_000, 0, 250, 1 << 21, 10)),
             ("n = 65 537", multigraph(65_537, 3_000, 0, 250, 1 << 21, 11)),
-        ];
-        for (what, edges) in &shapes {
-            for t in [1usize, 2, 8] {
-                assert_prefilters_match_their_definition(edges, t, what);
-            }
-        }
-        // Relabel-shaped slices, with the side each prefilter
-        // (`[pairs, unordered]`) must take on them.
-        let limit = 8 * 64 * 16;
-        let relabel_shapes: Vec<(&str, Vec<CEdge>, [bool; 2])> = vec![
+            // Relabel-shaped slices: one source's runs apart; runs over
+            // spans about 8 ids per edge wide and runs about
+            // `GROUP_WALK_MIN_RUN` edges long.
             (
                 "a GNM round after relabel",
                 relabelled(40_000, 2_000, 700, 0, 250, 1 << 21, 13),
-                [true, true],
             ),
             (
                 "one source's runs apart, self-loops inside runs",
                 relabelled(5_000, 100, 12, 0, 250, 1 << 20, 14),
-                [true, true],
             ),
             (
                 "exact duplicates and equal weights across runs",
                 relabelled(5_000, 100, 12, 0, 2, 3, 15),
-                [true, true],
             ),
             (
                 "span at the density limit",
                 runs_over_span(&[16; 64], 9, limit, 16),
-                [true, true],
             ),
             (
                 "span one id past the density limit",
                 runs_over_span(&[16; 64], 9, limit + 1, 17),
-                [false, false],
             ),
             (
                 "mean run at the threshold",
                 runs_over_span(&[GROUP_WALK_MIN_RUN; 100], 9, 50, 18),
-                [true, true],
             ),
             (
                 "mean run one edge below the threshold",
@@ -621,23 +503,17 @@ mod tests {
                     50,
                     19,
                 ),
-                [false, false],
             ),
             (
                 "long runs, endpoints above 2^32",
                 relabelled(20_000, 500, 300, (1 << 32) + 7, 250, 1 << 20, 20),
-                [true, true],
             ),
             (
                 "long runs, endpoints above 2^48",
                 relabelled(20_000, 500, 300, (1 << 48) + 9, 250, 1 << 20, 21),
-                [true, true],
             ),
         ];
-        for (what, edges, sides) in &relabel_shapes {
-            for ((name, keep), side) in KEEPS.into_iter().zip(sides) {
-                assert_eq!(walks_groups(edges, keep), *side, "{what}: {name}'s side");
-            }
+        for (what, edges) in &shapes {
             for t in [1usize, 2, 8] {
                 assert_prefilters_match_their_definition(edges, t, what);
             }
@@ -646,27 +522,21 @@ mod tests {
 
     #[test]
     fn prefilter_output_and_charge_are_thread_invariant() {
-        // Well past the parallel cutoff, on the post-relabel shape of a
-        // GNM round: the width-parallel order must reproduce both the
-        // survivors and the γ units of the sequential one.
-        // Random sources take the radix side, the relabel shape (runs of
-        // about 32 edges per source vertex) the group side.
+        // Well past the parallel cutoff, on random sources and on the
+        // post-relabel shape of a GNM round (runs of about 32 edges per
+        // source vertex): the width-parallel order must reproduce both
+        // the survivors and the γ units of the sequential one.
         let shapes = [
             (
                 "2^17 random edges",
                 multigraph(1 << 17, 1 << 12, 0, 254, 1 << 21, 12),
-                false,
             ),
             (
                 "2^17 relabelled edges",
                 relabelled(1 << 17, 1 << 12, 1 << 11, 0, 254, 1 << 21, 22),
-                true,
             ),
         ];
-        for (what, edges, groups) in &shapes {
-            for (name, keep) in KEEPS {
-                assert_eq!(walks_groups(edges, keep), *groups, "{what}: {name}'s side");
-            }
+        for (what, edges) in &shapes {
             let seq = run_prefilters(edges, 1);
             assert!(seq[0].0.len() > 1 << 16 && seq[0].1 > 0, "{what}");
             for t in [2usize, 8] {
@@ -807,10 +677,16 @@ mod tests {
     /// gives on `relabel`'s output — the same edges, the same γ units and
     /// the same modeled seconds, bit for bit.
     fn assert_fused_matches_relabel_then_prefilter(pre: &Unrelabelled, t: usize, what: &str) {
-        let table = (pre.lo, pre.dst.len());
         let fused = charged(t, |comm| {
-            lightest_per_label_pair(comm, &pre.edges, &pre.offsets, &pre.labels, &pre.dst, table)
-                .into_inner()
+            lightest_per_label_pair(
+                comm,
+                &pre.edges,
+                &pre.offsets,
+                &pre.labels,
+                &pre.dst,
+                pre.lo,
+            )
+            .into_inner()
         });
         let rewritten = pre.relabel();
         let reference = charged(t, |comm| prefilter_pairs(comm, &rewritten).into_inner());
@@ -866,6 +742,15 @@ mod tests {
                 "sorted after relabel: identity labels",
                 Unrelabelled::new(sorted_multigraph(3_000, 200, 24), 0, 200, |v| v),
             ),
+            ("one label per 16 adjacent vertices, segments emptied", {
+                // Label runs of many segments, which cross the emptied
+                // ones; the blocks' labels are permuted, so runs are in
+                // order and their boundaries are not.
+                let pre = Unrelabelled::new(sorted_multigraph(20_000, 2_000, 26), 0, 2_000, |v| {
+                    v / 16 * 37 % 125 * 16
+                });
+                pre.subsequence(|i| pre.edges[i].u % 5 != 2)
+            }),
         ];
         for (what, pre) in &shapes {
             for t in [1usize, 2, 8] {
@@ -900,7 +785,7 @@ mod tests {
                 runs in any::<bool>(),
             ) {
                 // Run-structured: `labels` vertices relabelled onto as many
-                // labels from `2^shift` on; long runs reach the group side.
+                // labels from `2^shift` on, one source's runs apart.
                 let (edges, what) = if runs {
                     let edges = relabelled(n, labels, labels, 1 << shift, weights, ids, seed);
                     (edges, "relabelled multigraph")
