@@ -1686,20 +1686,19 @@ pub(crate) mod tests {
         assert!(views.iter().all(|(w, v)| *w != "ids 2^40 apart" || !v.0));
     }
 
-    /// A round on the survivors of local contraction on `graph`, per PE:
-    /// whether [`relabel_or_defer`] deferred the rewrite, and the output,
-    /// γ units and modeled-seconds bits of the deferred path (`defer`) or
-    /// of [`relabel`] then [`prefilter_pairs`] — each on a machine of its
-    /// own, so both clocks start from the same state.
-    fn survivor_round(
-        graph: kamsta_graph::GraphConfig,
-        p: usize,
-        t: usize,
-        defer: bool,
-    ) -> Vec<(bool, Vec<CEdge>, u64, u64)> {
+    /// A round on the survivors of local contraction on an RGG-2D graph,
+    /// per PE: whether [`relabel_or_defer`] deferred the rewrite, and the
+    /// output, γ units and modeled-seconds bits of the deferred path
+    /// (`defer`) or of [`relabel`] then [`prefilter_pairs`] — each on a
+    /// machine of its own, so both clocks start from the same state.
+    fn rgg_survivor_round(p: usize, t: usize, defer: bool) -> Vec<(bool, Vec<CEdge>, u64, u64)> {
+        let rgg = kamsta_graph::GraphConfig::Rgg2D {
+            n: 1 << 12,
+            m: 1 << 16,
+        };
         let machine = MachineConfig::new(p).with_threads(t);
         let out = Machine::run(machine, move |comm| {
-            let input = InputGraph::generate(comm, graph, 7);
+            let input = InputGraph::generate(comm, rgg, 7);
             let g = &input.graph;
             let PreprocessOutcome {
                 edges,
@@ -1734,14 +1733,10 @@ pub(crate) mod tests {
         // PE boundaries: segments of about 5 edges, but a component's
         // vertices are adjacent in id order, so its segments form label
         // runs of 8 or more. One PE contracts every edge.
-        let rgg = kamsta_graph::GraphConfig::Rgg2D {
-            n: 1 << 12,
-            m: 1 << 16,
-        };
         for p in [1usize, 2, 3] {
             for t in [1usize, 2, 8] {
-                let walked = survivor_round(rgg, p, t, true);
-                let rewritten = survivor_round(rgg, p, t, false);
+                let walked = rgg_survivor_round(p, t, true);
+                let rewritten = rgg_survivor_round(p, t, false);
                 for (rank, (w, r)) in walked.iter().zip(&rewritten).enumerate() {
                     let at = format!("p = {p}, t = {t}, rank {rank}");
                     if p == 1 {
