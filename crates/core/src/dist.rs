@@ -13,13 +13,13 @@
 //!    partition (Sec. IV-B), emitting the round's MST edge ids;
 //! 3. [`exchange_labels`] + [`relabel_or_defer`] — the pull-based
 //!    ghost-label protocol and endpoint rewriting (Sec. IV-C): the pulled
-//!    labels come back as a [`Pulled`] — a table over the graph's id span
-//!    whenever the ghosts are dense in it, which then also holds this
-//!    PE's own labels, so rewriting a destination is one array load.
-//!    Where the label runs (adjacent segments of one component) are
-//!    long and the id span dense, nothing is rewritten here: the edges
-//!    wait, with their labels, for stage 4's prefilter. Elsewhere
-//!    [`relabel`] writes the relabelled slice;
+//!    labels come back as a [`Pulled`] — the round's one table, over the
+//!    graph's id span whenever that is dense for the slice's edges; it
+//!    then also holds this PE's own labels, so rewriting a destination is
+//!    one array load. Where the label runs (adjacent segments of one
+//!    component) are long, nothing is rewritten here: the edges wait,
+//!    with their labels and the table, for stage 4's prefilter.
+//!    Elsewhere [`relabel`] writes the relabelled slice;
 //! 4. [`redistribute_relabelled`] — parallel-edge elimination (local
 //!    per-pair prefilter or pure sorting, Sec. VI-B), distributed
 //!    sorting, and re-establishing the distributed graph structure. The
@@ -199,19 +199,19 @@ pub struct PreprocessOutcome {
 
 /// Slot of a dense [`Pulled`] table whose id nobody asked for.
 /// `VertexId::MAX` is reserved: no vertex, label or array entry has it.
-const NOT_ASKED: u64 = u64::MAX;
+pub(crate) const NOT_ASKED: u64 = u64::MAX;
 
-/// The density rule's constant `K`: a lookup is served from a table over
-/// the whole id span when the span is at most `K` ids wide per queried
-/// id. Read off `bench_pull`'s crossover (EXPERIMENTS.md); it also bounds
-/// the table at `8 K` bytes per queried id.
+/// The density rule's constant `K`: lookups are served from a table over
+/// the whole id span when the span is at most `K` = 8 ids wide per
+/// lookup. Read off `bench_pull`'s crossover (EXPERIMENTS.md); it also
+/// bounds the table at 64 bytes per lookup (per edge, for a round's).
 pub const DENSE_SPAN_PER_QUERY: u64 = 8;
 
 /// The answers of one pull, by queried id: a table indexed by
-/// `id − span.min` when the queried ids are dense in their span, a hash
-/// map when they are not. Which one is decided per call, from the width
-/// of the span and the number of queries alone; readers only see
-/// [`Pulled::get`].
+/// `id − span.min` when the span is dense for the lookups the answers
+/// serve, a hash map when it is not. Which one is decided per call, from
+/// the width of the span and the number of lookups alone; readers see
+/// [`Pulled::get`] (a round's label walk reads its slots in place).
 #[derive(Clone, Debug)]
 pub struct Pulled(Table);
 
@@ -261,7 +261,7 @@ impl Pulled {
 
 /// `slots[id − lo]` unless the id is outside the table or its slot empty.
 #[inline]
-fn dense_get(lo: u64, slots: &[u64], id: u64) -> Option<u64> {
+pub(crate) fn dense_get(lo: u64, slots: &[u64], id: u64) -> Option<u64> {
     let i = usize::try_from(id.wrapping_sub(lo)).ok()?;
     slots.get(i).copied().filter(|&x| x != NOT_ASKED)
 }
@@ -508,20 +508,30 @@ pub fn contract_components(comm: &Comm, g: &DistGraph, sels: &[Option<CEdge>]) -
 /// this PE's label per local vertex; a vertex that is a source nowhere
 /// keeps its own id. Collective.
 ///
-/// The result is what [`relabel`] reads destinations from. When the pull
-/// came back as the dense table, this PE's own labels of the vertices it
-/// is home to are written into it as well — every destination of the
-/// slice, ghost or not, is then one slot of one array. The sparse
-/// fallback holds the ghosts only.
+/// The result is the round's one label table: [`relabel_or_defer`]
+/// reads a destination's label from it once per edge of the slice, so
+/// the density rule counts those lookups, not the ghosts. Dense, it
+/// takes this PE's own labels of the vertices it is home to as well —
+/// every destination of the slice, ghost or not, is then one slot of one
+/// array. The sparse fallback holds the ghosts only.
 pub fn exchange_labels(comm: &Comm, g: &DistGraph, labels: &[VertexId]) -> Pulled {
-    comm.charge_local(g.edges.len() as u64);
-    let ghosts: Vec<VertexId> = g
-        .edges
-        .iter()
-        .map(|e| e.v)
-        .filter(|&v| g.is_ghost(v))
-        .collect();
-    let mut table = pull(comm, g, ghosts, |x| local_or_self(g, labels, x));
+    exchange_labels_of(comm, g, &g.edges, labels)
+}
+
+/// [`exchange_labels`] for the edges a round relabels — `g.edges`, maybe
+/// handed over already, or the survivors of [`local_contract`], which
+/// keep every edge to a ghost — charged as a scan of `g`'s whole slice.
+fn exchange_labels_of(comm: &Comm, g: &DistGraph, edges: &[CEdge], labels: &[VertexId]) -> Pulled {
+    comm.charge_local(g.segment_offsets().last().map_or(0, |&len| len as u64));
+    let ghosts = edges.iter().map(|e| e.v).filter(|&v| g.is_ghost(v));
+    let table = dense_width(g.id_span(), edges.len());
+    let mut table = pull_values(
+        comm,
+        ghosts.collect(),
+        table,
+        |q| g.home_of_vertex(q),
+        |x| local_or_self(g, labels, x),
+    );
     if let Table::Dense { lo, slots } = &mut table.0 {
         // Only the slice's last vertex can be homed elsewhere; its slot
         // keeps the home's answer.
@@ -615,44 +625,6 @@ fn relabel_by(
     }
 }
 
-/// What [`relabel`] makes of every destination id in `[lo, lo + width)`,
-/// less `lo`, by id: the table [`lightest_per_label_pair`] reads labels
-/// from. `table` is [`exchange_labels`]' output for `g` and `labels`;
-/// the span holds every vertex of `g`, hence every label. Dense, it is
-/// `table` re-based to 4-byte entries; sparse, it starts at the identity
-/// and takes this PE's labels of the vertices it is home to, then the
-/// ghosts' from the map. Either way O(width + vertices) work, which the
-/// density rule bounds by the slice. `None` when a ghost lies outside
-/// the span — a destination that is a source nowhere, which `relabel`
-/// keeps as it is (the dense pull falls back to the map for it).
-fn destination_table(
-    g: &DistGraph,
-    labels: &[VertexId],
-    table: &Pulled,
-    (lo, width): (u64, usize),
-) -> Option<Vec<u32>> {
-    let off = |label: VertexId| (label - lo) as u32;
-    match &table.0 {
-        Table::Dense { lo: at, slots } => Some(
-            (lo..lo + width as u64)
-                .map(|v| off(dense_get(*at, slots, v).unwrap_or(v)))
-                .collect(),
-        ),
-        Table::Sparse(ghost) => {
-            let mut dst: Vec<u32> = (0..width as u32).collect();
-            let verts = g.local_vertices();
-            let homed = verts.len() - usize::from(g.last_shared);
-            for (&v, &label) in verts[..homed].iter().zip(labels) {
-                dst[(v - lo) as usize] = off(label);
-            }
-            for (&v, &label) in ghost {
-                *dst.get_mut(v.checked_sub(lo)? as usize)? = off(label);
-            }
-            Some(dst)
-        }
-    }
-}
-
 /// A round's edges between `RELABEL` and `REDISTRIBUTE`
 /// ([`relabel_or_defer`]): rewritten to component labels already, or
 /// still with their old endpoints, for the prefilter to rewrite as it
@@ -664,14 +636,13 @@ enum Stage<'a> {
     /// [`relabel`]'s output.
     Rewritten(Vec<CEdge>),
     /// What [`lightest_per_label_pair`] reads in its place: the edges with
-    /// their vertex segments and labels, and the destinations' labels
-    /// ([`destination_table`]) from id `lo` on.
+    /// their vertex segments and labels, and the round's label table,
+    /// dense over the id span.
     Deferred {
         edges: Cow<'a, [CEdge]>,
         offsets: &'a [usize],
         labels: &'a [VertexId],
-        dst: Vec<u32>,
-        lo: u64,
+        table: Pulled,
     },
 }
 
@@ -685,15 +656,17 @@ enum Stage<'a> {
 /// edges average 8 or more per *label run* — a maximal stretch of
 /// adjacent non-empty segments with one label, which is what `relabel`
 /// would make one source run of — and the id span is dense for the
-/// slice, nothing is written: the edges wait, as they are, for
-/// `REDISTRIBUTE`'s walk over label groups ([`Relabelled::prefilter`]),
-/// and γ for the rewrite is charged here, where [`relabel`] charges it.
-/// The choice reads per-vertex offsets and labels and the span, not the
-/// edges. Runs count labels, not vertices, so local contraction's
-/// survivors — short segments, long runs of one component — defer too.
-/// Short runs (Filter-Borůvka's light subgraphs and base cases) and
-/// sparse id spaces take [`relabel`], and so does the pure-sorting
-/// ablation.
+/// slice — the rule that made `table` dense over it — nothing is
+/// written: the edges wait, as they are, for `REDISTRIBUTE`'s walk over
+/// label groups ([`Relabelled::prefilter`]), which reads `table`'s slots
+/// in place, and γ for the rewrite is charged here, where [`relabel`]
+/// charges it. The choice reads per-vertex offsets and labels and the
+/// span, not the edges. Runs count labels, not vertices, so local
+/// contraction's survivors — short segments, long runs of one component
+/// — defer too. Short runs (Filter-Borůvka's light subgraphs and base
+/// cases), sparse id spaces and a ghost outside the span (a source
+/// nowhere, which the pull leaves in the map) take [`relabel`], and so
+/// does the pure-sorting ablation.
 pub fn relabel_or_defer<'a>(
     comm: &Comm,
     g: &'a DistGraph,
@@ -707,25 +680,23 @@ pub fn relabel_or_defer<'a>(
         DedupStrategy::HashFilter => segment_table(edges.len(), offsets, labels, g.id_span()),
         DedupStrategy::Sort => None,
     };
-    let deferred =
-        span.and_then(|span| Some((span.0, destination_table(g, labels, &table, span)?)));
-    let Some((lo, dst)) = deferred else {
+    let Some(span) = span.filter(|_| table.is_dense()) else {
         return Relabelled(Stage::Rewritten(relabel(comm, g, edges, labels, &table)));
     };
+    debug_assert!(matches!(&table.0, Table::Dense { lo, slots } if (*lo, slots.len()) == span));
     comm.charge_local(edges.len() as u64);
     Relabelled(Stage::Deferred {
         edges,
         offsets,
         labels,
-        dst,
-        lo,
+        table,
     })
 }
 
 impl Relabelled<'_> {
     /// `REDISTRIBUTE`'s local prefilter on the relabelled edges: the
     /// output and γ of `prefilter_pairs` on [`relabel`]'s output. The
-    /// edges are released before it returns.
+    /// edges and the label table are released before it returns.
     pub fn prefilter(self, comm: &Comm) -> Sorted<CEdge> {
         match self.0 {
             Stage::Rewritten(edges) => prefilter_pairs(comm, &edges),
@@ -733,9 +704,13 @@ impl Relabelled<'_> {
                 edges,
                 offsets,
                 labels,
-                dst,
-                lo,
-            } => lightest_per_label_pair(comm, &edges, offsets, labels, &dst, lo),
+                table,
+            } => {
+                let Table::Dense { lo, slots } = &table.0 else {
+                    unreachable!("a deferred round's label table is dense");
+                };
+                lightest_per_label_pair(comm, &edges, offsets, labels, slots, *lo)
+            }
         }
     }
 }
@@ -1206,32 +1181,43 @@ pub(crate) fn boruvka_rounds<'g>(
         });
         msf_ids.extend(&outcome.mst_edge_ids);
         on_labels(&g, &outcome.labels);
-        let (graph, labels) = (&mut g, &outcome.labels);
-        let relabelled = ph.measure(Phase::ExchangeLabelsRelabel, move |c| {
-            exchange_and_relabel(c, graph, labels, cfg)
-        });
-        g = Cow::Owned(ph.measure(Phase::Redistribute, |c| {
-            redistribute_relabelled(c, relabelled, cfg)
-        }));
+        // An owned graph hands its edges over; an input graph lends them.
+        let edges = match &mut g {
+            Cow::Owned(owned) => Cow::Owned(std::mem::take(&mut owned.edges)),
+            &mut Cow::Borrowed(input) => Cow::Borrowed(&input.edges[..]),
+        };
+        g = Cow::Owned(exchange_relabel_redistribute(
+            ph,
+            &g,
+            edges,
+            g.segment_offsets(),
+            &outcome.labels,
+            cfg,
+        ));
     }
     g
 }
 
-/// `EXCHANGE LABELS` + `RELABEL` of one round on `g`'s edges, which an
-/// owned graph hands over and an input graph lends.
-fn exchange_and_relabel<'a>(
-    comm: &Comm,
-    g: &'a mut Cow<'_, DistGraph>,
+/// `EXCHANGE LABELS` + `RELABEL` + `REDISTRIBUTE` of one round on `g`:
+/// `edges` is `g.edges` or a subsequence of it in input order, with
+/// `g.edges` possibly handed over already, `offsets` its segments and
+/// `labels` the local vertices' labels ([`relabel_or_defer`]). The
+/// edges are released in `REDISTRIBUTE`'s prefilter. Collective.
+fn exchange_relabel_redistribute<'a>(
+    ph: &mut Phased<'_>,
+    g: &'a DistGraph,
+    edges: Cow<'a, [CEdge]>,
+    offsets: &'a [usize],
     labels: &'a [VertexId],
     cfg: &MstConfig,
-) -> Relabelled<'a> {
-    let table = exchange_labels(comm, g, labels);
-    let edges = match g {
-        Cow::Owned(owned) => Cow::Owned(std::mem::take(&mut owned.edges)),
-        Cow::Borrowed(input) => Cow::Borrowed(&input.edges[..]),
-    };
-    let g: &'a DistGraph = g;
-    relabel_or_defer(comm, g, edges, g.segment_offsets(), labels, table, cfg)
+) -> DistGraph {
+    let relabelled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
+        let table = exchange_labels_of(c, g, &edges, labels);
+        relabel_or_defer(c, g, edges, offsets, labels, table, cfg)
+    });
+    ph.measure(Phase::Redistribute, |c| {
+        redistribute_relabelled(c, relabelled, cfg)
+    })
 }
 
 /// The scalable distributed Borůvka algorithm (Algorithm 1): optional
@@ -1252,27 +1238,14 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
             // The survivors go in by value and are released by
             // `REDISTRIBUTE`'s prefilter: neither they nor the labels
             // outlive its phase.
-            let PreprocessOutcome {
-                edges,
-                offsets,
-                labels,
-                ..
-            } = pre;
-            let relabelled = ph.measure(Phase::ExchangeLabelsRelabel, |c| {
-                let table = exchange_labels(c, &input.graph, &labels);
-                relabel_or_defer(
-                    c,
-                    &input.graph,
-                    Cow::Owned(edges),
-                    &offsets,
-                    &labels,
-                    table,
-                    cfg,
-                )
-            });
-            start = Cow::Owned(ph.measure(Phase::Redistribute, |c| {
-                redistribute_relabelled(c, relabelled, cfg)
-            }));
+            start = Cow::Owned(exchange_relabel_redistribute(
+                &mut ph,
+                &input.graph,
+                Cow::Owned(pre.edges),
+                &pre.offsets,
+                &pre.labels,
+                cfg,
+            ));
         }
     }
 
@@ -1635,10 +1608,10 @@ pub(crate) mod tests {
     #[test]
     fn deferred_relabel_matches_relabel_then_prefilter() {
         // Band graphs of 12 neighbours a vertex: 60 vertices pull a dense
-        // table; 240 ask few ghosts for a wide span, so their table is the
-        // map while the walk's span stays dense; ids 2^40 apart take the
-        // map and `relabel`. GNM's local contraction leaves long survivor
-        // segments.
+        // table; 240 ask few ghosts for a wide span, yet the table serves
+        // one lookup per edge, so it is dense where the walk's span is;
+        // ids 2^40 apart take the map and `relabel`. GNM's local
+        // contraction leaves long survivor segments.
         let mut views: Vec<(&str, RoundView)> = Vec::new();
         for p in [1usize, 2, 3] {
             for t in [1usize, 2, 8] {
@@ -1646,7 +1619,7 @@ pub(crate) mod tests {
                     let mut views = Vec::new();
                     for (what, n, stride) in [
                         ("dense table", 60, 1),
-                        ("sparse table, dense span", 240, 1),
+                        ("few ghosts, dense span", 240, 1),
                         ("ids 2^40 apart", 60, 1 << 40),
                     ] {
                         let g = band_graph(comm, n, 6, stride);
@@ -1679,19 +1652,30 @@ pub(crate) mod tests {
             views.iter().any(|(w, v)| *w == what && pick(v))
         };
         assert!(seen("dense table", |v| v.0 && v.1 && v.2 && v.3));
-        assert!(seen("sparse table, dense span", |v| v.0 && !v.1 && v.3));
+        assert!(seen("few ghosts, dense span", |v| v.0 && v.3));
         assert!(seen("ids 2^40 apart", |v| !v.0 && !v.1 && v.2));
         // Survivors join different components: they make no self-loops.
         assert!(seen("survivors of local contraction", |v| v.0));
         assert!(views.iter().all(|(w, v)| *w != "ids 2^40 apart" || !v.0));
+        // The walk reads the round's one table in place.
+        assert!(
+            views.iter().all(|(_, v)| !v.0 || v.1),
+            "every round that defers holds a dense table"
+        );
     }
 
+    /// What one PE saw of [`rgg_survivor_round`]: the rewrite was
+    /// deferred, the label table dense, then the output, γ units and
+    /// modeled-seconds bits.
+    type SurvivorRound = (bool, bool, Vec<CEdge>, u64, u64);
+
     /// A round on the survivors of local contraction on an RGG-2D graph,
-    /// per PE: whether [`relabel_or_defer`] deferred the rewrite, and the
-    /// output, γ units and modeled-seconds bits of the deferred path
-    /// (`defer`) or of [`relabel`] then [`prefilter_pairs`] — each on a
-    /// machine of its own, so both clocks start from the same state.
-    fn rgg_survivor_round(p: usize, t: usize, defer: bool) -> Vec<(bool, Vec<CEdge>, u64, u64)> {
+    /// per PE: whether [`relabel_or_defer`] deferred the rewrite, whether
+    /// [`exchange_labels`]' table is dense, and the output, γ units and
+    /// modeled-seconds bits of the deferred path (`defer`) or of
+    /// [`relabel`] then [`prefilter_pairs`] — each on a machine of its
+    /// own, so both clocks start from the same state.
+    fn rgg_survivor_round(p: usize, t: usize, defer: bool) -> Vec<SurvivorRound> {
         let rgg = kamsta_graph::GraphConfig::Rgg2D {
             n: 1 << 12,
             m: 1 << 16,
@@ -1707,6 +1691,7 @@ pub(crate) mod tests {
                 ..
             } = contract_local_subtrees(comm, g);
             let table = exchange_labels(comm, g, &labels);
+            let dense = table.is_dense();
             let cfg = MstConfig::default();
             let (deferred, out) = if defer {
                 let staged =
@@ -1719,6 +1704,7 @@ pub(crate) mod tests {
             let stats = comm.stats();
             (
                 deferred,
+                dense,
                 out.into_inner(),
                 stats.local_ops,
                 stats.modeled_time.to_bits(),
@@ -1740,13 +1726,14 @@ pub(crate) mod tests {
                 for (rank, (w, r)) in walked.iter().zip(&rewritten).enumerate() {
                     let at = format!("p = {p}, t = {t}, rank {rank}");
                     if p == 1 {
-                        assert!(!w.0 && w.1.is_empty(), "{at}: nothing survives");
+                        assert!(!w.0 && w.2.is_empty(), "{at}: nothing survives");
                     } else {
                         assert!(w.0, "{at}: the rewrite is deferred");
+                        assert!(w.1, "{at}: the label table is dense");
                     }
-                    assert_eq!(w.1, r.1, "{at}: output");
-                    assert_eq!(w.2, r.2, "{at}: γ units");
-                    assert_eq!(w.3, r.3, "{at}: modeled seconds");
+                    assert_eq!(w.2, r.2, "{at}: output");
+                    assert_eq!(w.3, r.3, "{at}: γ units");
+                    assert_eq!(w.4, r.4, "{at}: modeled seconds");
                 }
             }
         }

@@ -6,9 +6,10 @@
 //! pair keys. The per-PE table is for a Borůvka round whose edges still
 //! carry their old endpoints: [`lightest_per_label_pair`] walks the
 //! round's label runs one label at a time and rewrites each edge as it
-//! reads it, so the relabelled slice is never written (DESIGN.md §14).
+//! reads it from the round's one label table, so the relabelled slice is
+//! never written (DESIGN.md §14).
 
-use crate::dist::dense_width;
+use crate::dist::{dense_get, dense_width};
 use kamsta_comm::Comm;
 use kamsta_graph::{CEdge, VertexId};
 use kamsta_sort::{KeyFold, Sorted};
@@ -115,7 +116,8 @@ fn pair_key(u: VertexId, v: VertexId) -> u128 {
 /// `len` edges average [`GROUP_WALK_MIN_RUN`] or more per label run
 /// (the segments `offsets` cuts, under `labels`), and `span` — the
 /// graph's id span, which holds every vertex and so every label — is
-/// dense for `len` edges by [`dense_width`]. `None` sends the slice to
+/// dense for `len` edges by [`dense_width`] — as `EXCHANGE LABELS`' table
+/// then is. `None` sends the slice to
 /// `relabel` and [`prefilter_pairs`]: Filter-Borůvka's light subgraphs
 /// and the base cases, whose label runs are short, and sparse id
 /// spaces. It reads per-vertex offsets and labels, not the edges, so
@@ -136,10 +138,10 @@ pub(crate) fn segment_table(
 /// [`prefilter_pairs`] on what `relabel` would make of a round's edges,
 /// without writing that slice: `edges` is `g.edges` or a subsequence of
 /// it in input order, `offsets[i]..offsets[i + 1]` is local vertex `i`'s
-/// segment of it and `labels[i]` its label, and `dst[v − lo]` is the
-/// label of destination `v`, less `lo`, over the table of
-/// [`segment_table`]. A destination whose label is its source's — a
-/// self-loop contraction made — is dropped.
+/// segment of it and `labels[i]` its label, and `table` holds the slots
+/// of the round's label table over the span of [`segment_table`], read
+/// as `relabel` reads them. A destination whose label is its source's —
+/// a self-loop contraction made — is dropped.
 ///
 /// The label runs are ordered by label with the (stable) radix engine,
 /// so each label's runs form one group, in input order. A group keeps,
@@ -164,7 +166,7 @@ pub(crate) fn lightest_per_label_pair(
     edges: &[CEdge],
     offsets: &[usize],
     labels: &[VertexId],
-    dst: &[u32],
+    table: &[u64],
     lo: u64,
 ) -> Sorted<CEdge> {
     const EMPTY: u32 = u32::MAX;
@@ -172,13 +174,13 @@ pub(crate) fn lightest_per_label_pair(
     let (order, _) = kamsta_sort::radix_order_by_key(&runs, |r| Some(r.u))
         .expect("fewer runs than edges, which are u32-indexable");
     let end_of = |r: usize| runs.get(r + 1).map_or(edges.len(), |n| n.start as usize);
-    // The slot of the destination `e` keeps under source `u`, or `None`
-    // for a self-loop.
+    // The slot of the destination `e` keeps under source `u` — its
+    // label's offset from `lo` — or `None` for a self-loop.
     let slot_of = |u: VertexId, e: &CEdge| {
-        let d = dst[e.v.wrapping_sub(lo) as usize];
-        (lo + u64::from(d) != u).then_some(d)
+        let label = dense_get(lo, table, e.v).unwrap_or(e.v);
+        (label != u).then(|| (label - lo) as u32)
     };
-    let mut slots: Vec<u32> = vec![EMPTY; dst.len()];
+    let mut slots: Vec<u32> = vec![EMPTY; table.len()];
     let mut dests: Vec<u32> = Vec::new();
     let mut out = Vec::with_capacity(edges.len());
     let (mut kept, mut ors, mut ands) = (0usize, 0u128, u128::MAX);
@@ -290,6 +292,7 @@ pub(crate) fn prefilter_unordered(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::NOT_ASKED;
     use kamsta_comm::{Machine, MachineConfig};
 
     /// The prefilters' definition: of the edges `keep` accepts, sorted by
@@ -548,9 +551,10 @@ mod tests {
 
     /// A Borůvka round's slice before `relabel`: edges sorted by `(u, v)`
     /// over old endpoints, each local vertex's segment of them (empty for
-    /// a vertex a subsequence dropped) and its label, and the label of
-    /// every id of the span `[lo, lo + width)`, which holds old endpoints
-    /// and labels alike.
+    /// a vertex a subsequence dropped) and its label, and the round's
+    /// label table over the span `[lo, lo + width)`, which holds old
+    /// endpoints and labels alike: the label of every endpoint, and
+    /// [`NOT_ASKED`] for the ids nobody asked about.
     #[derive(Clone)]
     struct Unrelabelled {
         edges: Vec<CEdge>,
@@ -558,7 +562,7 @@ mod tests {
         offsets: Vec<usize>,
         labels: Vec<VertexId>,
         lo: u64,
-        dst: Vec<u32>,
+        table: Vec<u64>,
     }
 
     impl Unrelabelled {
@@ -568,16 +572,17 @@ mod tests {
             let mut verts: Vec<VertexId> = edges.iter().map(|e| e.u).collect();
             verts.dedup();
             let labels = verts.iter().map(|&v| label_of(v)).collect();
-            let dst = (lo..lo + width as u64)
-                .map(|v| (label_of(v) - lo) as u32)
-                .collect();
+            let mut table = vec![NOT_ASKED; width];
+            for v in edges.iter().flat_map(|e| [e.u, e.v]) {
+                table[(v - lo) as usize] = label_of(v);
+            }
             let mut pre = Unrelabelled {
                 edges,
                 verts,
                 offsets: Vec::new(),
                 labels,
                 lo,
-                dst,
+                table,
             };
             pre.offsets = pre.segments();
             pre
@@ -637,7 +642,7 @@ mod tests {
         }
 
         fn label_of(&self, v: VertexId) -> VertexId {
-            self.lo + u64::from(self.dst[(v - self.lo) as usize])
+            dense_get(self.lo, &self.table, v).unwrap_or(v)
         }
 
         /// What `relabel` makes of the edges.
@@ -683,7 +688,7 @@ mod tests {
                 &pre.edges,
                 &pre.offsets,
                 &pre.labels,
-                &pre.dst,
+                &pre.table,
                 pre.lo,
             )
             .into_inner()
@@ -751,6 +756,31 @@ mod tests {
                 });
                 pre.subsequence(|i| pre.edges[i].u % 5 != 2)
             }),
+            (
+                "never-asked ids in the span, a destination that is a source nowhere",
+                {
+                    // Sources on even ids, so the odd ids of the span are never
+                    // asked; 2 001 is a destination only, whose slot nobody
+                    // asked for either: it keeps its own id.
+                    let mut edges: Vec<CEdge> = sorted_multigraph(8_000, 1_000, 27)
+                        .into_iter()
+                        .map(|e| CEdge::new(2 * e.u, 2 * e.v, e.w, e.id))
+                        .collect();
+                    edges.extend((0..200u64).map(|k| {
+                        CEdge::new(
+                            2 * (k * 5 % 1_000),
+                            2_001,
+                            1 + (k % 9) as u32,
+                            (1 << 21) + k,
+                        )
+                    }));
+                    edges.sort_unstable_by_key(|e| (e.u, e.v));
+                    let mut pre = Unrelabelled::new(edges, 0, 2_048, |v| v / 64 * 64);
+                    pre.table[2_001] = NOT_ASKED;
+                    assert!(pre.table.contains(&NOT_ASKED) && pre.label_of(2_001) == 2_001);
+                    pre
+                },
+            ),
         ];
         for (what, pre) in &shapes {
             for t in [1usize, 2, 8] {
