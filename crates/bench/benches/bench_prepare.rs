@@ -1,34 +1,33 @@
 //! Micro-bench below the end-to-end benchmark's set-up, `graph.generate_s`
 //! and `graph.prepare_s`: generating the input, then
-//! `InputGraph::from_sorted_edges` step by step — compute the id space
-//! and assign ids, establish the distributed structure, canonicalise
-//! pair ids — at p = 2, on the benchmark's two input shapes (GNM
-//! 2^16 / 2^20, RGG-2D 2^18 / 2^22), a small GNM, a small RGG, and a
-//! certificate-shaped input (a spanning tree on 2^15 vertices, ≈ 2 n
-//! directed edges: what every flush of the batch-dynamic layer
-//! re-prepares). EXPERIMENTS.md records the table.
+//! `InputGraph::from_sorted_edges` by part — the one pass
+//! (`InputGraph::pass`: id space, boundary allgathers, the pass over the
+//! slice, the closing collectives), then the push of forward twins to
+//! later PEs and its apply (`PassedSlice::exchange`) — at p = 2, on the
+//! benchmark's two input shapes (GNM 2^16 / 2^20, RGG-2D 2^18 / 2^22), a
+//! small GNM, a small RGG, and a tree-shaped input (a spanning tree on
+//! 2^15 vertices, ≈ 2 n directed edges). EXPERIMENTS.md records the
+//! table.
 //!
-//! Every step is timed from inside one machine run per input, every PE
-//! in lockstep ([`kamsta_bench::lockstep`]), so a step costs what its slowest
-//! PE took. The `whole` column is `from_sorted_edges` itself on the same
-//! slices — what the three prepare steps should add up to.
+//! Every part is timed from inside one machine run per input, every PE
+//! in lockstep ([`kamsta_bench::lockstep`]), so a part costs what its
+//! slowest PE took. The `whole` column is `from_sorted_edges` itself on
+//! the same slices — what the two parts should add up to.
 
 use kamsta_bench::{lockstep, median_of_slowest, ms_cell, Table, BENCH_PES, SAMPLES};
 use kamsta_comm::{Comm, Machine, MachineConfig};
 use kamsta_graph::hash::mix64;
-use kamsta_graph::{
-    assign_ids, canonicalize_pair_ids, id_offsets, DistGraph, GraphConfig, InputGraph, WEdge,
-};
+use kamsta_graph::{GraphConfig, InputGraph, WEdge};
 use std::hint::black_box;
 use std::time::Instant;
 
-const STEPS: [&str; 5] = ["generate", "assign", "establish", "canonicalize", "whole"];
+const STEPS: [&str; 4] = ["generate", "pass", "exchange + apply", "whole"];
 
 #[derive(Clone, Copy)]
 enum Input {
     Family(GraphConfig),
     /// A random spanning tree on `n` vertices, both directions.
-    Certificate {
+    Tree {
         n: u64,
     },
 }
@@ -37,7 +36,7 @@ impl Input {
     fn slice(self, comm: &Comm) -> Vec<WEdge> {
         match self {
             Input::Family(config) => config.generate(comm, 42),
-            Input::Certificate { n } => {
+            Input::Tree { n } => {
                 let (p, rank) = (comm.size() as u64, comm.rank() as u64);
                 let tree: Vec<WEdge> = (rank * n / p..(rank + 1) * n / p)
                     .filter(|&v| v > 0)
@@ -57,7 +56,7 @@ impl Input {
 /// generation and preparation of `input` on this PE, in the order of
 /// [`STEPS`]; the steps after `generate` are `from_sorted_edges`' body.
 /// The caller starts it behind a barrier.
-fn time_steps(comm: &Comm, input: Input) -> (usize, [f64; 5]) {
+fn time_steps(comm: &Comm, input: Input) -> (usize, [f64; 4]) {
     let mut last = Instant::now();
     let mut lap = || {
         let since = std::mem::replace(&mut last, Instant::now());
@@ -68,19 +67,16 @@ fn time_steps(comm: &Comm, input: Input) -> (usize, [f64; 5]) {
     let (stepwise, whole) = (edges.clone(), edges);
     comm.barrier();
     lap();
-    let offsets = id_offsets(comm, stepwise.len());
-    let with_ids = assign_ids(stepwise, offsets[comm.rank()]);
-    let assign = lap();
-    let mut graph = DistGraph::establish(comm, with_ids);
-    let establish = lap();
-    canonicalize_pair_ids(comm, &mut graph);
-    let canonicalize = lap();
-    drop(black_box(graph));
+    let passed = InputGraph::pass(comm, stepwise);
+    let pass = lap();
+    let prepared = passed.exchange(comm);
+    let exchange = lap();
+    drop(black_box(prepared));
     let len = whole.len();
     comm.barrier();
     lap();
     black_box(InputGraph::from_sorted_edges(comm, whole));
-    (len, [generate, assign, establish, canonicalize, lap()])
+    (len, [generate, pass, exchange, lap()])
 }
 
 fn main() {
@@ -98,7 +94,7 @@ fn main() {
         ("GNM 2^16 / 2^20", gnm(1 << 16, 1 << 20)),
         ("RGG-2D 2^14 / 2^18", rgg(1 << 14, 1 << 18)),
         ("RGG-2D 2^18 / 2^22", rgg(1 << 18, 1 << 22)),
-        ("certificate 2^15", Input::Certificate { n: 1 << 15 }),
+        ("tree 2^15", Input::Tree { n: 1 << 15 }),
     ] {
         let per_pe = Machine::run(MachineConfig::new(BENCH_PES), move |comm| {
             lockstep(comm, || (), |()| time_steps(comm, input))

@@ -40,12 +40,12 @@ pub struct DistGraph {
     pub last_shared: bool,
     /// Replicated: the smallest and the largest source id of the whole
     /// machine (`None` for the empty graph), read off the boundary
-    /// allgather [`DistGraph::establish`] performs anyway.
+    /// allgather that builds the locator anyway.
     id_span: Option<(VertexId, VertexId)>,
     /// The dense local-vertex index: the distinct sources of `edges`,
     /// ascending. A vertex's position here — its segment number — is its
     /// *local index*, the key of every per-vertex array the local kernels
-    /// keep. Built once in [`DistGraph::establish`]; it describes the
+    /// keep. Built once with the graph; it describes the
     /// endpoints `edges` had then, so code that rewrites endpoints builds
     /// a new graph instead (ids and weights may change in place).
     verts: Vec<VertexId>,
@@ -63,19 +63,26 @@ pub struct DistGraph {
     p: usize,
 }
 
-impl DistGraph {
-    /// Establish the distributed graph structure from this PE's slice of a
-    /// globally sorted edge sequence — the allgather-on-first-edge step of
-    /// Sec. IV-C. Collective.
-    ///
-    /// Debug builds verify the local sortedness invariant.
-    pub fn establish(comm: &Comm, edges: Vec<CEdge>) -> Self {
-        debug_assert!(
-            edges.windows(2).all(|w| w[0] <= w[1]),
-            "edge slice must be locally sorted"
-        );
+/// What the two boundary allgathers of [`DistGraph::establish`] tell
+/// every PE: the locator, the shared-vertex flags and the id span. Both
+/// ways of building a graph start with them — `establish` and the input
+/// preparation's one pass — and end in [`DistGraph::close`].
+pub(crate) struct Boundaries {
+    locator: Vec<WEdge>,
+    first_shared: bool,
+    last_shared: bool,
+    id_span: Option<(VertexId, VertexId)>,
+}
+
+impl Boundaries {
+    /// Allgather this PE's first edge and its first and last source — the
+    /// allgather-on-first-edge step of Sec. IV-C. Collective.
+    pub(crate) fn gather(
+        comm: &Comm,
+        first: Option<WEdge>,
+        bounds: Option<(VertexId, VertexId)>,
+    ) -> Self {
         let p = comm.size();
-        let first: Option<WEdge> = edges.first().map(|e| e.wedge());
         let firsts = comm.allgather(first);
 
         // Fill-back rule for empty PEs.
@@ -90,10 +97,6 @@ impl DistGraph {
 
         // Shared-vertex flags: compare boundary sources between
         // consecutive non-empty PEs.
-        let bounds: Option<(VertexId, VertexId)> = match (edges.first(), edges.last()) {
-            (Some(f), Some(l)) => Some((f.u, l.u)),
-            _ => None,
-        };
         let all_bounds = comm.allgather(bounds);
         let mut first_shared = false;
         let mut last_shared = false;
@@ -112,11 +115,54 @@ impl DistGraph {
         let id_span = holders
             .next()
             .map(|first| (first.0, holders.last().unwrap_or(first).1));
+        Self {
+            locator,
+            first_shared,
+            last_shared,
+            id_span,
+        }
+    }
+}
 
-        // One scan finds the distinct sources: it builds the local-vertex
-        // index and counts the vertices, minus one if the first is already
-        // counted by an earlier PE (the base-case switch of Sec. IV-D
-        // counts each shared vertex once).
+/// The length of a direct id → local index table over the sources
+/// `first..=last`, if `count` vertices justify one: the range is at most
+/// twice `count`.
+pub(crate) fn direct_len(first: VertexId, last: VertexId, count: usize) -> Option<usize> {
+    (last - first < 2 * count as u64).then_some((last - first) as usize + 1)
+}
+
+/// [`DistGraph::local_index`] over a vertex list and its direct table
+/// (empty, or indexed from the list's first vertex). The list may still
+/// be growing, as in the prepare pass: `direct` then holds every vertex
+/// listed so far.
+#[inline]
+pub(crate) fn index_in(verts: &[VertexId], direct: &[u32], v: VertexId) -> Option<usize> {
+    let first = *verts.first()?;
+    if v < first || v > *verts.last()? {
+        return None;
+    }
+    if !direct.is_empty() {
+        let i = direct[(v - first) as usize];
+        return (i != u32::MAX).then_some(i as usize);
+    }
+    verts.binary_search(&v).ok()
+}
+
+impl DistGraph {
+    /// Establish the distributed graph structure from this PE's slice of a
+    /// globally sorted edge sequence — the allgather-on-first-edge step of
+    /// Sec. IV-C. Collective.
+    ///
+    /// Debug builds verify the local sortedness invariant.
+    pub fn establish(comm: &Comm, edges: Vec<CEdge>) -> Self {
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] <= w[1]),
+            "edge slice must be locally sorted"
+        );
+        let bounds = edges.first().zip(edges.last()).map(|(f, l)| (f.u, l.u));
+        let boundaries = Boundaries::gather(comm, edges.first().map(CEdge::wedge), bounds);
+
+        // One scan finds the distinct sources: the local-vertex index.
         let mut verts: Vec<VertexId> = Vec::new();
         let mut seg_offsets: Vec<usize> = Vec::new();
         for (k, e) in edges.iter().enumerate() {
@@ -126,22 +172,39 @@ impl DistGraph {
             }
         }
         seg_offsets.push(edges.len());
-        assert!(verts.len() < u32::MAX as usize, "local indices are u32");
-        assert!(
-            edges.len() < u32::MAX as usize,
-            "segment cursors are u32 edge offsets"
-        );
         let mut direct = Vec::new();
         if let (Some(&first), Some(&last)) = (verts.first(), verts.last()) {
-            if last - first < 2 * verts.len() as u64 {
-                direct = vec![u32::MAX; (last - first) as usize + 1];
+            if let Some(len) = direct_len(first, last, verts.len()) {
+                direct = vec![u32::MAX; len];
                 for (i, &v) in verts.iter().enumerate() {
                     direct[(v - first) as usize] = i as u32;
                 }
             }
         }
+        Self::close(comm, boundaries, edges, verts, seg_offsets, direct)
+    }
+
+    /// The closing part of building a graph from its slice and local-vertex
+    /// index: charge the scan, count the vertices — minus one if the first
+    /// is already counted by an earlier PE (the base-case switch of
+    /// Sec. IV-D counts each shared vertex once) — and the edges
+    /// machine-wide. `direct` is the table of [`DistGraph::local_index`]
+    /// or empty. Collective.
+    pub(crate) fn close(
+        comm: &Comm,
+        boundaries: Boundaries,
+        edges: Vec<CEdge>,
+        verts: Vec<VertexId>,
+        seg_offsets: Vec<usize>,
+        direct: Vec<u32>,
+    ) -> Self {
+        assert!(verts.len() < u32::MAX as usize, "local indices are u32");
+        assert!(
+            edges.len() < u32::MAX as usize,
+            "segment cursors are u32 edge offsets"
+        );
         comm.charge_local(edges.len() as u64);
-        let dedup = u64::from(first_shared);
+        let dedup = u64::from(boundaries.first_shared);
         let n_global = comm.allreduce_sum(verts.len() as u64 - dedup);
         // The sum's allgather, read twice: an allreduce charges exactly
         // this.
@@ -157,18 +220,18 @@ impl DistGraph {
 
         Self {
             edges,
-            locator,
+            locator: boundaries.locator,
             n_global,
             m_global,
             same_pe_chance,
-            first_shared,
-            last_shared,
-            id_span,
+            first_shared: boundaries.first_shared,
+            last_shared: boundaries.last_shared,
+            id_span: boundaries.id_span,
             verts,
             seg_offsets,
             direct,
             rank: comm.rank(),
-            p,
+            p: comm.size(),
         }
     }
 
@@ -224,7 +287,7 @@ impl DistGraph {
     /// Fresh search positions for [`DistGraph::adopt_pair_id`]: one per
     /// local vertex, at the start of its segment.
     pub fn segment_cursors(&self) -> Vec<u32> {
-        // `establish` asserts that edge offsets fit.
+        // `close` asserts that edge offsets fit.
         self.seg_offsets[..self.verts.len()]
             .iter()
             .map(|&o| o as u32)
@@ -237,7 +300,7 @@ impl DistGraph {
     /// `local_index(u)`, then `u`'s segment — starting at the vertex's
     /// cursor, which is left on the content's lower bound. Keys `(v, w)`
     /// that arrive non-decreasing per vertex (what a globally sorted
-    /// sequence pushes, see `canonicalize_pair_ids`) only ever move the
+    /// sequence pushes, see [`crate::PassedSlice::exchange`]) only ever move the
     /// cursor forward, so a whole apply is linear in the slice. A key
     /// at or before the edge behind the cursor re-bisects the part of
     /// the segment already passed: the cursor is a hint, never a
@@ -288,15 +351,7 @@ impl DistGraph {
     /// binary search of the vertex list when they are not.
     #[inline]
     pub fn local_index(&self, v: VertexId) -> Option<usize> {
-        let first = *self.verts.first()?;
-        if v < first || v > *self.verts.last()? {
-            return None;
-        }
-        if !self.direct.is_empty() {
-            let i = self.direct[(v - first) as usize];
-            return (i != u32::MAX).then_some(i as usize);
-        }
-        self.verts.binary_search(&v).ok()
+        index_in(&self.verts, &self.direct, v)
     }
 
     /// True if `v` is one of this PE's boundary vertices shared with a
@@ -329,18 +384,6 @@ impl DistGraph {
             .zip(self.seg_offsets.windows(2))
             .map(|(&v, w)| (v, w[0]..w[1]))
     }
-}
-
-/// Assign global-position ids to this PE's slice of a distributed
-/// (sorted) edge sequence: the id of an edge is its global rank in the
-/// sequence, so the slice's ids count up from `first_id`, this PE's entry
-/// of [`id_offsets`]. Local.
-pub fn assign_ids(edges: Vec<WEdge>, first_id: u64) -> Vec<CEdge> {
-    edges
-        .into_iter()
-        .enumerate()
-        .map(|(k, e)| CEdge::from_wedge(e, first_id + k as u64))
-        .collect()
 }
 
 /// Replicated table of each PE's first global edge id, for routing MST
@@ -568,10 +611,10 @@ mod tests {
             let edges: Vec<WEdge> = (0..n)
                 .map(|k| WEdge::new(comm.rank() as u64, k as u64, 1))
                 .collect();
-            let offsets = id_offsets(comm, n);
-            let with_ids = assign_ids(edges, offsets[comm.rank()]);
-            let ids: Vec<u64> = with_ids.iter().map(|e| e.id).collect();
-            (ids, offsets)
+            // No backward copy has a forward twin: every id is a position.
+            let input = crate::InputGraph::from_sorted_edges(comm, edges);
+            let ids: Vec<u64> = input.graph.edges.iter().map(|e| e.id).collect();
+            (ids, input.id_offsets)
         });
         assert_eq!(out.results[0].0, vec![0]);
         assert_eq!(out.results[1].0, vec![1, 2]);

@@ -4,65 +4,49 @@
 //! of the input for that lookup because its working graph replaces the
 //! input; here the prepared slice stays unchanged for the whole solve,
 //! so it is its own lookup table (DESIGN.md S8).
+//!
+//! # How the ids get there
+//!
+//! [`InputGraph::from_sorted_edges`] writes the prepared slice in one
+//! pass over the sorted input ([`InputGraph::pass`]) and finishes with
+//! one one-way exchange ([`PassedSlice::exchange`]). Every edge gets its
+//! global position as id, and every backward (`u > v`) copy then the id
+//! of its undirected edge's globally *first* forward copy, so both
+//! directions share one canonical id. This makes `(w, id)` a
+//! direction-symmetric, **contraction-invariant** realisation of the
+//! paper's unique-weight total order: for equal weights, forward global
+//! positions order exactly by `(min(u,v), max(u,v))`, but unlike
+//! endpoint-based keys the id survives relabeling unchanged — so every
+//! pipeline stage breaks weight ties identically at every PE count, and
+//! `REDISTRIBUTE MST` resolves every claim to the `u < v` copy. Exact
+//! duplicate copies of a pair all map to the group's minimal id; surplus
+//! duplicates keep their own (never-selected) position ids.
+//!
+//! * **Pull, for twins on this PE.** A backward copy `(u, v, w)` sits in
+//!   `u`'s segment, its forward twins `(v, u, w)` in `v`'s, and `v < u`:
+//!   the pass wrote that segment already. It takes the id of the first
+//!   local copy there, found from `v`'s cursor. For a fixed `v` the keys
+//!   `(u, w)` asked for come in the slice's order, so the cursor only
+//!   moves forward and the pulls cost one walk over each segment.
+//! * **Push, for backward copies on later PEs.** A forward copy
+//!   `(u, v, w)` whose backward content can lie past this PE's last
+//!   source — `v ≥` that source, a suffix of each segment — sends
+//!   `(v, u, w, id)` to the PEs [`DistGraph::content_homes`] names,
+//!   other than this one, and [`DistGraph::adopt_pair_id`] applies what
+//!   arrives. Every other forward copy has its backward content on this
+//!   PE, where the pull reads it.
+//! * **Why the minimum is the reference.** A forward copy's id is its
+//!   own position, and it precedes its backward copy in the global order.
+//!   So the pulled id and every pushed one (one per PE a forward
+//!   duplicate run touches) lie below the backward copy's own position,
+//!   and their minimum is the globally first forward copy's id. A
+//!   backward copy with no twin anywhere (asymmetric hand-built inputs)
+//!   keeps its position id; forward copies are never rewritten.
 
-use crate::dist::{assign_ids, home_of_id, id_offsets, DistGraph};
-use crate::edge::{CEdge, WEdge};
+use crate::dist::{direct_len, home_of_id, id_offsets, index_in, Boundaries, DistGraph};
+use crate::edge::{CEdge, VertexId, WEdge};
 use crate::gen::GraphConfig;
 use kamsta_comm::{Comm, FlatBuckets};
-
-/// Rewrite every backward (`u > v`) copy's id to the id of its
-/// undirected edge's globally *first* forward copy, so both directions
-/// share one canonical id. This makes `(w, id)` a direction-symmetric,
-/// **contraction-invariant** realisation of the paper's unique-weight
-/// total order: for equal weights, forward global positions order
-/// exactly by `(min(u,v), max(u,v))`, but unlike endpoint-based keys the
-/// id survives relabeling unchanged — so every pipeline stage breaks
-/// weight ties identically at every PE count, and `REDISTRIBUTE MST`
-/// resolves every claim to the `u < v` copy. Exact duplicate copies of a
-/// pair all map to the group's minimal id; surplus duplicates keep
-/// their own (never-selected) position ids. The last step of
-/// [`InputGraph::from_sorted_edges`], which is where the ids it expects
-/// — global positions, [`assign_ids`] — come from. Collective.
-///
-/// One scan, one one-way exchange, one apply: a forward copy's id is
-/// its own position, so the first local copy of every forward content
-/// *pushes* `(v, u, w, id)` to the PEs that can hold the backward
-/// content — in place when that is this PE. A forward copy precedes
-/// its backward copy in the global order, so a backward copy's own
-/// position id exceeds every id pushed to it and `min` over the
-/// pushes (one per PE a duplicate run straddles) is the first copy's
-/// id; a backward copy nobody pushes to (asymmetric hand-built inputs)
-/// keeps its position id. For a fixed target vertex the pushed
-/// `(v, w)` keys are non-decreasing — within a sender by scan order,
-/// across senders by rank order — which is what the per-vertex cursors
-/// of [`DistGraph::adopt_pair_id`] exploit.
-pub fn canonicalize_pair_ids(comm: &Comm, graph: &mut DistGraph) {
-    let me = comm.rank();
-    let mut cursors = graph.segment_cursors();
-    let mut pushed: Vec<CEdge> = Vec::new();
-    let mut dests: Vec<u32> = Vec::new();
-    for k in 0..graph.edges.len() {
-        let e = graph.edges[k];
-        if e.u >= e.v || (k > 0 && graph.edges[k - 1].wedge() == e.wedge()) {
-            continue;
-        }
-        let back = CEdge::new(e.v, e.u, e.w, e.id);
-        for home in graph.content_homes(&back.wedge()) {
-            if home == me {
-                graph.adopt_pair_id(&mut cursors, &back);
-            } else {
-                pushed.push(back);
-                dests.push(home as u32);
-            }
-        }
-    }
-    comm.charge_local(graph.edges.len() as u64);
-    let incoming = comm.sparse_alltoallv(FlatBuckets::from_dests(comm.size(), pushed, &dests));
-    comm.charge_local(incoming.total_len() as u64);
-    for back in incoming.payload() {
-        graph.adopt_pair_id(&mut cursors, back);
-    }
-}
 
 /// A fully prepared MST input: the distributed graph plus the routing
 /// table of its edge ids.
@@ -78,18 +62,39 @@ pub struct InputGraph {
     pub id_offsets: Vec<u64>,
 }
 
+/// An input after [`InputGraph::pass`]: its backward copies carry the
+/// ids of their forward twins on this PE; those of twins on earlier PEs
+/// are not pushed yet.
+pub struct PassedSlice(InputGraph);
+
 impl InputGraph {
     /// Prepare an input from this PE's slice of a globally sorted edge
-    /// list: compute the id space, assign global-position ids, establish
-    /// the distributed structure, and canonicalise pair ids: both
-    /// directions of an undirected edge end up sharing the id of its
-    /// globally first `u < v` copy. Collective.
+    /// list: ids are global positions, except that both directions of an
+    /// undirected edge share the id of its globally first `u < v` copy
+    /// (the module doc). [`InputGraph::pass`], then
+    /// [`PassedSlice::exchange`]. Collective.
     pub fn from_sorted_edges(comm: &Comm, edges: Vec<WEdge>) -> Self {
+        Self::pass(comm, edges).exchange(comm)
+    }
+
+    /// The first part of [`InputGraph::from_sorted_edges`]: the id space,
+    /// the boundary allgathers of [`DistGraph::establish`], then one pass
+    /// over the slice that writes every edge with its position id, builds
+    /// the local-vertex index and pulls the ids of forward twins on this
+    /// PE; `edges` is freed before the graph is closed. Collective.
+    pub fn pass(comm: &Comm, edges: Vec<WEdge>) -> PassedSlice {
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] <= w[1]),
+            "edge slice must be locally sorted"
+        );
         let id_offsets = id_offsets(comm, edges.len());
         comm.charge_local(edges.len() as u64);
-        let mut graph = DistGraph::establish(comm, assign_ids(edges, id_offsets[comm.rank()]));
-        canonicalize_pair_ids(comm, &mut graph);
-        Self { graph, id_offsets }
+        let bounds = edges.first().zip(edges.last()).map(|(f, l)| (f.u, l.u));
+        let boundaries = Boundaries::gather(comm, edges.first().copied(), bounds);
+        let (slice, verts, seg_offsets, direct) = one_pass(&edges, id_offsets[comm.rank()]);
+        drop(edges);
+        let graph = DistGraph::close(comm, boundaries, slice, verts, seg_offsets, direct);
+        PassedSlice(Self { graph, id_offsets })
     }
 
     /// Generate one of the paper's graph families and prepare it.
@@ -135,6 +140,110 @@ impl InputGraph {
             })
             .collect()
     }
+}
+
+impl PassedSlice {
+    /// The last part of [`InputGraph::from_sorted_edges`]: push every
+    /// forward copy whose backward content can lie on a later PE there,
+    /// in one one-way exchange, and let the receivers take the least id
+    /// pushed (the module doc). For a fixed target vertex the pushed
+    /// `(v, w)` keys are non-decreasing — within a sender by scan order,
+    /// across senders by rank order — which is what the per-vertex
+    /// cursors of [`DistGraph::adopt_pair_id`] exploit. Collective.
+    pub fn exchange(self, comm: &Comm) -> InputGraph {
+        let PassedSlice(mut input) = self;
+        let graph = &mut input.graph;
+        let me = comm.rank();
+        let mut pushed: Vec<CEdge> = Vec::new();
+        let mut dests: Vec<u32> = Vec::new();
+        if let Some(&last) = graph.local_vertices().last() {
+            for (_, range) in graph.vertex_segments() {
+                let seg = &graph.edges[range];
+                for k in seg.partition_point(|e| e.v < last)..seg.len() {
+                    let e = seg[k];
+                    if e.u >= e.v || (k > 0 && seg[k - 1].wedge() == e.wedge()) {
+                        continue;
+                    }
+                    let back = CEdge::new(e.v, e.u, e.w, e.id);
+                    for home in graph.content_homes(&back.wedge()) {
+                        if home != me {
+                            pushed.push(back);
+                            dests.push(home as u32);
+                        }
+                    }
+                }
+            }
+        }
+        comm.charge_local(graph.edges.len() as u64);
+        let incoming = comm.sparse_alltoallv(FlatBuckets::from_dests(comm.size(), pushed, &dests));
+        comm.charge_local(incoming.total_len() as u64);
+        let mut cursors = graph.segment_cursors();
+        for back in incoming.payload() {
+            graph.adopt_pair_id(&mut cursors, back);
+        }
+        input
+    }
+}
+
+/// The pass of [`InputGraph::pass`] over a sorted slice whose first edge
+/// sits at global position `first_id`: the prepared edges, the distinct
+/// sources, their segment offsets and the direct table of
+/// [`DistGraph::local_index`] (empty where the sources are too sparse).
+/// The table is sized for the edge count before the vertices are known
+/// and dropped after if they do not justify it. Local.
+fn one_pass(edges: &[WEdge], first_id: u64) -> (Vec<CEdge>, Vec<VertexId>, Vec<usize>, Vec<u32>) {
+    assert!(
+        edges.len() < u32::MAX as usize,
+        "segment cursors are u32 edge offsets"
+    );
+    let mut slice: Vec<CEdge> = Vec::with_capacity(edges.len());
+    let (first, last) = match (edges.first(), edges.last()) {
+        (Some(f), Some(l)) => (f.u, l.u),
+        _ => return (slice, Vec::new(), vec![0], Vec::new()),
+    };
+    let mut direct =
+        direct_len(first, last, edges.len()).map_or(Vec::new(), |len| vec![u32::MAX; len]);
+    // Where the ids are dense the id range bounds the vertex count, so the
+    // per-vertex tables are reserved once: three tables doubling in turn
+    // beside the live input and slice fragment the PE's heap (`gnm-filter`
+    // read 115–130 MB peak RSS that way, against 99–104 reserved).
+    let n = direct.len().min(edges.len());
+    let mut verts: Vec<VertexId> = Vec::with_capacity(n);
+    let mut seg_offsets: Vec<usize> = Vec::with_capacity(n + 1);
+    // Per local vertex: where the next pull into its segment starts.
+    let mut cursors: Vec<u32> = Vec::with_capacity(n);
+    for (k, e) in edges.iter().enumerate() {
+        if verts.last() != Some(&e.u) {
+            if !direct.is_empty() {
+                direct[(e.u - first) as usize] = verts.len() as u32;
+            }
+            verts.push(e.u);
+            seg_offsets.push(k);
+            cursors.push(k as u32);
+        }
+        let mut id = first_id + k as u64;
+        if e.v < e.u {
+            // `v`'s segment, if `v` is a source here, lies wholly before
+            // `u`'s, the last one opened.
+            if let Some(i) = index_in(&verts, &direct, e.v) {
+                let (end, key) = (seg_offsets[i + 1], (e.u, e.w));
+                let mut at = cursors[i] as usize;
+                while at < end && (slice[at].v, slice[at].w) < key {
+                    at += 1;
+                }
+                cursors[i] = at as u32;
+                if at < end && (slice[at].v, slice[at].w) == key {
+                    id = slice[at].id;
+                }
+            }
+        }
+        slice.push(CEdge::from_wedge(*e, id));
+    }
+    seg_offsets.push(edges.len());
+    if direct_len(first, last, verts.len()).is_none() {
+        direct = Vec::new();
+    }
+    (slice, verts, seg_offsets, direct)
 }
 
 #[cfg(test)]

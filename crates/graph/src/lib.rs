@@ -16,7 +16,7 @@ pub mod hash;
 mod input;
 pub mod io;
 
-pub use dist::{assign_ids, home_of_id, id_offsets, DistGraph};
+pub use dist::{home_of_id, id_offsets, DistGraph};
 pub use edge::{CEdge, VertexId, WEdge, Weight};
 pub use gen::GraphConfig;
-pub use input::{canonicalize_pair_ids, InputGraph};
+pub use input::{InputGraph, PassedSlice};

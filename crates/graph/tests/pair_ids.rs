@@ -3,12 +3,15 @@
 //! the global position of the first `u < v` copy of its content, and
 //! every other edge its own position — for every PE count, every way the
 //! sequence can be cut, and with nothing but the charged counters moving
-//! between transports and thread counts.
+//! between transports and thread counts. The prepared graph's structure
+//! is what `DistGraph::establish` builds from the reference slice, and
+//! prepare's own counters are pinned.
 
 use kamsta_comm::{Machine, MachineConfig, PeStats, TransportKind};
-use kamsta_graph::{CEdge, DistGraph, GraphConfig, InputGraph, WEdge};
+use kamsta_graph::{CEdge, DistGraph, GraphConfig, InputGraph, VertexId, WEdge};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::fmt::Debug;
 
 const PES: [usize; 5] = [1, 2, 3, 5, 16];
 
@@ -286,6 +289,232 @@ fn prepare_charges_do_not_depend_on_transport_or_threads() {
     for threads in [2, 8] {
         let got = prepare_stats(&slices, MachineConfig::new(P).with_threads(threads));
         assert_eq!(got, base, "threads_per_pe = {threads}");
+    }
+}
+
+/// `from_sorted_edges`' charged counters on each rank of a generated
+/// input, with the bits of its modeled seconds (one thread per PE: the
+/// modeled clock divides local work among a PE's threads).
+fn prepare_counters(config: GraphConfig, p: usize) -> Vec<(u64, u64, u64, u64)> {
+    Machine::run(MachineConfig::new(p).with_threads(1), move |comm| {
+        let edges = config.generate(comm, 5);
+        let before = comm.stats();
+        drop(InputGraph::from_sorted_edges(comm, edges));
+        let s = comm.stats().since(&before);
+        (s.messages, s.bytes, s.local_ops, s.modeled_time.to_bits())
+    })
+    .results
+}
+
+#[test]
+fn prepare_charges_are_pinned() {
+    // Prepare sits inside `kamsta_launch`'s counter window, so these move
+    // the launcher's pinned `messages`, `bytes` and `modeled_bits` too.
+    let gnm = GraphConfig::Gnm {
+        n: 1 << 13,
+        m: 1 << 19,
+    };
+    assert_eq!(
+        prepare_counters(gnm, 2),
+        vec![
+            (7, 4155904, 780333, 4567867252697479558),
+            (7, 4155904, 912192, 4568163643452040877),
+        ]
+    );
+    let rgg = GraphConfig::Rgg2D {
+        n: 1 << 12,
+        m: 1 << 16,
+    };
+    assert_eq!(
+        prepare_counters(rgg, 3),
+        vec![
+            (13, 14608, 53247, 4548936485889525746),
+            (13, 17424, 56117, 4548857585475773676),
+            (13, 17424, 54696, 4548971364993220316),
+        ]
+    );
+}
+
+/// What a PE's graph answers through its public accessors: the vertex
+/// index, the replicated scalars, the local index of every id in `ids`
+/// and the homes of every content in `probes`.
+fn structure(g: &DistGraph, ids: &[VertexId], probes: &[WEdge]) -> impl PartialEq + Debug {
+    (
+        (g.local_vertices().to_vec(), g.segment_offsets().to_vec()),
+        (g.n_global, g.m_global, g.same_pe_chance.to_bits()),
+        (g.first_shared, g.last_shared, g.id_span()),
+        ids.iter().map(|&v| g.local_index(v)).collect::<Vec<_>>(),
+        probes
+            .iter()
+            .map(|e| g.content_homes(e))
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// Prepare `all` cut at `cuts`, and check on every PE that the prepared
+/// graph is what `DistGraph::establish` builds from the PE's slice of the
+/// reference: the same edges and the same [`structure`], probed at every
+/// id of the span ± 1 (at every source ± 1 where the span is too wide to
+/// walk) and at every content of `all`, reversed, and one off in `v` or
+/// `w`.
+fn assert_structure_matches_establish(all: &[WEdge], cuts: &[usize]) {
+    let want = reference(all);
+    let (lo, hi) = (
+        all.first().map_or(0, |e| e.u),
+        all.last().map_or(0, |e| e.u),
+    );
+    let mut ids: Vec<VertexId> = if hi - lo <= 1 << 16 {
+        (lo.saturating_sub(1)..=hi + 1).collect()
+    } else {
+        all.iter()
+            .flat_map(|e| [e.u.saturating_sub(1), e.u, e.u + 1])
+            .collect()
+    };
+    ids.dedup();
+    let mut probes: Vec<WEdge> = all
+        .iter()
+        .flat_map(|e| {
+            let off = [WEdge::new(e.u, e.v + 1, e.w), WEdge::new(e.u, e.v, e.w + 1)];
+            [*e, e.reversed()].into_iter().chain(off)
+        })
+        .collect();
+    probes.extend([
+        WEdge::new(0, 0, 0),
+        WEdge::new(u64::MAX, u64::MAX, u32::MAX),
+    ]);
+    let (all, at) = (all.to_vec(), cuts.to_vec());
+    let out = Machine::run(MachineConfig::new(cuts.len() - 1), move |comm| {
+        let (lo, hi) = (at[comm.rank()], at[comm.rank() + 1]);
+        let prepared = InputGraph::from_sorted_edges(comm, all[lo..hi].to_vec()).graph;
+        let established = DistGraph::establish(comm, want[lo..hi].to_vec());
+        let got = structure(&prepared, &ids, &probes);
+        let want = structure(&established, &ids, &probes);
+        (
+            prepared.edges == established.edges,
+            got == want,
+            format!("{got:?} vs {want:?}"),
+        )
+    });
+    for (r, (edges_equal, equal, shown)) in out.results.into_iter().enumerate() {
+        assert!(edges_equal, "PE {r} of cuts {cuts:?}: edges differ");
+        assert!(
+            equal,
+            "PE {r} of cuts {cuts:?}: prepared vs established {shown}"
+        );
+    }
+}
+
+/// The pinned inputs above: duplicate runs straddling PEs, a segment
+/// over three PEs, holders between empty PEs, asymmetric copies.
+fn pinned_inputs() -> Vec<(Vec<WEdge>, Vec<Vec<usize>>)> {
+    let runs = symmetric(&[
+        (0, 5, 1),
+        (0, 5, 1),
+        (0, 5, 1),
+        (0, 5, 1),
+        (0, 6, 2),
+        (1, 5, 3),
+    ]);
+    let mut raw: Vec<(u64, u64, u32)> = (0..8).map(|a| (a, 9, 10 + a as u32)).collect();
+    raw.extend([(3, 9, 13), (6, 9, 16)]);
+    let asymmetric = edges(&[
+        (0, 1, 3),
+        (1, 0, 3),
+        (1, 2, 9),
+        (3, 1, 4),
+        (0, 4, 1),
+        (4, 0, 2),
+        (2, 2, 6),
+    ]);
+    vec![
+        (
+            runs,
+            vec![
+                vec![0, 2, 8, 12],
+                vec![0, 1, 3, 7, 9, 12],
+                (0..=12).collect(),
+            ],
+        ),
+        (
+            symmetric(&raw),
+            vec![vec![0, 5, 13, 17, 20], vec![0, 10, 12, 14, 20]],
+        ),
+        (
+            symmetric(&[(0, 1, 5), (2, 9, 3)]),
+            vec![vec![0, 0, 0, 1, 1, 2, 2, 2, 4, 4]],
+        ),
+        (asymmetric, vec![]),
+        (Vec::new(), vec![]),
+    ]
+}
+
+#[test]
+fn prepared_structure_matches_establish_on_the_reference() {
+    for (all, cuts) in pinned_inputs() {
+        for p in PES {
+            assert_structure_matches_establish(&all, &even_cuts(all.len(), p));
+        }
+        for cuts in cuts {
+            assert_structure_matches_establish(&all, &cuts);
+        }
+    }
+}
+
+#[test]
+fn prepared_structure_matches_establish_on_strided_ids() {
+    // Sources k·1000 and k·2^40 are too sparse for the direct id table,
+    // so every local-index lookup, the prepare's own included, bisects
+    // the vertex list.
+    for stride in [1000u64, 1 << 40] {
+        for (all, cuts) in pinned_inputs() {
+            let mut all: Vec<WEdge> = all
+                .iter()
+                .map(|e| WEdge::new(e.u * stride, e.v * stride, e.w))
+                .collect();
+            all.sort_unstable();
+            assert_matches_at_every_p(&all);
+            for p in PES {
+                assert_structure_matches_establish(&all, &even_cuts(all.len(), p));
+            }
+            for cuts in cuts {
+                assert_matches_reference(&all, &cuts);
+                assert_structure_matches_establish(&all, &cuts);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The draws of `ids_equal_the_sequential_reference`, at stride 1,
+    /// 1000 or 2^40, against the structure `establish` builds.
+    #[test]
+    fn structure_equals_establish_on_drawn_cuts(
+        raw in prop::collection::vec((0u64..12, 0u64..12, 0u32..3, 0u8..4), 0..120),
+        cut_seeds in prop::collection::vec(0usize..1000, 15..16),
+        stride_pick in 0usize..3,
+    ) {
+        let stride = [1, 1000, 1 << 40][stride_pick];
+        let directed: Vec<(u64, u64, u32)> = raw
+            .iter()
+            .flat_map(|&(u, v, w, dirs)| {
+                let fwd = (dirs != 1).then_some((u * stride, v * stride, w));
+                let back = (dirs != 2).then_some((v * stride, u * stride, w));
+                fwd.into_iter().chain(back)
+            })
+            .collect();
+        let all = edges(&directed);
+        for p in PES {
+            assert_structure_matches_establish(&all, &even_cuts(all.len(), p));
+            let mut cuts: Vec<usize> = cut_seeds[..p - 1]
+                .iter()
+                .map(|s| s % (all.len() + 1))
+                .collect();
+            cuts.extend([0, all.len()]);
+            cuts.sort_unstable();
+            assert_structure_matches_establish(&all, &cuts);
+        }
     }
 }
 
