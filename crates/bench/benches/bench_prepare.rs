@@ -1,18 +1,23 @@
 //! Micro-bench below the end-to-end benchmark's set-up, `graph.generate_s`
 //! and `graph.prepare_s`: generating the input, then
 //! `InputGraph::from_sorted_edges` by part — the one pass
-//! (`InputGraph::pass`: id space, boundary allgathers, the pass over the
-//! slice, the closing collectives), then the push of forward twins to
-//! later PEs and its apply (`PassedSlice::exchange`) — at p = 2, on the
-//! benchmark's two input shapes (GNM 2^16 / 2^20, RGG-2D 2^18 / 2^22), a
-//! small GNM, a small RGG, and a tree-shaped input (a spanning tree on
-//! 2^15 vertices, ≈ 2 n directed edges). EXPERIMENTS.md records the
-//! table.
+//! (`InputGraph::pass`: id space, boundary allgathers, the widening of
+//! the slice in place into `CEdge`s, the pass over it, the closing
+//! collectives), then the push of forward twins to later PEs and its
+//! apply (`PassedSlice::exchange`) — at p = 2, on the benchmark's two
+//! input shapes (GNM 2^16 / 2^20, RGG-2D 2^18 / 2^22), a small GNM, a
+//! small RGG, and a tree-shaped input (a spanning tree on 2^15 vertices,
+//! ≈ 2 n directed edges). EXPERIMENTS.md records the table ("Set-up in
+//! place").
 //!
 //! Every part is timed from inside one machine run per input, every PE
 //! in lockstep ([`kamsta_bench::lockstep`]), so a part costs what its
 //! slowest PE took. The `whole` column is `from_sorted_edges` itself on
-//! the same slices — what the two parts should add up to.
+//! the same edges — what the two parts should add up to. The two
+//! columns do not widen the same block: the parts run on a clone, whose
+//! capacity is its length, so `pass` times the widening's growing
+//! `realloc`; `whole` runs on the generator's own `Vec`, with the spare
+//! capacity the generator reserved.
 
 use kamsta_bench::{lockstep, median_of_slowest, ms_cell, Table, BENCH_PES, SAMPLES};
 use kamsta_comm::{Comm, Machine, MachineConfig};

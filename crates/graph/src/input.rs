@@ -7,9 +7,13 @@
 //!
 //! # How the ids get there
 //!
-//! [`InputGraph::from_sorted_edges`] writes the prepared slice in one
-//! pass over the sorted input ([`InputGraph::pass`]) and finishes with
-//! one one-way exchange ([`PassedSlice::exchange`]). Every edge gets its
+//! [`InputGraph::from_sorted_edges`] prepares the slice in one pass over
+//! the sorted input ([`InputGraph::pass`]) and finishes with one one-way
+//! exchange ([`PassedSlice::exchange`]). The prepared slice is the
+//! generator's own block: the pass first widens each `WEdge` in place to
+//! a `CEdge` carrying its global position as id, from the back, after
+//! one `realloc` that grows the block only where the `CEdge`s do not fit
+//! — so set-up never holds two copies of the input. Every edge gets its
 //! global position as id, and every backward (`u > v`) copy then the id
 //! of its undirected edge's globally *first* forward copy, so both
 //! directions share one canonical id. This makes `(w, id)` a
@@ -24,10 +28,11 @@
 //!
 //! * **Pull, for twins on this PE.** A backward copy `(u, v, w)` sits in
 //!   `u`'s segment, its forward twins `(v, u, w)` in `v`'s, and `v < u`:
-//!   the pass wrote that segment already. It takes the id of the first
-//!   local copy there, found from `v`'s cursor. For a fixed `v` the keys
-//!   `(u, w)` asked for come in the slice's order, so the cursor only
-//!   moves forward and the pulls cost one walk over each segment.
+//!   the pass settled that segment already. It sets its id to that of
+//!   the first local copy there, found from `v`'s cursor. For a fixed
+//!   `v` the keys `(u, w)` asked for come in the slice's order, so the
+//!   cursor only moves forward and the pulls cost one walk over each
+//!   segment.
 //! * **Push, for backward copies on later PEs.** A forward copy
 //!   `(u, v, w)` whose backward content can lie past this PE's last
 //!   source — `v ≥` that source, a suffix of each segment — sends
@@ -47,6 +52,8 @@ use crate::dist::{direct_len, home_of_id, id_offsets, index_in, Boundaries, Dist
 use crate::edge::{CEdge, VertexId, WEdge};
 use crate::gen::GraphConfig;
 use kamsta_comm::{Comm, FlatBuckets};
+use std::alloc::{handle_alloc_error, realloc, Layout};
+use std::mem::ManuallyDrop;
 
 /// A fully prepared MST input: the distributed graph plus the routing
 /// table of its edge ids.
@@ -79,9 +86,10 @@ impl InputGraph {
 
     /// The first part of [`InputGraph::from_sorted_edges`]: the id space,
     /// the boundary allgathers of [`DistGraph::establish`], then one pass
-    /// over the slice that writes every edge with its position id, builds
-    /// the local-vertex index and pulls the ids of forward twins on this
-    /// PE; `edges` is freed before the graph is closed. Collective.
+    /// over the slice that builds the local-vertex index and pulls the ids
+    /// of forward twins on this PE. The prepared slice is `edges`' own
+    /// block, widened in place to `CEdge`s with their position ids
+    /// (`widen`), so no second slice is allocated. Collective.
     pub fn pass(comm: &Comm, edges: Vec<WEdge>) -> PassedSlice {
         debug_assert!(
             edges.windows(2).all(|w| w[0] <= w[1]),
@@ -91,8 +99,8 @@ impl InputGraph {
         comm.charge_local(edges.len() as u64);
         let bounds = edges.first().zip(edges.last()).map(|(f, l)| (f.u, l.u));
         let boundaries = Boundaries::gather(comm, edges.first().copied(), bounds);
-        let (slice, verts, seg_offsets, direct) = one_pass(&edges, id_offsets[comm.rank()]);
-        drop(edges);
+        let mut slice = widen(edges, id_offsets[comm.rank()]);
+        let (verts, seg_offsets, direct) = one_pass(&mut slice);
         let graph = DistGraph::close(comm, boundaries, slice, verts, seg_offsets, direct);
         PassedSlice(Self { graph, id_offsets })
     }
@@ -185,34 +193,95 @@ impl PassedSlice {
     }
 }
 
-/// The pass of [`InputGraph::pass`] over a sorted slice whose first edge
-/// sits at global position `first_id`: the prepared edges, the distinct
-/// sources, their segment offsets and the direct table of
-/// [`DistGraph::local_index`] (empty where the sources are too sparse).
-/// The table is sized for the edge count before the vertices are known
-/// and dropped after if they do not justify it. Local.
-fn one_pass(edges: &[WEdge], first_id: u64) -> (Vec<CEdge>, Vec<VertexId>, Vec<usize>, Vec<u32>) {
+/// `edges` re-typed in place: edge `k` becomes `CEdge` `k` with id
+/// `first_id + k`, in the same heap block. The block is `realloc`ed to
+/// `max(cap·24/32, len)` `CEdge`s — it keeps all its bytes and grows
+/// only where the `CEdge`s do not fit (an `mremap` for an mmapped block,
+/// no copy); shrinking it to `len` would hand a smaller freed block to
+/// glibc's mmap threshold at teardown (EXPERIMENTS.md "Set-up in place").
+/// Then the edges are widened from the back. Local.
+fn widen(edges: Vec<WEdge>, first_id: u64) -> Vec<CEdge> {
+    // SAFETY (layout): both types are 8-aligned, so a `WEdge` block is a
+    // `CEdge` block of the same alignment, and 24-byte `WEdge`s under
+    // 32-byte `CEdge`s is what the aliasing argument below rests on.
+    const {
+        assert!(size_of::<WEdge>() == 24 && size_of::<CEdge>() == 32);
+        assert!(align_of::<WEdge>() == 8 && align_of::<CEdge>() == 8);
+    }
+    let (len, cap) = (edges.len(), edges.capacity());
+    let new_cap = (cap * size_of::<WEdge>() / size_of::<CEdge>()).max(len);
+    if new_cap == 0 {
+        return Vec::new();
+    }
+    // Panic safety: both edge types are `Copy`, so no destructor is ever
+    // skipped. Until `from_raw_parts` a panic (an `expect` below) leaks at
+    // most the block; after it the block belongs to a length-0
+    // `Vec<CEdge>` until `set_len`, which frees it on a panic.
+    let mut edges = ManuallyDrop::new(edges);
+    let old = Layout::array::<WEdge>(cap).expect("a live Vec's layout");
+    let new = Layout::array::<CEdge>(new_cap).expect("the prepared slice fits the address space");
+    // SAFETY (realloc): `cap > 0` here (`new_cap > 0` needs `cap > 0` or
+    // `len > 0`), so the pointer is a live block of the global allocator,
+    // allocated by `Vec` with exactly `old`; `edges` is never used or
+    // dropped again. `new.size()` is non-zero and `Layout::array` checked
+    // that it does not overflow `isize`. It is exactly `new_cap · 32`, so
+    // the `Vec<CEdge>` built from the result owns a block of its own
+    // layout. `realloc` keeps `min(old, new)` bytes, and both cover the
+    // `len · 24` bytes of the edges.
+    let ptr = unsafe { realloc(edges.as_mut_ptr().cast::<u8>(), old, new.size()) };
+    if ptr.is_null() {
+        handle_alloc_error(new);
+    }
+    // SAFETY: `ptr` is a block of layout `new`, from the global allocator
+    // `Vec` uses, and length 0 claims no element initialised.
+    let mut slice = unsafe { Vec::from_raw_parts(ptr.cast::<CEdge>(), 0, new_cap) };
+    let base = slice.as_mut_ptr();
+    for k in (0..len).rev() {
+        // SAFETY (aliasing): `WEdge` `k` sits at bytes `24k..24k + 24`,
+        // inside the block and 8-aligned; it is read out before `CEdge`
+        // `k` is written at `32k..32k + 32`, inside `new_cap ≥ len`
+        // elements. The `WEdge`s still unread, `j < k`, lie below
+        // `24k ≤ 32k`, and the `CEdge`s written, `j > k`, from `32k + 32`
+        // on, so the write clobbers neither.
+        unsafe {
+            let e = base.cast::<WEdge>().add(k).read();
+            base.add(k).write(CEdge::from_wedge(e, first_id + k as u64));
+        }
+    }
+    // SAFETY: the loop wrote `CEdge`s `0..len`.
+    unsafe { slice.set_len(len) };
+    slice
+}
+
+/// The pass of [`InputGraph::pass`] over a sorted slice carrying its
+/// position ids: it pulls every backward copy's id from its forward twin
+/// on this PE and returns the distinct sources, their segment offsets
+/// and the direct table of [`DistGraph::local_index`] (empty where the
+/// sources are too sparse). The table is sized for the edge count before
+/// the vertices are known and dropped after if they do not justify it.
+/// Local.
+fn one_pass(slice: &mut [CEdge]) -> (Vec<VertexId>, Vec<usize>, Vec<u32>) {
     assert!(
-        edges.len() < u32::MAX as usize,
+        slice.len() < u32::MAX as usize,
         "segment cursors are u32 edge offsets"
     );
-    let mut slice: Vec<CEdge> = Vec::with_capacity(edges.len());
-    let (first, last) = match (edges.first(), edges.last()) {
+    let (first, last) = match (slice.first(), slice.last()) {
         (Some(f), Some(l)) => (f.u, l.u),
-        _ => return (slice, Vec::new(), vec![0], Vec::new()),
+        _ => return (Vec::new(), vec![0], Vec::new()),
     };
     let mut direct =
-        direct_len(first, last, edges.len()).map_or(Vec::new(), |len| vec![u32::MAX; len]);
+        direct_len(first, last, slice.len()).map_or(Vec::new(), |len| vec![u32::MAX; len]);
     // Where the ids are dense the id range bounds the vertex count, so the
     // per-vertex tables are reserved once: three tables doubling in turn
-    // beside the live input and slice fragment the PE's heap (`gnm-filter`
-    // read 115–130 MB peak RSS that way, against 99–104 reserved).
-    let n = direct.len().min(edges.len());
+    // beside the live slice fragment the PE's heap (`gnm-filter` read
+    // 115–130 MB peak RSS that way, against 99–104 reserved).
+    let n = direct.len().min(slice.len());
     let mut verts: Vec<VertexId> = Vec::with_capacity(n);
     let mut seg_offsets: Vec<usize> = Vec::with_capacity(n + 1);
     // Per local vertex: where the next pull into its segment starts.
     let mut cursors: Vec<u32> = Vec::with_capacity(n);
-    for (k, e) in edges.iter().enumerate() {
+    for k in 0..slice.len() {
+        let e = slice[k];
         if verts.last() != Some(&e.u) {
             if !direct.is_empty() {
                 direct[(e.u - first) as usize] = verts.len() as u32;
@@ -221,7 +290,6 @@ fn one_pass(edges: &[WEdge], first_id: u64) -> (Vec<CEdge>, Vec<VertexId>, Vec<u
             seg_offsets.push(k);
             cursors.push(k as u32);
         }
-        let mut id = first_id + k as u64;
         if e.v < e.u {
             // `v`'s segment, if `v` is a source here, lies wholly before
             // `u`'s, the last one opened.
@@ -233,17 +301,16 @@ fn one_pass(edges: &[WEdge], first_id: u64) -> (Vec<CEdge>, Vec<VertexId>, Vec<u
                 }
                 cursors[i] = at as u32;
                 if at < end && (slice[at].v, slice[at].w) == key {
-                    id = slice[at].id;
+                    slice[k].id = slice[at].id;
                 }
             }
         }
-        slice.push(CEdge::from_wedge(*e, id));
     }
-    seg_offsets.push(edges.len());
+    seg_offsets.push(slice.len());
     if direct_len(first, last, verts.len()).is_none() {
         direct = Vec::new();
     }
-    (slice, verts, seg_offsets, direct)
+    (verts, seg_offsets, direct)
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! sequence can be cut, and with nothing but the charged counters moving
 //! between transports and thread counts. The prepared graph's structure
 //! is what `DistGraph::establish` builds from the reference slice, and
-//! prepare's own counters are pinned.
+//! prepare's own counters are pinned. The prepare pass widens the `Vec`
+//! it is handed in place, so both oracles also run on slices with spare
+//! capacity.
 
 use kamsta_comm::{Machine, MachineConfig, PeStats, TransportKind};
 use kamsta_graph::{CEdge, DistGraph, GraphConfig, InputGraph, VertexId, WEdge};
@@ -52,13 +54,41 @@ fn reference(all: &[WEdge]) -> Vec<CEdge> {
         .collect()
 }
 
+/// A PE slice's `Vec` capacity as a function of its length.
+type Cap = fn(usize) -> usize;
+
+/// What `to_vec` gives.
+const EXACT: Cap = |len| len;
+
+/// Capacities around the widening's boundary: `len` `WEdge`s of 24 bytes
+/// become `CEdge`s of 32 in the same block, which is grown only where
+/// `cap · 24 < len · 32`.
+const SPARE: [(&str, Cap); 5] = [
+    ("cap = len", |len| len),
+    ("cap = len + 1", |len| len + 1),
+    ("the largest cap with cap·24 < len·32", |len| {
+        (4 * len).saturating_sub(1) / 3
+    }),
+    // The GNM generator reserves 2m/p.
+    ("cap = 2·len", |len| 2 * len),
+    ("cap·24 not a multiple of 32", |len| (len * 5 / 4) | 1),
+];
+
+/// `edges` in a `Vec` of capacity `cap(len)`.
+fn with_cap(edges: &[WEdge], cap: Cap) -> Vec<WEdge> {
+    let mut slice = Vec::with_capacity(cap(edges.len()));
+    slice.extend_from_slice(edges);
+    assert_eq!(slice.capacity(), cap(edges.len()));
+    slice
+}
+
 /// Prepare the sorted sequence `all` with PE `i` holding
-/// `all[cuts[i]..cuts[i + 1]]`, and gather the prepared edges in rank
-/// order.
-fn prepare_cut(all: &[WEdge], cuts: &[usize]) -> Vec<CEdge> {
+/// `all[cuts[i]..cuts[i + 1]]` in a `Vec` of capacity `cap`, and gather
+/// the prepared edges in rank order.
+fn prepare_cut(all: &[WEdge], cuts: &[usize], cap: Cap) -> Vec<CEdge> {
     let (all, cuts) = (all.to_vec(), cuts.to_vec());
     Machine::run(MachineConfig::new(cuts.len() - 1), move |comm| {
-        let slice = all[cuts[comm.rank()]..cuts[comm.rank() + 1]].to_vec();
+        let slice = with_cap(&all[cuts[comm.rank()]..cuts[comm.rank() + 1]], cap);
         InputGraph::from_sorted_edges(comm, slice).graph.edges
     })
     .results
@@ -73,7 +103,7 @@ fn even_cuts(len: usize, p: usize) -> Vec<usize> {
 
 fn assert_matches_reference(all: &[WEdge], cuts: &[usize]) {
     let want = reference(all);
-    let got = prepare_cut(all, cuts);
+    let got = prepare_cut(all, cuts, EXACT);
     assert_eq!(got.len(), want.len(), "cuts {cuts:?}");
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w, "cuts {cuts:?}: prepared {g:?}, reference {w:?}");
@@ -92,7 +122,7 @@ fn exact_duplicates_share_the_first_copy() {
     assert_matches_at_every_p(&all);
     // Every backward copy of (0, 1, 5) points at position 0; the two
     // surplus forward copies keep positions 1 and 2.
-    let ids: Vec<u64> = prepare_cut(&all, &even_cuts(all.len(), 3))
+    let ids: Vec<u64> = prepare_cut(&all, &even_cuts(all.len(), 3), EXACT)
         .iter()
         .map(|e| e.id)
         .collect();
@@ -351,13 +381,13 @@ fn structure(g: &DistGraph, ids: &[VertexId], probes: &[WEdge]) -> impl PartialE
     )
 }
 
-/// Prepare `all` cut at `cuts`, and check on every PE that the prepared
-/// graph is what `DistGraph::establish` builds from the PE's slice of the
-/// reference: the same edges and the same [`structure`], probed at every
+/// Prepare `all` cut at `cuts`, each PE's slice in a `Vec` of capacity
+/// `cap`, and check on every PE that the prepared graph is what
+/// `DistGraph::establish` builds from the PE's slice of the reference: the same edges and the same [`structure`], probed at every
 /// id of the span ± 1 (at every source ± 1 where the span is too wide to
 /// walk) and at every content of `all`, reversed, and one off in `v` or
 /// `w`.
-fn assert_structure_matches_establish(all: &[WEdge], cuts: &[usize]) {
+fn assert_structure_matches_establish(all: &[WEdge], cuts: &[usize], cap: Cap) {
     let want = reference(all);
     let (lo, hi) = (
         all.first().map_or(0, |e| e.u),
@@ -385,7 +415,7 @@ fn assert_structure_matches_establish(all: &[WEdge], cuts: &[usize]) {
     let (all, at) = (all.to_vec(), cuts.to_vec());
     let out = Machine::run(MachineConfig::new(cuts.len() - 1), move |comm| {
         let (lo, hi) = (at[comm.rank()], at[comm.rank() + 1]);
-        let prepared = InputGraph::from_sorted_edges(comm, all[lo..hi].to_vec()).graph;
+        let prepared = InputGraph::from_sorted_edges(comm, with_cap(&all[lo..hi], cap)).graph;
         let established = DistGraph::establish(comm, want[lo..hi].to_vec());
         let got = structure(&prepared, &ids, &probes);
         let want = structure(&established, &ids, &probes);
@@ -396,10 +426,14 @@ fn assert_structure_matches_establish(all: &[WEdge], cuts: &[usize]) {
         )
     });
     for (r, (edges_equal, equal, shown)) in out.results.into_iter().enumerate() {
-        assert!(edges_equal, "PE {r} of cuts {cuts:?}: edges differ");
+        let c = cap(cuts[r + 1] - cuts[r]);
+        assert!(
+            edges_equal,
+            "PE {r} of cuts {cuts:?}, capacity {c}: edges differ"
+        );
         assert!(
             equal,
-            "PE {r} of cuts {cuts:?}: prepared vs established {shown}"
+            "PE {r} of cuts {cuts:?}, capacity {c}: prepared vs established {shown}"
         );
     }
 }
@@ -452,10 +486,51 @@ fn pinned_inputs() -> Vec<(Vec<WEdge>, Vec<Vec<usize>>)> {
 fn prepared_structure_matches_establish_on_the_reference() {
     for (all, cuts) in pinned_inputs() {
         for p in PES {
-            assert_structure_matches_establish(&all, &even_cuts(all.len(), p));
+            assert_structure_matches_establish(&all, &even_cuts(all.len(), p), EXACT);
         }
         for cuts in cuts {
-            assert_structure_matches_establish(&all, &cuts);
+            assert_structure_matches_establish(&all, &cuts, EXACT);
+        }
+    }
+}
+
+#[test]
+fn widening_is_indifferent_to_spare_capacity() {
+    for (all, cuts) in pinned_inputs() {
+        let want = reference(&all);
+        for (name, cap) in SPARE {
+            let cuts = PES
+                .map(|p| even_cuts(all.len(), p))
+                .into_iter()
+                .chain(cuts.clone());
+            for cuts in cuts {
+                assert_eq!(prepare_cut(&all, &cuts, cap), want, "{name}, cuts {cuts:?}");
+                assert_structure_matches_establish(&all, &cuts, cap);
+            }
+        }
+    }
+}
+
+#[test]
+fn widening_the_empty_slice_with_capacity_and_single_edges() {
+    let extra: [(&str, Cap); 2] = [
+        ("cap = len + 2", |len| len + 2),
+        ("cap = len + 3", |len| len + 3),
+    ];
+    let inputs = [
+        Vec::new(),
+        edges(&[(0, 1, 5)]),
+        edges(&[(1, 0, 5)]),
+        symmetric(&[(0, 1, 5)]),
+    ];
+    for all in inputs {
+        let want = reference(&all);
+        for (name, cap) in SPARE.into_iter().chain(extra) {
+            for p in PES {
+                let cuts = even_cuts(all.len(), p);
+                assert_eq!(prepare_cut(&all, &cuts, cap), want, "{name}, cuts {cuts:?}");
+                assert_structure_matches_establish(&all, &cuts, cap);
+            }
         }
     }
 }
@@ -474,11 +549,11 @@ fn prepared_structure_matches_establish_on_strided_ids() {
             all.sort_unstable();
             assert_matches_at_every_p(&all);
             for p in PES {
-                assert_structure_matches_establish(&all, &even_cuts(all.len(), p));
+                assert_structure_matches_establish(&all, &even_cuts(all.len(), p), EXACT);
             }
             for cuts in cuts {
                 assert_matches_reference(&all, &cuts);
-                assert_structure_matches_establish(&all, &cuts);
+                assert_structure_matches_establish(&all, &cuts, EXACT);
             }
         }
     }
@@ -488,14 +563,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The draws of `ids_equal_the_sequential_reference`, at stride 1,
-    /// 1000 or 2^40, against the structure `establish` builds.
+    /// 1000 or 2^40 and with one of the `SPARE` capacities, against the
+    /// structure `establish` builds.
     #[test]
     fn structure_equals_establish_on_drawn_cuts(
         raw in prop::collection::vec((0u64..12, 0u64..12, 0u32..3, 0u8..4), 0..120),
         cut_seeds in prop::collection::vec(0usize..1000, 15..16),
         stride_pick in 0usize..3,
+        cap_pick in 0usize..SPARE.len(),
     ) {
         let stride = [1, 1000, 1 << 40][stride_pick];
+        let cap = SPARE[cap_pick].1;
         let directed: Vec<(u64, u64, u32)> = raw
             .iter()
             .flat_map(|&(u, v, w, dirs)| {
@@ -506,14 +584,14 @@ proptest! {
             .collect();
         let all = edges(&directed);
         for p in PES {
-            assert_structure_matches_establish(&all, &even_cuts(all.len(), p));
+            assert_structure_matches_establish(&all, &even_cuts(all.len(), p), cap);
             let mut cuts: Vec<usize> = cut_seeds[..p - 1]
                 .iter()
                 .map(|s| s % (all.len() + 1))
                 .collect();
             cuts.extend([0, all.len()]);
             cuts.sort_unstable();
-            assert_structure_matches_establish(&all, &cuts);
+            assert_structure_matches_establish(&all, &cuts, cap);
         }
     }
 }
@@ -540,14 +618,14 @@ proptest! {
         let all = edges(&directed);
         let want = reference(&all);
         for p in PES {
-            prop_assert_eq!(&prepare_cut(&all, &even_cuts(all.len(), p)), &want);
+            prop_assert_eq!(&prepare_cut(&all, &even_cuts(all.len(), p), EXACT), &want);
             let mut cuts: Vec<usize> = cut_seeds[..p - 1]
                 .iter()
                 .map(|s| s % (all.len() + 1))
                 .collect();
             cuts.extend([0, all.len()]);
             cuts.sort_unstable();
-            prop_assert_eq!(&prepare_cut(&all, &cuts), &want);
+            prop_assert_eq!(&prepare_cut(&all, &cuts, EXACT), &want);
         }
     }
 }
