@@ -520,9 +520,9 @@ pub fn exchange_labels(comm: &Comm, g: &DistGraph, labels: &[VertexId]) -> Pulle
 
 /// [`exchange_labels`] for the edges a round relabels — `g.edges`, maybe
 /// handed over already, or the survivors of [`local_contract`], which
-/// keep every edge to a ghost — charged as a scan of `g`'s whole slice.
+/// keep every edge to a ghost — charged as the scan of `edges` it makes.
 fn exchange_labels_of(comm: &Comm, g: &DistGraph, edges: &[CEdge], labels: &[VertexId]) -> Pulled {
-    comm.charge_local(g.segment_offsets().last().map_or(0, |&len| len as u64));
+    comm.charge_local(edges.len() as u64);
     let ghosts = edges.iter().map(|e| e.v).filter(|&v| g.is_ghost(v));
     let table = dense_width(g.id_span(), edges.len());
     let mut table = pull_values(
@@ -695,8 +695,9 @@ pub fn relabel_or_defer<'a>(
 
 impl Relabelled<'_> {
     /// `REDISTRIBUTE`'s local prefilter on the relabelled edges: the
-    /// output and γ of `prefilter_pairs` on [`relabel`]'s output. The
-    /// edges and the label table are released before it returns.
+    /// output of `prefilter_pairs` on [`relabel`]'s output, charged as
+    /// the path that runs. The edges and the label table are released
+    /// before it returns.
     pub fn prefilter(self, comm: &Comm) -> Sorted<CEdge> {
         match self.0 {
             Stage::Rewritten(edges) => prefilter_pairs(comm, &edges),
@@ -838,13 +839,14 @@ fn contractible(g: &DistGraph) -> std::ops::Range<usize> {
 /// segment (sorted by destination) whose two ends lie in that range
 /// counts whole — the common case on a local graph, whose pass then reads
 /// the slice once — and only a straddling one takes two binary searches.
-/// γ is charged for a scan of the slice: the count the paper's gate
-/// takes, and the first round of the pass it decides on.
+/// γ is what the count reads: one unit per contractible vertex, plus
+/// `⌈log₂ len⌉` per straddling segment of `len` edges.
 pub fn excess_locality(comm: &Comm, g: &DistGraph) -> f64 {
     let verts = g.local_vertices();
     let offsets = g.segment_offsets();
     let inner = contractible(g);
     let mut internal = 0u64;
+    let mut ops = inner.len() as u64;
     if !inner.is_empty() {
         let (first, last) = (verts[inner.start], verts[inner.end - 1]);
         for a in inner {
@@ -853,12 +855,13 @@ pub fn excess_locality(comm: &Comm, g: &DistGraph) -> f64 {
             internal += if first <= seg[0].v && seg[seg.len() - 1].v <= last {
                 seg.len()
             } else {
+                ops += u64::from(kamsta_comm::ceil_log2(seg.len()));
                 let from = seg.partition_point(|e| e.v < first);
                 seg[from..].partition_point(|e| e.v <= last)
             } as u64;
         }
     }
-    comm.charge_local(g.edges.len() as u64);
+    comm.charge_local(ops);
     let internal = comm.allreduce_sum(internal);
     let f0 = g.same_pe_chance;
     match g.m_global {
@@ -921,7 +924,7 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
             mst_edge_ids: Vec::new(),
         };
     }
-    contract_scanned(comm, g)
+    contract_local_subtrees(comm, g)
 }
 
 /// Contract purely local subtrees (Sec. IV-A), whatever the locality: the
@@ -954,12 +957,6 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
 /// list. γ is charged per live edge scanned.
 pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome {
     comm.charge_local(g.edges.len() as u64);
-    contract_scanned(comm, g)
-}
-
-/// [`contract_local_subtrees`] once γ for its first scan of the slice is
-/// charged — by the pass itself, or by the gate's count before it.
-fn contract_scanned(comm: &Comm, g: &DistGraph) -> PreprocessOutcome {
     let verts = g.local_vertices();
     let offsets = g.segment_offsets();
     let n = verts.len();
@@ -1266,6 +1263,7 @@ pub fn boruvka_mst(comm: &Comm, input: &InputGraph, cfg: &MstConfig) -> MstResul
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::prefilter::tests::label_walk_ops;
     use kamsta_comm::{Machine, MachineConfig};
 
     #[test]
@@ -1566,8 +1564,10 @@ pub(crate) mod tests {
 
     /// A round's `RELABEL` + prefilter, deferred where
     /// [`relabel_or_defer`] defers it, against [`relabel`] then
-    /// [`prefilter_pairs`]: the same edges and the same γ units, with the
-    /// edges lent (an input graph) and handed over (an owned graph).
+    /// [`prefilter_pairs`]: the same edges, with the edges lent (an input
+    /// graph) and handed over (an owned graph). A round that defers
+    /// charges one unit per edge read plus [`label_walk_ops`]; one that
+    /// does not charges what the reference charges.
     fn assert_round_paths_agree(
         comm: &Comm,
         g: &DistGraph,
@@ -1581,19 +1581,22 @@ pub(crate) mod tests {
         let rewritten = relabel(comm, g, edges, labels, &table);
         let reference = prefilter_pairs(comm, &rewritten).into_inner();
         let reference_ops = comm.stats().local_ops - before;
+        let walk_ops =
+            edges.len() as u64 + label_walk_ops(comm, offsets, labels, rewritten.len(), &reference);
         let cfg = MstConfig::default();
         let mut deferred = Vec::new();
         for edges in [Cow::Borrowed(edges), Cow::Owned(edges.to_vec())] {
             let before = comm.stats().local_ops;
             let staged = relabel_or_defer(comm, g, edges, offsets, labels, table.clone(), &cfg);
             deferred.push(staged.is_deferred());
+            let expect = if staged.is_deferred() {
+                walk_ops
+            } else {
+                reference_ops
+            };
             let out = staged.prefilter(comm).into_inner();
             assert_eq!(out, reference, "{what}: output");
-            assert_eq!(
-                comm.stats().local_ops - before,
-                reference_ops,
-                "{what}: γ units"
-            );
+            assert_eq!(comm.stats().local_ops - before, expect, "{what}: γ units");
         }
         assert_eq!(deferred[0], deferred[1], "{what}: one side for both");
         let loops = rewritten.len() < edges.len();
@@ -1665,16 +1668,19 @@ pub(crate) mod tests {
     }
 
     /// What one PE saw of [`rgg_survivor_round`]: the rewrite was
-    /// deferred, the label table dense, then the output, γ units and
-    /// modeled-seconds bits.
-    type SurvivorRound = (bool, bool, Vec<CEdge>, u64, u64);
+    /// deferred, the label table dense, then the output, the round's γ
+    /// units, the modeled-seconds bits, and the γ units the round should
+    /// charge.
+    type SurvivorRound = (bool, bool, Vec<CEdge>, u64, u64, u64);
 
     /// A round on the survivors of local contraction on an RGG-2D graph,
     /// per PE: whether [`relabel_or_defer`] deferred the rewrite, whether
     /// [`exchange_labels`]' table is dense, and the output, γ units and
     /// modeled-seconds bits of the deferred path (`defer`) or of
     /// [`relabel`] then [`prefilter_pairs`] — each on a machine of its
-    /// own, so both clocks start from the same state.
+    /// own, so both clocks start from the same state. A deferred round
+    /// should charge one unit per edge read plus [`label_walk_ops`], the
+    /// other path what it charged.
     fn rgg_survivor_round(p: usize, t: usize, defer: bool) -> Vec<SurvivorRound> {
         let rgg = kamsta_graph::GraphConfig::Rgg2D {
             n: 1 << 12,
@@ -1692,22 +1698,30 @@ pub(crate) mod tests {
             } = contract_local_subtrees(comm, g);
             let table = exchange_labels(comm, g, &labels);
             let dense = table.is_dense();
+            let (len, kept) = (edges.len(), relabel(comm, g, &edges, &labels, &table).len());
             let cfg = MstConfig::default();
+            let before = comm.stats().local_ops;
             let (deferred, out) = if defer {
                 let staged =
                     relabel_or_defer(comm, g, Cow::Owned(edges), &offsets, &labels, table, &cfg);
-                (staged.is_deferred(), staged.prefilter(comm))
+                (staged.is_deferred(), staged.prefilter(comm).into_inner())
             } else {
                 let rewritten = relabel(comm, g, edges, &labels, &table);
-                (false, prefilter_pairs(comm, &rewritten))
+                (false, prefilter_pairs(comm, &rewritten).into_inner())
             };
             let stats = comm.stats();
+            let ops = stats.local_ops - before;
+            let expect = match deferred {
+                true => len as u64 + label_walk_ops(comm, &offsets, &labels, kept, &out),
+                false => ops,
+            };
             (
                 deferred,
                 dense,
-                out.into_inner(),
-                stats.local_ops,
+                out,
+                ops,
                 stats.modeled_time.to_bits(),
+                expect,
             )
         });
         out.results
@@ -1720,6 +1734,7 @@ pub(crate) mod tests {
         // vertices are adjacent in id order, so its segments form label
         // runs of 8 or more. One PE contracts every edge.
         for p in [1usize, 2, 3] {
+            let single = rgg_survivor_round(p, 1, true);
             for t in [1usize, 2, 8] {
                 let walked = rgg_survivor_round(p, t, true);
                 let rewritten = rgg_survivor_round(p, t, false);
@@ -1732,9 +1747,55 @@ pub(crate) mod tests {
                         assert!(w.1, "{at}: the label table is dense");
                     }
                     assert_eq!(w.2, r.2, "{at}: output");
-                    assert_eq!(w.3, r.3, "{at}: γ units");
-                    assert_eq!(w.4, r.4, "{at}: modeled seconds");
+                    assert_eq!(w.3, w.5, "{at}: γ units");
+                    let (out, ops) = (&single[rank].2, single[rank].3);
+                    assert_eq!((&w.2, w.3), (out, ops), "{at}: against t = 1");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_skipping_gate_charges_what_its_count_reads() {
+        // GNM's gate skips at every p ≥ 2. Its count reads one segment's
+        // ends per contractible vertex and binary-searches the segments
+        // that reach past the contractible range: that, not the slice's
+        // length, is its γ.
+        for p in [2usize, 3] {
+            let out = Machine::run(MachineConfig::new(p), |comm| {
+                let gnm = kamsta_graph::GraphConfig::Gnm {
+                    n: 1 << 10,
+                    m: 1 << 14,
+                };
+                let input = InputGraph::generate(comm, gnm, 5);
+                let g = &input.graph;
+                let before = comm.stats().local_ops;
+                let pre = local_contract(comm, g, &MstConfig::default());
+                let charged = comm.stats().local_ops - before;
+                let verts = g.local_vertices();
+                let inner = usize::from(g.first_shared)..verts.len() - usize::from(g.last_shared);
+                let (first, last) = (verts[inner.start], verts[inner.end - 1]);
+                let searched: u64 = g
+                    .vertex_segments()
+                    .filter(|&(v, _)| first <= v && v <= last)
+                    .map(|(_, range)| &g.edges[range])
+                    .filter(|seg| seg.iter().any(|e| e.v < first || last < e.v))
+                    .map(|seg| u64::from(kamsta_comm::ceil_log2(seg.len())))
+                    .sum();
+                (
+                    pre.applied,
+                    charged,
+                    inner.len() as u64 + searched,
+                    g.edges.len(),
+                )
+            });
+            for (rank, (applied, charged, expect, len)) in out.results.into_iter().enumerate() {
+                assert!(!applied, "p = {p}, rank {rank}: the gate skips");
+                assert_eq!(charged, expect, "p = {p}, rank {rank}: the count's reads");
+                assert!(
+                    2 * charged < len as u64,
+                    "p = {p}, rank {rank}: {charged} of {len}"
+                );
             }
         }
     }

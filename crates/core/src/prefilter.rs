@@ -12,7 +12,7 @@
 use crate::dist::{dense_get, dense_width};
 use kamsta_comm::Comm;
 use kamsta_graph::{CEdge, VertexId};
-use kamsta_sort::{KeyFold, Sorted};
+use kamsta_sort::Sorted;
 
 /// The kernel of both prefilters: of the edges `keep` accepts, the copy
 /// minimal in `(w, id)` of every ordered `(u, v)` pair, in `(u, v)`
@@ -105,12 +105,6 @@ fn prefetch(edges: &[CEdge], at: usize) {
     }
 }
 
-/// The pair key `(u, v)` of `CEdge::pair_key`.
-#[inline]
-fn pair_key(u: VertexId, v: VertexId) -> u128 {
-    u128::from(u) << 64 | u128::from(v)
-}
-
 /// The table `(lo, width)` over a Borůvka round's relabelled
 /// destinations when [`lightest_per_label_pair`] takes the slice: its
 /// `len` edges average [`GROUP_WALK_MIN_RUN`] or more per label run
@@ -152,15 +146,19 @@ pub(crate) fn segment_table(
 /// once per call. Labels ascending, destinations ascending within a
 /// label: the definition's sequence.
 ///
-/// γ is exactly `prefilter_pairs(comm, &relabel(..))`'s: the relabelled
-/// slice's length — the kept count — then the radix order's charge,
-/// from the [`KeyFold`] of the kept pair keys in input order, which is
-/// that slice's order. The walk gathers the fold on the way: the kept
-/// count; the OR and AND, over each group's distinct destinations (a
-/// multiset's are its distinct keys'); and sortedness — each run's
-/// order, tracked until one run is out of order. The first and the last
-/// key, and — only if every run is in order — the runs' boundaries in
-/// input order, are read off the runs' ends afterwards.
+/// γ is the work the walk does. With `kept` the copies offered to the
+/// table (the edges that are not self-loops) and `d` the distinct
+/// destinations of each group, it charges
+///
+/// ```text
+/// order(runs) + kept + Σ_groups d·⌈log₂ d⌉
+/// ```
+///
+/// where `order(runs)` is what `local_radix_order` charges for the runs'
+/// order by label, and a group's destination sort costs what
+/// `local_sort` charges. The one unit per edge read is charged before,
+/// in [`relabel_or_defer`](crate::dist::relabel_or_defer), where
+/// `relabel` charges its own.
 pub(crate) fn lightest_per_label_pair(
     comm: &Comm,
     edges: &[CEdge],
@@ -171,20 +169,13 @@ pub(crate) fn lightest_per_label_pair(
 ) -> Sorted<CEdge> {
     const EMPTY: u32 = u32::MAX;
     let runs: Vec<Run> = label_runs(offsets, labels).collect();
-    let (order, _) = kamsta_sort::radix_order_by_key(&runs, |r| Some(r.u))
+    let order = kamsta_sort::local_radix_order(comm, &runs, |r| Some(r.u))
         .expect("fewer runs than edges, which are u32-indexable");
     let end_of = |r: usize| runs.get(r + 1).map_or(edges.len(), |n| n.start as usize);
-    // The slot of the destination `e` keeps under source `u` — its
-    // label's offset from `lo` — or `None` for a self-loop.
-    let slot_of = |u: VertexId, e: &CEdge| {
-        let label = dense_get(lo, table, e.v).unwrap_or(e.v);
-        (label != u).then(|| (label - lo) as u32)
-    };
     let mut slots: Vec<u32> = vec![EMPTY; table.len()];
     let mut dests: Vec<u32> = Vec::new();
     let mut out = Vec::with_capacity(edges.len());
-    let (mut kept, mut ors, mut ands) = (0usize, 0u128, u128::MAX);
-    let mut runs_sorted = true;
+    let (mut kept, mut sort_ops) = (0u64, 0u64);
     let mut k = 0;
     while k < order.len() {
         let u = runs[order[k] as usize].u;
@@ -194,17 +185,14 @@ pub(crate) fn lightest_per_label_pair(
             if let Some(&ahead) = order.get(k + PREFETCH_RUNS_AHEAD) {
                 prefetch(edges, runs[ahead as usize].start as usize);
             }
-            let mut prev = 0;
             for i in runs[r].start as usize..end_of(r) {
                 let e = &edges[i];
-                let Some(d) = slot_of(u, e) else {
+                let label = dense_get(lo, table, e.v).unwrap_or(e.v);
+                if label == u {
                     continue;
-                };
-                kept += 1;
-                if runs_sorted {
-                    runs_sorted = prev <= d;
-                    prev = d;
                 }
+                kept += 1;
+                let d = (label - lo) as u32;
                 let slot = &mut slots[d as usize];
                 if *slot == EMPTY {
                     *slot = i as u32;
@@ -221,49 +209,16 @@ pub(crate) fn lightest_per_label_pair(
         if dests.is_empty() {
             continue;
         }
+        let n = dests.len();
+        sort_ops += n as u64 * u64::from(kamsta_comm::ceil_log2(n));
         dests.sort_unstable();
-        let (mut or_v, mut and_v) = (0u64, u64::MAX);
         out.extend(dests.drain(..).map(|d| {
             let e = &edges[std::mem::replace(&mut slots[d as usize], EMPTY) as usize];
-            let v = lo + u64::from(d);
-            (or_v, and_v) = (or_v | v, and_v & v);
-            CEdge::new(u, v, e.w, e.id)
+            CEdge::new(u, lo + u64::from(d), e.w, e.id)
         }));
-        ors |= pair_key(u, or_v);
-        ands &= pair_key(u, and_v);
     }
-    // Each run's first and last kept key, in input order.
-    let fold = (kept > 0).then(|| {
-        let mut ends = (0..runs.len()).filter_map(|r| {
-            let u = runs[r].u;
-            let mut keys = (runs[r].start as usize..end_of(r))
-                .filter_map(|i| slot_of(u, &edges[i]).map(|d| pair_key(u, lo + u64::from(d))));
-            let first = keys.next()?;
-            Some((first, keys.next_back().unwrap_or(first)))
-        });
-        let (first, first_run_last) = ends.next().expect("a key was kept");
-        let (last, sorted) = if runs_sorted {
-            // Every run is in order: the sequence is iff its boundaries are.
-            let (mut last, mut sorted) = (first_run_last, true);
-            for (a, b) in ends {
-                sorted &= last <= a;
-                last = b;
-            }
-            (last, sorted)
-        } else {
-            (ends.next_back().map_or(first_run_last, |(_, b)| b), false)
-        };
-        KeyFold::summary(kept, sorted, (ors, ands), (first, last))
-    });
-    comm.charge_local(kept as u64);
-    comm.charge_local(order_charge(kept, fold));
+    comm.charge_local(kept + sort_ops);
     Sorted::assume(out)
-}
-
-/// The γ units `local_radix_order` charges on a slice of `len` edges
-/// whose kept pair keys fold to `fold`.
-fn order_charge(len: usize, fold: Option<KeyFold<u128>>) -> u64 {
-    kamsta_sort::radix_order_charge_of(len, fold).unwrap_or_else(|e| too_long(e))
 }
 
 /// Local keep-lightest-per-pair prefilter used by the `REDISTRIBUTE`
@@ -290,7 +245,7 @@ pub(crate) fn prefilter_unordered(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dist::NOT_ASKED;
     use kamsta_comm::{Machine, MachineConfig};
@@ -677,28 +632,72 @@ mod tests {
         out.results.into_iter().next().unwrap()
     }
 
+    /// The γ units [`lightest_per_label_pair`] charges, computed apart
+    /// from it: what sorting the label runs' labels charges (their order
+    /// by label), one unit per copy `relabel` keeps (`kept`), and, per
+    /// label of the output `out`, its `d` destinations' sort at
+    /// `local_sort`'s rate, `d·⌈log₂ d⌉`. The label sort is charged to
+    /// `comm`.
+    pub(crate) fn label_walk_ops(
+        comm: &Comm,
+        offsets: &[usize],
+        labels: &[VertexId],
+        kept: usize,
+        out: &[CEdge],
+    ) -> u64 {
+        let mut run_labels: Vec<VertexId> = offsets
+            .windows(2)
+            .zip(labels)
+            .filter(|(seg, _)| seg[0] < seg[1])
+            .map(|(_, &u)| u)
+            .collect();
+        run_labels.dedup();
+        let before = comm.stats().local_ops;
+        kamsta_sort::local_radix_sort(comm, &mut run_labels, |&u| u);
+        let order = comm.stats().local_ops - before;
+        let sorts: u64 = out
+            .chunk_by(|a, b| a.u == b.u)
+            .map(|group| group.len() as u64 * u64::from(kamsta_comm::ceil_log2(group.len())))
+            .sum();
+        order + kept as u64 + sorts
+    }
+
     /// The fused kernel against its definition: on a slice before
     /// `relabel`, `lightest_per_label_pair` gives what `prefilter_pairs`
-    /// gives on `relabel`'s output — the same edges, the same γ units and
-    /// the same modeled seconds, bit for bit.
+    /// gives on `relabel`'s output and charges [`label_walk_ops`], with
+    /// `t` pool threads as with one.
     fn assert_fused_matches_relabel_then_prefilter(pre: &Unrelabelled, t: usize, what: &str) {
-        let fused = charged(t, |comm| {
-            lightest_per_label_pair(
-                comm,
-                &pre.edges,
-                &pre.offsets,
-                &pre.labels,
-                &pre.table,
-                pre.lo,
-            )
-            .into_inner()
-        });
+        let fused = |t| {
+            charged(t, |comm| {
+                lightest_per_label_pair(
+                    comm,
+                    &pre.edges,
+                    &pre.offsets,
+                    &pre.labels,
+                    &pre.table,
+                    pre.lo,
+                )
+                .into_inner()
+            })
+        };
+        let walked = fused(t);
         let rewritten = pre.relabel();
         let reference = charged(t, |comm| prefilter_pairs(comm, &rewritten).into_inner());
-        assert_eq!(fused.0, reference.0, "{what}: output, t={t}");
-        assert_eq!(fused.0, reference_prefilter(&rewritten, |_| true), "{what}");
-        assert_eq!(fused.1, reference.1, "{what}: γ units, t={t}");
-        assert_eq!(fused.2, reference.2, "{what}: modeled seconds, t={t}");
+        assert_eq!(walked.0, reference.0, "{what}: output, t={t}");
+        assert_eq!(
+            walked.0,
+            reference_prefilter(&rewritten, |_| true),
+            "{what}"
+        );
+        let expect = Machine::run(MachineConfig::new(1), |comm| {
+            label_walk_ops(comm, &pre.offsets, &pre.labels, rewritten.len(), &walked.0)
+        });
+        assert_eq!(walked.1, expect.results[0], "{what}: γ units, t={t}");
+        if t > 1 {
+            let single = fused(1);
+            assert_eq!(walked.0, single.0, "{what}: output, t={t} against t=1");
+            assert_eq!(walked.1, single.1, "{what}: γ units, t={t} against t=1");
+        }
     }
 
     #[test]

@@ -120,7 +120,8 @@ impl InputGraph {
     /// so every claim resolves to that copy — one direction per MSF edge
     /// globally, independent of which stage or direction claimed it.
     /// Returns this PE's original edges that belong to the MSF, sorted.
-    /// Collective.
+    /// γ is the routed ids' sort, by what it ran, then one unit per id
+    /// looked up. Collective.
     ///
     /// # Panics
     ///
@@ -132,12 +133,9 @@ impl InputGraph {
             .map(|id| (home_of_id(&self.id_offsets, id), id))
             .collect();
         let mut mine = kamsta_comm::route(comm, items);
-        kamsta_sort::radix_sort_keys(&mut mine);
+        kamsta_sort::local_radix_sort(comm, &mut mine, |&id| id);
         mine.dedup();
-        // The paper decodes its compressed copy front to back here; the
-        // charge models that scan, so the solve-window counters stay
-        // those of the paper's design.
-        comm.charge_local(self.graph.edges.len() as u64);
+        comm.charge_local(mine.len() as u64);
         let (first_id, slice) = (self.id_offsets[comm.rank()], &self.graph.edges);
         mine.into_iter()
             .map(|id| {

@@ -38,14 +38,11 @@ mod sample;
 
 pub use balance::{is_globally_sorted, rebalance};
 pub use hypercube::hypercube_quicksort;
-pub use local::{
-    local_radix_order, local_radix_sort, local_sort, radix_order_charge, radix_order_charge_of,
-    Sorted,
-};
+pub use local::{local_radix_order, local_radix_sort, local_sort, Sorted};
 pub use merge::merge_runs;
 pub use radix::{
-    par_radix_sort_by_key, radix_order_by_key, radix_sort_by_key, radix_sort_keys, KeyFold,
-    RadixKey, SortOutcome, TooLongForRadix,
+    par_radix_sort_by_key, radix_order_by_key, radix_sort_by_key, radix_sort_keys, RadixKey,
+    SortOutcome, TooLongForRadix,
 };
 pub use sample::{sample_sort_by_key, sample_sort_sorted};
 

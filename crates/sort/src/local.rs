@@ -1,8 +1,8 @@
 //! Local sorting kernels with hybrid (rayon) parallelism.
 
 use crate::radix::{
-    order_outcome, par_radix_order_by_key, par_radix_sort_by_key, sorted_outcome, KeyFold,
-    RadixKey, SortOutcome, TooLongForRadix,
+    par_radix_order_by_key, par_radix_sort_by_key, sorted_outcome, RadixKey, SortOutcome,
+    TooLongForRadix,
 };
 use kamsta_comm::Comm;
 use rayon::prelude::*;
@@ -122,35 +122,10 @@ pub fn local_radix_order<T: Sync, K: RadixKey + Send + Sync>(
     Ok(order)
 }
 
-/// The γ units [`local_radix_order`] charges on a slice of `len`
-/// elements whose kept keys, in input order, are `keys` — for a caller
-/// that reaches the same order another way and charges what the engine
-/// would have (`REDISTRIBUTE`'s prefilter, DESIGN.md §14). The same
-/// plan decides, and nothing is sorted: the keys are read once, to the
-/// end, so the caller's own scan can ride along. A slice past the `u32`
-/// index range is refused as [`local_radix_order`] refuses it.
-pub fn radix_order_charge<K: RadixKey>(
-    len: usize,
-    keys: impl IntoIterator<Item = K>,
-) -> Result<u64, TooLongForRadix> {
-    radix_order_charge_of(len, KeyFold::of(keys.into_iter()))
-}
-
-/// [`radix_order_charge`] from the [`KeyFold`] of the kept keys in input
-/// order (`None` when nothing is kept) rather than from the keys — for a
-/// caller that meets the keys segment by segment and joins the segments'
-/// folds in input order.
-pub fn radix_order_charge_of<K: RadixKey>(
-    len: usize,
-    fold: Option<KeyFold<K>>,
-) -> Result<u64, TooLongForRadix> {
-    let (kept, outcome) = order_outcome(len, fold)?;
-    Ok(outcome_ops(kept, outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::{radix_sort_keys, KeyFold};
     use kamsta_comm::{Machine, MachineConfig};
 
     #[test]
@@ -189,10 +164,12 @@ mod tests {
     }
 
     #[test]
-    fn order_charge_is_what_the_order_charges() {
+    fn order_charges_what_the_sort_charges() {
         // Every plan: nothing, one element, the small-slice cutoff (96)
-        // and past it, sorted, radix and comparison keys, with elements
-        // dropped in between — on both sides of the parallel cutoff.
+        // and past it, sorted, radix and comparison keys, on both sides
+        // of the parallel cutoff. With every element kept the order
+        // charges what sorting the keys charges; with elements dropped in
+        // between it still charges the same at every t.
         let shapes: Vec<Vec<u64>> = vec![
             vec![],
             vec![7],
@@ -204,20 +181,26 @@ mod tests {
                 .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .collect(),
         ];
-        let keep = |&x: &u64| (x % 3 != 1).then_some(x);
-        for t in [1usize, 4] {
-            for data in &shapes {
-                let data = data.clone();
-                let out = Machine::run(MachineConfig::new(1).with_threads(t), move |comm| {
-                    local_radix_order(comm, &data, keep).unwrap();
-                    let charged = comm.stats().local_ops;
-                    (
-                        charged,
-                        radix_order_charge(data.len(), data.iter().filter_map(keep)),
-                    )
-                });
-                let (charged, predicted) = out.results[0];
-                assert_eq!(predicted, Ok(charged), "t={t}");
+        type Keep = fn(&u64) -> Option<u64>;
+        let keeps: [Keep; 2] = [|&x| Some(x), |&x| (x % 3 != 1).then_some(x)];
+        for data in &shapes {
+            for (dropping, keep) in keeps.into_iter().enumerate() {
+                let charges = |t: usize| {
+                    let out = Machine::run(MachineConfig::new(1).with_threads(t), |comm| {
+                        local_radix_order(comm, data, keep).unwrap();
+                        let order = comm.stats().local_ops;
+                        local_radix_sort(comm, &mut data.clone(), |&k| k);
+                        (order, comm.stats().local_ops - order)
+                    });
+                    out.results[0]
+                };
+                let (order, sort) = charges(1);
+                if dropping == 0 {
+                    assert_eq!(order, sort, "{} keys", data.len());
+                }
+                for t in [2usize, 8] {
+                    assert_eq!(charges(t), (order, sort), "{} keys, t={t}", data.len());
+                }
             }
         }
     }
@@ -252,8 +235,11 @@ mod tests {
         ];
         for (what, keys, plan) in &shapes {
             let scan = KeyFold::of(keys.iter().copied());
-            let (_, outcome) = order_outcome(keys.len(), scan).unwrap();
-            assert_eq!(outcome, *plan, "{what}: the plan");
+            assert_eq!(
+                radix_sort_keys(&mut keys.clone()),
+                *plan,
+                "{what}: the plan"
+            );
             let inside_runs: Vec<usize> = (1..keys.len())
                 .filter(|&i| keys[i - 1] == keys[i])
                 .collect();
@@ -271,11 +257,6 @@ mod tests {
                     .filter_map(|w| KeyFold::of(keys[w[0]..w[1]].iter().copied()))
                     .reduce(KeyFold::join);
                 assert_eq!(joined, scan, "{what}: cuts {cuts:?}");
-                assert_eq!(
-                    radix_order_charge_of(keys.len(), joined),
-                    radix_order_charge(keys.len(), keys.iter().copied()),
-                    "{what}: the charge"
-                );
             }
         }
     }

@@ -224,11 +224,9 @@ fn check_indexable(len: usize) -> Result<(), TooLongForRadix> {
 /// that tell constant bytes from active ones. `join` is associative, so
 /// the folds of consecutive segments joined in segment order *equal* the
 /// scan over their concatenation — they are not approximations of it —
-/// which lets a caller that meets the segments in another order charge
-/// what the scan would
-/// ([`radix_order_charge_of`](crate::radix_order_charge_of)).
+/// which lets [`par_fold`] reach the sequential scan's plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KeyFold<K> {
+pub(crate) struct KeyFold<K> {
     kept: usize,
     sorted: bool,
     ors: K,
@@ -240,7 +238,7 @@ pub struct KeyFold<K> {
 impl<K: RadixKey> KeyFold<K> {
     /// The fold of the one key `k`.
     #[inline]
-    pub fn new(k: K) -> Self {
+    fn new(k: K) -> Self {
         KeyFold {
             kept: 1,
             sorted: true,
@@ -253,7 +251,7 @@ impl<K: RadixKey> KeyFold<K> {
 
     /// Fold in `k`, the key after the last one folded.
     #[inline]
-    pub fn push(&mut self, k: K) {
+    fn push(&mut self, k: K) {
         self.kept += 1;
         self.sorted &= self.last <= k;
         self.last = k;
@@ -261,31 +259,8 @@ impl<K: RadixKey> KeyFold<K> {
         self.ands = K::bit_and(self.ands, k);
     }
 
-    /// The fold of a sequence of `kept ≥ 1` keys known by its summary:
-    /// their OR and AND, the first and the last key, and whether they are
-    /// in order — for a caller that gathers those in another order than
-    /// the sequence's (the OR and AND of a multiset are those of its
-    /// distinct keys, in any order).
-    pub fn summary(kept: usize, sorted: bool, (ors, ands): (K, K), (first, last): (K, K)) -> Self {
-        debug_assert!(kept >= 1, "a fold holds at least one key");
-        KeyFold {
-            kept,
-            sorted,
-            ors,
-            ands,
-            first,
-            last,
-        }
-    }
-
-    /// The number of keys folded.
-    #[inline]
-    pub fn count(&self) -> usize {
-        self.kept
-    }
-
     /// The fold of `keys` in order; `None` when there are none.
-    pub fn of(mut keys: impl Iterator<Item = K>) -> Option<Self> {
+    pub(crate) fn of(mut keys: impl Iterator<Item = K>) -> Option<Self> {
         let mut f = KeyFold::new(keys.next()?);
         for k in keys {
             f.push(k);
@@ -294,7 +269,7 @@ impl<K: RadixKey> KeyFold<K> {
     }
 
     /// The fold of `self`'s keys followed by `right`'s.
-    pub fn join(self, right: Self) -> Self {
+    pub(crate) fn join(self, right: Self) -> Self {
         KeyFold {
             kept: self.kept + right.kept,
             sorted: self.sorted && right.sorted && self.last <= right.first,
@@ -350,22 +325,6 @@ fn plan<K: RadixKey>(
         active,
         kept: f.kept,
     })
-}
-
-/// How [`radix_order_by_key`] would run on a slice of `len` elements
-/// whose kept keys, in input order, fold to `fold`, and how many keys
-/// there are — the plan without the order.
-pub(crate) fn order_outcome<K: RadixKey>(
-    len: usize,
-    fold: Option<KeyFold<K>>,
-) -> Result<(usize, SortOutcome), TooLongForRadix> {
-    let kept = fold.as_ref().map_or(0, |f| f.kept);
-    let outcome = match plan(len, || fold)? {
-        Plan::Sorted => SortOutcome::AlreadySorted,
-        Plan::Compare => SortOutcome::Comparison,
-        Plan::Radix { active, .. } => SortOutcome::Radix(active.len()),
-    };
-    Ok((kept, outcome))
 }
 
 /// How the in-place sorters run on a slice of `len` elements that is

@@ -59,7 +59,8 @@ fn boruvka_round_counters_are_pinned() {
         scale: 12,
         m: 1 << 15,
     };
-    // Recorded before the round's relabel was fused into the prefilter.
+    // Recorded once the gate, the label walk and `REDISTRIBUTE MST`
+    // charged the work they run.
     let pins = [
         (
             gnm,
@@ -67,8 +68,8 @@ fn boruvka_round_counters_are_pinned() {
             Counters {
                 messages: 204,
                 bytes: 3574536,
-                modeled_bits: 4565547403075490706,
-                local_ops: [33024, 59518, 44629, 129162, 477140, 69654, 0, 0],
+                modeled_bits: 4565570106405759424,
+                local_ops: [17461, 59518, 44629, 129162, 515423, 48906, 0, 0],
             },
         ),
         (
@@ -77,8 +78,8 @@ fn boruvka_round_counters_are_pinned() {
             Counters {
                 messages: 501,
                 bytes: 3798688,
-                modeled_bits: 4565916460627812978,
-                local_ops: [33024, 59518, 49806, 138460, 529047, 69654, 0, 0],
+                modeled_bits: 4565915541979958110,
+                local_ops: [17583, 59518, 49806, 138460, 562425, 48906, 0, 0],
             },
         ),
         (
@@ -87,8 +88,8 @@ fn boruvka_round_counters_are_pinned() {
             Counters {
                 messages: 106,
                 bytes: 1134888,
-                modeled_bits: 4560087054765702428,
-                local_ops: [32650, 32650, 14465, 69466, 198297, 57805, 0, 0],
+                modeled_bits: 4559749765273686686,
+                local_ops: [8232, 32650, 14465, 69466, 168011, 32724, 0, 0],
             },
         ),
         (
@@ -97,8 +98,8 @@ fn boruvka_round_counters_are_pinned() {
             Counters {
                 messages: 261,
                 bytes: 1260576,
-                modeled_bits: 4561082782340685154,
-                local_ops: [32650, 32650, 15932, 72432, 216750, 57805, 0, 0],
+                modeled_bits: 4560911830829330868,
+                local_ops: [8340, 32650, 15932, 72432, 195342, 32724, 0, 0],
             },
         ),
     ];
