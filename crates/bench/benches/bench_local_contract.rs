@@ -3,11 +3,14 @@
 //! (`contract_local_subtrees`) at p = 2 on the three locality regimes —
 //! 2D-RGG (almost everything contracts), 2D-grid (low degree, long
 //! Borůvka chains) and GNM (half the edges cross, most components sit
-//! out early, the live list stays long). The ratio says how much more
-//! the pass costs where locality is absent. `gnm_gate_ms` is what the
-//! pipeline pays on GNM instead: `local_contract`, whose gate skips the
-//! pass there. Each PE's slice is generated once per row; the calls run
-//! in lockstep on it.
+//! out early). The live list holds one copy of each internal edge, so
+//! where almost nothing contracts, as on GNM, most internal edges
+//! survive and the pass writes their back copies from a walk of the
+//! segments they enter: the ratio says how much more the pass costs
+//! where locality is absent. `gnm_gate_ms` is what the pipeline pays on
+//! GNM instead: `local_contract`, whose gate skips the pass there. Each
+//! PE's slice is generated once per row; the calls run in lockstep on
+//! it.
 
 use kamsta::{GraphConfig, MstConfig};
 use kamsta_bench::{lockstep_ms, lockstep_row, ms_cell, ratio_cell, Table, BENCH_PES, SAMPLES};

@@ -820,32 +820,20 @@ fn contractible(g: &DistGraph) -> std::ops::Range<usize> {
     lo..(n - usize::from(g.last_shared)).max(lo)
 }
 
-/// The locality of `g` beyond what its partition alone gives a graph —
-/// the quantity the Sec. IV-A gate of [`local_contract`] reads. With `f`
-/// the fraction of edges whose endpoints are both contractible on one PE
-/// and `f₀ = Σᵢ (mᵢ/m)²` (`DistGraph::same_pe_chance`), it returns
-/// `e = (f − f₀)/(1 − f₀)`. In a symmetric edge list a random edge's
-/// destination lies on PE `i` with probability `mᵢ/m`, so a graph without
-/// locality reads `f ≈ f₀` (`1/p` for equal slices; RMAT's unequal ones
-/// need no vertex count) and `e ≈ 0` at every `p`; `e = 1` when no edge
-/// leaves its PE's contractible vertices, and when one PE holds every
-/// edge (always at `p = 1`). 0 for the empty graph. Collective (one
-/// allreduce); the same value on every PE.
-///
-/// The count reads segment ends, not the slice: under the symmetric
-/// closure every destination between two sources of this slice is a
-/// source of it, so a contractible vertex's internal edges are its
-/// destinations between the first and the last contractible vertex. A
-/// segment (sorted by destination) whose two ends lie in that range
-/// counts whole — the common case on a local graph, whose pass then reads
-/// the slice once — and only a straddling one takes two binary searches.
-/// γ is what the count reads: one unit per contractible vertex, plus
-/// `⌈log₂ len⌉` per straddling segment of `len` edges.
-pub fn excess_locality(comm: &Comm, g: &DistGraph) -> f64 {
+/// The edges of `g` whose source and destination are both contractible,
+/// and the γ units their count reads. Under the symmetric closure every
+/// destination between two sources of this slice is a source of it, so a
+/// contractible vertex's internal edges are its destinations between the
+/// first and the last contractible vertex. A segment (sorted by
+/// destination) whose two ends lie in that range counts whole — the
+/// common case on a local graph — and only a straddling one takes two
+/// binary searches: one unit per contractible vertex, plus `⌈log₂ len⌉`
+/// per straddling segment of `len` edges.
+fn internal_edges(g: &DistGraph) -> (usize, u64) {
     let verts = g.local_vertices();
     let offsets = g.segment_offsets();
     let inner = contractible(g);
-    let mut internal = 0u64;
+    let mut internal = 0usize;
     let mut ops = inner.len() as u64;
     if !inner.is_empty() {
         let (first, last) = (verts[inner.start], verts[inner.end - 1]);
@@ -858,51 +846,81 @@ pub fn excess_locality(comm: &Comm, g: &DistGraph) -> f64 {
                 ops += u64::from(kamsta_comm::ceil_log2(seg.len()));
                 let from = seg.partition_point(|e| e.v < first);
                 seg[from..].partition_point(|e| e.v <= last)
-            } as u64;
+            };
         }
     }
+    (internal, ops)
+}
+
+/// The locality of `g` beyond what its partition alone gives a graph —
+/// the quantity the Sec. IV-A gate of [`local_contract`] reads. With `f`
+/// the fraction of edges whose endpoints are both contractible on one PE
+/// and `f₀ = Σᵢ (mᵢ/m)²` (`DistGraph::same_pe_chance`), it returns
+/// `e = (f − f₀)/(1 − f₀)`. In a symmetric edge list a random edge's
+/// destination lies on PE `i` with probability `mᵢ/m`, so a graph without
+/// locality reads `f ≈ f₀` (`1/p` for equal slices; RMAT's unequal ones
+/// need no vertex count) and `e ≈ 0` at every `p`; `e = 1` when no edge
+/// leaves its PE's contractible vertices, and when one PE holds every
+/// edge (always at `p = 1`). 0 for the empty graph. Collective (one
+/// allreduce); the same value on every PE.
+///
+/// The count reads segment ends, not the slice ([`internal_edges`]), and
+/// γ is what it reads.
+pub fn excess_locality(comm: &Comm, g: &DistGraph) -> f64 {
+    locality(comm, g).1
+}
+
+/// This PE's [`internal_edges`] and the [`excess_locality`] of `g`.
+/// Collective.
+fn locality(comm: &Comm, g: &DistGraph) -> (usize, f64) {
+    let (internal, ops) = internal_edges(g);
     comm.charge_local(ops);
-    let internal = comm.allreduce_sum(internal);
+    let all = comm.allreduce_sum(internal as u64);
     let f0 = g.same_pe_chance;
-    match g.m_global {
+    let excess = match g.m_global {
         0 => 0.0,
         _ if f0 >= 1.0 => 1.0,
-        m => (internal as f64 / m as f64 - f0) / (1.0 - f0),
-    }
+        m => (all as f64 / m as f64 - f0) / (1.0 - f0),
+    };
+    (internal, excess)
 }
 
 /// A live edge of [`contract_local_subtrees`]: the current components of
-/// its endpoints and its position in the slice (12 bytes per local edge).
+/// its endpoints, its position in the slice and its weight (16 bytes).
+/// An internal edge is live once, as its copy from the smaller local
+/// index; an edge that leaves the contractible set, as its one copy here.
 #[derive(Clone, Copy)]
 struct LiveEdge {
-    /// Component of the source, always a contractible vertex's.
+    /// Component of the source, a contractible vertex's.
     a: u32,
     /// Component of the destination; the sentinel `n` (the number of
     /// local vertices) when the destination is not contractible here.
     b: u32,
     /// Index into `g.edges`.
     pos: u32,
+    w: Weight,
 }
 
 /// A component's lightest live edge so far this round.
 #[derive(Clone, Copy)]
 struct Lightest {
     w: Weight,
-    id: u64,
+    /// Index into `g.edges`: the id there breaks a weight tie and is the
+    /// one emitted.
+    pos: u32,
     /// The component across the edge (or the not-contractible sentinel).
     to: u32,
 }
 
-/// Keep `e`, which leads to component `to`, if it is lighter than what
-/// `slot` holds.
+/// Keep the edge at `pos` of `edges`, of weight `w`, which leads to
+/// component `to`, if it is lighter by `(w, id)` than what `slot` holds.
+/// The ids are read only when the weights tie.
 #[inline]
-fn offer(slot: &mut Option<Lightest>, e: &CEdge, to: u32) {
-    if slot.is_none_or(|l| (e.w, e.id) < (l.w, l.id)) {
-        *slot = Some(Lightest {
-            w: e.w,
-            id: e.id,
-            to,
-        });
+fn offer(slot: &mut Option<Lightest>, edges: &[CEdge], w: Weight, pos: u32, to: u32) {
+    let lighter =
+        |l: Lightest| w < l.w || (w == l.w && edges[pos as usize].id < edges[l.pos as usize].id);
+    if slot.is_none_or(lighter) {
+        *slot = Some(Lightest { w, pos, to });
     }
 }
 
@@ -914,7 +932,7 @@ fn offer(slot: &mut Option<Lightest>, e: &CEdge, to: u32) {
 /// an excess near 0 and skip it at every `p ≥ 2`; grids, RGGs and RHG
 /// take it (module doc). Collective.
 pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> PreprocessOutcome {
-    let excess = excess_locality(comm, g);
+    let (internal, excess) = locality(comm, g);
     if !(cfg.preprocessing && excess >= PREPROCESS_MIN_EXCESS_LOCALITY) {
         return PreprocessOutcome {
             edges: Vec::new(),
@@ -924,7 +942,7 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
             mst_edge_ids: Vec::new(),
         };
     }
-    contract_local_subtrees(comm, g)
+    contract_subtrees(comm, g, internal)
 }
 
 /// Contract purely local subtrees (Sec. IV-A), whatever the locality: the
@@ -948,19 +966,41 @@ pub fn local_contract(comm: &Comm, g: &DistGraph, cfg: &MstConfig) -> Preprocess
 /// union-find picks its roots.
 ///
 /// **Containers.** Everything is keyed by the local index of
-/// [`DistGraph::local_vertices`]. Endpoints are resolved to local indices
-/// once; after that a round is one pass over the *live* edges — those
-/// whose endpoints are still in different components — that refreshes
-/// both endpoint labels from a flat array, drops the edges that became
-/// internal (for good) and keeps each open component's minimum in a
-/// vector. The live list that remains at the end is the surviving edge
-/// list. γ is charged per live edge scanned.
+/// [`DistGraph::local_vertices`]. One *resolve scan* reads the slice: it
+/// resolves each destination to a local index, offers every copy to its
+/// source — round 1's minima, since every vertex is a component and its
+/// segment holds all its edges — and writes the *live* list, 16 bytes an
+/// entry, reserved from the [`internal_edges`] count: one entry per
+/// internal edge, its copy from the smaller local index, and one per edge
+/// that leaves the contractible set. A later round reads only the live
+/// list: it refreshes both endpoint labels from a flat array, drops the
+/// edges that became internal (for good) and offers each remaining edge
+/// to both its components while they are open. The weight rides in the
+/// entry, so the slice is read again only for an id, to break a weight
+/// tie or to emit it. The list that remains names every survivor once.
+/// One walk writes them in input order: the live edges, and in each
+/// segment that a surviving internal edge enters, the back copies whose
+/// ends lie in different components.
+///
+/// γ is the resolve scan (one unit per edge of the slice), plus the live
+/// edges each later round scans, plus the survivors written. The back
+/// copies the walk reads in an entered segment lie in the slice the
+/// resolve scan charged. The count of internal edges is the gate's,
+/// charged by [`excess_locality`]; a call on its own counts them again,
+/// uncharged.
 pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome {
+    contract_subtrees(comm, g, internal_edges(g).0)
+}
+
+/// [`contract_local_subtrees`] with this PE's [`internal_edges`] counted
+/// already: they size the live list.
+fn contract_subtrees(comm: &Comm, g: &DistGraph, internal: usize) -> PreprocessOutcome {
     comm.charge_local(g.edges.len() as u64);
+    let edges = &g.edges[..];
     let verts = g.local_vertices();
     let offsets = g.segment_offsets();
     let n = verts.len();
-    assert!(g.edges.len() < u32::MAX as usize, "edge positions are u32");
+    assert!(edges.len() < u32::MAX as usize, "edge positions are u32");
     let std::ops::Range { start: lo, end: hi } = contractible(g);
     let none = n as u32;
 
@@ -968,11 +1008,14 @@ pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome 
     // the source is the segment number, the destination one lookup. The
     // same pass is the first round's scan: every vertex is a component,
     // its segment holds all its edges, self-loops are internal already.
-    let mut live: Vec<LiveEdge> = Vec::with_capacity(offsets[hi] - offsets[lo]);
+    // The sentinel exceeds every index, so `b > a` keeps the forward
+    // copies and every edge that leaves the set: all copies less at least
+    // half the internal ones.
+    let mut live: Vec<LiveEdge> = Vec::with_capacity(offsets[hi] - offsets[lo] - internal / 2);
     let mut lightest: Vec<Option<Lightest>> = vec![None; n];
     for a in lo..hi {
         for pos in offsets[a]..offsets[a + 1] {
-            let e = &g.edges[pos];
+            let e = &edges[pos];
             let b = match g.local_index(e.v) {
                 Some(b) if (lo..hi).contains(&b) => b as u32,
                 _ => none,
@@ -980,22 +1023,28 @@ pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome 
             if b == a as u32 {
                 continue;
             }
-            live.push(LiveEdge {
-                a: a as u32,
-                b,
-                pos: pos as u32,
-            });
-            offer(&mut lightest[a], e, b);
+            let pos = pos as u32;
+            offer(&mut lightest[a], edges, e.w, pos, b);
+            if b > a as u32 {
+                live.push(LiveEdge {
+                    a: a as u32,
+                    b,
+                    pos,
+                    w: e.w,
+                });
+            }
         }
     }
 
     let mut uf = UnionFind::new(n);
     // Current component of every vertex that was a component root when
     // the previous round ended — the only indices live edges carry. The
-    // extra slot maps the not-contractible sentinel to itself.
+    // extra slots map the not-contractible sentinel to itself and keep it
+    // out of every round.
     let mut label: Vec<u32> = (0..=none).collect();
     let mut roots: Vec<u32> = (lo as u32..hi as u32).collect();
-    let mut sits_out = vec![false; n];
+    let mut sits_out = vec![false; n + 1];
+    sits_out[n] = true;
     let mut mst_edge_ids: Vec<u64> = Vec::new();
     loop {
         // Merge along the minima. The mutual minimum of two components is
@@ -1009,7 +1058,7 @@ pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome 
             if best.to == none {
                 sits_out[c as usize] = true;
             } else if uf.union(c, best.to) {
-                mst_edge_ids.push(best.id);
+                mst_edge_ids.push(edges[best.pos as usize].id);
             }
         }
         if mst_edge_ids.len() == emitted {
@@ -1026,19 +1075,22 @@ pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome 
         roots.retain(|&c| label[c as usize] == c);
 
         // One pass over the live edges: refresh both labels, drop what
-        // became internal, take the open components' minima.
+        // became internal, offer the rest to both open sides.
         comm.charge_local(live.len() as u64);
         let mut kept = 0usize;
         for k in 0..live.len() {
-            let LiveEdge { a, b, pos } = live[k];
+            let LiveEdge { a, b, pos, w } = live[k];
             let (a, b) = (label[a as usize], label[b as usize]);
             if a == b {
                 continue;
             }
-            live[kept] = LiveEdge { a, b, pos };
+            live[kept] = LiveEdge { a, b, pos, w };
             kept += 1;
             if !sits_out[a as usize] {
-                offer(&mut lightest[a as usize], &g.edges[pos as usize], b);
+                offer(&mut lightest[a as usize], edges, w, pos, b);
+            }
+            if !sits_out[b as usize] {
+                offer(&mut lightest[b as usize], edges, w, pos, a);
             }
         }
         live.truncate(kept);
@@ -1047,12 +1099,13 @@ pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome 
     // The rounds' state is dead: release it before the outcome is built.
     drop((lightest, label, roots, sits_out));
 
-    // Representative per component: the minimum member, which an
-    // ascending walk meets first.
+    // Every vertex's component, and its representative: the minimum
+    // member, which an ascending walk meets first.
+    let comp: Vec<u32> = (0..n as u32).map(|i| uf.find(i)).collect();
     let mut rep: Vec<VertexId> = vec![VertexId::MAX; n];
     let labels: Vec<VertexId> = (0..n)
         .map(|i| {
-            let r = uf.find(i as u32) as usize;
+            let r = comp[i] as usize;
             if rep[r] == VertexId::MAX {
                 rep[r] = verts[i];
             }
@@ -1060,27 +1113,62 @@ pub fn contract_local_subtrees(comm: &Comm, g: &DistGraph) -> PreprocessOutcome 
         })
         .collect();
 
-    // Survivors in input order: a shared first vertex's edges, the live
-    // list segment by segment, a shared last vertex's edges.
-    let survivors = offsets[lo] + live.len() + (g.edges.len() - offsets[hi]);
+    // Survivors in input order, one walk: a shared first vertex's edges,
+    // then segment by segment the live edges and the surviving back
+    // copies, a shared last vertex's edges. The back copy of `a → b`
+    // (`a < b`) lies in the later segment `b`, among its destinations from
+    // the first contractible vertex up to `verts[b]`: copying a surviving
+    // forward edge marks `b`, and only a marked segment has that range
+    // read, keeping the copies whose ends lie in different components.
+    let back = live.iter().filter(|l| l.b != none).count();
+    let survivors = offsets[lo] + live.len() + back + (edges.len() - offsets[hi]);
     comm.charge_local(survivors as u64);
-    let mut edges: Vec<CEdge> = Vec::with_capacity(survivors);
+    let mut out: Vec<CEdge> = Vec::with_capacity(survivors);
     let mut seg_offsets: Vec<usize> = Vec::with_capacity(n + 1);
-    edges.extend_from_slice(&g.edges[..offsets[lo]]);
+    out.extend_from_slice(&edges[..offsets[lo]]);
     seg_offsets.extend_from_slice(&offsets[..=lo]);
+    let mut entered = vec![false; n];
     let mut live = live.iter().peekable();
-    for &end in &offsets[lo + 1..=hi] {
-        while let Some(l) = live.next_if(|l| (l.pos as usize) < end) {
-            edges.push(g.edges[l.pos as usize]);
+    let mut live_below = |bound: usize, out: &mut Vec<CEdge>, entered: &mut [bool]| {
+        while let Some(l) = live.next_if(|l| (l.pos as usize) < bound) {
+            let e = &edges[l.pos as usize];
+            out.push(*e);
+            if l.b != none {
+                let b = g
+                    .local_index(e.v)
+                    .expect("an internal destination is local");
+                entered[b] = true;
+            }
         }
-        seg_offsets.push(edges.len());
+    };
+    for x in lo..hi {
+        let (mut from, end) = (offsets[x], offsets[x + 1]);
+        if entered[x] {
+            // The segment's destinations ascend: the ghosts below the
+            // contractible range (live edges), then the back copies.
+            while from < end && edges[from].v < verts[lo] {
+                from += 1;
+            }
+            live_below(from, &mut out, &mut entered);
+            for e in edges[from..end].iter().take_while(|e| e.v < verts[x]) {
+                let y = g
+                    .local_index(e.v)
+                    .expect("a back copy leads to a local vertex");
+                if comp[y] != comp[x] {
+                    out.push(*e);
+                }
+            }
+        }
+        live_below(end, &mut out, &mut entered);
+        seg_offsets.push(out.len());
     }
-    let shift = edges.len();
-    edges.extend_from_slice(&g.edges[offsets[hi]..]);
+    debug_assert_eq!(out.len() + edges.len() - offsets[hi], survivors);
+    let shift = out.len();
+    out.extend_from_slice(&edges[offsets[hi]..]);
     seg_offsets.extend(offsets[hi + 1..].iter().map(|&o| shift + (o - offsets[hi])));
 
     PreprocessOutcome {
-        edges,
+        edges: out,
         offsets: seg_offsets,
         labels,
         applied: true,
@@ -1853,5 +1941,317 @@ pub(crate) mod tests {
         let all: Vec<CEdge> = out.results.iter().flat_map(|(_, e)| e.clone()).collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].w, all[1].w, "surviving weights symmetric");
+    }
+
+    /// The Sec. IV-A pass as it stood with both copies of every internal
+    /// edge live, each visit reading its record from the slice: the
+    /// reference [`contract_local_subtrees`] must reproduce exactly.
+    mod local_contract_oracle {
+        use super::super::*;
+        use kamsta_comm::{Machine, MachineConfig};
+        use kamsta_graph::io::{distribute_from_root, symmetrize};
+        use kamsta_graph::{GraphConfig, WEdge};
+
+        #[derive(Clone, Copy)]
+        struct LiveEdge {
+            a: u32,
+            b: u32,
+            pos: u32,
+        }
+
+        #[derive(Clone, Copy)]
+        struct Lightest {
+            w: Weight,
+            id: u64,
+            to: u32,
+        }
+
+        fn offer(slot: &mut Option<Lightest>, e: &CEdge, to: u32) {
+            if slot.is_none_or(|l| (e.w, e.id) < (l.w, l.id)) {
+                *slot = Some(Lightest {
+                    w: e.w,
+                    id: e.id,
+                    to,
+                });
+            }
+        }
+
+        /// The two-copy pass, and for every round after the resolve scan
+        /// how many of its live edges are a forward copy (source below
+        /// destination by local index) or leave the contractible set —
+        /// the one-copy live list of that round.
+        fn reference(g: &DistGraph) -> (PreprocessOutcome, Vec<usize>) {
+            let verts = g.local_vertices();
+            let offsets = g.segment_offsets();
+            let n = verts.len();
+            let std::ops::Range { start: lo, end: hi } = contractible(g);
+            let none = n as u32;
+
+            let mut live: Vec<LiveEdge> = Vec::new();
+            // Positions of the forward copies and of the edges that leave.
+            let mut forward: Vec<u32> = Vec::new();
+            let mut lightest: Vec<Option<Lightest>> = vec![None; n];
+            for a in lo..hi {
+                for pos in offsets[a]..offsets[a + 1] {
+                    let e = &g.edges[pos];
+                    let b = match g.local_index(e.v) {
+                        Some(b) if (lo..hi).contains(&b) => b as u32,
+                        _ => none,
+                    };
+                    if b == a as u32 {
+                        continue;
+                    }
+                    if b > a as u32 {
+                        forward.push(pos as u32);
+                    }
+                    live.push(LiveEdge {
+                        a: a as u32,
+                        b,
+                        pos: pos as u32,
+                    });
+                    offer(&mut lightest[a], e, b);
+                }
+            }
+
+            let mut uf = UnionFind::new(n);
+            let mut label: Vec<u32> = (0..=none).collect();
+            let mut roots: Vec<u32> = (lo as u32..hi as u32).collect();
+            let mut sits_out = vec![false; n];
+            let mut mst_edge_ids: Vec<u64> = Vec::new();
+            let mut one_copy_live = Vec::new();
+            loop {
+                let emitted = mst_edge_ids.len();
+                for &c in &roots {
+                    let Some(best) = lightest[c as usize].take() else {
+                        continue;
+                    };
+                    if best.to == none {
+                        sits_out[c as usize] = true;
+                    } else if uf.union(c, best.to) {
+                        mst_edge_ids.push(best.id);
+                    }
+                }
+                if mst_edge_ids.len() == emitted {
+                    break;
+                }
+                for &c in &roots {
+                    let root = uf.find(c);
+                    label[c as usize] = root;
+                    if root != c {
+                        sits_out[root as usize] = false;
+                    }
+                }
+                roots.retain(|&c| label[c as usize] == c);
+
+                let one_copy = live
+                    .iter()
+                    .filter(|l| forward.binary_search(&l.pos).is_ok());
+                one_copy_live.push(one_copy.count());
+                let mut kept = 0usize;
+                for k in 0..live.len() {
+                    let LiveEdge { a, b, pos } = live[k];
+                    let (a, b) = (label[a as usize], label[b as usize]);
+                    if a == b {
+                        continue;
+                    }
+                    live[kept] = LiveEdge { a, b, pos };
+                    kept += 1;
+                    if !sits_out[a as usize] {
+                        offer(&mut lightest[a as usize], &g.edges[pos as usize], b);
+                    }
+                }
+                live.truncate(kept);
+            }
+
+            let mut rep: Vec<VertexId> = vec![VertexId::MAX; n];
+            let labels: Vec<VertexId> = (0..n)
+                .map(|i| {
+                    let r = uf.find(i as u32) as usize;
+                    if rep[r] == VertexId::MAX {
+                        rep[r] = verts[i];
+                    }
+                    rep[r]
+                })
+                .collect();
+
+            let mut edges: Vec<CEdge> = Vec::new();
+            let mut seg_offsets: Vec<usize> = Vec::new();
+            edges.extend_from_slice(&g.edges[..offsets[lo]]);
+            seg_offsets.extend_from_slice(&offsets[..=lo]);
+            let mut live = live.iter().peekable();
+            for &end in &offsets[lo + 1..=hi] {
+                while let Some(l) = live.next_if(|l| (l.pos as usize) < end) {
+                    edges.push(g.edges[l.pos as usize]);
+                }
+                seg_offsets.push(edges.len());
+            }
+            let shift = edges.len();
+            edges.extend_from_slice(&g.edges[offsets[hi]..]);
+            seg_offsets.extend(offsets[hi + 1..].iter().map(|&o| shift + (o - offsets[hi])));
+            let outcome = PreprocessOutcome {
+                edges,
+                offsets: seg_offsets,
+                labels,
+                applied: true,
+                mst_edge_ids,
+            };
+            (outcome, one_copy_live)
+        }
+
+        enum Source {
+            Generated(GraphConfig),
+            Edges(Vec<WEdge>),
+        }
+
+        /// One PE's run of both passes on the same prepared slice.
+        struct Run {
+            /// Where the run took place, for messages.
+            at: String,
+            pass: PreprocessOutcome,
+            reference: PreprocessOutcome,
+            /// The γ units the pass charged.
+            charged: u64,
+            /// The γ units it should charge: the resolve scan (the slice),
+            /// the one-copy live list of every later round, the survivors.
+            formula: u64,
+            first_shared: bool,
+            last_shared: bool,
+            slice: usize,
+        }
+
+        fn run(what: &str, p: usize, source: &Source) -> Vec<Run> {
+            let out = Machine::run(MachineConfig::new(p), |comm| {
+                let slice = match source {
+                    Source::Generated(config) => config.generate(comm, 11),
+                    Source::Edges(all) => {
+                        distribute_from_root(comm, (comm.rank() == 0).then(|| all.clone()))
+                    }
+                };
+                let g = InputGraph::from_sorted_edges(comm, slice).graph;
+                let before = comm.stats().local_ops;
+                let pass = contract_local_subtrees(comm, &g);
+                let charged = comm.stats().local_ops - before;
+                let (reference, rounds) = reference(&g);
+                let formula = g.edges.len() + rounds.iter().sum::<usize>() + reference.edges.len();
+                Run {
+                    at: format!("{what}, p = {p}, rank {}", comm.rank()),
+                    pass,
+                    reference,
+                    charged,
+                    formula: formula as u64,
+                    first_shared: g.first_shared,
+                    last_shared: g.last_shared,
+                    slice: g.edges.len(),
+                }
+            });
+            out.results
+        }
+
+        const PES: [usize; 4] = [1, 2, 3, 5];
+
+        /// `m` random undirected edges on `n` vertices, all of weight 1,
+        /// with `|u − v| ≤ band`: every comparison is an id tie-break.
+        fn equal_weights(n: u64, m: u64, band: u64, seed: u64) -> Vec<WEdge> {
+            let mix = |k: u64| kamsta_graph::hash::mix64(seed << 32 | k);
+            let pairs = (0..m)
+                .map(|k| {
+                    let u = mix(2 * k) % n;
+                    WEdge::new(u, (u + 1 + mix(2 * k + 1) % band).min(n - 1), 1)
+                })
+                .filter(|e| e.u != e.v)
+                .collect();
+            symmetrize(pairs)
+        }
+
+        /// Every input the oracle runs, at every `p` of [`PES`].
+        fn every_run() -> Vec<Run> {
+            let families = [
+                GraphConfig::Grid2D { rows: 13, cols: 17 },
+                GraphConfig::Rgg2D { n: 512, m: 4096 },
+                GraphConfig::Rgg3D { n: 512, m: 4096 },
+                GraphConfig::Rhg {
+                    n: 512,
+                    m: 4096,
+                    gamma: 3.0,
+                },
+                GraphConfig::RoadLike { rows: 13, cols: 17 },
+                GraphConfig::Gnm { n: 128, m: 1024 },
+                GraphConfig::Rmat { scale: 7, m: 1024 },
+            ];
+            let mut sources: Vec<(String, Source)> = families
+                .into_iter()
+                .map(|config| (config.family().to_string(), Source::Generated(config)))
+                .collect();
+            for seed in 0..3 {
+                let banded = equal_weights(300, 1200, 6, seed);
+                sources.push((
+                    format!("equal weights, banded, seed {seed}"),
+                    Source::Edges(banded),
+                ));
+                let unbanded = equal_weights(80, 320, 80, seed);
+                sources.push((
+                    format!("equal weights, seed {seed}"),
+                    Source::Edges(unbanded),
+                ));
+            }
+            // Every edge joins {0..8} to {8..16}: at p = 2 each side is one
+            // PE and no edge is internal.
+            let bipartite = (0..8u64)
+                .flat_map(|u| (8..16u64).map(move |v| WEdge::new(u, v, (u * v % 7 + 1) as Weight)))
+                .collect();
+            sources.push((
+                "bipartite".to_string(),
+                Source::Edges(symmetrize(bipartite)),
+            ));
+            let mut runs = Vec::new();
+            for (what, source) in &sources {
+                for p in PES {
+                    runs.extend(run(what, p, source));
+                }
+            }
+            runs
+        }
+
+        #[test]
+        fn the_one_copy_pass_reproduces_the_two_copy_pass() {
+            let runs = every_run();
+            for r in &runs {
+                let (pass, want) = (&r.pass, &r.reference);
+                assert!(pass.applied, "{}", r.at);
+                assert_eq!(pass.labels, want.labels, "{}: labels", r.at);
+                assert_eq!(pass.edges, want.edges, "{}: survivors", r.at);
+                assert_eq!(pass.offsets, want.offsets, "{}: segment offsets", r.at);
+                let mut ids = pass.mst_edge_ids.clone();
+                let mut want_ids = want.mst_edge_ids.clone();
+                ids.sort_unstable();
+                want_ids.sort_unstable();
+                assert_eq!(ids, want_ids, "{}: MSF ids", r.at);
+            }
+            // The inputs reach every shape the pass distinguishes.
+            let merged = |r: &&Run| !r.pass.mst_edge_ids.is_empty();
+            assert!(runs.iter().filter(merged).any(|r| r.first_shared));
+            assert!(runs.iter().filter(merged).any(|r| r.last_shared));
+            let nothing: Vec<&Run> = runs
+                .iter()
+                .filter(|r| r.at.starts_with("bipartite, p = 2"))
+                .collect();
+            assert_eq!(nothing.len(), 2);
+            for r in nothing {
+                assert!(r.pass.mst_edge_ids.is_empty(), "{}: nothing merges", r.at);
+                assert_eq!(r.pass.edges.len(), r.slice, "{}: everything survives", r.at);
+            }
+            let everything: Vec<&Run> = runs.iter().filter(|r| r.at.contains("p = 1,")).collect();
+            assert_eq!(everything.len(), 14);
+            for r in everything {
+                assert!(r.pass.edges.is_empty(), "{}: nothing survives", r.at);
+            }
+        }
+
+        #[test]
+        fn the_pass_charges_its_scans_and_survivors() {
+            for r in every_run() {
+                assert_eq!(r.charged, r.formula, "{}: γ units", r.at);
+            }
+        }
     }
 }
