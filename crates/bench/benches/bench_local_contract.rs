@@ -10,10 +10,14 @@
 //! where locality is absent. `gnm_gate_ms` is what the pipeline pays on
 //! GNM instead: `local_contract`, whose gate skips the pass there. Each
 //! PE's slice is generated once per row; the calls run in lockstep on
-//! it.
+//! it. Each `_ms` cell has the interquartile range of its calls beside it
+//! (`iqr`): a row cannot resolve a gap within it.
 
 use kamsta::{GraphConfig, MstConfig};
-use kamsta_bench::{lockstep_ms, lockstep_row, ms_cell, ratio_cell, Table, BENCH_PES, SAMPLES};
+use kamsta_bench::{
+    iqr_of_slowest, lockstep_ms, median_of_slowest, ms_cell, ratio_cell, Table, BENCH_PES, SAMPLES,
+};
+use kamsta_comm::{Machine, MachineConfig};
 use kamsta_core::dist::{contract_local_subtrees, local_contract};
 use kamsta_graph::InputGraph;
 
@@ -34,13 +38,17 @@ fn main() {
     let mut table = Table::new(&[
         "edges/PE",
         "rgg_ms",
+        "iqr",
         "grid_ms",
+        "iqr",
         "gnm_ms",
+        "iqr",
         "gnm/rgg",
         "gnm_gate_ms",
+        "iqr",
     ]);
     for log_m in [16u32, 19, 21] {
-        let ms = lockstep_row(|comm| {
+        let per_pe = Machine::run(MachineConfig::new(BENCH_PES), |comm| {
             let mut ms = Vec::new();
             for name in FAMILIES {
                 let graph = InputGraph::generate(comm, family(name, log_m), 42).graph;
@@ -62,15 +70,18 @@ fn main() {
                 }
             }
             ms
-        });
-        table.row(vec![
-            format!("2^{log_m}"),
-            ms_cell(ms[0]),
-            ms_cell(ms[1]),
-            ms_cell(ms[2]),
-            ratio_cell(ms[2] / ms[0]),
-            ms_cell(ms[3]),
-        ]);
+        })
+        .results;
+        let (mut row, mut ms) = (vec![format!("2^{log_m}")], Vec::new());
+        for v in 0..per_pe[0].len() {
+            let times: Vec<Vec<f64>> = per_pe.iter().map(|pe| pe[v].clone()).collect();
+            ms.push(median_of_slowest(&times));
+            row.extend([ms_cell(ms[v]), ms_cell(iqr_of_slowest(&times))]);
+            if v == 2 {
+                row.push(ratio_cell(ms[2] / ms[0]));
+            }
+        }
+        table.row(row);
     }
     table.print();
 }

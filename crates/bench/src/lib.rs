@@ -421,14 +421,25 @@ pub fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
+/// Each call's slowest PE: `per_pe[pe][call]` in, one time per call out.
+fn slowest(per_pe: &[Vec<f64>]) -> Vec<f64> {
+    (0..per_pe[0].len())
+        .map(|k| per_pe.iter().map(|t| t[k]).fold(0.0, f64::max))
+        .collect()
+}
+
 /// A lockstep call costs what its slowest PE took: `per_pe[pe][call]`
 /// in, the median over calls of that maximum out.
 pub fn median_of_slowest(per_pe: &[Vec<f64>]) -> f64 {
-    median(
-        (0..per_pe[0].len())
-            .map(|k| per_pe.iter().map(|t| t[k]).fold(0.0, f64::max))
-            .collect(),
-    )
+    median(slowest(per_pe))
+}
+
+/// The interquartile range of the same maxima (the `⌊3n/4⌋`-th less the
+/// `⌊n/4⌋`-th of `n` sorted): a row cannot resolve a gap within it.
+pub fn iqr_of_slowest(per_pe: &[Vec<f64>]) -> f64 {
+    let mut xs = slowest(per_pe);
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() * 3 / 4] - xs[xs.len() / 4]
 }
 
 /// Run `body` on every PE of a [`BENCH_PES`]-PE machine. `body` returns

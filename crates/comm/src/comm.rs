@@ -81,6 +81,8 @@ pub struct Comm {
     backend: Backend,
     clock: Arc<Clock>,
     cost: CostModel,
+    /// Hybrid threads per PE, as the machine resolved them.
+    threads: usize,
     cell_cache: RefCell<HashMap<TypeId, CellCacheEntry>>,
     /// Round sequence of the byte lane; advances identically on every PE
     /// (SPMD collective order), stamping each frame.
@@ -115,6 +117,7 @@ impl Comm {
         backend: Backend,
         clock: Arc<Clock>,
         cost: CostModel,
+        threads: usize,
         alltoall_kind: AlltoallKind,
     ) -> Self {
         Self {
@@ -123,6 +126,7 @@ impl Comm {
             backend,
             clock,
             cost,
+            threads,
             cell_cache: RefCell::new(HashMap::new()),
             seq: Cell::new(0),
             bepoch: Cell::new(0),
@@ -152,7 +156,7 @@ impl Comm {
     /// Hybrid threads per PE (`t` in the paper's `boruvka-t` naming).
     #[inline]
     pub fn threads_per_pe(&self) -> usize {
-        self.cost.threads_per_pe
+        self.threads
     }
 
     /// The intra-PE thread pool handle: a [`rayon::ThreadPool`] whose
@@ -166,7 +170,7 @@ impl Comm {
     /// what keeps `p × t` from oversubscribing the machine.
     pub fn pool(&self) -> rayon::ThreadPool {
         rayon::ThreadPoolBuilder::new()
-            .num_threads(self.cost.threads_per_pe)
+            .num_threads(self.threads)
             .build()
             .expect("width handles cannot fail to build")
     }
@@ -192,7 +196,7 @@ impl Comm {
     /// modeled clock reflects computation as well as communication.
     #[inline]
     pub fn charge_local(&self, ops: u64) {
-        self.clock.advance(self.cost.local_time(ops));
+        self.clock.advance(self.cost.local_time(ops, self.threads));
         self.clock.record_local(ops);
     }
 

@@ -24,11 +24,6 @@ pub struct CostModel {
     pub beta: f64,
     /// Per-operation local computation time in seconds.
     pub gamma: f64,
-    /// Hybrid parallelism: number of threads per PE (the paper's OpenMP
-    /// threads per MPI process, Sec. VI). Local work is divided by
-    /// [`CostModel::local_speedup`]; communication stays single-threaded
-    /// per PE, as the paper observed for `MPI_Alltoallv` (Sec. VII-A).
-    pub threads_per_pe: usize,
 }
 
 impl Default for CostModel {
@@ -37,18 +32,20 @@ impl Default for CostModel {
             alpha: 5e-6,
             beta: 4e-10,
             gamma: 1e-9,
-            threads_per_pe: 1,
         }
     }
 }
 
 impl CostModel {
-    /// Effective local-work speedup of `threads_per_pe` threads. Sub-linear
-    /// (`t^0.9`) to reflect shared-memory scaling losses the paper reports
-    /// for its parlay-based kernels.
+    /// Effective local-work speedup of `threads` threads per PE (hybrid
+    /// parallelism: the paper's OpenMP threads per MPI process, Sec. VI).
+    /// Sub-linear (`t^0.9`) to reflect shared-memory scaling losses the
+    /// paper reports for its parlay-based kernels; communication stays
+    /// single-threaded per PE, as the paper observed for `MPI_Alltoallv`
+    /// (Sec. VII-A).
     #[inline]
-    pub fn local_speedup(&self) -> f64 {
-        (self.threads_per_pe.max(1) as f64).powf(0.9)
+    pub fn local_speedup(threads: usize) -> f64 {
+        (threads.max(1) as f64).powf(0.9)
     }
 
     /// Modeled time for sending/receiving `msgs` messages totalling `bytes`.
@@ -57,10 +54,11 @@ impl CostModel {
         self.alpha * msgs as f64 + self.beta * bytes as f64
     }
 
-    /// Modeled time for `ops` units of local work under hybrid parallelism.
+    /// Modeled time for `ops` units of local work on `threads` threads
+    /// per PE.
     #[inline]
-    pub fn local_time(&self, ops: u64) -> f64 {
-        self.gamma * ops as f64 / self.local_speedup()
+    pub fn local_time(&self, ops: u64, threads: usize) -> f64 {
+        self.gamma * ops as f64 / Self::local_speedup(threads)
     }
 }
 
@@ -161,19 +159,15 @@ mod tests {
     fn cost_model_defaults() {
         let m = CostModel::default();
         assert!(m.alpha > 0.0 && m.beta > 0.0 && m.gamma > 0.0);
-        assert_eq!(m.threads_per_pe, 1);
-        assert!((m.local_speedup() - 1.0).abs() < 1e-12);
+        assert!((CostModel::local_speedup(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn cost_model_hybrid_speedup() {
-        let m = CostModel {
-            threads_per_pe: 8,
-            ..CostModel::default()
-        };
-        let s = m.local_speedup();
+        let m = CostModel::default();
+        let s = CostModel::local_speedup(8);
         assert!(s > 6.0 && s < 8.0, "sub-linear speedup, got {s}");
-        assert!(m.local_time(1000) < CostModel::default().local_time(1000));
+        assert!(m.local_time(1000, 8) < m.local_time(1000, 1));
     }
 
     #[test]
@@ -182,7 +176,6 @@ mod tests {
             alpha: 1.0,
             beta: 0.5,
             gamma: 0.0,
-            threads_per_pe: 1,
         };
         assert!((m.comm_time(3, 10) - 8.0).abs() < 1e-12);
     }

@@ -103,8 +103,7 @@ impl std::error::Error for MachineError {
 pub struct MachineConfig {
     /// Number of processing elements (MPI ranks in the paper).
     pub pes: usize,
-    /// Machine cost parameters; their `threads_per_pe` is replaced by
-    /// the resolved `threads` when the machine runs.
+    /// Machine cost parameters.
     pub cost: CostModel,
     /// Hybrid threads per PE; `None` resolves `KAMSTA_THREADS` at run
     /// time (default: 1).
@@ -311,21 +310,11 @@ impl MachineConfig {
         self
     }
 
-    /// Override the cost model (its `threads_per_pe` is not used: hybrid
-    /// width is [`MachineConfig::with_threads`]'s).
+    /// Override the cost model (hybrid width is
+    /// [`MachineConfig::with_threads`]'s).
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self
-    }
-}
-
-impl ResolvedConfig {
-    /// `cfg`'s cost model at the resolved hybrid width.
-    fn cost(&self, cfg: &MachineConfig) -> CostModel {
-        CostModel {
-            threads_per_pe: self.threads,
-            ..cfg.cost
-        }
     }
 }
 
@@ -403,12 +392,13 @@ impl Machine {
     {
         let resolved = cfg.resolve()?;
         let p = cfg.pes;
-        let cost = resolved.cost(&cfg);
+        let (cost, threads) = (cfg.cost, resolved.threads);
         let faults = resolved
             .faults
             .clone()
             .map(|plan| Arc::new(FaultyTransport::new(plan)));
-        let comm_on = |rank, backend, clock| Comm::new(rank, p, backend, clock, cost, cfg.alltoall);
+        let comm_on =
+            |rank, backend, clock| Comm::new(rank, p, backend, clock, cost, threads, cfg.alltoall);
         match (resolved.transport, &resolved.sockets) {
             (TransportKind::Cells, _) => {
                 // The barrier's spin-vs-park choice keys on the machine-
@@ -517,7 +507,8 @@ impl Machine {
             p,
             lane_backend(my_rank, streams, &resolved, faults),
             Arc::clone(&clock),
-            resolved.cost(&cfg),
+            cfg.cost,
+            resolved.threads,
             cfg.alltoall,
         );
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -1,6 +1,6 @@
 //! The block-distributed representative array of Sec. V.
 
-use crate::dist::{dense_width, pull_values, Pulled};
+use crate::pull::{dense_width, pull_values, IdTable, Pulled};
 use kamsta_comm::{route, Comm};
 
 /// A block-distributed array over a dense id space `[0, n)`, holding one
@@ -135,18 +135,21 @@ impl DistArray {
     /// Absorb a relabeling known at rank 0: the root passes the
     /// `(old, new)` pairs that change something, ascending by `old`
     /// (other PEs pass `None`); they are broadcast and every PE replaces
-    /// each stored `old` in its block by its `new` — through a [`Pulled`]
-    /// keyed for one lookup per block entry: a table while a block is a
-    /// fair share of the array, a map at large p. In Filter-Borůvka the
-    /// stored values are representatives and a vertex stops being one at
-    /// most once, so all the calls of a run together broadcast at most
-    /// `n` pairs. Collective.
+    /// each stored `old` in its block by its `new` — through an id table
+    /// sized by the density rule for one lookup per block entry: a table
+    /// while a block is a fair share of the array, a map at large p. In
+    /// Filter-Borůvka the stored values are representatives and a vertex
+    /// stops being one at most once, so all the calls of a run together
+    /// broadcast at most `n` pairs. Collective.
     pub fn absorb_from_root(&mut self, comm: &Comm, changes: Option<Vec<(u64, u64)>>) {
         let changes = comm.broadcast_vec(0, changes);
         if changes.is_empty() {
             return;
         }
-        let renamed = Pulled::keyed(self.span(), self.values.len(), &changes);
+        let mut renamed = IdTable::new(self.span(), self.values.len());
+        for &(old, new) in &changes {
+            *renamed.slot(old) = new;
+        }
         comm.charge_local(self.values.len() as u64);
         for v in self.values.iter_mut() {
             if let Some(nv) = renamed.get(*v) {
@@ -159,7 +162,7 @@ impl DistArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::tests::ids_in;
+    use crate::pull::tests::ids_in;
     use kamsta_comm::{Machine, MachineConfig};
 
     #[test]

@@ -6,7 +6,8 @@
 //!   (Algorithm 1): local preprocessing, minimum-edge selection, pointer-
 //!   doubling component contraction with shared-vertex handling, ghost
 //!   label exchange, relabel/redistribute, and the replicated-vertex base
-//!   case.
+//!   case; `dist` re-exports its stages from private modules (`round`,
+//!   `redistribute`, `local`, `pull`, `prefilter`).
 //! * [`dist::filter_mst`] — the Filter-Borůvka algorithm (Algorithm 2):
 //!   quicksort-style weight partitioning with distributed filtering
 //!   through a block-distributed representative array, down to subgraphs
@@ -21,8 +22,11 @@ pub mod dist;
 mod dist_array;
 mod filter;
 pub mod instrument;
-mod numbering;
+mod local;
 mod prefilter;
+mod pull;
+mod redistribute;
+mod round;
 pub mod seq;
 pub mod shared;
 mod verify;

@@ -9,7 +9,7 @@
 //! reads it from the round's one label table, so the relabelled slice is
 //! never written (DESIGN.md §14).
 
-use crate::dist::{dense_get, dense_width};
+use crate::pull::{dense_get, dense_width};
 use kamsta_comm::Comm;
 use kamsta_graph::{CEdge, VertexId};
 use kamsta_sort::Sorted;
@@ -247,7 +247,7 @@ pub(crate) fn prefilter_unordered(comm: &Comm, edges: &[CEdge]) -> Vec<CEdge> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::dist::NOT_ASKED;
+    use crate::pull::NOT_ASKED;
     use kamsta_comm::{Machine, MachineConfig};
 
     /// The prefilters' definition: of the edges `keep` accepts, sorted by
